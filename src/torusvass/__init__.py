@@ -14,7 +14,7 @@ from .errors import (AnsatzMismatch, CancellationFailure, DegreeExceeded,
                      DivisionByZeroSeries, Inconsistent, NotAKnot, RankDeficient,
                      SingularBracket, TorusVassError, TruncationUnderflow,
                      ZeroCasimirDivision)
-from .series import Rational, TruncSeries, series_div, series_exp_linear, series_mul
+from .series import TruncSeries, series_div, series_exp_linear
 from .linalg import ExactMatrix, ExactPoly, LinearSolution, interpolate_poly, solve_exact
 from .knots import (UNKNOT, CanonicalTorusKnot, TorusKnot, canonical_knots,
                     canonicalize)

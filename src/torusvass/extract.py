@@ -17,8 +17,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import AnsatzMismatch, DegreeExceeded, Inconsistent, RankDeficient
-from .groups import (Family, GroupInstance, SLOT_COUNTS, group_factors, product,
-                     slots, so_n, su2, su_n)
+from .groups import (Family, GroupFactorVector, GroupInstance, SLOT_COUNTS,
+                     group_factors, product, slots, so_n, su2, su_n)
 from .invariants import DEFAULT_GUARD, DEFAULT_ORDER, normalized_series, unnormalized_series
 from .knots import TorusKnot, as_knot
 from .linalg import ExactMatrix, ExactPoly, interpolate_poly, solve_exact
@@ -64,12 +64,27 @@ class ExtractionReport:
         )
 
 
-def _series_for(knot, inst: GroupInstance, trunc_order: int, guard: int,
-                unnormalized: bool) -> TruncSeries:
-    if unnormalized:
-        s = unnormalized_series(knot, inst, trunc_order, guard)
-        return s * (Fraction(1) / group_factors(inst).dim)
-    return normalized_series(knot, inst, trunc_order, guard)
+def _cached_entry(knot: TorusKnot, inst: GroupInstance, trunc_order: int, guard: int,
+                  unnormalized: bool, cache: dict) -> tuple[TruncSeries, GroupFactorVector]:
+    """The (undivided) series and group factors of one instance, evaluated at
+    most once per cache.  A product instance multiplies its two factor series,
+    taking them from the cache (or filling it) rather than re-evaluating them;
+    this is the same factorization normalized_series and unnormalized_series
+    apply."""
+    key = (inst, unnormalized)
+    if key not in cache:
+        if inst.family == Family.PRODUCT:
+            left, _ = _cached_entry(knot, su_n(inst.N), trunc_order, guard,
+                                    unnormalized, cache)
+            right, _ = _cached_entry(knot, su2(inst.j), trunc_order, guard,
+                                     unnormalized, cache)
+            series = (left * right).truncated(trunc_order)
+        elif unnormalized:
+            series = unnormalized_series(knot, inst, trunc_order, guard)
+        else:
+            series = normalized_series(knot, inst, trunc_order, guard)
+        cache[key] = (series, group_factors(inst))
+    return cache[key]
 
 
 def assemble_system(knot, order: int, instantiations: Sequence[GroupInstance],
@@ -79,8 +94,12 @@ def assemble_system(knot, order: int, instantiations: Sequence[GroupInstance],
     """One augmented row per instantiation: [r_{i,1} .. r_{i,d_i} | c_i].
 
     order 0 is the trivial system [1 | 1]; orders 2..6 carry the actual
-    unknowns.  A series_cache dict maps instances to precomputed series so the
-    per-order assemblies share one evaluation per instance.
+    unknowns.  A series_cache dict maps instances to their series and group
+    factors, so the per-order assemblies share one evaluation per instance,
+    and a product instance SU(N) x SU(2) reuses the series of its two factors
+    (evaluating a factor that the plan itself does not sample on first use).
+    On the unnormalized route the right-hand side is the Wilson-line
+    coefficient divided by dim R.
     """
     if order not in (0, 2, 3, 4, 5, 6):
         raise ValueError(f"no slots at order {order}")
@@ -88,13 +107,10 @@ def assemble_system(knot, order: int, instantiations: Sequence[GroupInstance],
     cache = series_cache if series_cache is not None else {}
     rows, rhs = [], []
     for inst in instantiations:
-        key = (inst, unnormalized)
-        if key not in cache:
-            cache[key] = (_series_for(k, inst, trunc_order, guard, unnormalized),
-                          group_factors(inst))
-        series, factors = cache[key]
+        series, factors = _cached_entry(k, inst, trunc_order, guard, unnormalized, cache)
         rows.append([factors.entries[s] for s in slots(order)])
-        rhs.append(series.coefficient(order))
+        c = series.coefficient(order)
+        rhs.append(c / factors.dim if unnormalized else c)
     return ExactMatrix.augmented(rows, rhs)
 
 

@@ -22,6 +22,13 @@ Conventions:
 * m may be negative (the formulas stay well defined); n must be >= 1, which
   every knot reaches through the equivalence {n,m} ~ {-n,-m}.
 
+The HOMFLY and Kauffman summands share their bracket products and
+q-factorials: each evaluator builds the prefix products once, so one
+evaluation costs O(n) series products rather than O(n^2).  This is exact, not
+an approximation: a product or quotient keeps the smaller relative window of
+its operands and adds their valuations, so the order of the factors changes
+no coefficient and no window.
+
 Each evaluator works internally at trunc_order + guard terms, checks at the
 end that the requested order is still reliable, and returns the series cut at
 trunc_order.  A normalized invariant must come out with min_degree 0 and
@@ -31,10 +38,9 @@ constant term exactly 1; anything else raises.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import Union
 
-from .errors import CancellationFailure, NotAKnot, SingularBracket, TruncationUnderflow
+from .errors import CancellationFailure, SingularBracket, TruncationUnderflow
 from .groups import Family, GroupInstance, su2, su_n
 from .knots import TorusKnot, as_knot
 from .series import TruncSeries, series_exp_linear
@@ -50,13 +56,6 @@ KnotLike = Union[TorusKnot, tuple]
 def qpower(exponent, scale, trunc_order: int) -> TruncSeries:
     """The series of t**exponent with t = exp(scale*x)."""
     return series_exp_linear(Fraction(exponent) * Fraction(scale), trunc_order)
-
-
-def _validated(knot: KnotLike) -> TorusKnot:
-    k = as_knot(knot)
-    if k.n == 0 or k.m == 0 or gcd(abs(k.n), abs(k.m)) != 1:
-        raise NotAKnot(f"({k.n}, {k.m}) is not a torus knot: gcd != 1")
-    return k
 
 
 def _finalize_normalized(raw: TruncSeries, trunc_order: int, what: str) -> TruncSeries:
@@ -79,7 +78,7 @@ def homfly_normalized(knot: KnotLike, N: int,
                       trunc_order: int = DEFAULT_ORDER,
                       guard: int = DEFAULT_GUARD) -> TruncSeries:
     """Series of the normalized torus-knot HOMFLY polynomial for SU(N)."""
-    k = _validated(knot)
+    k = as_knot(knot).validate()
     n, m = k.n, k.m
     if n < 1:
         raise CancellationFailure(
@@ -93,6 +92,16 @@ def homfly_normalized(knot: KnotLike, N: int,
         return qpower(a, 1, W)
 
     one = TruncSeries.one(W)
+    tN = t(N)
+    # prefix products: left[p] = prod_{j=1..p} (t^N - t^-j),
+    # right[i] = prod_{j=1..i} (t^N - t^j) for i < N, fact[a] = (a)!
+    left, right, fact = [one], [one], [one]
+    for a in range(1, n):
+        ta = t(a)
+        left.append(left[-1] * (tN - t(-a)))
+        fact.append(fact[-1] * (ta - one))
+        if a < N:
+            right.append(right[-1] * (tN - ta))
     head = one if n == 1 else (one - t(1)) / (one - t(n))
     head = head * t(Fraction((m - 1) * (n - 1), 2) * (N - 1))  # lambda^{(m-1)(n-1)/2}
     total = TruncSeries.zero(W)
@@ -100,17 +109,10 @@ def homfly_normalized(knot: KnotLike, N: int,
         p = n - 1 - i
         if -p <= N <= i:
             continue  # the factor (lambda t - t^N) vanishes identically
-        numer = one
-        for j in range(-p, i + 1):
-            if j == 0:
-                continue  # cancelled against the global 1/(lambda t - 1)
-            numer = numer * (t(N) - t(j))
-        denom = one
-        for a in range(1, i + 1):
-            denom = denom * (t(a) - one)
-        for a in range(1, p + 1):
-            denom = denom * (t(a) - one)
-        term = (numer / denom) * t(m * i + Fraction(p * (p + 1), 2))
+        # the j = 0 factor of prod_{j=-p..i} (lambda t - t^j) is cancelled
+        # against the global 1/(lambda t - 1)
+        term = ((left[p] * right[i]) / (fact[i] * fact[p])) \
+            * t(m * i + Fraction(p * (p + 1), 2))
         total = total + (term if i % 2 == 0 else -term)
     return _finalize_normalized(head * total, trunc_order, f"homfly({n},{m};N={N})")
 
@@ -124,7 +126,7 @@ def kauffman_normalized(knot: KnotLike, N: int,
     vanishes identically at p = 1 - N, which |p| <= n - 1 would reach for
     smaller N.
     """
-    k = _validated(knot)
+    k = as_knot(knot).validate()
     n, m = k.n, k.m
     if n < 1:
         raise CancellationFailure(
@@ -148,21 +150,23 @@ def kauffman_normalized(knot: KnotLike, N: int,
         return t(Fraction(p, 2) + lam) - t(Fraction(-p, 2) - lam)
 
     one = TruncSeries.one(W)
-    head = (br(1) * t(Fraction(n * m) * lam)) / (br(1) + brq(0))
+    brqs = {p: brq(p) for p in range(1 - n, n)}  # every [p;1] a summand uses
+    # prefix products: neg[g] = prod_{j=-g..-1} [j;1], pos[b] = prod_{j=1..b} [j;1],
+    # fact[a] = [a]!
+    neg, pos, fact = [one], [one], [one]
+    for a in range(1, n):
+        neg.append(neg[-1] * brqs[-a])
+        pos.append(pos[-1] * brqs[a])
+        fact.append(fact[-1] * br(a))
+    inv_br_n = one / br(n)
+    head = (br(1) * t(Fraction(n * m) * lam)) / (br(1) + brqs[0])
     total = TruncSeries.constant(1, W) if n % 2 == 0 else TruncSeries.zero(W)
     for g in range(n):
         b = n - 1 - g
         weight = t(Fraction(-m * (b - g), 2) - m * lam)  # t^{-m(b-g)/2} lambda^{-m}
-        bracket = one / br(n) + one / brq(b - g)
-        numer = one
-        for j in range(-g, b + 1):
-            numer = numer * brq(j)
-        denom = one
-        for a in range(1, b + 1):
-            denom = denom * br(a)
-        for a in range(1, g + 1):
-            denom = denom * br(a)
-        term = ((bracket * numer) / denom) * weight
+        bracket = inv_br_n + one / brqs[b - g]
+        numer = neg[g] * brqs[0] * pos[b]  # prod_{j=-g..b} [j;1]
+        term = ((bracket * numer) / (fact[b] * fact[g])) * weight
         total = total + (term if g % 2 == 0 else -term)
     return _finalize_normalized(head * total, trunc_order, f"kauffman({n},{m};N={N})")
 
@@ -175,7 +179,7 @@ def akutsu_wadati_normalized(knot: KnotLike, j: int,
     The sum telescopes to t^{j+1} - 1 at n = 1, which is what makes the
     normalized unknot value exactly 1.
     """
-    k = _validated(knot)
+    k = as_knot(knot).validate()
     n, m = k.n, k.m
     if n < 1:
         raise CancellationFailure(

@@ -24,9 +24,6 @@ from typing import Iterable, Union
 
 from .errors import DivisionByZeroSeries, TruncationUnderflow
 
-#: The universal exact scalar of the package.
-Rational = Fraction
-
 Scalar = Union[int, Fraction]
 
 
@@ -36,7 +33,7 @@ class TruncSeries:
     __slots__ = ("min_degree", "coefficients", "trunc_order")
 
     def __init__(self, min_degree: int, coefficients: Iterable[Scalar], trunc_order: int):
-        coeffs = tuple(Fraction(c) for c in coefficients)
+        coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in coefficients)
         if len(coeffs) != trunc_order - min_degree + 1:
             raise ValueError(
                 f"need {trunc_order - min_degree + 1} coefficients for degrees "
@@ -233,11 +230,6 @@ def series_exp_linear(rate: Scalar, trunc_order: int) -> TruncSeries:
     for d in range(1, trunc_order + 1):
         coeffs.append(coeffs[-1] * r / d)
     return TruncSeries(0, coeffs, trunc_order)
-
-
-def series_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
-    """Exact Cauchy product; see the module docstring for the reliability rule."""
-    return a * b
 
 
 def series_div(num: TruncSeries, den: TruncSeries) -> TruncSeries:

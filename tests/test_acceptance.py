@@ -4,8 +4,11 @@ Each test prints a single pass/fail line; run with `pytest -s
 tests/test_acceptance.py` to see the full checklist.
 """
 
+import json
+
 import pytest
 
+from torusvass.cli import main
 from torusvass.suites import (SUITES, suite_alpha, suite_closed_forms,
                               suite_cross_family, suite_distinguishing,
                               suite_g_tables, suite_integrality, suite_relations,
@@ -75,6 +78,11 @@ def test_criterion_10_unit_symmetry():
 
 
 @pytest.mark.parametrize("suite", sorted(SUITES))
-def test_cli_suite_registry_runs(suite):
-    # every registered suite is runnable end to end through the CLI mapping
-    assert SUITES[suite] is not None
+def test_cli_suite_registry_runs(suite, capsys):
+    # every registered suite runs end to end through the CLI and passes
+    assert main(["verify", "--suite", suite]) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert [r["suite"] for r in payload["suites"]] == [suite]
+    checks = payload["suites"][0]["checks"]
+    assert checks and all(c["passed"] for c in checks), \
+        [c["label"] for c in checks if not c["passed"]]

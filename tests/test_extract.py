@@ -176,3 +176,43 @@ def test_fitted_g_reproduces_alpha_tilde_through_factors(family, parameter, absc
         via_table = sum(tilde[slot] * r.entries[slot]
                         for slot in [(order, j) for j in range(1, SLOT_COUNTS[order] + 1)])
         assert via_fit == via_table
+
+
+def _count_evaluations(monkeypatch):
+    """Wrap the evaluators of torusvass.invariants with call counters."""
+    import torusvass.invariants as invariants
+
+    counts = {}
+    for name in ("homfly_normalized", "akutsu_wadati_normalized",
+                 "kauffman_normalized", "unknot_factor"):
+        def counted(*args, _original=getattr(invariants, name), _name=name, **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(invariants, name, counted)
+    return counts
+
+
+def test_product_instances_reuse_factor_series(monkeypatch):
+    # the default plan samples SU(N) at N = 2..7 and SU(2) at j = 1..6, which
+    # covers every factor of its seven product instances
+    counts = _count_evaluations(monkeypatch)
+    extract_alpha_tilde((6, 7))
+    assert counts == {"homfly_normalized": 6, "akutsu_wadati_normalized": 6,
+                      "kauffman_normalized": 6}
+    counts.clear()
+    extract_alpha((6, 7))
+    assert counts == {"homfly_normalized": 6, "akutsu_wadati_normalized": 6,
+                      "kauffman_normalized": 6, "unknot_factor": 18}
+
+
+def test_product_factors_outside_the_plan():
+    from torusvass.groups import product, so_n, su2
+
+    plan = [su_n(N) for N in range(2, 8)] + [so_n(N) for N in range(8, 14)] \
+        + [su2(j) for j in range(1, 5)] + [product(9, 6), product(8, 5)]
+    table, report = extract_alpha_tilde((6, 7), instantiation_plan=plan)
+    assert report.all_good()
+    assert table.entries == closed_form_alpha_tilde((6, 7)).entries
+    table, report = extract_alpha((6, 7), instantiation_plan=plan)
+    assert report.all_good()
+    assert table.entries == closed_form_alpha((6, 7)).entries

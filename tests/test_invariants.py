@@ -6,10 +6,12 @@ import pytest
 
 from torusvass.errors import CancellationFailure, NotAKnot, SingularBracket
 from torusvass.groups import product, so_n, su2, su_n
-from torusvass.invariants import (akutsu_wadati_normalized, homfly_normalized,
-                                  kauffman_normalized, normalized_series, qpower,
-                                  unknot_factor, unnormalized_series)
+from torusvass.invariants import (_finalize_normalized, akutsu_wadati_normalized,
+                                  homfly_normalized, kauffman_normalized,
+                                  normalized_series, qpower, unknot_factor,
+                                  unnormalized_series)
 from torusvass.knots import TorusKnot
+from torusvass.series import TruncSeries
 
 ORDER = 6
 ONE = (F(1),) + (F(0),) * ORDER
@@ -152,3 +154,98 @@ def test_torus_knot_helpers():
     assert TorusKnot(2, 3).swapped() == TorusKnot(3, 2)
     assert TorusKnot(2, 3).mirrored() == TorusKnot(2, -3)
     assert TorusKnot(1, 5).is_unknot()
+
+
+# ----------------------------------------------------------------------
+# the evaluators against their direct O(n^2) summation
+# ----------------------------------------------------------------------
+
+def _homfly_reference(knot, N, trunc_order, guard):
+    """Each summand rebuilds its bracket product and q-factorials."""
+    n, m = knot
+    W = trunc_order + guard
+
+    def t(a):
+        return qpower(a, 1, W)
+
+    one = TruncSeries.one(W)
+    head = one if n == 1 else (one - t(1)) / (one - t(n))
+    head = head * t(F((m - 1) * (n - 1), 2) * (N - 1))
+    total = TruncSeries.zero(W)
+    for i in range(n):
+        p = n - 1 - i
+        if -p <= N <= i:
+            continue
+        numer = one
+        for j in range(-p, i + 1):
+            if j == 0:
+                continue
+            numer = numer * (t(N) - t(j))
+        denom = one
+        for a in range(1, i + 1):
+            denom = denom * (t(a) - one)
+        for a in range(1, p + 1):
+            denom = denom * (t(a) - one)
+        term = (numer / denom) * t(m * i + F(p * (p + 1), 2))
+        total = total + (term if i % 2 == 0 else -term)
+    return _finalize_normalized(head * total, trunc_order, "homfly reference")
+
+
+def _kauffman_reference(knot, N, trunc_order, guard):
+    """Each summand rebuilds its bracket product and q-factorials."""
+    n, m = knot
+    W = trunc_order + guard
+    lam = F(N - 1, 2)
+
+    def t(a):
+        return qpower(a, F(1, 2), W)
+
+    def br(p):
+        return t(F(p, 2)) - t(F(-p, 2))
+
+    def brq(p):
+        return t(F(p, 2) + lam) - t(F(-p, 2) - lam)
+
+    one = TruncSeries.one(W)
+    head = (br(1) * t(F(n * m) * lam)) / (br(1) + brq(0))
+    total = TruncSeries.constant(1, W) if n % 2 == 0 else TruncSeries.zero(W)
+    for g in range(n):
+        b = n - 1 - g
+        weight = t(F(-m * (b - g), 2) - m * lam)
+        bracket = one / br(n) + one / brq(b - g)
+        numer = one
+        for j in range(-g, b + 1):
+            numer = numer * brq(j)
+        denom = one
+        for a in range(1, b + 1):
+            denom = denom * br(a)
+        for a in range(1, g + 1):
+            denom = denom * br(a)
+        term = ((bracket * numer) / denom) * weight
+        total = total + (term if g % 2 == 0 else -term)
+    return _finalize_normalized(head * total, trunc_order, "kauffman reference")
+
+
+#: (trunc_order, guard) windows; larger n uses the default and the widest only,
+#: which keeps the O(n^2) reference affordable
+WINDOWS = ((6, 2), (6, 3), (9, 2), (9, 3), (12, 2), (12, 3))
+
+
+@pytest.mark.parametrize("n", list(range(1, 14)) + [20])
+def test_prefix_products_equal_direct_summation(n):
+    # a product or quotient keeps the smaller relative window of its operands,
+    # so the factor order is irrelevant and the series must be equal as
+    # TruncSeries: same window, same Fractions.  HOMFLY runs at N = 2, 8 and
+    # n (when in range), so N < n, N = n and N > n all occur; Kauffman always
+    # runs at its floor N = n + 2.
+    windows = WINDOWS if n <= 5 else ((6, 2), (12, 3))
+    homfly_ranks = sorted({2, 8} | ({n} if 2 <= n <= 8 else set()))
+    kauffman_ranks = (n + 2, n + 7) if n <= 5 else (n + 2,)
+    for m in (n + 1, -(n + 1)):
+        for order, guard in windows:
+            for N in homfly_ranks:
+                assert homfly_normalized((n, m), N, order, guard) \
+                    == _homfly_reference((n, m), N, order, guard), (m, N, order, guard)
+            for N in kauffman_ranks:
+                assert kauffman_normalized((n, m), N, order, guard) \
+                    == _kauffman_reference((n, m), N, order, guard), (m, N, order, guard)
