@@ -32,7 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 from .errors import ZeroCasimirDivision
 
@@ -194,7 +196,7 @@ def casimir_sets(group: GroupInstance) -> tuple[CasimirSet, ...]:
 class GroupFactorVector:
     """All r_ij for orders 0..6 plus the representation dimension."""
 
-    entries: dict  # (order, slot) -> Fraction, includes (0, 1) -> 1
+    entries: Mapping  # read-only (order, slot) -> Fraction, includes (0, 1) -> 1
     dim: Fraction
 
     def r(self, order: int, slot: int) -> Fraction:
@@ -238,8 +240,16 @@ def group_factor_vector(sets: Sequence[CasimirSet]) -> GroupFactorVector:
     dim = Fraction(1)
     for cs in sets:
         dim *= cs.dim
-    return GroupFactorVector(r, dim)
+    return GroupFactorVector(MappingProxyType(r), dim)
 
 
+@lru_cache(maxsize=128)
 def group_factors(group: GroupInstance) -> GroupFactorVector:
+    """The group factors of one instance, memoized.
+
+    They depend on the instance alone, and every extraction asks for the same
+    few instances again; 128 entries hold every instance that the default
+    plans use for n < 60.  The vector is frozen and its entries read-only,
+    so callers share it safely.
+    """
     return group_factor_vector(casimir_sets(group))

@@ -13,13 +13,29 @@ operation computes how far its result is reliable:
   exact to the requested order),
 * a quotient loses the denominator valuation.
 
-All coefficients are :class:`fractions.Fraction`; nothing here ever rounds.
-Instances are immutable and safe to share between threads.
+Representation.  The coefficients are Python ints ``nums`` over one common
+denominator ``den``: the coefficient of ``x**(min_degree + k)`` is
+``nums[k] / den``.  The pair is canonical: ``den > 0``,
+``gcd(den, *nums) == 1``, ``nums[0] != 0`` unless the series is zero, and the
+zero series has ``min_degree`` 0, ``den`` 1 and zeros through
+``max(trunc_order, 0)``.  So two series are equal exactly when their four
+fields are, and equal series hash alike.  A sum works over the lcm of the two
+denominators, a product is an integer convolution over the product of the
+denominators, a quotient runs a fraction-free recurrence and puts the powers
+of the denominator's lowest coefficient into ``den``, and ``exp(p/q * x)`` is
+built over ``q**W * W!``; each result is reduced by one multi-argument gcd.
+
+Integer arithmetic never rounds, so every coefficient is the exact rational
+that :class:`fractions.Fraction` arithmetic gives, and it is read back as
+one: ``coefficient``, ``coefficients`` and ``coefficients_through`` return
+reduced Fractions.  Instances are immutable and safe to share between
+threads.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial, gcd, lcm
 from typing import Iterable, Union
 
 from .errors import DivisionByZeroSeries, TruncationUnderflow
@@ -30,28 +46,19 @@ Scalar = Union[int, Fraction]
 class TruncSeries:
     """A truncated Laurent series with exact rational coefficients."""
 
-    __slots__ = ("min_degree", "coefficients", "trunc_order")
+    __slots__ = ("min_degree", "nums", "den", "trunc_order")
 
     def __init__(self, min_degree: int, coefficients: Iterable[Scalar], trunc_order: int):
-        coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in coefficients)
+        coeffs = [c if type(c) is int or type(c) is Fraction else Fraction(c)
+                  for c in coefficients]
         if len(coeffs) != trunc_order - min_degree + 1:
             raise ValueError(
                 f"need {trunc_order - min_degree + 1} coefficients for degrees "
                 f"{min_degree}..{trunc_order}, got {len(coeffs)}"
             )
-        lead = 0
-        while lead < len(coeffs) and coeffs[lead] == 0:
-            lead += 1
-        if lead == len(coeffs):
-            # canonical zero series: min_degree 0, zeros through trunc_order
-            trunc = max(trunc_order, 0)
-            self.min_degree = 0
-            self.coefficients = (Fraction(0),) * (trunc + 1)
-            self.trunc_order = trunc
-        else:
-            self.min_degree = min_degree + lead
-            self.coefficients = coeffs[lead:]
-            self.trunc_order = trunc_order
+        den = lcm(*(c.denominator for c in coeffs))
+        _assign(self, min_degree, [c.numerator * (den // c.denominator) for c in coeffs],
+                den, trunc_order)
 
     # ------------------------------------------------------------------
     # constructors
@@ -80,8 +87,14 @@ class TruncSeries:
     # inspection
     # ------------------------------------------------------------------
 
+    @property
+    def coefficients(self) -> tuple[Fraction, ...]:
+        """The stored coefficients, degrees min_degree..trunc_order."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.nums)
+
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coefficients)
+        return not self.nums[0]  # canonical: a nonzero series has nums[0] != 0
 
     def coefficient(self, degree: int) -> Fraction:
         """Coefficient of x**degree; zero below min_degree, error above trunc_order."""
@@ -89,7 +102,7 @@ class TruncSeries:
             raise ValueError(f"degree {degree} is beyond truncation {self.trunc_order}")
         if degree < self.min_degree:
             return Fraction(0)
-        return self.coefficients[degree - self.min_degree]
+        return Fraction(self.nums[degree - self.min_degree], self.den)
 
     def coefficients_through(self, order: int) -> tuple[Fraction, ...]:
         """Coefficients of degrees 0..order for a series with no pole part."""
@@ -103,11 +116,12 @@ class TruncSeries:
         return (
             self.min_degree == other.min_degree
             and self.trunc_order == other.trunc_order
-            and self.coefficients == other.coefficients
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     def __hash__(self) -> int:
-        return hash((self.min_degree, self.coefficients, self.trunc_order))
+        return hash((self.min_degree, self.nums, self.den, self.trunc_order))
 
     def agrees_with(self, other: "TruncSeries", through: int) -> bool:
         """Coefficientwise equality on degrees min(min_degrees)..through."""
@@ -140,16 +154,23 @@ class TruncSeries:
             return NotImplemented
         trunc = min(self.trunc_order, rhs.trunc_order)
         lo = min(self.min_degree, rhs.min_degree)
-        return TruncSeries(
-            lo,
-            [self.coefficient(d) + rhs.coefficient(d) for d in range(lo, trunc + 1)],
-            trunc,
-        )
+        da, db = self.den, rhs.den
+        g = gcd(da, db)
+        den, fa, fb = da // g * db, db // g, da // g  # den = lcm(da, db)
+        out = [0] * (trunc - lo + 1)
+        # a series whose window starts above trunc contributes nothing
+        for k, c in enumerate(self.nums[:max(trunc - self.min_degree + 1, 0)],
+                              self.min_degree - lo):
+            out[k] = c * fa
+        for k, c in enumerate(rhs.nums[:max(trunc - rhs.min_degree + 1, 0)],
+                              rhs.min_degree - lo):
+            out[k] += c * fb
+        return _make(lo, out, den, trunc)
 
     __radd__ = __add__
 
     def __neg__(self) -> "TruncSeries":
-        return TruncSeries(self.min_degree, [-c for c in self.coefficients], self.trunc_order)
+        return _make(self.min_degree, [-c for c in self.nums], self.den, self.trunc_order)
 
     def __sub__(self, other: object) -> "TruncSeries":
         rhs = self._coerce(other)
@@ -165,28 +186,24 @@ class TruncSeries:
 
     def scaled(self, factor: Scalar) -> "TruncSeries":
         f = Fraction(factor)
-        return TruncSeries(self.min_degree, [f * c for c in self.coefficients], self.trunc_order)
+        return _make(self.min_degree, [f.numerator * c for c in self.nums],
+                     self.den * f.denominator, self.trunc_order)
 
     def __mul__(self, other: object) -> "TruncSeries":
         if isinstance(other, (int, Fraction)):
             return self.scaled(other)
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        a, b = self, other
-        lo = a.min_degree + b.min_degree
-        hi = min(a.trunc_order + b.min_degree, b.trunc_order + a.min_degree)
-        out = [Fraction(0)] * (hi - lo + 1)
-        for i, ai in enumerate(a.coefficients):
-            if ai == 0:
-                continue
-            da = a.min_degree + i
-            for k, bk in enumerate(b.coefficients):
-                d = da + b.min_degree + k
-                if d > hi:
-                    break
-                if bk != 0:
-                    out[d - lo] += ai * bk
-        return TruncSeries(lo, out, hi)
+        a, b = self.nums, other.nums
+        lo = self.min_degree + other.min_degree
+        hi = min(self.trunc_order + other.min_degree, other.trunc_order + self.min_degree)
+        out = []
+        for k in range(hi - lo + 1):  # hi - lo < min(len(a), len(b))
+            acc = 0
+            for i in range(k + 1):
+                acc += a[i] * b[k - i]
+            out.append(acc)
+        return _make(lo, out, self.den * other.den, hi)
 
     __rmul__ = __mul__
 
@@ -199,10 +216,10 @@ class TruncSeries:
 
     def mirrored(self) -> "TruncSeries":
         """The substitution x -> -x (odd-degree coefficients change sign)."""
-        return TruncSeries(
+        return _make(
             self.min_degree,
-            [c if (self.min_degree + k) % 2 == 0 else -c
-             for k, c in enumerate(self.coefficients)],
+            [c if (self.min_degree + k) % 2 == 0 else -c for k, c in enumerate(self.nums)],
+            self.den,
             self.trunc_order,
         )
 
@@ -213,7 +230,37 @@ class TruncSeries:
         if order < self.min_degree:
             return TruncSeries.zero(max(order, 0))
         lo = self.min_degree
-        return TruncSeries(lo, self.coefficients[: order - lo + 1], order)
+        return _make(lo, self.nums[: order - lo + 1], self.den, order)
+
+
+# ----------------------------------------------------------------------
+# canonical form
+# ----------------------------------------------------------------------
+
+
+def _assign(series: TruncSeries, lo: int, nums: list, den: int, hi: int) -> TruncSeries:
+    """Store nums/den on degrees lo..hi (den > 0) in canonical form."""
+    lead = 0
+    while lead < len(nums) and not nums[lead]:
+        lead += 1
+    if lead == len(nums):
+        # canonical zero series: min_degree 0, zeros through trunc_order
+        trunc = max(hi, 0)
+        series.min_degree, series.nums, series.den, series.trunc_order = \
+            0, (0,) * (trunc + 1), 1, trunc
+        return series
+    g = gcd(den, *nums)
+    if g != 1:
+        den //= g
+        nums = [c // g for c in nums]
+    series.min_degree, series.nums, series.den, series.trunc_order = \
+        lo + lead, tuple(nums[lead:]), den, hi
+    return series
+
+
+def _make(lo: int, nums: list, den: int, hi: int) -> TruncSeries:
+    """A new canonical series from integer numerators over den > 0."""
+    return _assign(object.__new__(TruncSeries), lo, nums, den, hi)
 
 
 # ----------------------------------------------------------------------
@@ -222,14 +269,24 @@ class TruncSeries:
 
 
 def series_exp_linear(rate: Scalar, trunc_order: int) -> TruncSeries:
-    """The series of exp(rate*x): sum_{d<=trunc_order} rate**d / d! * x**d."""
+    """The series of exp(rate*x): sum_{d<=trunc_order} rate**d / d! * x**d.
+
+    With rate = p/q and W = trunc_order, the coefficient of x**d is
+    p**d q**(W-d) W!/d! over the common denominator q**W W!.
+    """
     if trunc_order < 0:
         raise ValueError("trunc_order must be >= 0")
-    r = Fraction(rate)
-    coeffs = [Fraction(1)]
-    for d in range(1, trunc_order + 1):
-        coeffs.append(coeffs[-1] * r / d)
-    return TruncSeries(0, coeffs, trunc_order)
+    r = rate if isinstance(rate, (int, Fraction)) else Fraction(rate)
+    p, q = r.numerator, r.denominator
+    powers = [1]
+    for _ in range(trunc_order):
+        powers.append(powers[-1] * p)
+    nums = [0] * (trunc_order + 1)
+    tail = 1  # q**(W-d) * W!/d!
+    for d in range(trunc_order, -1, -1):
+        nums[d] = powers[d] * tail
+        tail *= q * d
+    return _make(0, nums, q ** trunc_order * factorial(trunc_order), trunc_order)
 
 
 def series_div(num: TruncSeries, den: TruncSeries) -> TruncSeries:
@@ -240,6 +297,11 @@ def series_div(num: TruncSeries, den: TruncSeries) -> TruncSeries:
     truncation is ``min(num.trunc - v, den.trunc - 2v + num.min)`` where v is
     the denominator valuation; if that window cannot reach degree 0 the caller
     did not carry enough guard terms and TruncationUnderflow is raised.
+
+    The recurrence is fraction-free: with a = num.nums, u = den.nums and c_k
+    the coefficients of the quotient a/u, it computes the integers
+    q_k = c_k u0**(k+1) = a_k u0**k - sum_{j<k} q_j u_{k-j} u0**(k-j-1)
+    and puts u0**n into the denominator.
     """
     if den.is_zero():
         raise DivisionByZeroSeries("division by a series with all stored coefficients zero")
@@ -253,12 +315,20 @@ def series_div(num: TruncSeries, den: TruncSeries) -> TruncSeries:
             f"quotient representable only through degree {hi} "
             f"(window starts at {lo}); increase guard terms"
         )
-    unit = den.coefficients  # unit[0] != 0 after normalization
+    a, u = num.nums, den.nums  # hi - lo < len(a) and hi - lo < len(u)
     n = hi - lo + 1
-    q = [Fraction(0)] * n
+    power = [1]  # power[i] = u0**i
+    for _ in range(n):
+        power.append(power[-1] * u[0])
+    w = [0] + [u[i] * power[i - 1] for i in range(1, n)]
+    q = []
     for k in range(n):
-        acc = num.coefficient(num.min_degree + k)
-        for j in range(max(0, k - len(unit) + 1), k):
-            acc -= q[j] * unit[k - j]
-        q[k] = acc / unit[0]
-    return TruncSeries(lo, q, hi)
+        acc = a[k] * power[k]
+        for j in range(k):
+            acc -= q[j] * w[k - j]
+        q.append(acc)
+    scale = den.den
+    out_den = power[n] * num.den
+    if out_den < 0:
+        out_den, scale = -out_den, -scale
+    return _make(lo, [q[k] * power[n - 1 - k] * scale for k in range(n)], out_den, hi)

@@ -82,7 +82,7 @@ def suite_closed_forms() -> SuiteResult:
         result.add(f"ranks (1,1,3,4,9) at ({n},{m})",
                    ranks_ok and report.all_good(), str(report.rank))
     elapsed = time.perf_counter() - start
-    result.add("grid runtime < 120 s", elapsed < 120, f"{elapsed:.2f}s")
+    result.add("grid runtime < 120 s", elapsed < 120, "< 120 s")
     return result
 
 
@@ -190,7 +190,7 @@ def suite_distinguishing(max_n: int = 40) -> SuiteResult:
     elapsed = time.perf_counter() - start
     result.add(f"zero collisions among {report.checked} canonical knots (n <= {max_n})",
                report.passed, str(report.violations[:3]))
-    result.add("scan runtime < 60 s", elapsed < 60, f"{elapsed:.2f}s")
+    result.add("scan runtime < 60 s", elapsed < 60, "< 60 s")
     return result
 
 

@@ -1,23 +1,40 @@
 """CLI behavior: formats, exit codes, determinism, schema conformance."""
 
+import itertools
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
+import pytest
 
+from torusvass import suites
 from torusvass.cli import main
 
 SCHEMA = json.loads(
     resources.files("torusvass").joinpath("output_schema.json").read_text())
 RATIONAL_SCHEMA = SCHEMA["$defs"]["rational"]
 
+#: the package sources; pytest's ``pythonpath`` setting reaches only the test
+#: process, so a CLI subprocess gets them through PYTHONPATH
+SRC = Path(__file__).resolve().parents[1] / "src"
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(*argv):
+    """Run ``python -m torusvass.cli`` in a subprocess that imports these sources."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "torusvass.cli", *argv],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 def validate_document(doc):
@@ -156,6 +173,20 @@ def test_verify_bound_override(capsys):
     assert any("n <= 6" in c["label"] for c in checks)
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("argv", [("--suite", "v3"),
+                                  ("--suite", "distinguishing", "--bound", "8")])
+def test_verify_output_deterministic(capsys, monkeypatch, argv, fmt):
+    # a clock whose readings drift further apart gives every run other timings;
+    # the distinguishing suite asserts a time gate
+    readings = itertools.count()
+    monkeypatch.setattr(suites.time, "perf_counter", lambda: next(readings) ** 2)
+    first, second = (run_cli(capsys, "verify", *argv, "--format", fmt) for _ in range(2))
+    assert first[0] == second[0] == 0
+    assert first[1] == second[1]
+    assert first[2] != second[2]  # the timings go to stderr
+
+
 def test_verify_failure_names_first_check(capsys, monkeypatch):
     # harness self-test: inject a failing suite and confirm exit 1 plus naming
     from torusvass import cli as cli_module
@@ -226,15 +257,11 @@ def test_out_file(tmp_path, capsys):
 
 
 def test_console_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "torusvass.cli", "invariants", "--n", "2", "--m", "7"],
-        capture_output=True, text=True)
+    proc = run_module("invariants", "--n", "2", "--m", "7")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["payload"]["beta"]["2,1"]["num"] == "6"
 
 
 def test_version_flag():
-    proc = subprocess.run(
-        [sys.executable, "-m", "torusvass.cli", "--version"],
-        capture_output=True, text=True)
+    proc = run_module("--version")
     assert proc.returncode == 0 and "torusvass" in proc.stdout

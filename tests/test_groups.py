@@ -1,5 +1,6 @@
 """Casimir tables and group factor vectors."""
 
+from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 
 import pytest
@@ -73,6 +74,19 @@ def test_additivity_of_identical_factors():
 
 def test_r_zero_slot_is_one():
     assert group_factors(su2(2)).entries[(0, 1)] == 1
+
+
+def test_group_factors_memoized_read_only():
+    fresh = group_factor_vector(casimir_sets(so_n(9)))
+    cached = group_factors(so_n(9))
+    assert group_factors(so_n(9)) == cached == fresh
+    with pytest.raises(TypeError):
+        cached.entries[(2, 1)] = F(0)
+    with pytest.raises(TypeError):
+        del cached.entries[(0, 1)]
+    with pytest.raises(FrozenInstanceError):
+        cached.entries = dict(cached.entries)
+    assert group_factors(so_n(9)).entries == fresh.entries
 
 
 def test_slot_counts():

@@ -1,5 +1,6 @@
 """Truncated series arithmetic: frozen examples and algebraic properties."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -146,3 +147,250 @@ def test_mul_div_roundtrip(a, b):
 def test_exp_additivity(p, q):
     lhs = series_exp_linear(p, 6) * series_exp_linear(q, 6)
     assert lhs.agrees_with(series_exp_linear(p + q, 6), 6)
+
+
+# ----------------------------------------------------------------------
+# equivalence with the Fraction-coefficient kernel
+# ----------------------------------------------------------------------
+
+class RefSeries:
+    """The earlier kernel, one Fraction per stored coefficient, kept as the
+    reference the integer-numerator kernel must equal operation by operation."""
+
+    def __init__(self, min_degree, coefficients, trunc_order):
+        coeffs = tuple(F(c) for c in coefficients)
+        if len(coeffs) != trunc_order - min_degree + 1:
+            raise ValueError(
+                f"need {trunc_order - min_degree + 1} coefficients for degrees "
+                f"{min_degree}..{trunc_order}, got {len(coeffs)}"
+            )
+        lead = 0
+        while lead < len(coeffs) and coeffs[lead] == 0:
+            lead += 1
+        if lead == len(coeffs):
+            trunc = max(trunc_order, 0)
+            self.min_degree, self.coefficients, self.trunc_order = \
+                0, (F(0),) * (trunc + 1), trunc
+        else:
+            self.min_degree = min_degree + lead
+            self.coefficients = coeffs[lead:]
+            self.trunc_order = trunc_order
+
+    def is_zero(self):
+        return all(c == 0 for c in self.coefficients)
+
+    def coefficient(self, degree):
+        if degree > self.trunc_order:
+            raise ValueError(f"degree {degree} is beyond truncation {self.trunc_order}")
+        if degree < self.min_degree:
+            return F(0)
+        return self.coefficients[degree - self.min_degree]
+
+    def _coerce(self, other):
+        if isinstance(other, RefSeries):
+            return other
+        return RefSeries(0, (other,) + (0,) * self.trunc_order, self.trunc_order)
+
+    def __add__(self, other):
+        rhs = self._coerce(other)
+        trunc = min(self.trunc_order, rhs.trunc_order)
+        lo = min(self.min_degree, rhs.min_degree)
+        return RefSeries(lo, [self.coefficient(d) + rhs.coefficient(d)
+                              for d in range(lo, trunc + 1)], trunc)
+
+    def __neg__(self):
+        return RefSeries(self.min_degree, [-c for c in self.coefficients], self.trunc_order)
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def scaled(self, factor):
+        f = F(factor)
+        return RefSeries(self.min_degree, [f * c for c in self.coefficients], self.trunc_order)
+
+    def __mul__(self, other):
+        if not isinstance(other, RefSeries):
+            return self.scaled(other)
+        a, b = self, other
+        lo = a.min_degree + b.min_degree
+        hi = min(a.trunc_order + b.min_degree, b.trunc_order + a.min_degree)
+        out = [F(0)] * (hi - lo + 1)
+        for i, ai in enumerate(a.coefficients):
+            for k, bk in enumerate(b.coefficients):
+                d = a.min_degree + i + b.min_degree + k
+                if d > hi:
+                    break
+                out[d - lo] += ai * bk
+        return RefSeries(lo, out, hi)
+
+    def __truediv__(self, other):
+        if not isinstance(other, RefSeries):
+            return self.scaled(F(1) / F(other))
+        return ref_div(self, other)
+
+    def mirrored(self):
+        return RefSeries(self.min_degree,
+                         [c if (self.min_degree + k) % 2 == 0 else -c
+                          for k, c in enumerate(self.coefficients)], self.trunc_order)
+
+    def truncated(self, order):
+        if order > self.trunc_order:
+            raise ValueError(f"cannot extend truncation {self.trunc_order} to {order}")
+        if order < self.min_degree:
+            return RefSeries(0, (0,) * (max(order, 0) + 1), max(order, 0))
+        lo = self.min_degree
+        return RefSeries(lo, self.coefficients[: order - lo + 1], order)
+
+
+def ref_exp(rate, trunc_order):
+    if trunc_order < 0:
+        raise ValueError("trunc_order must be >= 0")
+    coeffs = [F(1)]
+    for d in range(1, trunc_order + 1):
+        coeffs.append(coeffs[-1] * F(rate) / d)
+    return RefSeries(0, coeffs, trunc_order)
+
+
+def ref_div(num, den):
+    if den.is_zero():
+        raise DivisionByZeroSeries("division by a series with all stored coefficients zero")
+    v = den.min_degree
+    if num.is_zero():
+        trunc = max(num.trunc_order - v, 0)
+        return RefSeries(0, (0,) * (trunc + 1), trunc)
+    lo = num.min_degree - v
+    hi = min(num.trunc_order - v, den.trunc_order - 2 * v + num.min_degree)
+    if hi < max(lo, 0):
+        raise TruncationUnderflow(
+            f"quotient representable only through degree {hi} "
+            f"(window starts at {lo}); increase guard terms"
+        )
+    unit = den.coefficients
+    q = [F(0)] * (hi - lo + 1)
+    for k in range(len(q)):
+        acc = num.coefficient(num.min_degree + k)
+        for j in range(max(0, k - len(unit) + 1), k):
+            acc -= q[j] * unit[k - j]
+        q[k] = acc / unit[0]
+    return RefSeries(lo, q, hi)
+
+
+def outcome(fn, *args):
+    """(window, coefficients) of the result, or (exception type, message)."""
+    try:
+        s = fn(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return s.min_degree, s.trunc_order, tuple(s.coefficients)
+
+
+def assert_canonical(s):
+    assert s.den > 0 and math.gcd(s.den, *s.nums) == 1
+    assert len(s.nums) == s.trunc_order - s.min_degree + 1
+    if s.is_zero():
+        assert (s.min_degree, s.den) == (0, 1) and not any(s.nums)
+    else:
+        assert s.nums[0] != 0
+    # the same value built from its Fractions has the same fields and hash
+    again = TruncSeries(s.min_degree, s.coefficients, s.trunc_order)
+    assert (again.nums, again.den) == (s.nums, s.den)
+    assert again == s and hash(again) == hash(s)
+
+
+@st.composite
+def windows(draw):
+    """(min_degree, coefficients, trunc_order): negative degrees, leading
+    zeros and all-zero windows included."""
+    lo = draw(st.integers(-3, 3))
+    body = draw(st.lists(rationals, min_size=1, max_size=7))
+    if draw(st.integers(0, 5)) == 0:
+        body = [F(0)] * len(body)
+    coefficients = [F(0)] * draw(st.integers(0, 2)) + body
+    return lo, coefficients, lo + len(coefficients) - 1
+
+
+def both(window):
+    return TruncSeries(*window), RefSeries(*window)
+
+
+scalars = st.one_of(st.integers(-5, 5), rationals)
+
+BINARY = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "mul": lambda a, b: a * b,
+    "div": lambda a, b: a / b,
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(BINARY)), windows(), windows())
+def test_binary_ops_match_reference(name, wa, wb):
+    (a, ra), (b, rb) = both(wa), both(wb)
+    op = BINARY[name]
+    got = outcome(op, a, b)
+    assert got == outcome(op, ra, rb)
+    if isinstance(got[0], int):
+        assert_canonical(op(a, b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(windows(), scalars, st.integers(-4, 9))
+def test_unary_ops_match_reference(window, factor, order):
+    s, r = both(window)
+    assert_canonical(s)
+    for fn in (lambda x: x.scaled(factor), lambda x: x * factor, lambda x: x + factor,
+               lambda x: x - factor, lambda x: x / factor, lambda x: -x,
+               lambda x: x.mirrored(), lambda x: x.truncated(order)):
+        got = outcome(fn, s)
+        assert got == outcome(fn, r)
+        if isinstance(got[0], int):
+            assert_canonical(fn(s))
+
+
+@settings(max_examples=60, deadline=None)
+@given(scalars, st.integers(-1, 12))
+def test_exp_matches_reference(rate, order):
+    got = outcome(series_exp_linear, rate, order)
+    assert got == outcome(ref_exp, rate, order)
+    if order >= 0:
+        assert_canonical(series_exp_linear(rate, order))
+
+
+def test_error_paths_match_reference():
+    cases = [
+        ((0, [1, 0, 0, 0, 0], 4), (0, [0] * 5, 4)),  # all-zero denominator
+        ((0, [1, 0], 1), (2, [1], 2)),                # window cannot reach degree 0
+        ((-2, [F(1, 2), 3], -1), (1, [2, 0, 1], 3)),
+    ]
+    for wn, wd in cases:
+        (n, rn), (d, rd) = both(wn), both(wd)
+        got = outcome(series_div, n, d)
+        assert got == outcome(ref_div, rn, rd)
+        assert got[0] in (DivisionByZeroSeries, TruncationUnderflow)
+    assert outcome(TruncSeries, 0, [1, 2], 3) == outcome(RefSeries, 0, [1, 2], 3)
+    assert outcome(lambda: TruncSeries.one(2).truncated(3)) == \
+        outcome(lambda: RefSeries(0, [1, 0, 0], 2).truncated(3))
+
+
+@pytest.mark.parametrize("build", [
+    # a summand whose window starts above the sum's truncation
+    lambda S: S(5, [1, 0, 2, 0], 8) + S(0, [1, 0, 0, 0], 3),
+    lambda S: S(0, [3, 0, 0, 0], 3) - S(5, [1, 2, 0, 1, 0, 0], 10),
+    # the lowest denominator coefficient is -1, so u0**n is negative
+    lambda S: S(0, [1, 0, 0], 2) / S(0, [-1, 1, 0], 2),
+    lambda S: S(-1, [F(1, 3), 1, 0, 0], 2) / S(1, [-2, 0, 5, 1], 4),
+], ids=["add-above", "sub-above", "div-unit-minus-one", "div-negative-unit"])
+def test_edge_windows_match_reference(build):
+    got = build(TruncSeries)
+    assert outcome(build, TruncSeries) == outcome(build, RefSeries)
+    assert_canonical(got)
+
+
+def test_equal_values_share_fields():
+    a = TruncSeries(-1, [F(2, 3), F(4, 3), 0], 1)
+    b = TruncSeries(-1, [F(4, 6), F(8, 6), F(0)], 1)
+    assert (a.nums, a.den) == (b.nums, b.den) == ((2, 4, 0), 3)
+    assert a == b and hash(a) == hash(b)
+    assert a.scaled(3).scaled(F(1, 3)) == a
+    assert (a - a) == TruncSeries.zero(1) and (a - a).den == 1
