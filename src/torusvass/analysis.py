@@ -130,8 +130,10 @@ def dependency_relations_check(grid: Optional[Iterable] = None,
     """Verify all six dependency relations exactly on a knot grid.
 
     The default grid is every canonical knot (both chiralities) with
-    n <= max_n.
+    n <= max_n, which needs max_n >= 3: no canonical knot has n < 3.
     """
+    if grid is None and max_n < 3:
+        raise ValueError("max_n must be >= 3")
     knots = list(grid) if grid is not None else list(canonical_knots(max_n))
     report = ScanReport("dependency-relations", max_n)
     for knot in knots:

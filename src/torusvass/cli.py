@@ -20,7 +20,6 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from math import gcd
 
 from . import __version__
 from .analysis import (auxiliary_scalars, integrality_scan, is_v3_applicable,
@@ -85,22 +84,19 @@ def _slot_rows(kind: str, entries: dict, order: int):
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
     n, m = args.n, args.m
-    if n == 0 or m == 0 or gcd(abs(n), abs(m)) != 1:
-        print(f"error: ({n}, {m}) is not a torus knot (indices must be nonzero "
-              "and coprime)", file=sys.stderr)
-        return EXIT_INVALID_KNOT
+    knot = TorusKnot(n, m).validate()
     if not (0 <= args.order <= 6):
         print(f"error: order {args.order} unsupported (tables stop at 6)",
               file=sys.stderr)
         return EXIT_UNSUPPORTED
 
-    knot = TorusKnot(n, m)
     canonical = canonicalize(n, m)
     is_unknot = canonical is UNKNOT
     tilde = closed_form_alpha_tilde(knot).entries
     alpha = closed_form_alpha(knot).entries
     beta = closed_form_beta(knot).entries
     scalars = auxiliary_scalars(knot)
+    lissajous = lissajous_obstruction(knot)
 
     payload: dict = {
         "knot": {
@@ -115,7 +111,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
         "scalars": {
             "gordian": rational_json(scalars.gordian),
             "curve_residual": rational_json(scalars.curve_residual),
-            "lissajous": lissajous_obstruction(knot),
+            "lissajous": lissajous,
         },
     }
     if is_v3_applicable(knot):
@@ -132,7 +128,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
                       for row in _slot_rows(kind, entries, args.order)]
         lines.append(f"scalar,gordian,,{scalars.gordian}")
         lines.append(f"scalar,curve_residual,,{scalars.curve_residual}")
-        lines.append(f"scalar,lissajous,,{lissajous_obstruction(knot)}")
+        lines.append(f"scalar,lissajous,,{lissajous}")
         if is_v3_applicable(knot):
             lines.append(f"scalar,v3,,{scalars.v3}")
         _emit("\n".join(lines) + "\n", args.out)
@@ -147,7 +143,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
                              f"{str(alpha[(i, j)]):>16} {str(beta[(i, j)]):>12}")
         lines.append(f"gordian = {scalars.gordian}, "
                      f"curve residual = {scalars.curve_residual}, "
-                     f"lissajous: {lissajous_obstruction(knot)}"
+                     f"lissajous: {lissajous}"
                      + (f", v3 = {scalars.v3}" if is_v3_applicable(knot) else ""))
         _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
@@ -180,9 +176,7 @@ def _group_for(args: argparse.Namespace):
 
 def _cmd_expand(args: argparse.Namespace) -> int:
     n, m = args.n, args.m
-    if n == 0 or m == 0 or gcd(abs(n), abs(m)) != 1:
-        print(f"error: ({n}, {m}) is not a torus knot", file=sys.stderr)
-        return EXIT_INVALID_KNOT
+    knot = TorusKnot(n, m).validate().oriented()
     if args.order < 0:
         print(f"error: order {args.order} unsupported", file=sys.stderr)
         return EXIT_UNSUPPORTED
@@ -191,7 +185,6 @@ def _cmd_expand(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    knot = TorusKnot(n, m).oriented()
     try:
         series = normalized_series(knot, group, args.order, guard=args.guard_terms)
     except TorusVassError as exc:

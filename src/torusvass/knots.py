@@ -21,7 +21,8 @@ class TorusKnot:
 
     def validate(self) -> "TorusKnot":
         if self.n == 0 or self.m == 0 or gcd(abs(self.n), abs(self.m)) != 1:
-            raise NotAKnot(f"({self.n}, {self.m}) is not a torus knot: gcd != 1")
+            raise NotAKnot(f"({self.n}, {self.m}) is not a torus knot (indices must be "
+                           "nonzero and coprime)")
         return self
 
     def oriented(self) -> "TorusKnot":
@@ -74,8 +75,7 @@ class CanonicalTorusKnot:
     def __post_init__(self):
         if not (self.n > abs(self.m) >= 2):
             raise ValueError(f"({self.n}, {self.m}) violates n > |m| >= 2")
-        if gcd(self.n, abs(self.m)) != 1:
-            raise NotAKnot(f"({self.n}, {self.m}) has gcd != 1")
+        self.as_knot().validate()
 
     def as_knot(self) -> TorusKnot:
         return TorusKnot(self.n, self.m)
@@ -87,8 +87,7 @@ def canonicalize(n: int, m: int) -> Union[CanonicalTorusKnot, _UnknotType]:
     Nonzero coprime input is required.  The unknot (|n| = 1 or |m| = 1) maps
     to the UNKNOT sentinel.
     """
-    if n == 0 or m == 0 or gcd(abs(n), abs(m)) != 1:
-        raise NotAKnot(f"({n}, {m}) is not a torus knot: gcd != 1")
+    TorusKnot(n, m).validate()
     if abs(n) == 1 or abs(m) == 1:
         return UNKNOT
     if abs(n) < abs(m):

@@ -296,15 +296,14 @@ SUITES = {
 }
 
 
+#: the keyword through which a suite takes the --bound override
+_BOUND_KEYWORDS = {"relations": "max_n", "distinguishing": "max_n", "integrality": "bound"}
+
+
 def run_suite(name: str, bound: int | None = None) -> list[SuiteResult]:
     """Run one suite (or all of them); bound overrides the suite default."""
     if name == "all":
         return [run_suite(single, bound)[0] for single in SUITES]
-    fn = SUITES[name]
-    if bound is not None and name == "relations":
-        return [fn(max_n=bound)]
-    if bound is not None and name == "distinguishing":
-        return [fn(max_n=bound)]
-    if bound is not None and name == "integrality":
-        return [fn(bound=bound)]
-    return [fn()]
+    if bound is None or name not in _BOUND_KEYWORDS:
+        return [SUITES[name]()]
+    return [SUITES[name](**{_BOUND_KEYWORDS[name]: bound})]

@@ -14,6 +14,10 @@ Slot layout of the Taylor ansatz through order six: with P = (n^2-1)(m^2-1),
                      + (n^4 m^2 + n^2 m^4) g_{6,4} + (n^4+m^4) g_{6,5}
                      + n^4 m^4 g_{6,6})
 
+Each closed-form primitive is one integer row: its prefactor kind (P, nm P,
+or 1 for the even-order alpha forms), a numerator polynomial in u = n^2,
+v = m^2, and its denominators; alpha_tilde and beta share the numerators.
+
 Three printed g entries are typos in the source tables (marked below); the
 exact ansatz fit is authoritative for those slots and the corrected forms are
 stored alongside the printed ones.
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 from .groups import all_slots
 from .knots import TorusKnot, as_knot
@@ -68,15 +72,16 @@ class InvariantTable:
         return {k: v for k, v in self.entries.items() if k[0] <= order}
 
 
-def _with_compounds(primitives: dict, scale) -> dict:
+def _with_compounds(primitives: dict, scale: dict | None = None) -> dict:
     """Fill the product-decomposable slots from the primitive ones.
 
     scale maps a compound slot to the coefficient in front of the product
-    (1/2 and 1/6 for the symmetric powers of alpha-like tables, 1 for beta).
+    (1/2 and 1/6 for the symmetric powers of alpha-like tables); beta has
+    none.
     """
     entries = dict(primitives)
     for slot, rule in COMPOUND_RULES.items():
-        entries[slot] = scale(slot) * rule(primitives)
+        entries[slot] = rule(primitives) * scale[slot] if scale else rule(primitives)
     return {s: entries[s] for s in all_slots()}
 
 
@@ -86,105 +91,98 @@ _ALPHA_LIKE_SCALE = {
 }
 
 
-def closed_form_alpha_tilde(knot: KnotLike) -> InvariantTable:
-    """The seventeen-polynomial table for the normalized expansion.
+def _prefactor(kind: str, n: int, m: int) -> int:
+    """The prefactor kind "P" = (n^2-1)(m^2-1), "nmP" = nm P, or "1"."""
+    if kind == "1":
+        return 1
+    p = (n * n - 1) * (m * m - 1)
+    return p if kind == "P" else n * m * p
 
-    The order-4 slot 2 entry is taken in its n <-> m symmetric form
-    9 n^2 m^2 (the sole reading consistent with the beta table and the
-    trefoil normalizer 31).
-    """
+
+class _Row(NamedTuple):
+    """prefactor * numerator(n^2, m^2) / den; beta_den is the printed
+    denominator of the beta value of the same numerator (alpha rows have none)."""
+
+    prefactor: str
+    numerator: Callable[[int, int], int]
+    den: int
+    beta_den: int | None = None
+
+
+#: alpha_tilde and beta share these numerators.  The order-4 slot 2 entry is
+#: taken in its n <-> m symmetric form 9 n^2 m^2 (the sole reading consistent
+#: with the beta table and the trefoil normalizer 31).
+_TILDE_ROWS = {
+    (2, 1): _Row("P", lambda u, v: 1, 6, 24),
+    (3, 1): _Row("nmP", lambda u, v: 1, 18, 144),
+    (4, 2): _Row("P", lambda u, v: 9 * u * v - u - v - 1, 360, 240),
+    (4, 3): _Row("P", lambda u, v: (u + 1) * (v + 1), 360, 240),
+    (5, 2): _Row("nmP", lambda u, v: 69 * u * v - 21 * (u + v) - 11, 5400, 28800),
+    (5, 3): _Row("nmP", lambda u, v: 11 * u * v + u + v - 9, 5400, 57600),
+    (5, 4): _Row("nmP", lambda u, v: (u + 1) * (v + 1), 900, 7200),
+    (6, 5): _Row("P", lambda u, v: (516 * u * u * v * v - 289 * (u * v * v + u * u * v)
+                 - 44 * u * v + 5 * (u * u + v * v) + 5 * (u + v) + 5), 75600, 2520),
+    (6, 6): _Row("P", lambda u, v: (53 * u * u * v * v - 101 * (u * v * v + u * u * v)
+                 - 115 * u * v - 24 * (u * u + v * v) - 24 * (u + v) - 24), 90720, 12096),
+    (6, 7): _Row("P", lambda u, v: (419 * u * u * v * v + 209 * (u * v * v + u * u * v)
+                 - u * v + 20 * (u * u + v * v) + 20 * (u + v) + 20), 226800, 10080),
+    (6, 8): _Row("P", lambda u, v: (13 * u * u * v * v + 13 * (u * v * v + u * u * v)
+                 + 13 * u * v - 50 * (u * u + v * v) - 50 * (u + v) - 50), 453600, 25200),
+    (6, 9): _Row("P", lambda u, v: (31 * u * u * v * v + 31 * (u * v * v + u * u * v)
+                 + 31 * u * v + 10 * (u * u + v * v) + 10 * (u + v) + 10), 151200, 5040),
+}
+
+#: alpha: odd orders coincide with alpha_tilde (the unknot factor is even in
+#: x); the even-order primitives have their own closed forms
+_ALPHA_ROWS = {
+    **{slot: row for slot, row in _TILDE_ROWS.items() if slot[0] % 2},
+    (2, 1): _Row("1", lambda u, v: u * v - u - v, 6),
+    (4, 2): _Row("1", lambda u, v: (9 * u**2 * v**2 - 10 * (u * v**2 + u**2 * v)
+                 + (u**2 + v**2) + 10 * u * v), 360),
+    (4, 3): _Row("1", lambda u, v: u**2 * v**2 - u**2 - v**2, 360),
+    (6, 5): _Row("1", lambda u, v: (516 * u**3 * v**3 - 805 * (u**2 * v**3 + u**3 * v**2)
+                 + 1050 * u**2 * v**2 + 294 * (u * v**3 + u**3 * v)
+                 - 245 * (u * v**2 + u**2 * v) - 5 * (u**3 + v**3) - 49 * u * v), 75600),
+    (6, 6): _Row("1", lambda u, v: (53 * u**3 * v**3 - 154 * (u**2 * v**3 + u**3 * v**2)
+                 + 140 * u**2 * v**2 + 77 * (u * v**3 + u**3 * v)
+                 + 14 * (u * v**2 + u**2 * v) + 24 * (u**3 + v**3) - 91 * u * v), 90720),
+    (6, 7): _Row("1", lambda u, v: (419 * u**3 * v**3 - 210 * (u**2 * v**3 + u**3 * v**2)
+                 - 189 * (u * v**3 + u**3 * v) + 210 * (u * v**2 + u**2 * v)
+                 - 20 * (u**3 + v**3) - 21 * u * v), 226800),
+    (6, 8): _Row("1", lambda u, v: (13 * u**3 * v**3 - 63 * (u * v**3 + u**3 * v)
+                 + 50 * (u**3 + v**3) + 63 * u * v), 453600),
+    (6, 9): _Row("1", lambda u, v: (31 * u**3 * v**3 - 21 * (u * v**3 + u**3 * v)
+                 - 10 * (u**3 + v**3) + 21 * u * v), 151200),
+}
+
+
+def _closed_form(kind: str, knot: KnotLike, rows: dict) -> InvariantTable:
+    """Evaluate the rows in integers, one Fraction per primitive."""
     k = as_knot(knot)
     n, m = k.n, k.m
-    u, v = Fraction(n * n), Fraction(m * m)
-    P = (u - 1) * (v - 1)
-    nm = Fraction(n * m)
+    u, v = n * n, m * m
+    beta = kind == "beta"
     prim = {
-        (2, 1): P / 6,
-        (3, 1): nm * P / 18,
-        (4, 2): P * (9 * u * v - u - v - 1) / 360,
-        (4, 3): P * (u + 1) * (v + 1) / 360,
-        (5, 2): nm * P * (69 * u * v - 21 * (u + v) - 11) / 5400,
-        (5, 3): nm * P * (11 * u * v + u + v - 9) / 5400,
-        (5, 4): nm * P * (u + 1) * (v + 1) / 900,
-        (6, 5): P * (516 * u * u * v * v - 289 * (u * v * v + u * u * v)
-                     - 44 * u * v + 5 * (u * u + v * v) + 5 * (u + v) + 5) / 75600,
-        (6, 6): P * (53 * u * u * v * v - 101 * (u * v * v + u * u * v)
-                     - 115 * u * v - 24 * (u * u + v * v) - 24 * (u + v) - 24) / 90720,
-        (6, 7): P * (419 * u * u * v * v + 209 * (u * v * v + u * u * v)
-                     - u * v + 20 * (u * u + v * v) + 20 * (u + v) + 20) / 226800,
-        (6, 8): P * (13 * u * u * v * v + 13 * (u * v * v + u * u * v)
-                     + 13 * u * v - 50 * (u * u + v * v) - 50 * (u + v) - 50) / 453600,
-        (6, 9): P * (31 * u * u * v * v + 31 * (u * v * v + u * u * v)
-                     + 31 * u * v + 10 * (u * u + v * v) + 10 * (u + v) + 10) / 151200,
+        slot: Fraction(_prefactor(row.prefactor, n, m) * row.numerator(u, v),
+                       row.beta_den if beta else row.den)
+        for slot, row in rows.items()
     }
-    return InvariantTable("alpha_tilde", k,
-                          _with_compounds(prim, _ALPHA_LIKE_SCALE.__getitem__))
+    return InvariantTable(kind, k, _with_compounds(prim, None if beta else _ALPHA_LIKE_SCALE))
+
+
+def closed_form_alpha_tilde(knot: KnotLike) -> InvariantTable:
+    """The seventeen-polynomial table for the normalized expansion."""
+    return _closed_form("alpha_tilde", knot, _TILDE_ROWS)
 
 
 def closed_form_alpha(knot: KnotLike) -> InvariantTable:
-    """The unnormalized-expansion table.
-
-    Odd orders coincide with the normalized table (the unknot factor is even
-    in x); even-order primitives have their own closed forms; compounds are
-    the usual products.
-    """
-    k = as_knot(knot)
-    n, m = k.n, k.m
-    u, v = Fraction(n * n), Fraction(m * m)
-    w, z = u * u * u, v * v * v  # n^6, m^6
-    tilde = closed_form_alpha_tilde(k).entries
-    prim = {
-        (2, 1): (u * v - u - v) / 6,
-        (3, 1): tilde[(3, 1)],
-        (4, 2): (9 * u * u * v * v - 10 * (u * v * v + u * u * v)
-                 + (u * u + v * v) + 10 * u * v) / 360,
-        (4, 3): (u * u * v * v - u * u - v * v) / 360,
-        (5, 2): tilde[(5, 2)],
-        (5, 3): tilde[(5, 3)],
-        (5, 4): tilde[(5, 4)],
-        (6, 5): (516 * w * z - 805 * (u * u * z + w * v * v) + 1050 * u * u * v * v
-                 + 294 * (u * z + w * v) - 245 * (u * v * v + u * u * v)
-                 - 5 * (w + z) - 49 * u * v) / 75600,
-        (6, 6): (53 * w * z - 154 * (u * u * z + w * v * v) + 140 * u * u * v * v
-                 + 77 * (u * z + w * v) + 14 * (u * v * v + u * u * v)
-                 + 24 * (w + z) - 91 * u * v) / 90720,
-        (6, 7): (419 * w * z - 210 * (u * u * z + w * v * v)
-                 - 189 * (u * z + w * v) + 210 * (u * v * v + u * u * v)
-                 - 20 * (w + z) - 21 * u * v) / 226800,
-        (6, 8): (13 * w * z - 63 * (u * z + w * v) + 50 * (w + z) + 63 * u * v) / 453600,
-        (6, 9): (31 * w * z - 21 * (u * z + w * v) - 10 * (w + z) + 21 * u * v) / 151200,
-    }
-    return InvariantTable("alpha", k,
-                          _with_compounds(prim, _ALPHA_LIKE_SCALE.__getitem__))
+    """The unnormalized-expansion table; compounds are the usual products."""
+    return _closed_form("alpha", knot, _ALPHA_ROWS)
 
 
 def closed_form_beta(knot: KnotLike) -> InvariantTable:
     """The trefoil-normalized table; integer-valued on coprime (n, m)."""
-    k = as_knot(knot)
-    n, m = k.n, k.m
-    u, v = Fraction(n * n), Fraction(m * m)
-    P = (u - 1) * (v - 1)
-    nm = Fraction(n * m)
-    prim = {
-        (2, 1): P / 24,
-        (3, 1): nm * P / 144,
-        (4, 2): P * (9 * u * v - u - v - 1) / 240,
-        (4, 3): P * (u + 1) * (v + 1) / 240,
-        (5, 2): nm * P * (69 * u * v - 21 * (u + v) - 11) / 28800,
-        (5, 3): nm * P * (11 * u * v + u + v - 9) / 57600,
-        (5, 4): nm * P * (u + 1) * (v + 1) / 7200,
-        (6, 5): P * (516 * u * u * v * v - 289 * (u * v * v + u * u * v)
-                     - 44 * u * v + 5 * (u * u + v * v) + 5 * (u + v) + 5) / 2520,
-        (6, 6): P * (53 * u * u * v * v - 101 * (u * v * v + u * u * v)
-                     - 115 * u * v - 24 * (u * u + v * v) - 24 * (u + v) - 24) / 12096,
-        (6, 7): P * (419 * u * u * v * v + 209 * (u * v * v + u * u * v)
-                     - u * v + 20 * (u * u + v * v) + 20 * (u + v) + 20) / 10080,
-        (6, 8): P * (13 * u * u * v * v + 13 * (u * v * v + u * u * v)
-                     + 13 * u * v - 50 * (u * u + v * v) - 50 * (u + v) - 50) / 25200,
-        (6, 9): P * (31 * u * u * v * v + 31 * (u * v * v + u * u * v)
-                     + 31 * u * v + 10 * (u * u + v * v) + 10 * (u + v) + 10) / 5040,
-    }
-    return InvariantTable("beta", k, _with_compounds(prim, lambda s: Fraction(1)))
+    return _closed_form("beta", knot, _TILDE_ROWS)
 
 
 def beta_from_alpha_tilde(table: InvariantTable,
@@ -201,7 +199,7 @@ def beta_from_alpha_tilde(table: InvariantTable,
         slot: Fraction(TREFOIL_NORMALIZERS[slot]) * table.entries[slot] / ref[slot]
         for slot in PRIMITIVE_ORDER
     }
-    return InvariantTable("beta", table.knot, _with_compounds(prim, lambda s: Fraction(1)))
+    return InvariantTable("beta", table.knot, _with_compounds(prim))
 
 
 # ----------------------------------------------------------------------
@@ -221,8 +219,7 @@ ANSATZ_SLOT_MONOMIALS = {
 
 def ansatz_prefactor(n: int, m: int, order: int) -> Fraction:
     """(n^2-1)(m^2-1) at even orders, times nm at odd orders."""
-    P = Fraction((n * n - 1) * (m * m - 1))
-    return P if order % 2 == 0 else Fraction(n * m) * P
+    return Fraction(_prefactor("P" if order % 2 == 0 else "nmP", n, m))
 
 
 # ----------------------------------------------------------------------

@@ -48,6 +48,13 @@ def test_canonical_knots_enumeration():
     assert len(knots) == len(set(knots))
 
 
+def test_canonical_knot_rejects_links():
+    with pytest.raises(NotAKnot, match="not a torus knot"):
+        CanonicalTorusKnot(6, 4)
+    with pytest.raises(NotAKnot, match="not a torus knot"):
+        canonicalize(-4, 6)
+
+
 def test_mirror_classes_distinct():
     assert canonicalize(3, 2) != canonicalize(3, -2)
 
@@ -84,6 +91,15 @@ def test_relations_hold_on_grid():
     assert report.passed
     assert report.checked == len(DEPENDENCY_RELATIONS) * sum(
         1 for _ in canonical_knots(12))
+
+
+def test_relations_reject_a_bound_without_knots():
+    # the smallest canonical knot is (3, 2): max_n < 3 would check nothing
+    for max_n in (2, -1):
+        with pytest.raises(ValueError, match="max_n must be >= 3"):
+            dependency_relations_check(max_n=max_n)
+    report = dependency_relations_check(max_n=3)
+    assert report.passed and report.checked == 2 * len(DEPENDENCY_RELATIONS)
 
 
 def test_relations_on_explicit_grid():

@@ -81,6 +81,17 @@ def test_invariants_rejects_noncoprime(capsys):
     assert not out and "not a torus knot" in err
 
 
+@pytest.mark.parametrize("command", [("invariants",), ("expand", "--family", "su2", "--j", "1")])
+@pytest.mark.parametrize("n, m", [(2, 4), (0, 1), (3, 0), (-6, 9)])
+def test_invalid_knot_single_message(capsys, command, n, m):
+    # both handlers reject through TorusKnot.validate, before any other check
+    code, out, err = run_cli(capsys, *command, "--n", str(n), "--m", str(m),
+                             "--order", "-1")
+    assert (code, out) == (2, "")
+    assert err == (f"error: ({n}, {m}) is not a torus knot "
+                   "(indices must be nonzero and coprime)\n")
+
+
 def test_invariants_rejects_order_beyond_six(capsys):
     code, _, err = run_cli(capsys, "invariants", "--n", "2", "--m", "3",
                            "--order", "7")
@@ -171,6 +182,14 @@ def test_verify_bound_override(capsys):
     assert code == 0
     checks = json.loads(out)["payload"]["suites"][0]["checks"]
     assert any("n <= 6" in c["label"] for c in checks)
+
+
+@pytest.mark.parametrize("bound", ["2", "-1"])
+def test_verify_relations_rejects_empty_grid(capsys, bound):
+    # no canonical knot has n < 3, so such a bound would check nothing
+    code, out, err = run_cli(capsys, "verify", "--suite", "relations", "--bound", bound)
+    assert (code, out) == (3, "")
+    assert "max_n must be >= 3" in err
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
@@ -265,3 +284,16 @@ def test_console_entry_point():
 def test_version_flag():
     proc = run_module("--version")
     assert proc.returncode == 0 and "torusvass" in proc.stdout
+
+
+def test_readme_cli_examples_run(capsys):
+    # every ``torusvass ...`` line of the README's CLI code block
+    text = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = [line.split("#", 1)[0].split()[1:] for line in block.splitlines()
+                if line.startswith("torusvass ")]
+    assert len(examples) >= 9
+    for argv in examples:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)
+        assert out

@@ -4,12 +4,134 @@ from fractions import Fraction as F
 
 import pytest
 
+from torusvass.groups import all_slots
 from torusvass.knots import TorusKnot
 from torusvass.tables import (TREFOIL_NORMALIZERS, beta_from_alpha_tilde,
                               closed_form_alpha, closed_form_alpha_tilde,
                               closed_form_beta, printed_g_table)
 
 GRID = [(2, 3), (2, 5), (3, 4), (3, 5), (4, 5), (2, -3), (5, 6)]
+
+#: pairs that are not knots: non-coprime, or with a unit index (unknots)
+NONCOPRIME = [(2, 2), (2, -4), (3, 6), (4, 6), (6, 9), (-4, 10), (1, 1), (1, -6)]
+
+#: every pair 1 <= n <= 40, 0 < |m| <= 40, coprime or not
+REFERENCE_GRID = [(n, m) for n in range(1, 41) for m in range(-40, 41) if m != 0]
+
+
+# ----------------------------------------------------------------------
+# test-only references: each table written out in Fraction arithmetic, one
+# polynomial per table and slot, with the beta denominators as printed; the
+# integer rows must reproduce them exactly
+# ----------------------------------------------------------------------
+
+REF_SCALE = {(4, 1): F(1, 2), (5, 1): F(1), (6, 1): F(1, 6),
+             (6, 2): F(1, 2), (6, 3): F(1), (6, 4): F(1)}
+
+
+def ref_with_compounds(p, scale):
+    compounds = {
+        (4, 1): p[(2, 1)] ** 2, (5, 1): p[(2, 1)] * p[(3, 1)],
+        (6, 1): p[(2, 1)] ** 3, (6, 2): p[(3, 1)] ** 2,
+        (6, 3): p[(2, 1)] * p[(4, 2)], (6, 4): p[(2, 1)] * p[(4, 3)],
+    }
+    entries = {**p, **{s: scale(s) * v for s, v in compounds.items()}}
+    return {s: entries[s] for s in all_slots()}
+
+
+def ref_alpha_tilde(n, m):
+    u, v = F(n * n), F(m * m)
+    P = (u - 1) * (v - 1)
+    nm = F(n * m)
+    prim = {
+        (2, 1): P / 6,
+        (3, 1): nm * P / 18,
+        (4, 2): P * (9 * u * v - u - v - 1) / 360,
+        (4, 3): P * (u + 1) * (v + 1) / 360,
+        (5, 2): nm * P * (69 * u * v - 21 * (u + v) - 11) / 5400,
+        (5, 3): nm * P * (11 * u * v + u + v - 9) / 5400,
+        (5, 4): nm * P * (u + 1) * (v + 1) / 900,
+        (6, 5): P * (516 * u * u * v * v - 289 * (u * v * v + u * u * v)
+                     - 44 * u * v + 5 * (u * u + v * v) + 5 * (u + v) + 5) / 75600,
+        (6, 6): P * (53 * u * u * v * v - 101 * (u * v * v + u * u * v)
+                     - 115 * u * v - 24 * (u * u + v * v) - 24 * (u + v) - 24) / 90720,
+        (6, 7): P * (419 * u * u * v * v + 209 * (u * v * v + u * u * v)
+                     - u * v + 20 * (u * u + v * v) + 20 * (u + v) + 20) / 226800,
+        (6, 8): P * (13 * u * u * v * v + 13 * (u * v * v + u * u * v)
+                     + 13 * u * v - 50 * (u * u + v * v) - 50 * (u + v) - 50) / 453600,
+        (6, 9): P * (31 * u * u * v * v + 31 * (u * v * v + u * u * v)
+                     + 31 * u * v + 10 * (u * u + v * v) + 10 * (u + v) + 10) / 151200,
+    }
+    return ref_with_compounds(prim, REF_SCALE.__getitem__)
+
+
+def ref_alpha(n, m):
+    u, v = F(n * n), F(m * m)
+    w, z = u * u * u, v * v * v  # n^6, m^6
+    tilde = ref_alpha_tilde(n, m)
+    prim = {
+        (2, 1): (u * v - u - v) / 6,
+        (3, 1): tilde[(3, 1)],
+        (4, 2): (9 * u * u * v * v - 10 * (u * v * v + u * u * v)
+                 + (u * u + v * v) + 10 * u * v) / 360,
+        (4, 3): (u * u * v * v - u * u - v * v) / 360,
+        (5, 2): tilde[(5, 2)],
+        (5, 3): tilde[(5, 3)],
+        (5, 4): tilde[(5, 4)],
+        (6, 5): (516 * w * z - 805 * (u * u * z + w * v * v) + 1050 * u * u * v * v
+                 + 294 * (u * z + w * v) - 245 * (u * v * v + u * u * v)
+                 - 5 * (w + z) - 49 * u * v) / 75600,
+        (6, 6): (53 * w * z - 154 * (u * u * z + w * v * v) + 140 * u * u * v * v
+                 + 77 * (u * z + w * v) + 14 * (u * v * v + u * u * v)
+                 + 24 * (w + z) - 91 * u * v) / 90720,
+        (6, 7): (419 * w * z - 210 * (u * u * z + w * v * v)
+                 - 189 * (u * z + w * v) + 210 * (u * v * v + u * u * v)
+                 - 20 * (w + z) - 21 * u * v) / 226800,
+        (6, 8): (13 * w * z - 63 * (u * z + w * v) + 50 * (w + z) + 63 * u * v) / 453600,
+        (6, 9): (31 * w * z - 21 * (u * z + w * v) - 10 * (w + z) + 21 * u * v) / 151200,
+    }
+    return ref_with_compounds(prim, REF_SCALE.__getitem__)
+
+
+def ref_beta(n, m):
+    u, v = F(n * n), F(m * m)
+    P = (u - 1) * (v - 1)
+    nm = F(n * m)
+    prim = {
+        (2, 1): P / 24,
+        (3, 1): nm * P / 144,
+        (4, 2): P * (9 * u * v - u - v - 1) / 240,
+        (4, 3): P * (u + 1) * (v + 1) / 240,
+        (5, 2): nm * P * (69 * u * v - 21 * (u + v) - 11) / 28800,
+        (5, 3): nm * P * (11 * u * v + u + v - 9) / 57600,
+        (5, 4): nm * P * (u + 1) * (v + 1) / 7200,
+        (6, 5): P * (516 * u * u * v * v - 289 * (u * v * v + u * u * v)
+                     - 44 * u * v + 5 * (u * u + v * v) + 5 * (u + v) + 5) / 2520,
+        (6, 6): P * (53 * u * u * v * v - 101 * (u * v * v + u * u * v)
+                     - 115 * u * v - 24 * (u * u + v * v) - 24 * (u + v) - 24) / 12096,
+        (6, 7): P * (419 * u * u * v * v + 209 * (u * v * v + u * u * v)
+                     - u * v + 20 * (u * u + v * v) + 20 * (u + v) + 20) / 10080,
+        (6, 8): P * (13 * u * u * v * v + 13 * (u * v * v + u * u * v)
+                     + 13 * u * v - 50 * (u * u + v * v) - 50 * (u + v) - 50) / 25200,
+        (6, 9): P * (31 * u * u * v * v + 31 * (u * v * v + u * u * v)
+                     + 31 * u * v + 10 * (u * u + v * v) + 10 * (u + v) + 10) / 5040,
+    }
+    return ref_with_compounds(prim, lambda s: F(1))
+
+
+@pytest.mark.parametrize("closed_form, reference", [
+    (closed_form_alpha_tilde, ref_alpha_tilde),
+    (closed_form_alpha, ref_alpha),
+    (closed_form_beta, ref_beta),
+], ids=["alpha_tilde", "alpha", "beta"])
+def test_integer_rows_equal_fraction_reference(closed_form, reference):
+    # every entry, in slot order, on coprime and non-coprime pairs and unknots
+    for n, m in REFERENCE_GRID:
+        got = closed_form((n, m)).entries
+        want = reference(n, m)
+        assert list(got) == list(want), (n, m)
+        assert got == want, (n, m)
+        assert all(type(value) is F for value in got.values()), (n, m)
 
 TREFOIL_BETA = {
     (2, 1): 1, (3, 1): 1, (4, 2): 31, (4, 3): 5, (5, 2): 11, (5, 3): 1,
@@ -76,7 +198,7 @@ def test_beta_examples():
     assert closed_form_beta((4, 3)).entries[(3, 1)] == 10
 
 
-@pytest.mark.parametrize("knot", GRID)
+@pytest.mark.parametrize("knot", GRID + NONCOPRIME)
 def test_beta_routes_agree(knot):
     via_tilde = beta_from_alpha_tilde(closed_form_alpha_tilde(knot))
     direct = closed_form_beta(knot)
