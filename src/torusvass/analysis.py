@@ -153,9 +153,9 @@ def dependency_relations_check(grid: Optional[Iterable] = None,
 
 def distinguishing_check(max_n: int) -> ScanReport:
     """No two canonical torus knots with n <= max_n share
-    (beta_{2,1}, beta_{3,1})."""
-    if max_n < 2:
-        raise ValueError("max_n must be >= 2")
+    (beta_{2,1}, beta_{3,1}).  Needs max_n >= 3: no canonical knot has n < 3."""
+    if max_n < 3:
+        raise ValueError("max_n must be >= 3")
     report = ScanReport("distinguishing", max_n)
     seen: dict = {}
     for knot in canonical_knots(max_n):

@@ -38,6 +38,11 @@ EXIT_UNSUPPORTED = 3
 
 SCHEMA_VERSION = "1.0"
 
+#: expand's input bounds (exit 3 above them): the working width order +
+#: guard keys the evaluator kernels, so these also cap a cached kernel's size
+MAX_EXPAND_ORDER = 24
+MAX_GUARD_TERMS = 8
+
 
 def rational_json(value: Fraction) -> dict:
     doc = {"num": str(value.numerator), "den": str(value.denominator)}
@@ -177,8 +182,14 @@ def _group_for(args: argparse.Namespace):
 def _cmd_expand(args: argparse.Namespace) -> int:
     n, m = args.n, args.m
     knot = TorusKnot(n, m).validate().oriented()
-    if args.order < 0:
-        print(f"error: order {args.order} unsupported", file=sys.stderr)
+    if not 0 <= args.order <= MAX_EXPAND_ORDER:
+        print(f"error: order {args.order} unsupported"
+              + (f" (expand stops at {MAX_EXPAND_ORDER})" if args.order > 0 else ""),
+              file=sys.stderr)
+        return EXIT_UNSUPPORTED
+    if args.guard_terms > MAX_GUARD_TERMS:
+        print(f"error: {args.guard_terms} guard terms unsupported (at most {MAX_GUARD_TERMS})",
+              file=sys.stderr)
         return EXIT_UNSUPPORTED
     try:
         group = _group_for(args)
@@ -348,9 +359,11 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--j", type=int, default=None)
     exp.add_argument("--n", type=int, required=True)
     exp.add_argument("--m", type=int, required=True)
-    exp.add_argument("--order", type=int, default=6)
+    exp.add_argument("--order", type=int, default=6,
+                     help=f"highest degree, 0..{MAX_EXPAND_ORDER}")
     exp.add_argument("--guard-terms", type=int, default=DEFAULT_GUARD,
-                     help="extra working terms above the requested order")
+                     help="extra working terms above the requested order, "
+                          f"at most {MAX_GUARD_TERMS}")
     exp.add_argument("--format", choices=("json", "csv", "table"), default="json")
     exp.add_argument("--out", default=None)
     exp.set_defaults(handler=_cmd_expand)

@@ -14,14 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .errors import AnsatzMismatch, DegreeExceeded, Inconsistent, RankDeficient
-from .groups import (Family, GroupFactorVector, GroupInstance, SLOT_COUNTS,
+from .groups import (ORDERS, Family, GroupFactorVector, GroupInstance, SLOT_COUNTS,
                      group_factors, product, slots, so_n, su2, su_n)
 from .invariants import DEFAULT_GUARD, DEFAULT_ORDER, normalized_series, unnormalized_series
 from .knots import TorusKnot, as_knot
-from .linalg import ExactMatrix, ExactPoly, interpolate_poly, solve_exact
+from .linalg import Elimination, ExactMatrix, ExactPoly, eliminate, interpolate_poly
 from .series import TruncSeries
 from .tables import (ANSATZ_SLOT_MONOMIALS, TYPO_SLOTS, InvariantTable,
                      ansatz_prefactor, printed_g_table)
@@ -47,7 +48,9 @@ def default_instantiation_plan(knot) -> tuple[GroupInstance, ...]:
 
 @dataclass
 class ExtractionReport:
-    """Per-order solve diagnostics; residuals list violations (normally empty)."""
+    """Per-order solve diagnostics.  Each solve substitutes its solution back
+    into every row exactly and raises Inconsistent on a violated row, so
+    residuals stays empty on a returned report."""
 
     knot: TorusKnot
     kind: str
@@ -105,13 +108,33 @@ def assemble_system(knot, order: int, instantiations: Sequence[GroupInstance],
         raise ValueError(f"no slots at order {order}")
     k = as_knot(knot).validate().oriented()
     cache = series_cache if series_cache is not None else {}
-    rows, rhs = [], []
+    rhs = _right_hand_side(k, order, instantiations, trunc_order, guard, unnormalized, cache)
+    keys = slots(order)
+    rows = [[group_factors(inst).entries[s] for s in keys] for inst in instantiations]
+    return ExactMatrix.augmented(rows, rhs)
+
+
+def _right_hand_side(knot: TorusKnot, order: int, instantiations: Sequence[GroupInstance],
+                     trunc_order: int, guard: int, unnormalized: bool,
+                     cache: dict) -> list[Fraction]:
+    """The x^order coefficient of each instance's series (divided by dim R
+    on the unnormalized route), through the series cache."""
+    rhs = []
     for inst in instantiations:
-        series, factors = _cached_entry(k, inst, trunc_order, guard, unnormalized, cache)
-        rows.append([factors.entries[s] for s in slots(order)])
+        series, factors = _cached_entry(knot, inst, trunc_order, guard, unnormalized, cache)
         c = series.coefficient(order)
         rhs.append(c / factors.dim if unnormalized else c)
-    return ExactMatrix.augmented(rows, rhs)
+    return rhs
+
+
+@lru_cache(maxsize=64)
+def _plan_elimination(instances: tuple[GroupInstance, ...], order: int) -> Elimination:
+    """The left-hand side of one order is the plan's group factors, the same
+    for every knot, so each (plan, order) is eliminated once per process."""
+    if order not in ORDERS:
+        raise ValueError(f"no slots at order {order}")
+    return eliminate([group_factors(inst).row(order) for inst in instances],
+                     SLOT_COUNTS[order])
 
 
 def _extract(knot, trunc_order: int, plan, guard: int,
@@ -122,11 +145,10 @@ def _extract(knot, trunc_order: int, plan, guard: int,
     cache: dict = {}
     entries = {}
     for order in range(2, trunc_order + 1):
-        system = assemble_system(k, order, instances, trunc_order, guard,
-                                 unnormalized, cache)
-        result = solve_exact(system)
+        rhs = _right_hand_side(k, order, instances, trunc_order, guard, unnormalized, cache)
+        result = _plan_elimination(instances, order).solve(rhs)
         report.rank[order] = result.rank
-        report.equations[order] = system.rows
+        report.equations[order] = len(rhs)
         report.consistent[order] = result.consistent
         if not result.consistent:
             raise Inconsistent(order)
@@ -134,13 +156,6 @@ def _extract(knot, trunc_order: int, plan, guard: int,
             raise RankDeficient(order, result.rank, SLOT_COUNTS[order])
         for slot_key, value in zip(slots(order), result.solution):
             entries[slot_key] = value
-        # substitute back through every surplus row
-        for row_index, row in enumerate(system.entries):
-            residual = sum(
-                (c * x for c, x in zip(row[:-1], result.solution)), Fraction(0)
-            ) - row[-1]
-            if residual != 0:
-                report.residuals.append((order, row_index, residual))
     return InvariantTable(kind, k, entries), report
 
 
@@ -208,6 +223,7 @@ def fit_ansatz(family: Family, trunc_order: int = DEFAULT_ORDER,
     params = tuple(parameters) if parameters is not None else FIT_PARAMETERS[family]
     variable = "A" if family == Family.SU2 else "N"
     per_param: dict[int, dict] = {}
+    designs: dict[int, Elimination] = {}  # the grid's monomials, per order
     for parameter in params:
         coeffs = {}
         for (n, m) in knot_grid:
@@ -217,13 +233,13 @@ def fit_ansatz(family: Family, trunc_order: int = DEFAULT_ORDER,
         fitted = {}
         for order in range(2, trunc_order + 1):
             monomials = ANSATZ_SLOT_MONOMIALS[order]
-            rows, rhs = [], []
-            for (n, m) in knot_grid:
-                u, v = Fraction(n * n), Fraction(m * m)
-                rows.append([mono(u, v) for mono in monomials])
-                rhs.append(coeffs[(n, m)].coefficient(order)
-                           / ansatz_prefactor(n, m, order))
-            result = solve_exact(ExactMatrix.augmented(rows, rhs))
+            if order not in designs:
+                designs[order] = eliminate(
+                    [[mono(Fraction(n * n), Fraction(m * m)) for mono in monomials]
+                     for (n, m) in knot_grid], len(monomials))
+            rhs = [coeffs[(n, m)].coefficient(order) / ansatz_prefactor(n, m, order)
+                   for (n, m) in knot_grid]
+            result = designs[order].solve(rhs)
             if not result.consistent or result.rank < len(monomials):
                 raise AnsatzMismatch(
                     f"{family.value} parameter {parameter}, order {order}: "

@@ -1,14 +1,22 @@
 """Exact dense linear algebra and exact univariate interpolation.
 
-Everything operates on :class:`fractions.Fraction`.  Elimination pivots on
-the first nonzero entry scanning top to bottom; exact arithmetic needs no
-numerical pivoting and this keeps the output deterministic.
+Inputs and results are :class:`fractions.Fraction`s.  Elimination is split
+in two: :func:`eliminate` factors a left-hand side once, scaling each row to
+integers and eliminating fraction-free, and :meth:`Elimination.solve` applies
+that to any right-hand side, so systems that share a left-hand side (one
+sampling plan, many knots) eliminate it once.  Pivots are the first nonzero
+entry scanning top to bottom; exact arithmetic needs no numerical pivoting
+and this keeps the output deterministic.
 """
 
 from __future__ import annotations
 
+import marshal
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import DegreeExceeded
@@ -35,7 +43,8 @@ class ExactMatrix:
         packed = []
         width = None
         for row, b in zip(rows, rhs):
-            packed.append(tuple(Fraction(x) for x in row) + (Fraction(b),))
+            packed.append(tuple(x if type(x) is Fraction else Fraction(x) for x in row)
+                          + (b if type(b) is Fraction else Fraction(b),))
             width = len(row)
         if width is None:
             raise ValueError("system needs at least one row")
@@ -53,46 +62,130 @@ class LinearSolution:
     consistent: bool
 
 
+class Elimination:
+    """The elimination of one left-hand side, applied to any right-hand side.
+
+    Stored as integers.  rows and inverse are flat lists kept as
+    :mod:`marshal` bytes, so a cached elimination costs the bytes of its
+    integers, not an object per integer.  Row r of the left-hand side is
+    rows[r*unknowns:(r+1)*unknowns] / scales[r].  With b scaled to integers
+    over its common denominator d the particular solution (free unknowns 0)
+    is x[pivot_cols[k]] = sum_i inverse[k*rank + i] * b[pivot_rows[i]] /
+    (den * d).  The system is consistent exactly when that x satisfies every
+    row.  Immutable and shared through the caches that keep eliminations.
+    """
+
+    __slots__ = ("unknowns", "rows", "scales", "pivot_cols", "pivot_rows", "inverse", "den")
+
+    def __init__(self, unknowns: int, rows: list[int], scales: tuple[int, ...],
+                 pivot_cols: tuple[int, ...], pivot_rows: tuple[int, ...],
+                 inverse: list[int], den: int):
+        self.unknowns, self.scales, self.den = unknowns, scales, den
+        self.pivot_cols, self.pivot_rows = pivot_cols, pivot_rows
+        self.rows, self.inverse = marshal.dumps(rows), marshal.dumps(inverse)
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivot_cols)
+
+    def solve(self, rhs: Sequence) -> LinearSolution:
+        """Rank, consistency and, when unique, the solution for one right-hand
+        side (one entry per row of the eliminated left-hand side)."""
+        if len(rhs) != len(self.scales):
+            raise ValueError(f"{len(rhs)} right-hand entries for {len(self.scales)} rows")
+        den_b = lcm(*(v.denominator for v in rhs))
+        b = [v.numerator * (den_b // v.denominator) for v in rhs]
+        rank, inverse = self.rank, marshal.loads(self.inverse)
+        picked = [b[i] for i in self.pivot_rows]
+        x = [0] * self.unknowns
+        for k, c in enumerate(self.pivot_cols):
+            x[c] = sum(map(mul, inverse[k * rank:(k + 1) * rank], picked))
+        # x / (den * den_b) substituted back into every row, in integers
+        w, rows = self.unknowns, marshal.loads(self.rows)
+        consistent = not any(sum(map(mul, rows[r * w:(r + 1) * w], x)) != v * s * self.den
+                             for r, (v, s) in enumerate(zip(b, self.scales)))
+        if not consistent or rank < w:
+            return LinearSolution(None, rank, consistent)
+        den = self.den * den_b
+        return LinearSolution(tuple(Fraction(v, den) for v in x), rank, True)
+
+
+def _reduced(row: list) -> list:
+    g = gcd(*row)
+    return [v // g for v in row] if g > 1 else row
+
+
+def eliminate(lhs: Sequence[Sequence], unknowns: int) -> Elimination:
+    """Gaussian elimination of a left-hand side with exact pivoting.
+
+    Each row is scaled to integers and eliminated fraction-free, pivoting on
+    the first nonzero entry scanning top to bottom; the pivot rows' square
+    block is then inverted by fraction-free Gauss-Jordan elimination.
+    Deterministic for a given input.
+    """
+    if not lhs:
+        raise ValueError("system needs at least one row")
+    scales, ints = [], []
+    for row in lhs:
+        if len(row) != unknowns:
+            raise ValueError(f"row of width {len(row)} in a system with {unknowns} unknowns")
+        s = lcm(*(v.denominator for v in row))
+        scales.append(s)
+        ints.append([v.numerator * (s // v.denominator) for v in row])
+    work = list(ints)
+    order = list(range(len(work)))
+    pivot_cols: list[int] = []
+    prow = 0
+    for pcol in range(unknowns):
+        pivot = next((i for i in range(prow, len(work)) if work[i][pcol]), None)
+        if pivot is None:
+            continue
+        work[prow], work[pivot] = work[pivot], work[prow]
+        order[prow], order[pivot] = order[pivot], order[prow]
+        top = work[prow]
+        lead = top[pcol]
+        for i in range(prow + 1, len(work)):
+            f = work[i][pcol]
+            if f:
+                work[i] = _reduced([lead * v - f * u for v, u in zip(work[i], top)])
+        pivot_cols.append(pcol)
+        prow += 1
+    pivot_rows = order[:prow]
+    # Gauss-Jordan on [S | diag(scales)] with S the pivot block, so that the
+    # right half ends as diagonal[k] * S^{-1} diag(scales) in row k
+    rank = prow
+    block = []
+    for k, r in enumerate(pivot_rows):
+        unit = [0] * rank
+        unit[k] = scales[r]
+        block.append([ints[r][c] for c in pivot_cols] + unit)
+    for k in range(rank):
+        pivot = next(i for i in range(k, rank) if block[i][k])
+        block[k], block[pivot] = block[pivot], block[k]
+        top = block[k]
+        lead = top[k]
+        for i in range(rank):
+            f = block[i][k]
+            if i != k and f:
+                block[i] = _reduced([lead * v - f * u for v, u in zip(block[i], top)])
+    diagonal = [row[k] for k, row in enumerate(block)]
+    den = lcm(*diagonal)
+    inverse = [v * (den // d) for d, row in zip(diagonal, block) for v in row[rank:]]
+    return Elimination(unknowns, list(chain.from_iterable(ints)), tuple(scales),
+                       tuple(pivot_cols), tuple(pivot_rows), inverse, den)
+
+
 def solve_exact(system: ExactMatrix) -> LinearSolution:
     """Gaussian elimination over the rationals with exact pivoting.
 
     Returns the unique solution when ``consistent and rank == unknowns``;
     otherwise the solution is absent and (rank, consistent) diagnose the
-    system.  Deterministic for a given input.
+    system.  Deterministic for a given input.  This is :func:`eliminate` on
+    the left-hand side followed by :meth:`Elimination.solve` on the
+    right-hand side.
     """
-    m = [list(row) for row in system.entries]
-    nrows, ncols = len(m), system.unknowns
-    pivots: list[int] = []
-    prow = 0
-    for pcol in range(ncols):
-        pivot = None
-        for i in range(prow, nrows):
-            if m[i][pcol] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[prow], m[pivot] = m[pivot], m[prow]
-        lead = m[prow][pcol]
-        for i in range(prow + 1, nrows):
-            if m[i][pcol] != 0:
-                f = m[i][pcol] / lead
-                for c in range(pcol, ncols + 1):
-                    m[i][c] -= f * m[prow][c]
-        pivots.append(pcol)
-        prow += 1
-    rank = prow
-    consistent = all(m[i][ncols] == 0 for i in range(rank, nrows))
-    if not consistent or rank < ncols:
-        return LinearSolution(None, rank, consistent)
-    sol = [Fraction(0)] * ncols
-    for i in range(rank - 1, -1, -1):
-        pc = pivots[i]
-        acc = m[i][ncols]
-        for c in range(pc + 1, ncols):
-            acc -= m[i][c] * sol[c]
-        sol[pc] = acc / m[i][pc]
-    return LinearSolution(tuple(sol), rank, consistent)
+    return eliminate([row[:-1] for row in system.entries], system.unknowns).solve(
+        [row[-1] for row in system.entries])
 
 
 @dataclass(frozen=True)

@@ -77,6 +77,18 @@ class TruncSeries:
         return cls.constant(1, trunc_order)
 
     @classmethod
+    def from_numerators(cls, min_degree: int, nums: list, den: int,
+                        trunc_order: int) -> "TruncSeries":
+        """The series with coefficient nums[k] / den at degree min_degree + k,
+        for Python-int nums over den > 0, degrees min_degree..trunc_order."""
+        if den <= 0 or len(nums) != trunc_order - min_degree + 1:
+            raise ValueError(
+                f"need {trunc_order - min_degree + 1} numerators over a positive "
+                f"denominator, got {len(nums)} over {den}"
+            )
+        return _make(min_degree, nums, den, trunc_order)
+
+    @classmethod
     def x_power(cls, degree: int, trunc_order: int) -> "TruncSeries":
         """The monomial x**degree, known through trunc_order."""
         if degree > trunc_order:

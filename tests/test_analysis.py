@@ -93,6 +93,13 @@ def test_relations_hold_on_grid():
         1 for _ in canonical_knots(12))
 
 
+def test_distinguishing_rejects_a_bound_without_knots():
+    for max_n in (2, -1):
+        with pytest.raises(ValueError, match="max_n must be >= 3"):
+            distinguishing_check(max_n)
+    assert distinguishing_check(3).checked == 2
+
+
 def test_relations_reject_a_bound_without_knots():
     # the smallest canonical knot is (3, 2): max_n < 3 would check nothing
     for max_n in (2, -1):

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -188,6 +189,33 @@ def test_verify_bound_override(capsys):
 def test_verify_relations_rejects_empty_grid(capsys, bound):
     # no canonical knot has n < 3, so such a bound would check nothing
     code, out, err = run_cli(capsys, "verify", "--suite", "relations", "--bound", bound)
+    assert (code, out) == (3, "")
+    assert "max_n must be >= 3" in err
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--order", "100000", "order 100000 unsupported (expand stops at 24)"),
+    ("--order", "25", "order 25 unsupported (expand stops at 24)"),
+    ("--guard-terms", "9", "9 guard terms unsupported (at most 8)"),
+    ("--guard-terms", "100000", "100000 guard terms unsupported (at most 8)"),
+])
+def test_expand_rejects_oversized_inputs(capsys, option, value, message):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "expand", "--family", "su_n", "--N", "3",
+                             "--n", "2", "--m", "3", option, value)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
+def test_expand_admits_its_limits(capsys):
+    code, out, _ = run_cli(capsys, "expand", "--family", "su2", "--j", "2", "--n", "2",
+                           "--m", "3", "--order", "24", "--guard-terms", "8", "--format", "csv")
+    assert code == 0 and out.count("\n") == 26
+
+
+def test_verify_distinguishing_rejects_empty_grid(capsys):
+    # no canonical knot has n < 3, so --bound 2 would compare no knots
+    code, out, err = run_cli(capsys, "verify", "--suite", "distinguishing", "--bound", "2")
     assert (code, out) == (3, "")
     assert "max_n must be >= 3" in err
 

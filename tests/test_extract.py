@@ -78,6 +78,14 @@ def test_rank_deficient_plan_raises():
         extract_alpha_tilde((2, 3), instantiation_plan=[su_n(2), su_n(3)])
 
 
+def test_extraction_stops_at_order_six():
+    # orders 2..6 are solved first; order 7 has no slots
+    with pytest.raises(ValueError, match="no slots at order 7"):
+        extract_alpha_tilde((2, 3), 7)
+    with pytest.raises(ValueError, match="system needs at least one row"):
+        extract_alpha_tilde((2, 3), instantiation_plan=[])
+
+
 def test_product_rows_needed_for_order_six_rank():
     # the three simple families span only 7 of the 9 order-6 slots, no matter
     # how many parameter values are sampled; product instances close the gap

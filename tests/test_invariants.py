@@ -4,8 +4,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from torusvass.errors import CancellationFailure, NotAKnot, SingularBracket
-from torusvass.groups import product, so_n, su2, su_n
+from torusvass import invariants
+from torusvass.errors import (CancellationFailure, NotAKnot, SingularBracket,
+                              TruncationUnderflow)
+from torusvass.groups import Family, product, so_n, su2, su_n
 from torusvass.invariants import (_finalize_normalized, akutsu_wadati_normalized,
                                   homfly_normalized, kauffman_normalized,
                                   normalized_series, qpower, unknot_factor,
@@ -249,3 +251,188 @@ def test_prefix_products_equal_direct_summation(n):
             for N in kauffman_ranks:
                 assert kauffman_normalized((n, m), N, order, guard) \
                     == _kauffman_reference((n, m), N, order, guard), (m, N, order, guard)
+
+
+# ----------------------------------------------------------------------
+# the per-n kernels against direct evaluation
+# ----------------------------------------------------------------------
+
+def _homfly_direct(knot, N, trunc_order, guard):
+    """Prefix products, every summand multiplied by its full t-power."""
+    n, m = knot
+    if N < 2:
+        raise ValueError("su_n needs N >= 2")
+    W = trunc_order + guard
+
+    def t(a):
+        return qpower(a, 1, W)
+
+    one = TruncSeries.one(W)
+    tN = t(N)
+    left, right, fact = [one], [one], [one]
+    for a in range(1, n):
+        ta = t(a)
+        left.append(left[-1] * (tN - t(-a)))
+        fact.append(fact[-1] * (ta - one))
+        if a < N:
+            right.append(right[-1] * (tN - ta))
+    head = one if n == 1 else (one - t(1)) / (one - t(n))
+    head = head * t(F((m - 1) * (n - 1), 2) * (N - 1))
+    total = TruncSeries.zero(W)
+    for i in range(n):
+        p = n - 1 - i
+        if -p <= N <= i:
+            continue
+        term = ((left[p] * right[i]) / (fact[i] * fact[p])) \
+            * t(m * i + F(p * (p + 1), 2))
+        total = total + (term if i % 2 == 0 else -term)
+    return _finalize_normalized(head * total, trunc_order, f"homfly({n},{m};N={N})")
+
+
+def _kauffman_direct(knot, N, trunc_order, guard):
+    """Prefix products, every summand multiplied by its full weight."""
+    n, m = knot
+    if N < n + 2:
+        raise SingularBracket(
+            f"so_n sampling needs N >= n + 2 = {n + 2} (got N={N}): "
+            "a required bracket [p;1] would have vanishing leading term"
+        )
+    W = trunc_order + guard
+    lam = F(N - 1, 2)
+
+    def t(a):
+        return qpower(a, F(1, 2), W)
+
+    def br(p):
+        return t(F(p, 2)) - t(F(-p, 2))
+
+    def brq(p):
+        return t(F(p, 2) + lam) - t(F(-p, 2) - lam)
+
+    one = TruncSeries.one(W)
+    brqs = {p: brq(p) for p in range(1 - n, n)}
+    neg, pos, fact = [one], [one], [one]
+    for a in range(1, n):
+        neg.append(neg[-1] * brqs[-a])
+        pos.append(pos[-1] * brqs[a])
+        fact.append(fact[-1] * br(a))
+    inv_br_n = one / br(n)
+    head = (br(1) * t(F(n * m) * lam)) / (br(1) + brqs[0])
+    total = TruncSeries.constant(1, W) if n % 2 == 0 else TruncSeries.zero(W)
+    for g in range(n):
+        b = n - 1 - g
+        weight = t(F(-m * (b - g), 2) - m * lam)
+        bracket = inv_br_n + one / brqs[b - g]
+        numer = neg[g] * brqs[0] * pos[b]
+        term = ((bracket * numer) / (fact[b] * fact[g])) * weight
+        total = total + (term if g % 2 == 0 else -term)
+    return _finalize_normalized(head * total, trunc_order, f"kauffman({n},{m};N={N})")
+
+
+def _akutsu_wadati_direct(knot, j, trunc_order, guard):
+    """Every exponent of the sum built as one t-power."""
+    n, m = knot
+    W = trunc_order + guard
+
+    def t(a):
+        return qpower(a, 1, W)
+
+    total = TruncSeries.zero(W)
+    for ell in range(j + 1):
+        base = n * (1 + m * ell) * (j - ell)
+        e1 = base + 1 + m * ell
+        e2 = base + m * (j - ell)
+        if e1 == e2:
+            continue
+        total = total + (t(e1) - t(e2))
+    res = total / (t(j + 1) - TruncSeries.one(W))
+    res = res * t(F(j * (n - 1) * (m - 1), 2))
+    return _finalize_normalized(res, trunc_order, f"akutsu-wadati({n},{m};j={j})")
+
+
+def _outcome(evaluate, *args):
+    """The series, or the type and message of what evaluating it raised."""
+    try:
+        return evaluate(*args)
+    except Exception as exc:  # compared as data: same type, same message
+        return type(exc), str(exc)
+
+
+#: every (order, guard) window for n <= 13; above that one window per guard,
+#: which still covers each order, so the direct evaluation stays affordable
+ALL_WINDOWS = tuple((order, guard) for order in (6, 9, 12) for guard in range(4))
+LARGE_N_WINDOWS = ((6, 0), (9, 1), (12, 2), (6, 3))
+
+
+@pytest.mark.parametrize("n", list(range(1, 14)) + [20, 27, 41])
+def test_kernels_equal_direct_evaluation(n):
+    # the kernel changes where the work is done, not one coefficient, window,
+    # exception type or message; guard 0 and 1 raise TruncationUnderflow for
+    # most n, and the unit knot (n, -1) has a skipped Akutsu-Wadati summand
+    windows = ALL_WINDOWS if n <= 13 else LARGE_N_WINDOWS
+    cases = []
+    for m in (n + 1, -(2 * n + 1), -1):
+        for order, guard in windows:
+            for N in sorted({2, 5, max(n, 2)}):
+                cases.append((homfly_normalized, _homfly_direct, (n, m), N, order, guard))
+            for N in (n + 2, n + 5):
+                cases.append((kauffman_normalized, _kauffman_direct, (n, m), N, order, guard))
+            for j in (1, 3):
+                cases.append((akutsu_wadati_normalized, _akutsu_wadati_direct,
+                              (n, m), j, order, guard))
+    expected = [_outcome(direct, *args) for _, direct, *args in cases]
+    invariants._kernel.cache_clear()
+    for warmth in ("cold", "warm"):
+        for (evaluate, _, *args), want in zip(cases, expected):
+            assert _outcome(evaluate, *args) == want, (warmth, evaluate.__name__, args)
+
+
+@pytest.mark.parametrize("m", [-5, -1, 2, 7])
+def test_mpoly_series_equals_running_sum(m):
+    # summands with poles and windows of their own: the product with exp()
+    # is known only through width + min_degree, below each summand's trunc
+    W = 7
+    pole = TruncSeries(-2, [F(1, 3), 2, -1] + [F(k, 5) for k in range(W)], W)
+    short = TruncSeries(-1, [F(-7, 2)] + [F(1, k + 2) for k in range(W)], W - 1)
+    summands = [(TruncSeries.zero(W), F(0)), (pole, F(3, 4)), (-short, F(-1, 3)),
+                (qpower(5, 1, W), F(2))]
+    expected = TruncSeries.zero(W)
+    for a, rho in summands[1:]:
+        expected = expected + a * qpower(m * rho, 1, W)
+    assert invariants.MPolySeries.from_series(summands, W).at(m) == expected
+
+
+def test_five_m_build_one_kernel():
+    invariants._kernel.cache_clear()
+    for m in (4, 5, -7, 10, -11):
+        homfly_normalized((3, m), 4, 6, 2)
+    info = invariants._kernel.cache_info()
+    assert (info.misses, info.hits) == (1, 4)
+    for m in (4, 5, -7, 10, -11):
+        kauffman_normalized((3, m), 7, 9, 3)
+        akutsu_wadati_normalized((3, m), 2, 9, 3)
+    assert invariants._kernel.cache_info().misses == 3
+
+
+def test_kernel_is_polynomial_in_m():
+    # the coefficient of x^d is a polynomial of degree <= d - lo in m
+    # at every m, so finite differences of order d - lo + 1 vanish
+    _, kernel = invariants._kernel(Family.SO_N, 4, 7, 8)
+    series = [kernel.at(m) for m in range(-3, 12)]
+    assert all(s.trunc_order == kernel.hi and s.min_degree >= kernel.lo for s in series)
+    for d in range(kernel.lo, kernel.hi + 1):
+        values = [s.coefficient(d) for s in series]
+        for _ in range(d - kernel.lo + 1):
+            values = [b - a for a, b in zip(values, values[1:])]
+        assert values and not any(values)
+
+
+def test_unknot_factor_is_memoized():
+    unknot_factor.cache_clear()
+    first = unknot_factor(so_n(9), 6, 2)
+    assert unknot_factor(so_n(9), 6, 2) is first
+    assert unknot_factor.cache_info().hits == 1
+    # an underflow is raised on every call, never cached
+    for _ in range(2):
+        with pytest.raises(TruncationUnderflow, match="unknot factor: increase guard terms"):
+            unknot_factor(su_n(3), 6, 0)

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusvass.errors import DegreeExceeded
-from torusvass.linalg import ExactMatrix, ExactPoly, interpolate_poly, solve_exact
+from torusvass.linalg import (ExactMatrix, ExactPoly, LinearSolution, eliminate,
+                              interpolate_poly, solve_exact)
 
 
 def system(rows, rhs):
@@ -95,3 +96,91 @@ def test_interpolate_reproduces_samples(coeffs):
     points = [(x, poly.evaluate(x)) for x in range(degree + 3)]
     refit = interpolate_poly(points, degree)
     assert all(refit.evaluate(x) == y for x, y in points)
+
+
+# ----------------------------------------------------------------------
+# factor-then-apply against one-pass elimination
+# ----------------------------------------------------------------------
+
+def _reference_solve(system):
+    """One-pass Gaussian elimination of the augmented system in Fractions."""
+    m = [list(row) for row in system.entries]
+    nrows, ncols = len(m), system.unknowns
+    pivots = []
+    prow = 0
+    for pcol in range(ncols):
+        pivot = None
+        for i in range(prow, nrows):
+            if m[i][pcol] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        m[prow], m[pivot] = m[pivot], m[prow]
+        lead = m[prow][pcol]
+        for i in range(prow + 1, nrows):
+            if m[i][pcol] != 0:
+                f = m[i][pcol] / lead
+                for c in range(pcol, ncols + 1):
+                    m[i][c] -= f * m[prow][c]
+        pivots.append(pcol)
+        prow += 1
+    rank = prow
+    consistent = all(m[i][ncols] == 0 for i in range(rank, nrows))
+    if not consistent or rank < ncols:
+        return LinearSolution(None, rank, consistent)
+    sol = [F(0)] * ncols
+    for i in range(rank - 1, -1, -1):
+        pc = pivots[i]
+        acc = m[i][ncols]
+        for c in range(pc + 1, ncols):
+            acc -= m[i][c] * sol[c]
+        sol[pc] = acc / m[i][pc]
+    return LinearSolution(tuple(sol), rank, consistent)
+
+
+ENTRIES = st.one_of(st.just(F(0)), st.fractions(min_value=-4, max_value=4,
+                                                max_denominator=4))
+
+
+@st.composite
+def linear_systems(draw):
+    """Random rational systems: zero columns, more rows than unknowns, rows
+    that are combinations of others, right-hand sides inside or outside the
+    column space."""
+    unknowns = draw(st.integers(0, 4))
+    nrows = draw(st.integers(1, 7))
+    rows = draw(st.lists(st.lists(ENTRIES, min_size=unknowns, max_size=unknowns),
+                         min_size=nrows, max_size=nrows))
+    zero_col = draw(st.integers(-1, unknowns - 1))
+    for row in rows:
+        if zero_col >= 0:
+            row[zero_col] = F(0)
+    for i in range(2, nrows):
+        if draw(st.booleans()):  # rank deficiency
+            a, b = draw(ENTRIES), draw(ENTRIES)
+            rows[i] = [a * u + b * v for u, v in zip(rows[0], rows[1])]
+    if draw(st.booleans()):
+        x = draw(st.lists(ENTRIES, min_size=unknowns, max_size=unknowns))
+        rhs = [sum((c * v for c, v in zip(row, x)), F(0)) for row in rows]
+        if draw(st.booleans()):  # push one row off the column space
+            rhs[draw(st.integers(0, nrows - 1))] += draw(ENTRIES)
+    else:
+        rhs = draw(st.lists(ENTRIES, min_size=nrows, max_size=nrows))
+    return ExactMatrix.augmented(rows, rhs) if unknowns else ExactMatrix(
+        tuple((b,) for b in rhs), 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(linear_systems())
+def test_factor_then_apply_equals_one_pass(system):
+    assert solve_exact(system) == _reference_solve(system)
+
+
+def test_one_elimination_serves_many_right_hand_sides():
+    lhs = [[F(1), F(2)], [F(3), F(4)], [F(5), F(6)]]
+    elimination = eliminate(lhs, 2)
+    for rhs in ([F(1), F(1), F(1)], [F(1), F(2), F(3)], [F(0), F(1, 3), F(2, 3)]):
+        assert elimination.solve(rhs) == _reference_solve(ExactMatrix.augmented(lhs, rhs))
+    with pytest.raises(ValueError, match="2 right-hand entries for 3 rows"):
+        elimination.solve([F(1), F(2)])
