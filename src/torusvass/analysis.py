@@ -1,19 +1,28 @@
 """Properties of the beta invariants: distinguishing power, dependency
 relations, integrality scans, modular lemmas, and derived scalars.
 
-Everything here runs on the closed-form beta table, so scans over thousands
-of knots are cheap.
+Everything here runs on the integer rows of the closed-form beta table
+(tables.primitive_numerators over BETA_DENOMINATORS), evaluating only the
+slots it reads: integrality is num % den, equal numerators over a fixed
+denominator are equal values, and a relation's residual is one integer sum
+over a common denominator.  A Fraction is built only for a value that goes
+into a report, so scans over thousands of knots are cheap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
-from typing import Callable, Iterable, Optional
+from functools import cached_property
+from math import gcd, lcm, prod
+from typing import Iterable, Optional
 
 from .knots import CanonicalTorusKnot, TorusKnot, as_knot, canonical_knots
-from .tables import PRIMITIVE_ORDER, closed_form_beta
+from .tables import BETA_DENOMINATORS, PRIMITIVE_ORDER, primitive_numerators
+
+#: the denominators of the twelve primitive betas, in PRIMITIVE_ORDER
+_DENS = tuple(BETA_DENOMINATORS[slot] for slot in PRIMITIVE_ORDER)
+_B21, _B31 = (2, 1), (3, 1)
 
 
 @dataclass
@@ -31,8 +40,16 @@ class ScanReport:
         return not self.violations
 
 
-def _beta(knot) -> dict:
-    return closed_form_beta(knot).entries
+def _fractions(nums, slots) -> tuple[Fraction, ...]:
+    return tuple(Fraction(num, BETA_DENOMINATORS[slot]) for num, slot in zip(nums, slots))
+
+
+def _non_integral(n: int, m: int) -> list:
+    """(slot, numerator, denominator) of each primitive beta of (n, m) that
+    is not an integer."""
+    return [(slot, num, den)
+            for slot, num, den in zip(PRIMITIVE_ORDER, primitive_numerators(n, m), _DENS)
+            if num % den]
 
 
 # ----------------------------------------------------------------------
@@ -41,49 +58,39 @@ def _beta(knot) -> dict:
 
 @dataclass(frozen=True)
 class DependencyRelation:
+    """beta_lhs = sum of coefficient * product of the betas in slots, over rhs."""
+
     name: str
     statement: str
-    residual: Callable[[dict], Fraction]
+    lhs: tuple[int, int]
+    rhs: tuple  # (coefficient, slots) terms
     # source-text caveat, where the printed equation needed repairing
     note: str = ""
 
+    @cached_property
+    def _kernel(self) -> tuple[int, tuple]:
+        """The residual beta_lhs - rhs over one denominator D, as (D, terms):
+        each term (k, indices) has an integer k and contributes
+        k * prod(nums[i] for i in indices) / D."""
+        terms = [(Fraction(1), (self.lhs,))] + [(-Fraction(c), slots) for c, slots in self.rhs]
+        scaled = [(c / prod(BETA_DENOMINATORS[s] for s in slots), slots) for c, slots in terms]
+        den = lcm(*(c.denominator for c, _ in scaled))
+        return den, tuple(((c * den).numerator, tuple(PRIMITIVE_ORDER.index(s) for s in slots))
+                          for c, slots in scaled)
 
-def _r4(b):
-    return b[(4, 2)] - (4 * b[(4, 3)] + 12 * b[(2, 1)] ** 2 - b[(2, 1)])
+    @property
+    def residual_denominator(self) -> int:
+        return self._kernel[0]
 
-
-def _r5_first(b):
-    return b[(5, 2)] - (6 * b[(5, 4)] + Fraction(27, 5) * b[(2, 1)] * b[(3, 1)]
-                        - Fraction(2, 5) * b[(3, 1)])
-
-
-def _r5_second(b):
-    return b[(5, 3)] - (Fraction(3, 4) * b[(5, 4)]
-                        + Fraction(3, 10) * b[(2, 1)] * b[(3, 1)]
-                        - Fraction(1, 20) * b[(3, 1)])
-
-
-def _r6_first(b):
-    return b[(6, 5)] - (Fraction(58, 9) * b[(6, 9)] - Fraction(80, 3) * b[(4, 3)]
-                        + Fraction(41, 9) * b[(2, 1)]
-                        - Fraction(680, 3) * b[(2, 1)] * b[(4, 3)]
-                        + 5280 * b[(3, 1)] ** 2
-                        - Fraction(2080, 3) * b[(2, 1)] ** 3)
-
-
-def _r6_second(b):
-    return b[(6, 6)] - (-Fraction(5, 12) * b[(6, 9)] - Fraction(5, 3) * b[(4, 3)]
-                        + Fraction(1, 4) * b[(2, 1)]
-                        - 10 * b[(2, 1)] * b[(4, 3)]
-                        + 240 * b[(3, 1)] ** 2
-                        - 40 * b[(2, 1)] ** 3)
-
-
-def _r6_third(b):
-    return b[(6, 7)] - (Fraction(9, 2) * b[(6, 9)] - 5 * b[(4, 3)]
-                        + Fraction(1, 2) * b[(2, 1)]
-                        + 432 * b[(3, 1)] ** 2
-                        - 96 * b[(2, 1)] ** 3)
+    def residual_numerator(self, nums: tuple[int, ...]) -> int:
+        """The residual times residual_denominator, on one knot's
+        primitive_numerators nums; zero exactly when the relation holds."""
+        total = 0
+        for coefficient, indices in self._kernel[1]:
+            for i in indices:
+                coefficient *= nums[i]
+            total += coefficient
+        return total
 
 
 #: The published order-5 relations print beta_{5,3} where they mean
@@ -96,32 +103,38 @@ DEPENDENCY_RELATIONS = (
     DependencyRelation(
         "order4",
         "beta_{4,2} = 4 beta_{4,3} + 12 beta_{2,1}^2 - beta_{2,1}",
-        _r4),
+        (4, 2), ((4, ((4, 3),)), (12, (_B21, _B21)), (-1, (_B21,)))),
     DependencyRelation(
         "order5_first",
         "beta_{5,2} = 6 beta_{5,4} + 27/5 beta_{2,1} beta_{3,1} - 2/5 beta_{3,1}",
-        _r5_first,
+        (5, 2), ((6, ((5, 4),)), (Fraction(27, 5), (_B21, _B31)), (-Fraction(2, 5), (_B31,))),
         note="source prints beta_{5,3} for the leading right-hand term"),
     DependencyRelation(
         "order5_second",
         "beta_{5,3} = 3/4 beta_{5,4} + 3/10 beta_{2,1} beta_{3,1} - 1/20 beta_{3,1}",
-        _r5_second,
+        (5, 3), ((Fraction(3, 4), ((5, 4),)), (Fraction(3, 10), (_B21, _B31)),
+                 (-Fraction(1, 20), (_B31,))),
         note="source prints the self-referential beta_{5,3} = 3/4 beta_{5,3} + ..."),
     DependencyRelation(
         "order6_first",
         "beta_{6,5} = 58/9 beta_{6,9} - 80/3 beta_{4,3} + 41/9 beta_{2,1}"
         " - 680/3 beta_{2,1} beta_{4,3} + 5280 beta_{3,1}^2 - 2080/3 beta_{2,1}^3",
-        _r6_first),
+        (6, 5), ((Fraction(58, 9), ((6, 9),)), (-Fraction(80, 3), ((4, 3),)),
+                 (Fraction(41, 9), (_B21,)), (-Fraction(680, 3), (_B21, (4, 3))),
+                 (5280, (_B31, _B31)), (-Fraction(2080, 3), (_B21, _B21, _B21)))),
     DependencyRelation(
         "order6_second",
         "beta_{6,6} = -5/12 beta_{6,9} - 5/3 beta_{4,3} + 1/4 beta_{2,1}"
         " - 10 beta_{2,1} beta_{4,3} + 240 beta_{3,1}^2 - 40 beta_{2,1}^3",
-        _r6_second),
+        (6, 6), ((-Fraction(5, 12), ((6, 9),)), (-Fraction(5, 3), ((4, 3),)),
+                 (Fraction(1, 4), (_B21,)), (-10, (_B21, (4, 3))),
+                 (240, (_B31, _B31)), (-40, (_B21, _B21, _B21)))),
     DependencyRelation(
         "order6_third",
         "beta_{6,7} = 9/2 beta_{6,9} - 5 beta_{4,3} + 1/2 beta_{2,1}"
         " + 432 beta_{3,1}^2 - 96 beta_{2,1}^3",
-        _r6_third),
+        (6, 7), ((Fraction(9, 2), ((6, 9),)), (-5, ((4, 3),)), (Fraction(1, 2), (_B21,)),
+                 (432, (_B31, _B31)), (-96, (_B21, _B21, _B21)))),
 )
 
 
@@ -138,12 +151,13 @@ def dependency_relations_check(grid: Optional[Iterable] = None,
     report = ScanReport("dependency-relations", max_n)
     for knot in knots:
         k = knot.as_knot() if isinstance(knot, CanonicalTorusKnot) else as_knot(knot)
-        b = _beta(k)
+        nums = primitive_numerators(k.n, k.m)
         for rel in DEPENDENCY_RELATIONS:
             report.checked += 1
-            res = rel.residual(b)
-            if res != 0:
-                report.violations.append(((k.n, k.m), rel.name, res))
+            residual = rel.residual_numerator(nums)
+            if residual:
+                report.violations.append(((k.n, k.m), rel.name,
+                                          Fraction(residual, rel.residual_denominator)))
     return report
 
 
@@ -157,13 +171,15 @@ def distinguishing_check(max_n: int) -> ScanReport:
     if max_n < 3:
         raise ValueError("max_n must be >= 3")
     report = ScanReport("distinguishing", max_n)
+    # beta_{2,1} and beta_{3,1} have fixed denominators: equal numerators
+    # are equal values
     seen: dict = {}
     for knot in canonical_knots(max_n):
-        b = _beta(knot.as_knot())
-        key = (b[(2, 1)], b[(3, 1)])
+        key = primitive_numerators(knot.n, knot.m, slots=(_B21, _B31))
         report.checked += 1
         if key in seen:
-            report.violations.append((seen[key], (knot.n, knot.m), key))
+            report.violations.append((seen[key], (knot.n, knot.m),
+                                      _fractions(key, (_B21, _B31))))
         else:
             seen[key] = (knot.n, knot.m)
     return report
@@ -189,16 +205,12 @@ def integrality_scan(bound: int, include_noncoprime: bool = False) -> ScanReport
                 continue
             if gcd(n, abs(m)) != 1:
                 if include_noncoprime:
-                    b = _beta(TorusKnot(n, m))
-                    for slot in PRIMITIVE_ORDER:
-                        if b[slot].denominator != 1:
-                            report.notes.append(((n, m), slot, b[slot]))
+                    report.notes += [((n, m), slot, Fraction(num, den))
+                                     for slot, num, den in _non_integral(n, m)]
                 continue
-            b = _beta(TorusKnot(n, m))
-            for slot in PRIMITIVE_ORDER:
-                report.checked += 1
-                if b[slot].denominator != 1:
-                    report.violations.append(((n, m), slot, b[slot]))
+            report.checked += len(PRIMITIVE_ORDER)
+            report.violations += [((n, m), slot, Fraction(num, den))
+                                  for slot, num, den in _non_integral(n, m)]
     return report
 
 
@@ -209,11 +221,9 @@ def noncoprime_witnesses(bound: int = 6) -> dict:
         for m in range(n, bound + 1):
             if gcd(n, m) == 1:
                 continue
-            b = _beta(TorusKnot(n, m))
-            for slot in PRIMITIVE_ORDER:
-                order = slot[0]
-                if order not in found and b[slot].denominator != 1:
-                    found[order] = ((n, m), slot, b[slot])
+            for slot, num, den in _non_integral(n, m):
+                if slot[0] not in found:
+                    found[slot[0]] = ((n, m), slot, Fraction(num, den))
     return found
 
 
@@ -267,10 +277,19 @@ def lissajous_obstruction(knot) -> str:
     """A Lissajous knot has even Arf invariant, and Arf = beta_{2,1} mod 2;
     odd beta_{2,1} therefore certifies "not Lissajous".  Even beta_{2,1} is
     inconclusive (the obstruction is one-directional)."""
-    b21 = _beta(as_knot(knot).validate())[(2, 1)]
-    if b21.denominator != 1:
-        raise ValueError(f"beta_{{2,1}} = {b21} is not an integer; parity undefined")
-    return OBSTRUCTED if b21.numerator % 2 == 1 else INCONCLUSIVE
+    k = as_knot(knot).validate()
+    return lissajous_verdict(*primitive_numerators(k.n, k.m, slots=(_B21,)))
+
+
+def lissajous_verdict(beta21_numerator: int) -> str:
+    """lissajous_obstruction's verdict from the numerator of beta_{2,1} over
+    its denominator BETA_DENOMINATORS[(2, 1)]."""
+    den = BETA_DENOMINATORS[_B21]
+    value, remainder = divmod(beta21_numerator, den)
+    if remainder:
+        raise ValueError(f"beta_{{2,1}} = {Fraction(beta21_numerator, den)} is not an "
+                         "integer; parity undefined")
+    return OBSTRUCTED if value % 2 == 1 else INCONCLUSIVE
 
 
 @dataclass(frozen=True)
@@ -282,11 +301,11 @@ class AuxiliaryScalars:
 
 def auxiliary_scalars(knot) -> AuxiliaryScalars:
     k = as_knot(knot).validate()
-    b = _beta(k)
+    b21, b31 = _fractions(primitive_numerators(k.n, k.m, slots=(_B21, _B31)), (_B21, _B31))
     return AuxiliaryScalars(
-        v3=3 * (b[(3, 1)] - b[(2, 1)]),
+        v3=3 * (b31 - b21),
         gordian=Fraction((abs(k.n) - 1) * (abs(k.m) - 1), 2),
-        curve_residual=b[(3, 1)] ** 2 - Fraction(2, 3) * b[(2, 1)] ** 3,
+        curve_residual=b31 ** 2 - Fraction(2, 3) * b21 ** 3,
     )
 
 

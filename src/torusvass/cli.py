@@ -22,14 +22,15 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .analysis import (auxiliary_scalars, integrality_scan, is_v3_applicable,
-                       lissajous_obstruction)
+from .analysis import (OBSTRUCTED, auxiliary_scalars, integrality_scan, is_v3_applicable,
+                       lissajous_obstruction, lissajous_verdict)
 from .errors import NotAKnot, TorusVassError
 from .groups import Family, product, so_n, su2, su_n
 from .invariants import DEFAULT_GUARD, normalized_series
 from .knots import UNKNOT, TorusKnot, canonical_knots, canonicalize
 from .suites import SUITES, run_suite
-from .tables import closed_form_alpha, closed_form_alpha_tilde, closed_form_beta
+from .tables import (BETA_DENOMINATORS, closed_form_alpha, closed_form_alpha_tilde,
+                     closed_form_beta, primitive_numerators)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -42,6 +43,12 @@ SCHEMA_VERSION = "1.0"
 #: guard keys the evaluator kernels, so these also cap a cached kernel's size
 MAX_EXPAND_ORDER = 24
 MAX_GUARD_TERMS = 8
+
+#: scan --max and verify --bound limits (exit 3 above them): the slowest
+#: predicate (non-integer, bound by its output) and the slowest bounded suite
+#: (integrality) each take about 2 s at their limit
+MAX_SCAN_BOUND = 100
+MAX_VERIFY_BOUND = 300
 
 
 def rational_json(value: Fraction) -> dict:
@@ -233,6 +240,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"error: unknown suite {args.suite!r}; choose from "
               f"{', '.join(list(SUITES) + ['all'])}", file=sys.stderr)
         return EXIT_UNSUPPORTED
+    if args.bound is not None and args.bound > MAX_VERIFY_BOUND:
+        print(f"error: bound {args.bound} unsupported (verify stops at {MAX_VERIFY_BOUND})",
+              file=sys.stderr)
+        return EXIT_UNSUPPORTED
     results = run_suite(args.suite, args.bound)
     failures = [(r.suite, c) for r in results for c in r.failures()]
     payload = {
@@ -279,11 +290,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _scan_payload(predicate: str, bound: int) -> tuple[dict, list[str]]:
     """Returns (json payload, csv lines)."""
+    b21, b31 = (2, 1), (3, 1)
     if predicate == "lissajous-obstructed":
         hits = []
         for knot in canonical_knots(bound, chirality=False):
-            if lissajous_obstruction(knot.as_knot()) == "obstructed":
-                beta21 = closed_form_beta(knot.as_knot()).entries[(2, 1)]
+            (num21,) = primitive_numerators(knot.n, knot.m, slots=(b21,))
+            if lissajous_verdict(num21) == OBSTRUCTED:
+                beta21 = Fraction(num21, BETA_DENOMINATORS[b21])
                 hits.append({"n": knot.n, "m": knot.m,
                              "beta_2_1": rational_json(beta21)})
         csv = ["n,m,beta_2_1"] + [
@@ -306,10 +319,10 @@ def _scan_payload(predicate: str, bound: int) -> tuple[dict, list[str]]:
     if predicate == "beta-curve":
         points = []
         for knot in canonical_knots(bound, chirality=False):
-            b = closed_form_beta(knot.as_knot()).entries
+            num21, num31 = primitive_numerators(knot.n, knot.m, slots=(b21, b31))
             points.append({"n": knot.n, "m": knot.m,
-                           "beta_2_1": rational_json(b[(2, 1)]),
-                           "beta_3_1": rational_json(b[(3, 1)])})
+                           "beta_2_1": rational_json(Fraction(num21, BETA_DENOMINATORS[b21])),
+                           "beta_3_1": rational_json(Fraction(num31, BETA_DENOMINATORS[b31]))})
         csv = ["n,m,beta_2_1,beta_3_1"] + [
             f"{p['n']},{p['m']},{p['beta_2_1']['num']},{p['beta_3_1']['num']}"
             for p in points]
@@ -322,6 +335,10 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     if args.predicate not in predicates:
         print(f"error: unknown predicate {args.predicate!r}; choose from "
               f"{', '.join(predicates)}", file=sys.stderr)
+        return EXIT_UNSUPPORTED
+    if args.max > MAX_SCAN_BOUND:
+        print(f"error: max {args.max} unsupported (scan stops at {MAX_SCAN_BOUND})",
+              file=sys.stderr)
         return EXIT_UNSUPPORTED
     payload, csv_lines = _scan_payload(args.predicate, args.max)
     arguments = {"predicate": args.predicate, "max": args.max, "format": args.format}
@@ -371,14 +388,16 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run a verification suite")
     ver.add_argument("--suite", required=True)
     ver.add_argument("--bound", type=int, default=None,
-                     help="override the suite's default scan bound")
+                     help="override the suite's default scan bound, "
+                          f"at most {MAX_VERIFY_BOUND}")
     ver.add_argument("--format", choices=("json", "text"), default="json")
     ver.add_argument("--out", default=None)
     ver.set_defaults(handler=_cmd_verify)
 
     scan = sub.add_parser("scan", help="bulk predicates over knot ranges")
     scan.add_argument("--predicate", required=True)
-    scan.add_argument("--max", type=int, required=True)
+    scan.add_argument("--max", type=int, required=True,
+                      help=f"largest index scanned, at most {MAX_SCAN_BOUND}")
     scan.add_argument("--format", choices=("json", "csv"), default="json")
     scan.add_argument("--out", default=None)
     scan.set_defaults(handler=_cmd_scan)

@@ -18,8 +18,8 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .errors import AnsatzMismatch, DegreeExceeded, Inconsistent, RankDeficient
-from .groups import (ORDERS, Family, GroupFactorVector, GroupInstance, SLOT_COUNTS,
-                     group_factors, product, slots, so_n, su2, su_n)
+from .groups import (ORDERS, SLOT_COUNTS, SLOTS, Family, GroupFactorVector, GroupInstance,
+                     group_factors, product, so_n, su2, su_n)
 from .invariants import DEFAULT_GUARD, DEFAULT_ORDER, normalized_series, unnormalized_series
 from .knots import TorusKnot, as_knot
 from .linalg import Elimination, ExactMatrix, ExactPoly, eliminate, interpolate_poly
@@ -49,21 +49,18 @@ def default_instantiation_plan(knot) -> tuple[GroupInstance, ...]:
 @dataclass
 class ExtractionReport:
     """Per-order solve diagnostics.  Each solve substitutes its solution back
-    into every row exactly and raises Inconsistent on a violated row, so
-    residuals stays empty on a returned report."""
+    into every row exactly and raises Inconsistent on a violated row."""
 
     knot: TorusKnot
     kind: str
     rank: dict = field(default_factory=dict)          # order -> rank reached
     equations: dict = field(default_factory=dict)     # order -> row count
     consistent: dict = field(default_factory=dict)    # order -> bool
-    residuals: list = field(default_factory=list)     # (order, row, residual)
 
     def all_good(self) -> bool:
         return (
             all(self.consistent.values())
             and all(self.rank[i] == SLOT_COUNTS[i] for i in self.rank)
-            and not self.residuals
         )
 
 
@@ -109,7 +106,7 @@ def assemble_system(knot, order: int, instantiations: Sequence[GroupInstance],
     k = as_knot(knot).validate().oriented()
     cache = series_cache if series_cache is not None else {}
     rhs = _right_hand_side(k, order, instantiations, trunc_order, guard, unnormalized, cache)
-    keys = slots(order)
+    keys = SLOTS[order]
     rows = [[group_factors(inst).entries[s] for s in keys] for inst in instantiations]
     return ExactMatrix.augmented(rows, rhs)
 
@@ -154,7 +151,7 @@ def _extract(knot, trunc_order: int, plan, guard: int,
             raise Inconsistent(order)
         if result.rank < SLOT_COUNTS[order]:
             raise RankDeficient(order, result.rank, SLOT_COUNTS[order])
-        for slot_key, value in zip(slots(order), result.solution):
+        for slot_key, value in zip(SLOTS[order], result.solution):
             entries[slot_key] = value
     return InvariantTable(kind, k, entries), report
 

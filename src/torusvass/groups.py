@@ -51,12 +51,18 @@ PRIMITIVE_SLOTS = (
 )
 
 
+#: the (order, slot) keys of each order, and of orders 2..6 in order
+SLOTS = {order: tuple((order, j) for j in range(1, count + 1))
+         for order, count in SLOT_COUNTS.items()}
+ALL_SLOTS = tuple(s for i in ORDERS for s in SLOTS[i])
+
+
 def slots(order: int) -> tuple[tuple[int, int], ...]:
-    return tuple((order, j) for j in range(1, SLOT_COUNTS[order] + 1))
+    return SLOTS[order]
 
 
 def all_slots() -> tuple[tuple[int, int], ...]:
-    return tuple(s for i in ORDERS for s in slots(i))
+    return ALL_SLOTS
 
 
 class Family(str, Enum):
@@ -203,7 +209,7 @@ class GroupFactorVector:
         return self.entries[(order, slot)]
 
     def row(self, order: int) -> tuple[Fraction, ...]:
-        return tuple(self.entries[s] for s in slots(order))
+        return tuple(self.entries[s] for s in SLOTS[order])
 
 
 def group_factor_vector(sets: Sequence[CasimirSet]) -> GroupFactorVector:

@@ -17,6 +17,8 @@ Slot layout of the Taylor ansatz through order six: with P = (n^2-1)(m^2-1),
 Each closed-form primitive is one integer row: its prefactor kind (P, nm P,
 or 1 for the even-order alpha forms), a numerator polynomial in u = n^2,
 v = m^2, and its denominators; alpha_tilde and beta share the numerators.
+primitive_numerators evaluates the rows in integers: the tables build one
+Fraction per primitive from it, and the analysis scans read it directly.
 
 Three printed g entries are typos in the source tables (marked below); the
 exact ansatz fit is authoritative for those slots and the corrected forms are
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Union
 
-from .groups import all_slots
+from .groups import ALL_SLOTS
 from .knots import TorusKnot, as_knot
 from .linalg import ExactPoly
 
@@ -82,7 +84,7 @@ def _with_compounds(primitives: dict, scale: dict | None = None) -> dict:
     entries = dict(primitives)
     for slot, rule in COMPOUND_RULES.items():
         entries[slot] = rule(primitives) * scale[slot] if scale else rule(primitives)
-    return {s: entries[s] for s in all_slots()}
+    return {s: entries[s] for s in ALL_SLOTS}
 
 
 _ALPHA_LIKE_SCALE = {
@@ -91,12 +93,10 @@ _ALPHA_LIKE_SCALE = {
 }
 
 
-def _prefactor(kind: str, n: int, m: int) -> int:
-    """The prefactor kind "P" = (n^2-1)(m^2-1), "nmP" = nm P, or "1"."""
-    if kind == "1":
-        return 1
+def _prefactors(n: int, m: int) -> dict[str, int]:
+    """Each prefactor kind: "P" = (n^2-1)(m^2-1), "nmP" = nm P, and "1"."""
     p = (n * n - 1) * (m * m - 1)
-    return p if kind == "P" else n * m * p
+    return {"1": 1, "P": p, "nmP": n * m * p}
 
 
 class _Row(NamedTuple):
@@ -156,16 +156,31 @@ _ALPHA_ROWS = {
 }
 
 
-def _closed_form(kind: str, knot: KnotLike, rows: dict) -> InvariantTable:
-    """Evaluate the rows in integers, one Fraction per primitive."""
-    k = as_knot(knot)
-    n, m = k.n, k.m
+def primitive_numerators(n: int, m: int, rows: dict = _TILDE_ROWS,
+                         slots: tuple = PRIMITIVE_ORDER) -> tuple[int, ...]:
+    """Each slot's row in integers: prefactor * numerator(n^2, m^2).
+
+    The slot's value is this over the row's den (its beta_den in the beta
+    table); the default rows are the numerators alpha_tilde and beta share.
+    Coprimality is not required.
+    """
     u, v = n * n, m * m
+    prefactors = _prefactors(n, m)
+    return tuple([prefactors[rows[slot].prefactor] * rows[slot].numerator(u, v)
+                  for slot in slots])
+
+
+#: the denominator of each primitive beta, over its primitive_numerators
+BETA_DENOMINATORS = {slot: row.beta_den for slot, row in _TILDE_ROWS.items()}
+
+
+def _closed_form(kind: str, knot: KnotLike, rows: dict) -> InvariantTable:
+    """One Fraction per primitive, over the integer rows."""
+    k = as_knot(knot)
     beta = kind == "beta"
     prim = {
-        slot: Fraction(_prefactor(row.prefactor, n, m) * row.numerator(u, v),
-                       row.beta_den if beta else row.den)
-        for slot, row in rows.items()
+        slot: Fraction(num, rows[slot].beta_den if beta else rows[slot].den)
+        for slot, num in zip(PRIMITIVE_ORDER, primitive_numerators(k.n, k.m, rows))
     }
     return InvariantTable(kind, k, _with_compounds(prim, None if beta else _ALPHA_LIKE_SCALE))
 
@@ -219,7 +234,7 @@ ANSATZ_SLOT_MONOMIALS = {
 
 def ansatz_prefactor(n: int, m: int, order: int) -> Fraction:
     """(n^2-1)(m^2-1) at even orders, times nm at odd orders."""
-    return Fraction(_prefactor("P" if order % 2 == 0 else "nmP", n, m))
+    return Fraction(_prefactors(n, m)["P" if order % 2 == 0 else "nmP"])
 
 
 # ----------------------------------------------------------------------

@@ -1,18 +1,23 @@
 """Canonicalization, dependency relations, integrality, and derived scalars."""
 
+import random
 from fractions import Fraction as F
 from math import gcd
 
 import pytest
 
-from torusvass.analysis import (DEPENDENCY_RELATIONS, auxiliary_scalars,
-                                dependency_relations_check, distinguishing_check,
-                                integrality_scan, is_v3_applicable,
-                                lissajous_obstruction, noncoprime_witnesses,
-                                proposition_modular_checks, v3_family_value)
+from torusvass import analysis
+from torusvass.analysis import (DEPENDENCY_RELATIONS, AuxiliaryScalars, DependencyRelation,
+                                ScanReport, auxiliary_scalars, dependency_relations_check,
+                                distinguishing_check, integrality_scan, is_v3_applicable,
+                                lissajous_obstruction, lissajous_verdict,
+                                noncoprime_witnesses, proposition_modular_checks,
+                                v3_family_value)
+from torusvass.cli import _scan_payload, rational_json
 from torusvass.errors import NotAKnot
-from torusvass.knots import UNKNOT, CanonicalTorusKnot, canonical_knots, canonicalize
-from torusvass.tables import closed_form_beta
+from torusvass.knots import (UNKNOT, CanonicalTorusKnot, TorusKnot, as_knot, canonical_knots,
+                             canonicalize)
+from torusvass.tables import BETA_DENOMINATORS, PRIMITIVE_ORDER, closed_form_beta
 
 
 def test_canonicalize_swap():
@@ -233,3 +238,310 @@ def test_curve_ratio_tends_to_one():
     b = closed_form_beta((20, 19)).entries
     ratio = b[(3, 1)] ** 2 / (F(2, 3) * b[(2, 1)] ** 3)
     assert abs(ratio - 1) < F(1, 100)
+
+
+# ----------------------------------------------------------------------
+# test-only references: the scans as they ran on the full closed-form beta
+# table, one Fraction per slot; the integer kernels must reproduce their
+# reports exactly, in order and in type
+# ----------------------------------------------------------------------
+
+def ref_beta(knot):
+    return closed_form_beta(knot).entries
+
+
+def ref_r4(b):
+    return b[(4, 2)] - (4 * b[(4, 3)] + 12 * b[(2, 1)] ** 2 - b[(2, 1)])
+
+
+def ref_r5_first(b):
+    return b[(5, 2)] - (6 * b[(5, 4)] + F(27, 5) * b[(2, 1)] * b[(3, 1)]
+                        - F(2, 5) * b[(3, 1)])
+
+
+def ref_r5_second(b):
+    return b[(5, 3)] - (F(3, 4) * b[(5, 4)] + F(3, 10) * b[(2, 1)] * b[(3, 1)]
+                        - F(1, 20) * b[(3, 1)])
+
+
+def ref_r6_first(b):
+    return b[(6, 5)] - (F(58, 9) * b[(6, 9)] - F(80, 3) * b[(4, 3)]
+                        + F(41, 9) * b[(2, 1)] - F(680, 3) * b[(2, 1)] * b[(4, 3)]
+                        + 5280 * b[(3, 1)] ** 2 - F(2080, 3) * b[(2, 1)] ** 3)
+
+
+def ref_r6_second(b):
+    return b[(6, 6)] - (-F(5, 12) * b[(6, 9)] - F(5, 3) * b[(4, 3)]
+                        + F(1, 4) * b[(2, 1)] - 10 * b[(2, 1)] * b[(4, 3)]
+                        + 240 * b[(3, 1)] ** 2 - 40 * b[(2, 1)] ** 3)
+
+
+def ref_r6_third(b):
+    return b[(6, 7)] - (F(9, 2) * b[(6, 9)] - 5 * b[(4, 3)] + F(1, 2) * b[(2, 1)]
+                        + 432 * b[(3, 1)] ** 2 - 96 * b[(2, 1)] ** 3)
+
+
+def ref_r5_printed(b):
+    # the order-5 relation as the source prints it, with beta_{5,3} on the right
+    return b[(5, 2)] - (6 * b[(5, 3)] + F(27, 5) * b[(2, 1)] * b[(3, 1)]
+                        - F(2, 5) * b[(3, 1)])
+
+
+REF_RESIDUALS = {"order4": ref_r4, "order5_first": ref_r5_first,
+                 "order5_second": ref_r5_second, "order6_first": ref_r6_first,
+                 "order6_second": ref_r6_second, "order6_third": ref_r6_third,
+                 "order5_printed": ref_r5_printed}
+
+PRINTED_ORDER5 = DependencyRelation(
+    "order5_printed",
+    "beta_{5,2} = 6 beta_{5,3} + 27/5 beta_{2,1} beta_{3,1} - 2/5 beta_{3,1}",
+    (5, 2), ((6, ((5, 3),)), (F(27, 5), ((2, 1), (3, 1))), (-F(2, 5), ((3, 1),))))
+
+
+def ref_dependency_relations_check(grid=None, max_n=12):
+    if grid is None and max_n < 3:
+        raise ValueError("max_n must be >= 3")
+    knots = list(grid) if grid is not None else list(canonical_knots(max_n))
+    report = ScanReport("dependency-relations", max_n)
+    for knot in knots:
+        k = knot.as_knot() if isinstance(knot, CanonicalTorusKnot) else as_knot(knot)
+        b = ref_beta(k)
+        for rel in analysis.DEPENDENCY_RELATIONS:
+            report.checked += 1
+            res = REF_RESIDUALS[rel.name](b)
+            if res != 0:
+                report.violations.append(((k.n, k.m), rel.name, res))
+    return report
+
+
+def ref_distinguishing_check(max_n):
+    if max_n < 3:
+        raise ValueError("max_n must be >= 3")
+    report = ScanReport("distinguishing", max_n)
+    seen = {}
+    for knot in analysis.canonical_knots(max_n):
+        b = ref_beta(knot.as_knot())
+        key = (b[(2, 1)], b[(3, 1)])
+        report.checked += 1
+        if key in seen:
+            report.violations.append((seen[key], (knot.n, knot.m), key))
+        else:
+            seen[key] = (knot.n, knot.m)
+    return report
+
+
+def ref_integrality_scan(bound, include_noncoprime=False):
+    if bound < 2:
+        raise ValueError("bound must be >= 2")
+    report = ScanReport("integrality", bound)
+    for n in range(1, bound + 1):
+        for m in range(-bound, bound + 1):
+            if m == 0:
+                continue
+            if gcd(n, abs(m)) != 1:
+                if include_noncoprime:
+                    b = ref_beta(TorusKnot(n, m))
+                    for slot in PRIMITIVE_ORDER:
+                        if b[slot].denominator != 1:
+                            report.notes.append(((n, m), slot, b[slot]))
+                continue
+            b = ref_beta(TorusKnot(n, m))
+            for slot in PRIMITIVE_ORDER:
+                report.checked += 1
+                if b[slot].denominator != 1:
+                    report.violations.append(((n, m), slot, b[slot]))
+    return report
+
+
+def ref_noncoprime_witnesses(bound=6):
+    found = {}
+    for n in range(2, bound + 1):
+        for m in range(n, bound + 1):
+            if gcd(n, m) == 1:
+                continue
+            b = ref_beta(TorusKnot(n, m))
+            for slot in PRIMITIVE_ORDER:
+                order = slot[0]
+                if order not in found and b[slot].denominator != 1:
+                    found[order] = ((n, m), slot, b[slot])
+    return found
+
+
+def ref_lissajous_obstruction(knot):
+    b21 = ref_beta(as_knot(knot).validate())[(2, 1)]
+    if b21.denominator != 1:
+        raise ValueError(f"beta_{{2,1}} = {b21} is not an integer; parity undefined")
+    return "obstructed" if b21.numerator % 2 == 1 else "inconclusive"
+
+
+def ref_auxiliary_scalars(knot):
+    k = as_knot(knot).validate()
+    b = ref_beta(k)
+    return AuxiliaryScalars(
+        v3=3 * (b[(3, 1)] - b[(2, 1)]),
+        gordian=F((abs(k.n) - 1) * (abs(k.m) - 1), 2),
+        curve_residual=b[(3, 1)] ** 2 - F(2, 3) * b[(2, 1)] ** 3,
+    )
+
+
+def ref_scan_payload(predicate, bound):
+    if predicate == "lissajous-obstructed":
+        hits = []
+        for knot in canonical_knots(bound, chirality=False):
+            if ref_lissajous_obstruction(knot.as_knot()) == "obstructed":
+                beta21 = ref_beta(knot.as_knot())[(2, 1)]
+                hits.append({"n": knot.n, "m": knot.m, "beta_2_1": rational_json(beta21)})
+        csv = ["n,m,beta_2_1"] + [f"{h['n']},{h['m']},{h['beta_2_1']['num']}" for h in hits]
+        return {"knots": hits}, csv
+    if predicate == "non-integer":
+        report = ref_integrality_scan(bound, include_noncoprime=True)
+
+        def packed(records):
+            return [{"n": pair[0], "m": pair[1], "slot": f"{slot[0]},{slot[1]}",
+                     "value": rational_json(value)}
+                    for (pair, slot, value) in records]
+
+        witnesses = packed(report.notes)
+        csv = ["n,m,slot,value"] + [
+            f"{w['n']},{w['m']},\"{w['slot']}\","
+            f"{w['value']['num']}/{w['value']['den']}" for w in witnesses]
+        return {"coprime_violations": packed(report.violations),
+                "noncoprime_witnesses": witnesses}, csv
+    if predicate == "beta-curve":
+        points = []
+        for knot in canonical_knots(bound, chirality=False):
+            b = ref_beta(knot.as_knot())
+            points.append({"n": knot.n, "m": knot.m,
+                           "beta_2_1": rational_json(b[(2, 1)]),
+                           "beta_3_1": rational_json(b[(3, 1)])})
+        csv = ["n,m,beta_2_1,beta_3_1"] + [
+            f"{p['n']},{p['m']},{p['beta_2_1']['num']},{p['beta_3_1']['num']}"
+            for p in points]
+        return {"points": points}, csv
+    raise ValueError(predicate)
+
+
+def typed(value):
+    """value with every leaf paired with its type, so == also compares types."""
+    if isinstance(value, (list, tuple)):
+        return type(value), [typed(v) for v in value]
+    if isinstance(value, dict):
+        return dict, [(typed(k), typed(v)) for k, v in value.items()]
+    if isinstance(value, ScanReport):
+        return typed([value.name, value.bound, value.checked, value.violations, value.notes])
+    if isinstance(value, AuxiliaryScalars):
+        return typed([value.v3, value.gordian, value.curve_residual])
+    return type(value), value
+
+
+def outcome(fn, *args, **kwargs):
+    try:
+        return typed(fn(*args, **kwargs))
+    except (ValueError, NotAKnot) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("include_noncoprime", [False, True])
+def test_integrality_kernel_equals_reference(include_noncoprime):
+    for bound in range(-1, 31):
+        assert outcome(integrality_scan, bound, include_noncoprime) \
+            == outcome(ref_integrality_scan, bound, include_noncoprime), bound
+
+
+def test_integrality_kernel_reports_noncoprime_notes():
+    report = integrality_scan(6, include_noncoprime=True)
+    # P = 3 * 35 at (2, -6): beta21 = P/24, beta31 = nmP/144, beta42 = 1255 P/240
+    assert report.notes[:3] == [((2, -6), (2, 1), F(35, 8)), ((2, -6), (3, 1), F(-35, 4)),
+                                ((2, -6), (4, 2), F(8785, 16))]
+    assert all(type(value) is F for _, _, value in report.notes)
+    assert integrality_scan(6).notes == []
+
+
+def test_distinguishing_kernel_equals_reference():
+    for max_n in (-1, 2, 3, 4, 5, 8, 13, 21, 40):
+        assert outcome(distinguishing_check, max_n) \
+            == outcome(ref_distinguishing_check, max_n), max_n
+
+
+def test_distinguishing_kernel_records_a_forced_collision(monkeypatch):
+    # a repeated knot is the one way to make two knots share (beta21, beta31)
+    def repeating(max_n, chirality=True):
+        knots = list(canonical_knots(max_n, chirality))
+        return knots + [knots[1], knots[0]]
+
+    monkeypatch.setattr(analysis, "canonical_knots", repeating)
+    report = distinguishing_check(5)
+    assert typed(report.violations) == typed([
+        ((3, -2), (3, -2), (F(1), F(-1))),
+        ((3, 2), (3, 2), (F(1), F(1))),
+    ])
+    assert report.checked == len(list(canonical_knots(5))) + 2
+    assert typed(report) == typed(ref_distinguishing_check(5))
+
+
+def test_noncoprime_witness_kernel_equals_reference():
+    for bound in range(0, 13):
+        assert outcome(noncoprime_witnesses, bound) \
+            == outcome(ref_noncoprime_witnesses, bound), bound
+
+
+RELATION_GRIDS = [
+    [(2, 3), (1, 5), (-1, 3), (1, -1), (2, 2), (4, 6), (6, 9), (-3, 5), (3, -7), (-4, -9)],
+    [(n, m) for n in range(-6, 7) for m in range(-7, 8) if n and m],
+    [CanonicalTorusKnot(5, -3), (2, 5)],
+    [],
+]
+
+
+def test_relation_kernel_equals_reference():
+    for max_n in range(-1, 15):
+        assert outcome(dependency_relations_check, max_n=max_n) \
+            == outcome(ref_dependency_relations_check, max_n=max_n), max_n
+    for grid in RELATION_GRIDS:
+        assert outcome(dependency_relations_check, grid=grid) \
+            == outcome(ref_dependency_relations_check, grid=grid), grid
+
+
+def test_relation_kernel_reports_violated_relations(monkeypatch):
+    # the printed order-5 relation fails off the trefoil; its residuals pin
+    # the shape and the values of the violation records
+    monkeypatch.setattr(analysis, "DEPENDENCY_RELATIONS",
+                        DEPENDENCY_RELATIONS + (PRINTED_ORDER5,))
+    for grid in RELATION_GRIDS:
+        assert outcome(dependency_relations_check, grid=grid) \
+            == outcome(ref_dependency_relations_check, grid=grid), grid
+    report = dependency_relations_check(grid=[(2, 3), (2, 5)])
+    assert typed(report.violations) == typed([((2, 5), "order5_printed", F(-6))])
+
+
+def test_relation_residual_on_arbitrary_numerators():
+    # numerators that come from no knot give nonzero residuals in every term
+    rng = random.Random(7)
+    for _ in range(200):
+        nums = tuple(rng.randint(-10 ** 6, 10 ** 6) for _ in PRIMITIVE_ORDER)
+        b = {slot: F(num, BETA_DENOMINATORS[slot]) for slot, num in zip(PRIMITIVE_ORDER, nums)}
+        for rel in DEPENDENCY_RELATIONS + (PRINTED_ORDER5,):
+            assert F(rel.residual_numerator(nums), rel.residual_denominator) \
+                == REF_RESIDUALS[rel.name](b)
+
+
+def test_scalar_kernels_equal_reference():
+    for n in range(-7, 8):
+        for m in range(-9, 10):
+            assert outcome(lissajous_obstruction, (n, m)) \
+                == outcome(ref_lissajous_obstruction, (n, m)), (n, m)
+            assert outcome(auxiliary_scalars, (n, m)) \
+                == outcome(ref_auxiliary_scalars, (n, m)), (n, m)
+
+
+def test_lissajous_verdict_rejects_a_non_integral_beta21():
+    with pytest.raises(ValueError, match=r"beta_\{2,1\} = 3/8 is not an integer"):
+        lissajous_verdict(9)
+    assert lissajous_verdict(24) == "obstructed" and lissajous_verdict(-48) == "inconclusive"
+
+
+@pytest.mark.parametrize("predicate", ["lissajous-obstructed", "non-integer", "beta-curve"])
+def test_scan_payload_kernel_equals_reference(predicate):
+    for bound in (-1, 0, 1, 2, 3, 5, 8, 13, 20):
+        assert outcome(_scan_payload, predicate, bound) \
+            == outcome(ref_scan_payload, predicate, bound), bound

@@ -12,7 +12,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from torusvass import suites
+from torusvass import cli, suites
 from torusvass.cli import main
 
 SCHEMA = json.loads(
@@ -211,6 +211,36 @@ def test_expand_admits_its_limits(capsys):
     code, out, _ = run_cli(capsys, "expand", "--family", "su2", "--j", "2", "--n", "2",
                            "--m", "3", "--order", "24", "--guard-terms", "8", "--format", "csv")
     assert code == 0 and out.count("\n") == 26
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("scan", "--predicate", "non-integer", "--max", "101"),
+     "max 101 unsupported (scan stops at 100)"),
+    (("scan", "--predicate", "beta-curve", "--max", "3000", "--format", "csv"),
+     "max 3000 unsupported (scan stops at 100)"),
+    (("verify", "--suite", "integrality", "--bound", "301"),
+     "bound 301 unsupported (verify stops at 300)"),
+    (("verify", "--suite", "all", "--bound", "3000"),
+     "bound 3000 unsupported (verify stops at 300)"),
+    (("verify", "--suite", "v3", "--bound", "100000"),
+     "bound 100000 unsupported (verify stops at 300)"),
+])
+def test_scan_and_verify_reject_oversized_bounds(capsys, argv, message):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
+def test_scan_and_verify_admit_their_limits(capsys):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "scan", "--predicate", "lissajous-obstructed",
+                           "--max", str(cli.MAX_SCAN_BOUND), "--format", "csv")
+    assert code == 0 and "99,2," in out
+    code, out, _ = run_cli(capsys, "verify", "--suite", "trefoil",
+                           "--bound", str(cli.MAX_VERIFY_BOUND))
+    assert code == 0 and json.loads(out)["command"]["arguments"]["bound"] == 300
+    assert time.perf_counter() - start < 0.5
 
 
 def test_verify_distinguishing_rejects_empty_grid(capsys):
