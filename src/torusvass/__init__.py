@@ -15,7 +15,7 @@ from .errors import (AnsatzMismatch, CancellationFailure, DegreeExceeded,
                      SingularBracket, TorusVassError, TruncationUnderflow,
                      ZeroCasimirDivision)
 from .series import TruncSeries, series_div, series_exp_linear
-from .linalg import ExactMatrix, ExactPoly, LinearSolution, interpolate_poly, solve_exact
+from .linalg import ExactPoly, LinearSolution, interpolate_poly
 from .knots import (UNKNOT, CanonicalTorusKnot, TorusKnot, canonical_knots,
                     canonicalize)
 from .groups import (CasimirSet, Family, GroupInstance, GroupFactorVector,
@@ -26,9 +26,9 @@ from .invariants import (akutsu_wadati_normalized, homfly_normalized,
                          unknot_factor, unnormalized_series)
 from .tables import (InvariantTable, TREFOIL_NORMALIZERS, beta_from_alpha_tilde,
                      closed_form_alpha, closed_form_alpha_tilde, closed_form_beta)
-from .extract import (AnsatzFit, ExtractionReport, assemble_system,
-                      compare_fit_to_printed, default_instantiation_plan,
-                      extract_alpha, extract_alpha_tilde, fit_ansatz)
+from .extract import (AnsatzFit, ExtractionReport, compare_fit_to_printed,
+                      default_instantiation_plan, extract_alpha, extract_alpha_tilde,
+                      fit_ansatz)
 from .analysis import (AuxiliaryScalars, DEPENDENCY_RELATIONS, ScanReport,
                        auxiliary_scalars, dependency_relations_check,
                        distinguishing_check, integrality_scan, lissajous_obstruction,

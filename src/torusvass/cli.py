@@ -26,7 +26,7 @@ from .analysis import (OBSTRUCTED, auxiliary_scalars, integrality_scan, is_v3_ap
                        lissajous_obstruction, lissajous_verdict)
 from .errors import NotAKnot, TorusVassError
 from .groups import Family, product, so_n, su2, su_n
-from .invariants import DEFAULT_GUARD, normalized_series
+from .invariants import normalized_series
 from .knots import UNKNOT, TorusKnot, canonical_knots, canonicalize
 from .suites import SUITES, run_suite
 from .tables import (BETA_DENOMINATORS, closed_form_alpha, closed_form_alpha_tilde,
@@ -39,10 +39,15 @@ EXIT_UNSUPPORTED = 3
 
 SCHEMA_VERSION = "1.0"
 
-#: expand's input bounds (exit 3 above them): the working width order +
-#: guard keys the evaluator kernels, so these also cap a cached kernel's size
+#: expand's input bounds (exit 3 above them).  The order keys the evaluator
+#: kernels, so it also caps a cached kernel's size.  The evaluators' cost grows
+#: with |n| as given, and (n, m) and (m, n) are the same knot, so |n| and |m|
+#: share one limit; N and j share another, which leaves Kauffman its floor
+#: N >= n + 2 at every n.  At the limits the slowest family (HOMFLY at n = N)
+#: takes about 2 s at order 24
 MAX_EXPAND_ORDER = 24
-MAX_GUARD_TERMS = 8
+MAX_EXPAND_INDEX = 128
+MAX_EXPAND_RANK = 130
 
 #: scan --max and verify --bound limits (exit 3 above them): the slowest
 #: predicate (non-integer, bound by its output) and the slowest bounded suite
@@ -194,9 +199,14 @@ def _cmd_expand(args: argparse.Namespace) -> int:
               + (f" (expand stops at {MAX_EXPAND_ORDER})" if args.order > 0 else ""),
               file=sys.stderr)
         return EXIT_UNSUPPORTED
-    if args.guard_terms > MAX_GUARD_TERMS:
-        print(f"error: {args.guard_terms} guard terms unsupported (at most {MAX_GUARD_TERMS})",
-              file=sys.stderr)
+    if max(abs(n), abs(m)) > MAX_EXPAND_INDEX:
+        print(f"error: knot ({n}, {m}) unsupported (expand stops at |n|, |m| <= "
+              f"{MAX_EXPAND_INDEX})", file=sys.stderr)
+        return EXIT_UNSUPPORTED
+    parameter = max(args.N or 0, args.j or 0)
+    if parameter > MAX_EXPAND_RANK:
+        print(f"error: group parameter {parameter} unsupported (expand stops at N, j <= "
+              f"{MAX_EXPAND_RANK})", file=sys.stderr)
         return EXIT_UNSUPPORTED
     try:
         group = _group_for(args)
@@ -204,7 +214,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     try:
-        series = normalized_series(knot, group, args.order, guard=args.guard_terms)
+        series = normalized_series(knot, group, args.order)
     except TorusVassError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
@@ -336,8 +346,9 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         print(f"error: unknown predicate {args.predicate!r}; choose from "
               f"{', '.join(predicates)}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    if args.max > MAX_SCAN_BOUND:
-        print(f"error: max {args.max} unsupported (scan stops at {MAX_SCAN_BOUND})",
+    if not 2 <= args.max <= MAX_SCAN_BOUND:
+        print(f"error: max {args.max} unsupported (scan "
+              + (f"stops at {MAX_SCAN_BOUND})" if args.max > MAX_SCAN_BOUND else "starts at 2)"),
               file=sys.stderr)
         return EXIT_UNSUPPORTED
     payload, csv_lines = _scan_payload(args.predicate, args.max)
@@ -372,15 +383,13 @@ def build_parser() -> argparse.ArgumentParser:
     exp = sub.add_parser("expand", help="series coefficients of a quantum invariant")
     exp.add_argument("--family", required=True,
                      choices=tuple(f.value for f in Family))
-    exp.add_argument("--N", type=int, default=None)
-    exp.add_argument("--j", type=int, default=None)
-    exp.add_argument("--n", type=int, required=True)
+    exp.add_argument("--N", type=int, default=None, help=f"at most {MAX_EXPAND_RANK}")
+    exp.add_argument("--j", type=int, default=None, help=f"at most {MAX_EXPAND_RANK}")
+    exp.add_argument("--n", type=int, required=True,
+                     help=f"|n| and |m| at most {MAX_EXPAND_INDEX}")
     exp.add_argument("--m", type=int, required=True)
     exp.add_argument("--order", type=int, default=6,
                      help=f"highest degree, 0..{MAX_EXPAND_ORDER}")
-    exp.add_argument("--guard-terms", type=int, default=DEFAULT_GUARD,
-                     help="extra working terms above the requested order, "
-                          f"at most {MAX_GUARD_TERMS}")
     exp.add_argument("--format", choices=("json", "csv", "table"), default="json")
     exp.add_argument("--out", default=None)
     exp.set_defaults(handler=_cmd_expand)
@@ -397,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan = sub.add_parser("scan", help="bulk predicates over knot ranges")
     scan.add_argument("--predicate", required=True)
     scan.add_argument("--max", type=int, required=True,
-                      help=f"largest index scanned, at most {MAX_SCAN_BOUND}")
+                      help=f"largest index scanned, 2..{MAX_SCAN_BOUND}")
     scan.add_argument("--format", choices=("json", "csv"), default="json")
     scan.add_argument("--out", default=None)
     scan.set_defaults(handler=_cmd_scan)

@@ -12,10 +12,9 @@ class DivisionByZeroSeries(TorusVassError, ZeroDivisionError):
 
 
 class TruncationUnderflow(TorusVassError, ArithmeticError):
-    """A quotient cannot be represented up to degree 0.
+    """A series result is not reliable through the degree it must reach.
 
-    The caller computed its operands with too few guard terms; re-run with a
-    larger guard.
+    Its operands were computed to too few terms.
     """
 
 

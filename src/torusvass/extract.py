@@ -19,10 +19,10 @@ from typing import Optional, Sequence
 
 from .errors import AnsatzMismatch, DegreeExceeded, Inconsistent, RankDeficient
 from .groups import (ORDERS, SLOT_COUNTS, SLOTS, Family, GroupFactorVector, GroupInstance,
-                     group_factors, product, so_n, su2, su_n)
-from .invariants import DEFAULT_GUARD, DEFAULT_ORDER, normalized_series, unnormalized_series
+                     group_factors, product, simple_factors, so_n, su2, su_n)
+from .invariants import DEFAULT_ORDER, normalized_series, unnormalized_series
 from .knots import TorusKnot, as_knot
-from .linalg import Elimination, ExactMatrix, ExactPoly, eliminate, interpolate_poly
+from .linalg import Elimination, ExactPoly, eliminate, interpolate_poly
 from .series import TruncSeries
 from .tables import (ANSATZ_SLOT_MONOMIALS, TYPO_SLOTS, InvariantTable,
                      ansatz_prefactor, printed_g_table)
@@ -64,61 +64,34 @@ class ExtractionReport:
         )
 
 
-def _cached_entry(knot: TorusKnot, inst: GroupInstance, trunc_order: int, guard: int,
+def _cached_entry(knot: TorusKnot, inst: GroupInstance, trunc_order: int,
                   unnormalized: bool, cache: dict) -> tuple[TruncSeries, GroupFactorVector]:
     """The (undivided) series and group factors of one instance, evaluated at
-    most once per cache.  A product instance multiplies its two factor series,
-    taking them from the cache (or filling it) rather than re-evaluating them;
-    this is the same factorization normalized_series and unnormalized_series
-    apply."""
+    most once per cache.  A product instance multiplies the series of its
+    simple factors, taking them from the cache (or filling it) rather than
+    re-evaluating them; this is the same factorization normalized_series and
+    unnormalized_series apply."""
     key = (inst, unnormalized)
     if key not in cache:
-        if inst.family == Family.PRODUCT:
-            left, _ = _cached_entry(knot, su_n(inst.N), trunc_order, guard,
-                                    unnormalized, cache)
-            right, _ = _cached_entry(knot, su2(inst.j), trunc_order, guard,
-                                     unnormalized, cache)
-            series = (left * right).truncated(trunc_order)
-        elif unnormalized:
-            series = unnormalized_series(knot, inst, trunc_order, guard)
+        factors = simple_factors(inst)
+        if len(factors) == 1:
+            evaluate = unnormalized_series if unnormalized else normalized_series
+            series = evaluate(knot, inst, trunc_order)
         else:
-            series = normalized_series(knot, inst, trunc_order, guard)
+            left, right = (_cached_entry(knot, f, trunc_order, unnormalized, cache)[0]
+                           for f in factors)
+            series = (left * right).truncated(trunc_order)
         cache[key] = (series, group_factors(inst))
     return cache[key]
 
 
-def assemble_system(knot, order: int, instantiations: Sequence[GroupInstance],
-                    trunc_order: int = DEFAULT_ORDER, guard: int = DEFAULT_GUARD,
-                    unnormalized: bool = False,
-                    series_cache: Optional[dict] = None) -> ExactMatrix:
-    """One augmented row per instantiation: [r_{i,1} .. r_{i,d_i} | c_i].
-
-    order 0 is the trivial system [1 | 1]; orders 2..6 carry the actual
-    unknowns.  A series_cache dict maps instances to their series and group
-    factors, so the per-order assemblies share one evaluation per instance,
-    and a product instance SU(N) x SU(2) reuses the series of its two factors
-    (evaluating a factor that the plan itself does not sample on first use).
-    On the unnormalized route the right-hand side is the Wilson-line
-    coefficient divided by dim R.
-    """
-    if order not in (0, 2, 3, 4, 5, 6):
-        raise ValueError(f"no slots at order {order}")
-    k = as_knot(knot).validate().oriented()
-    cache = series_cache if series_cache is not None else {}
-    rhs = _right_hand_side(k, order, instantiations, trunc_order, guard, unnormalized, cache)
-    keys = SLOTS[order]
-    rows = [[group_factors(inst).entries[s] for s in keys] for inst in instantiations]
-    return ExactMatrix.augmented(rows, rhs)
-
-
 def _right_hand_side(knot: TorusKnot, order: int, instantiations: Sequence[GroupInstance],
-                     trunc_order: int, guard: int, unnormalized: bool,
-                     cache: dict) -> list[Fraction]:
+                     trunc_order: int, unnormalized: bool, cache: dict) -> list[Fraction]:
     """The x^order coefficient of each instance's series (divided by dim R
     on the unnormalized route), through the series cache."""
     rhs = []
     for inst in instantiations:
-        series, factors = _cached_entry(knot, inst, trunc_order, guard, unnormalized, cache)
+        series, factors = _cached_entry(knot, inst, trunc_order, unnormalized, cache)
         c = series.coefficient(order)
         rhs.append(c / factors.dim if unnormalized else c)
     return rhs
@@ -134,15 +107,15 @@ def _plan_elimination(instances: tuple[GroupInstance, ...], order: int) -> Elimi
                      SLOT_COUNTS[order])
 
 
-def _extract(knot, trunc_order: int, plan, guard: int,
-             unnormalized: bool, kind: str) -> tuple[InvariantTable, ExtractionReport]:
+def _extract(knot, trunc_order: int, plan, unnormalized: bool,
+             kind: str) -> tuple[InvariantTable, ExtractionReport]:
     k = as_knot(knot).validate().oriented()
     instances = tuple(plan) if plan is not None else default_instantiation_plan(k)
     report = ExtractionReport(knot=k, kind=kind)
     cache: dict = {}
     entries = {}
     for order in range(2, trunc_order + 1):
-        rhs = _right_hand_side(k, order, instances, trunc_order, guard, unnormalized, cache)
+        rhs = _right_hand_side(k, order, instances, trunc_order, unnormalized, cache)
         result = _plan_elimination(instances, order).solve(rhs)
         report.rank[order] = result.rank
         report.equations[order] = len(rhs)
@@ -158,16 +131,16 @@ def _extract(knot, trunc_order: int, plan, guard: int,
 
 def extract_alpha_tilde(knot, trunc_order: int = DEFAULT_ORDER,
                         instantiation_plan: Optional[Sequence[GroupInstance]] = None,
-                        guard: int = DEFAULT_GUARD) -> tuple[InvariantTable, ExtractionReport]:
+                        ) -> tuple[InvariantTable, ExtractionReport]:
     """Solve the normalized expansions for the alpha_tilde table."""
-    return _extract(knot, trunc_order, instantiation_plan, guard, False, "alpha_tilde")
+    return _extract(knot, trunc_order, instantiation_plan, False, "alpha_tilde")
 
 
 def extract_alpha(knot, trunc_order: int = DEFAULT_ORDER,
                   instantiation_plan: Optional[Sequence[GroupInstance]] = None,
-                  guard: int = DEFAULT_GUARD) -> tuple[InvariantTable, ExtractionReport]:
+                  ) -> tuple[InvariantTable, ExtractionReport]:
     """Solve the unnormalized expansions (divided by dim R) for the alpha table."""
-    return _extract(knot, trunc_order, instantiation_plan, guard, True, "alpha")
+    return _extract(knot, trunc_order, instantiation_plan, True, "alpha")
 
 
 # ----------------------------------------------------------------------
@@ -196,20 +169,19 @@ class AnsatzFit:
     polynomials: dict  # (order, slot) -> ExactPoly
 
 
-def _family_series(family: Family, knot, parameter: int, trunc_order: int, guard: int):
+def _family_series(family: Family, knot, parameter: int, trunc_order: int):
     if family == Family.SU_N:
-        return normalized_series(knot, su_n(parameter), trunc_order, guard)
+        return normalized_series(knot, su_n(parameter), trunc_order)
     if family == Family.SO_N:
-        return normalized_series(knot, so_n(parameter), trunc_order, guard)
+        return normalized_series(knot, so_n(parameter), trunc_order)
     if family == Family.SU2:
-        return normalized_series(knot, su2(parameter), trunc_order, guard)
+        return normalized_series(knot, su2(parameter), trunc_order)
     raise ValueError(f"ansatz fitting works on simple families, not {family}")
 
 
 def fit_ansatz(family: Family, trunc_order: int = DEFAULT_ORDER,
                knot_grid: Sequence[tuple] = DEFAULT_FIT_GRID,
-               parameters: Optional[Sequence[int]] = None,
-               guard: int = DEFAULT_GUARD) -> AnsatzFit:
+               parameters: Optional[Sequence[int]] = None) -> AnsatzFit:
     """Fit the symmetric-polynomial ansatz over a knot grid, then interpolate
     each slot value over the group parameter.
 
@@ -224,9 +196,7 @@ def fit_ansatz(family: Family, trunc_order: int = DEFAULT_ORDER,
     for parameter in params:
         coeffs = {}
         for (n, m) in knot_grid:
-            series = _family_series(family, TorusKnot(n, m), parameter,
-                                    trunc_order, guard)
-            coeffs[(n, m)] = series
+            coeffs[(n, m)] = _family_series(family, TorusKnot(n, m), parameter, trunc_order)
         fitted = {}
         for order in range(2, trunc_order + 1):
             monomials = ANSATZ_SLOT_MONOMIALS[order]

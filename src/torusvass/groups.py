@@ -57,14 +57,6 @@ SLOTS = {order: tuple((order, j) for j in range(1, count + 1))
 ALL_SLOTS = tuple(s for i in ORDERS for s in SLOTS[i])
 
 
-def slots(order: int) -> tuple[tuple[int, int], ...]:
-    return SLOTS[order]
-
-
-def all_slots() -> tuple[tuple[int, int], ...]:
-    return ALL_SLOTS
-
-
 class Family(str, Enum):
     SU_N = "su_n"          # SU(N), fundamental representation
     SO_N = "so_n"          # SO(N), fundamental representation
@@ -191,11 +183,19 @@ def casimirs(family: Family, parameter: int) -> CasimirSet:
     raise ValueError(f"no Casimir table for {family}")
 
 
+def simple_factors(group: GroupInstance) -> tuple[GroupInstance, ...]:
+    """The simple factors of a group instance: SU(N) and SU(2) for a product,
+    the instance itself otherwise.  Casimir traces add over the factors, and
+    knot invariants and unknot factors multiply over them."""
+    if group.family == Family.PRODUCT:
+        return (su_n(group.N), su2(group.j))
+    return (group,)
+
+
 def casimir_sets(group: GroupInstance) -> tuple[CasimirSet, ...]:
     """The simple-factor Casimir sets of a (possibly product) group instance."""
-    if group.family == Family.PRODUCT:
-        return (casimirs(Family.SU_N, group.N), casimirs(Family.SU2, group.j))
-    return (casimirs(group.family, group.N if group.family != Family.SU2 else group.j),)
+    return tuple(casimirs(g.family, g.j if g.family == Family.SU2 else g.N)
+                 for g in simple_factors(group))
 
 
 @dataclass(frozen=True)

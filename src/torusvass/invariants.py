@@ -25,10 +25,10 @@ Conventions:
 Per-n kernels.  Each evaluator is a head times a sum sum_i A_i(x) e^{m rho_i x}
 (Rosso-Jones form): the summands A_i (bracket prefix products, quotients by
 q-factorials, m-free t-powers) and the rates rho_i depend only on n, the rank
-N (or j) and the working width W = trunc_order + guard, and m enters only
-through the exponentials.  So the x^d coefficients of the sum are polynomials
-in m; :class:`MPolySeries` holds them as integer polynomials over one
-denominator.  A kernel -- those polynomials plus the m-free part of the head
+N (or j) and the working width W = trunc_order + GUARD_TERMS, and m enters
+only through the exponentials.  So the x^d coefficients of the sum are
+polynomials in m; :class:`MPolySeries` holds them as integer polynomials over
+one denominator.  A kernel -- those polynomials plus the m-free part of the head
 -- is built once per (family, n, N or j, W) and kept in a bounded cache; one
 knot then costs one polynomial evaluation, the head's t-power and two series
 operations, whatever n is.  The HOMFLY and Kauffman summands share their bracket
@@ -43,13 +43,14 @@ This is exact, not an approximation: a product or quotient keeps the smaller
 relative window of its operands and adds their valuations, so the order of
 the factors changes no coefficient and no window, and the sum's window
 (lowest and highest degree) follows from the summands' windows alone.  Every
-error a build raises (a quotient short of guard terms, a zero divisor) comes
-from the m-free part and is raised in the same order as by a direct
+error a build raises (a quotient whose window falls short, a zero divisor)
+comes from the m-free part and is raised in the same order as by a direct
 evaluation.
 
-Each evaluator works internally at trunc_order + guard terms, checks at the
-end that the requested order is still reliable, and returns the series cut at
-trunc_order.  A normalized invariant must come out with min_degree 0 and
+Each evaluator works at the one width trunc_order + GUARD_TERMS (any width
+that reaches trunc_order gives the same exact coefficients), checks at the
+end that the requested order is still reliable, and returns the series cut
+at trunc_order.  A normalized invariant must come out with min_degree 0 and
 constant term exactly 1; anything else raises.
 """
 
@@ -61,17 +62,21 @@ from functools import lru_cache
 from itertools import islice
 from math import factorial, lcm
 from operator import add, mul
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .errors import CancellationFailure, SingularBracket, TruncationUnderflow
-from .groups import Family, GroupInstance, su2, su_n
+from .groups import Family, GroupInstance, simple_factors
 from .knots import TorusKnot, as_knot
 from .series import TruncSeries, series_exp_linear
 
-#: truncation defaults: coefficients are needed through x^6, and Laurent
-#: cancellations in the quotients consume one extra term
+#: coefficients are needed through x^6
 DEFAULT_ORDER = 6
-DEFAULT_GUARD = 2
+
+#: every evaluator works at width trunc_order + GUARD_TERMS.  A quotient by a
+#: series with a simple zero, such as Kauffman's 1/[n], is reliable two degrees
+#: below its operands: with one term less every Kauffman series underflows at
+#: order 0, and no evaluator needs more
+GUARD_TERMS = 2
 
 #: kernels kept per process.  A solve round (the default plans at ten values
 #: of n, one width) uses 180 keys.  The CLI request mix of the benchmark draws
@@ -167,7 +172,7 @@ def _finalize_normalized(raw: TruncSeries, trunc_order: int, what: str) -> Trunc
     if raw.trunc_order < trunc_order:
         raise TruncationUnderflow(
             f"{what}: reliable only through x^{raw.trunc_order}, "
-            f"needed x^{trunc_order}; increase guard terms"
+            f"needed x^{trunc_order}"
         )
     out = raw.truncated(trunc_order)
     if out.min_degree < 0:
@@ -286,8 +291,7 @@ def _kernel(family: Family, n: int, parameter: int, W: int) -> tuple[TruncSeries
 
 
 def homfly_normalized(knot: KnotLike, N: int,
-                      trunc_order: int = DEFAULT_ORDER,
-                      guard: int = DEFAULT_GUARD) -> TruncSeries:
+                      trunc_order: int = DEFAULT_ORDER) -> TruncSeries:
     """Series of the normalized torus-knot HOMFLY polynomial for SU(N)."""
     k = as_knot(knot).validate()
     n, m = k.n, k.m
@@ -297,15 +301,14 @@ def homfly_normalized(knot: KnotLike, N: int,
         )
     if N < 2:
         raise ValueError("su_n needs N >= 2")
-    W = trunc_order + guard
+    W = trunc_order + GUARD_TERMS
     head, total = _kernel(Family.SU_N, n, N, W)
     head = head * qpower(Fraction((m - 1) * (n - 1), 2) * (N - 1), 1, W)  # lambda^{(m-1)(n-1)/2}
     return _finalize_normalized(head * total.at(m), trunc_order, f"homfly({n},{m};N={N})")
 
 
 def kauffman_normalized(knot: KnotLike, N: int,
-                        trunc_order: int = DEFAULT_ORDER,
-                        guard: int = DEFAULT_GUARD) -> TruncSeries:
+                        trunc_order: int = DEFAULT_ORDER) -> TruncSeries:
     """Series of the normalized torus-knot Kauffman polynomial for SO(N).
 
     Needs N >= n + 2: the bracket [p;1] expands to a sinh of (p+N-1)x/4 and
@@ -323,15 +326,14 @@ def kauffman_normalized(knot: KnotLike, N: int,
             f"so_n sampling needs N >= n + 2 = {n + 2} (got N={N}): "
             "a required bracket [p;1] would have vanishing leading term"
         )
-    W = trunc_order + guard
+    W = trunc_order + GUARD_TERMS
     head, total = _kernel(Family.SO_N, n, N, W)
     head = head * qpower(Fraction(n * m * (N - 1), 2), Fraction(1, 2), W)  # lambda^{nm}
     return _finalize_normalized(head * total.at(m), trunc_order, f"kauffman({n},{m};N={N})")
 
 
 def akutsu_wadati_normalized(knot: KnotLike, j: int,
-                             trunc_order: int = DEFAULT_ORDER,
-                             guard: int = DEFAULT_GUARD) -> TruncSeries:
+                             trunc_order: int = DEFAULT_ORDER) -> TruncSeries:
     """Series of the normalized Jones (j=1) / Akutsu-Wadati (j>1) polynomial.
 
     The sum telescopes to t^{j+1} - 1 at n = 1, which is what makes the
@@ -345,21 +347,35 @@ def akutsu_wadati_normalized(knot: KnotLike, j: int,
         )
     if j < 1:
         raise ValueError("su2 needs j >= 1")
-    W = trunc_order + guard
+    W = trunc_order + GUARD_TERMS
     divisor, total = _kernel(Family.SU2, n, j, W)
     res = total.at(m) / divisor
     res = res * qpower(Fraction(j * (n - 1) * (m - 1), 2), 1, W)
     return _finalize_normalized(res, trunc_order, f"akutsu-wadati({n},{m};j={j})")
 
 
-@lru_cache(maxsize=128)
-def unknot_factor(group: GroupInstance,
-                  trunc_order: int = DEFAULT_ORDER,
-                  guard: int = DEFAULT_GUARD) -> TruncSeries:
-    """Quantum-dimension series of the unknot; constant term is the classical
-    dimension (N, N, j+1, or N(j+1)).  It does not depend on the knot, so it
-    is memoized per (group, trunc_order, guard)."""
-    W = trunc_order + guard
+def _over_factors(group: GroupInstance, trunc_order: int,
+                  series_of: Callable[[GroupInstance], TruncSeries]) -> TruncSeries:
+    """series_of(factor) multiplied over the simple factors of group; a simple
+    group is its own one factor, with no product taken."""
+    first, *rest = simple_factors(group)
+    series = series_of(first)
+    for factor in rest:
+        series = (series * series_of(factor)).truncated(trunc_order)
+    return series
+
+
+def _simple_normalized(knot: KnotLike, group: GroupInstance, trunc_order: int) -> TruncSeries:
+    if group.family == Family.SU_N:
+        return homfly_normalized(knot, group.N, trunc_order)
+    if group.family == Family.SO_N:
+        return kauffman_normalized(knot, group.N, trunc_order)
+    return akutsu_wadati_normalized(knot, group.j, trunc_order)
+
+
+def _quantum_dimension(group: GroupInstance, trunc_order: int) -> TruncSeries:
+    """The unknot factor of a simple group."""
+    W = trunc_order + GUARD_TERMS
     fam = group.family
     if fam == Family.SU_N:
         t = lambda a: qpower(a, 1, W)
@@ -369,55 +385,44 @@ def unknot_factor(group: GroupInstance,
         t = lambda a: qpower(a, Fraction(1, 2), W)
         lam = Fraction(group.N - 1, 2)
         res = 1 + (t(lam) - t(-lam)) / (t(Fraction(1, 2)) - t(Fraction(-1, 2)))
-    elif fam == Family.SU2:
+    else:
         t = lambda a: qpower(a, 1, W)
         res = (t(Fraction(group.j + 1, 2)) - t(Fraction(-(group.j + 1), 2))) / (
             t(Fraction(1, 2)) - t(Fraction(-1, 2)))
-    elif fam == Family.PRODUCT:
-        res = unknot_factor(su_n(group.N), trunc_order, guard) * \
-            unknot_factor(su2(group.j), trunc_order, guard)
-    else:
-        raise ValueError(f"no unknot factor for {fam}")
     if res.trunc_order < trunc_order:
-        raise TruncationUnderflow("unknot factor: increase guard terms")
+        raise TruncationUnderflow(
+            f"unknot factor of {group.label()}: reliable only through "
+            f"x^{res.trunc_order}, needed x^{trunc_order}")
     return res.truncated(trunc_order)
 
 
+@lru_cache(maxsize=128)
+def unknot_factor(group: GroupInstance, trunc_order: int = DEFAULT_ORDER) -> TruncSeries:
+    """Quantum-dimension series of the unknot; constant term is the classical
+    dimension (N, N, j+1, or N(j+1)).  It does not depend on the knot, so it
+    is memoized per (group, trunc_order)."""
+    return _over_factors(group, trunc_order, lambda g: _quantum_dimension(g, trunc_order))
+
+
 def normalized_series(knot: KnotLike, group: GroupInstance,
-                      trunc_order: int = DEFAULT_ORDER,
-                      guard: int = DEFAULT_GUARD) -> TruncSeries:
+                      trunc_order: int = DEFAULT_ORDER) -> TruncSeries:
     """Normalized invariant series for any supported group instance.
 
     For the product group the normalized series is the product of the two
     normalized factors (unknot factors multiply, so normalization survives
     the product).
     """
-    fam = group.family
-    if fam == Family.SU_N:
-        return homfly_normalized(knot, group.N, trunc_order, guard)
-    if fam == Family.SO_N:
-        return kauffman_normalized(knot, group.N, trunc_order, guard)
-    if fam == Family.SU2:
-        return akutsu_wadati_normalized(knot, group.j, trunc_order, guard)
-    if fam == Family.PRODUCT:
-        a = homfly_normalized(knot, group.N, trunc_order, guard)
-        b = akutsu_wadati_normalized(knot, group.j, trunc_order, guard)
-        return (a * b).truncated(trunc_order)
-    raise ValueError(f"no evaluator for {fam}")
+    return _over_factors(group, trunc_order,
+                         lambda g: _simple_normalized(knot, g, trunc_order))
 
 
 def unnormalized_series(knot: KnotLike, group: GroupInstance,
-                        trunc_order: int = DEFAULT_ORDER,
-                        guard: int = DEFAULT_GUARD) -> TruncSeries:
+                        trunc_order: int = DEFAULT_ORDER) -> TruncSeries:
     """Wilson-line series: normalized invariant times the unknot factor.
 
     The product group factorizes as the product of the two unnormalized
     series.
     """
-    if group.family == Family.PRODUCT:
-        a = unnormalized_series(knot, su_n(group.N), trunc_order, guard)
-        b = unnormalized_series(knot, su2(group.j), trunc_order, guard)
-        return (a * b).truncated(trunc_order)
-    norm = normalized_series(knot, group, trunc_order, guard)
-    fac = unknot_factor(group, trunc_order, guard)
-    return (norm * fac).truncated(trunc_order)
+    return _over_factors(group, trunc_order, lambda g: (
+        _simple_normalized(knot, g, trunc_order) * unknot_factor(g, trunc_order)
+    ).truncated(trunc_order))

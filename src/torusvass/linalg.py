@@ -23,39 +23,6 @@ from .errors import DegreeExceeded
 
 
 @dataclass(frozen=True)
-class ExactMatrix:
-    """An augmented system: each row is (coefficients of the unknowns, rhs)."""
-
-    entries: tuple[tuple[Fraction, ...], ...]
-    unknowns: int
-
-    def __post_init__(self):
-        if not self.entries:
-            raise ValueError("system needs at least one row")
-        for row in self.entries:
-            if len(row) != self.unknowns + 1:
-                raise ValueError(
-                    f"row of width {len(row)} in a system with {self.unknowns} unknowns"
-                )
-
-    @classmethod
-    def augmented(cls, rows: Iterable[Sequence], rhs: Iterable) -> "ExactMatrix":
-        packed = []
-        width = None
-        for row, b in zip(rows, rhs):
-            packed.append(tuple(x if type(x) is Fraction else Fraction(x) for x in row)
-                          + (b if type(b) is Fraction else Fraction(b),))
-            width = len(row)
-        if width is None:
-            raise ValueError("system needs at least one row")
-        return cls(tuple(packed), width)
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-
-@dataclass(frozen=True)
 class LinearSolution:
     solution: Optional[tuple[Fraction, ...]]  # present iff unique
     rank: int
@@ -173,19 +140,6 @@ def eliminate(lhs: Sequence[Sequence], unknowns: int) -> Elimination:
     inverse = [v * (den // d) for d, row in zip(diagonal, block) for v in row[rank:]]
     return Elimination(unknowns, list(chain.from_iterable(ints)), tuple(scales),
                        tuple(pivot_cols), tuple(pivot_rows), inverse, den)
-
-
-def solve_exact(system: ExactMatrix) -> LinearSolution:
-    """Gaussian elimination over the rationals with exact pivoting.
-
-    Returns the unique solution when ``consistent and rank == unknowns``;
-    otherwise the solution is absent and (rank, consistent) diagnose the
-    system.  Deterministic for a given input.  This is :func:`eliminate` on
-    the left-hand side followed by :meth:`Elimination.solve` on the
-    right-hand side.
-    """
-    return eliminate([row[:-1] for row in system.entries], system.unknowns).solve(
-        [row[-1] for row in system.entries])
 
 
 @dataclass(frozen=True)

@@ -307,8 +307,8 @@ def series_div(num: TruncSeries, den: TruncSeries) -> TruncSeries:
     The denominator must have a nonzero lowest stored coefficient (guaranteed
     by normalization unless it is the zero series).  The result's reliable
     truncation is ``min(num.trunc - v, den.trunc - 2v + num.min)`` where v is
-    the denominator valuation; if that window cannot reach degree 0 the caller
-    did not carry enough guard terms and TruncationUnderflow is raised.
+    the denominator valuation; if that window cannot reach degree 0 the
+    operands carry too few terms and TruncationUnderflow is raised.
 
     The recurrence is fraction-free: with a = num.nums, u = den.nums and c_k
     the coefficients of the quotient a/u, it computes the integers
@@ -325,7 +325,7 @@ def series_div(num: TruncSeries, den: TruncSeries) -> TruncSeries:
     if hi < max(lo, 0):
         raise TruncationUnderflow(
             f"quotient representable only through degree {hi} "
-            f"(window starts at {lo}); increase guard terms"
+            f"(window starts at {lo}); the operands carry too few terms"
         )
     a, u = num.nums, den.nums  # hi - lo < len(a) and hi - lo < len(u)
     n = hi - lo + 1

@@ -7,6 +7,7 @@ acceptance tests and the CLI `verify` command both run these.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -58,6 +59,7 @@ class SuiteResult:
 
 
 def _timed(fn):
+    @functools.wraps(fn)
     def wrapper(*args, **kwargs) -> SuiteResult:
         start = time.perf_counter()
         result = fn(*args, **kwargs)
@@ -239,14 +241,12 @@ def suite_cross_family() -> SuiteResult:
         result.add(f"homfly(N=2) == akutsu-wadati(j=1) at ({n},{m})",
                    h.agrees_with(a, ORDER))
         pg = product(3, 2)
-        via_unknot = (normalized_series(knot, pg, ORDER, guard=3)
-                      * unknot_factor(pg, ORDER, guard=3)).truncated(ORDER)
+        via_unknot = (normalized_series(knot, pg) * unknot_factor(pg)).truncated(ORDER)
         via_factors = unnormalized_series(knot, pg)
         result.add(f"product group factorizes at ({n},{m})",
                    via_unknot.agrees_with(via_factors, ORDER))
         norm_prod = normalized_series(knot, pg)
-        norm_factors = (normalized_series(knot, su_n(3), ORDER, guard=3)
-                        * normalized_series(knot, su2(2), ORDER, guard=3))
+        norm_factors = normalized_series(knot, su_n(3)) * normalized_series(knot, su2(2))
         result.add(f"normalized product series factorizes at ({n},{m})",
                    norm_prod.agrees_with(norm_factors, ORDER))
     return result
@@ -301,9 +301,15 @@ _BOUND_KEYWORDS = {"relations": "max_n", "distinguishing": "max_n", "integrality
 
 
 def run_suite(name: str, bound: int | None = None) -> list[SuiteResult]:
-    """Run one suite (or all of them); bound overrides the suite default."""
+    """Run one suite (or all of them); bound overrides the suite default.
+    "all" passes it to the suites that take one; a single suite that takes
+    none rejects it."""
     if name == "all":
-        return [run_suite(single, bound)[0] for single in SUITES]
-    if bound is None or name not in _BOUND_KEYWORDS:
+        return [run_suite(single, bound if single in _BOUND_KEYWORDS else None)[0]
+                for single in SUITES]
+    if bound is None:
         return [SUITES[name]()]
+    if name not in _BOUND_KEYWORDS:
+        raise ValueError(f"suite {name} takes no bound; only "
+                         f"{', '.join(_BOUND_KEYWORDS)} do")
     return [SUITES[name](**{_BOUND_KEYWORDS[name]: bound})]

@@ -1,5 +1,6 @@
 """CLI behavior: formats, exit codes, determinism, schema conformance."""
 
+import inspect
 import itertools
 import json
 import os
@@ -156,9 +157,13 @@ def test_expand_singular_bracket_reported(capsys):
 
 
 def test_expand_guard_terms_flag(capsys):
-    code, out, _ = run_cli(capsys, "expand", "--family", "su_n", "--N", "3",
-                           "--n", "2", "--m", "3", "--order", "8",
-                           "--guard-terms", "4")
+    # the working width is fixed, so the option is gone and argparse rejects it
+    argv = ("expand", "--family", "su_n", "--N", "3", "--n", "2", "--m", "3", "--order", "8")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--guard-terms", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --guard-terms 3" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert len(json.loads(out)["payload"]["coefficients"]) == 9
 
@@ -196,8 +201,11 @@ def test_verify_relations_rejects_empty_grid(capsys, bound):
 @pytest.mark.parametrize("option, value, message", [
     ("--order", "100000", "order 100000 unsupported (expand stops at 24)"),
     ("--order", "25", "order 25 unsupported (expand stops at 24)"),
-    ("--guard-terms", "9", "9 guard terms unsupported (at most 8)"),
-    ("--guard-terms", "100000", "100000 guard terms unsupported (at most 8)"),
+    ("--m", "129", "knot (2, 129) unsupported (expand stops at |n|, |m| <= 128)"),
+    ("--n", "-131", "knot (-131, 3) unsupported (expand stops at |n|, |m| <= 128)"),
+    ("--n", "100000", "knot (100000, 3) unsupported (expand stops at |n|, |m| <= 128)"),
+    ("--N", "131", "group parameter 131 unsupported (expand stops at N, j <= 130)"),
+    ("--j", "100000", "group parameter 100000 unsupported (expand stops at N, j <= 130)"),
 ])
 def test_expand_rejects_oversized_inputs(capsys, option, value, message):
     start = time.perf_counter()
@@ -208,9 +216,24 @@ def test_expand_rejects_oversized_inputs(capsys, option, value, message):
 
 
 def test_expand_admits_its_limits(capsys):
+    start = time.perf_counter()
     code, out, _ = run_cli(capsys, "expand", "--family", "su2", "--j", "2", "--n", "2",
-                           "--m", "3", "--order", "24", "--guard-terms", "8", "--format", "csv")
+                           "--m", "3", "--order", "24", "--format", "csv")
     assert code == 0 and out.count("\n") == 26
+    # (3, 128) is cheap where its swap (128, 3) is not: the evaluators work at n = 3
+    for family, parameters, m in (("su_n", ("--N", "130"), "128"),
+                                  ("product", ("--N", "130", "--j", "130"), "-128")):
+        code, out, _ = run_cli(capsys, "expand", "--family", family, *parameters,
+                               "--n", "-3", "--m", m)
+        assert code == 0 and json.loads(out)["payload"]["coefficients"][0]["num"] == "1"
+    assert time.perf_counter() - start < 0.5
+
+
+def test_expand_checks_the_knot_before_its_limits(capsys):
+    # a pair that is not a knot is invalid (exit 2) whatever its size
+    code, out, err = run_cli(capsys, "expand", "--family", "su2", "--j", "1",
+                             "--n", "200", "--m", "400")
+    assert (code, out) == (2, "") and "not a torus knot" in err
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -232,15 +255,66 @@ def test_scan_and_verify_reject_oversized_bounds(capsys, argv, message):
     assert (code, out, err) == (3, "", f"error: {message}\n")
 
 
-def test_scan_and_verify_admit_their_limits(capsys):
+def test_scan_and_verify_admit_their_limits(capsys, monkeypatch):
     start = time.perf_counter()
     code, out, _ = run_cli(capsys, "scan", "--predicate", "lissajous-obstructed",
                            "--max", str(cli.MAX_SCAN_BOUND), "--format", "csv")
     assert code == 0 and "99,2," in out
-    code, out, _ = run_cli(capsys, "verify", "--suite", "trefoil",
+    # the integrality suite takes about 2 s at the limit; a stand-in records
+    # the bound it is handed
+    bounds = []
+
+    def integrality(bound=30):
+        bounds.append(bound)
+        return suites.SuiteResult("integrality")
+
+    monkeypatch.setitem(suites.SUITES, "integrality", integrality)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "integrality",
                            "--bound", str(cli.MAX_VERIFY_BOUND))
     assert code == 0 and json.loads(out)["command"]["arguments"]["bound"] == 300
+    assert bounds == [300]
     assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("predicate", ["lissajous-obstructed", "non-integer", "beta-curve"])
+def test_scan_max_has_one_lower_limit(capsys, predicate):
+    start = time.perf_counter()
+    for bound in ("-5", "1"):
+        code, out, err = run_cli(capsys, "scan", "--predicate", predicate, "--max", bound)
+        assert (code, out, err) == (3, "", f"error: max {bound} unsupported (scan starts at 2)\n")
+    code, out, _ = run_cli(capsys, "scan", "--predicate", predicate, "--max", "2")
+    assert code == 0 and json.loads(out)["command"]["arguments"]["max"] == 2
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("suite", ["v3", "trefoil", "closed-forms"])
+def test_verify_bound_rejected_by_a_suite_without_one(capsys, suite):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--bound", "-7")
+    assert (code, out) == (3, "")
+    assert err == (f"error: suite {suite} takes no bound; only relations, distinguishing, "
+                   "integrality do\n")
+    assert time.perf_counter() - start < 0.5
+
+
+def test_verify_all_applies_the_bound_to_the_bounded_suites(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--bound", "8")
+    assert code == 0
+    labels = {s["suite"]: [c["label"] for c in s["checks"]]
+              for s in json.loads(out)["payload"]["suites"]}
+    assert len(labels) == len(suites.SUITES)
+    assert any("canonical knots n <= 8" in label for label in labels["relations"])
+    assert any("(n <= 8)" in label for label in labels["distinguishing"])
+    assert any("|n|,|m| <= 8" in label for label in labels["integrality"])
+
+
+def test_suite_signatures_show_their_bounds():
+    # each bounded suite's default stays under the CLI limit, and the bound
+    # keyword names one of its parameters
+    for name, keyword in suites._BOUND_KEYWORDS.items():
+        parameters = inspect.signature(suites.SUITES[name]).parameters
+        assert keyword in parameters, name
+        assert 3 <= parameters[keyword].default <= cli.MAX_VERIFY_BOUND, name
 
 
 def test_verify_distinguishing_rejects_empty_grid(capsys):

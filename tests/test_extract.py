@@ -5,34 +5,38 @@ from fractions import Fraction as F
 import pytest
 
 from torusvass.errors import AnsatzMismatch, RankDeficient
-from torusvass.extract import (assemble_system, compare_fit_to_printed,
+from torusvass.extract import (_plan_elimination, _right_hand_side, compare_fit_to_printed,
                                default_instantiation_plan, extract_alpha,
                                extract_alpha_tilde, fit_ansatz)
-from torusvass.groups import Family, SLOT_COUNTS, su_n
+from torusvass.groups import Family, SLOT_COUNTS, group_factors, su_n
 from torusvass.knots import TorusKnot
-from torusvass.linalg import ExactPoly
+from torusvass.linalg import ExactPoly, eliminate
 from torusvass.tables import (closed_form_alpha, closed_form_alpha_tilde,
                               printed_g_table)
 
 
+# a system's row for one instance: its group factors | the series coefficient
+
 def test_assemble_single_su3_row():
-    system = assemble_system((2, 3), 2, [su_n(3)])
-    assert system.entries == ((F(-2), F(-8)),)
+    assert group_factors(su_n(3)).row(2) == (F(-2),)
+    assert _right_hand_side(TorusKnot(2, 3), 2, [su_n(3)], 6, False, {}) == [F(-8)]
 
 
 def test_assemble_order_zero():
-    system = assemble_system((2, 3), 0, [su_n(3)])
-    assert system.entries == ((F(1), F(1)),)
+    assert group_factors(su_n(3)).row(0) == (F(1),)
+    assert _right_hand_side(TorusKnot(2, 3), 0, [su_n(3)], 6, False, {}) == [F(1)]
 
 
 def test_assemble_rejects_bad_order():
-    with pytest.raises(ValueError):
-        assemble_system((2, 3), 1, [su_n(3)])
+    for order in (0, 1, 7):
+        with pytest.raises(ValueError, match=f"no slots at order {order}"):
+            _plan_elimination((su_n(3),), order)
 
 
 def test_assemble_unknot_rhs_zero():
-    system = assemble_system((1, 5), 2, default_instantiation_plan((1, 5)))
-    assert all(row[-1] == 0 for row in system.entries)
+    plan = default_instantiation_plan((1, 5))
+    for order in range(2, 7):
+        assert _right_hand_side(TorusKnot(1, 5), order, plan, 6, False, {}) == [0] * len(plan)
 
 
 @pytest.mark.parametrize("knot", [(2, 3), (2, 5), (3, 4), (2, -3)])
@@ -89,15 +93,13 @@ def test_extraction_stops_at_order_six():
 def test_product_rows_needed_for_order_six_rank():
     # the three simple families span only 7 of the 9 order-6 slots, no matter
     # how many parameter values are sampled; product instances close the gap
-    from torusvass.groups import so_n, su2
-    from torusvass.linalg import solve_exact
+    from torusvass.groups import product, so_n, su2
 
     simple = [su_n(N) for N in range(2, 10)] \
         + [so_n(N) for N in range(5, 13)] + [su2(j) for j in range(1, 9)]
-    assert solve_exact(assemble_system((2, 3), 6, simple)).rank == 7
-    from torusvass.groups import product
     widened = simple + [product(2, 1), product(2, 2), product(3, 1)]
-    assert solve_exact(assemble_system((2, 3), 6, widened)).rank == 9
+    for plan, rank in ((simple, 7), (widened, 9)):
+        assert eliminate([group_factors(g).row(6) for g in plan], 9).rank == rank
 
 
 def test_fit_su_n_matches_unambiguous_entries():

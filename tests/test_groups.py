@@ -6,9 +6,9 @@ from fractions import Fraction as F
 import pytest
 
 from torusvass.errors import ZeroCasimirDivision
-from torusvass.groups import (Family, GroupInstance, casimir_sets, casimirs,
-                              group_factor_vector, group_factors, product, slots,
-                              so_n, su2, su_n, SLOT_COUNTS)
+from torusvass.groups import (Family, GroupInstance, SLOTS, casimir_sets, casimirs,
+                              group_factor_vector, group_factors, product,
+                              simple_factors, so_n, su2, su_n, SLOT_COUNTS)
 
 
 def test_su_n_values_at_2():
@@ -61,11 +61,18 @@ def test_product_sums_primitives():
     assert r.dim == 4
 
 
+def test_simple_factors():
+    assert simple_factors(product(3, 2)) == (su_n(3), su2(2))
+    for group in (su_n(3), so_n(7), su2(2)):
+        assert simple_factors(group) == (group,)
+    assert casimir_sets(product(3, 2)) == casimir_sets(su_n(3)) + casimir_sets(su2(2))
+
+
 def test_additivity_of_identical_factors():
     single = group_factor_vector(casimir_sets(su_n(4)))
     double = group_factor_vector(casimir_sets(su_n(4)) * 2)
     for order in (2, 3, 4, 5, 6):
-        for slot in slots(order):
+        for slot in SLOTS[order]:
             if slot in ((2, 1), (3, 1), (4, 2), (4, 3), (5, 2), (5, 3), (5, 4),
                         (6, 5), (6, 6), (6, 7), (6, 8), (6, 9)):
                 assert double.entries[slot] == 2 * single.entries[slot]

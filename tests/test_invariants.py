@@ -8,10 +8,10 @@ from torusvass import invariants
 from torusvass.errors import (CancellationFailure, NotAKnot, SingularBracket,
                               TruncationUnderflow)
 from torusvass.groups import Family, product, so_n, su2, su_n
-from torusvass.invariants import (_finalize_normalized, akutsu_wadati_normalized,
-                                  homfly_normalized, kauffman_normalized,
-                                  normalized_series, qpower, unknot_factor,
-                                  unnormalized_series)
+from torusvass.invariants import (GUARD_TERMS, _finalize_normalized,
+                                  akutsu_wadati_normalized, homfly_normalized,
+                                  kauffman_normalized, normalized_series, qpower,
+                                  unknot_factor, unnormalized_series)
 from torusvass.knots import TorusKnot
 from torusvass.series import TruncSeries
 
@@ -118,8 +118,8 @@ def test_product_group_squares_jones():
 
 def test_normalized_product_multiplies():
     prod = normalized_series((2, 5), product(3, 2))
-    split = normalized_series((2, 5), su_n(3), ORDER, guard=3) \
-        * normalized_series((2, 5), su2(2), ORDER, guard=3)
+    split = _homfly_direct((2, 5), 3, ORDER, GUARD_TERMS + 1) \
+        * _akutsu_wadati_direct((2, 5), 2, ORDER, GUARD_TERMS + 1)
     assert prod.agrees_with(split, ORDER)
 
 
@@ -228,8 +228,8 @@ def _kauffman_reference(knot, N, trunc_order, guard):
     return _finalize_normalized(head * total, trunc_order, "kauffman reference")
 
 
-#: (trunc_order, guard) windows; larger n uses the default and the widest only,
-#: which keeps the O(n^2) reference affordable
+#: (trunc_order, reference guard) windows; larger n uses two only, which
+#: keeps the O(n^2) reference affordable
 WINDOWS = ((6, 2), (6, 3), (9, 2), (9, 3), (12, 2), (12, 3))
 
 
@@ -237,7 +237,8 @@ WINDOWS = ((6, 2), (6, 3), (9, 2), (9, 3), (12, 2), (12, 3))
 def test_prefix_products_equal_direct_summation(n):
     # a product or quotient keeps the smaller relative window of its operands,
     # so the factor order is irrelevant and the series must be equal as
-    # TruncSeries: same window, same Fractions.  HOMFLY runs at N = 2, 8 and
+    # TruncSeries (same window, same Fractions) to a reference computed at the
+    # evaluators' width or one term wider.  HOMFLY runs at N = 2, 8 and
     # n (when in range), so N < n, N = n and N > n all occur; Kauffman always
     # runs at its floor N = n + 2.
     windows = WINDOWS if n <= 5 else ((6, 2), (12, 3))
@@ -246,10 +247,10 @@ def test_prefix_products_equal_direct_summation(n):
     for m in (n + 1, -(n + 1)):
         for order, guard in windows:
             for N in homfly_ranks:
-                assert homfly_normalized((n, m), N, order, guard) \
+                assert homfly_normalized((n, m), N, order) \
                     == _homfly_reference((n, m), N, order, guard), (m, N, order, guard)
             for N in kauffman_ranks:
-                assert kauffman_normalized((n, m), N, order, guard) \
+                assert kauffman_normalized((n, m), N, order) \
                     == _kauffman_reference((n, m), N, order, guard), (m, N, order, guard)
 
 
@@ -358,16 +359,17 @@ def _outcome(evaluate, *args):
         return type(exc), str(exc)
 
 
-#: every (order, guard) window for n <= 13; above that one window per guard,
-#: which still covers each order, so the direct evaluation stays affordable
+#: every (order, width - order) window for n <= 13; above that one window per
+#: width, which still covers each order, so the direct evaluation stays affordable
 ALL_WINDOWS = tuple((order, guard) for order in (6, 9, 12) for guard in range(4))
 LARGE_N_WINDOWS = ((6, 0), (9, 1), (12, 2), (6, 3))
 
 
 @pytest.mark.parametrize("n", list(range(1, 14)) + [20, 27, 41])
-def test_kernels_equal_direct_evaluation(n):
+def test_kernels_equal_direct_evaluation(n, monkeypatch):
     # the kernel changes where the work is done, not one coefficient, window,
-    # exception type or message; guard 0 and 1 raise TruncationUnderflow for
+    # exception type or message, at any width: narrower than the evaluators'
+    # (GUARD_TERMS set to 0 and 1 here) TruncationUnderflow is raised for
     # most n, and the unit knot (n, -1) has a skipped Akutsu-Wadati summand
     windows = ALL_WINDOWS if n <= 13 else LARGE_N_WINDOWS
     cases = []
@@ -383,8 +385,9 @@ def test_kernels_equal_direct_evaluation(n):
     expected = [_outcome(direct, *args) for _, direct, *args in cases]
     invariants._kernel.cache_clear()
     for warmth in ("cold", "warm"):
-        for (evaluate, _, *args), want in zip(cases, expected):
-            assert _outcome(evaluate, *args) == want, (warmth, evaluate.__name__, args)
+        for (evaluate, _, *args, guard), want in zip(cases, expected):
+            monkeypatch.setattr(invariants, "GUARD_TERMS", guard)
+            assert _outcome(evaluate, *args) == want, (warmth, evaluate.__name__, args, guard)
 
 
 @pytest.mark.parametrize("m", [-5, -1, 2, 7])
@@ -405,12 +408,12 @@ def test_mpoly_series_equals_running_sum(m):
 def test_five_m_build_one_kernel():
     invariants._kernel.cache_clear()
     for m in (4, 5, -7, 10, -11):
-        homfly_normalized((3, m), 4, 6, 2)
+        homfly_normalized((3, m), 4, 6)
     info = invariants._kernel.cache_info()
     assert (info.misses, info.hits) == (1, 4)
     for m in (4, 5, -7, 10, -11):
-        kauffman_normalized((3, m), 7, 9, 3)
-        akutsu_wadati_normalized((3, m), 2, 9, 3)
+        kauffman_normalized((3, m), 7, 9)
+        akutsu_wadati_normalized((3, m), 2, 9)
     assert invariants._kernel.cache_info().misses == 3
 
 
@@ -427,12 +430,55 @@ def test_kernel_is_polynomial_in_m():
         assert values and not any(values)
 
 
-def test_unknot_factor_is_memoized():
+def test_unknot_factor_is_memoized(monkeypatch):
     unknot_factor.cache_clear()
-    first = unknot_factor(so_n(9), 6, 2)
-    assert unknot_factor(so_n(9), 6, 2) is first
+    first = unknot_factor(so_n(9), 6)
+    assert unknot_factor(so_n(9), 6) is first
     assert unknot_factor.cache_info().hits == 1
-    # an underflow is raised on every call, never cached
+    # an underflow (here forced by a width with no extra terms) is raised on
+    # every call, never cached
+    monkeypatch.setattr(invariants, "GUARD_TERMS", 0)
     for _ in range(2):
-        with pytest.raises(TruncationUnderflow, match="unknot factor: increase guard terms"):
-            unknot_factor(su_n(3), 6, 0)
+        with pytest.raises(TruncationUnderflow, match=r"unknot factor of su_n\(N=3\): "
+                           r"reliable only through x\^5, needed x\^6"):
+            unknot_factor(su_n(3), 6)
+    unknot_factor.cache_clear()
+
+
+# ----------------------------------------------------------------------
+# the one working width against a wider direct evaluation
+# ----------------------------------------------------------------------
+
+def test_fixed_width_unknot_factors():
+    # every unknot factor of the grid below, simple or product, at every
+    # order; the factor at order + 1 was computed one term wider
+    simple = [su_n(N) for N in list(range(2, 14)) + [20, 27, 41]] \
+        + [so_n(N) for N in list(range(5, 16)) + [22, 29, 43]] + [su2(1), su2(6)]
+    for order in range(25):
+        for group in simple + [product(2, 1), product(8, 6)]:
+            assert unknot_factor(group, order) \
+                == unknot_factor(group, order + 1).truncated(order), (group, order)
+
+
+@pytest.mark.parametrize("n", list(range(1, 14)) + [20, 27, 41])
+def test_fixed_width_loses_nothing(n):
+    # the evaluators' one width, order + GUARD_TERMS, raises nothing on this
+    # grid, and one term wider changes no coefficient and no window
+    orders = range(25) if n <= 13 else (6, 12)
+    wider = GUARD_TERMS + 1
+    for m in (n + 1, -(n + 1)):
+        knot = (n, m)
+        for order in orders:
+            homfly = {N: _homfly_direct(knot, N, order, wider) for N in sorted({2, 8, max(n, 2)})}
+            for N, series in homfly.items():
+                assert homfly_normalized(knot, N, order) == series, (knot, N, order)
+            assert kauffman_normalized(knot, n + 2, order) \
+                == _kauffman_direct(knot, n + 2, order, wider), (knot, order)
+            jones = {j: _akutsu_wadati_direct(knot, j, order, wider) for j in (1, 6)}
+            for j, series in jones.items():
+                assert akutsu_wadati_normalized(knot, j, order) == series, (knot, j, order)
+            for N, j in ((2, 1), (8, 6)):
+                group = product(N, j)
+                assert normalized_series(knot, group, order) \
+                    == (homfly[N] * jones[j]).truncated(order), (knot, N, j, order)
+                assert unnormalized_series(knot, group, order).coefficient(0) == N * (j + 1)

@@ -7,36 +7,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusvass.errors import DegreeExceeded
-from torusvass.linalg import (ExactMatrix, ExactPoly, LinearSolution, eliminate,
-                              interpolate_poly, solve_exact)
+from torusvass.linalg import ExactPoly, LinearSolution, eliminate, interpolate_poly
 
 
-def system(rows, rhs):
-    return ExactMatrix.augmented(rows, rhs)
+def solve(rows, rhs):
+    return eliminate(rows, len(rows[0])).solve(rhs)
 
 
 def test_identity_system():
-    res = solve_exact(system([[1, 0], [0, 1]], [4, 8]))
+    res = solve([[1, 0], [0, 1]], [4, 8])
     assert res.solution == (4, 8) and res.rank == 2 and res.consistent
 
 
 def test_dependent_rows():
-    res = solve_exact(system([[1, 1], [2, 2]], [2, 4]))
+    res = solve([[1, 1], [2, 2]], [2, 4])
     assert res.solution is None and res.rank == 1 and res.consistent
 
 
 def test_consistent_redundancy():
-    res = solve_exact(system([[1], [2], [3]], [5, 10, 15]))
+    res = solve([[1], [2], [3]], [5, 10, 15])
     assert res.solution == (5,) and res.rank == 1 and res.consistent
 
 
 def test_inconsistent():
-    res = solve_exact(system([[1, 1], [1, 1]], [2, 3]))
+    res = solve([[1, 1], [1, 1]], [2, 3])
     assert res.solution is None and not res.consistent
 
 
 def test_exact_fractions_survive():
-    res = solve_exact(system([[F(1, 3), F(1, 7)], [F(2, 5), F(1, 2)]], [1, 0]))
+    res = solve([[F(1, 3), F(1, 7)], [F(2, 5), F(1, 2)]], [1, 0])
     a, b = res.solution
     assert a / 3 + b / 7 == 1 and 2 * a / 5 + b / 2 == 0
 
@@ -48,7 +47,7 @@ def test_exact_fractions_survive():
                 min_size=3, max_size=3))
 def test_solver_recovers_random_vector(rows, v):
     rhs = [sum(c * x for c, x in zip(row, v)) for row in rows]
-    res = solve_exact(system(rows, rhs))
+    res = solve(rows, rhs)
     assert res.consistent
     if res.rank == 3:
         assert res.solution == tuple(v)
@@ -102,10 +101,10 @@ def test_interpolate_reproduces_samples(coeffs):
 # factor-then-apply against one-pass elimination
 # ----------------------------------------------------------------------
 
-def _reference_solve(system):
+def _reference_solve(lhs, rhs, unknowns):
     """One-pass Gaussian elimination of the augmented system in Fractions."""
-    m = [list(row) for row in system.entries]
-    nrows, ncols = len(m), system.unknowns
+    m = [list(row) + [b] for row, b in zip(lhs, rhs)]
+    nrows, ncols = len(m), unknowns
     pivots = []
     prow = 0
     for pcol in range(ncols):
@@ -167,20 +166,27 @@ def linear_systems(draw):
             rhs[draw(st.integers(0, nrows - 1))] += draw(ENTRIES)
     else:
         rhs = draw(st.lists(ENTRIES, min_size=nrows, max_size=nrows))
-    return ExactMatrix.augmented(rows, rhs) if unknowns else ExactMatrix(
-        tuple((b,) for b in rhs), 0)
+    return rows, rhs, unknowns
 
 
 @settings(max_examples=150, deadline=None)
 @given(linear_systems())
 def test_factor_then_apply_equals_one_pass(system):
-    assert solve_exact(system) == _reference_solve(system)
+    lhs, rhs, unknowns = system
+    assert eliminate(lhs, unknowns).solve(rhs) == _reference_solve(lhs, rhs, unknowns)
 
 
 def test_one_elimination_serves_many_right_hand_sides():
     lhs = [[F(1), F(2)], [F(3), F(4)], [F(5), F(6)]]
     elimination = eliminate(lhs, 2)
     for rhs in ([F(1), F(1), F(1)], [F(1), F(2), F(3)], [F(0), F(1, 3), F(2, 3)]):
-        assert elimination.solve(rhs) == _reference_solve(ExactMatrix.augmented(lhs, rhs))
+        assert elimination.solve(rhs) == _reference_solve(lhs, rhs, 2)
     with pytest.raises(ValueError, match="2 right-hand entries for 3 rows"):
         elimination.solve([F(1), F(2)])
+
+
+def test_eliminate_rejects_empty_and_ragged_systems():
+    with pytest.raises(ValueError, match="system needs at least one row"):
+        eliminate([], 2)
+    with pytest.raises(ValueError, match="row of width 1 in a system with 2 unknowns"):
+        eliminate([[F(1), F(2)], [F(3)]], 2)

@@ -263,7 +263,7 @@ def ref_div(num, den):
     if hi < max(lo, 0):
         raise TruncationUnderflow(
             f"quotient representable only through degree {hi} "
-            f"(window starts at {lo}); increase guard terms"
+            f"(window starts at {lo}); the operands carry too few terms"
         )
     unit = den.coefficients
     q = [F(0)] * (hi - lo + 1)

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from torusvass.groups import all_slots
+from torusvass.groups import ALL_SLOTS
 from torusvass.knots import TorusKnot
 from torusvass.tables import (TREFOIL_NORMALIZERS, beta_from_alpha_tilde,
                               closed_form_alpha, closed_form_alpha_tilde,
@@ -36,7 +36,7 @@ def ref_with_compounds(p, scale):
         (6, 3): p[(2, 1)] * p[(4, 2)], (6, 4): p[(2, 1)] * p[(4, 3)],
     }
     entries = {**p, **{s: scale(s) * v for s, v in compounds.items()}}
-    return {s: entries[s] for s in all_slots()}
+    return {s: entries[s] for s in ALL_SLOTS}
 
 
 def ref_alpha_tilde(n, m):
