@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 from .errors import (AnsatzMismatch, CancellationFailure, DegreeExceeded,
                      DivisionByZeroSeries, Inconsistent, NotAKnot, RankDeficient,
                      SingularBracket, TorusVassError, TruncationUnderflow,
-                     ZeroCasimirDivision)
+                     UnsupportedInput, ZeroCasimirDivision)
 from .series import TruncSeries, series_div, series_exp_linear
 from .linalg import ExactPoly, LinearSolution, interpolate_poly
 from .knots import (UNKNOT, CanonicalTorusKnot, TorusKnot, canonical_knots,

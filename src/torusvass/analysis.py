@@ -17,6 +17,7 @@ from functools import cached_property
 from math import gcd, lcm, prod
 from typing import Iterable, Optional
 
+from .errors import UnsupportedInput
 from .knots import CanonicalTorusKnot, TorusKnot, as_knot, canonical_knots
 from .tables import BETA_DENOMINATORS, PRIMITIVE_ORDER, primitive_numerators
 
@@ -146,7 +147,7 @@ def dependency_relations_check(grid: Optional[Iterable] = None,
     n <= max_n, which needs max_n >= 3: no canonical knot has n < 3.
     """
     if grid is None and max_n < 3:
-        raise ValueError("max_n must be >= 3")
+        raise UnsupportedInput("max_n must be >= 3")
     knots = list(grid) if grid is not None else list(canonical_knots(max_n))
     report = ScanReport("dependency-relations", max_n)
     for knot in knots:
@@ -169,7 +170,7 @@ def distinguishing_check(max_n: int) -> ScanReport:
     """No two canonical torus knots with n <= max_n share
     (beta_{2,1}, beta_{3,1}).  Needs max_n >= 3: no canonical knot has n < 3."""
     if max_n < 3:
-        raise ValueError("max_n must be >= 3")
+        raise UnsupportedInput("max_n must be >= 3")
     report = ScanReport("distinguishing", max_n)
     # beta_{2,1} and beta_{3,1} have fixed denominators: equal numerators
     # are equal values
@@ -197,7 +198,7 @@ def integrality_scan(bound: int, include_noncoprime: bool = False) -> ScanReport
     expected witnesses, not violations).
     """
     if bound < 2:
-        raise ValueError("bound must be >= 2")
+        raise UnsupportedInput("bound must be >= 2")
     report = ScanReport("integrality", bound)
     for n in range(1, bound + 1):
         for m in range(-bound, bound + 1):

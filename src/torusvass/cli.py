@@ -8,24 +8,27 @@ Subcommands:
 * ``verify``     : run a named verification suite (exit 1 on any failure),
 * ``scan``       : bulk predicates over knot ranges.
 
-Exit codes: 0 success, 1 verification failure, 2 invalid knot,
-3 unsupported request.  Output is deterministic for identical inputs:
-JSON with rationals as {"num", "den"} pairs (plus "exact_decimal" when the
-value is an integer), CSV with exact num/den strings, or an aligned table.
+Exit codes: 0 success, 1 verification failure, 2 invalid knot (NotAKnot),
+3 any other TorusVassError; main alone maps errors to codes, and any other
+exception is a bug that surfaces as a traceback.  Output is deterministic for
+identical inputs: JSON with rationals as {"num", "den"} pairs (plus
+"exact_decimal" when the value is an integer), CSV with exact num/den
+strings, or an aligned table.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
 from . import __version__
 from .analysis import (OBSTRUCTED, auxiliary_scalars, integrality_scan, is_v3_applicable,
                        lissajous_obstruction, lissajous_verdict)
-from .errors import NotAKnot, TorusVassError
-from .groups import Family, product, so_n, su2, su_n
+from .errors import NotAKnot, TorusVassError, UnsupportedInput
+from .groups import _PARAMETER_FLOORS, Family, GroupInstance
 from .invariants import normalized_series
 from .knots import UNKNOT, TorusKnot, canonical_knots, canonicalize
 from .suites import SUITES, run_suite
@@ -73,12 +76,21 @@ def _document(command: str, arguments: dict, payload: dict) -> dict:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        try:
+            with open(out_path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise UnsupportedInput(f"cannot write {out_path}: {exc.strerror}") from exc
+        return
+    try:
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (``torusvass ... | head``): point stdout
+        # at devnull so the interpreter's flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _table_entries_json(entries: dict, order: int) -> dict:
@@ -103,9 +115,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
     n, m = args.n, args.m
     knot = TorusKnot(n, m).validate()
     if not (0 <= args.order <= 6):
-        print(f"error: order {args.order} unsupported (tables stop at 6)",
-              file=sys.stderr)
-        return EXIT_UNSUPPORTED
+        raise UnsupportedInput(f"order {args.order} unsupported (tables stop at 6)")
 
     canonical = canonicalize(n, m)
     is_unknot = canonical is UNKNOT
@@ -170,55 +180,26 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
 # expand
 # ----------------------------------------------------------------------
 
-def _group_for(args: argparse.Namespace):
-    family = args.family
-    if family == "su_n":
-        if args.N is None:
-            raise ValueError("--family su_n needs --N")
-        return su_n(args.N)
-    if family == "so_n":
-        if args.N is None:
-            raise ValueError("--family so_n needs --N")
-        return so_n(args.N)
-    if family == "su2":
-        if args.j is None:
-            raise ValueError("--family su2 needs --j")
-        return su2(args.j)
-    if family == "product":
-        if args.N is None or args.j is None:
-            raise ValueError("--family product needs --N and --j")
-        return product(args.N, args.j)
-    raise ValueError(f"unknown family {family!r}")
-
-
 def _cmd_expand(args: argparse.Namespace) -> int:
     n, m = args.n, args.m
     knot = TorusKnot(n, m).validate().oriented()
     if not 0 <= args.order <= MAX_EXPAND_ORDER:
-        print(f"error: order {args.order} unsupported"
-              + (f" (expand stops at {MAX_EXPAND_ORDER})" if args.order > 0 else ""),
-              file=sys.stderr)
-        return EXIT_UNSUPPORTED
+        raise UnsupportedInput(f"order {args.order} unsupported"
+                               + (f" (expand stops at {MAX_EXPAND_ORDER})"
+                                  if args.order > 0 else ""))
     if max(abs(n), abs(m)) > MAX_EXPAND_INDEX:
-        print(f"error: knot ({n}, {m}) unsupported (expand stops at |n|, |m| <= "
-              f"{MAX_EXPAND_INDEX})", file=sys.stderr)
-        return EXIT_UNSUPPORTED
+        raise UnsupportedInput(f"knot ({n}, {m}) unsupported (expand stops at |n|, |m| <= "
+                               f"{MAX_EXPAND_INDEX})")
     parameter = max(args.N or 0, args.j or 0)
     if parameter > MAX_EXPAND_RANK:
-        print(f"error: group parameter {parameter} unsupported (expand stops at N, j <= "
-              f"{MAX_EXPAND_RANK})", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    try:
-        group = _group_for(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    try:
-        series = normalized_series(knot, group, args.order)
-    except TorusVassError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    coefficients = series.coefficients_through(args.order)
+        raise UnsupportedInput(f"group parameter {parameter} unsupported (expand stops at "
+                               f"N, j <= {MAX_EXPAND_RANK})")
+    family = Family(args.family)
+    missing = [f"--{name}" for name in _PARAMETER_FLOORS[family] if getattr(args, name) is None]
+    if missing:
+        raise UnsupportedInput(f"--family {family.value} needs {' and '.join(missing)}")
+    group = GroupInstance(family, args.N, args.j)
+    coefficients = normalized_series(knot, group, args.order).coefficients_through(args.order)
 
     arguments = {"family": args.family, "N": args.N, "j": args.j,
                  "n": n, "m": m, "order": args.order, "format": args.format}
@@ -247,13 +228,11 @@ def _cmd_expand(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.suite not in SUITES and args.suite != "all":
-        print(f"error: unknown suite {args.suite!r}; choose from "
-              f"{', '.join(list(SUITES) + ['all'])}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
+        raise UnsupportedInput(f"unknown suite {args.suite!r}; choose from "
+                               f"{', '.join(list(SUITES) + ['all'])}")
     if args.bound is not None and args.bound > MAX_VERIFY_BOUND:
-        print(f"error: bound {args.bound} unsupported (verify stops at {MAX_VERIFY_BOUND})",
-              file=sys.stderr)
-        return EXIT_UNSUPPORTED
+        raise UnsupportedInput(f"bound {args.bound} unsupported (verify stops at "
+                               f"{MAX_VERIFY_BOUND})")
     results = run_suite(args.suite, args.bound)
     failures = [(r.suite, c) for r in results for c in r.failures()]
     payload = {
@@ -326,31 +305,27 @@ def _scan_payload(predicate: str, bound: int) -> tuple[dict, list[str]]:
             f"{w['value']['num']}/{w['value']['den']}" for w in witnesses]
         return {"coprime_violations": packed(report.violations),
                 "noncoprime_witnesses": witnesses}, csv
-    if predicate == "beta-curve":
-        points = []
-        for knot in canonical_knots(bound, chirality=False):
-            num21, num31 = primitive_numerators(knot.n, knot.m, slots=(b21, b31))
-            points.append({"n": knot.n, "m": knot.m,
-                           "beta_2_1": rational_json(Fraction(num21, BETA_DENOMINATORS[b21])),
-                           "beta_3_1": rational_json(Fraction(num31, BETA_DENOMINATORS[b31]))})
-        csv = ["n,m,beta_2_1,beta_3_1"] + [
-            f"{p['n']},{p['m']},{p['beta_2_1']['num']},{p['beta_3_1']['num']}"
-            for p in points]
-        return {"points": points}, csv
-    raise ValueError(predicate)
+    # beta-curve, the last predicate _cmd_scan admits
+    points = []
+    for knot in canonical_knots(bound, chirality=False):
+        num21, num31 = primitive_numerators(knot.n, knot.m, slots=(b21, b31))
+        points.append({"n": knot.n, "m": knot.m,
+                       "beta_2_1": rational_json(Fraction(num21, BETA_DENOMINATORS[b21])),
+                       "beta_3_1": rational_json(Fraction(num31, BETA_DENOMINATORS[b31]))})
+    csv = ["n,m,beta_2_1,beta_3_1"] + [
+        f"{p['n']},{p['m']},{p['beta_2_1']['num']},{p['beta_3_1']['num']}"
+        for p in points]
+    return {"points": points}, csv
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     predicates = ("lissajous-obstructed", "non-integer", "beta-curve")
     if args.predicate not in predicates:
-        print(f"error: unknown predicate {args.predicate!r}; choose from "
-              f"{', '.join(predicates)}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
+        raise UnsupportedInput(f"unknown predicate {args.predicate!r}; choose from "
+                               f"{', '.join(predicates)}")
     if not 2 <= args.max <= MAX_SCAN_BOUND:
-        print(f"error: max {args.max} unsupported (scan "
-              + (f"stops at {MAX_SCAN_BOUND})" if args.max > MAX_SCAN_BOUND else "starts at 2)"),
-              file=sys.stderr)
-        return EXIT_UNSUPPORTED
+        raise UnsupportedInput(f"max {args.max} unsupported (scan " + (
+            f"stops at {MAX_SCAN_BOUND})" if args.max > MAX_SCAN_BOUND else "starts at 2)"))
     payload, csv_lines = _scan_payload(args.predicate, args.max)
     arguments = {"predicate": args.predicate, "max": args.max, "format": args.format}
     if args.format == "csv":
@@ -417,12 +392,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except NotAKnot as exc:
+    except TorusVassError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_KNOT
-    except (TorusVassError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
+        return EXIT_INVALID_KNOT if isinstance(exc, NotAKnot) else EXIT_UNSUPPORTED
 
 
 if __name__ == "__main__":

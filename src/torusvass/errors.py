@@ -26,6 +26,10 @@ class NotAKnot(TorusVassError, ValueError):
     """A pair (n, m) with n, m not coprime (or zero) is a link, not a torus knot."""
 
 
+class UnsupportedInput(TorusVassError, ValueError):
+    """An argument lies outside its documented range."""
+
+
 class CancellationFailure(TorusVassError, ArithmeticError):
     """A pole that should cancel algebraically survived into a series result."""
 

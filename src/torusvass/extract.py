@@ -17,10 +17,11 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .errors import AnsatzMismatch, DegreeExceeded, Inconsistent, RankDeficient
-from .groups import (ORDERS, SLOT_COUNTS, SLOTS, Family, GroupFactorVector, GroupInstance,
-                     group_factors, product, simple_factors, so_n, su2, su_n)
-from .invariants import DEFAULT_ORDER, normalized_series, unnormalized_series
+from .errors import (AnsatzMismatch, DegreeExceeded, Inconsistent, RankDeficient,
+                     UnsupportedInput)
+from .groups import (_PARAMETER_FLOORS, ORDERS, SLOT_COUNTS, SLOTS, Family, GroupInstance,
+                     group_factors, product, so_n, su2, su_n)
+from .invariants import DEFAULT_ORDER, _over_factors, normalized_series, unnormalized_series
 from .knots import TorusKnot, as_knot
 from .linalg import Elimination, ExactPoly, eliminate, interpolate_poly
 from .series import TruncSeries
@@ -64,37 +65,24 @@ class ExtractionReport:
         )
 
 
-def _cached_entry(knot: TorusKnot, inst: GroupInstance, trunc_order: int,
-                  unnormalized: bool, cache: dict) -> tuple[TruncSeries, GroupFactorVector]:
-    """The (undivided) series and group factors of one instance, evaluated at
-    most once per cache.  A product instance multiplies the series of its
-    simple factors, taking them from the cache (or filling it) rather than
-    re-evaluating them; this is the same factorization normalized_series and
-    unnormalized_series apply."""
-    key = (inst, unnormalized)
-    if key not in cache:
-        factors = simple_factors(inst)
-        if len(factors) == 1:
-            evaluate = unnormalized_series if unnormalized else normalized_series
-            series = evaluate(knot, inst, trunc_order)
-        else:
-            left, right = (_cached_entry(knot, f, trunc_order, unnormalized, cache)[0]
-                           for f in factors)
-            series = (left * right).truncated(trunc_order)
-        cache[key] = (series, group_factors(inst))
-    return cache[key]
+def _plan_series(knot: TorusKnot, instances: Sequence[GroupInstance], trunc_order: int,
+                 unnormalized: bool) -> list[TruncSeries]:
+    """The series of each instance of a plan, divided by dim R on the
+    unnormalized route.  Each distinct simple factor is evaluated once, in
+    plan order, and a product instance multiplies its factors' series as
+    normalized_series and unnormalized_series do."""
+    evaluate = unnormalized_series if unnormalized else normalized_series
+    simple: dict = {}
 
+    def series_of(factor: GroupInstance) -> TruncSeries:
+        if factor not in simple:
+            simple[factor] = evaluate(knot, factor, trunc_order)
+        return simple[factor]
 
-def _right_hand_side(knot: TorusKnot, order: int, instantiations: Sequence[GroupInstance],
-                     trunc_order: int, unnormalized: bool, cache: dict) -> list[Fraction]:
-    """The x^order coefficient of each instance's series (divided by dim R
-    on the unnormalized route), through the series cache."""
-    rhs = []
-    for inst in instantiations:
-        series, factors = _cached_entry(knot, inst, trunc_order, unnormalized, cache)
-        c = series.coefficient(order)
-        rhs.append(c / factors.dim if unnormalized else c)
-    return rhs
+    series = [_over_factors(inst, trunc_order, series_of) for inst in instances]
+    if unnormalized:
+        return [s / group_factors(inst).dim for s, inst in zip(series, instances)]
+    return series
 
 
 @lru_cache(maxsize=64)
@@ -112,10 +100,11 @@ def _extract(knot, trunc_order: int, plan, unnormalized: bool,
     k = as_knot(knot).validate().oriented()
     instances = tuple(plan) if plan is not None else default_instantiation_plan(k)
     report = ExtractionReport(knot=k, kind=kind)
-    cache: dict = {}
+    orders = range(2, trunc_order + 1)
+    series = _plan_series(k, instances, trunc_order, unnormalized) if orders else []
     entries = {}
-    for order in range(2, trunc_order + 1):
-        rhs = _right_hand_side(k, order, instances, trunc_order, unnormalized, cache)
+    for order in orders:
+        rhs = [s.coefficient(order) for s in series]
         result = _plan_elimination(instances, order).solve(rhs)
         report.rank[order] = result.rank
         report.equations[order] = len(rhs)
@@ -169,16 +158,6 @@ class AnsatzFit:
     polynomials: dict  # (order, slot) -> ExactPoly
 
 
-def _family_series(family: Family, knot, parameter: int, trunc_order: int):
-    if family == Family.SU_N:
-        return normalized_series(knot, su_n(parameter), trunc_order)
-    if family == Family.SO_N:
-        return normalized_series(knot, so_n(parameter), trunc_order)
-    if family == Family.SU2:
-        return normalized_series(knot, su2(parameter), trunc_order)
-    raise ValueError(f"ansatz fitting works on simple families, not {family}")
-
-
 def fit_ansatz(family: Family, trunc_order: int = DEFAULT_ORDER,
                knot_grid: Sequence[tuple] = DEFAULT_FIT_GRID,
                parameters: Optional[Sequence[int]] = None) -> AnsatzFit:
@@ -189,14 +168,17 @@ def fit_ansatz(family: Family, trunc_order: int = DEFAULT_ORDER,
     fit raises AnsatzMismatch (the Taylor coefficient does not factor through
     the ansatz).  For su2 the interpolation variable is A = -j(j+2)/4.
     """
+    if family not in FIT_PARAMETERS:
+        raise UnsupportedInput(f"ansatz fitting works on simple families, not {family.value}")
+    (name,) = _PARAMETER_FLOORS[family]
     params = tuple(parameters) if parameters is not None else FIT_PARAMETERS[family]
     variable = "A" if family == Family.SU2 else "N"
     per_param: dict[int, dict] = {}
     designs: dict[int, Elimination] = {}  # the grid's monomials, per order
     for parameter in params:
-        coeffs = {}
-        for (n, m) in knot_grid:
-            coeffs[(n, m)] = _family_series(family, TorusKnot(n, m), parameter, trunc_order)
+        group = GroupInstance(family, **{name: parameter})
+        coeffs = {(n, m): normalized_series(TorusKnot(n, m), group, trunc_order)
+                  for (n, m) in knot_grid}
         fitted = {}
         for order in range(2, trunc_order + 1):
             monomials = ANSATZ_SLOT_MONOMIALS[order]

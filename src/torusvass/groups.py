@@ -36,7 +36,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
-from .errors import ZeroCasimirDivision
+from .errors import UnsupportedInput, ZeroCasimirDivision
 
 #: number of group-factor slots per order 0..6 (no order-1 slot exists)
 SLOT_COUNTS = {0: 1, 1: 0, 2: 1, 3: 1, 4: 3, 5: 4, 6: 9}
@@ -64,6 +64,16 @@ class Family(str, Enum):
     PRODUCT = "product"    # SU(N) x SU(2), product representation
 
 
+#: the parameters each family takes, each with its least value (so_n starts
+#: at 5, the Kauffman sampling floor at n = 3)
+_PARAMETER_FLOORS = {
+    Family.SU_N: {"N": 2},
+    Family.SO_N: {"N": 5},
+    Family.SU2: {"j": 1},
+    Family.PRODUCT: {"N": 2, "j": 1},
+}
+
+
 @dataclass(frozen=True)
 class GroupInstance:
     """A concrete group and representation choice.
@@ -78,15 +88,14 @@ class GroupInstance:
     j: Optional[int] = None
 
     def __post_init__(self):
-        if self.family in (Family.SU_N, Family.PRODUCT):
-            if self.N is None or self.N < 2:
-                raise ValueError(f"{self.family.value} needs N >= 2")
-        if self.family == Family.SO_N:
-            if self.N is None or self.N < 5:
-                raise ValueError("so_n needs N >= 5")
-        if self.family in (Family.SU2, Family.PRODUCT):
-            if self.j is None or self.j < 1:
-                raise ValueError(f"{self.family.value} needs j >= 1")
+        floors = _PARAMETER_FLOORS[self.family]
+        for name, floor in floors.items():
+            value = getattr(self, name)
+            if value is None or value < floor:
+                raise UnsupportedInput(f"{self.family.value} needs {name} >= {floor}")
+        for name in ("N", "j"):
+            if name not in floors and getattr(self, name) is not None:
+                raise UnsupportedInput(f"{self.family.value} takes no {name}")
 
     @property
     def substitution_scale(self) -> Fraction:
@@ -140,7 +149,7 @@ def casimirs(family: Family, parameter: int) -> CasimirSet:
     if family == Family.SU_N:
         N = parameter
         if N < 2:
-            raise ValueError("su_n needs N >= 2")
+            raise UnsupportedInput("su_n needs N >= 2")
         c = Fraction(N * N - 1)
         return CasimirSet(
             c2=-c / (2 * N),
@@ -154,7 +163,7 @@ def casimirs(family: Family, parameter: int) -> CasimirSet:
     if family == Family.SO_N:
         N = parameter
         if N < 3:
-            raise ValueError("so_n needs N >= 3")
+            raise UnsupportedInput("so_n needs N >= 3")
         a, b = Fraction(N - 1), Fraction(N - 2)
         return CasimirSet(
             c2=-a / 4,
@@ -168,7 +177,7 @@ def casimirs(family: Family, parameter: int) -> CasimirSet:
     if family == Family.SU2:
         j = parameter
         if j < 1:
-            raise ValueError("su2 needs j >= 1")
+            raise UnsupportedInput("su2 needs j >= 1")
         sigma = Fraction(j, 2)
         q = sigma * (sigma + 1)  # equals -A with A = -j(j+2)/4
         return CasimirSet(
@@ -180,7 +189,7 @@ def casimirs(family: Family, parameter: int) -> CasimirSet:
             c6_2=-2 * q ** 3 + 5 * q * q - 2 * q,
             dim=Fraction(j + 1),
         )
-    raise ValueError(f"no Casimir table for {family}")
+    raise UnsupportedInput(f"no Casimir table for {family}")
 
 
 def simple_factors(group: GroupInstance) -> tuple[GroupInstance, ...]:

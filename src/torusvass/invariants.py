@@ -64,7 +64,8 @@ from math import factorial, lcm
 from operator import add, mul
 from typing import Callable, Iterable, Sequence, Union
 
-from .errors import CancellationFailure, SingularBracket, TruncationUnderflow
+from .errors import (CancellationFailure, SingularBracket, TruncationUnderflow,
+                     UnsupportedInput)
 from .groups import Family, GroupInstance, simple_factors
 from .knots import TorusKnot, as_knot
 from .series import TruncSeries, series_exp_linear
@@ -300,7 +301,7 @@ def homfly_normalized(knot: KnotLike, N: int,
             f"homfly needs n >= 1 (got {n}); apply the equivalence (n,m) ~ (-n,-m)"
         )
     if N < 2:
-        raise ValueError("su_n needs N >= 2")
+        raise UnsupportedInput("su_n needs N >= 2")
     W = trunc_order + GUARD_TERMS
     head, total = _kernel(Family.SU_N, n, N, W)
     head = head * qpower(Fraction((m - 1) * (n - 1), 2) * (N - 1), 1, W)  # lambda^{(m-1)(n-1)/2}
@@ -346,7 +347,7 @@ def akutsu_wadati_normalized(knot: KnotLike, j: int,
             f"akutsu-wadati needs n >= 1 (got {n}); apply (n,m) ~ (-n,-m)"
         )
     if j < 1:
-        raise ValueError("su2 needs j >= 1")
+        raise UnsupportedInput("su2 needs j >= 1")
     W = trunc_order + GUARD_TERMS
     divisor, total = _kernel(Family.SU2, n, j, W)
     res = total.at(m) / divisor

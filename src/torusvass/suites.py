@@ -15,6 +15,7 @@ from fractions import Fraction
 from .analysis import (DEPENDENCY_RELATIONS, dependency_relations_check,
                        distinguishing_check, integrality_scan, noncoprime_witnesses,
                        proposition_modular_checks, v3_family_value)
+from .errors import UnsupportedInput
 from .extract import (compare_fit_to_printed, extract_alpha, extract_alpha_tilde,
                       fit_ansatz)
 from .groups import SLOT_COUNTS, Family, product, su2, su_n
@@ -310,6 +311,6 @@ def run_suite(name: str, bound: int | None = None) -> list[SuiteResult]:
     if bound is None:
         return [SUITES[name]()]
     if name not in _BOUND_KEYWORDS:
-        raise ValueError(f"suite {name} takes no bound; only "
-                         f"{', '.join(_BOUND_KEYWORDS)} do")
+        raise UnsupportedInput(f"suite {name} takes no bound; only "
+                               f"{', '.join(_BOUND_KEYWORDS)} do")
     return [SUITES[name](**{_BOUND_KEYWORDS[name]: bound})]

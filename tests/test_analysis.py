@@ -14,7 +14,7 @@ from torusvass.analysis import (DEPENDENCY_RELATIONS, AuxiliaryScalars, Dependen
                                 noncoprime_witnesses, proposition_modular_checks,
                                 v3_family_value)
 from torusvass.cli import _scan_payload, rational_json
-from torusvass.errors import NotAKnot
+from torusvass.errors import NotAKnot, UnsupportedInput
 from torusvass.knots import (UNKNOT, CanonicalTorusKnot, TorusKnot, as_knot, canonical_knots,
                              canonicalize)
 from torusvass.tables import BETA_DENOMINATORS, PRIMITIVE_ORDER, closed_form_beta
@@ -300,7 +300,7 @@ PRINTED_ORDER5 = DependencyRelation(
 
 def ref_dependency_relations_check(grid=None, max_n=12):
     if grid is None and max_n < 3:
-        raise ValueError("max_n must be >= 3")
+        raise UnsupportedInput("max_n must be >= 3")
     knots = list(grid) if grid is not None else list(canonical_knots(max_n))
     report = ScanReport("dependency-relations", max_n)
     for knot in knots:
@@ -316,7 +316,7 @@ def ref_dependency_relations_check(grid=None, max_n=12):
 
 def ref_distinguishing_check(max_n):
     if max_n < 3:
-        raise ValueError("max_n must be >= 3")
+        raise UnsupportedInput("max_n must be >= 3")
     report = ScanReport("distinguishing", max_n)
     seen = {}
     for knot in analysis.canonical_knots(max_n):
@@ -332,7 +332,7 @@ def ref_distinguishing_check(max_n):
 
 def ref_integrality_scan(bound, include_noncoprime=False):
     if bound < 2:
-        raise ValueError("bound must be >= 2")
+        raise UnsupportedInput("bound must be >= 2")
     report = ScanReport("integrality", bound)
     for n in range(1, bound + 1):
         for m in range(-bound, bound + 1):

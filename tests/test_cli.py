@@ -1,5 +1,6 @@
 """CLI behavior: formats, exit codes, determinism, schema conformance."""
 
+import errno
 import inspect
 import itertools
 import json
@@ -15,6 +16,8 @@ import pytest
 
 from torusvass import cli, suites
 from torusvass.cli import main
+from torusvass.errors import UnsupportedInput
+from torusvass.groups import Family, GroupInstance
 
 SCHEMA = json.loads(
     resources.files("torusvass").joinpath("output_schema.json").read_text())
@@ -31,12 +34,17 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def module_env():
+    """The environment of a ``python -m torusvass.cli`` subprocess that
+    imports these sources."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def run_module(*argv):
     """Run ``python -m torusvass.cli`` in a subprocess that imports these sources."""
-    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
     return subprocess.run([sys.executable, "-m", "torusvass.cli", *argv],
-                          capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+                          capture_output=True, text=True, env=module_env())
 
 
 def validate_document(doc):
@@ -405,6 +413,97 @@ def test_out_file(tmp_path, capsys):
     assert code == 0 and out == ""
     doc = json.loads(target.read_text())
     assert doc["payload"]["beta"]["2,1"]["num"] == "3"
+
+
+@pytest.mark.parametrize("target, reason", [("missing/doc.json", errno.ENOENT),
+                                            (".", errno.EISDIR)])
+def test_out_to_an_unwritable_path_exits_3(tmp_path, capsys, target, reason):
+    path = str(tmp_path / target)
+    code, out, err = run_cli(capsys, "invariants", "--n", "2", "--m", "3", "--out", path)
+    assert (code, out, err) == (3, "", f"error: cannot write {path}: {os.strerror(reason)}\n")
+
+
+def test_closed_pipe_ends_quietly():
+    # the document is far larger than a pipe buffer, so the writer is still
+    # writing when the reader takes one line and closes the pipe
+    proc = subprocess.Popen([sys.executable, "-m", "torusvass.cli", "scan", "--predicate",
+                             "beta-curve", "--max", "100"], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=module_env())
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(), first, err) == (0, b"{\n", b"")
+
+
+def test_a_stray_value_error_is_not_an_exit_code(capsys, monkeypatch):
+    # only TorusVassError maps to an exit code; any other error is a bug
+    def broken(knot):
+        raise ValueError("stray")
+
+    monkeypatch.setattr(cli, "closed_form_beta", broken)
+    with pytest.raises(ValueError, match="stray") as exc:
+        main(["invariants", "--n", "2", "--m", "3"])
+    assert type(exc.value) is ValueError
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("family, parameters, unused", [
+    ("su_n", {"N": 3}, "j"), ("so_n", {"N": 7}, "j"), ("su2", {"j": 2}, "N")])
+def test_each_family_rejects_the_parameter_it_does_not_take(capsys, family, parameters,
+                                                             unused):
+    with pytest.raises(UnsupportedInput, match=f"^{family} takes no {unused}$"):
+        GroupInstance(Family(family), **parameters, **{unused: 2})
+    flags = [f"--{name}={value}" for name, value in {**parameters, unused: 2}.items()]
+    code, out, err = run_cli(capsys, "expand", "--family", family, *flags,
+                             "--n", "2", "--m", "3")
+    assert (code, out, err) == (3, "", f"error: {family} takes no {unused}\n")
+
+
+SUITE_CHOICES = ("closed-forms, alpha, g-tables, trefoil, relations, distinguishing, "
+                 "integrality, v3, cross-family, unit-symmetry, all")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("invariants", "--n", "2", "--m", "3", "--order", "-1"),
+     "order -1 unsupported (tables stop at 6)"),
+    (("expand", "--family", "su_n", "--N", "3", "--n", "2", "--m", "3", "--order", "-1"),
+     "order -1 unsupported"),
+    (("expand", "--family", "su2", "--j", "1", "--n", "2", "--m", "129"),
+     "knot (2, 129) unsupported (expand stops at |n|, |m| <= 128)"),
+    (("expand", "--family", "su2", "--j", "131", "--n", "2", "--m", "3"),
+     "group parameter 131 unsupported (expand stops at N, j <= 130)"),
+    (("expand", "--family", "su_n", "--n", "2", "--m", "3"), "--family su_n needs --N"),
+    (("expand", "--family", "so_n", "--j", "1", "--n", "2", "--m", "3"),
+     "--family so_n needs --N"),
+    (("expand", "--family", "su2", "--n", "2", "--m", "3"), "--family su2 needs --j"),
+    (("expand", "--family", "product", "--n", "2", "--m", "3"),
+     "--family product needs --N and --j"),
+    (("expand", "--family", "product", "--N", "2", "--n", "2", "--m", "3"),
+     "--family product needs --j"),
+    (("expand", "--family", "su_n", "--N", "1", "--n", "2", "--m", "3"), "su_n needs N >= 2"),
+    (("expand", "--family", "so_n", "--N", "4", "--n", "2", "--m", "3"), "so_n needs N >= 5"),
+    (("expand", "--family", "su2", "--j", "0", "--n", "2", "--m", "3"), "su2 needs j >= 1"),
+    (("expand", "--family", "product", "--N", "1", "--j", "0", "--n", "2", "--m", "3"),
+     "product needs N >= 2"),
+    (("expand", "--family", "product", "--N", "2", "--j", "0", "--n", "2", "--m", "3"),
+     "product needs j >= 1"),
+    (("verify", "--suite", "nonsense"), f"unknown suite 'nonsense'; choose from {SUITE_CHOICES}"),
+    (("verify", "--suite", "all", "--bound", "301"),
+     "bound 301 unsupported (verify stops at 300)"),
+    (("verify", "--suite", "v3", "--bound", "3"),
+     "suite v3 takes no bound; only relations, distinguishing, integrality do"),
+    (("verify", "--suite", "relations", "--bound", "2"), "max_n must be >= 3"),
+    (("verify", "--suite", "distinguishing", "--bound", "2"), "max_n must be >= 3"),
+    (("verify", "--suite", "integrality", "--bound", "1"), "bound must be >= 2"),
+    (("scan", "--predicate", "knotted", "--max", "5"),
+     "unknown predicate 'knotted'; choose from lissajous-obstructed, non-integer, beta-curve"),
+    (("scan", "--predicate", "beta-curve", "--max", "1"), "max 1 unsupported (scan starts at 2)"),
+    (("scan", "--predicate", "beta-curve", "--max", "101"),
+     "max 101 unsupported (scan stops at 100)"),
+])
+def test_every_unsupported_input_exits_3_with_one_line(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (3, "", f"error: {message}\n")
 
 
 def test_console_entry_point():

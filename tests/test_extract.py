@@ -4,11 +4,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from torusvass.errors import AnsatzMismatch, RankDeficient
-from torusvass.extract import (_plan_elimination, _right_hand_side, compare_fit_to_printed,
+from torusvass import extract
+from torusvass.errors import AnsatzMismatch, RankDeficient, UnsupportedInput
+from torusvass.extract import (_plan_elimination, _plan_series, compare_fit_to_printed,
                                default_instantiation_plan, extract_alpha,
                                extract_alpha_tilde, fit_ansatz)
-from torusvass.groups import Family, SLOT_COUNTS, group_factors, su_n
+from torusvass.groups import Family, SLOT_COUNTS, group_factors, product, so_n, su2, su_n
+from torusvass.invariants import normalized_series, unnormalized_series
 from torusvass.knots import TorusKnot
 from torusvass.linalg import ExactPoly, eliminate
 from torusvass.tables import (closed_form_alpha, closed_form_alpha_tilde,
@@ -19,12 +21,14 @@ from torusvass.tables import (closed_form_alpha, closed_form_alpha_tilde,
 
 def test_assemble_single_su3_row():
     assert group_factors(su_n(3)).row(2) == (F(-2),)
-    assert _right_hand_side(TorusKnot(2, 3), 2, [su_n(3)], 6, False, {}) == [F(-8)]
+    (series,) = _plan_series(TorusKnot(2, 3), [su_n(3)], 6, False)
+    assert series.coefficient(2) == F(-8)
 
 
 def test_assemble_order_zero():
     assert group_factors(su_n(3)).row(0) == (F(1),)
-    assert _right_hand_side(TorusKnot(2, 3), 0, [su_n(3)], 6, False, {}) == [F(1)]
+    (series,) = _plan_series(TorusKnot(2, 3), [su_n(3)], 6, False)
+    assert series.coefficient(0) == F(1)
 
 
 def test_assemble_rejects_bad_order():
@@ -35,8 +39,43 @@ def test_assemble_rejects_bad_order():
 
 def test_assemble_unknot_rhs_zero():
     plan = default_instantiation_plan((1, 5))
+    series = _plan_series(TorusKnot(1, 5), plan, 6, False)
+    assert len(series) == len(plan)
     for order in range(2, 7):
-        assert _right_hand_side(TorusKnot(1, 5), order, plan, 6, False, {}) == [0] * len(plan)
+        assert [s.coefficient(order) for s in series] == [0] * len(plan)
+
+
+def test_plan_series_evaluates_each_simple_factor_once(monkeypatch):
+    calls = []
+
+    def counting(knot, group, trunc_order):
+        calls.append(group)
+        return normalized_series(knot, group, trunc_order)
+
+    monkeypatch.setattr(extract, "normalized_series", counting)
+    plan = (su_n(2), su2(1), product(2, 1), product(3, 1))
+    series = _plan_series(TorusKnot(2, 3), plan, 6, False)
+    assert calls == [su_n(2), su2(1), su_n(3)]
+    assert series == [normalized_series(TorusKnot(2, 3), g, 6) for g in plan]
+
+
+def test_plan_series_divides_by_the_dimension_when_unnormalized():
+    plan = (so_n(7), product(3, 2))
+    series = _plan_series(TorusKnot(2, 5), plan, 4, True)
+    assert series == [unnormalized_series(TorusKnot(2, 5), g, 4) / group_factors(g).dim
+                      for g in plan]
+    assert [s.coefficient(0) for s in series] == [1, 1]
+
+
+def test_extraction_below_order_two_evaluates_nothing(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("evaluated a series")
+
+    monkeypatch.setattr(extract, "normalized_series", unreachable)
+    monkeypatch.setattr(extract, "unnormalized_series", unreachable)
+    for solve in (extract_alpha_tilde, extract_alpha):
+        table, report = solve((2, 3), 1)
+        assert table.entries == {} and report.rank == {} and report.all_good()
 
 
 @pytest.mark.parametrize("knot", [(2, 3), (2, 5), (3, 4), (2, -3)])
@@ -93,13 +132,16 @@ def test_extraction_stops_at_order_six():
 def test_product_rows_needed_for_order_six_rank():
     # the three simple families span only 7 of the 9 order-6 slots, no matter
     # how many parameter values are sampled; product instances close the gap
-    from torusvass.groups import product, so_n, su2
-
     simple = [su_n(N) for N in range(2, 10)] \
         + [so_n(N) for N in range(5, 13)] + [su2(j) for j in range(1, 9)]
     widened = simple + [product(2, 1), product(2, 2), product(3, 1)]
     for plan, rank in ((simple, 7), (widened, 9)):
         assert eliminate([group_factors(g).row(6) for g in plan], 9).rank == rank
+
+
+def test_fit_rejects_the_product_family():
+    with pytest.raises(UnsupportedInput, match="simple families, not product"):
+        fit_ansatz(Family.PRODUCT)
 
 
 def test_fit_su_n_matches_unambiguous_entries():
@@ -216,8 +258,6 @@ def test_product_instances_reuse_factor_series(monkeypatch):
 
 
 def test_product_factors_outside_the_plan():
-    from torusvass.groups import product, so_n, su2
-
     plan = [su_n(N) for N in range(2, 8)] + [so_n(N) for N in range(8, 14)] \
         + [su2(j) for j in range(1, 5)] + [product(9, 6), product(8, 5)]
     table, report = extract_alpha_tilde((6, 7), instantiation_plan=plan)
