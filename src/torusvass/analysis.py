@@ -25,6 +25,16 @@ from .tables import BETA_DENOMINATORS, PRIMITIVE_ORDER, primitive_numerators
 _DENS = tuple(BETA_DENOMINATORS[slot] for slot in PRIMITIVE_ORDER)
 _B21, _B31 = (2, 1), (3, 1)
 
+#: the least value of each scan bound, by keyword: no canonical knot has
+#: n < 3, and an integrality scan below 2 would see only unknots
+SCAN_FLOORS = {"max_n": 3, "bound": 2}
+
+
+def check_floor(keyword: str, value: int) -> None:
+    """Reject a scan bound below its floor in SCAN_FLOORS."""
+    if value < SCAN_FLOORS[keyword]:
+        raise UnsupportedInput(f"{keyword} must be >= {SCAN_FLOORS[keyword]}")
+
 
 @dataclass
 class ScanReport:
@@ -146,8 +156,8 @@ def dependency_relations_check(grid: Optional[Iterable] = None,
     The default grid is every canonical knot (both chiralities) with
     n <= max_n, which needs max_n >= 3: no canonical knot has n < 3.
     """
-    if grid is None and max_n < 3:
-        raise UnsupportedInput("max_n must be >= 3")
+    if grid is None:
+        check_floor("max_n", max_n)
     knots = list(grid) if grid is not None else list(canonical_knots(max_n))
     report = ScanReport("dependency-relations", max_n)
     for knot in knots:
@@ -169,8 +179,7 @@ def dependency_relations_check(grid: Optional[Iterable] = None,
 def distinguishing_check(max_n: int) -> ScanReport:
     """No two canonical torus knots with n <= max_n share
     (beta_{2,1}, beta_{3,1}).  Needs max_n >= 3: no canonical knot has n < 3."""
-    if max_n < 3:
-        raise UnsupportedInput("max_n must be >= 3")
+    check_floor("max_n", max_n)
     report = ScanReport("distinguishing", max_n)
     # beta_{2,1} and beta_{3,1} have fixed denominators: equal numerators
     # are equal values
@@ -197,8 +206,7 @@ def integrality_scan(bound: int, include_noncoprime: bool = False) -> ScanReport
     records every non-integral value it finds there as a note (those are
     expected witnesses, not violations).
     """
-    if bound < 2:
-        raise UnsupportedInput("bound must be >= 2")
+    check_floor("bound", bound)
     report = ScanReport("integrality", bound)
     for n in range(1, bound + 1):
         for m in range(-bound, bound + 1):

@@ -75,6 +75,8 @@ def _document(command: str, arguments: dict, payload: dict) -> dict:
 
 
 def _emit(text: str, out_path: str | None) -> None:
+    """Write text, ending in one newline, to out_path or else to stdout."""
+    text = text if text.endswith("\n") else text + "\n"
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8") as handle:
@@ -83,7 +85,7 @@ def _emit(text: str, out_path: str | None) -> None:
             raise UnsupportedInput(f"cannot write {out_path}: {exc.strerror}") from exc
         return
     try:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed the pipe (``torusvass ... | head``): point stdout

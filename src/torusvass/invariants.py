@@ -22,30 +22,28 @@ Conventions:
 * m may be negative (the formulas stay well defined); n must be >= 1, which
   every knot reaches through the equivalence {n,m} ~ {-n,-m}.
 
-Per-n kernels.  Each evaluator is a head times a sum sum_i A_i(x) e^{m rho_i x}
-(Rosso-Jones form): the summands A_i (bracket prefix products, quotients by
-q-factorials, m-free t-powers) and the rates rho_i depend only on n, the rank
-N (or j) and the working width W = trunc_order + GUARD_TERMS, and m enters
-only through the exponentials.  So the x^d coefficients of the sum are
-polynomials in m; :class:`MPolySeries` holds them as integer polynomials over
-one denominator.  A kernel -- those polynomials plus the m-free part of the head
--- is built once per (family, n, N or j, W) and kept in a bounded cache; one
-knot then costs one polynomial evaluation, the head's t-power and two series
-operations, whatever n is.  The HOMFLY and Kauffman summands share their bracket
-products and q-factorials as prefix products, so a kernel build costs O(n)
-series products; the Akutsu-Wadati summands are bare t-powers, so its kernel
-takes their Taylor coefficients straight from the exponents.  Turning the
-summands into polynomials in m costs one pass over the degrees per (rate,
-power of m), so a cold kernel plus its first evaluation costs about what one
-evaluation with the m-dependent t-powers would.
+Per-n kernels.  Each evaluator is a framing factor times a sum
+sum_i A_i(x) e^{m rho_i x} (Rosso-Jones form).  The summands A_i (bracket
+prefix products, quotients by q-factorials, m-free t-powers) and the rates
+rho_i depend only on n, the rank N (or j) and the working width W.  The
+framing factor is a t-power with an exponent linear in m: its m-linear part
+shifts every rate, and its m-free part joins the m-free head (with
+Akutsu-Wadati's 1/(t^{j+1} - 1)).  So the x^d coefficients of the sum are
+polynomials in m, which :class:`MPolySeries` holds over one denominator.  A
+kernel -- the head and that sum -- is built once per (family, n, N or j, W)
+and kept in a bounded cache; one knot then costs one polynomial evaluation
+and one product, whatever n is.  The HOMFLY and Kauffman summands share their
+bracket products and q-factorials as prefix products, so a build costs O(n)
+series products; the Akutsu-Wadati summands are bare t-powers, whose Taylor
+coefficients the kernel takes straight from the exponents.
 
 This is exact, not an approximation: a product or quotient keeps the smaller
 relative window of its operands and adds their valuations, so the order of
-the factors changes no coefficient and no window, and the sum's window
-(lowest and highest degree) follows from the summands' windows alone.  Every
-error a build raises (a quotient whose window falls short, a zero divisor)
-comes from the m-free part and is raised in the same order as by a direct
-evaluation.
+the factors changes no coefficient and no window; the sum's window follows
+from the summands' windows alone; exp(c x) known through W keeps a window,
+and (1/D) * S has the window of S / D for every nonzero S.  Every error a
+build raises (a quotient whose window falls short, a zero divisor) comes from
+the m-free part and is raised in the same order as by a direct evaluation.
 
 Each evaluator works at the one width trunc_order + GUARD_TERMS (any width
 that reaches trunc_order gives the same exact coefficients), checks at the
@@ -186,8 +184,9 @@ def _finalize_normalized(raw: TruncSeries, trunc_order: int, what: str) -> Trunc
 
 
 def _homfly_kernel(n: int, N: int, W: int) -> tuple[TruncSeries, MPolySeries]:
-    """(1 - t)/(1 - t^n) and sum_i (-1)^i A_i t^{m i}, with
-    A_i = prod_{j=-p..i, j != 0} (t^N - t^j) / ((i)! (p)!) * t^{p(p+1)/2}."""
+    """(1 - t)/(1 - t^n) lambda^{-(n-1)/2} and sum_i (-1)^i A_i t^{m i}
+    lambda^{m(n-1)/2}, with A_i = prod_{j=-p..i, j != 0} (t^N - t^j) / ((i)! (p)!)
+    * t^{p(p+1)/2}."""
     def t(a) -> TruncSeries:
         return qpower(a, 1, W)
 
@@ -202,7 +201,8 @@ def _homfly_kernel(n: int, N: int, W: int) -> tuple[TruncSeries, MPolySeries]:
         fact.append(fact[-1] * (ta - one))
         if a < N:
             right.append(right[-1] * (tN - ta))
-    head = one if n == 1 else (one - t(1)) / (one - t(n))
+    shift = Fraction((n - 1) * (N - 1), 2)  # lambda^{(m-1)(n-1)/2} = t^{shift (m - 1)}
+    head = one if n == 1 else (one - t(1)) * t(-shift) / (one - t(n))
     summands = [(TruncSeries.zero(W), 0)]
     for i in range(n):
         p = n - 1 - i
@@ -213,13 +213,14 @@ def _homfly_kernel(n: int, N: int, W: int) -> tuple[TruncSeries, MPolySeries]:
         term = (left[p] * right[i]) / (fact[i] * fact[p])
         if p:  # times t^0 = 1 would change nothing: the sum keeps W terms per summand
             term = term * t(p * (p + 1) // 2)
-        summands.append((term if i % 2 == 0 else -term, i))
+        summands.append((term if i % 2 == 0 else -term, i + shift))
     return head, MPolySeries.from_series(summands, W)
 
 
 def _kauffman_kernel(n: int, N: int, W: int) -> tuple[TruncSeries, MPolySeries]:
     """[1] / ([1] + [0;1]) and the (-1)^g summands of the Kauffman sum, with
-    the m-dependent weight t^{-m(b-g)/2} lambda^{-m} as the exponential."""
+    the m-dependent weight t^{-m(b-g)/2} lambda^{-m} times the framing
+    lambda^{nm} as the exponential."""
     lam = Fraction(N - 1, 2)  # lambda = t^{(N-1)/2}, in t-exponent units
 
     def t(a) -> TruncSeries:
@@ -242,24 +243,27 @@ def _kauffman_kernel(n: int, N: int, W: int) -> tuple[TruncSeries, MPolySeries]:
         fact.append(fact[-1] * br(a))
     inv_br_n = one / br(n)
     head = br(1) / (br(1) + brqs[0])
+    # lambda^{nm} = exp(m n lam x / 2) weighs every summand, the start included
     start = TruncSeries.constant(1, W) if n % 2 == 0 else TruncSeries.zero(W)
-    summands = [(start, 0)]
+    summands = [(start, n * lam / 2)]
     for g in range(n):
         b = n - 1 - g
         bracket = inv_br_n + one / brqs[b - g]
         numer = neg[g] * brqs[0] * pos[b]  # prod_{j=-g..b} [j;1]
         term = (bracket * numer) / (fact[b] * fact[g])
-        rate = (Fraction(-(b - g), 2) - lam) / 2  # t^{-m(b-g)/2} lambda^{-m}, t = e^{x/2}
+        # t^{-m(b-g)/2} lambda^{-m} lambda^{nm}, t = e^{x/2}
+        rate = (Fraction(g - b, 2) + (n - 1) * lam) / 2
         summands.append((term if g % 2 == 0 else -term, rate))
     return head, MPolySeries.from_series(summands, W)
 
 
 def _akutsu_wadati_kernel(n: int, j: int, W: int) -> tuple[TruncSeries, MPolySeries]:
-    """t^{j+1} - 1 and sum_ell (t^{e1} - t^{e2}) with e1, e2 linear in m,
-    built from the exponents: t^e = exp(e x) has the x^u coefficient
-    e^u (W!/u!) / W!."""
+    """t^{-j(n-1)/2} / (t^{j+1} - 1) and sum_ell (t^{e1} - t^{e2}) t^{m j(n-1)/2}
+    with e1, e2 linear in m, built from the exponents: t^e = exp(e x) has the
+    x^u coefficient e^u (W!/u!) / W!."""
     start = TruncSeries.zero(W)  # the window of the sum, and its errors for W < 0
-    divisor = qpower(j + 1, 1, W) - TruncSeries.one(W)
+    shift = Fraction(j * (n - 1), 2)  # t^{j(n-1)(m-1)/2} = t^{shift (m - 1)}
+    head = qpower(-shift, 1, W) / (qpower(j + 1, 1, W) - TruncSeries.one(W))
     tail = [1] * (W + 1)  # tail[u] = W!/u!
     for u in range(W, 0, -1):
         tail[u - 1] = tail[u] * u
@@ -275,37 +279,35 @@ def _akutsu_wadati_kernel(n: int, j: int, W: int) -> tuple[TruncSeries, MPolySer
     for ell in range(j + 1):
         # e1 = n(1 + m ell)(j - ell) + 1 + m ell, e2 = n(1 + m ell)(j - ell) + m(j - ell)
         base = n * (j - ell)
-        rows.append((ell * (base + 1), t(base + 1, 1)))
-        rows.append(((j - ell) * (n * ell + 1), t(base, -1)))
-    return divisor, MPolySeries(start.min_degree, start.trunc_order, factorial(W), rows)
+        rows.append((ell * (base + 1) + shift, t(base + 1, 1)))
+        rows.append(((j - ell) * (n * ell + 1) + shift, t(base, -1)))
+    return head, MPolySeries(start.min_degree, start.trunc_order, factorial(W), rows)
 
 
 @lru_cache(maxsize=KERNEL_CACHE_SIZE)
 def _kernel(family: Family, n: int, parameter: int, W: int) -> tuple[TruncSeries, MPolySeries]:
-    """The m-independent half of one evaluator: its m-free head series and
-    its sum as polynomials in m.  Errors are not cached; they recur."""
-    if family == Family.SU_N:
-        return _homfly_kernel(n, parameter, W)
-    if family == Family.SO_N:
-        return _kauffman_kernel(n, parameter, W)
-    return _akutsu_wadati_kernel(n, parameter, W)
+    """The m-free head of one evaluator and its sum as polynomials in m.
+    Errors are not cached; they recur."""
+    return _FAMILIES[family][0](n, parameter, W)
+
+
+def _at_knot(family: Family, k: TorusKnot, parameter: int, trunc_order: int,
+             what: str) -> TruncSeries:
+    """The tail every evaluator shares: the kernel's head times its sum at m."""
+    head, total = _kernel(family, k.n, parameter, trunc_order + GUARD_TERMS)
+    return _finalize_normalized(head * total.at(k.m), trunc_order, what)
 
 
 def homfly_normalized(knot: KnotLike, N: int,
                       trunc_order: int = DEFAULT_ORDER) -> TruncSeries:
     """Series of the normalized torus-knot HOMFLY polynomial for SU(N)."""
     k = as_knot(knot).validate()
-    n, m = k.n, k.m
-    if n < 1:
-        raise CancellationFailure(
-            f"homfly needs n >= 1 (got {n}); apply the equivalence (n,m) ~ (-n,-m)"
-        )
+    if k.n < 1:
+        raise CancellationFailure(f"homfly needs n >= 1 (got {k.n}); apply the "
+                                  "equivalence (n,m) ~ (-n,-m)")
     if N < 2:
         raise UnsupportedInput("su_n needs N >= 2")
-    W = trunc_order + GUARD_TERMS
-    head, total = _kernel(Family.SU_N, n, N, W)
-    head = head * qpower(Fraction((m - 1) * (n - 1), 2) * (N - 1), 1, W)  # lambda^{(m-1)(n-1)/2}
-    return _finalize_normalized(head * total.at(m), trunc_order, f"homfly({n},{m};N={N})")
+    return _at_knot(Family.SU_N, k, N, trunc_order, f"homfly({k.n},{k.m};N={N})")
 
 
 def kauffman_normalized(knot: KnotLike, N: int,
@@ -317,20 +319,13 @@ def kauffman_normalized(knot: KnotLike, N: int,
     smaller N.
     """
     k = as_knot(knot).validate()
-    n, m = k.n, k.m
-    if n < 1:
-        raise CancellationFailure(
-            f"kauffman needs n >= 1 (got {n}); apply the equivalence (n,m) ~ (-n,-m)"
-        )
-    if N < n + 2:
-        raise SingularBracket(
-            f"so_n sampling needs N >= n + 2 = {n + 2} (got N={N}): "
-            "a required bracket [p;1] would have vanishing leading term"
-        )
-    W = trunc_order + GUARD_TERMS
-    head, total = _kernel(Family.SO_N, n, N, W)
-    head = head * qpower(Fraction(n * m * (N - 1), 2), Fraction(1, 2), W)  # lambda^{nm}
-    return _finalize_normalized(head * total.at(m), trunc_order, f"kauffman({n},{m};N={N})")
+    if k.n < 1:
+        raise CancellationFailure(f"kauffman needs n >= 1 (got {k.n}); apply the "
+                                  "equivalence (n,m) ~ (-n,-m)")
+    if N < k.n + 2:
+        raise SingularBracket(f"so_n sampling needs N >= n + 2 = {k.n + 2} (got N={N}): "
+                              "a required bracket [p;1] would have vanishing leading term")
+    return _at_knot(Family.SO_N, k, N, trunc_order, f"kauffman({k.n},{k.m};N={N})")
 
 
 def akutsu_wadati_normalized(knot: KnotLike, j: int,
@@ -341,18 +336,12 @@ def akutsu_wadati_normalized(knot: KnotLike, j: int,
     normalized unknot value exactly 1.
     """
     k = as_knot(knot).validate()
-    n, m = k.n, k.m
-    if n < 1:
-        raise CancellationFailure(
-            f"akutsu-wadati needs n >= 1 (got {n}); apply (n,m) ~ (-n,-m)"
-        )
+    if k.n < 1:
+        raise CancellationFailure(f"akutsu-wadati needs n >= 1 (got {k.n}); "
+                                  "apply (n,m) ~ (-n,-m)")
     if j < 1:
         raise UnsupportedInput("su2 needs j >= 1")
-    W = trunc_order + GUARD_TERMS
-    divisor, total = _kernel(Family.SU2, n, j, W)
-    res = total.at(m) / divisor
-    res = res * qpower(Fraction(j * (n - 1) * (m - 1), 2), 1, W)
-    return _finalize_normalized(res, trunc_order, f"akutsu-wadati({n},{m};j={j})")
+    return _at_knot(Family.SU2, k, j, trunc_order, f"akutsu-wadati({k.n},{k.m};j={j})")
 
 
 def _over_factors(group: GroupInstance, trunc_order: int,
@@ -366,35 +355,29 @@ def _over_factors(group: GroupInstance, trunc_order: int,
     return series
 
 
+#: each simple family's kernel builder and evaluator
+_FAMILIES = {
+    Family.SU_N: (_homfly_kernel, homfly_normalized),
+    Family.SO_N: (_kauffman_kernel, kauffman_normalized),
+    Family.SU2: (_akutsu_wadati_kernel, akutsu_wadati_normalized),
+}
+
+
 def _simple_normalized(knot: KnotLike, group: GroupInstance, trunc_order: int) -> TruncSeries:
-    if group.family == Family.SU_N:
-        return homfly_normalized(knot, group.N, trunc_order)
-    if group.family == Family.SO_N:
-        return kauffman_normalized(knot, group.N, trunc_order)
-    return akutsu_wadati_normalized(knot, group.j, trunc_order)
+    parameter = group.j if group.family == Family.SU2 else group.N
+    return _FAMILIES[group.family][1](knot, parameter, trunc_order)
 
 
 def _quantum_dimension(group: GroupInstance, trunc_order: int) -> TruncSeries:
-    """The unknot factor of a simple group."""
-    W = trunc_order + GUARD_TERMS
-    fam = group.family
-    if fam == Family.SU_N:
-        t = lambda a: qpower(a, 1, W)
-        res = (t(Fraction(group.N, 2)) - t(Fraction(-group.N, 2))) / (
-            t(Fraction(1, 2)) - t(Fraction(-1, 2)))
-    elif fam == Family.SO_N:
-        t = lambda a: qpower(a, Fraction(1, 2), W)
-        lam = Fraction(group.N - 1, 2)
-        res = 1 + (t(lam) - t(-lam)) / (t(Fraction(1, 2)) - t(Fraction(-1, 2)))
+    """The unknot factor of a simple group, a finite t-power sum: [N] for
+    SU(N), 1 + [N-1] with t = e^{x/2} for SO(N) and [j+1] for SU(2), where
+    [p] = sum_{k<p} t^{(p-1)/2 - k}."""
+    if group.family == Family.SO_N:
+        start, p, scale = 1, group.N - 1, Fraction(1, 2)
     else:
-        t = lambda a: qpower(a, 1, W)
-        res = (t(Fraction(group.j + 1, 2)) - t(Fraction(-(group.j + 1), 2))) / (
-            t(Fraction(1, 2)) - t(Fraction(-1, 2)))
-    if res.trunc_order < trunc_order:
-        raise TruncationUnderflow(
-            f"unknot factor of {group.label()}: reliable only through "
-            f"x^{res.trunc_order}, needed x^{trunc_order}")
-    return res.truncated(trunc_order)
+        start, p, scale = 0, group.j + 1 if group.family == Family.SU2 else group.N, 1
+    return sum((qpower(Fraction(p - 1, 2) - k, scale, trunc_order) for k in range(p)),
+               TruncSeries.constant(start, trunc_order))
 
 
 @lru_cache(maxsize=128)

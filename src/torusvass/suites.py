@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .analysis import (DEPENDENCY_RELATIONS, dependency_relations_check,
+from .analysis import (DEPENDENCY_RELATIONS, check_floor, dependency_relations_check,
                        distinguishing_check, integrality_scan, noncoprime_witnesses,
                        proposition_modular_checks, v3_family_value)
 from .errors import UnsupportedInput
@@ -303,9 +303,13 @@ _BOUND_KEYWORDS = {"relations": "max_n", "distinguishing": "max_n", "integrality
 
 def run_suite(name: str, bound: int | None = None) -> list[SuiteResult]:
     """Run one suite (or all of them); bound overrides the suite default.
-    "all" passes it to the suites that take one; a single suite that takes
-    none rejects it."""
+    "all" passes it to the suites that take one, and checks it against each
+    of their floors before any suite runs; a single suite that takes none
+    rejects it."""
     if name == "all":
+        if bound is not None:
+            for keyword in _BOUND_KEYWORDS.values():
+                check_floor(keyword, bound)
         return [run_suite(single, bound if single in _BOUND_KEYWORDS else None)[0]
                 for single in SUITES]
     if bound is None:

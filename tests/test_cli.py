@@ -14,7 +14,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from torusvass import cli, suites
+from torusvass import analysis, cli, suites
 from torusvass.cli import main
 from torusvass.errors import UnsupportedInput
 from torusvass.groups import Family, GroupInstance
@@ -325,6 +325,29 @@ def test_suite_signatures_show_their_bounds():
         assert 3 <= parameters[keyword].default <= cli.MAX_VERIFY_BOUND, name
 
 
+def test_verify_all_checks_the_bound_before_any_suite(capsys, monkeypatch):
+    # stand-ins record which suites run: a bound below a bounded suite's
+    # floor (analysis.SCAN_FLOORS) is rejected before the first of them, with
+    # the message that suite's scan gives
+    ran = []
+
+    def stand_in(name):
+        def suite(**bound):
+            ran.append(name)
+            return suites.SuiteResult(name)
+        return suite
+
+    for name in list(suites.SUITES):
+        monkeypatch.setitem(suites.SUITES, name, stand_in(name))
+    for bound in ("2", "-1"):
+        code, out, err = run_cli(capsys, "verify", "--suite", "all", "--bound", bound)
+        assert (code, out, err) == (3, "", "error: max_n must be >= 3\n")
+    assert ran == []
+    floor = max(analysis.SCAN_FLOORS.values())
+    code, _, _ = run_cli(capsys, "verify", "--suite", "all", "--bound", str(floor))
+    assert code == 0 and ran == list(suites.SUITES)
+
+
 def test_verify_distinguishing_rejects_empty_grid(capsys):
     # no canonical knot has n < 3, so --bound 2 would compare no knots
     code, out, err = run_cli(capsys, "verify", "--suite", "distinguishing", "--bound", "2")
@@ -413,6 +436,22 @@ def test_out_file(tmp_path, capsys):
     assert code == 0 and out == ""
     doc = json.loads(target.read_text())
     assert doc["payload"]["beta"]["2,1"]["num"] == "3"
+
+
+@pytest.mark.parametrize("argv", [
+    *(("invariants", "--n", "2", "--m", "3", "--format", fmt) for fmt in ("json", "csv", "table")),
+    *(("expand", "--family", "so_n", "--N", "7", "--n", "2", "--m", "-5", "--format", fmt)
+      for fmt in ("json", "csv", "table")),
+    *(("verify", "--suite", "v3", "--format", fmt) for fmt in ("json", "text")),
+    *(("scan", "--predicate", "beta-curve", "--max", "6", "--format", fmt)
+      for fmt in ("json", "csv")),
+])
+def test_out_file_is_the_stdout_document(tmp_path, capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    target = tmp_path / "doc"
+    assert run_cli(capsys, *argv, "--out", str(target))[:2] == (0, "")
+    assert target.read_bytes() == out.encode("utf-8")
 
 
 @pytest.mark.parametrize("target, reason", [("missing/doc.json", errno.ENOENT),

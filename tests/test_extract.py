@@ -231,16 +231,23 @@ def test_fitted_g_reproduces_alpha_tilde_through_factors(family, parameter, absc
 
 
 def _count_evaluations(monkeypatch):
-    """Wrap the evaluators of torusvass.invariants with call counters."""
+    """Wrap the evaluators of torusvass.invariants with call counters: the
+    simple families where normalized_series finds them, in the family table,
+    and unknot_factor by name."""
     import torusvass.invariants as invariants
 
     counts = {}
-    for name in ("homfly_normalized", "akutsu_wadati_normalized",
-                 "kauffman_normalized", "unknot_factor"):
-        def counted(*args, _original=getattr(invariants, name), _name=name, **kwargs):
-            counts[_name] = counts.get(_name, 0) + 1
-            return _original(*args, **kwargs)
-        monkeypatch.setattr(invariants, name, counted)
+
+    def counted(original):
+        def wrapper(*args, **kwargs):
+            counts[original.__name__] = counts.get(original.__name__, 0) + 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(invariants, "_FAMILIES", {
+        family: (build, counted(evaluate))
+        for family, (build, evaluate) in invariants._FAMILIES.items()})
+    monkeypatch.setattr(invariants, "unknot_factor", counted(invariants.unknot_factor))
     return counts
 
 

@@ -5,15 +5,14 @@ from fractions import Fraction as F
 import pytest
 
 from torusvass import invariants
-from torusvass.errors import (CancellationFailure, NotAKnot, SingularBracket,
-                              TruncationUnderflow)
+from torusvass.errors import CancellationFailure, NotAKnot, SingularBracket
 from torusvass.groups import Family, product, so_n, su2, su_n
 from torusvass.invariants import (GUARD_TERMS, _finalize_normalized,
                                   akutsu_wadati_normalized, homfly_normalized,
                                   kauffman_normalized, normalized_series, qpower,
                                   unknot_factor, unnormalized_series)
 from torusvass.knots import TorusKnot
-from torusvass.series import TruncSeries
+from torusvass.series import TruncSeries, series_div, series_exp_linear
 
 ORDER = 6
 ONE = (F(1),) + (F(0),) * ORDER
@@ -430,32 +429,82 @@ def test_kernel_is_polynomial_in_m():
         assert values and not any(values)
 
 
-def test_unknot_factor_is_memoized(monkeypatch):
+def test_unknot_factor_is_memoized():
     unknot_factor.cache_clear()
     first = unknot_factor(so_n(9), 6)
     assert unknot_factor(so_n(9), 6) is first
     assert unknot_factor.cache_info().hits == 1
-    # an underflow (here forced by a width with no extra terms) is raised on
-    # every call, never cached
-    monkeypatch.setattr(invariants, "GUARD_TERMS", 0)
-    for _ in range(2):
-        with pytest.raises(TruncationUnderflow, match=r"unknot factor of su_n\(N=3\): "
-                           r"reliable only through x\^5, needed x\^6"):
-            unknot_factor(su_n(3), 6)
     unknot_factor.cache_clear()
+
+
+def test_warm_knot_takes_no_exp_or_division(monkeypatch):
+    # with its kernels built, a knot costs one polynomial evaluation at m and
+    # one product per simple factor: the framing t-power and the Akutsu-Wadati
+    # divisor sit in the cached head
+    evaluations = (lambda k: homfly_normalized(k, 4), lambda k: kauffman_normalized(k, 7),
+                   lambda k: akutsu_wadati_normalized(k, 2),
+                   lambda k: normalized_series(k, product(3, 2)))
+    for evaluate in evaluations:
+        evaluate((3, 4))
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr("torusvass.invariants.series_exp_linear",
+                        counted("exp", series_exp_linear))
+    monkeypatch.setattr("torusvass.series.series_div", counted("div", series_div))
+    for evaluate in evaluations:
+        evaluate((3, -7))
+    assert calls == []
 
 
 # ----------------------------------------------------------------------
 # the one working width against a wider direct evaluation
 # ----------------------------------------------------------------------
 
+#: every simple group the unknot-factor tests cover, with N and j up to 43
+UNKNOT_GROUPS = [su_n(N) for N in list(range(2, 14)) + [20, 27, 41]] \
+    + [so_n(N) for N in list(range(5, 16)) + [22, 29, 43]] + [su2(1), su2(6)]
+
+
+def _quotient_unknot_factor(group, trunc_order):
+    """The unknot factor as a quotient of q-numbers, at the evaluators' width."""
+    W = trunc_order + GUARD_TERMS
+    scale = F(1, 2) if group.family == Family.SO_N else 1
+
+    def t(a):
+        return qpower(a, scale, W)
+
+    if group.family == Family.SO_N:
+        lam = F(group.N - 1, 2)
+        res = 1 + (t(lam) - t(-lam)) / (t(F(1, 2)) - t(F(-1, 2)))
+    else:
+        p = group.j + 1 if group.family == Family.SU2 else group.N
+        res = (t(F(p, 2)) - t(F(-p, 2))) / (t(F(1, 2)) - t(F(-1, 2)))
+    return res.truncated(trunc_order)
+
+
+def test_unknot_factors_equal_quotients():
+    # the finite t-power sums equal the quotients [p] / [1] of q-numbers
+    for order in range(25):
+        for group in UNKNOT_GROUPS:
+            assert unknot_factor(group, order) \
+                == _quotient_unknot_factor(group, order), (group, order)
+        for N, j in ((2, 1), (8, 6)):
+            assert unknot_factor(product(N, j), order) \
+                == (_quotient_unknot_factor(su_n(N), order)
+                    * _quotient_unknot_factor(su2(j), order)).truncated(order), (N, j, order)
+
+
 def test_fixed_width_unknot_factors():
     # every unknot factor of the grid below, simple or product, at every
     # order; the factor at order + 1 was computed one term wider
-    simple = [su_n(N) for N in list(range(2, 14)) + [20, 27, 41]] \
-        + [so_n(N) for N in list(range(5, 16)) + [22, 29, 43]] + [su2(1), su2(6)]
     for order in range(25):
-        for group in simple + [product(2, 1), product(8, 6)]:
+        for group in UNKNOT_GROUPS + [product(2, 1), product(8, 6)]:
             assert unknot_factor(group, order) \
                 == unknot_factor(group, order + 1).truncated(order), (group, order)
 
