@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import (AnsatzMismatch, DegreeExceeded, Inconsistent, RankDeficient,
                      UnsupportedInput)
@@ -65,7 +65,7 @@ class ExtractionReport:
         )
 
 
-def _plan_series(knot: TorusKnot, instances: Sequence[GroupInstance], trunc_order: int,
+def _plan_series(knot: TorusKnot, instances: Sequence[GroupInstance],
                  unnormalized: bool) -> list[TruncSeries]:
     """The series of each instance of a plan, divided by dim R on the
     unnormalized route.  Each distinct simple factor is evaluated once, in
@@ -76,10 +76,10 @@ def _plan_series(knot: TorusKnot, instances: Sequence[GroupInstance], trunc_orde
 
     def series_of(factor: GroupInstance) -> TruncSeries:
         if factor not in simple:
-            simple[factor] = evaluate(knot, factor, trunc_order)
+            simple[factor] = evaluate(knot, factor, DEFAULT_ORDER)
         return simple[factor]
 
-    series = [_over_factors(inst, trunc_order, series_of) for inst in instances]
+    series = [_over_factors(inst, DEFAULT_ORDER, series_of) for inst in instances]
     if unnormalized:
         return [s / group_factors(inst).dim for s, inst in zip(series, instances)]
     return series
@@ -89,21 +89,18 @@ def _plan_series(knot: TorusKnot, instances: Sequence[GroupInstance], trunc_orde
 def _plan_elimination(instances: tuple[GroupInstance, ...], order: int) -> Elimination:
     """The left-hand side of one order is the plan's group factors, the same
     for every knot, so each (plan, order) is eliminated once per process."""
-    if order not in ORDERS:
-        raise ValueError(f"no slots at order {order}")
     return eliminate([group_factors(inst).row(order) for inst in instances],
                      SLOT_COUNTS[order])
 
 
-def _extract(knot, trunc_order: int, plan, unnormalized: bool,
-             kind: str) -> tuple[InvariantTable, ExtractionReport]:
+def _extract(knot, unnormalized: bool, kind: str) -> tuple[InvariantTable, ExtractionReport]:
+    """Solve every order of ORDERS on the knot's default plan."""
     k = as_knot(knot).validate().oriented()
-    instances = tuple(plan) if plan is not None else default_instantiation_plan(k)
+    instances = default_instantiation_plan(k)
     report = ExtractionReport(knot=k, kind=kind)
-    orders = range(2, trunc_order + 1)
-    series = _plan_series(k, instances, trunc_order, unnormalized) if orders else []
+    series = _plan_series(k, instances, unnormalized)
     entries = {}
-    for order in orders:
+    for order in ORDERS:
         rhs = [s.coefficient(order) for s in series]
         result = _plan_elimination(instances, order).solve(rhs)
         report.rank[order] = result.rank
@@ -118,18 +115,14 @@ def _extract(knot, trunc_order: int, plan, unnormalized: bool,
     return InvariantTable(kind, k, entries), report
 
 
-def extract_alpha_tilde(knot, trunc_order: int = DEFAULT_ORDER,
-                        instantiation_plan: Optional[Sequence[GroupInstance]] = None,
-                        ) -> tuple[InvariantTable, ExtractionReport]:
+def extract_alpha_tilde(knot) -> tuple[InvariantTable, ExtractionReport]:
     """Solve the normalized expansions for the alpha_tilde table."""
-    return _extract(knot, trunc_order, instantiation_plan, False, "alpha_tilde")
+    return _extract(knot, False, "alpha_tilde")
 
 
-def extract_alpha(knot, trunc_order: int = DEFAULT_ORDER,
-                  instantiation_plan: Optional[Sequence[GroupInstance]] = None,
-                  ) -> tuple[InvariantTable, ExtractionReport]:
+def extract_alpha(knot) -> tuple[InvariantTable, ExtractionReport]:
     """Solve the unnormalized expansions (divided by dim R) for the alpha table."""
-    return _extract(knot, trunc_order, instantiation_plan, True, "alpha")
+    return _extract(knot, True, "alpha")
 
 
 # ----------------------------------------------------------------------
@@ -158,11 +151,10 @@ class AnsatzFit:
     polynomials: dict  # (order, slot) -> ExactPoly
 
 
-def fit_ansatz(family: Family, trunc_order: int = DEFAULT_ORDER,
-               knot_grid: Sequence[tuple] = DEFAULT_FIT_GRID,
-               parameters: Optional[Sequence[int]] = None) -> AnsatzFit:
-    """Fit the symmetric-polynomial ansatz over a knot grid, then interpolate
-    each slot value over the group parameter.
+def fit_ansatz(family: Family) -> AnsatzFit:
+    """Fit the symmetric-polynomial ansatz over DEFAULT_FIT_GRID at each order
+    of ORDERS, then interpolate each slot value over the family's
+    FIT_PARAMETERS.
 
     The knot-grid solve is overdetermined: a rank-deficient or inconsistent
     fit raises AnsatzMismatch (the Taylor coefficient does not factor through
@@ -171,23 +163,23 @@ def fit_ansatz(family: Family, trunc_order: int = DEFAULT_ORDER,
     if family not in FIT_PARAMETERS:
         raise UnsupportedInput(f"ansatz fitting works on simple families, not {family.value}")
     (name,) = _PARAMETER_FLOORS[family]
-    params = tuple(parameters) if parameters is not None else FIT_PARAMETERS[family]
+    params = FIT_PARAMETERS[family]
     variable = "A" if family == Family.SU2 else "N"
     per_param: dict[int, dict] = {}
     designs: dict[int, Elimination] = {}  # the grid's monomials, per order
     for parameter in params:
         group = GroupInstance(family, **{name: parameter})
-        coeffs = {(n, m): normalized_series(TorusKnot(n, m), group, trunc_order)
-                  for (n, m) in knot_grid}
+        coeffs = {(n, m): normalized_series(TorusKnot(n, m), group, DEFAULT_ORDER)
+                  for (n, m) in DEFAULT_FIT_GRID}
         fitted = {}
-        for order in range(2, trunc_order + 1):
+        for order in ORDERS:
             monomials = ANSATZ_SLOT_MONOMIALS[order]
             if order not in designs:
                 designs[order] = eliminate(
                     [[mono(Fraction(n * n), Fraction(m * m)) for mono in monomials]
-                     for (n, m) in knot_grid], len(monomials))
+                     for (n, m) in DEFAULT_FIT_GRID], len(monomials))
             rhs = [coeffs[(n, m)].coefficient(order) / ansatz_prefactor(n, m, order)
-                   for (n, m) in knot_grid]
+                   for (n, m) in DEFAULT_FIT_GRID]
             result = designs[order].solve(rhs)
             if not result.consistent or result.rank < len(monomials):
                 raise AnsatzMismatch(
@@ -203,7 +195,7 @@ def fit_ansatz(family: Family, trunc_order: int = DEFAULT_ORDER,
         return Fraction(parameter)
 
     polynomials = {}
-    for order in range(2, trunc_order + 1):
+    for order in ORDERS:
         for slot_index in range(len(ANSATZ_SLOT_MONOMIALS[order])):
             points = [(abscissa(p), per_param[p][order][slot_index]) for p in params]
             try:

@@ -34,7 +34,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import UnsupportedInput, ZeroCasimirDivision
 
@@ -44,17 +44,21 @@ SLOT_COUNTS = {0: 1, 1: 0, 2: 1, 3: 1, 4: 3, 5: 4, 6: 9}
 #: orders carrying Vassiliev data
 ORDERS = (2, 3, 4, 5, 6)
 
-#: the 12 slots not expressible as products of lower-order factors
-PRIMITIVE_SLOTS = (
-    (2, 1), (3, 1), (4, 2), (4, 3), (5, 2), (5, 3), (5, 4),
-    (6, 5), (6, 6), (6, 7), (6, 8), (6, 9),
-)
-
-
 #: the (order, slot) keys of each order, and of orders 2..6 in order
 SLOTS = {order: tuple((order, j) for j in range(1, count + 1))
          for order, count in SLOT_COUNTS.items()}
 ALL_SLOTS = tuple(s for i in ORDERS for s in SLOTS[i])
+
+#: the product-decomposable slots, each a product of lower-order slots of the
+#: same table: the group factors here, and the closed-form tables in tables.py
+COMPOUND_RULES: dict[tuple[int, int], Callable] = {
+    (4, 1): lambda p: p[(2, 1)] ** 2,
+    (5, 1): lambda p: p[(2, 1)] * p[(3, 1)],
+    (6, 1): lambda p: p[(2, 1)] ** 3,
+    (6, 2): lambda p: p[(3, 1)] ** 2,
+    (6, 3): lambda p: p[(2, 1)] * p[(4, 2)],
+    (6, 4): lambda p: p[(2, 1)] * p[(4, 3)],
+}
 
 
 class Family(str, Enum):
@@ -245,13 +249,8 @@ def group_factor_vector(sets: Sequence[CasimirSet]) -> GroupFactorVector:
     r[(6, 7)] = total(lambda c: c.c5 * c.c3 / c.c2)
     r[(6, 8)] = total(lambda c: c.c6_1)
     r[(6, 9)] = total(lambda c: c.c6_2)
-    # product-decomposable slots
-    r[(4, 1)] = r[(2, 1)] ** 2
-    r[(5, 1)] = r[(2, 1)] * r[(3, 1)]
-    r[(6, 1)] = r[(2, 1)] ** 3
-    r[(6, 2)] = r[(3, 1)] ** 2
-    r[(6, 3)] = r[(2, 1)] * r[(4, 2)]
-    r[(6, 4)] = r[(2, 1)] * r[(4, 3)]
+    for slot, rule in COMPOUND_RULES.items():
+        r[slot] = rule(r)
     dim = Fraction(1)
     for cs in sets:
         dim *= cs.dim

@@ -294,6 +294,8 @@ def _kernel(family: Family, n: int, parameter: int, W: int) -> tuple[TruncSeries
 def _at_knot(family: Family, k: TorusKnot, parameter: int, trunc_order: int,
              what: str) -> TruncSeries:
     """The tail every evaluator shares: the kernel's head times its sum at m."""
+    if trunc_order < 0:
+        raise UnsupportedInput(f"{what}: trunc_order must be >= 0 (got {trunc_order})")
     head, total = _kernel(family, k.n, parameter, trunc_order + GUARD_TERMS)
     return _finalize_normalized(head * total.at(k.m), trunc_order, what)
 
@@ -385,6 +387,9 @@ def unknot_factor(group: GroupInstance, trunc_order: int = DEFAULT_ORDER) -> Tru
     """Quantum-dimension series of the unknot; constant term is the classical
     dimension (N, N, j+1, or N(j+1)).  It does not depend on the knot, so it
     is memoized per (group, trunc_order)."""
+    if trunc_order < 0:
+        raise UnsupportedInput(f"unknot factor of {group.label()}: "
+                               f"trunc_order must be >= 0 (got {trunc_order})")
     return _over_factors(group, trunc_order, lambda g: _quantum_dimension(g, trunc_order))
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Union
 
-from .groups import ALL_SLOTS
+from .groups import ALL_SLOTS, COMPOUND_RULES
 from .knots import TorusKnot, as_knot
 from .linalg import ExactPoly
 
@@ -48,15 +48,6 @@ TREFOIL_NORMALIZERS = {
 }
 
 PRIMITIVE_ORDER = tuple(sorted(TREFOIL_NORMALIZERS))
-
-COMPOUND_RULES: dict[tuple[int, int], Callable] = {
-    (4, 1): lambda p: p[(2, 1)] ** 2,
-    (5, 1): lambda p: p[(2, 1)] * p[(3, 1)],
-    (6, 1): lambda p: p[(2, 1)] ** 3,
-    (6, 2): lambda p: p[(3, 1)] ** 2,
-    (6, 3): lambda p: p[(2, 1)] * p[(4, 2)],
-    (6, 4): lambda p: p[(2, 1)] * p[(4, 3)],
-}
 
 
 @dataclass(frozen=True)

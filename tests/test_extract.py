@@ -6,7 +6,7 @@ import pytest
 
 from torusvass import extract
 from torusvass.errors import AnsatzMismatch, RankDeficient, UnsupportedInput
-from torusvass.extract import (_plan_elimination, _plan_series, compare_fit_to_printed,
+from torusvass.extract import (_plan_series, compare_fit_to_printed,
                                default_instantiation_plan, extract_alpha,
                                extract_alpha_tilde, fit_ansatz)
 from torusvass.groups import Family, SLOT_COUNTS, group_factors, product, so_n, su2, su_n
@@ -21,25 +21,19 @@ from torusvass.tables import (closed_form_alpha, closed_form_alpha_tilde,
 
 def test_assemble_single_su3_row():
     assert group_factors(su_n(3)).row(2) == (F(-2),)
-    (series,) = _plan_series(TorusKnot(2, 3), [su_n(3)], 6, False)
+    (series,) = _plan_series(TorusKnot(2, 3), [su_n(3)], False)
     assert series.coefficient(2) == F(-8)
 
 
 def test_assemble_order_zero():
     assert group_factors(su_n(3)).row(0) == (F(1),)
-    (series,) = _plan_series(TorusKnot(2, 3), [su_n(3)], 6, False)
+    (series,) = _plan_series(TorusKnot(2, 3), [su_n(3)], False)
     assert series.coefficient(0) == F(1)
-
-
-def test_assemble_rejects_bad_order():
-    for order in (0, 1, 7):
-        with pytest.raises(ValueError, match=f"no slots at order {order}"):
-            _plan_elimination((su_n(3),), order)
 
 
 def test_assemble_unknot_rhs_zero():
     plan = default_instantiation_plan((1, 5))
-    series = _plan_series(TorusKnot(1, 5), plan, 6, False)
+    series = _plan_series(TorusKnot(1, 5), plan, False)
     assert len(series) == len(plan)
     for order in range(2, 7):
         assert [s.coefficient(order) for s in series] == [0] * len(plan)
@@ -54,28 +48,17 @@ def test_plan_series_evaluates_each_simple_factor_once(monkeypatch):
 
     monkeypatch.setattr(extract, "normalized_series", counting)
     plan = (su_n(2), su2(1), product(2, 1), product(3, 1))
-    series = _plan_series(TorusKnot(2, 3), plan, 6, False)
+    series = _plan_series(TorusKnot(2, 3), plan, False)
     assert calls == [su_n(2), su2(1), su_n(3)]
     assert series == [normalized_series(TorusKnot(2, 3), g, 6) for g in plan]
 
 
 def test_plan_series_divides_by_the_dimension_when_unnormalized():
     plan = (so_n(7), product(3, 2))
-    series = _plan_series(TorusKnot(2, 5), plan, 4, True)
-    assert series == [unnormalized_series(TorusKnot(2, 5), g, 4) / group_factors(g).dim
+    series = _plan_series(TorusKnot(2, 5), plan, True)
+    assert series == [unnormalized_series(TorusKnot(2, 5), g) / group_factors(g).dim
                       for g in plan]
     assert [s.coefficient(0) for s in series] == [1, 1]
-
-
-def test_extraction_below_order_two_evaluates_nothing(monkeypatch):
-    def unreachable(*args):
-        raise AssertionError("evaluated a series")
-
-    monkeypatch.setattr(extract, "normalized_series", unreachable)
-    monkeypatch.setattr(extract, "unnormalized_series", unreachable)
-    for solve in (extract_alpha_tilde, extract_alpha):
-        table, report = solve((2, 3), 1)
-        assert table.entries == {} and report.rank == {} and report.all_good()
 
 
 @pytest.mark.parametrize("knot", [(2, 3), (2, 5), (3, 4), (2, -3)])
@@ -116,17 +99,10 @@ def test_extract_alpha_tilde_at_larger_index():
     assert table.value(2, 1) == 12
 
 
-def test_rank_deficient_plan_raises():
+def test_rank_deficient_plan_raises(monkeypatch):
+    monkeypatch.setattr(extract, "default_instantiation_plan", lambda knot: (su_n(2), su_n(3)))
     with pytest.raises(RankDeficient):
-        extract_alpha_tilde((2, 3), instantiation_plan=[su_n(2), su_n(3)])
-
-
-def test_extraction_stops_at_order_six():
-    # orders 2..6 are solved first; order 7 has no slots
-    with pytest.raises(ValueError, match="no slots at order 7"):
-        extract_alpha_tilde((2, 3), 7)
-    with pytest.raises(ValueError, match="system needs at least one row"):
-        extract_alpha_tilde((2, 3), instantiation_plan=[])
+        extract_alpha_tilde((2, 3))
 
 
 def test_product_rows_needed_for_order_six_rank():
@@ -195,11 +171,11 @@ def test_comparison_report_shape():
     assert all(c.matches for c in comparisons if not c.suspected_typo)
 
 
-def test_fit_needs_enough_knots():
+def test_fit_needs_enough_knots(monkeypatch):
     # two knots cannot span the three order-4 slots
+    monkeypatch.setattr(extract, "DEFAULT_FIT_GRID", ((2, 3), (2, 5)))
     with pytest.raises(AnsatzMismatch):
-        fit_ansatz(Family.SU_N, knot_grid=((2, 3), (2, 5)),
-                   parameters=(2, 3, 4, 5, 6, 7, 8, 9))
+        fit_ansatz(Family.SU_N)
 
 
 @pytest.mark.parametrize("family,parameter,abscissa", [
@@ -264,12 +240,13 @@ def test_product_instances_reuse_factor_series(monkeypatch):
                       "kauffman_normalized": 6, "unknot_factor": 18}
 
 
-def test_product_factors_outside_the_plan():
+def test_product_factors_outside_the_plan(monkeypatch):
     plan = [su_n(N) for N in range(2, 8)] + [so_n(N) for N in range(8, 14)] \
         + [su2(j) for j in range(1, 5)] + [product(9, 6), product(8, 5)]
-    table, report = extract_alpha_tilde((6, 7), instantiation_plan=plan)
+    monkeypatch.setattr(extract, "default_instantiation_plan", lambda knot: tuple(plan))
+    table, report = extract_alpha_tilde((6, 7))
     assert report.all_good()
     assert table.entries == closed_form_alpha_tilde((6, 7)).entries
-    table, report = extract_alpha((6, 7), instantiation_plan=plan)
+    table, report = extract_alpha((6, 7))
     assert report.all_good()
     assert table.entries == closed_form_alpha((6, 7)).entries

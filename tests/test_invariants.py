@@ -5,7 +5,8 @@ from fractions import Fraction as F
 import pytest
 
 from torusvass import invariants
-from torusvass.errors import CancellationFailure, NotAKnot, SingularBracket
+from torusvass.errors import (CancellationFailure, NotAKnot, SingularBracket,
+                              UnsupportedInput)
 from torusvass.groups import Family, product, so_n, su2, su_n
 from torusvass.invariants import (GUARD_TERMS, _finalize_normalized,
                                   akutsu_wadati_normalized, homfly_normalized,
@@ -142,6 +143,22 @@ def test_rejects_negative_n():
 def test_kauffman_sampling_floor():
     with pytest.raises(SingularBracket):
         kauffman_normalized((3, 4), 4)  # needs N >= 5
+
+
+@pytest.mark.parametrize("order", [-1, -2, -3])
+@pytest.mark.parametrize("evaluate", [
+    lambda order: homfly_normalized((2, 3), 3, order),
+    lambda order: kauffman_normalized((2, 3), 5, order),
+    lambda order: akutsu_wadati_normalized((2, 3), 1, order),
+    lambda order: unknot_factor(su_n(3), order),
+    lambda order: unknot_factor(product(2, 1), order),
+    lambda order: normalized_series((2, 3), product(2, 1), order),
+    lambda order: unnormalized_series((3, 4), so_n(7), order),
+], ids=["homfly", "kauffman", "akutsu-wadati", "unknot", "unknot-product",
+        "normalized", "unnormalized"])
+def test_rejects_negative_truncation_order(evaluate, order):
+    with pytest.raises(UnsupportedInput, match=f"trunc_order must be >= 0 \\(got {order}\\)"):
+        evaluate(order)
 
 
 def test_higher_truncation_order():
