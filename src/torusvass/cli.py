@@ -9,11 +9,14 @@ Subcommands:
 * ``scan``       : bulk predicates over knot ranges.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid knot (NotAKnot),
-3 any other TorusVassError; main alone maps errors to codes, and any other
-exception is a bug that surfaces as a traceback.  Output is deterministic for
-identical inputs: JSON with rationals as {"num", "den"} pairs (plus
-"exact_decimal" when the value is an integer), CSV with exact num/den
-strings, or an aligned table.
+3 any other TorusVassError; main alone maps errors to codes, each with one
+"error:" line on stderr, and any other exception is a bug that surfaces as a
+traceback.  A command line argparse rejects (a --format outside its choices,
+a non-integer --n, a missing --suite) also exits 2, with a usage line on
+stderr before its "error:" line.  Output is deterministic for identical
+inputs: JSON with rationals as {"num", "den"} pairs (plus "exact_decimal"
+when the value is an integer), CSV with exact num/den strings, or an aligned
+table.
 """
 
 from __future__ import annotations

@@ -200,7 +200,7 @@ def fit_ansatz(family: Family) -> AnsatzFit:
             points = [(abscissa(p), per_param[p][order][slot_index]) for p in params]
             try:
                 poly = interpolate_poly(points, FIT_DEGREE[family], variable)
-            except (DegreeExceeded, ValueError) as exc:
+            except DegreeExceeded as exc:
                 raise AnsatzMismatch(
                     f"{family.value} g_{order},{slot_index + 1}: "
                     f"parameter dependence is not degree <= {FIT_DEGREE[family]} ({exc})"

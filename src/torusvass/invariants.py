@@ -25,7 +25,7 @@ Conventions:
 Per-n kernels.  Each evaluator is a framing factor times a sum
 sum_i A_i(x) e^{m rho_i x} (Rosso-Jones form).  The summands A_i (bracket
 prefix products, quotients by q-factorials, m-free t-powers) and the rates
-rho_i depend only on n, the rank N (or j) and the working width W.  The
+rho_i depend only on n, the rank N (or j) and the order W.  The
 framing factor is a t-power with an exponent linear in m: its m-linear part
 shifts every rate, and its m-free part joins the m-free head (with
 Akutsu-Wadati's 1/(t^{j+1} - 1)).  So the x^d coefficients of the sum are
@@ -37,19 +37,18 @@ bracket products and q-factorials as prefix products, so a build costs O(n)
 series products; the Akutsu-Wadati summands are bare t-powers, whose Taylor
 coefficients the kernel takes straight from the exponents.
 
-This is exact, not an approximation: a product or quotient keeps the smaller
-relative window of its operands and adds their valuations, so the order of
-the factors changes no coefficient and no window; the sum's window follows
-from the summands' windows alone; exp(c x) known through W keeps a window,
-and (1/D) * S has the window of S / D for every nonzero S.  Every error a
-build raises (a quotient whose window falls short, a zero divisor) comes from
-the m-free part and is raised in the same order as by a direct evaluation.
-
-Each evaluator works at the one width trunc_order + GUARD_TERMS (any width
-that reaches trunc_order gives the same exact coefficients), checks at the
-end that the requested order is still reliable, and returns the series cut
-at trunc_order.  A normalized invariant must come out with min_degree 0 and
-constant term exactly 1; anything else raises.
+Unit brackets.  Every bracket t^a - t^b vanishes at x = 0, so each enters as
+x times the unit (t^a - t^b)/x of :func:`_unit`, whose constant term
+(a - b)*scale is nonzero.  The HOMFLY and Kauffman summands and heads have as
+many brackets above the line as below -- HOMFLY p + i over (i)!(p)!, Kauffman
+n over [b]![g]! times the one pole 1/[n] or 1/[b-g;1] -- so their powers of x
+cancel and every quotient is by a unit, which loses no degree.  The
+Akutsu-Wadati sum vanishes at x = 0 for every m: its rows are built one
+degree further and stored from degree -1, which divides by x exactly, and its
+head divides by the unit (t^{j+1} - 1)/x.  So every kernel is built and keyed
+at exactly W = trunc_order: the invariants are exact Taylor coefficients, and
+no width beyond the requested order is needed.  A normalized invariant must
+come out with constant term exactly 1; anything else raises.
 """
 
 from __future__ import annotations
@@ -62,8 +61,7 @@ from math import factorial, lcm
 from operator import add, mul
 from typing import Callable, Iterable, Sequence, Union
 
-from .errors import (CancellationFailure, SingularBracket, TruncationUnderflow,
-                     UnsupportedInput)
+from .errors import CancellationFailure, SingularBracket, UnsupportedInput
 from .groups import Family, GroupInstance, simple_factors
 from .knots import TorusKnot, as_knot
 from .series import TruncSeries, series_exp_linear
@@ -71,17 +69,12 @@ from .series import TruncSeries, series_exp_linear
 #: coefficients are needed through x^6
 DEFAULT_ORDER = 6
 
-#: every evaluator works at width trunc_order + GUARD_TERMS.  A quotient by a
-#: series with a simple zero, such as Kauffman's 1/[n], is reliable two degrees
-#: below its operands: with one term less every Kauffman series underflows at
-#: order 0, and no evaluator needs more
-GUARD_TERMS = 2
-
 #: kernels kept per process.  A solve round (the default plans at ten values
-#: of n, one width) uses 180 keys.  The CLI request mix of the benchmark draws
-#: about 650 distinct keys in 8,500 requests: 256 entries hit 39% of its
-#: lookups in 0.38 MiB, all 650 would hit 69% in 0.93 MiB, and a miss costs
-#: about one direct evaluation, so the smaller bound is kept
+#: of n, one order) uses 180 keys.  The CLI request mix of the benchmark draws
+#: about 650 distinct keys in 8,500 requests: 256 entries hit 37-40% of its
+#: lookups in 0.39 MiB, all 650 would hit 69% in 0.93-0.96 MiB (tracemalloc,
+#: seeds 1-3), and a miss costs about one direct evaluation, so the smaller
+#: bound is kept
 KERNEL_CACHE_SIZE = 256
 
 KnotLike = Union[TorusKnot, tuple]
@@ -92,6 +85,28 @@ def qpower(exponent, scale, trunc_order: int) -> TruncSeries:
     if type(exponent) is int and type(scale) is int:
         return series_exp_linear(exponent * scale, trunc_order)
     return series_exp_linear(Fraction(exponent) * Fraction(scale), trunc_order)
+
+
+def _unit(a, b, scale, W: int) -> TruncSeries:
+    """(t^a - t^b)/x with t = exp(scale*x), through x^W: the x^k coefficient
+    is ((a s)^(k+1) - (b s)^(k+1))/(k+1)!, the constant term (a - b) s.
+
+    With a s = pa/q and b s = pb/q, the x^k numerator over q^(W+1) (W+1)! is
+    (pa^(k+1) - pb^(k+1)) q^(W-k) (W+1)!/(k+1)!.
+    """
+    sa, sb = Fraction(a) * scale, Fraction(b) * scale
+    q = lcm(sa.denominator, sb.denominator)
+    pa, pb = sa.numerator * (q // sa.denominator), sb.numerator * (q // sb.denominator)
+    nums = [0] * (W + 1)
+    power_a, power_b = [pa], [pb]
+    for _ in range(W):
+        power_a.append(power_a[-1] * pa)
+        power_b.append(power_b[-1] * pb)
+    tail = 1  # q^(W-k) (W+1)!/(k+1)!
+    for k in range(W, -1, -1):
+        nums[k] = (power_a[k] - power_b[k]) * tail
+        tail *= q * (k + 1)
+    return TruncSeries.from_numerators(0, nums, q ** (W + 1) * factorial(W + 1), W)
 
 
 class MPolySeries:
@@ -142,20 +157,15 @@ class MPolySeries:
     @classmethod
     def from_series(cls, summands: Sequence[tuple[TruncSeries, Union[int, Fraction]]],
                     width: int) -> "MPolySeries":
-        """sum_i A_i(x) * exp(m * rho_i * x) for (A_i, rho_i) pairs, with the
-        window a running sum of those terms would have (the first pair is the
-        sum's start, e.g. TruncSeries.zero(width) with rate 0): A_i * exp(...)
-        is known on degrees A_i.min_degree .. min(A_i.trunc_order, width +
-        A_i.min_degree)."""
-        lo = min(a.min_degree for a, _ in summands)
-        hi = min(min(a.trunc_order, width + a.min_degree) for a, _ in summands)
+        """sum_i A_i(x) * exp(m * rho_i * x) on degrees 0..width, for (A_i,
+        rho_i) pairs of power series known through x^width."""
         den = lcm(*(a.den for a, _ in summands))
-        rows = []  # each A over den on degrees lo..hi, zero below its window
+        rows = []  # each A over den on degrees 0..width
         for a, rho in summands:
             scale = den // a.den
-            row = [0] * (a.min_degree - lo) + [c * scale for c in a.nums]
-            rows.append((rho, row[:hi - lo + 1]))
-        return cls(lo, hi, den, rows)
+            row = [0] * a.min_degree + [c * scale for c in a.nums]
+            rows.append((rho, row[:width + 1]))
+        return cls(0, width, den, rows)
 
     def at(self, m: int) -> TruncSeries:
         """The series at one value of m."""
@@ -167,52 +177,40 @@ class MPolySeries:
         return TruncSeries.from_numerators(self.lo, nums, self.den, self.hi)
 
 
-def _finalize_normalized(raw: TruncSeries, trunc_order: int, what: str) -> TruncSeries:
-    if raw.trunc_order < trunc_order:
-        raise TruncationUnderflow(
-            f"{what}: reliable only through x^{raw.trunc_order}, "
-            f"needed x^{trunc_order}"
-        )
-    out = raw.truncated(trunc_order)
-    if out.min_degree < 0:
-        raise CancellationFailure(f"{what}: residual pole of order {-out.min_degree}")
-    if out.coefficient(0) != 1:
+def _finalize_normalized(raw: TruncSeries, what: str) -> TruncSeries:
+    if raw.coefficient(0) != 1:
         raise CancellationFailure(
-            f"{what}: constant term {out.coefficient(0)} != 1 (convention bug)"
+            f"{what}: constant term {raw.coefficient(0)} != 1 (convention bug)"
         )
-    return out
+    return raw
 
 
 def _homfly_kernel(n: int, N: int, W: int) -> tuple[TruncSeries, MPolySeries]:
     """(1 - t)/(1 - t^n) lambda^{-(n-1)/2} and sum_i (-1)^i A_i t^{m i}
     lambda^{m(n-1)/2}, with A_i = prod_{j=-p..i, j != 0} (t^N - t^j) / ((i)! (p)!)
-    * t^{p(p+1)/2}."""
-    def t(a) -> TruncSeries:
-        return qpower(a, 1, W)
+    * t^{p(p+1)/2}: p + i brackets over p + i, each taken as its unit."""
+    def u(a, b) -> TruncSeries:  # (t^a - t^b)/x
+        return _unit(a, b, 1, W)
 
     one = TruncSeries.one(W)
-    tN = t(N)
-    # prefix products: left[p] = prod_{j=1..p} (t^N - t^-j),
+    # prefix products, each over x^a: left[p] = prod_{j=1..p} (t^N - t^-j),
     # right[i] = prod_{j=1..i} (t^N - t^j) for i < N, fact[a] = (a)!
     left, right, fact = [one], [one], [one]
     for a in range(1, n):
-        ta = t(a)
-        left.append(left[-1] * (tN - t(-a)))
-        fact.append(fact[-1] * (ta - one))
+        left.append(left[-1] * u(N, -a))
+        fact.append(fact[-1] * u(a, 0))
         if a < N:
-            right.append(right[-1] * (tN - ta))
+            right.append(right[-1] * u(N, a))
     shift = Fraction((n - 1) * (N - 1), 2)  # lambda^{(m-1)(n-1)/2} = t^{shift (m - 1)}
-    head = one if n == 1 else (one - t(1)) * t(-shift) / (one - t(n))
-    summands = [(TruncSeries.zero(W), 0)]
+    head = one if n == 1 else u(1, 0) * qpower(-shift, 1, W) / u(n, 0)
+    summands = []
     for i in range(n):
         p = n - 1 - i
         if -p <= N <= i:
             continue  # the factor (lambda t - t^N) vanishes identically
         # the j = 0 factor of prod_{j=-p..i} (lambda t - t^j) is cancelled
         # against the global 1/(lambda t - 1)
-        term = (left[p] * right[i]) / (fact[i] * fact[p])
-        if p:  # times t^0 = 1 would change nothing: the sum keeps W terms per summand
-            term = term * t(p * (p + 1) // 2)
+        term = (left[p] * right[i]) / (fact[i] * fact[p]) * qpower(p * (p + 1) // 2, 1, W)
         summands.append((term if i % 2 == 0 else -term, i + shift))
     return head, MPolySeries.from_series(summands, W)
 
@@ -223,19 +221,16 @@ def _kauffman_kernel(n: int, N: int, W: int) -> tuple[TruncSeries, MPolySeries]:
     lambda^{nm} as the exponential."""
     lam = Fraction(N - 1, 2)  # lambda = t^{(N-1)/2}, in t-exponent units
 
-    def t(a) -> TruncSeries:
-        return qpower(a, Fraction(1, 2), W)
+    def br(p) -> TruncSeries:  # [p]/x
+        return _unit(Fraction(p, 2), Fraction(-p, 2), Fraction(1, 2), W)
 
-    def br(p) -> TruncSeries:  # [p]
-        return t(Fraction(p, 2)) - t(Fraction(-p, 2))
-
-    def brq(p) -> TruncSeries:  # [p;1]
-        return t(Fraction(p, 2) + lam) - t(Fraction(-p, 2) - lam)
+    def brq(p) -> TruncSeries:  # [p;1]/x, a unit for N >= n + 2
+        return _unit(Fraction(p, 2) + lam, Fraction(-p, 2) - lam, Fraction(1, 2), W)
 
     one = TruncSeries.one(W)
     brqs = {p: brq(p) for p in range(1 - n, n)}  # every [p;1] a summand uses
-    # prefix products: neg[g] = prod_{j=-g..-1} [j;1], pos[b] = prod_{j=1..b} [j;1],
-    # fact[a] = [a]!
+    # prefix products, each over x^a: neg[g] = prod_{j=-g..-1} [j;1],
+    # pos[b] = prod_{j=1..b} [j;1], fact[a] = [a]!
     neg, pos, fact = [one], [one], [one]
     for a in range(1, n):
         neg.append(neg[-1] * brqs[-a])
@@ -248,9 +243,9 @@ def _kauffman_kernel(n: int, N: int, W: int) -> tuple[TruncSeries, MPolySeries]:
     summands = [(start, n * lam / 2)]
     for g in range(n):
         b = n - 1 - g
-        bracket = inv_br_n + one / brqs[b - g]
-        numer = neg[g] * brqs[0] * pos[b]  # prod_{j=-g..b} [j;1]
-        term = (bracket * numer) / (fact[b] * fact[g])
+        bracket = inv_br_n + one / brqs[b - g]  # x (1/[n] + 1/[b-g;1])
+        numer = neg[g] * brqs[0] * pos[b]  # prod_{j=-g..b} [j;1] over x^n
+        term = (bracket * numer) / (fact[b] * fact[g])  # x^{-1} x^n / x^{n-1} = 1
         # t^{-m(b-g)/2} lambda^{-m} lambda^{nm}, t = e^{x/2}
         rate = (Fraction(g - b, 2) + (n - 1) * lam) / 2
         summands.append((term if g % 2 == 0 else -term, rate))
@@ -258,17 +253,18 @@ def _kauffman_kernel(n: int, N: int, W: int) -> tuple[TruncSeries, MPolySeries]:
 
 
 def _akutsu_wadati_kernel(n: int, j: int, W: int) -> tuple[TruncSeries, MPolySeries]:
-    """t^{-j(n-1)/2} / (t^{j+1} - 1) and sum_ell (t^{e1} - t^{e2}) t^{m j(n-1)/2}
-    with e1, e2 linear in m, built from the exponents: t^e = exp(e x) has the
-    x^u coefficient e^u (W!/u!) / W!."""
-    start = TruncSeries.zero(W)  # the window of the sum, and its errors for W < 0
+    """t^{-j(n-1)/2} x / (t^{j+1} - 1) and (1/x) sum_ell (t^{e1} - t^{e2})
+    t^{m j(n-1)/2} with e1, e2 linear in m, built from the exponents:
+    t^e = exp(e x) has the x^u coefficient e^u ((W+1)!/u!) / (W+1)!.  Every
+    term of the sum vanishes at x = 0, whatever m is, so its rows through
+    x^(W+1), stored from degree -1, are the sum over x through x^W."""
     shift = Fraction(j * (n - 1), 2)  # t^{j(n-1)(m-1)/2} = t^{shift (m - 1)}
-    head = qpower(-shift, 1, W) / (qpower(j + 1, 1, W) - TruncSeries.one(W))
-    tail = [1] * (W + 1)  # tail[u] = W!/u!
-    for u in range(W, 0, -1):
+    head = qpower(-shift, 1, W) / _unit(j + 1, 0, 1, W)
+    tail = [1] * (W + 2)  # tail[u] = (W+1)!/u!
+    for u in range(W + 1, 0, -1):
         tail[u - 1] = tail[u] * u
 
-    def t(e: int, sign: int) -> list:  # sign * t^e over W!
+    def t(e: int, sign: int) -> list:  # sign * t^e over (W+1)!
         power, row = sign, []
         for w in tail:
             row.append(power * w)
@@ -281,13 +277,12 @@ def _akutsu_wadati_kernel(n: int, j: int, W: int) -> tuple[TruncSeries, MPolySer
         base = n * (j - ell)
         rows.append((ell * (base + 1) + shift, t(base + 1, 1)))
         rows.append(((j - ell) * (n * ell + 1) + shift, t(base, -1)))
-    return head, MPolySeries(start.min_degree, start.trunc_order, factorial(W), rows)
+    return head, MPolySeries(-1, W, factorial(W + 1), rows)
 
 
 @lru_cache(maxsize=KERNEL_CACHE_SIZE)
 def _kernel(family: Family, n: int, parameter: int, W: int) -> tuple[TruncSeries, MPolySeries]:
-    """The m-free head of one evaluator and its sum as polynomials in m.
-    Errors are not cached; they recur."""
+    """The m-free head of one evaluator and its sum as polynomials in m."""
     return _FAMILIES[family][0](n, parameter, W)
 
 
@@ -296,8 +291,8 @@ def _at_knot(family: Family, k: TorusKnot, parameter: int, trunc_order: int,
     """The tail every evaluator shares: the kernel's head times its sum at m."""
     if trunc_order < 0:
         raise UnsupportedInput(f"{what}: trunc_order must be >= 0 (got {trunc_order})")
-    head, total = _kernel(family, k.n, parameter, trunc_order + GUARD_TERMS)
-    return _finalize_normalized(head * total.at(k.m), trunc_order, what)
+    head, total = _kernel(family, k.n, parameter, trunc_order)
+    return _finalize_normalized(head * total.at(k.m), what)
 
 
 def homfly_normalized(knot: KnotLike, N: int,

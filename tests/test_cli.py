@@ -1,5 +1,6 @@
 """CLI behavior: formats, exit codes, determinism, schema conformance."""
 
+import ast
 import errno
 import inspect
 import itertools
@@ -8,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -554,6 +556,44 @@ def test_console_entry_point():
 def test_version_flag():
     proc = run_module("--version")
     assert proc.returncode == 0 and "torusvass" in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ("invariants", "--n", "2", "--m", "3", "--format", "xml"),
+    ("invariants", "--n", "two", "--m", "3"),
+    ("verify",),
+], ids=["format-choice", "non-integer-n", "missing-suite"])
+def test_command_line_errors_exit_2_after_a_usage_line(capsys, argv):
+    # argparse shares exit code 2 with NotAKnot, and prints its usage first
+    with pytest.raises(SystemExit) as exited:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert (exited.value.code, captured.out) == (2, "")
+    lines = captured.err.splitlines()
+    assert lines[0].startswith("usage: torusvass ") and "error:" in lines[-1]
+
+
+def test_readme_library_tour():
+    # every line of the README's library tour whose trailing comment is a
+    # Python value evaluates to that value
+    text = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    namespace = {"Fraction": Fraction}
+    checked = 0
+    for statement in ast.parse(block).body:
+        comment = lines[statement.end_lineno - 1][statement.end_col_offset:].strip()
+        try:
+            claimed = compile(comment.lstrip("# "), "<comment>", "eval")
+        except SyntaxError:  # prose, not a value
+            claimed = None
+        if claimed is None or not isinstance(statement, ast.Expr):
+            exec(compile(ast.Module([statement], []), "<README>", "exec"), namespace)
+            continue
+        got = eval(compile(ast.Expression(statement.value), "<README>", "eval"), namespace)
+        assert got == eval(claimed, namespace), ast.unparse(statement)
+        checked += 1
+    assert checked == 4
 
 
 def test_readme_cli_examples_run(capsys):

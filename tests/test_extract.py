@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from torusvass import extract
-from torusvass.errors import AnsatzMismatch, RankDeficient, UnsupportedInput
+from torusvass.errors import AnsatzMismatch, DegreeExceeded, RankDeficient, UnsupportedInput
 from torusvass.extract import (_plan_series, compare_fit_to_printed,
                                default_instantiation_plan, extract_alpha,
                                extract_alpha_tilde, fit_ansatz)
@@ -176,6 +176,15 @@ def test_fit_needs_enough_knots(monkeypatch):
     monkeypatch.setattr(extract, "DEFAULT_FIT_GRID", ((2, 3), (2, 5)))
     with pytest.raises(AnsatzMismatch):
         fit_ansatz(Family.SU_N)
+
+
+def test_fit_rejects_a_parameter_degree_above_the_ansatz(monkeypatch):
+    # g_6,1(N) has degree 6 in N: a degree-5 fit leaves its surplus points off
+    monkeypatch.setitem(extract.FIT_DEGREE, Family.SU_N, 5)
+    with pytest.raises(AnsatzMismatch, match="^su_n g_6,1: parameter dependence is "
+                       "not degree <= 5") as info:
+        fit_ansatz(Family.SU_N)
+    assert isinstance(info.value.__cause__, DegreeExceeded)
 
 
 @pytest.mark.parametrize("family,parameter,abscissa", [

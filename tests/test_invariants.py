@@ -6,10 +6,9 @@ import pytest
 
 from torusvass import invariants
 from torusvass.errors import (CancellationFailure, NotAKnot, SingularBracket,
-                              UnsupportedInput)
+                              TruncationUnderflow, UnsupportedInput)
 from torusvass.groups import Family, product, so_n, su2, su_n
-from torusvass.invariants import (GUARD_TERMS, _finalize_normalized,
-                                  akutsu_wadati_normalized, homfly_normalized,
+from torusvass.invariants import (akutsu_wadati_normalized, homfly_normalized,
                                   kauffman_normalized, normalized_series, qpower,
                                   unknot_factor, unnormalized_series)
 from torusvass.knots import TorusKnot
@@ -17,6 +16,11 @@ from torusvass.series import TruncSeries, series_div, series_exp_linear
 
 ORDER = 6
 ONE = (F(1),) + (F(0),) * ORDER
+
+#: the references work at width trunc_order + guard: a quotient by a bracket
+#: with a simple zero, such as Kauffman's 1/[n], is reliable two degrees below
+#: its operands, so every family reaches the order from guard 2 up
+REFERENCE_GUARD = 2
 
 
 def test_qpower_examples():
@@ -118,8 +122,8 @@ def test_product_group_squares_jones():
 
 def test_normalized_product_multiplies():
     prod = normalized_series((2, 5), product(3, 2))
-    split = _homfly_direct((2, 5), 3, ORDER, GUARD_TERMS + 1) \
-        * _akutsu_wadati_direct((2, 5), 2, ORDER, GUARD_TERMS + 1)
+    split = _homfly_direct((2, 5), 3, ORDER, REFERENCE_GUARD + 1) \
+        * _akutsu_wadati_direct((2, 5), 2, ORDER, REFERENCE_GUARD + 1)
     assert prod.agrees_with(split, ORDER)
 
 
@@ -177,6 +181,24 @@ def test_torus_knot_helpers():
 # ----------------------------------------------------------------------
 # the evaluators against their direct O(n^2) summation
 # ----------------------------------------------------------------------
+
+def _finalize_normalized(raw, trunc_order, what):
+    """The references' tail: the requested order must still be reliable at
+    their width, and the series must have no pole and constant term 1."""
+    if raw.trunc_order < trunc_order:
+        raise TruncationUnderflow(
+            f"{what}: reliable only through x^{raw.trunc_order}, "
+            f"needed x^{trunc_order}"
+        )
+    out = raw.truncated(trunc_order)
+    if out.min_degree < 0:
+        raise CancellationFailure(f"{what}: residual pole of order {-out.min_degree}")
+    if out.coefficient(0) != 1:
+        raise CancellationFailure(
+            f"{what}: constant term {out.coefficient(0)} != 1 (convention bug)"
+        )
+    return out
+
 
 def _homfly_reference(knot, N, trunc_order, guard):
     """Each summand rebuilds its bracket product and q-factorials."""
@@ -253,8 +275,8 @@ WINDOWS = ((6, 2), (6, 3), (9, 2), (9, 3), (12, 2), (12, 3))
 def test_prefix_products_equal_direct_summation(n):
     # a product or quotient keeps the smaller relative window of its operands,
     # so the factor order is irrelevant and the series must be equal as
-    # TruncSeries (same window, same Fractions) to a reference computed at the
-    # evaluators' width or one term wider.  HOMFLY runs at N = 2, 8 and
+    # TruncSeries (same window, same Fractions) to a reference computed two or
+    # three terms wider than the evaluators' order.  HOMFLY runs at N = 2, 8 and
     # n (when in range), so N < n, N = n and N > n all occur; Kauffman always
     # runs at its floor N = n + 2.
     windows = WINDOWS if n <= 5 else ((6, 2), (12, 3))
@@ -375,18 +397,18 @@ def _outcome(evaluate, *args):
         return type(exc), str(exc)
 
 
-#: every (order, width - order) window for n <= 13; above that one window per
-#: width, which still covers each order, so the direct evaluation stays affordable
-ALL_WINDOWS = tuple((order, guard) for order in (6, 9, 12) for guard in range(4))
-LARGE_N_WINDOWS = ((6, 0), (9, 1), (12, 2), (6, 3))
+#: every (order, reference width - order) window for n <= 13; above that one
+#: window per order, so the direct evaluation stays affordable
+ALL_WINDOWS = tuple((order, guard) for order in (6, 9, 12) for guard in (2, 3))
+LARGE_N_WINDOWS = ((6, 3), (9, 2), (12, 2))
 
 
 @pytest.mark.parametrize("n", list(range(1, 14)) + [20, 27, 41])
-def test_kernels_equal_direct_evaluation(n, monkeypatch):
-    # the kernel changes where the work is done, not one coefficient, window,
-    # exception type or message, at any width: narrower than the evaluators'
-    # (GUARD_TERMS set to 0 and 1 here) TruncationUnderflow is raised for
-    # most n, and the unit knot (n, -1) has a skipped Akutsu-Wadati summand
+def test_kernels_equal_direct_evaluation(n):
+    # the kernel, built at the order itself, changes where the work is done,
+    # not one coefficient, window, exception type or message of a direct
+    # evaluation two or three terms wider; the unit knot (n, -1) has a
+    # skipped Akutsu-Wadati summand
     windows = ALL_WINDOWS if n <= 13 else LARGE_N_WINDOWS
     cases = []
     for m in (n + 1, -(2 * n + 1), -1):
@@ -402,19 +424,47 @@ def test_kernels_equal_direct_evaluation(n, monkeypatch):
     invariants._kernel.cache_clear()
     for warmth in ("cold", "warm"):
         for (evaluate, _, *args, guard), want in zip(cases, expected):
-            monkeypatch.setattr(invariants, "GUARD_TERMS", guard)
             assert _outcome(evaluate, *args) == want, (warmth, evaluate.__name__, args, guard)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13])
+def test_kernels_divide_only_by_units(n, monkeypatch):
+    # every bracket enters as its unit (t^a - t^b)/x, so each division of a
+    # cold build is by a series with a nonzero constant term and loses no
+    # degree, and the kernel is keyed and built at the requested order itself
+    denominators = []
+
+    def recording(num, den):
+        denominators.append(den)
+        return series_div(num, den)
+
+    monkeypatch.setattr("torusvass.series.series_div", recording)
+    invariants._kernel.cache_clear()
+    cases = ((homfly_normalized, Family.SU_N, 2), (homfly_normalized, Family.SU_N, n + 1),
+             (kauffman_normalized, Family.SO_N, n + 2), (akutsu_wadati_normalized, Family.SU2, 1),
+             (akutsu_wadati_normalized, Family.SU2, 4))
+    for order in (0, 1, 6, 12):
+        for evaluate, family, parameter in cases:
+            evaluate((n, -(n + 1)), parameter, order)
+            misses = invariants._kernel.cache_info().misses
+            _, kernel = invariants._kernel(family, n, parameter, order)
+            assert invariants._kernel.cache_info().misses == misses, (family, order)
+            assert (kernel.hi, kernel.at(n + 1).trunc_order) == (order, order), (family, order)
+    assert denominators
+    assert all(den.min_degree == 0 for den in denominators)
+    invariants._kernel.cache_clear()
 
 
 @pytest.mark.parametrize("m", [-5, -1, 2, 7])
 def test_mpoly_series_equals_running_sum(m):
-    # summands with poles and windows of their own: the product with exp()
-    # is known only through width + min_degree, below each summand's trunc
+    # power-series summands, one of them starting above degree 0 and one
+    # known beyond the width: the sum is kept on degrees 0..width
     W = 7
-    pole = TruncSeries(-2, [F(1, 3), 2, -1] + [F(k, 5) for k in range(W)], W)
-    short = TruncSeries(-1, [F(-7, 2)] + [F(1, k + 2) for k in range(W)], W - 1)
-    summands = [(TruncSeries.zero(W), F(0)), (pole, F(3, 4)), (-short, F(-1, 3)),
-                (qpower(5, 1, W), F(2))]
+    first = TruncSeries(0, [F(1, 3), 2, -1] + [F(k, 5) for k in range(W - 2)], W)
+    late = TruncSeries(2, [F(-7, 2)] + [F(1, k + 2) for k in range(W - 2)], W)
+    long = TruncSeries(1, [F(k - 3, k + 1) for k in range(W + 2)], W + 2)
+    summands = [(TruncSeries.zero(W), F(0)), (first, F(3, 4)), (-late, F(-1, 3)),
+                (long, F(5, 2)), (qpower(5, 1, W), F(2))]
     expected = TruncSeries.zero(W)
     for a, rho in summands[1:]:
         expected = expected + a * qpower(m * rho, 1, W)
@@ -480,7 +530,7 @@ def test_warm_knot_takes_no_exp_or_division(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# the one working width against a wider direct evaluation
+# the evaluators at the order itself against a wider direct evaluation
 # ----------------------------------------------------------------------
 
 #: every simple group the unknot-factor tests cover, with N and j up to 43
@@ -489,8 +539,8 @@ UNKNOT_GROUPS = [su_n(N) for N in list(range(2, 14)) + [20, 27, 41]] \
 
 
 def _quotient_unknot_factor(group, trunc_order):
-    """The unknot factor as a quotient of q-numbers, at the evaluators' width."""
-    W = trunc_order + GUARD_TERMS
+    """The unknot factor as a quotient of q-numbers, at the references' width."""
+    W = trunc_order + REFERENCE_GUARD
     scale = F(1, 2) if group.family == Family.SO_N else 1
 
     def t(a):
@@ -528,10 +578,10 @@ def test_fixed_width_unknot_factors():
 
 @pytest.mark.parametrize("n", list(range(1, 14)) + [20, 27, 41])
 def test_fixed_width_loses_nothing(n):
-    # the evaluators' one width, order + GUARD_TERMS, raises nothing on this
-    # grid, and one term wider changes no coefficient and no window
+    # the evaluators, built at the order itself, raise nothing on this grid
+    # and equal a direct evaluation REFERENCE_GUARD + 1 terms wider
     orders = range(25) if n <= 13 else (6, 12)
-    wider = GUARD_TERMS + 1
+    wider = REFERENCE_GUARD + 1
     for m in (n + 1, -(n + 1)):
         knot = (n, m)
         for order in orders:
