@@ -2,8 +2,7 @@
 
 Subcommands:
 
-* ``invariants`` : alpha_tilde / alpha / beta tables plus derived scalars
-  for one knot,
+* ``invariants`` : alpha_tilde / alpha / beta tables and scalars of one knot,
 * ``expand``     : Taylor coefficients of a normalized invariant series,
 * ``verify``     : run a named verification suite (exit 1 on any failure),
 * ``scan``       : bulk predicates over knot ranges.
@@ -14,14 +13,16 @@ Exit codes: 0 success, 1 verification failure, 2 invalid knot (NotAKnot),
 traceback.  A command line argparse rejects (a --format outside its choices,
 a non-integer --n, a missing --suite) also exits 2, with a usage line on
 stderr before its "error:" line.  Output is deterministic for identical
-inputs: JSON with rationals as {"num", "den"} pairs (plus "exact_decimal"
-when the value is an integer), CSV with exact num/den strings, or an aligned
-table.
+inputs: JSON with rationals as {"num", "den"} pairs (plus "exact_decimal" when
+the value is an integer), CSV with exact num/den strings, or an aligned table.
+The parser is built once per process, by the first main call, which binds each
+handler; later calls only parse their argv, so main is cheap to call in a loop.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -129,6 +130,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
     beta = closed_form_beta(knot).entries
     scalars = auxiliary_scalars(knot)
     lissajous = lissajous_obstruction(knot)
+    has_v3 = is_v3_applicable(knot)
 
     payload: dict = {
         "knot": {
@@ -146,7 +148,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
             "lissajous": lissajous,
         },
     }
-    if is_v3_applicable(knot):
+    if has_v3:
         payload["scalars"]["v3"] = rational_json(scalars.v3)
 
     arguments = {"n": n, "m": m, "order": args.order, "format": args.format}
@@ -161,7 +163,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
         lines.append(f"scalar,gordian,,{scalars.gordian}")
         lines.append(f"scalar,curve_residual,,{scalars.curve_residual}")
         lines.append(f"scalar,lissajous,,{lissajous}")
-        if is_v3_applicable(knot):
+        if has_v3:
             lines.append(f"scalar,v3,,{scalars.v3}")
         _emit("\n".join(lines) + "\n", args.out)
     else:
@@ -176,7 +178,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
         lines.append(f"gordian = {scalars.gordian}, "
                      f"curve residual = {scalars.curve_residual}, "
                      f"lissajous: {lissajous}"
-                     + (f", v3 = {scalars.v3}" if is_v3_applicable(knot) else ""))
+                     + (f", v3 = {scalars.v3}" if has_v3 else ""))
         _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -344,6 +346,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 # parser
 # ----------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="torusvass",

@@ -9,8 +9,9 @@ operation computes how far its result is reliable:
 * a sum is reliable through the smaller of the two truncation orders,
 * a product is reliable through ``min(a.trunc + b.min, b.trunc + a.min)``,
   so multiplying by a series of positive valuation *extends* the absolute
-  reliable degree (this is what lets quotients of quantum factorials come out
-  exact to the requested order),
+  reliable degree (the package's own kernels divide only by units, so this
+  rule serves API callers and the test references, which divide by brackets
+  of positive valuation),
 * a quotient loses the denominator valuation.
 
 Representation.  The coefficients are Python ints ``nums`` over one common

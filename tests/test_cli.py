@@ -1,5 +1,6 @@
 """CLI behavior: formats, exit codes, determinism, schema conformance."""
 
+import argparse
 import ast
 import errno
 import inspect
@@ -571,6 +572,71 @@ def test_command_line_errors_exit_2_after_a_usage_line(capsys, argv):
     assert (exited.value.code, captured.out) == (2, "")
     lines = captured.err.splitlines()
     assert lines[0].startswith("usage: torusvass ") and "error:" in lines[-1]
+
+
+def answer(capsys, argv):
+    """(exit code, stdout, stderr) of main, argparse's own exits included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exited:
+        code = exited.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    run_cli(capsys, "invariants", "--n", "2", "--m", "3")
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for argv in (("invariants", "--n", "2", "--m", "3"), ("invariants", "--n", "2", "--m", "4"),
+                 ("expand", "--family", "su2", "--j", "2", "--n", "2", "--m", "3"),
+                 ("scan", "--predicate", "beta-curve", "--max", "4"), ("--version",)):
+        answer(capsys, argv)
+    assert built == []
+
+
+#: every command and format, --help at every level, --version, argparse's own
+#: errors and the documented rejections; expand --N 3 comes before expand --j 2
+#: (and after it when reversed), so a default left behind by one call shows
+REPLAY = (
+    ("--help",), ("invariants", "--help"), ("expand", "-h"), ("verify", "--help"),
+    ("scan", "--help"), ("--version",), (), ("knot",),
+    ("invariants", "--n", "2", "--m", "3"),
+    ("invariants", "--n", "3", "--m", "-4", "--order", "4", "--format", "csv"),
+    ("invariants", "--n", "-2", "--m", "5", "--format", "table"),
+    ("invariants", "--n", "2", "--m", "4"), ("invariants", "--n", "two", "--m", "3"),
+    ("invariants", "--n", "2", "--m", "3", "--format", "xml"),
+    ("invariants", "--n", "2", "--m", "3", "--order", "7"),
+    ("expand", "--family", "su_n", "--N", "3", "--n", "2", "--m", "3", "--order", "2"),
+    ("expand", "--family", "su2", "--j", "2", "--n", "2", "--m", "3", "--format", "csv"),
+    ("expand", "--family", "so_n", "--N", "7", "--n", "2", "--m", "-5", "--format", "table"),
+    ("expand", "--family", "so_n", "--n", "2", "--m", "3"),
+    ("verify",), ("verify", "--suite", "v3", "--format", "text"),
+    ("verify", "--suite", "relations", "--bound", "4"), ("verify", "--suite", "nope"),
+    ("scan", "--predicate", "beta-curve", "--max", "6", "--format", "csv"),
+    ("scan", "--predicate", "lissajous-obstructed", "--max", "10"),
+    ("scan", "--predicate", "non-integer", "--max", "6"),
+    ("scan", "--predicate", "knotted", "--max", "6"),
+)
+
+
+@pytest.mark.parametrize("columns", ["40", "200", "80"])
+def test_shared_parser_answers_like_a_fresh_one(capsys, monkeypatch, columns):
+    # help wraps at $COLUMNS, which argparse must read when it formats, not
+    # when the shared parser was built; the suites' timings go to stderr
+    monkeypatch.setenv("COLUMNS", columns)
+    monkeypatch.setattr(suites.time, "perf_counter", lambda: 0.0)
+    for argv in REPLAY + REPLAY[::-1]:
+        with monkeypatch.context() as fresh:
+            fresh.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+            expected = answer(capsys, argv)
+        assert answer(capsys, argv) == expected, argv
 
 
 def test_readme_library_tour():
