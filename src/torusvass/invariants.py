@@ -35,7 +35,10 @@ and kept in a bounded cache; one knot then costs one polynomial evaluation
 and one product, whatever n is.  The HOMFLY and Kauffman summands share their
 bracket products and q-factorials as prefix products, so a build costs O(n)
 series products; the Akutsu-Wadati summands are bare t-powers, whose Taylor
-coefficients the kernel takes straight from the exponents.
+rows the kernel takes from one :func:`.series.exp_numerators` call over all
+2(j+1) exponents.  That routine expands every t-power here: the unit
+brackets, the m-weights of :class:`MPolySeries` and the unknot factors, which
+are one pass of integer power sums.
 
 Unit brackets.  Every bracket t^a - t^b vanishes at x = 0, so each enters as
 x times the unit (t^a - t^b)/x of :func:`_unit`, whose constant term
@@ -57,14 +60,14 @@ import marshal
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
-from math import factorial, lcm
-from operator import add, mul
+from math import lcm
+from operator import add, mul, neg, sub
 from typing import Callable, Iterable, Sequence, Union
 
 from .errors import CancellationFailure, SingularBracket, UnsupportedInput
 from .groups import Family, GroupInstance, simple_factors
 from .knots import TorusKnot, as_knot
-from .series import TruncSeries, series_exp_linear
+from .series import TruncSeries, exp_numerators, series_exp_linear
 
 #: coefficients are needed through x^6
 DEFAULT_ORDER = 6
@@ -88,25 +91,11 @@ def qpower(exponent, scale, trunc_order: int) -> TruncSeries:
 
 
 def _unit(a, b, scale, W: int) -> TruncSeries:
-    """(t^a - t^b)/x with t = exp(scale*x), through x^W: the x^k coefficient
-    is ((a s)^(k+1) - (b s)^(k+1))/(k+1)!, the constant term (a - b) s.
-
-    With a s = pa/q and b s = pb/q, the x^k numerator over q^(W+1) (W+1)! is
-    (pa^(k+1) - pb^(k+1)) q^(W-k) (W+1)!/(k+1)!.
-    """
-    sa, sb = Fraction(a) * scale, Fraction(b) * scale
-    q = lcm(sa.denominator, sb.denominator)
-    pa, pb = sa.numerator * (q // sa.denominator), sb.numerator * (q // sb.denominator)
-    nums = [0] * (W + 1)
-    power_a, power_b = [pa], [pb]
-    for _ in range(W):
-        power_a.append(power_a[-1] * pa)
-        power_b.append(power_b[-1] * pb)
-    tail = 1  # q^(W-k) (W+1)!/(k+1)!
-    for k in range(W, -1, -1):
-        nums[k] = (power_a[k] - power_b[k]) * tail
-        tail *= q * (k + 1)
-    return TruncSeries.from_numerators(0, nums, q ** (W + 1) * factorial(W + 1), W)
+    """(t^a - t^b)/x with t = exp(scale*x), through x^W: the difference of
+    the two exponentials through x^(W+1), shifted down one degree.  Its
+    constant term is (a - b)*scale."""
+    (row_a, row_b), den = exp_numerators((a * scale, b * scale), W + 1)
+    return TruncSeries.from_numerators(0, list(map(sub, row_a[1:], row_b[1:])), den, W)
 
 
 class MPolySeries:
@@ -129,28 +118,23 @@ class MPolySeries:
         A_i on those degrees.
 
         The x^k coefficient of A * exp(rho m x) is sum_j A[j] (rho m)^(k-j) / (k-j)!,
-        so the m^l coefficient of the sum at x^k is sum_i A_i[k-l] rho_i^l / l!.
-        With rho_i = r_i / q and E = hi - lo, rho^l / l! = r^l q^(E-l) (E!/l!)
-        / (q^E E!).  Rows that share a rate are added first; the build then
-        makes one pass over the degrees per (rate, power of m), and a zero
-        rate reaches only m^0.
+        so the m^l coefficient of the sum at x^k is sum_i A_i[k-l] rho_i^l / l!,
+        which :func:`.series.exp_numerators` gives over one denominator.
+        Rows that share a rate are added first; the build then makes one pass
+        over the degrees per (rate, power of m), and a zero rate reaches only
+        m^0.
         """
         top = hi - lo
         by_rate: dict = {}
         for rho, row in rows:
             by_rate[rho] = list(map(add, by_rate[rho], row)) if rho in by_rate else row
-        q = lcm(*(rho.denominator for rho in by_rate))
-        weight = [1] * (top + 1)  # weight[l] = q**(top-l) * top!/l!
-        for ell in range(top, 0, -1):
-            weight[ell - 1] = weight[ell] * q * ell
+        weights, scale = exp_numerators(by_rate, top)
         cols = [[0] * (top + 1 - ell) for ell in range(top + 1)]
-        for rho, row in by_rate.items():
-            r, power = rho.numerator * (q // rho.denominator), 1
-            for ell in range(top + 1 if r else 1):
-                w = power * weight[ell]
-                cols[ell] = list(map(add, cols[ell], map(w.__mul__, row)))
-                power *= r
-        self.lo, self.hi, self.den = lo, hi, den * q ** top * factorial(top)
+        for weight, row in zip(weights, by_rate.values()):
+            for ell, w in enumerate(weight):
+                if w:
+                    cols[ell] = list(map(add, cols[ell], map(w.__mul__, row)))
+        self.lo, self.hi, self.den = lo, hi, den * scale
         self.coeffs = marshal.dumps([cols[ell][k - ell] for k in range(top + 1)
                                      for ell in range(k + 1)])
 
@@ -238,9 +222,9 @@ def _kauffman_kernel(n: int, N: int, W: int) -> tuple[TruncSeries, MPolySeries]:
         fact.append(fact[-1] * br(a))
     inv_br_n = one / br(n)
     head = br(1) / (br(1) + brqs[0])
-    # lambda^{nm} = exp(m n lam x / 2) weighs every summand, the start included
-    start = TruncSeries.constant(1, W) if n % 2 == 0 else TruncSeries.zero(W)
-    summands = [(start, n * lam / 2)]
+    # lambda^{nm} = exp(m n lam x / 2) weighs every summand, the start included;
+    # the start is 1 at even n and 0 at odd n, where it is left out
+    summands = [(one, n * lam / 2)] if n % 2 == 0 else []
     for g in range(n):
         b = n - 1 - g
         bracket = inv_br_n + one / brqs[b - g]  # x (1/[n] + 1/[b-g;1])
@@ -254,30 +238,21 @@ def _kauffman_kernel(n: int, N: int, W: int) -> tuple[TruncSeries, MPolySeries]:
 
 def _akutsu_wadati_kernel(n: int, j: int, W: int) -> tuple[TruncSeries, MPolySeries]:
     """t^{-j(n-1)/2} x / (t^{j+1} - 1) and (1/x) sum_ell (t^{e1} - t^{e2})
-    t^{m j(n-1)/2} with e1, e2 linear in m, built from the exponents:
-    t^e = exp(e x) has the x^u coefficient e^u ((W+1)!/u!) / (W+1)!.  Every
+    t^{m j(n-1)/2} with e1, e2 linear in m, built from the exponents: the
+    m-free parts of all 2(j+1) of them are expanded in one call.  Every
     term of the sum vanishes at x = 0, whatever m is, so its rows through
     x^(W+1), stored from degree -1, are the sum over x through x^W."""
     shift = Fraction(j * (n - 1), 2)  # t^{j(n-1)(m-1)/2} = t^{shift (m - 1)}
     head = qpower(-shift, 1, W) / _unit(j + 1, 0, 1, W)
-    tail = [1] * (W + 2)  # tail[u] = (W+1)!/u!
-    for u in range(W + 1, 0, -1):
-        tail[u - 1] = tail[u] * u
-
-    def t(e: int, sign: int) -> list:  # sign * t^e over (W+1)!
-        power, row = sign, []
-        for w in tail:
-            row.append(power * w)
-            power *= e
-        return row
-
+    # e1 = n(1 + m ell)(j - ell) + 1 + m ell, e2 = n(1 + m ell)(j - ell) + m(j - ell)
+    powers, den = exp_numerators([n * (j - ell) + e for ell in range(j + 1) for e in (1, 0)],
+                                 W + 1)
     rows = []
     for ell in range(j + 1):
-        # e1 = n(1 + m ell)(j - ell) + 1 + m ell, e2 = n(1 + m ell)(j - ell) + m(j - ell)
         base = n * (j - ell)
-        rows.append((ell * (base + 1) + shift, t(base + 1, 1)))
-        rows.append(((j - ell) * (n * ell + 1) + shift, t(base, -1)))
-    return head, MPolySeries(-1, W, factorial(W + 1), rows)
+        rows.append((shift + ell * (base + 1), powers[2 * ell]))
+        rows.append((shift + (j - ell) * (n * ell + 1), list(map(neg, powers[2 * ell + 1]))))
+    return head, MPolySeries(-1, W, den, rows)
 
 
 @lru_cache(maxsize=KERNEL_CACHE_SIZE)
@@ -373,8 +348,11 @@ def _quantum_dimension(group: GroupInstance, trunc_order: int) -> TruncSeries:
         start, p, scale = 1, group.N - 1, Fraction(1, 2)
     else:
         start, p, scale = 0, group.j + 1 if group.family == Family.SU2 else group.N, 1
-    return sum((qpower(Fraction(p - 1, 2) - k, scale, trunc_order) for k in range(p)),
-               TruncSeries.constant(start, trunc_order))
+    rows, den = exp_numerators([(Fraction(p - 1, 2) - k) * scale for k in range(p)],
+                               trunc_order)
+    nums = [sum(column) for column in zip(*rows)]
+    nums[0] += start * den
+    return TruncSeries.from_numerators(0, nums, den, trunc_order)
 
 
 @lru_cache(maxsize=128)

@@ -11,7 +11,6 @@ and this keeps the output deterministic.
 
 from __future__ import annotations
 
-import marshal
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -32,14 +31,13 @@ class LinearSolution:
 class Elimination:
     """The elimination of one left-hand side, applied to any right-hand side.
 
-    Stored as integers.  rows and inverse are flat lists kept as
-    :mod:`marshal` bytes, so a cached elimination costs the bytes of its
-    integers, not an object per integer.  Row r of the left-hand side is
-    rows[r*unknowns:(r+1)*unknowns] / scales[r].  With b scaled to integers
-    over its common denominator d the particular solution (free unknowns 0)
-    is x[pivot_cols[k]] = sum_i inverse[k*rank + i] * b[pivot_rows[i]] /
-    (den * d).  The system is consistent exactly when that x satisfies every
-    row.  Immutable and shared through the caches that keep eliminations.
+    Stored as integers; rows and inverse are flat tuples.  Row r of the
+    left-hand side is rows[r*unknowns:(r+1)*unknowns] / scales[r].  With b
+    scaled to integers over its common denominator d the particular solution
+    (free unknowns 0) is x[pivot_cols[k]] = sum_i inverse[k*rank + i] *
+    b[pivot_rows[i]] / (den * d).  The system is consistent exactly when
+    that x satisfies every row.  Immutable and shared through the caches
+    that keep eliminations.
     """
 
     __slots__ = ("unknowns", "rows", "scales", "pivot_cols", "pivot_rows", "inverse", "den")
@@ -49,7 +47,7 @@ class Elimination:
                  inverse: list[int], den: int):
         self.unknowns, self.scales, self.den = unknowns, scales, den
         self.pivot_cols, self.pivot_rows = pivot_cols, pivot_rows
-        self.rows, self.inverse = marshal.dumps(rows), marshal.dumps(inverse)
+        self.rows, self.inverse = tuple(rows), tuple(inverse)
 
     @property
     def rank(self) -> int:
@@ -62,13 +60,13 @@ class Elimination:
             raise ValueError(f"{len(rhs)} right-hand entries for {len(self.scales)} rows")
         den_b = lcm(*(v.denominator for v in rhs))
         b = [v.numerator * (den_b // v.denominator) for v in rhs]
-        rank, inverse = self.rank, marshal.loads(self.inverse)
+        rank, inverse = self.rank, self.inverse
         picked = [b[i] for i in self.pivot_rows]
         x = [0] * self.unknowns
         for k, c in enumerate(self.pivot_cols):
             x[c] = sum(map(mul, inverse[k * rank:(k + 1) * rank], picked))
         # x / (den * den_b) substituted back into every row, in integers
-        w, rows = self.unknowns, marshal.loads(self.rows)
+        w, rows = self.unknowns, self.rows
         consistent = not any(sum(map(mul, rows[r * w:(r + 1) * w], x)) != v * s * self.den
                              for r, (v, s) in enumerate(zip(b, self.scales)))
         if not consistent or rank < w:

@@ -23,8 +23,14 @@ zero series has ``min_degree`` 0, ``den`` 1 and zeros through
 fields are, and equal series hash alike.  A sum works over the lcm of the two
 denominators, a product is an integer convolution over the product of the
 denominators, a quotient runs a fraction-free recurrence and puts the powers
-of the denominator's lowest coefficient into ``den``, and ``exp(p/q * x)`` is
-built over ``q**W * W!``; each result is reduced by one multi-argument gcd.
+of the denominator's lowest coefficient into ``den``; each result is reduced
+by one multi-argument gcd.
+
+Exponentials.  :func:`exp_numerators` is the one routine that expands
+exp(r*x): for rates p_i/q over one q it gives the integer rows
+p_i**d * q**(W-d) * W!/d! over ``q**W * W!``.  :func:`series_exp_linear` is
+one such row made a series, and the evaluators in :mod:`.invariants` take
+every t-power they expand from it.
 
 Integer arithmetic never rounds, so every coefficient is the exact rational
 that :class:`fractions.Fraction` arithmetic gives, and it is read back as
@@ -36,8 +42,8 @@ threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd, lcm
-from typing import Iterable, Union
+from math import gcd, lcm
+from typing import Collection, Iterable, Union
 
 from .errors import DivisionByZeroSeries, TruncationUnderflow
 
@@ -281,25 +287,36 @@ def _make(lo: int, nums: list, den: int, hi: int) -> TruncSeries:
 # ----------------------------------------------------------------------
 
 
-def series_exp_linear(rate: Scalar, trunc_order: int) -> TruncSeries:
-    """The series of exp(rate*x): sum_{d<=trunc_order} rate**d / d! * x**d.
+def exp_numerators(rates: Collection[Scalar], trunc_order: int) -> tuple[list[list[int]], int]:
+    """The Taylor coefficients of exp(r*x) through x**trunc_order for each
+    int or Fraction rate r, as integer rows over one denominator.
 
-    With rate = p/q and W = trunc_order, the coefficient of x**d is
-    p**d q**(W-d) W!/d! over the common denominator q**W W!.
+    With the rates written p_i/q over one q (the lcm of their denominators)
+    and W = trunc_order, row i holds p_i**d * q**(W-d) * W!/d! for
+    d = 0..W, over den = q**W * W!.  Returns (rows, den).
     """
     if trunc_order < 0:
         raise ValueError("trunc_order must be >= 0")
+    q = lcm(*[r.denominator for r in rates])
+    tail = [1] * (trunc_order + 1)  # tail[d] = q**(W-d) * W!/d!
+    for d in range(trunc_order, 0, -1):
+        tail[d - 1] = tail[d] * q * d
+    rows = []
+    for r in rates:
+        p = r.numerator * (q // r.denominator)
+        power, row = 1, []
+        for w in tail:
+            row.append(power * w)
+            power *= p
+        rows.append(row)
+    return rows, tail[0]
+
+
+def series_exp_linear(rate: Scalar, trunc_order: int) -> TruncSeries:
+    """The series of exp(rate*x) through x**trunc_order."""
     r = rate if isinstance(rate, (int, Fraction)) else Fraction(rate)
-    p, q = r.numerator, r.denominator
-    powers = [1]
-    for _ in range(trunc_order):
-        powers.append(powers[-1] * p)
-    nums = [0] * (trunc_order + 1)
-    tail = 1  # q**(W-d) * W!/d!
-    for d in range(trunc_order, -1, -1):
-        nums[d] = powers[d] * tail
-        tail *= q * d
-    return _make(0, nums, q ** trunc_order * factorial(trunc_order), trunc_order)
+    (nums,), den = exp_numerators((r,), trunc_order)
+    return _make(0, nums, den, trunc_order)
 
 
 def series_div(num: TruncSeries, den: TruncSeries) -> TruncSeries:

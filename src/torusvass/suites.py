@@ -34,6 +34,9 @@ SAMPLE_KNOTS = ((2, 3), (2, 5), (3, 4), (3, 5), (4, 5))
 
 ORDER = 6
 
+#: the integrality suite checks the modular lemmas for every n up to this
+MODULAR_BOUND = 10_000
+
 
 @dataclass
 class Check:
@@ -198,7 +201,7 @@ def suite_distinguishing(max_n: int = 40) -> SuiteResult:
 
 
 @_timed
-def suite_integrality(bound: int = 30, modular_bound: int = 10_000) -> SuiteResult:
+def suite_integrality(bound: int = 30) -> SuiteResult:
     """Criterion 7: integrality on coprime pairs, non-coprime witnesses per
     order, and the modular lemmas up to 10^4."""
     result = SuiteResult("integrality")
@@ -213,8 +216,8 @@ def suite_integrality(bound: int = 30, modular_bound: int = 10_000) -> SuiteResu
                    found is not None, str(found))
     b22 = closed_form_beta(TorusKnot(2, 2)).entries[(2, 1)]
     result.add("witness beta_{2,1}(2,2) = 3/8", b22 == Fraction(3, 8), str(b22))
-    modular = proposition_modular_checks(modular_bound)
-    result.add(f"modular lemmas for all n <= {modular_bound}", modular.passed,
+    modular = proposition_modular_checks(MODULAR_BOUND)
+    result.add(f"modular lemmas for all n <= {MODULAR_BOUND}", modular.passed,
                f"{modular.checked} checks; violations: {modular.violations[:3]}")
     return result
 

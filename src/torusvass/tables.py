@@ -191,8 +191,7 @@ def closed_form_beta(knot: KnotLike) -> InvariantTable:
     return _closed_form("beta", knot, _TILDE_ROWS)
 
 
-def beta_from_alpha_tilde(table: InvariantTable,
-                          trefoil_table: InvariantTable | None = None) -> InvariantTable:
+def beta_from_alpha_tilde(table: InvariantTable) -> InvariantTable:
     """Normalize an alpha_tilde table against the trefoil values.
 
     beta_ij = factor_ij * alpha_tilde_ij(K) / alpha_tilde_ij(trefoil) for the
@@ -200,7 +199,7 @@ def beta_from_alpha_tilde(table: InvariantTable,
     """
     if table.kind != "alpha_tilde":
         raise ValueError(f"expected an alpha_tilde table, got {table.kind}")
-    ref = (trefoil_table or closed_form_alpha_tilde(TREFOIL)).entries
+    ref = closed_form_alpha_tilde(TREFOIL).entries
     prim = {
         slot: Fraction(TREFOIL_NORMALIZERS[slot]) * table.entries[slot] / ref[slot]
         for slot in PRIMITIVE_ORDER

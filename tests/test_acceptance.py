@@ -60,7 +60,7 @@ def test_criterion_6_distinguishing():
 
 def test_criterion_7_integrality():
     report(7, "integrality for |n|,|m| <= 30, witnesses, modular lemmas to 10^4",
-           suite_integrality(bound=30, modular_bound=10_000))
+           suite_integrality(bound=30))
 
 
 def test_criterion_8_v3_law():

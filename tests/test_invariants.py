@@ -533,9 +533,9 @@ def test_warm_knot_takes_no_exp_or_division(monkeypatch):
 # the evaluators at the order itself against a wider direct evaluation
 # ----------------------------------------------------------------------
 
-#: every simple group the unknot-factor tests cover, with N and j up to 43
-UNKNOT_GROUPS = [su_n(N) for N in list(range(2, 14)) + [20, 27, 41]] \
-    + [so_n(N) for N in list(range(5, 16)) + [22, 29, 43]] + [su2(1), su2(6)]
+#: every simple group the unknot-factor tests cover, with N and j up to 130
+UNKNOT_GROUPS = [su_n(N) for N in list(range(2, 14)) + [20, 27, 41, 130]] \
+    + [so_n(N) for N in list(range(5, 16)) + [22, 29, 43, 130]] + [su2(1), su2(6), su2(130)]
 
 
 def _quotient_unknot_factor(group, trunc_order):

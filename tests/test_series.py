@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusvass.errors import DivisionByZeroSeries, TruncationUnderflow
-from torusvass.series import TruncSeries, series_div, series_exp_linear
+from torusvass.series import TruncSeries, exp_numerators, series_div, series_exp_linear
 
 
 def coeffs(s, order):
@@ -147,6 +147,24 @@ def test_mul_div_roundtrip(a, b):
 def test_exp_additivity(p, q):
     lhs = series_exp_linear(p, 6) * series_exp_linear(q, 6)
     assert lhs.agrees_with(series_exp_linear(p + q, 6), 6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(st.integers(-9, 9),
+                          st.fractions(min_value=-6, max_value=6, max_denominator=7)),
+                min_size=1, max_size=5),
+       st.integers(0, 24))
+def test_exp_numerators_match_reference(rates, W):
+    # row i over den is exp(rates[i] * x) through x^W, in Fractions
+    rows, den = exp_numerators(rates, W)
+    q = math.lcm(*(F(r).denominator for r in rates))
+    assert den == q ** W * math.factorial(W)
+    assert len(rows) == len(rates)
+    for r, row in zip(rates, rows):
+        assert all(type(c) is int for c in row)
+        assert [F(c, den) for c in row] == [F(r) ** d / math.factorial(d) for d in range(W + 1)]
+    with pytest.raises(ValueError):
+        exp_numerators(rates, -1 - W)
 
 
 # ----------------------------------------------------------------------
