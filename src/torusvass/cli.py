@@ -46,8 +46,9 @@ EXIT_UNSUPPORTED = 3
 
 SCHEMA_VERSION = "1.0"
 
-#: expand's input bounds (exit 3 above them).  The order keys the evaluator
-#: kernels, so it also caps a cached kernel's size.  The evaluators' cost grows
+#: expand's input bounds (exit 3 above them).  A cached evaluator kernel is
+#: kept at the widest order asked of it, so the order also caps a cached
+#: kernel's size.  The evaluators' cost grows
 #: with |n| as given, and (n, m) and (m, n) are the same knot, so |n| and |m|
 #: share one limit; N and j share another, which leaves Kauffman its floor
 #: N >= n + 2 at every n.  At the limits the slowest family (HOMFLY at n = N)

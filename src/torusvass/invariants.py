@@ -30,28 +30,34 @@ framing factor is a t-power with an exponent linear in m: its m-linear part
 shifts every rate, and its m-free part joins the m-free head (with
 Akutsu-Wadati's 1/(t^{j+1} - 1)).  So the x^d coefficients of the sum are
 polynomials in m, which :class:`MPolySeries` holds over one denominator.  A
-kernel -- the head and that sum -- is built once per (family, n, N or j, W)
-and kept in a bounded cache; one knot then costs one polynomial evaluation
-and one product, whatever n is.  The HOMFLY and Kauffman summands share their
-bracket products and q-factorials as prefix products, so a build costs O(n)
-series products; the Akutsu-Wadati summands are bare t-powers, whose Taylor
-rows the kernel takes from one :func:`.series.exp_numerators` call over all
-2(j+1) exponents.  That routine expands every t-power here: the unit
-brackets, the m-weights of :class:`MPolySeries` and the unknot factors, which
-are one pass of integer power sums.
+kernel -- the head and that sum -- is kept in a bounded cache per (family, n,
+N or j), at the widest order asked of it so far; one knot then costs one
+polynomial evaluation and one product, whatever n is.  The HOMFLY and
+Kauffman summands share their bracket products and q-factorials as prefix
+products, so a build costs O(n) series products; the Akutsu-Wadati summands
+are bare t-powers, whose Taylor rows the kernel takes from one
+:func:`.series.exp_numerators` call over all 2(j+1) exponents.  That routine
+expands every t-power here: the unit brackets, the m-weights of
+:class:`MPolySeries` and the unknot factors, which are one pass of integer
+power sums.
 
 Unit brackets.  Every bracket t^a - t^b vanishes at x = 0, so each enters as
-x times the unit (t^a - t^b)/x of :func:`_unit`, whose constant term
-(a - b)*scale is nonzero.  The HOMFLY and Kauffman summands and heads have as
+x times the unit (t^a - t^b)/x of :func:`_unit`, whose constant term is
+nonzero.  The HOMFLY and Kauffman summands and heads have as
 many brackets above the line as below -- HOMFLY p + i over (i)!(p)!, Kauffman
 n over [b]![g]! times the one pole 1/[n] or 1/[b-g;1] -- so their powers of x
 cancel and every quotient is by a unit, which loses no degree.  The
 Akutsu-Wadati sum vanishes at x = 0 for every m: its rows are built one
 degree further and stored from degree -1, which divides by x exactly, and its
-head divides by the unit (t^{j+1} - 1)/x.  So every kernel is built and keyed
-at exactly W = trunc_order: the invariants are exact Taylor coefficients, and
-no width beyond the requested order is needed.  A normalized invariant must
-come out with constant term exactly 1; anything else raises.
+head divides by the unit (t^{j+1} - 1)/x.  So every kernel is built at
+exactly W = trunc_order: the invariants are exact Taylor coefficients, and no
+width beyond the requested order is needed.  Nor does any order key a kernel:
+its coefficients through x^W are the same whatever width it was built at, so
+a cached kernel serves every narrower order by reading its first degrees, and
+a wider order rebuilds it once at that order.  Integral rates and exponents
+are passed as ints, which keeps their expansion in int arithmetic.  A
+normalized invariant must come out with constant term exactly 1; anything
+else raises.
 """
 
 from __future__ import annotations
@@ -72,12 +78,12 @@ from .series import TruncSeries, exp_numerators, series_exp_linear
 #: coefficients are needed through x^6
 DEFAULT_ORDER = 6
 
-#: kernels kept per process.  A solve round (the default plans at ten values
-#: of n, one order) uses 180 keys.  The CLI request mix of the benchmark draws
-#: about 650 distinct keys in 8,500 requests: 256 entries hit 37-40% of its
-#: lookups in 0.39 MiB, all 650 would hit 69% in 0.93-0.96 MiB (tracemalloc,
-#: seeds 1-3), and a miss costs about one direct evaluation, so the smaller
-#: bound is kept
+#: kernels kept per process, one per (family, n, N or j).  A solve round (the
+#: default plans at ten values of n, one order) uses 180.  The CLI request mix
+#: of the benchmark, at orders 0..12, uses 104 in 8,500 requests: all of them
+#: fit, 87-88% of its lookups need no build (the rest widen a kernel to a
+#: higher order), and the kernels hold 0.21 MiB (tracemalloc, seeds 1-3).  A
+#: build costs about one direct evaluation
 KERNEL_CACHE_SIZE = 256
 
 KnotLike = Union[TorusKnot, tuple]
@@ -90,11 +96,19 @@ def qpower(exponent, scale, trunc_order: int) -> TruncSeries:
     return series_exp_linear(Fraction(exponent) * Fraction(scale), trunc_order)
 
 
-def _unit(a, b, scale, W: int) -> TruncSeries:
-    """(t^a - t^b)/x with t = exp(scale*x), through x^W: the difference of
-    the two exponentials through x^(W+1), shifted down one degree.  Its
-    constant term is (a - b)*scale."""
-    (row_a, row_b), den = exp_numerators((a * scale, b * scale), W + 1)
+def _ratio(num: int, den: int) -> Union[int, Fraction]:
+    """num/den, as an int when it is integral: integral rates and exponents
+    then stay on int arithmetic, where a Fraction would hash, add and expand
+    on its slower path."""
+    quotient, rest = divmod(num, den)
+    return Fraction(num, den) if rest else quotient
+
+
+def _unit(a, b, W: int) -> TruncSeries:
+    """(e^{ax} - e^{bx})/x through x^W: the difference of the two
+    exponentials through x^(W+1), shifted down one degree.  Its constant term
+    is a - b."""
+    (row_a, row_b), den = exp_numerators((a, b), W + 1)
     return TruncSeries.from_numerators(0, list(map(sub, row_a[1:], row_b[1:])), den, W)
 
 
@@ -151,14 +165,18 @@ class MPolySeries:
             rows.append((rho, row[:width + 1]))
         return cls(0, width, den, rows)
 
-    def at(self, m: int) -> TruncSeries:
-        """The series at one value of m."""
-        coeffs, top = iter(marshal.loads(self.coeffs)), self.hi - self.lo
+    def at(self, m: int, hi: int) -> TruncSeries:
+        """The series at one value of m, through x^hi <= self.hi.  The
+        polynomials are stored by degree, so a narrower series reads only the
+        first of them."""
+        if hi > self.hi:
+            raise ValueError(f"series known through x^{self.hi}, asked for x^{hi}")
+        coeffs, top = iter(marshal.loads(self.coeffs)), hi - self.lo
         powers = [1]
         for _ in range(top):
             powers.append(powers[-1] * m)
         nums = [sum(map(mul, islice(coeffs, k + 1), powers)) for k in range(top + 1)]
-        return TruncSeries.from_numerators(self.lo, nums, self.den, self.hi)
+        return TruncSeries.from_numerators(self.lo, nums, self.den, hi)
 
 
 def _finalize_normalized(raw: TruncSeries, what: str) -> TruncSeries:
@@ -174,7 +192,7 @@ def _homfly_kernel(n: int, N: int, W: int) -> tuple[TruncSeries, MPolySeries]:
     lambda^{m(n-1)/2}, with A_i = prod_{j=-p..i, j != 0} (t^N - t^j) / ((i)! (p)!)
     * t^{p(p+1)/2}: p + i brackets over p + i, each taken as its unit."""
     def u(a, b) -> TruncSeries:  # (t^a - t^b)/x
-        return _unit(a, b, 1, W)
+        return _unit(a, b, W)
 
     one = TruncSeries.one(W)
     # prefix products, each over x^a: left[p] = prod_{j=1..p} (t^N - t^-j),
@@ -185,7 +203,7 @@ def _homfly_kernel(n: int, N: int, W: int) -> tuple[TruncSeries, MPolySeries]:
         fact.append(fact[-1] * u(a, 0))
         if a < N:
             right.append(right[-1] * u(N, a))
-    shift = Fraction((n - 1) * (N - 1), 2)  # lambda^{(m-1)(n-1)/2} = t^{shift (m - 1)}
+    shift = _ratio((n - 1) * (N - 1), 2)  # lambda^{(m-1)(n-1)/2} = t^{shift (m - 1)}
     head = one if n == 1 else u(1, 0) * qpower(-shift, 1, W) / u(n, 0)
     summands = []
     for i in range(n):
@@ -203,13 +221,12 @@ def _kauffman_kernel(n: int, N: int, W: int) -> tuple[TruncSeries, MPolySeries]:
     """[1] / ([1] + [0;1]) and the (-1)^g summands of the Kauffman sum, with
     the m-dependent weight t^{-m(b-g)/2} lambda^{-m} times the framing
     lambda^{nm} as the exponential."""
-    lam = Fraction(N - 1, 2)  # lambda = t^{(N-1)/2}, in t-exponent units
-
+    # lambda = t^{(N-1)/2} and t = e^{x/2}, so [p] = e^{px/4} - e^{-px/4}
     def br(p) -> TruncSeries:  # [p]/x
-        return _unit(Fraction(p, 2), Fraction(-p, 2), Fraction(1, 2), W)
+        return _unit(_ratio(p, 4), _ratio(-p, 4), W)
 
     def brq(p) -> TruncSeries:  # [p;1]/x, a unit for N >= n + 2
-        return _unit(Fraction(p, 2) + lam, Fraction(-p, 2) - lam, Fraction(1, 2), W)
+        return _unit(_ratio(p + N - 1, 4), _ratio(1 - N - p, 4), W)
 
     one = TruncSeries.one(W)
     brqs = {p: brq(p) for p in range(1 - n, n)}  # every [p;1] a summand uses
@@ -222,16 +239,16 @@ def _kauffman_kernel(n: int, N: int, W: int) -> tuple[TruncSeries, MPolySeries]:
         fact.append(fact[-1] * br(a))
     inv_br_n = one / br(n)
     head = br(1) / (br(1) + brqs[0])
-    # lambda^{nm} = exp(m n lam x / 2) weighs every summand, the start included;
+    # lambda^{nm} = exp(m n (N-1) x / 4) weighs every summand, the start included;
     # the start is 1 at even n and 0 at odd n, where it is left out
-    summands = [(one, n * lam / 2)] if n % 2 == 0 else []
+    summands = [(one, _ratio(n * (N - 1), 4))] if n % 2 == 0 else []
     for g in range(n):
         b = n - 1 - g
         bracket = inv_br_n + one / brqs[b - g]  # x (1/[n] + 1/[b-g;1])
         numer = neg[g] * brqs[0] * pos[b]  # prod_{j=-g..b} [j;1] over x^n
         term = (bracket * numer) / (fact[b] * fact[g])  # x^{-1} x^n / x^{n-1} = 1
         # t^{-m(b-g)/2} lambda^{-m} lambda^{nm}, t = e^{x/2}
-        rate = (Fraction(g - b, 2) + (n - 1) * lam) / 2
+        rate = _ratio(g - b + (n - 1) * (N - 1), 4)
         summands.append((term if g % 2 == 0 else -term, rate))
     return head, MPolySeries.from_series(summands, W)
 
@@ -242,8 +259,8 @@ def _akutsu_wadati_kernel(n: int, j: int, W: int) -> tuple[TruncSeries, MPolySer
     m-free parts of all 2(j+1) of them are expanded in one call.  Every
     term of the sum vanishes at x = 0, whatever m is, so its rows through
     x^(W+1), stored from degree -1, are the sum over x through x^W."""
-    shift = Fraction(j * (n - 1), 2)  # t^{j(n-1)(m-1)/2} = t^{shift (m - 1)}
-    head = qpower(-shift, 1, W) / _unit(j + 1, 0, 1, W)
+    shift = _ratio(j * (n - 1), 2)  # t^{j(n-1)(m-1)/2} = t^{shift (m - 1)}
+    head = qpower(-shift, 1, W) / _unit(j + 1, 0, W)
     # e1 = n(1 + m ell)(j - ell) + 1 + m ell, e2 = n(1 + m ell)(j - ell) + m(j - ell)
     powers, den = exp_numerators([n * (j - ell) + e for ell in range(j + 1) for e in (1, 0)],
                                  W + 1)
@@ -256,18 +273,32 @@ def _akutsu_wadati_kernel(n: int, j: int, W: int) -> tuple[TruncSeries, MPolySer
 
 
 @lru_cache(maxsize=KERNEL_CACHE_SIZE)
-def _kernel(family: Family, n: int, parameter: int, W: int) -> tuple[TruncSeries, MPolySeries]:
-    """The m-free head of one evaluator and its sum as polynomials in m."""
-    return _FAMILIES[family][0](n, parameter, W)
+def _kernel(family: Family, n: int, parameter: int) -> list:
+    """The one-cell slot [(W, head, sum)] of one evaluator: its m-free head
+    and its sum as polynomials in m, through x^W.  It starts empty, at
+    W = -1, and :func:`_at_knot` widens it.  The cell is read and replaced
+    whole, so a caller never sees a head and a sum of different widths; two
+    threads that widen one slot at once each use their own build, and the
+    later store stays."""
+    return [(-1, None, None)]
 
 
 def _at_knot(family: Family, k: TorusKnot, parameter: int, trunc_order: int,
              what: str) -> TruncSeries:
-    """The tail every evaluator shares: the kernel's head times its sum at m."""
+    """The tail every evaluator shares: the kernel's head times its sum at m.
+    A kernel's coefficients through x^W do not depend on the width it was
+    built at, so a wider kernel serves the order with its sum read through
+    x^W; the head, a unit, then needs no truncation, as a product is known
+    only through the narrower factor's order.  A narrower kernel is rebuilt
+    once at the order, which replaces it."""
     if trunc_order < 0:
         raise UnsupportedInput(f"{what}: trunc_order must be >= 0 (got {trunc_order})")
-    head, total = _kernel(family, k.n, parameter, trunc_order)
-    return _finalize_normalized(head * total.at(k.m), what)
+    slot = _kernel(family, k.n, parameter)
+    width, head, total = slot[0]
+    if width < trunc_order:
+        head, total = _FAMILIES[family](k.n, parameter, trunc_order)
+        slot[0] = trunc_order, head, total
+    return _finalize_normalized(head * total.at(k.m, trunc_order), what)
 
 
 def homfly_normalized(knot: KnotLike, N: int,
@@ -327,29 +358,33 @@ def _over_factors(group: GroupInstance, trunc_order: int,
     return series
 
 
-#: each simple family's kernel builder and evaluator
+#: each simple family's kernel builder
 _FAMILIES = {
-    Family.SU_N: (_homfly_kernel, homfly_normalized),
-    Family.SO_N: (_kauffman_kernel, kauffman_normalized),
-    Family.SU2: (_akutsu_wadati_kernel, akutsu_wadati_normalized),
+    Family.SU_N: _homfly_kernel,
+    Family.SO_N: _kauffman_kernel,
+    Family.SU2: _akutsu_wadati_kernel,
 }
 
 
 def _simple_normalized(knot: KnotLike, group: GroupInstance, trunc_order: int) -> TruncSeries:
-    parameter = group.j if group.family == Family.SU2 else group.N
-    return _FAMILIES[group.family][1](knot, parameter, trunc_order)
+    """A simple group's evaluator, called by its module-level name, so that
+    whatever rebinds the name (a tracer, a test) sees every call."""
+    if group.family == Family.SU2:
+        return akutsu_wadati_normalized(knot, group.j, trunc_order)
+    if group.family == Family.SO_N:
+        return kauffman_normalized(knot, group.N, trunc_order)
+    return homfly_normalized(knot, group.N, trunc_order)
 
 
 def _quantum_dimension(group: GroupInstance, trunc_order: int) -> TruncSeries:
     """The unknot factor of a simple group, a finite t-power sum: [N] for
     SU(N), 1 + [N-1] with t = e^{x/2} for SO(N) and [j+1] for SU(2), where
     [p] = sum_{k<p} t^{(p-1)/2 - k}."""
-    if group.family == Family.SO_N:
-        start, p, scale = 1, group.N - 1, Fraction(1, 2)
+    if group.family == Family.SO_N:  # t^e = e^{ex/2}: the rates are (p-1-2k)/4
+        start, p, q = 1, group.N - 1, 4
     else:
-        start, p, scale = 0, group.j + 1 if group.family == Family.SU2 else group.N, 1
-    rows, den = exp_numerators([(Fraction(p - 1, 2) - k) * scale for k in range(p)],
-                               trunc_order)
+        start, p, q = 0, group.j + 1 if group.family == Family.SU2 else group.N, 2
+    rows, den = exp_numerators([_ratio(p - 1 - 2 * k, q) for k in range(p)], trunc_order)
     nums = [sum(column) for column in zip(*rows)]
     nums[0] += start * den
     return TruncSeries.from_numerators(0, nums, den, trunc_order)

@@ -17,7 +17,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from torusvass import analysis, cli, suites
+from torusvass import analysis, cli, invariants, suites
 from torusvass.cli import main
 from torusvass.errors import UnsupportedInput
 from torusvass.groups import Family, GroupInstance
@@ -637,6 +637,31 @@ def test_shared_parser_answers_like_a_fresh_one(capsys, monkeypatch, columns):
             fresh.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
             expected = answer(capsys, argv)
         assert answer(capsys, argv) == expected, argv
+
+
+#: expand over the four families at orders 0..24: each family alternates two
+#: knots, so each knot's kernels are asked at orders above, at and below the
+#: widths they were built at
+KERNEL_REPLAY = tuple(
+    ("expand", "--family", *family, "--n", str(n), "--m", str(m), "--order", str(order),
+     "--format", ("json", "csv", "table")[k % 3])
+    for family in (("su_n", "--N", "3"), ("so_n", "--N", "7"), ("su2", "--j", "2"),
+                   ("product", "--N", "2", "--j", "1"))
+    for k, ((n, m), order) in enumerate(zip(((2, 3), (5, -7)) * 5,
+                                            (24, 6, 0, 12, 1, 7, 13, 18, 9, 2)))
+)
+
+
+def test_expand_answers_do_not_depend_on_the_cached_kernels(capsys):
+    cold = {}
+    for argv in KERNEL_REPLAY:
+        invariants._kernel.cache_clear()
+        cold[argv] = answer(capsys, argv)
+    assert all(code == 0 for code, _, _ in cold.values())
+    invariants._kernel.cache_clear()
+    for argv in KERNEL_REPLAY + KERNEL_REPLAY[::-1]:
+        assert answer(capsys, argv) == cold[argv], argv
+    invariants._kernel.cache_clear()
 
 
 def test_readme_library_tour():

@@ -216,9 +216,8 @@ def test_fitted_g_reproduces_alpha_tilde_through_factors(family, parameter, absc
 
 
 def _count_evaluations(monkeypatch):
-    """Wrap the evaluators of torusvass.invariants with call counters: the
-    simple families where normalized_series finds them, in the family table,
-    and unknot_factor by name."""
+    """Wrap the evaluators of torusvass.invariants and unknot_factor with
+    call counters, at the module-level names the package calls them by."""
     import torusvass.invariants as invariants
 
     counts = {}
@@ -229,10 +228,9 @@ def _count_evaluations(monkeypatch):
             return original(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(invariants, "_FAMILIES", {
-        family: (build, counted(evaluate))
-        for family, (build, evaluate) in invariants._FAMILIES.items()})
-    monkeypatch.setattr(invariants, "unknot_factor", counted(invariants.unknot_factor))
+    for name in ("homfly_normalized", "kauffman_normalized", "akutsu_wadati_normalized",
+                 "unknot_factor"):
+        monkeypatch.setattr(invariants, name, counted(getattr(invariants, name)))
     return counts
 
 

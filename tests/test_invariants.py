@@ -1,5 +1,8 @@
 """Series evaluators for the three quantum invariants and the unknot factors."""
 
+import random
+import sys
+import threading
 from fractions import Fraction as F
 
 import pytest
@@ -12,7 +15,7 @@ from torusvass.invariants import (akutsu_wadati_normalized, homfly_normalized,
                                   kauffman_normalized, normalized_series, qpower,
                                   unknot_factor, unnormalized_series)
 from torusvass.knots import TorusKnot
-from torusvass.series import TruncSeries, series_div, series_exp_linear
+from torusvass.series import TruncSeries, exp_numerators, series_div, series_exp_linear
 
 ORDER = 6
 ONE = (F(1),) + (F(0),) * ORDER
@@ -443,13 +446,14 @@ def test_kernels_divide_only_by_units(n, monkeypatch):
     cases = ((homfly_normalized, Family.SU_N, 2), (homfly_normalized, Family.SU_N, n + 1),
              (kauffman_normalized, Family.SO_N, n + 2), (akutsu_wadati_normalized, Family.SU2, 1),
              (akutsu_wadati_normalized, Family.SU2, 4))
-    for order in (0, 1, 6, 12):
+    for order in (0, 1, 6, 12):  # rising, so each order widens the kernel to itself
         for evaluate, family, parameter in cases:
             evaluate((n, -(n + 1)), parameter, order)
             misses = invariants._kernel.cache_info().misses
-            _, kernel = invariants._kernel(family, n, parameter, order)
+            width, _, kernel = invariants._kernel(family, n, parameter)[0]
             assert invariants._kernel.cache_info().misses == misses, (family, order)
-            assert (kernel.hi, kernel.at(n + 1).trunc_order) == (order, order), (family, order)
+            assert (width, kernel.hi, kernel.at(n + 1, order).trunc_order) == (order,) * 3, \
+                (family, order)
     assert denominators
     assert all(den.min_degree == 0 for den in denominators)
     invariants._kernel.cache_clear()
@@ -468,7 +472,12 @@ def test_mpoly_series_equals_running_sum(m):
     expected = TruncSeries.zero(W)
     for a, rho in summands[1:]:
         expected = expected + a * qpower(m * rho, 1, W)
-    assert invariants.MPolySeries.from_series(summands, W).at(m) == expected
+    total = invariants.MPolySeries.from_series(summands, W)
+    # a narrower series is the prefix; a wider one is not known
+    assert [total.at(m, hi) for hi in range(W + 1)] == [expected.truncated(hi)
+                                                       for hi in range(W + 1)]
+    with pytest.raises(ValueError):
+        total.at(m, W + 1)
 
 
 def test_five_m_build_one_kernel():
@@ -481,19 +490,138 @@ def test_five_m_build_one_kernel():
         kauffman_normalized((3, m), 7, 9)
         akutsu_wadati_normalized((3, m), 2, 9)
     assert invariants._kernel.cache_info().misses == 3
+    # the order does not key a kernel: other orders of the same three are hits
+    for order in (0, 3, 12):
+        homfly_normalized((3, 4), 4, order)
+        kauffman_normalized((3, 4), 7, order)
+        akutsu_wadati_normalized((3, 4), 2, order)
+    assert invariants._kernel.cache_info().misses == 3
 
 
 def test_kernel_is_polynomial_in_m():
     # the coefficient of x^d is a polynomial of degree <= d - lo in m
     # at every m, so finite differences of order d - lo + 1 vanish
-    _, kernel = invariants._kernel(Family.SO_N, 4, 7, 8)
-    series = [kernel.at(m) for m in range(-3, 12)]
+    invariants._kernel.cache_clear()
+    kauffman_normalized((4, 5), 7, 8)
+    _, _, kernel = invariants._kernel(Family.SO_N, 4, 7)[0]
+    assert kernel.hi == 8
+    series = [kernel.at(m, 8) for m in range(-3, 12)]
     assert all(s.trunc_order == kernel.hi and s.min_degree >= kernel.lo for s in series)
     for d in range(kernel.lo, kernel.hi + 1):
         values = [s.coefficient(d) for s in series]
         for _ in range(d - kernel.lo + 1):
             values = [b - a for a, b in zip(values, values[1:])]
         assert values and not any(values)
+
+
+#: widths asked of one kernel in turn: the first builds it, and each later one
+#: is at or below it; reversed, the kernel is built at 12 and widened to 24
+WIDTHS = (24, 12, 6, 1, 0, 7, 12)
+
+
+def _fields(series):
+    return series.min_degree, series.nums, series.den, series.trunc_order
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_kernels_serve_every_narrower_width(n, monkeypatch):
+    # a kernel's coefficients through x^W do not depend on the width it was
+    # built at, so a cached kernel serves every order at or below its width
+    # with the series a cold build at that order gives, and builds nothing;
+    # a wider order builds once, at that order
+    builds = []
+    for family, build in list(invariants._FAMILIES.items()):
+        def counted(n, parameter, W, build=build):
+            builds.append(W)
+            return build(n, parameter, W)
+        monkeypatch.setitem(invariants._FAMILIES, family, counted)
+    cases = ((homfly_normalized, 2), (homfly_normalized, n + 3), (kauffman_normalized, n + 2),
+             (akutsu_wadati_normalized, 1), (akutsu_wadati_normalized, 3))
+    for m in (n + 1, -(2 * n + 1)):
+        for evaluate, parameter in cases:
+            cold = {}
+            for order in set(WIDTHS):
+                invariants._kernel.cache_clear()
+                cold[order] = _fields(evaluate((n, m), parameter, order))
+            for widths in (WIDTHS, WIDTHS[::-1]):
+                invariants._kernel.cache_clear()
+                del builds[:]
+                for k, order in enumerate(widths):
+                    built = len(builds)
+                    got = _fields(evaluate((n, m), parameter, order))
+                    assert got == cold[order], (evaluate.__name__, parameter, m, widths, order)
+                    widest = max(widths[:k], default=-1)
+                    assert builds[built:] == ([order] if order > widest else []), \
+                        (evaluate.__name__, parameter, m, widths, order)
+    invariants._kernel.cache_clear()
+
+
+def test_threads_share_the_kernels():
+    # every thread reads and widens the same cached kernels; whatever widths
+    # the others store meanwhile, each result equals the cold one
+    cases = ((homfly_normalized, (3, 4), 3), (kauffman_normalized, (3, -5), 6),
+             (akutsu_wadati_normalized, (5, 7), 2))
+    orders = (12, 0, 6, 24, 1, 7)
+    expected = {}
+    for evaluate, knot, parameter in cases:
+        for order in orders:
+            invariants._kernel.cache_clear()
+            expected[evaluate, order] = evaluate(knot, parameter, order)
+    errors = []
+
+    def worker(seed):
+        rng = random.Random(seed)
+        try:
+            for _ in range(150):
+                evaluate, knot, parameter = rng.choice(cases)
+                order = rng.choice(orders)
+                assert evaluate(knot, parameter, order) == expected[evaluate, order]
+                if rng.random() < 0.2:
+                    invariants._kernel.cache_clear()
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    invariants._kernel.cache_clear()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+def test_integral_rates_are_ints(n, monkeypatch):
+    # every integral rate and t-power exponent reaches the expansion as an
+    # int; the kernels built with every ratio a Fraction are equal, field for
+    # field, to the ones built with ints
+    rates = []
+
+    def recording(values, trunc_order):
+        rates.extend(values)
+        return exp_numerators(values, trunc_order)
+
+    def kernels():
+        for family, parameters in ((Family.SU_N, (2, 3, 6)), (Family.SO_N, (n + 2, n + 3, n + 5)),
+                                   (Family.SU2, (1, 2, 3))):
+            for parameter in parameters:
+                for W in (0, 6, 12):
+                    head, total = invariants._FAMILIES[family](n, parameter, W)
+                    yield _fields(head), (total.lo, total.hi, total.den, total.coeffs)
+
+    with monkeypatch.context() as recorded:
+        recorded.setattr(invariants, "exp_numerators", recording)
+        recorded.setattr("torusvass.series.exp_numerators", recording)
+        with_ints = list(kernels())
+    assert rates and all(type(r) is int or r.denominator > 1 for r in rates)
+    monkeypatch.setattr(invariants, "_ratio", F)
+    assert list(kernels()) == with_ints
 
 
 def test_unknot_factor_is_memoized():
