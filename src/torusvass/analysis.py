@@ -18,7 +18,7 @@ from math import gcd, lcm, prod
 from typing import Iterable, Optional
 
 from .errors import UnsupportedInput
-from .knots import CanonicalTorusKnot, TorusKnot, as_knot, canonical_knots
+from .knots import TorusKnot, as_knot, canonical_knots
 from .tables import BETA_DENOMINATORS, PRIMITIVE_ORDER, primitive_numerators
 
 #: the denominators of the twelve primitive betas, in PRIMITIVE_ORDER
@@ -31,7 +31,9 @@ SCAN_FLOORS = {"max_n": 3, "bound": 2}
 
 
 def check_floor(keyword: str, value: int) -> None:
-    """Reject a scan bound below its floor in SCAN_FLOORS."""
+    """The one scan-bound check: an int (not a bool) no lower than its floor."""
+    if type(value) is not int:
+        raise UnsupportedInput(f"{keyword} must be an int (got {value!r})")
     if value < SCAN_FLOORS[keyword]:
         raise UnsupportedInput(f"{keyword} must be >= {SCAN_FLOORS[keyword]}")
 
@@ -161,7 +163,7 @@ def dependency_relations_check(grid: Optional[Iterable] = None,
     knots = list(grid) if grid is not None else list(canonical_knots(max_n))
     report = ScanReport("dependency-relations", max_n)
     for knot in knots:
-        k = knot.as_knot() if isinstance(knot, CanonicalTorusKnot) else as_knot(knot)
+        k = as_knot(knot)
         nums = primitive_numerators(k.n, k.m)
         for rel in DEPENDENCY_RELATIONS:
             report.checked += 1
@@ -296,8 +298,8 @@ def lissajous_verdict(beta21_numerator: int) -> str:
     den = BETA_DENOMINATORS[_B21]
     value, remainder = divmod(beta21_numerator, den)
     if remainder:
-        raise ValueError(f"beta_{{2,1}} = {Fraction(beta21_numerator, den)} is not an "
-                         "integer; parity undefined")
+        raise UnsupportedInput(f"beta_{{2,1}} = {Fraction(beta21_numerator, den)} is not "
+                               "an integer; parity undefined")
     return OBSTRUCTED if value % 2 == 1 else INCONCLUSIVE
 
 

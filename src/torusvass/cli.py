@@ -190,7 +190,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
 
 def _cmd_expand(args: argparse.Namespace) -> int:
     n, m = args.n, args.m
-    knot = TorusKnot(n, m).validate().oriented()
+    knot = TorusKnot(n, m).validate()
     if not 0 <= args.order <= MAX_EXPAND_ORDER:
         raise UnsupportedInput(f"order {args.order} unsupported"
                                + (f" (expand stops at {MAX_EXPAND_ORDER})"

@@ -78,6 +78,15 @@ _PARAMETER_FLOORS = {
 }
 
 
+def check_parameter(family: Family, name: str, value, floor: Optional[int]) -> None:
+    """The one group-parameter check: an int (not a bool) no lower than floor;
+    Kauffman passes None, as its floor N >= n + 2 depends on the knot."""
+    if type(value) is not int:
+        raise UnsupportedInput(f"{family.value} needs an int {name} (got {value!r})")
+    if floor is not None and value < floor:
+        raise UnsupportedInput(f"{family.value} needs {name} >= {floor}")
+
+
 @dataclass(frozen=True)
 class GroupInstance:
     """A concrete group and representation choice.
@@ -94,9 +103,7 @@ class GroupInstance:
     def __post_init__(self):
         floors = _PARAMETER_FLOORS[self.family]
         for name, floor in floors.items():
-            value = getattr(self, name)
-            if value is None or value < floor:
-                raise UnsupportedInput(f"{self.family.value} needs {name} >= {floor}")
+            check_parameter(self.family, name, getattr(self, name), floor)
         for name in ("N", "j"):
             if name not in floors and getattr(self, name) is not None:
                 raise UnsupportedInput(f"{self.family.value} takes no {name}")
@@ -152,8 +159,7 @@ def casimirs(family: Family, parameter: int) -> CasimirSet:
     """
     if family == Family.SU_N:
         N = parameter
-        if N < 2:
-            raise UnsupportedInput("su_n needs N >= 2")
+        check_parameter(family, "N", N, 2)
         c = Fraction(N * N - 1)
         return CasimirSet(
             c2=-c / (2 * N),
@@ -166,8 +172,7 @@ def casimirs(family: Family, parameter: int) -> CasimirSet:
         )
     if family == Family.SO_N:
         N = parameter
-        if N < 3:
-            raise UnsupportedInput("so_n needs N >= 3")
+        check_parameter(family, "N", N, 3)
         a, b = Fraction(N - 1), Fraction(N - 2)
         return CasimirSet(
             c2=-a / 4,
@@ -180,8 +185,7 @@ def casimirs(family: Family, parameter: int) -> CasimirSet:
         )
     if family == Family.SU2:
         j = parameter
-        if j < 1:
-            raise UnsupportedInput("su2 needs j >= 1")
+        check_parameter(family, "j", j, 1)
         sigma = Fraction(j, 2)
         q = sigma * (sigma + 1)  # equals -A with A = -j(j+2)/4
         return CasimirSet(

@@ -19,8 +19,8 @@ Conventions:
   contains; no series division by lambda t - 1 ever happens.
 * All series are computed at a concrete integer N (or j); the polynomial
   dependence on the parameter is recovered downstream by exact interpolation.
-* m may be negative (the formulas stay well defined); n must be >= 1, which
-  every knot reaches through the equivalence {n,m} ~ {-n,-m}.
+* m may be negative (the formulas stay well defined); a knot with n <= -1
+  is evaluated as {-n,-m}, the same knot with n >= 1.
 
 Per-n kernels.  Each evaluator is a framing factor times a sum
 sum_i A_i(x) e^{m rho_i x} (Rosso-Jones form).  The summands A_i (bracket
@@ -71,8 +71,8 @@ from operator import add, mul, neg, sub
 from typing import Callable, Iterable, Sequence, Union
 
 from .errors import CancellationFailure, SingularBracket, UnsupportedInput
-from .groups import Family, GroupInstance, simple_factors
-from .knots import TorusKnot, as_knot
+from .groups import Family, GroupInstance, check_parameter, simple_factors
+from .knots import KnotLike, TorusKnot, as_knot
 from .series import TruncSeries, exp_numerators, series_exp_linear
 
 #: coefficients are needed through x^6
@@ -85,8 +85,6 @@ DEFAULT_ORDER = 6
 #: higher order), and the kernels hold 0.21 MiB (tracemalloc, seeds 1-3).  A
 #: build costs about one direct evaluation
 KERNEL_CACHE_SIZE = 256
-
-KnotLike = Union[TorusKnot, tuple]
 
 
 def qpower(exponent, scale, trunc_order: int) -> TruncSeries:
@@ -283,6 +281,14 @@ def _kernel(family: Family, n: int, parameter: int) -> list:
     return [(-1, None, None)]
 
 
+def _check_order(trunc_order, what: str) -> None:
+    """The one order check: an int (not a bool) >= 0."""
+    if type(trunc_order) is not int:
+        raise UnsupportedInput(f"{what}: trunc_order must be an int (got {trunc_order!r})")
+    if trunc_order < 0:
+        raise UnsupportedInput(f"{what}: trunc_order must be >= 0 (got {trunc_order})")
+
+
 def _at_knot(family: Family, k: TorusKnot, parameter: int, trunc_order: int,
              what: str) -> TruncSeries:
     """The tail every evaluator shares: the kernel's head times its sum at m.
@@ -291,8 +297,7 @@ def _at_knot(family: Family, k: TorusKnot, parameter: int, trunc_order: int,
     x^W; the head, a unit, then needs no truncation, as a product is known
     only through the narrower factor's order.  A narrower kernel is rebuilt
     once at the order, which replaces it."""
-    if trunc_order < 0:
-        raise UnsupportedInput(f"{what}: trunc_order must be >= 0 (got {trunc_order})")
+    _check_order(trunc_order, what)
     slot = _kernel(family, k.n, parameter)
     width, head, total = slot[0]
     if width < trunc_order:
@@ -304,12 +309,8 @@ def _at_knot(family: Family, k: TorusKnot, parameter: int, trunc_order: int,
 def homfly_normalized(knot: KnotLike, N: int,
                       trunc_order: int = DEFAULT_ORDER) -> TruncSeries:
     """Series of the normalized torus-knot HOMFLY polynomial for SU(N)."""
-    k = as_knot(knot).validate()
-    if k.n < 1:
-        raise CancellationFailure(f"homfly needs n >= 1 (got {k.n}); apply the "
-                                  "equivalence (n,m) ~ (-n,-m)")
-    if N < 2:
-        raise UnsupportedInput("su_n needs N >= 2")
+    k = as_knot(knot).validate().oriented()
+    check_parameter(Family.SU_N, "N", N, 2)
     return _at_knot(Family.SU_N, k, N, trunc_order, f"homfly({k.n},{k.m};N={N})")
 
 
@@ -321,10 +322,8 @@ def kauffman_normalized(knot: KnotLike, N: int,
     vanishes identically at p = 1 - N, which |p| <= n - 1 would reach for
     smaller N.
     """
-    k = as_knot(knot).validate()
-    if k.n < 1:
-        raise CancellationFailure(f"kauffman needs n >= 1 (got {k.n}); apply the "
-                                  "equivalence (n,m) ~ (-n,-m)")
+    k = as_knot(knot).validate().oriented()
+    check_parameter(Family.SO_N, "N", N, None)
     if N < k.n + 2:
         raise SingularBracket(f"so_n sampling needs N >= n + 2 = {k.n + 2} (got N={N}): "
                               "a required bracket [p;1] would have vanishing leading term")
@@ -338,12 +337,8 @@ def akutsu_wadati_normalized(knot: KnotLike, j: int,
     The sum telescopes to t^{j+1} - 1 at n = 1, which is what makes the
     normalized unknot value exactly 1.
     """
-    k = as_knot(knot).validate()
-    if k.n < 1:
-        raise CancellationFailure(f"akutsu-wadati needs n >= 1 (got {k.n}); "
-                                  "apply (n,m) ~ (-n,-m)")
-    if j < 1:
-        raise UnsupportedInput("su2 needs j >= 1")
+    k = as_knot(knot).validate().oriented()
+    check_parameter(Family.SU2, "j", j, 1)
     return _at_knot(Family.SU2, k, j, trunc_order, f"akutsu-wadati({k.n},{k.m};j={j})")
 
 
@@ -390,14 +385,13 @@ def _quantum_dimension(group: GroupInstance, trunc_order: int) -> TruncSeries:
     return TruncSeries.from_numerators(0, nums, den, trunc_order)
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=128, typed=True)
 def unknot_factor(group: GroupInstance, trunc_order: int = DEFAULT_ORDER) -> TruncSeries:
     """Quantum-dimension series of the unknot; constant term is the classical
     dimension (N, N, j+1, or N(j+1)).  It does not depend on the knot, so it
-    is memoized per (group, trunc_order)."""
-    if trunc_order < 0:
-        raise UnsupportedInput(f"unknot factor of {group.label()}: "
-                               f"trunc_order must be >= 0 (got {trunc_order})")
+    is memoized per (group, trunc_order), typed: a non-int order never hits
+    an int's entry, so it always meets the order check."""
+    _check_order(trunc_order, f"unknot factor of {group.label()}")
     return _over_factors(group, trunc_order, lambda g: _quantum_dimension(g, trunc_order))
 
 

@@ -3,6 +3,9 @@
 A torus knot {n, m} needs gcd(|n|, |m|) = 1.  The pairs {n,m}, {m,n},
 {-n,-m} and {-m,-n} describe the same knot, while {n,m} and {n,-m} are mirror
 images.  |n| = 1 or |m| = 1 gives the unknot.
+
+The one knot check: a TorusKnot holds two ints (anything else, bools included,
+raises UnsupportedInput), and validate() adds the nonzero and coprime rule.
 """
 
 from __future__ import annotations
@@ -11,13 +14,17 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterator, Union
 
-from .errors import NotAKnot
+from .errors import NotAKnot, UnsupportedInput
 
 
 @dataclass(frozen=True)
 class TorusKnot:
     n: int
     m: int
+
+    def __post_init__(self):
+        if type(self.n) is not int or type(self.m) is not int:
+            raise UnsupportedInput(f"({self.n!r}, {self.m!r}): knot indices must be ints")
 
     def validate(self) -> "TorusKnot":
         if self.n == 0 or self.m == 0 or gcd(abs(self.n), abs(self.m)) != 1:
@@ -39,13 +46,6 @@ class TorusKnot:
 
     def is_unknot(self) -> bool:
         return abs(self.n) == 1 or abs(self.m) == 1
-
-
-def as_knot(knot: Union[TorusKnot, tuple[int, int]]) -> TorusKnot:
-    if isinstance(knot, TorusKnot):
-        return knot
-    n, m = knot
-    return TorusKnot(int(n), int(m))
 
 
 class _UnknotType:
@@ -73,12 +73,30 @@ class CanonicalTorusKnot:
     m: int
 
     def __post_init__(self):
+        knot = self.as_knot()
         if not (self.n > abs(self.m) >= 2):
             raise ValueError(f"({self.n}, {self.m}) violates n > |m| >= 2")
-        self.as_knot().validate()
+        knot.validate()
 
     def as_knot(self) -> TorusKnot:
         return TorusKnot(self.n, self.m)
+
+
+KnotLike = Union[TorusKnot, CanonicalTorusKnot, tuple]
+
+
+def as_knot(knot: KnotLike) -> TorusKnot:
+    """The TorusKnot of a TorusKnot, a CanonicalTorusKnot or an (n, m) pair."""
+    if isinstance(knot, TorusKnot):
+        return knot
+    if isinstance(knot, CanonicalTorusKnot):
+        return knot.as_knot()
+    try:
+        n, m = knot
+    except (TypeError, ValueError):
+        raise UnsupportedInput(f"{knot!r} is not a torus knot (give a TorusKnot or a "
+                               "pair of ints)") from None
+    return TorusKnot(n, m)
 
 
 def canonicalize(n: int, m: int) -> Union[CanonicalTorusKnot, _UnknotType]:
@@ -87,8 +105,7 @@ def canonicalize(n: int, m: int) -> Union[CanonicalTorusKnot, _UnknotType]:
     Nonzero coprime input is required.  The unknot (|n| = 1 or |m| = 1) maps
     to the UNKNOT sentinel.
     """
-    TorusKnot(n, m).validate()
-    if abs(n) == 1 or abs(m) == 1:
+    if TorusKnot(n, m).validate().is_unknot():
         return UNKNOT
     if abs(n) < abs(m):
         n, m = m, n

@@ -199,31 +199,15 @@ def interpolate_poly(points: Sequence[tuple], max_degree: int,
     pts = [(Fraction(x), Fraction(y)) for x, y in points]
     if len(pts) < max_degree + 1:
         raise ValueError(f"need at least {max_degree + 1} points, got {len(pts)}")
-    xs = [x for x, _ in pts]
-    if len(set(xs)) != len(xs):
+    if len({x for x, _ in pts}) != len(pts):
         raise ValueError("point abscissae must be pairwise distinct")
 
-    # Newton divided differences on the leading points
+    # the leading points' Vandermonde system, unique for distinct abscissae
     head = pts[: max_degree + 1]
-    hx = [x for x, _ in head]
-    dd = [y for _, y in head]
-    n = len(head)
-    for level in range(1, n):
-        for i in range(n - 1, level - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / (hx[i] - hx[i - level])
-
-    # expand the Newton form into the monomial basis
-    coeffs = [Fraction(0)] * n
-    basis = [Fraction(1)]  # running product (x - x0)...(x - x_{k-1})
-    for k in range(n):
-        for d, c in enumerate(basis):
-            coeffs[d] += dd[k] * c
-        grown = [Fraction(0)] * (len(basis) + 1)
-        for d, c in enumerate(basis):
-            grown[d] -= c * hx[k]
-            grown[d + 1] += c
-        basis = grown
-
+    coeffs = ()  # no leading point (max_degree -1): the zero polynomial
+    if head:
+        fit = eliminate([[x ** d for d in range(len(head))] for x, _ in head], len(head))
+        coeffs = fit.solve([y for _, y in head]).solution
     poly = ExactPoly.make(coeffs, variable)
     for x, y in pts[max_degree + 1:]:
         if poly.evaluate(x) != y:

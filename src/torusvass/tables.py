@@ -29,13 +29,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Union
+from typing import Callable, NamedTuple
 
 from .groups import ALL_SLOTS, COMPOUND_RULES
-from .knots import TorusKnot, as_knot
+from .knots import KnotLike, TorusKnot, as_knot
 from .linalg import ExactPoly
-
-KnotLike = Union[TorusKnot, tuple]
 
 TREFOIL = TorusKnot(2, 3)
 

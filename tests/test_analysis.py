@@ -535,7 +535,7 @@ def test_scalar_kernels_equal_reference():
 
 
 def test_lissajous_verdict_rejects_a_non_integral_beta21():
-    with pytest.raises(ValueError, match=r"beta_\{2,1\} = 3/8 is not an integer"):
+    with pytest.raises(UnsupportedInput, match=r"beta_\{2,1\} = 3/8 is not an integer"):
         lissajous_verdict(9)
     assert lissajous_verdict(24) == "obstructed" and lissajous_verdict(-48) == "inconclusive"
 

@@ -142,9 +142,19 @@ def test_rejects_non_coprime():
         homfly_normalized((2, 4), 3)
 
 
-def test_rejects_negative_n():
-    with pytest.raises(CancellationFailure):
-        homfly_normalized((-2, 3), 3)
+def test_negative_n_evaluates_the_oriented_knot():
+    # (-n, -m) is the knot (n, m): every evaluator orients it, on an empty
+    # kernel cache as on a warm one
+    for n, m in ((2, 3), (3, -5), (1, 4), (5, 7), (8, -3)):
+        evaluations = (lambda k: homfly_normalized(k, 3),
+                       lambda k: kauffman_normalized(k, n + 2),
+                       lambda k: akutsu_wadati_normalized(k, 2),
+                       lambda k: normalized_series(k, product(2, 1), 8),
+                       lambda k: unnormalized_series(k, product(3, 2), 5))
+        for evaluate in evaluations:
+            invariants._kernel.cache_clear()
+            flipped = evaluate((-n, -m))
+            assert flipped == evaluate(TorusKnot(n, m)) == evaluate(TorusKnot(-n, -m))
 
 
 def test_kauffman_sampling_floor():
