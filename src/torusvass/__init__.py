@@ -13,14 +13,13 @@ __version__ = "0.1.0"
 from .errors import (AnsatzMismatch, CancellationFailure, DegreeExceeded,
                      DivisionByZeroSeries, Inconsistent, NotAKnot, RankDeficient,
                      SingularBracket, TorusVassError, TruncationUnderflow,
-                     UnsupportedInput, ZeroCasimirDivision)
+                     UnsupportedInput)
 from .series import TruncSeries, series_div, series_exp_linear
 from .linalg import ExactPoly, LinearSolution, interpolate_poly
 from .knots import (UNKNOT, CanonicalTorusKnot, TorusKnot, canonical_knots,
                     canonicalize)
-from .groups import (CasimirSet, Family, GroupInstance, GroupFactorVector,
-                     casimirs, group_factor_vector, group_factors, product,
-                     so_n, su2, su_n)
+from .groups import (Family, GroupInstance, GroupFactorVector, group_factors,
+                     product, so_n, su2, su_n)
 from .invariants import (akutsu_wadati_normalized, homfly_normalized,
                          kauffman_normalized, normalized_series, qpower,
                          unknot_factor, unnormalized_series)

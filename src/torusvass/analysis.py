@@ -18,7 +18,7 @@ from math import gcd, lcm, prod
 from typing import Iterable, Optional
 
 from .errors import UnsupportedInput
-from .knots import TorusKnot, as_knot, canonical_knots
+from .knots import TorusKnot, as_knot, canonical_knots, check_int
 from .tables import BETA_DENOMINATORS, PRIMITIVE_ORDER, primitive_numerators
 
 #: the denominators of the twelve primitive betas, in PRIMITIVE_ORDER
@@ -32,8 +32,7 @@ SCAN_FLOORS = {"max_n": 3, "bound": 2}
 
 def check_floor(keyword: str, value: int) -> None:
     """The one scan-bound check: an int (not a bool) no lower than its floor."""
-    if type(value) is not int:
-        raise UnsupportedInput(f"{keyword} must be an int (got {value!r})")
+    check_int(keyword, value)
     if value < SCAN_FLOORS[keyword]:
         raise UnsupportedInput(f"{keyword} must be >= {SCAN_FLOORS[keyword]}")
 
@@ -227,6 +226,7 @@ def integrality_scan(bound: int, include_noncoprime: bool = False) -> ScanReport
 
 def noncoprime_witnesses(bound: int = 6) -> dict:
     """For each order 2..6, a non-coprime pair whose beta is non-integral."""
+    check_int("bound", bound)
     found: dict = {}
     for n in range(2, bound + 1):
         for m in range(n, bound + 1):
@@ -267,6 +267,7 @@ MODULAR_CLAIMS = (
 def proposition_modular_checks(bound: int) -> ScanReport:
     """Verify every modular step used in the integrality proofs for all
     n up to bound."""
+    check_int("bound", bound)
     report = ScanReport("modular-lemmas", bound)
     for n in range(1, bound + 1):
         for label, holds in MODULAR_CLAIMS:

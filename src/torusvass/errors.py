@@ -38,10 +38,6 @@ class SingularBracket(TorusVassError, ArithmeticError):
     """A quantum bracket with identically vanishing leading coefficient was requested."""
 
 
-class ZeroCasimirDivision(TorusVassError, ZeroDivisionError):
-    """A group-factor monomial divides by a quadratic Casimir that is zero."""
-
-
 class RankDeficient(TorusVassError, ArithmeticError):
     """The linear system at some order has too few independent equations."""
 

@@ -56,13 +56,9 @@ class ExtractionReport:
     kind: str
     rank: dict = field(default_factory=dict)          # order -> rank reached
     equations: dict = field(default_factory=dict)     # order -> row count
-    consistent: dict = field(default_factory=dict)    # order -> bool
 
     def all_good(self) -> bool:
-        return (
-            all(self.consistent.values())
-            and all(self.rank[i] == SLOT_COUNTS[i] for i in self.rank)
-        )
+        return all(self.rank[i] == SLOT_COUNTS[i] for i in self.rank)
 
 
 def _plan_series(knot: TorusKnot, instances: Sequence[GroupInstance],
@@ -105,7 +101,6 @@ def _extract(knot, unnormalized: bool, kind: str) -> tuple[InvariantTable, Extra
         result = _plan_elimination(instances, order).solve(rhs)
         report.rank[order] = result.rank
         report.equations[order] = len(rhs)
-        report.consistent[order] = result.consistent
         if not result.consistent:
             raise Inconsistent(order)
         if result.rank < SLOT_COUNTS[order]:

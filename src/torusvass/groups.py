@@ -1,16 +1,16 @@
 """Casimir trace values and the group factors r_ij built from them.
 
 The group factors at order i come in d_i slots, d = (1, 0, 1, 1, 3, 4, 9) for
-i = 0..6.  Primitive slots are monomials in the Casimir traces C2..C6 summed
-over the simple factors of the group; the remaining slots are products of
-lower-order factors:
+i = 0..6.  Each primitive slot is a Casimir trace times a power of the ratio
+s = C3/C2, summed over the simple factors of the group; the remaining slots
+are products of lower-order factors:
 
-    r_{2,1} = sum C3              r_{5,2} = sum C3^4 / C2^3
-    r_{3,1} = sum C3^2 / C2       r_{5,3} = sum C4 C3 / C2
-    r_{4,2} = sum C3^3 / C2^2     r_{5,4} = sum C5
-    r_{4,3} = sum C4              r_{6,5} = sum C3^5 / C2^4
-                                  r_{6,6} = sum C4 C3^2 / C2^2
-    r_{4,1} = r_{2,1}^2           r_{6,7} = sum C5 C3 / C2
+    r_{2,1} = sum C3              r_{5,2} = sum C3 s^3
+    r_{3,1} = sum C3 s            r_{5,3} = sum C4 s
+    r_{4,2} = sum C3 s^2          r_{5,4} = sum C5
+    r_{4,3} = sum C4              r_{6,5} = sum C3 s^4
+                                  r_{6,6} = sum C4 s^2
+    r_{4,1} = r_{2,1}^2           r_{6,7} = sum C5 s
     r_{5,1} = r_{2,1} r_{3,1}     r_{6,8} = sum C6^1
     r_{6,1} = r_{2,1}^3           r_{6,9} = sum C6^2
     r_{6,2} = r_{3,1}^2
@@ -19,12 +19,15 @@ lower-order factors:
 
 Casimir values are tabulated for SU(N) and SO(N) in the fundamental
 representation and for SU(2) in the spin j/2 representation, in the
-normalization Tr(T_a T_b) = -delta_ab / 2 for the fundamental.
+normalization Tr(T_a T_b) = -delta_ab / 2 for the fundamental.  The ratio s
+is a polynomial in every family: s = N/2 for SU(N), s = (N-2)/4 for SO(N)
+and s = 1 for SU(2), so every slot is a polynomial in the group parameter and
+no slot divides.
 
 Convention note for SU(2): the closed forms for the Casimirs are polynomials
-in sigma*(sigma+1) where sigma = j/2 is the spin.  With A = -j(j+2)/4 this
-gives C2 = C3 = A, which is forced by consistency of the order-2 Taylor
-coefficient across the three polynomial families.
+in q = sigma*(sigma+1) where sigma = j/2 is the spin.  With A = -j(j+2)/4 = -q
+this gives C3 = A and s = 1 (so C2 = C3), which is forced by consistency of
+the order-2 Taylor coefficient across the three polynomial families.
 """
 
 from __future__ import annotations
@@ -34,9 +37,9 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional
 
-from .errors import UnsupportedInput, ZeroCasimirDivision
+from .errors import UnsupportedInput
 
 #: number of group-factor slots per order 0..6 (no order-1 slot exists)
 SLOT_COUNTS = {0: 1, 1: 0, 2: 1, 3: 1, 4: 3, 5: 4, 6: 9}
@@ -48,6 +51,15 @@ ORDERS = (2, 3, 4, 5, 6)
 SLOTS = {order: tuple((order, j) for j in range(1, count + 1))
          for order, count in SLOT_COUNTS.items()}
 ALL_SLOTS = tuple(s for i in ORDERS for s in SLOTS[i])
+
+#: each primitive slot as (Casimir, k): the slot sums that Casimir times s^k
+#: over the simple factors, s = C3/C2
+PRIMITIVE_SLOTS = {
+    (2, 1): ("C3", 0), (3, 1): ("C3", 1), (4, 2): ("C3", 2), (4, 3): ("C4", 0),
+    (5, 2): ("C3", 3), (5, 3): ("C4", 1), (5, 4): ("C5", 0),
+    (6, 5): ("C3", 4), (6, 6): ("C4", 2), (6, 7): ("C5", 1),
+    (6, 8): ("C6_1", 0), (6, 9): ("C6_2", 0),
+}
 
 #: the product-decomposable slots, each a product of lower-order slots of the
 #: same table: the group factors here, and the closed-form tables in tables.py
@@ -138,66 +150,31 @@ def product(N: int, j: int) -> GroupInstance:
     return GroupInstance(Family.PRODUCT, N=N, j=j)
 
 
-@dataclass(frozen=True)
-class CasimirSet:
-    """Traces of the Casimir operators for one simple factor."""
-
-    c2: Fraction
-    c3: Fraction
-    c4: Fraction
-    c5: Fraction
-    c6_1: Fraction
-    c6_2: Fraction
-    dim: Fraction
-
-
-def casimirs(family: Family, parameter: int) -> CasimirSet:
-    """Exact Casimir values for one simple family.
-
-    parameter is N for su_n (N >= 2) and so_n (N >= 3), and the representation
-    label j (spin j/2) for su2 (j >= 1).
-    """
-    if family == Family.SU_N:
-        N = parameter
-        check_parameter(family, "N", N, 2)
-        c = Fraction(N * N - 1)
-        return CasimirSet(
-            c2=-c / (2 * N),
-            c3=-c / 4,
-            c4=c * (N * N + 2) / 16,
-            c5=Fraction(N) * c * (N * N + 1) / 32,
-            c6_1=c * (N ** 4 + N * N + 2) / 64,
-            c6_2=c * (3 * N * N - 2) / 64,
-            dim=Fraction(N),
-        )
-    if family == Family.SO_N:
-        N = parameter
-        check_parameter(family, "N", N, 3)
-        a, b = Fraction(N - 1), Fraction(N - 2)
-        return CasimirSet(
-            c2=-a / 4,
-            c3=-a * b / 16,
-            c4=a * b * (N * N - 5 * N + 10) / 256,
-            c5=a * b * (N ** 3 - 7 * N * N + 17 * N - 10) / 1024,
-            c6_1=a * b * (N * N - 7 * N + 14) * (N * N - 2 * N + 3) / 4096,
-            c6_2=a * b * (N - 3) * (7 * N - 18) / 4096,
-            dim=Fraction(N),
-        )
-    if family == Family.SU2:
-        j = parameter
-        check_parameter(family, "j", j, 1)
-        sigma = Fraction(j, 2)
-        q = sigma * (sigma + 1)  # equals -A with A = -j(j+2)/4
-        return CasimirSet(
-            c2=-q,
-            c3=-q,
-            c4=2 * q * q,
-            c5=3 * q * q - q,
-            c6_1=2 * q ** 3 + 3 * q * q - 2 * q,
-            c6_2=-2 * q ** 3 + 5 * q * q - 2 * q,
-            dim=Fraction(j + 1),
-        )
-    raise UnsupportedInput(f"no Casimir table for {family}")
+def _casimirs(group: GroupInstance) -> tuple[dict[str, Fraction], Fraction, int]:
+    """The Casimir traces C3..C6 of one simple, validated instance, its ratio
+    s = C3/C2 and its dimension, each in closed form."""
+    if group.family == Family.SU_N:
+        N = group.N
+        c = N * N - 1
+        return ({"C3": Fraction(-c, 4),
+                 "C4": Fraction(c * (N * N + 2), 16),
+                 "C5": Fraction(N * c * (N * N + 1), 32),
+                 "C6_1": Fraction(c * (N ** 4 + N * N + 2), 64),
+                 "C6_2": Fraction(c * (3 * N * N - 2), 64)}, Fraction(N, 2), N)
+    if group.family == Family.SO_N:
+        N = group.N
+        ab = (N - 1) * (N - 2)
+        return ({"C3": Fraction(-ab, 16),
+                 "C4": Fraction(ab * (N * N - 5 * N + 10), 256),
+                 "C5": Fraction(ab * (N ** 3 - 7 * N * N + 17 * N - 10), 1024),
+                 "C6_1": Fraction(ab * (N * N - 7 * N + 14) * (N * N - 2 * N + 3), 4096),
+                 "C6_2": Fraction(ab * (N - 3) * (7 * N - 18), 4096)}, Fraction(N - 2, 4), N)
+    q = Fraction(group.j * (group.j + 2), 4)  # -A
+    return ({"C3": -q,
+             "C4": 2 * q * q,
+             "C5": 3 * q * q - q,
+             "C6_1": 2 * q ** 3 + 3 * q * q - 2 * q,
+             "C6_2": -2 * q ** 3 + 5 * q * q - 2 * q}, Fraction(1), group.j + 1)
 
 
 def simple_factors(group: GroupInstance) -> tuple[GroupInstance, ...]:
@@ -207,12 +184,6 @@ def simple_factors(group: GroupInstance) -> tuple[GroupInstance, ...]:
     if group.family == Family.PRODUCT:
         return (su_n(group.N), su2(group.j))
     return (group,)
-
-
-def casimir_sets(group: GroupInstance) -> tuple[CasimirSet, ...]:
-    """The simple-factor Casimir sets of a (possibly product) group instance."""
-    return tuple(casimirs(g.family, g.j if g.family == Family.SU2 else g.N)
-                 for g in simple_factors(group))
 
 
 @dataclass(frozen=True)
@@ -229,38 +200,6 @@ class GroupFactorVector:
         return tuple(self.entries[s] for s in SLOTS[order])
 
 
-def group_factor_vector(sets: Sequence[CasimirSet]) -> GroupFactorVector:
-    """Assemble the r_ij from the simple-factor Casimir sets."""
-    if not sets:
-        raise ValueError("need at least one simple factor")
-    for cs in sets:
-        if cs.c2 == 0:
-            raise ZeroCasimirDivision("a simple factor has C2 = 0")
-
-    def total(monomial) -> Fraction:
-        return sum((monomial(cs) for cs in sets), Fraction(0))
-
-    r = {(0, 1): Fraction(1)}
-    r[(2, 1)] = total(lambda c: c.c3)
-    r[(3, 1)] = total(lambda c: c.c3 ** 2 / c.c2)
-    r[(4, 2)] = total(lambda c: c.c3 ** 3 / c.c2 ** 2)
-    r[(4, 3)] = total(lambda c: c.c4)
-    r[(5, 2)] = total(lambda c: c.c3 ** 4 / c.c2 ** 3)
-    r[(5, 3)] = total(lambda c: c.c4 * c.c3 / c.c2)
-    r[(5, 4)] = total(lambda c: c.c5)
-    r[(6, 5)] = total(lambda c: c.c3 ** 5 / c.c2 ** 4)
-    r[(6, 6)] = total(lambda c: c.c4 * c.c3 ** 2 / c.c2 ** 2)
-    r[(6, 7)] = total(lambda c: c.c5 * c.c3 / c.c2)
-    r[(6, 8)] = total(lambda c: c.c6_1)
-    r[(6, 9)] = total(lambda c: c.c6_2)
-    for slot, rule in COMPOUND_RULES.items():
-        r[slot] = rule(r)
-    dim = Fraction(1)
-    for cs in sets:
-        dim *= cs.dim
-    return GroupFactorVector(MappingProxyType(r), dim)
-
-
 @lru_cache(maxsize=128)
 def group_factors(group: GroupInstance) -> GroupFactorVector:
     """The group factors of one instance, memoized.
@@ -270,4 +209,13 @@ def group_factors(group: GroupInstance) -> GroupFactorVector:
     plans use for n < 60.  The vector is frozen and its entries read-only,
     so callers share it safely.
     """
-    return group_factor_vector(casimir_sets(group))
+    r = {(0, 1): Fraction(1), **dict.fromkeys(PRIMITIVE_SLOTS, Fraction(0))}
+    dim = Fraction(1)
+    for factor in simple_factors(group):
+        casimir, s, factor_dim = _casimirs(factor)
+        for slot, (name, k) in PRIMITIVE_SLOTS.items():
+            r[slot] += casimir[name] * s ** k
+        dim *= factor_dim
+    for slot, rule in COMPOUND_RULES.items():
+        r[slot] = rule(r)
+    return GroupFactorVector(MappingProxyType(r), dim)

@@ -89,6 +89,7 @@ KERNEL_CACHE_SIZE = 256
 
 def qpower(exponent, scale, trunc_order: int) -> TruncSeries:
     """The series of t**exponent with t = exp(scale*x)."""
+    _check_order(trunc_order, "qpower")
     if type(exponent) is int and type(scale) is int:
         return series_exp_linear(exponent * scale, trunc_order)
     return series_exp_linear(Fraction(exponent) * Fraction(scale), trunc_order)

@@ -114,11 +114,19 @@ def canonicalize(n: int, m: int) -> Union[CanonicalTorusKnot, _UnknotType]:
     return CanonicalTorusKnot(n, m)
 
 
+def check_int(name: str, value) -> None:
+    """The type rule of a count or a bound: an int, not a bool."""
+    if type(value) is not int:
+        raise UnsupportedInput(f"{name} must be an int (got {value!r})")
+
+
 def canonical_knots(max_n: int, chirality: bool = True) -> Iterator[CanonicalTorusKnot]:
     """All canonical torus knots with n <= max_n, ordered deterministically.
 
-    With chirality=True both (n, m) and its mirror (n, -m) are yielded.
+    With chirality=True both (n, m) and its mirror (n, -m) are yielded.  A
+    max_n that is not an int raises UnsupportedInput before the first knot.
     """
+    check_int("max_n", max_n)
     for n in range(3, max_n + 1):
         for m in range(2, n):
             if gcd(n, m) != 1:

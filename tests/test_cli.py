@@ -468,13 +468,13 @@ def test_out_to_an_unwritable_path_exits_3(tmp_path, capsys, target, reason):
 def test_closed_pipe_ends_quietly():
     # the document is far larger than a pipe buffer, so the writer is still
     # writing when the reader takes one line and closes the pipe
-    proc = subprocess.Popen([sys.executable, "-m", "torusvass.cli", "scan", "--predicate",
-                             "beta-curve", "--max", "100"], stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, env=module_env())
-    first = proc.stdout.readline()
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert (proc.wait(), first, err) == (0, b"{\n", b"")
+    with subprocess.Popen([sys.executable, "-m", "torusvass.cli", "scan", "--predicate",
+                           "beta-curve", "--max", "100"], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, env=module_env()) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(), first, err) == (0, b"{\n", b"")
 
 
 def test_a_stray_value_error_is_not_an_exit_code(capsys, monkeypatch):

@@ -39,9 +39,6 @@ ENTRY_POINTS = {
     "product N": (lambda v: tv.product(v, 1), 2),
     "product j": (lambda v: tv.product(2, v), 1),
     "GroupInstance": (lambda v: tv.GroupInstance(Family.SU_N, N=v), 2),
-    "casimirs su_n": (lambda v: tv.casimirs(Family.SU_N, v), 2),
-    "casimirs so_n": (lambda v: tv.casimirs(Family.SO_N, v), 3),
-    "casimirs su2": (lambda v: tv.casimirs(Family.SU2, v), 1),
     "homfly_normalized N": (lambda v: tv.homfly_normalized((2, 3), v, 2), 3),
     "kauffman_normalized N": (lambda v: tv.kauffman_normalized((2, 3), v, 2), 4),
     "akutsu_wadati_normalized j": (lambda v: tv.akutsu_wadati_normalized((2, 3), v, 2), 1),
@@ -53,10 +50,15 @@ ENTRY_POINTS = {
     "unnormalized_series order": (lambda v: tv.unnormalized_series((3, 4), tv.so_n(7), v), 2),
     "unknot_factor": (lambda v: tv.unknot_factor(tv.su_n(3), v), 2),
     "unknot_factor product": (lambda v: tv.unknot_factor(tv.product(2, 1), v), 2),
+    "qpower": (lambda v: tv.qpower(1, 1, v), 2),
     # scan bounds
     "distinguishing_check": (tv.distinguishing_check, 3),
     "integrality_scan": (tv.integrality_scan, 2),
     "dependency_relations_check max_n": (lambda v: tv.dependency_relations_check(max_n=v), 3),
+    # bounds with no floor: every int is accepted, and 0 finds nothing
+    "canonical_knots": (lambda v: list(tv.canonical_knots(v)), 5),
+    "noncoprime_witnesses": (tv.noncoprime_witnesses, 6),
+    "proposition_modular_checks": (tv.proposition_modular_checks, 10),
 }
 
 
