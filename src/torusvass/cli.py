@@ -89,14 +89,26 @@ def _emit(text: str, out_path: str | None) -> None:
         except OSError as exc:
             raise UnsupportedInput(f"cannot write {out_path}: {exc.strerror}") from exc
         return
+    _write(sys.stdout, text)
+
+
+def _note(line: str) -> None:
+    """One line to stderr, the one way the commands write there."""
+    _write(sys.stderr, line + "\n")
+
+
+def _write(stream, text: str) -> None:
+    """Write text to stdout or stderr.  If the reader has closed the pipe
+    (``torusvass ... | head``, or ``2>&1 | head`` for both streams), point
+    the stream at devnull: neither a later write nor the interpreter's flush
+    at exit can fail again, and the exit status stays what it would have
+    been."""
     try:
-        sys.stdout.write(text)
-        sys.stdout.flush()
+        stream.write(text)
+        stream.flush()
     except BrokenPipeError:
-        # the reader closed the pipe (``torusvass ... | head``): point stdout
-        # at devnull so the interpreter's flush at exit cannot fail again
         devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        os.dup2(devnull, stream.fileno())
         os.close(devnull)
 
 
@@ -273,10 +285,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         _emit("\n".join(lines) + "\n", args.out)
     # timings vary between runs, so they stay out of the document
     for r in results:
-        print(f"{r.suite}: {r.elapsed_seconds:.2f}s", file=sys.stderr)
+        _note(f"{r.suite}: {r.elapsed_seconds:.2f}s")
     if failures:
         first = failures[0]
-        print(f"verification failed: {first[0]} / {first[1].label}", file=sys.stderr)
+        _note(f"verification failed: {first[0]} / {first[1].label}")
         return EXIT_VERIFY_FAILED
     return EXIT_OK
 
@@ -402,7 +414,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.handler(args)
     except TorusVassError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _note(f"error: {exc}")
         return EXIT_INVALID_KNOT if isinstance(exc, NotAKnot) else EXIT_UNSUPPORTED
 
 

@@ -8,6 +8,15 @@ required, and the rank reached must equal the slot count d_i.
 
 The unnormalized route divides the Wilson-line series by the representation
 dimension first and solves the same way for the alpha table.
+
+The default plan depends on the knot only through n, so it is made ready
+once per n and process: its instances, their distinct simple factors, their
+dimensions and the eliminations of its five left-hand sides.  A knot then
+costs one evaluation per simple factor (a polynomial evaluation of a cached
+kernel), one series product per product factor on top of the first, and one
+integer solve per order, whose right-hand side is read straight from the
+series' numerators over one common denominator, dim R included.  No Fraction
+is built before the solution.
 """
 
 from __future__ import annotations
@@ -15,13 +24,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Sequence
 
 from .errors import (AnsatzMismatch, DegreeExceeded, Inconsistent, RankDeficient,
                      UnsupportedInput)
 from .groups import (_PARAMETER_FLOORS, ORDERS, SLOT_COUNTS, SLOTS, Family, GroupInstance,
-                     group_factors, product, so_n, su2, su_n)
-from .invariants import DEFAULT_ORDER, _over_factors, normalized_series, unnormalized_series
+                     group_factors, product, simple_factors, so_n, su2, su_n)
+from .invariants import DEFAULT_ORDER, normalized_series, unnormalized_series
 from .knots import TorusKnot, as_knot
 from .linalg import Elimination, ExactPoly, eliminate, interpolate_poly
 from .series import TruncSeries
@@ -35,7 +45,8 @@ def default_instantiation_plan(knot) -> tuple[GroupInstance, ...]:
     25 rows per order: SU(N) at N = 2..7, SO(N) at six values starting from
     max(5, n+2) (the Kauffman sampling floor), SU(2) at j = 1..6, and seven
     product instances.  Enough to reach rank d_i at every order, which the
-    solver verifies rather than assumes.
+    solver verifies rather than assumes.  The extractors ask for it once per
+    n, by this module-level name.
     """
     n = as_knot(knot).oriented().n
     base = max(5, n + 2)
@@ -61,46 +72,77 @@ class ExtractionReport:
         return all(self.rank[i] == SLOT_COUNTS[i] for i in self.rank)
 
 
-def _plan_series(knot: TorusKnot, instances: Sequence[GroupInstance],
-                 unnormalized: bool) -> list[TruncSeries]:
-    """The series of each instance of a plan, divided by dim R on the
+@dataclass(frozen=True)
+class _Plan:
+    """A sampling plan made ready for solves.  Nothing in it depends on m,
+    so a warm knot builds no group instance and needs no group factor."""
+
+    instances: tuple[GroupInstance, ...]
+    factors: tuple[GroupInstance, ...]  # the distinct simple factors, in plan order
+    factor_indices: tuple[tuple[int, ...], ...]  # each instance's factors in factors
+    dims: tuple[int, ...]  # each instance's dim R
+    eliminations: tuple[Elimination, ...]  # the group factors, one per order of ORDERS
+
+    @classmethod
+    def of(cls, instances) -> "_Plan":
+        factors: dict = {}
+        indices = tuple(tuple(factors.setdefault(f, len(factors)) for f in simple_factors(inst))
+                        for inst in instances)
+        vectors = [group_factors(inst) for inst in instances]
+        return cls(tuple(instances), tuple(factors), indices,
+                   tuple(int(v.dim) for v in vectors),
+                   tuple(eliminate([v.row(order) for v in vectors], SLOT_COUNTS[order])
+                         for order in ORDERS))
+
+
+@lru_cache(maxsize=32)
+def _plan(plan_of, n: int) -> _Plan:
+    """The plan that plan_of gives the knots of index n, made once per
+    process (a solve round of the benchmark uses ten values of n).  The plan
+    function keys it too, so a rebound default_instantiation_plan gets plans
+    of its own."""
+    return _Plan.of(plan_of(TorusKnot(n, 1)))
+
+
+def _plan_series(knot: TorusKnot, plan: _Plan, unnormalized: bool) -> list[TruncSeries]:
+    """The series of each instance of a plan, the Wilson-line series on the
     unnormalized route.  Each distinct simple factor is evaluated once, in
     plan order, and a product instance multiplies its factors' series as
     normalized_series and unnormalized_series do."""
     evaluate = unnormalized_series if unnormalized else normalized_series
-    simple: dict = {}
-
-    def series_of(factor: GroupInstance) -> TruncSeries:
-        if factor not in simple:
-            simple[factor] = evaluate(knot, factor, DEFAULT_ORDER)
-        return simple[factor]
-
-    series = [_over_factors(inst, DEFAULT_ORDER, series_of) for inst in instances]
-    if unnormalized:
-        return [s / group_factors(inst).dim for s, inst in zip(series, instances)]
+    simple = [evaluate(knot, factor, DEFAULT_ORDER) for factor in plan.factors]
+    series = []
+    for first, *rest in plan.factor_indices:
+        total = simple[first]
+        for i in rest:
+            total = total * simple[i]
+        series.append(total)
     return series
 
 
-@lru_cache(maxsize=64)
-def _plan_elimination(instances: tuple[GroupInstance, ...], order: int) -> Elimination:
-    """The left-hand side of one order is the plan's group factors, the same
-    for every knot, so each (plan, order) is eliminated once per process."""
-    return eliminate([group_factors(inst).row(order) for inst in instances],
-                     SLOT_COUNTS[order])
+def _right_hand_sides(series: Sequence[TruncSeries],
+                      dims: Sequence[int]) -> tuple[list[list[int]], int]:
+    """Each series' x^order coefficient over its dim, for every order of
+    ORDERS, as integer numerators over one denominator: one lcm per knot,
+    read straight from the series' numerators, and no Fraction."""
+    dens = [s.den * dim for s, dim in zip(series, dims)]
+    den = lcm(*dens)
+    scales = [den // d for d in dens]
+    return [[s.numerator(order) * c for s, c in zip(series, scales)] for order in ORDERS], den
 
 
 def _extract(knot, unnormalized: bool, kind: str) -> tuple[InvariantTable, ExtractionReport]:
     """Solve every order of ORDERS on the knot's default plan."""
     k = as_knot(knot).validate().oriented()
-    instances = default_instantiation_plan(k)
+    plan = _plan(default_instantiation_plan, k.n)
+    series = _plan_series(k, plan, unnormalized)
+    rhs, den = _right_hand_sides(series, plan.dims if unnormalized else (1,) * len(series))
     report = ExtractionReport(knot=k, kind=kind)
-    series = _plan_series(k, instances, unnormalized)
     entries = {}
-    for order in ORDERS:
-        rhs = [s.coefficient(order) for s in series]
-        result = _plan_elimination(instances, order).solve(rhs)
+    for order, b, elimination in zip(ORDERS, rhs, plan.eliminations):
+        result = elimination.solve_numerators(b, den)
         report.rank[order] = result.rank
-        report.equations[order] = len(rhs)
+        report.equations[order] = len(b)
         if not result.consistent:
             raise Inconsistent(order)
         if result.rank < SLOT_COUNTS[order]:

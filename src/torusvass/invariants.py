@@ -29,12 +29,15 @@ rho_i depend only on n, the rank N (or j) and the order W.  The
 framing factor is a t-power with an exponent linear in m: its m-linear part
 shifts every rate, and its m-free part joins the m-free head (with
 Akutsu-Wadati's 1/(t^{j+1} - 1)).  So the x^d coefficients of the sum are
-polynomials in m, which :class:`MPolySeries` holds over one denominator.  A
-kernel -- the head and that sum -- is kept in a bounded cache per (family, n,
-N or j), at the widest order asked of it so far; one knot then costs one
-polynomial evaluation and one product, whatever n is.  The HOMFLY and
-Kauffman summands share their bracket products and q-factorials as prefix
-products, so a build costs O(n) series products; the Akutsu-Wadati summands
+polynomials in m, which :class:`MPolySeries` holds over one denominator, and
+the head, free of m, is multiplied into them once per build
+(:meth:`MPolySeries.times`), every power of m kept.  That kernel -- the
+normalized invariant as polynomials in m -- is kept in a bounded cache per
+(family, n, N or j), at the widest order asked of it so far; one knot then
+costs one polynomial evaluation per degree and no series product, whatever
+n is.  The HOMFLY and Kauffman summands share their bracket products and
+q-factorials as prefix products, so a build costs O(n) series products, and
+the fold O(W^3) integer products; the Akutsu-Wadati summands
 are bare t-powers, whose Taylor rows the kernel takes from one
 :func:`.series.exp_numerators` call over all 2(j+1) exponents.  That routine
 expands every t-power here: the unit brackets, the m-weights of
@@ -48,8 +51,9 @@ many brackets above the line as below -- HOMFLY p + i over (i)!(p)!, Kauffman
 n over [b]![g]! times the one pole 1/[n] or 1/[b-g;1] -- so their powers of x
 cancel and every quotient is by a unit, which loses no degree.  The
 Akutsu-Wadati sum vanishes at x = 0 for every m: its rows are built one
-degree further and stored from degree -1, which divides by x exactly, and its
-head divides by the unit (t^{j+1} - 1)/x.  So every kernel is built at
+degree further and stored from degree -1, which divides by x exactly (the
+polynomial at degree -1 is zero, so the fold needs the head only through
+x^W), and its head divides by the unit (t^{j+1} - 1)/x.  So every kernel is built at
 exactly W = trunc_order: the invariants are exact Taylor coefficients, and no
 width beyond the requested order is needed.  Nor does any order key a kernel:
 its coefficients through x^W are the same whatever width it was built at, so
@@ -66,7 +70,7 @@ import marshal
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
-from math import lcm
+from math import gcd, lcm
 from operator import add, mul, neg, sub
 from typing import Callable, Iterable, Sequence, Union
 
@@ -82,7 +86,8 @@ DEFAULT_ORDER = 6
 #: default plans at ten values of n, one order) uses 180.  The CLI request mix
 #: of the benchmark, at orders 0..12, uses 104 in 8,500 requests: all of them
 #: fit, 87-88% of its lookups need no build (the rest widen a kernel to a
-#: higher order), and the kernels hold 0.21 MiB (tracemalloc, seeds 1-3).  A
+#: higher order), and the kernels, heads folded in, hold 0.11 MiB (tracemalloc
+#: after 8,500 requests, seeds 1-3; 0.23 MiB with the head kept apart).  A
 #: build costs about one direct evaluation
 KERNEL_CACHE_SIZE = 256
 
@@ -124,8 +129,14 @@ class MPolySeries:
 
     __slots__ = ("lo", "hi", "coeffs", "den")
 
-    def __init__(self, lo: int, hi: int, den: int,
-                 rows: Iterable[tuple[Union[int, Fraction], list]]):
+    def __init__(self, lo: int, hi: int, den: int, flat: list):
+        """The polynomials p_0, .., p_{hi-lo}, one after another in flat."""
+        self.lo, self.hi, self.den = lo, hi, den
+        self.coeffs = marshal.dumps(flat)
+
+    @classmethod
+    def from_rows(cls, lo: int, hi: int, den: int,
+                  rows: Iterable[tuple[Union[int, Fraction], list]]) -> "MPolySeries":
         """sum_i A_i(x) * exp(m * rho_i * x) on degrees lo..hi, for (rho_i,
         row_i) pairs where row_i lists the integer numerators over den of
         A_i on those degrees.
@@ -147,9 +158,8 @@ class MPolySeries:
             for ell, w in enumerate(weight):
                 if w:
                     cols[ell] = list(map(add, cols[ell], map(w.__mul__, row)))
-        self.lo, self.hi, self.den = lo, hi, den * scale
-        self.coeffs = marshal.dumps([cols[ell][k - ell] for k in range(top + 1)
-                                     for ell in range(k + 1)])
+        return cls(lo, hi, den * scale, [cols[ell][k - ell] for k in range(top + 1)
+                                         for ell in range(k + 1)])
 
     @classmethod
     def from_series(cls, summands: Sequence[tuple[TruncSeries, Union[int, Fraction]]],
@@ -162,7 +172,7 @@ class MPolySeries:
             scale = den // a.den
             row = [0] * a.min_degree + [c * scale for c in a.nums]
             rows.append((rho, row[:width + 1]))
-        return cls(0, width, den, rows)
+        return cls.from_rows(0, width, den, rows)
 
     def at(self, m: int, hi: int) -> TruncSeries:
         """The series at one value of m, through x^hi <= self.hi.  The
@@ -177,17 +187,43 @@ class MPolySeries:
         nums = [sum(map(mul, islice(coeffs, k + 1), powers)) for k in range(top + 1)]
         return TruncSeries.from_numerators(self.lo, nums, self.den, hi)
 
+    def times(self, head: TruncSeries) -> "MPolySeries":
+        """head * self, for an m-free power series head, on the same degrees
+        and with every power of m kept: the polynomial at x^d is the sum of
+        head's x^(d-e) coefficient times the polynomial at x^e.  The head is
+        known through its trunc_order, so only an identically zero
+        polynomial (the Akutsu-Wadati degree -1) may meet a head degree
+        beyond it, and it adds nothing."""
+        flat, top, h = marshal.loads(self.coeffs), self.hi - self.lo, head.nums
+        polys = [flat[k * (k + 1) // 2:(k + 1) * (k + 2) // 2] for k in range(top + 1)]
+        out = []
+        for k in range(top + 1):
+            acc = [0] * (k + 1)
+            for e, poly in enumerate(polys[:k + 1]):
+                i = k - e - head.min_degree  # head's x^(k-e) coefficient is h[i] / head.den
+                if i >= len(h):
+                    if any(poly):
+                        raise ValueError(f"head known through x^{head.trunc_order}, "
+                                         f"needed through x^{k - e}")
+                elif i >= 0 and h[i]:
+                    acc[:e + 1] = map(add, acc, map(h[i].__mul__, poly))
+            out += acc
+        den = self.den * head.den
+        g = gcd(den, *out)
+        return MPolySeries(self.lo, self.hi, den // g, [c // g for c in out])
+
 
 def _finalize_normalized(raw: TruncSeries, what: str) -> TruncSeries:
-    if raw.coefficient(0) != 1:
+    """raw, whose constant term must be exactly 1, read off its integers."""
+    if raw.min_degree > 0 or raw.nums[-raw.min_degree] != raw.den:
         raise CancellationFailure(
             f"{what}: constant term {raw.coefficient(0)} != 1 (convention bug)"
         )
     return raw
 
 
-def _homfly_kernel(n: int, N: int, W: int) -> tuple[TruncSeries, MPolySeries]:
-    """(1 - t)/(1 - t^n) lambda^{-(n-1)/2} and sum_i (-1)^i A_i t^{m i}
+def _homfly_kernel(n: int, N: int, W: int) -> MPolySeries:
+    """(1 - t)/(1 - t^n) lambda^{-(n-1)/2} times sum_i (-1)^i A_i t^{m i}
     lambda^{m(n-1)/2}, with A_i = prod_{j=-p..i, j != 0} (t^N - t^j) / ((i)! (p)!)
     * t^{p(p+1)/2}: p + i brackets over p + i, each taken as its unit."""
     def u(a, b) -> TruncSeries:  # (t^a - t^b)/x
@@ -213,11 +249,11 @@ def _homfly_kernel(n: int, N: int, W: int) -> tuple[TruncSeries, MPolySeries]:
         # against the global 1/(lambda t - 1)
         term = (left[p] * right[i]) / (fact[i] * fact[p]) * qpower(p * (p + 1) // 2, 1, W)
         summands.append((term if i % 2 == 0 else -term, i + shift))
-    return head, MPolySeries.from_series(summands, W)
+    return MPolySeries.from_series(summands, W).times(head)
 
 
-def _kauffman_kernel(n: int, N: int, W: int) -> tuple[TruncSeries, MPolySeries]:
-    """[1] / ([1] + [0;1]) and the (-1)^g summands of the Kauffman sum, with
+def _kauffman_kernel(n: int, N: int, W: int) -> MPolySeries:
+    """[1] / ([1] + [0;1]) times the (-1)^g summands of the Kauffman sum, with
     the m-dependent weight t^{-m(b-g)/2} lambda^{-m} times the framing
     lambda^{nm} as the exponential."""
     # lambda = t^{(N-1)/2} and t = e^{x/2}, so [p] = e^{px/4} - e^{-px/4}
@@ -249,15 +285,16 @@ def _kauffman_kernel(n: int, N: int, W: int) -> tuple[TruncSeries, MPolySeries]:
         # t^{-m(b-g)/2} lambda^{-m} lambda^{nm}, t = e^{x/2}
         rate = _ratio(g - b + (n - 1) * (N - 1), 4)
         summands.append((term if g % 2 == 0 else -term, rate))
-    return head, MPolySeries.from_series(summands, W)
+    return MPolySeries.from_series(summands, W).times(head)
 
 
-def _akutsu_wadati_kernel(n: int, j: int, W: int) -> tuple[TruncSeries, MPolySeries]:
-    """t^{-j(n-1)/2} x / (t^{j+1} - 1) and (1/x) sum_ell (t^{e1} - t^{e2})
+def _akutsu_wadati_kernel(n: int, j: int, W: int) -> MPolySeries:
+    """t^{-j(n-1)/2} x / (t^{j+1} - 1) times (1/x) sum_ell (t^{e1} - t^{e2})
     t^{m j(n-1)/2} with e1, e2 linear in m, built from the exponents: the
     m-free parts of all 2(j+1) of them are expanded in one call.  Every
     term of the sum vanishes at x = 0, whatever m is, so its rows through
-    x^(W+1), stored from degree -1, are the sum over x through x^W."""
+    x^(W+1), stored from degree -1, are the sum over x through x^W; the
+    polynomial at degree -1 is zero, so the head is needed only through x^W."""
     shift = _ratio(j * (n - 1), 2)  # t^{j(n-1)(m-1)/2} = t^{shift (m - 1)}
     head = qpower(-shift, 1, W) / _unit(j + 1, 0, W)
     # e1 = n(1 + m ell)(j - ell) + 1 + m ell, e2 = n(1 + m ell)(j - ell) + m(j - ell)
@@ -268,18 +305,18 @@ def _akutsu_wadati_kernel(n: int, j: int, W: int) -> tuple[TruncSeries, MPolySer
         base = n * (j - ell)
         rows.append((shift + ell * (base + 1), powers[2 * ell]))
         rows.append((shift + (j - ell) * (n * ell + 1), list(map(neg, powers[2 * ell + 1]))))
-    return head, MPolySeries(-1, W, den, rows)
+    return MPolySeries.from_rows(-1, W, den, rows).times(head)
 
 
 @lru_cache(maxsize=KERNEL_CACHE_SIZE)
 def _kernel(family: Family, n: int, parameter: int) -> list:
-    """The one-cell slot [(W, head, sum)] of one evaluator: its m-free head
-    and its sum as polynomials in m, through x^W.  It starts empty, at
-    W = -1, and :func:`_at_knot` widens it.  The cell is read and replaced
-    whole, so a caller never sees a head and a sum of different widths; two
-    threads that widen one slot at once each use their own build, and the
-    later store stays."""
-    return [(-1, None, None)]
+    """The one-cell slot [(W, kernel)] of one evaluator: the normalized
+    invariant as polynomials in m, its m-free head folded in, through x^W.
+    It starts empty, at W = -1, and :func:`_at_knot` widens it.  The cell is
+    read and replaced whole, so a caller never sees a width and a kernel that
+    do not belong together; two threads that widen one slot at once each use
+    their own build, and the later store stays."""
+    return [(-1, None)]
 
 
 def _check_order(trunc_order, what: str) -> None:
@@ -292,19 +329,18 @@ def _check_order(trunc_order, what: str) -> None:
 
 def _at_knot(family: Family, k: TorusKnot, parameter: int, trunc_order: int,
              what: str) -> TruncSeries:
-    """The tail every evaluator shares: the kernel's head times its sum at m.
-    A kernel's coefficients through x^W do not depend on the width it was
-    built at, so a wider kernel serves the order with its sum read through
-    x^W; the head, a unit, then needs no truncation, as a product is known
-    only through the narrower factor's order.  A narrower kernel is rebuilt
-    once at the order, which replaces it."""
+    """The tail every evaluator shares: the kernel at m, one polynomial
+    evaluation per degree and no series product.  A kernel's coefficients
+    through x^W do not depend on the width it was built at, so a wider kernel
+    serves the order by reading its first degrees; a narrower kernel is
+    rebuilt once at the order, which replaces it."""
     _check_order(trunc_order, what)
     slot = _kernel(family, k.n, parameter)
-    width, head, total = slot[0]
+    width, kernel = slot[0]
     if width < trunc_order:
-        head, total = _FAMILIES[family](k.n, parameter, trunc_order)
-        slot[0] = trunc_order, head, total
-    return _finalize_normalized(head * total.at(k.m, trunc_order), what)
+        kernel = _FAMILIES[family](k.n, parameter, trunc_order)
+        slot[0] = trunc_order, kernel
+    return _finalize_normalized(kernel.at(k.m, trunc_order), what)
 
 
 def homfly_normalized(knot: KnotLike, N: int,

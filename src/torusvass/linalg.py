@@ -4,7 +4,9 @@ Inputs and results are :class:`fractions.Fraction`s.  Elimination is split
 in two: :func:`eliminate` factors a left-hand side once, scaling each row to
 integers and eliminating fraction-free, and :meth:`Elimination.solve` applies
 that to any right-hand side, so systems that share a left-hand side (one
-sampling plan, many knots) eliminate it once.  Pivots are the first nonzero
+sampling plan, many knots) eliminate it once.  A right-hand side enters as
+rationals or, through :meth:`Elimination.solve_numerators`, as integer
+numerators over one denominator.  Pivots are the first nonzero
 entry scanning top to bottom; exact arithmetic needs no numerical pivoting
 and this keeps the output deterministic.
 """
@@ -55,11 +57,18 @@ class Elimination:
 
     def solve(self, rhs: Sequence) -> LinearSolution:
         """Rank, consistency and, when unique, the solution for one right-hand
-        side (one entry per row of the eliminated left-hand side)."""
-        if len(rhs) != len(self.scales):
-            raise ValueError(f"{len(rhs)} right-hand entries for {len(self.scales)} rows")
-        den_b = lcm(*(v.denominator for v in rhs))
-        b = [v.numerator * (den_b // v.denominator) for v in rhs]
+        side of rationals (one entry per row of the eliminated left-hand
+        side): :meth:`solve_numerators` over their common denominator."""
+        den = lcm(*(v.denominator for v in rhs))
+        return self.solve_numerators([v.numerator * (den // v.denominator) for v in rhs], den)
+
+    def solve_numerators(self, b: Sequence[int], den_b: int) -> LinearSolution:
+        """Rank, consistency and, when unique, the solution for the
+        right-hand side b[i] / den_b: integer numerators over one positive
+        denominator, one per row.  No Fraction is built before the
+        solution."""
+        if len(b) != len(self.scales):
+            raise ValueError(f"{len(b)} right-hand entries for {len(self.scales)} rows")
         rank, inverse = self.rank, self.inverse
         picked = [b[i] for i in self.pivot_rows]
         x = [0] * self.unknowns

@@ -117,11 +117,14 @@ class TruncSeries:
 
     def coefficient(self, degree: int) -> Fraction:
         """Coefficient of x**degree; zero below min_degree, error above trunc_order."""
+        return Fraction(self.numerator(degree), self.den)
+
+    def numerator(self, degree: int) -> int:
+        """The coefficient of x**degree times den, an int, with coefficient's
+        range rule."""
         if degree > self.trunc_order:
             raise ValueError(f"degree {degree} is beyond truncation {self.trunc_order}")
-        if degree < self.min_degree:
-            return Fraction(0)
-        return Fraction(self.nums[degree - self.min_degree], self.den)
+        return self.nums[degree - self.min_degree] if degree >= self.min_degree else 0
 
     def coefficients_through(self, order: int) -> tuple[Fraction, ...]:
         """Coefficients of degrees 0..order for a series with no pole part."""

@@ -477,6 +477,19 @@ def test_closed_pipe_ends_quietly():
         assert (proc.wait(), first, err) == (0, b"{\n", b"")
 
 
+@pytest.mark.parametrize("argv, code", [(["verify", "--suite", "v3"], 0),
+                                        (["invariants", "--n", "2", "--m", "4"], 2)])
+def test_a_closed_shared_pipe_keeps_the_exit_status(argv, code):
+    # stdout and stderr share one pipe whose reader is gone before the first
+    # write (``2>&1 | head``): the document, verify's timing lines and main's
+    # error line each end quietly, and the exit status is the command's own
+    with subprocess.Popen([sys.executable, "-m", "torusvass.cli", *argv],
+                          stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+                          env=module_env()) as proc:
+        proc.stdout.close()
+        assert proc.wait() == code
+
+
 def test_a_stray_value_error_is_not_an_exit_code(capsys, monkeypatch):
     # only TorusVassError maps to an exit code; any other error is a bug
     def broken(knot):

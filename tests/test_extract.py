@@ -6,7 +6,8 @@ import pytest
 
 from torusvass import extract
 from torusvass.errors import AnsatzMismatch, DegreeExceeded, RankDeficient, UnsupportedInput
-from torusvass.extract import (_plan_series, compare_fit_to_printed,
+from torusvass.errors import Inconsistent
+from torusvass.extract import (_Plan, _plan_series, _right_hand_sides, compare_fit_to_printed,
                                default_instantiation_plan, extract_alpha,
                                extract_alpha_tilde, fit_ansatz)
 from torusvass.groups import (ORDERS, SLOTS, Family, SLOT_COUNTS, group_factors, product, so_n,
@@ -23,19 +24,19 @@ from torusvass.tables import (closed_form_alpha, closed_form_alpha_tilde,
 
 def test_assemble_single_su3_row():
     assert group_factors(su_n(3)).row(2) == (F(-2),)
-    (series,) = _plan_series(TorusKnot(2, 3), [su_n(3)], False)
+    (series,) = _plan_series(TorusKnot(2, 3), _Plan.of([su_n(3)]), False)
     assert series.coefficient(2) == F(-8)
 
 
 def test_assemble_order_zero():
     assert group_factors(su_n(3)).row(0) == (F(1),)
-    (series,) = _plan_series(TorusKnot(2, 3), [su_n(3)], False)
+    (series,) = _plan_series(TorusKnot(2, 3), _Plan.of([su_n(3)]), False)
     assert series.coefficient(0) == F(1)
 
 
 def test_assemble_unknot_rhs_zero():
     plan = default_instantiation_plan((1, 5))
-    series = _plan_series(TorusKnot(1, 5), plan, False)
+    series = _plan_series(TorusKnot(1, 5), _Plan.of(plan), False)
     assert len(series) == len(plan)
     for order in range(2, 7):
         assert [s.coefficient(order) for s in series] == [0] * len(plan)
@@ -50,17 +51,24 @@ def test_plan_series_evaluates_each_simple_factor_once(monkeypatch):
 
     monkeypatch.setattr(extract, "normalized_series", counting)
     plan = (su_n(2), su2(1), product(2, 1), product(3, 1))
-    series = _plan_series(TorusKnot(2, 3), plan, False)
+    series = _plan_series(TorusKnot(2, 3), _Plan.of(plan), False)
     assert calls == [su_n(2), su2(1), su_n(3)]
     assert series == [normalized_series(TorusKnot(2, 3), g, 6) for g in plan]
 
 
 def test_plan_series_divides_by_the_dimension_when_unnormalized():
-    plan = (so_n(7), product(3, 2))
+    # the series are the Wilson-line series, and the right-hand sides that the
+    # solve reads divide each by its dim R, over one integer denominator
+    plan = _Plan.of((so_n(7), product(3, 2)))
     series = _plan_series(TorusKnot(2, 5), plan, True)
-    assert series == [unnormalized_series(TorusKnot(2, 5), g) / group_factors(g).dim
-                      for g in plan]
-    assert [s.coefficient(0) for s in series] == [1, 1]
+    assert series == [unnormalized_series(TorusKnot(2, 5), g) for g in plan.instances]
+    assert plan.dims == (7, 9)
+    divided = [s / dim for s, dim in zip(series, plan.dims)]
+    assert [s.coefficient(0) for s in divided] == [1, 1]
+    rhs, den = _right_hand_sides(series, plan.dims)
+    assert all(type(v) is int for row in rhs for v in row)
+    assert [[F(v, den) for v in row] for row in rhs] == \
+        [[s.coefficient(order) for s in divided] for order in ORDERS]
 
 
 @pytest.mark.parametrize("knot", [(2, 3), (2, 5), (3, 4), (2, -3)])
@@ -105,6 +113,37 @@ def test_rank_deficient_plan_raises(monkeypatch):
     monkeypatch.setattr(extract, "default_instantiation_plan", lambda knot: (su_n(2), su_n(3)))
     with pytest.raises(RankDeficient):
         extract_alpha_tilde((2, 3))
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_a_perturbed_row_is_inconsistent(monkeypatch, order):
+    # one simple factor's series off by 1/7 at x^order moves every row that
+    # factor enters (SU(4) and two products) off the group-factor span: both
+    # routes raise Inconsistent at that order, after solving the lower ones
+    def off(evaluate):
+        def perturbed(knot, group, trunc_order):
+            series = evaluate(knot, group, trunc_order)
+            if group != su_n(4):
+                return series
+            return series + TruncSeries(order, [F(1, 7)] + [0] * (trunc_order - order),
+                                        trunc_order)
+        return perturbed
+
+    monkeypatch.setattr(extract, "normalized_series", off(normalized_series))
+    monkeypatch.setattr(extract, "unnormalized_series", off(unnormalized_series))
+    for route in (extract_alpha_tilde, extract_alpha):
+        with pytest.raises(Inconsistent) as info:
+            route((3, 4))
+        assert info.value.order == order
+
+
+def test_a_report_below_full_rank_is_not_good():
+    full = {order: SLOT_COUNTS[order] for order in ORDERS}
+    assert extract.ExtractionReport(TorusKnot(2, 3), "alpha_tilde", dict(full)).all_good()
+    for order in ORDERS:
+        short = {**full, order: full[order] - 1}
+        report = extract.ExtractionReport(TorusKnot(2, 3), "alpha_tilde", short)
+        assert not report.all_good(), order
 
 
 def test_product_rows_needed_for_order_six_rank():

@@ -4,18 +4,22 @@ import random
 import sys
 import threading
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from torusvass import invariants
 from torusvass.errors import (CancellationFailure, NotAKnot, SingularBracket,
                               TruncationUnderflow, UnsupportedInput)
-from torusvass.groups import Family, product, so_n, su2, su_n
+from torusvass.groups import ORDERS, SLOTS, Family, group_factors, product, so_n, su2, su_n
 from torusvass.invariants import (akutsu_wadati_normalized, homfly_normalized,
                                   kauffman_normalized, normalized_series, qpower,
                                   unknot_factor, unnormalized_series)
 from torusvass.knots import TorusKnot
 from torusvass.series import TruncSeries, exp_numerators, series_div, series_exp_linear
+from torusvass.tables import closed_form_alpha, closed_form_alpha_tilde
 
 ORDER = 6
 ONE = (F(1),) + (F(0),) * ORDER
@@ -460,7 +464,7 @@ def test_kernels_divide_only_by_units(n, monkeypatch):
         for evaluate, family, parameter in cases:
             evaluate((n, -(n + 1)), parameter, order)
             misses = invariants._kernel.cache_info().misses
-            width, _, kernel = invariants._kernel(family, n, parameter)[0]
+            width, kernel = invariants._kernel(family, n, parameter)[0]
             assert invariants._kernel.cache_info().misses == misses, (family, order)
             assert (width, kernel.hi, kernel.at(n + 1, order).trunc_order) == (order,) * 3, \
                 (family, order)
@@ -513,7 +517,7 @@ def test_kernel_is_polynomial_in_m():
     # at every m, so finite differences of order d - lo + 1 vanish
     invariants._kernel.cache_clear()
     kauffman_normalized((4, 5), 7, 8)
-    _, _, kernel = invariants._kernel(Family.SO_N, 4, 7)[0]
+    _, kernel = invariants._kernel(Family.SO_N, 4, 7)[0]
     assert kernel.hi == 8
     series = [kernel.at(m, 8) for m in range(-3, 12)]
     assert all(s.trunc_order == kernel.hi and s.min_degree >= kernel.lo for s in series)
@@ -622,8 +626,8 @@ def test_integral_rates_are_ints(n, monkeypatch):
                                    (Family.SU2, (1, 2, 3))):
             for parameter in parameters:
                 for W in (0, 6, 12):
-                    head, total = invariants._FAMILIES[family](n, parameter, W)
-                    yield _fields(head), (total.lo, total.hi, total.den, total.coeffs)
+                    kernel = invariants._FAMILIES[family](n, parameter, W)
+                    yield kernel.lo, kernel.hi, kernel.den, kernel.coeffs
 
     with monkeypatch.context() as recorded:
         recorded.setattr(invariants, "exp_numerators", recording)
@@ -643,13 +647,17 @@ def test_unknot_factor_is_memoized():
 
 
 def test_warm_knot_takes_no_exp_or_division(monkeypatch):
-    # with its kernels built, a knot costs one polynomial evaluation at m and
-    # one product per simple factor: the framing t-power and the Akutsu-Wadati
-    # divisor sit in the cached head
-    evaluations = (lambda k: homfly_normalized(k, 4), lambda k: kauffman_normalized(k, 7),
-                   lambda k: akutsu_wadati_normalized(k, 2),
-                   lambda k: normalized_series(k, product(3, 2)))
-    for evaluate in evaluations:
+    # with its kernels built, a knot costs one polynomial evaluation at m per
+    # simple factor and no series product: the framing t-power and the
+    # Akutsu-Wadati divisor sit in the cached head, which the build folds
+    # into the kernel; a product group multiplies its two factors once
+    simple = (lambda k: homfly_normalized(k, 4), lambda k: kauffman_normalized(k, 7),
+              lambda k: akutsu_wadati_normalized(k, 2))
+
+    def grouped(k):
+        return normalized_series(k, product(3, 2))
+
+    for evaluate in simple + (grouped,):
         evaluate((3, 4))
     calls = []
 
@@ -662,9 +670,12 @@ def test_warm_knot_takes_no_exp_or_division(monkeypatch):
     monkeypatch.setattr("torusvass.invariants.series_exp_linear",
                         counted("exp", series_exp_linear))
     monkeypatch.setattr("torusvass.series.series_div", counted("div", series_div))
-    for evaluate in evaluations:
+    monkeypatch.setattr(TruncSeries, "__mul__", counted("mul", TruncSeries.__mul__))
+    for evaluate in simple:
         evaluate((3, -7))
     assert calls == []
+    grouped((3, -7))
+    assert calls == ["mul"]
 
 
 # ----------------------------------------------------------------------
@@ -736,3 +747,37 @@ def test_fixed_width_loses_nothing(n):
                 assert normalized_series(knot, group, order) \
                     == (homfly[N] * jones[j]).truncated(order), (knot, N, j, order)
                 assert unnormalized_series(knot, group, order).coefficient(0) == N * (j + 1)
+
+
+# ----------------------------------------------------------------------
+# the contraction oracle: every (knot, group) checked with no solver
+# ----------------------------------------------------------------------
+
+@st.composite
+def _knot_and_group(draw):
+    n = draw(st.integers(1, 150))
+    m = draw(st.integers(-300, 300).filter(lambda m: m and gcd(n, m) == 1))
+    group = draw(st.one_of(st.builds(su_n, st.integers(2, 40)),
+                           st.builds(so_n, st.integers(max(5, n + 2), n + 30)),
+                           st.builds(su2, st.integers(1, 12)),
+                           st.builds(product, st.integers(2, 40), st.integers(1, 12))))
+    return (n, m), group
+
+
+@seed(20261019)
+@settings(max_examples=150, deadline=None)
+@given(_knot_and_group(), st.booleans())
+def test_series_coefficients_are_the_contracted_tables(case, unnormalized):
+    # at each order d the x^d coefficient of a series is the group factors
+    # contracted with the closed-form table: sum_slot r_slot(G) alpha~_slot(K)
+    # for the normalized series, dim R times sum_slot r_slot(G) alpha_slot(K)
+    # for the Wilson-line series
+    knot, group = case
+    r = group_factors(group)
+    if unnormalized:
+        series, table, scale = unnormalized_series(knot, group), closed_form_alpha(knot), r.dim
+    else:
+        series, table, scale = normalized_series(knot, group), closed_form_alpha_tilde(knot), 1
+    for order in ORDERS:
+        contracted = sum(r.r(*slot) * table.entries[slot] for slot in SLOTS[order])
+        assert series.coefficient(order) == scale * contracted, (knot, group.label(), order)
