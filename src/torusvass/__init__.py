@@ -23,14 +23,16 @@ from .groups import (Family, GroupInstance, GroupFactorVector, group_factors,
 from .invariants import (akutsu_wadati_normalized, homfly_normalized,
                          kauffman_normalized, normalized_series, qpower,
                          unknot_factor, unnormalized_series)
-from .tables import (InvariantTable, TREFOIL_NORMALIZERS, beta_from_alpha_tilde,
-                     closed_form_alpha, closed_form_alpha_tilde, closed_form_beta)
+from .tables import (InvariantTable, SHARPNESS_PAIRS, TREFOIL_NORMALIZERS,
+                     beta_from_alpha_tilde, closed_form_alpha, closed_form_alpha_tilde,
+                     closed_form_beta)
 from .extract import (AnsatzFit, ExtractionReport, compare_fit_to_printed,
                       default_instantiation_plan, extract_alpha, extract_alpha_tilde,
                       fit_ansatz)
-from .analysis import (AuxiliaryScalars, DEPENDENCY_RELATIONS, ScanReport,
+from .analysis import (AuxiliaryScalars, DEPENDENCY_RELATIONS, MODULAR_PERIOD, ScanReport,
                        auxiliary_scalars, dependency_relations_check,
                        distinguishing_check, integrality_scan, lissajous_obstruction,
-                       noncoprime_witnesses, proposition_modular_checks)
+                       noncoprime_witnesses, normalization_sharpness,
+                       proposition_modular_checks)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

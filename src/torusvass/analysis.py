@@ -1,5 +1,6 @@
 """Properties of the beta invariants: distinguishing power, dependency
-relations, integrality scans, modular lemmas, and derived scalars.
+relations, integrality scans and the normalization's sharpness, modular
+lemmas, and derived scalars.
 
 Everything here runs on the integer rows of the closed-form beta table
 (tables.primitive_numerators over BETA_DENOMINATORS), evaluating only the
@@ -19,7 +20,8 @@ from typing import Iterable, Optional
 
 from .errors import UnsupportedInput
 from .knots import TorusKnot, as_knot, canonical_knots, check_int
-from .tables import BETA_DENOMINATORS, PRIMITIVE_ORDER, primitive_numerators
+from .tables import (BETA_DENOMINATORS, PRIMITIVE_ORDER, SHARPNESS_PAIRS,
+                     primitive_numerators)
 
 #: the denominators of the twelve primitive betas, in PRIMITIVE_ORDER
 _DENS = tuple(BETA_DENOMINATORS[slot] for slot in PRIMITIVE_ORDER)
@@ -238,41 +240,64 @@ def noncoprime_witnesses(bound: int = 6) -> dict:
     return found
 
 
+def normalization_sharpness() -> ScanReport:
+    """Each primitive beta takes coprime integer values on the two knots that
+    SHARPNESS_PAIRS gives its slot.  Then beta / d is integral on both only
+    for d = 1, so no integral normalization with a larger common
+    denominator exists on all torus knots."""
+    report = ScanReport("normalization-sharpness", len(SHARPNESS_PAIRS))
+    for slot, knots in SHARPNESS_PAIRS.items():
+        report.checked += 1
+        den = BETA_DENOMINATORS[slot]
+        nums = [primitive_numerators(n, m, slots=(slot,))[0] for n, m in knots]
+        if any(num % den for num in nums) or gcd(*(num // den for num in nums)) != 1:
+            report.violations.append((slot, knots, _fractions(nums, (slot, slot))))
+    return report
+
+
 # ----------------------------------------------------------------------
 # modular lemmas behind the order 2..4 integrality proofs
 # ----------------------------------------------------------------------
 
+#: (statement, modulus, hypothesis, conclusion): hypothesis(n) implies
+#: conclusion(n), and both read n only modulo the claim's modulus
 MODULAR_CLAIMS = (
-    ("odd n => n^2-1 = 0 mod 8",
-     lambda n: n % 2 == 0 or (n * n - 1) % 8 == 0),
-    ("3 does not divide n => n^2-1 = 0 mod 3",
-     lambda n: n % 3 == 0 or (n * n - 1) % 3 == 0),
-    ("odd n, 3 does not divide n => n^2-1 = 0 mod 24",
-     lambda n: n % 2 == 0 or n % 3 == 0 or (n * n - 1) % 24 == 0),
-    ("odd n, 3 | n => n(n^2-1) = 0 mod 24",
-     lambda n: n % 2 == 0 or n % 3 != 0 or (n * (n * n - 1)) % 24 == 0),
-    ("even n => n(n^2-1) = 0 mod 6",
-     lambda n: n % 2 == 1 or (n * (n * n - 1)) % 6 == 0),
-    ("n = 1,4 mod 5 => n^2-1 = 0 mod 5",
-     lambda n: n % 5 not in (1, 4) or (n * n - 1) % 5 == 0),
-    ("n = 2,3 mod 5 => n^2+1 = 0 mod 5",
-     lambda n: n % 5 not in (2, 3) or (n * n + 1) % 5 == 0),
-    ("odd n => n^4-1 = 0 mod 16",
-     lambda n: n % 2 == 0 or (n ** 4 - 1) % 16 == 0),
-    ("odd n, 3,5 do not divide n => n^4-1 = 0 mod 240",
-     lambda n: n % 2 == 0 or n % 3 == 0 or n % 5 == 0 or (n ** 4 - 1) % 240 == 0),
+    ("odd n => n^2-1 = 0 mod 8", 8,
+     lambda n: n % 2 == 1, lambda n: (n * n - 1) % 8 == 0),
+    ("3 does not divide n => n^2-1 = 0 mod 3", 3,
+     lambda n: n % 3 != 0, lambda n: (n * n - 1) % 3 == 0),
+    ("odd n, 3 does not divide n => n^2-1 = 0 mod 24", 24,
+     lambda n: n % 2 == 1 and n % 3 != 0, lambda n: (n * n - 1) % 24 == 0),
+    ("odd n, 3 | n => n(n^2-1) = 0 mod 24", 24,
+     lambda n: n % 2 == 1 and n % 3 == 0, lambda n: (n * (n * n - 1)) % 24 == 0),
+    ("even n => n(n^2-1) = 0 mod 6", 6,
+     lambda n: n % 2 == 0, lambda n: (n * (n * n - 1)) % 6 == 0),
+    ("n = 1,4 mod 5 => n^2-1 = 0 mod 5", 5,
+     lambda n: n % 5 in (1, 4), lambda n: (n * n - 1) % 5 == 0),
+    ("n = 2,3 mod 5 => n^2+1 = 0 mod 5", 5,
+     lambda n: n % 5 in (2, 3), lambda n: (n * n + 1) % 5 == 0),
+    ("odd n => n^4-1 = 0 mod 16", 16,
+     lambda n: n % 2 == 1, lambda n: (n ** 4 - 1) % 16 == 0),
+    ("odd n, 3,5 do not divide n => n^4-1 = 0 mod 240", 240,
+     lambda n: n % 2 == 1 and n % 3 != 0 and n % 5 != 0,
+     lambda n: (n ** 4 - 1) % 240 == 0),
 )
+
+#: every claim is decided by n modulo this lcm of their moduli, so checking
+#: n = 1..MODULAR_PERIOD proves each claim for every integer n
+MODULAR_PERIOD = lcm(*(modulus for _, modulus, _, _ in MODULAR_CLAIMS))
 
 
 def proposition_modular_checks(bound: int) -> ScanReport:
     """Verify every modular step used in the integrality proofs for all
-    n up to bound."""
+    n up to bound.  At bound = MODULAR_PERIOD the scan covers one full
+    period, which proves every claim for all n."""
     check_int("bound", bound)
     report = ScanReport("modular-lemmas", bound)
     for n in range(1, bound + 1):
-        for label, holds in MODULAR_CLAIMS:
+        for label, _, hypothesis, conclusion in MODULAR_CLAIMS:
             report.checked += 1
-            if not holds(n):
+            if hypothesis(n) and not conclusion(n):
                 report.violations.append((n, label))
     return report
 

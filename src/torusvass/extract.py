@@ -188,37 +188,45 @@ class AnsatzFit:
     polynomials: dict  # (order, slot) -> ExactPoly
 
 
+@lru_cache(maxsize=16)
+def _design(grid: tuple, order: int) -> Elimination:
+    """The elimination of one order's slot monomials over a knot grid, made
+    once per (grid, order) and process and shared by the three families.
+    The grid keys it, so a rebound DEFAULT_FIT_GRID gets designs of its own."""
+    monomials = ANSATZ_SLOT_MONOMIALS[order]
+    return eliminate([[mono(Fraction(n * n), Fraction(m * m)) for mono in monomials]
+                      for (n, m) in grid], len(monomials))
+
+
 def fit_ansatz(family: Family) -> AnsatzFit:
     """Fit the symmetric-polynomial ansatz over DEFAULT_FIT_GRID at each order
     of ORDERS, then interpolate each slot value over the family's
     FIT_PARAMETERS.
 
-    The knot-grid solve is overdetermined: a rank-deficient or inconsistent
-    fit raises AnsatzMismatch (the Taylor coefficient does not factor through
-    the ansatz).  For su2 the interpolation variable is A = -j(j+2)/4.
+    Each order's design is eliminated once per grid and process, and each
+    right-hand side is read straight from the series' numerators over one
+    denominator, the integer ansatz prefactors included.  The knot-grid
+    solve is overdetermined: a rank-deficient or inconsistent fit raises
+    AnsatzMismatch (the Taylor coefficient does not factor through the
+    ansatz).  For su2 the interpolation variable is A = -j(j+2)/4.
     """
     if family not in FIT_PARAMETERS:
         raise UnsupportedInput(f"ansatz fitting works on simple families, not {family.value}")
     (name,) = _PARAMETER_FLOORS[family]
     params = FIT_PARAMETERS[family]
     variable = "A" if family == Family.SU2 else "N"
+    grid = DEFAULT_FIT_GRID
     per_param: dict[int, dict] = {}
-    designs: dict[int, Elimination] = {}  # the grid's monomials, per order
     for parameter in params:
         group = GroupInstance(family, **{name: parameter})
-        coeffs = {(n, m): normalized_series(TorusKnot(n, m), group, DEFAULT_ORDER)
-                  for (n, m) in DEFAULT_FIT_GRID}
+        series = [normalized_series(TorusKnot(n, m), group, DEFAULT_ORDER) for (n, m) in grid]
         fitted = {}
         for order in ORDERS:
-            monomials = ANSATZ_SLOT_MONOMIALS[order]
-            if order not in designs:
-                designs[order] = eliminate(
-                    [[mono(Fraction(n * n), Fraction(m * m)) for mono in monomials]
-                     for (n, m) in DEFAULT_FIT_GRID], len(monomials))
-            rhs = [coeffs[(n, m)].coefficient(order) / ansatz_prefactor(n, m, order)
-                   for (n, m) in DEFAULT_FIT_GRID]
-            result = designs[order].solve(rhs)
-            if not result.consistent or result.rank < len(monomials):
+            dens = [s.den * ansatz_prefactor(n, m, order) for s, (n, m) in zip(series, grid)]
+            den = lcm(*dens)
+            result = _design(grid, order).solve_numerators(
+                [s.numerator(order) * (den // d) for s, d in zip(series, dens)], den)
+            if not result.consistent or result.rank < len(ANSATZ_SLOT_MONOMIALS[order]):
                 raise AnsatzMismatch(
                     f"{family.value} parameter {parameter}, order {order}: "
                     f"rank {result.rank}, consistent={result.consistent}"

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
 from operator import mul
@@ -197,13 +198,24 @@ class ExactPoly:
         return " + ".join(parts)
 
 
+@lru_cache(maxsize=16)
+def _vandermonde(abscissae: tuple[Fraction, ...]) -> Elimination:
+    """The elimination of the Vandermonde block of pairwise distinct
+    abscissae, made once per process for each tuple of them."""
+    return eliminate([[x ** d for d in range(len(abscissae))] for x in abscissae],
+                     len(abscissae))
+
+
 def interpolate_poly(points: Sequence[tuple], max_degree: int,
                      variable: str = "x") -> ExactPoly:
     """Unique polynomial of degree <= max_degree through the first
     max_degree+1 points, verified exactly against any remaining points.
 
-    Raises DegreeExceeded when a surplus point is off the fitted polynomial,
-    which signals that the true degree exceeds max_degree.
+    The leading points' Vandermonde block is eliminated once per tuple of
+    their abscissae and process, so fits that share abscissae (one sampling
+    grid, many slots) solve one integer system each.  Raises DegreeExceeded
+    when a surplus point is off the fitted polynomial, which signals that the
+    true degree exceeds max_degree.
     """
     pts = [(Fraction(x), Fraction(y)) for x, y in points]
     if len(pts) < max_degree + 1:
@@ -215,8 +227,7 @@ def interpolate_poly(points: Sequence[tuple], max_degree: int,
     head = pts[: max_degree + 1]
     coeffs = ()  # no leading point (max_degree -1): the zero polynomial
     if head:
-        fit = eliminate([[x ** d for d in range(len(head))] for x, _ in head], len(head))
-        coeffs = fit.solve([y for _, y in head]).solution
+        coeffs = _vandermonde(tuple(x for x, _ in head)).solve([y for _, y in head]).solution
     poly = ExactPoly.make(coeffs, variable)
     for x, y in pts[max_degree + 1:]:
         if poly.evaluate(x) != y:

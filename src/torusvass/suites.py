@@ -12,8 +12,9 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .analysis import (DEPENDENCY_RELATIONS, check_floor, dependency_relations_check,
-                       distinguishing_check, integrality_scan, noncoprime_witnesses,
+from .analysis import (DEPENDENCY_RELATIONS, MODULAR_PERIOD, check_floor,
+                       dependency_relations_check, distinguishing_check, integrality_scan,
+                       noncoprime_witnesses, normalization_sharpness,
                        proposition_modular_checks, v3_family_value)
 from .errors import UnsupportedInput
 from .extract import (compare_fit_to_printed, extract_alpha, extract_alpha_tilde,
@@ -33,9 +34,6 @@ ACCEPTANCE_GRID = ((2, 3), (2, 5), (2, 7), (2, 9), (3, 4),
 SAMPLE_KNOTS = ((2, 3), (2, 5), (3, 4), (3, 5), (4, 5))
 
 ORDER = 6
-
-#: the integrality suite checks the modular lemmas for every n up to this
-MODULAR_BOUND = 10_000
 
 
 @dataclass
@@ -202,13 +200,17 @@ def suite_distinguishing(max_n: int = 40) -> SuiteResult:
 
 @_timed
 def suite_integrality(bound: int = 30) -> SuiteResult:
-    """Criterion 7: integrality on coprime pairs, non-coprime witnesses per
-    order, and the modular lemmas up to 10^4."""
+    """Criterion 7: integrality on coprime pairs, the normalization's
+    sharpness, non-coprime witnesses per order, and the modular lemmas over
+    one period of n, which proves them for all n."""
     result = SuiteResult("integrality")
     report = integrality_scan(bound)
     result.add(f"12 primitive betas integral for coprime |n|,|m| <= {bound}",
                report.passed,
                f"{report.checked} values checked; violations: {report.violations[:3]}")
+    sharp = normalization_sharpness()
+    result.add("normalization sharp: each primitive beta coprime on its knot pair",
+               sharp.passed, f"{sharp.checked} slots; violations: {sharp.violations[:3]}")
     witnesses = noncoprime_witnesses()
     for order in range(2, 7):
         found = witnesses.get(order)
@@ -216,8 +218,9 @@ def suite_integrality(bound: int = 30) -> SuiteResult:
                    found is not None, str(found))
     b22 = closed_form_beta(TorusKnot(2, 2)).entries[(2, 1)]
     result.add("witness beta_{2,1}(2,2) = 3/8", b22 == Fraction(3, 8), str(b22))
-    modular = proposition_modular_checks(MODULAR_BOUND)
-    result.add(f"modular lemmas for all n <= {MODULAR_BOUND}", modular.passed,
+    modular = proposition_modular_checks(MODULAR_PERIOD)
+    result.add(f"modular lemmas for all n: one period, n = 1..{MODULAR_PERIOD}",
+               modular.passed,
                f"{modular.checked} checks; violations: {modular.violations[:3]}")
     return result
 

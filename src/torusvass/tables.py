@@ -47,6 +47,13 @@ TREFOIL_NORMALIZERS = {
 
 PRIMITIVE_ORDER = tuple(sorted(TREFOIL_NORMALIZERS))
 
+#: two knots per primitive slot on which beta takes coprime integer values
+#: (beta_{4,3} is 5 and 85 on the first pair, 5 and 39 on its own): any d
+#: with beta / d integral on every torus knot divides both, so d = 1 and the
+#: normalization above is sharp (analysis.normalization_sharpness checks it)
+SHARPNESS_PAIRS = {**dict.fromkeys(PRIMITIVE_ORDER, ((3, 2), (4, 3))),
+                   (4, 3): ((3, 2), (5, 2))}
+
 
 @dataclass(frozen=True)
 class InvariantTable:
@@ -220,9 +227,9 @@ ANSATZ_SLOT_MONOMIALS = {
 }
 
 
-def ansatz_prefactor(n: int, m: int, order: int) -> Fraction:
+def ansatz_prefactor(n: int, m: int, order: int) -> int:
     """(n^2-1)(m^2-1) at even orders, times nm at odd orders."""
-    return Fraction(_prefactors(n, m)["P" if order % 2 == 0 else "nmP"])
+    return _prefactors(n, m)["P" if order % 2 == 0 else "nmP"]
 
 
 # ----------------------------------------------------------------------

@@ -59,7 +59,8 @@ def test_criterion_6_distinguishing():
 
 
 def test_criterion_7_integrality():
-    report(7, "integrality for |n|,|m| <= 30, witnesses, modular lemmas to 10^4",
+    report(7, "integrality for |n|,|m| <= 30, sharp normalization, witnesses, "
+           "modular lemmas for all n (one period)",
            suite_integrality(bound=30))
 
 

@@ -7,17 +7,19 @@ from math import gcd
 import pytest
 
 from torusvass import analysis
-from torusvass.analysis import (DEPENDENCY_RELATIONS, AuxiliaryScalars, DependencyRelation,
-                                ScanReport, auxiliary_scalars, dependency_relations_check,
+from torusvass.analysis import (DEPENDENCY_RELATIONS, MODULAR_CLAIMS, MODULAR_PERIOD,
+                                AuxiliaryScalars, DependencyRelation, ScanReport,
+                                auxiliary_scalars, dependency_relations_check,
                                 distinguishing_check, integrality_scan, is_v3_applicable,
                                 lissajous_obstruction, lissajous_verdict,
-                                noncoprime_witnesses, proposition_modular_checks,
-                                v3_family_value)
+                                noncoprime_witnesses, normalization_sharpness,
+                                proposition_modular_checks, v3_family_value)
 from torusvass.cli import _scan_payload, rational_json
 from torusvass.errors import NotAKnot, UnsupportedInput
 from torusvass.knots import (UNKNOT, CanonicalTorusKnot, TorusKnot, as_knot, canonical_knots,
                              canonicalize)
-from torusvass.tables import BETA_DENOMINATORS, PRIMITIVE_ORDER, closed_form_beta
+from torusvass.tables import (BETA_DENOMINATORS, PRIMITIVE_ORDER, SHARPNESS_PAIRS,
+                              closed_form_beta, primitive_numerators)
 
 
 def test_canonicalize_swap():
@@ -190,9 +192,58 @@ def test_integrality_scan_records_noncoprime_notes():
 
 
 def test_modular_lemmas():
-    report = proposition_modular_checks(2000)
+    report = proposition_modular_checks(10_000)
     assert report.passed
-    assert report.checked == 2000 * 9
+    assert report.checked == 10_000 * 9
+
+
+def test_modular_period_proves_the_bound():
+    # a claim's hypothesis and conclusion each read n only modulo the claim's
+    # modulus, a divisor of the period: so the period decides every claim,
+    # and one period proves it for every n
+    assert MODULAR_PERIOD == 240
+    for label, modulus, hypothesis, conclusion in MODULAR_CLAIMS:
+        assert MODULAR_PERIOD % modulus == 0
+        for n in range(1, 10_001):
+            r = (n - 1) % modulus + 1
+            assert (hypothesis(n), conclusion(n)) == (hypothesis(r), conclusion(r)), (label, n)
+    report = proposition_modular_checks(MODULAR_PERIOD)
+    assert report.passed and report.checked == 9 * 240
+
+
+def test_a_false_modular_claim_fails_within_one_period(monkeypatch):
+    # negative control: n^2-1 = 0 mod 16 fails for n = 3, 5 mod 8, and the
+    # period scan reports each of them
+    claim = ("odd n => n^2-1 = 0 mod 16", 16, lambda n: n % 2 == 1,
+             lambda n: (n * n - 1) % 16 == 0)
+    monkeypatch.setattr(analysis, "MODULAR_CLAIMS", analysis.MODULAR_CLAIMS + (claim,))
+    report = proposition_modular_checks(MODULAR_PERIOD)
+    assert report.violations[0] == (3, claim[0]) and len(report.violations) == 60
+
+
+def test_normalization_is_sharp(monkeypatch):
+    report = normalization_sharpness()
+    assert report.passed and report.checked == len(PRIMITIVE_ORDER) == len(SHARPNESS_PAIRS)
+    for slot, knots in SHARPNESS_PAIRS.items():
+        values = [closed_form_beta(knot).entries[slot] for knot in knots]
+        assert all(v.denominator == 1 for v in values)
+        assert gcd(*(v.numerator for v in values)) == 1, slot
+    assert [closed_form_beta(k).entries[(4, 3)] for k in SHARPNESS_PAIRS[(4, 3)]] == [5, 39]
+    # the other slots' pair gives beta_{4,3} = 5 and 85, which share 5
+    monkeypatch.setitem(SHARPNESS_PAIRS, (4, 3), SHARPNESS_PAIRS[(2, 1)])
+    assert [v[0] for v in normalization_sharpness().violations] == [(4, 3)]
+
+
+@pytest.mark.parametrize("slot", PRIMITIVE_ORDER)
+def test_a_doubled_denominator_breaks_sharpness(monkeypatch, slot):
+    # negative control: beta over twice its denominator is not integral on
+    # one member of the slot's pair, and the check names that slot
+    den = 2 * BETA_DENOMINATORS[slot]
+    monkeypatch.setitem(BETA_DENOMINATORS, slot, den)
+    assert any(primitive_numerators(n, m, slots=(slot,))[0] % den
+               for n, m in SHARPNESS_PAIRS[slot])
+    report = normalization_sharpness()
+    assert [v[0] for v in report.violations] == [slot]
 
 
 def test_modular_spot_values():

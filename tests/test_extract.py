@@ -219,6 +219,33 @@ def test_fit_needs_enough_knots(monkeypatch):
         fit_ansatz(Family.SU_N)
 
 
+def test_fit_eliminates_each_left_hand_side_once(monkeypatch):
+    # five order designs shared by the three families, and one Vandermonde
+    # block per family; a repeated fit eliminates nothing, and a rebound grid
+    # gets designs of its own
+    from torusvass import linalg
+
+    calls = []
+
+    def counted(lhs, unknowns):
+        calls.append(unknowns)
+        return eliminate(lhs, unknowns)
+
+    monkeypatch.setattr(extract, "eliminate", counted)
+    monkeypatch.setattr(linalg, "eliminate", counted)
+    extract._design.cache_clear()
+    linalg._vandermonde.cache_clear()
+    families = (Family.SU_N, Family.SO_N, Family.SU2)
+    fits = [fit_ansatz(family).polynomials for family in families]
+    assert sorted(calls) == sorted([1, 1, 3, 3, 6] + [7, 7, 4])
+    calls.clear()
+    assert [fit_ansatz(family).polynomials for family in families] == fits
+    assert calls == []
+    monkeypatch.setattr(extract, "DEFAULT_FIT_GRID", extract.DEFAULT_FIT_GRID + ((5, 7),))
+    assert fit_ansatz(Family.SU_N).polynomials == fits[0]
+    assert sorted(calls) == [1, 1, 3, 3, 6]
+
+
 def test_fit_rejects_a_parameter_degree_above_the_ansatz(monkeypatch):
     # g_6,1(N) has degree 6 in N: a degree-5 fit leaves its surplus points off
     monkeypatch.setitem(extract.FIT_DEGREE, Family.SU_N, 5)
