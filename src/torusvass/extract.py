@@ -6,17 +6,18 @@ instances across the four families gives an overdetermined exact linear
 system per order; a unique solution with all surplus rows consistent is
 required, and the rank reached must equal the slot count d_i.
 
-The unnormalized route divides the Wilson-line series by the representation
-dimension first and solves the same way for the alpha table.
+The alpha route solves the Wilson-line series over dim R the same way: each
+simple factor's normalized series times its unknot factor over its dimension.
 
-The default plan depends on the knot only through n, so it is made ready
-once per n and process: its instances, their distinct simple factors, their
-dimensions and the eliminations of its five left-hand sides.  A knot then
+The default plan depends on the knot only through n, and equal plans (the
+default plan's at n = 2 and 3) are made ready once per process: their
+instances, distinct simple factors, each factor's unknot factor over its
+dimension and the eliminations of the five left-hand sides.  A knot then
 costs one evaluation per simple factor (a polynomial evaluation of a cached
-kernel), one series product per product factor on top of the first, and one
-integer solve per order, whose right-hand side is read straight from the
-series' numerators over one common denominator, dim R included.  No Fraction
-is built before the solution.
+kernel), one series product per simple factor on the alpha route and per
+product factor on top of the first, and one integer solve per order, whose
+right-hand side is read straight from the series' numerators over one
+common denominator.  No Fraction is built before the solution.
 """
 
 from __future__ import annotations
@@ -25,13 +26,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import mul
 from typing import Sequence
 
 from .errors import (AnsatzMismatch, DegreeExceeded, Inconsistent, RankDeficient,
                      UnsupportedInput)
 from .groups import (_PARAMETER_FLOORS, ORDERS, SLOT_COUNTS, SLOTS, Family, GroupInstance,
                      group_factors, product, simple_factors, so_n, su2, su_n)
-from .invariants import DEFAULT_ORDER, normalized_series, unnormalized_series
+from .invariants import DEFAULT_ORDER, normalized_series, unknot_factor
 from .knots import TorusKnot, as_knot
 from .linalg import Elimination, ExactPoly, eliminate, interpolate_poly
 from .series import TruncSeries
@@ -80,7 +82,7 @@ class _Plan:
     instances: tuple[GroupInstance, ...]
     factors: tuple[GroupInstance, ...]  # the distinct simple factors, in plan order
     factor_indices: tuple[tuple[int, ...], ...]  # each instance's factors in factors
-    dims: tuple[int, ...]  # each instance's dim R
+    unknots: tuple[TruncSeries, ...]  # each factor's unknot factor over its dimension
     eliminations: tuple[Elimination, ...]  # the group factors, one per order of ORDERS
 
     @classmethod
@@ -88,29 +90,36 @@ class _Plan:
         factors: dict = {}
         indices = tuple(tuple(factors.setdefault(f, len(factors)) for f in simple_factors(inst))
                         for inst in instances)
+        unknots = [unknot_factor(f, DEFAULT_ORDER) for f in factors]
         vectors = [group_factors(inst) for inst in instances]
         return cls(tuple(instances), tuple(factors), indices,
-                   tuple(int(v.dim) for v in vectors),
+                   tuple(u / u.coefficient(0) for u in unknots),
                    tuple(eliminate([v.row(order) for v in vectors], SLOT_COUNTS[order])
                          for order in ORDERS))
 
 
 @lru_cache(maxsize=32)
 def _plan(plan_of, n: int) -> _Plan:
-    """The plan that plan_of gives the knots of index n, made once per
-    process (a solve round of the benchmark uses ten values of n).  The plan
-    function keys it too, so a rebound default_instantiation_plan gets plans
-    of its own."""
-    return _Plan.of(plan_of(TorusKnot(n, 1)))
+    """The plan that plan_of gives the knots of index n (a solve round of the
+    benchmark uses ten values of n).  The plan function keys it too, so a
+    rebound default_instantiation_plan gets plans of its own."""
+    return _ready(tuple(plan_of(TorusKnot(n, 1))))
+
+
+@lru_cache(maxsize=32)
+def _ready(instances: tuple) -> _Plan:
+    """The plan of these instances, made once per process for every n."""
+    return _Plan.of(instances)
 
 
 def _plan_series(knot: TorusKnot, plan: _Plan, unnormalized: bool) -> list[TruncSeries]:
-    """The series of each instance of a plan, the Wilson-line series on the
-    unnormalized route.  Each distinct simple factor is evaluated once, in
-    plan order, and a product instance multiplies its factors' series as
-    normalized_series and unnormalized_series do."""
-    evaluate = unnormalized_series if unnormalized else normalized_series
-    simple = [evaluate(knot, factor, DEFAULT_ORDER) for factor in plan.factors]
+    """The series of each instance of a plan, the Wilson-line series over
+    dim R on the unnormalized route.  Each distinct simple factor is
+    evaluated once, in plan order, and a product instance multiplies its
+    factors' series as normalized_series does."""
+    simple = [normalized_series(knot, factor, DEFAULT_ORDER) for factor in plan.factors]
+    if unnormalized:
+        simple = list(map(mul, simple, plan.unknots))
     series = []
     for first, *rest in plan.factor_indices:
         total = simple[first]
@@ -120,12 +129,11 @@ def _plan_series(knot: TorusKnot, plan: _Plan, unnormalized: bool) -> list[Trunc
     return series
 
 
-def _right_hand_sides(series: Sequence[TruncSeries],
-                      dims: Sequence[int]) -> tuple[list[list[int]], int]:
-    """Each series' x^order coefficient over its dim, for every order of
-    ORDERS, as integer numerators over one denominator: one lcm per knot,
-    read straight from the series' numerators, and no Fraction."""
-    dens = [s.den * dim for s, dim in zip(series, dims)]
+def _right_hand_sides(series: Sequence[TruncSeries]) -> tuple[list[list[int]], int]:
+    """Each series' x^order coefficient, for every order of ORDERS, as
+    integer numerators over one denominator: one lcm per knot, read straight
+    from the series' numerators, and no Fraction."""
+    dens = [s.den for s in series]
     den = lcm(*dens)
     scales = [den // d for d in dens]
     return [[s.numerator(order) * c for s, c in zip(series, scales)] for order in ORDERS], den
@@ -135,8 +143,7 @@ def _extract(knot, unnormalized: bool, kind: str) -> tuple[InvariantTable, Extra
     """Solve every order of ORDERS on the knot's default plan."""
     k = as_knot(knot).validate().oriented()
     plan = _plan(default_instantiation_plan, k.n)
-    series = _plan_series(k, plan, unnormalized)
-    rhs, den = _right_hand_sides(series, plan.dims if unnormalized else (1,) * len(series))
+    rhs, den = _right_hand_sides(_plan_series(k, plan, unnormalized))
     report = ExtractionReport(knot=k, kind=kind)
     entries = {}
     for order, b, elimination in zip(ORDERS, rhs, plan.eliminations):
@@ -158,7 +165,7 @@ def extract_alpha_tilde(knot) -> tuple[InvariantTable, ExtractionReport]:
 
 
 def extract_alpha(knot) -> tuple[InvariantTable, ExtractionReport]:
-    """Solve the unnormalized expansions (divided by dim R) for the alpha table."""
+    """Solve the Wilson-line expansions (divided by dim R) for the alpha table."""
     return _extract(knot, True, "alpha")
 
 

@@ -382,11 +382,12 @@ def akutsu_wadati_normalized(knot: KnotLike, j: int,
 def _over_factors(group: GroupInstance, trunc_order: int,
                   series_of: Callable[[GroupInstance], TruncSeries]) -> TruncSeries:
     """series_of(factor) multiplied over the simple factors of group; a simple
-    group is its own one factor, with no product taken."""
+    group is its own one factor, with no product taken.  Each factor starts
+    at degree 0, so the product ends at trunc_order too."""
     first, *rest = simple_factors(group)
     series = series_of(first)
     for factor in rest:
-        series = (series * series_of(factor)).truncated(trunc_order)
+        series = series * series_of(factor)
     return series
 
 
@@ -422,12 +423,11 @@ def _quantum_dimension(group: GroupInstance, trunc_order: int) -> TruncSeries:
     return TruncSeries.from_numerators(0, nums, den, trunc_order)
 
 
-@lru_cache(maxsize=128, typed=True)
 def unknot_factor(group: GroupInstance, trunc_order: int = DEFAULT_ORDER) -> TruncSeries:
     """Quantum-dimension series of the unknot; constant term is the classical
-    dimension (N, N, j+1, or N(j+1)).  It does not depend on the knot, so it
-    is memoized per (group, trunc_order), typed: a non-int order never hits
-    an int's entry, so it always meets the order check."""
+    dimension (N, N, j+1, or N(j+1)).  It does not depend on the knot: the
+    solver takes each plan's unknot factors once, when it makes the plan
+    ready."""
     _check_order(trunc_order, f"unknot factor of {group.label()}")
     return _over_factors(group, trunc_order, lambda g: _quantum_dimension(g, trunc_order))
 
@@ -451,6 +451,5 @@ def unnormalized_series(knot: KnotLike, group: GroupInstance,
     The product group factorizes as the product of the two unnormalized
     series.
     """
-    return _over_factors(group, trunc_order, lambda g: (
-        _simple_normalized(knot, g, trunc_order) * unknot_factor(g, trunc_order)
-    ).truncated(trunc_order))
+    return _over_factors(group, trunc_order, lambda g: _simple_normalized(
+        knot, g, trunc_order) * unknot_factor(g, trunc_order))

@@ -174,7 +174,8 @@ def suite_relations(max_n: int = 12) -> SuiteResult:
     anchor4 = 4 * b3[(4, 3)] + 12 * b3[(2, 1)] ** 2 - b3[(2, 1)]
     result.add("trefoil anchor 31 = 4*5 + 12 - 1",
                b3[(4, 2)] == 31 and anchor4 == 31)
-    anchor5 = Fraction(6) + Fraction(27, 5) - Fraction(2, 5)
+    anchor5 = 6 * b3[(5, 4)] + Fraction(27, 5) * b3[(2, 1)] * b3[(3, 1)] \
+        - Fraction(2, 5) * b3[(3, 1)]
     result.add("trefoil anchor 11 = 6 + 27/5 - 2/5",
                b3[(5, 2)] == 11 and anchor5 == 11)
     report = dependency_relations_check(max_n=max_n)

@@ -14,11 +14,15 @@ Slot layout of the Taylor ansatz through order six: with P = (n^2-1)(m^2-1),
                      + (n^4 m^2 + n^2 m^4) g_{6,4} + (n^4+m^4) g_{6,5}
                      + n^4 m^4 g_{6,6})
 
-Each closed-form primitive is one integer row: its prefactor kind (P, nm P,
-or 1 for the even-order alpha forms), a numerator polynomial in u = n^2,
-v = m^2, and its denominators; alpha_tilde and beta share the numerators.
-primitive_numerators evaluates the rows in integers: the tables build one
-Fraction per primitive from it, and the analysis scans read it directly.
+Each closed-form primitive is one integer row: its prefactor kind (P or
+nm P), a numerator polynomial in u = n^2, v = m^2, and its alpha_tilde and
+beta denominators; the three tables share the rows.  primitive_numerators
+evaluates them in integers: the tables build one Fraction per primitive from
+it, and the analysis scans read it directly.  alpha is alpha_tilde less its
+value at (n, m) = (0, 0), over the same denominators: the Wilson line is the
+normalized series times the unknot factor, so their primitive parts add, and
+the unknot's part -alpha_tilde(0, 0) is nonzero at even orders only (there
+P = 1 and nm P = 0).
 
 Three printed g entries are typos in the source tables (marked below); the
 exact ansatz fit is authoritative for those slots and the corrected forms are
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 from typing import Callable, NamedTuple
 
 from .groups import ALL_SLOTS, COMPOUND_RULES
@@ -90,25 +95,25 @@ _ALPHA_LIKE_SCALE = {
 
 
 def _prefactors(n: int, m: int) -> dict[str, int]:
-    """Each prefactor kind: "P" = (n^2-1)(m^2-1), "nmP" = nm P, and "1"."""
+    """Each prefactor kind: "P" = (n^2-1)(m^2-1) and "nmP" = nm P."""
     p = (n * n - 1) * (m * m - 1)
-    return {"1": 1, "P": p, "nmP": n * m * p}
+    return {"P": p, "nmP": n * m * p}
 
 
 class _Row(NamedTuple):
     """prefactor * numerator(n^2, m^2) / den; beta_den is the printed
-    denominator of the beta value of the same numerator (alpha rows have none)."""
+    denominator of the beta value of the same numerator."""
 
     prefactor: str
     numerator: Callable[[int, int], int]
     den: int
-    beta_den: int | None = None
+    beta_den: int
 
 
-#: alpha_tilde and beta share these numerators.  The order-4 slot 2 entry is
+#: the three tables share these numerators.  The order-4 slot 2 entry is
 #: taken in its n <-> m symmetric form 9 n^2 m^2 (the sole reading consistent
 #: with the beta table and the trefoil normalizer 31).
-_TILDE_ROWS = {
+_ROWS = {
     (2, 1): _Row("P", lambda u, v: 1, 6, 24),
     (3, 1): _Row("nmP", lambda u, v: 1, 18, 144),
     (4, 2): _Row("P", lambda u, v: 9 * u * v - u - v - 1, 360, 240),
@@ -128,72 +133,55 @@ _TILDE_ROWS = {
                  + 31 * u * v + 10 * (u * u + v * v) + 10 * (u + v) + 10), 151200, 5040),
 }
 
-#: alpha: odd orders coincide with alpha_tilde (the unknot factor is even in
-#: x); the even-order primitives have their own closed forms
-_ALPHA_ROWS = {
-    **{slot: row for slot, row in _TILDE_ROWS.items() if slot[0] % 2},
-    (2, 1): _Row("1", lambda u, v: u * v - u - v, 6),
-    (4, 2): _Row("1", lambda u, v: (9 * u**2 * v**2 - 10 * (u * v**2 + u**2 * v)
-                 + (u**2 + v**2) + 10 * u * v), 360),
-    (4, 3): _Row("1", lambda u, v: u**2 * v**2 - u**2 - v**2, 360),
-    (6, 5): _Row("1", lambda u, v: (516 * u**3 * v**3 - 805 * (u**2 * v**3 + u**3 * v**2)
-                 + 1050 * u**2 * v**2 + 294 * (u * v**3 + u**3 * v)
-                 - 245 * (u * v**2 + u**2 * v) - 5 * (u**3 + v**3) - 49 * u * v), 75600),
-    (6, 6): _Row("1", lambda u, v: (53 * u**3 * v**3 - 154 * (u**2 * v**3 + u**3 * v**2)
-                 + 140 * u**2 * v**2 + 77 * (u * v**3 + u**3 * v)
-                 + 14 * (u * v**2 + u**2 * v) + 24 * (u**3 + v**3) - 91 * u * v), 90720),
-    (6, 7): _Row("1", lambda u, v: (419 * u**3 * v**3 - 210 * (u**2 * v**3 + u**3 * v**2)
-                 - 189 * (u * v**3 + u**3 * v) + 210 * (u * v**2 + u**2 * v)
-                 - 20 * (u**3 + v**3) - 21 * u * v), 226800),
-    (6, 8): _Row("1", lambda u, v: (13 * u**3 * v**3 - 63 * (u * v**3 + u**3 * v)
-                 + 50 * (u**3 + v**3) + 63 * u * v), 453600),
-    (6, 9): _Row("1", lambda u, v: (31 * u**3 * v**3 - 21 * (u * v**3 + u**3 * v)
-                 - 10 * (u**3 + v**3) + 21 * u * v), 151200),
-}
 
-
-def primitive_numerators(n: int, m: int, rows: dict = _TILDE_ROWS,
-                         slots: tuple = PRIMITIVE_ORDER) -> tuple[int, ...]:
+def primitive_numerators(n: int, m: int, slots: tuple = PRIMITIVE_ORDER) -> tuple[int, ...]:
     """Each slot's row in integers: prefactor * numerator(n^2, m^2).
 
-    The slot's value is this over the row's den (its beta_den in the beta
-    table); the default rows are the numerators alpha_tilde and beta share.
-    Coprimality is not required.
+    The slot's alpha_tilde value is this over the row's den, and its beta
+    value this over its beta_den.  Coprimality is not required.
     """
     u, v = n * n, m * m
     prefactors = _prefactors(n, m)
-    return tuple([prefactors[rows[slot].prefactor] * rows[slot].numerator(u, v)
+    return tuple([prefactors[_ROWS[slot].prefactor] * _ROWS[slot].numerator(u, v)
                   for slot in slots])
 
 
+#: the rows at (n, m) = (0, 0); alpha is alpha_tilde less these, over den
+_AT_ORIGIN = primitive_numerators(0, 0)
+
+
 #: the denominator of each primitive beta, over its primitive_numerators
-BETA_DENOMINATORS = {slot: row.beta_den for slot, row in _TILDE_ROWS.items()}
+BETA_DENOMINATORS = {slot: row.beta_den for slot, row in _ROWS.items()}
 
 
-def _closed_form(kind: str, knot: KnotLike, rows: dict) -> InvariantTable:
+def _closed_form(kind: str, knot: KnotLike) -> InvariantTable:
     """One Fraction per primitive, over the integer rows."""
     k = as_knot(knot)
     beta = kind == "beta"
+    nums = primitive_numerators(k.n, k.m)
+    if kind == "alpha":
+        nums = map(sub, nums, _AT_ORIGIN)
     prim = {
-        slot: Fraction(num, rows[slot].beta_den if beta else rows[slot].den)
-        for slot, num in zip(PRIMITIVE_ORDER, primitive_numerators(k.n, k.m, rows))
+        slot: Fraction(num, _ROWS[slot].beta_den if beta else _ROWS[slot].den)
+        for slot, num in zip(PRIMITIVE_ORDER, nums)
     }
     return InvariantTable(kind, k, _with_compounds(prim, None if beta else _ALPHA_LIKE_SCALE))
 
 
 def closed_form_alpha_tilde(knot: KnotLike) -> InvariantTable:
     """The seventeen-polynomial table for the normalized expansion."""
-    return _closed_form("alpha_tilde", knot, _TILDE_ROWS)
+    return _closed_form("alpha_tilde", knot)
 
 
 def closed_form_alpha(knot: KnotLike) -> InvariantTable:
-    """The unnormalized-expansion table; compounds are the usual products."""
-    return _closed_form("alpha", knot, _ALPHA_ROWS)
+    """The unnormalized-expansion table: alpha_tilde less its value at
+    (0, 0) on every primitive slot; compounds are the usual products."""
+    return _closed_form("alpha", knot)
 
 
 def closed_form_beta(knot: KnotLike) -> InvariantTable:
     """The trefoil-normalized table; integer-valued on coprime (n, m)."""
-    return _closed_form("beta", knot, _TILDE_ROWS)
+    return _closed_form("beta", knot)
 
 
 def beta_from_alpha_tilde(table: InvariantTable) -> InvariantTable:

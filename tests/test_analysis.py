@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 
-from torusvass import analysis
+from torusvass import analysis, suites
 from torusvass.analysis import (DEPENDENCY_RELATIONS, MODULAR_CLAIMS, MODULAR_PERIOD,
                                 AuxiliaryScalars, DependencyRelation, ScanReport,
                                 auxiliary_scalars, dependency_relations_check,
@@ -19,7 +19,7 @@ from torusvass.errors import NotAKnot, UnsupportedInput
 from torusvass.knots import (UNKNOT, CanonicalTorusKnot, TorusKnot, as_knot, canonical_knots,
                              canonicalize)
 from torusvass.tables import (BETA_DENOMINATORS, PRIMITIVE_ORDER, SHARPNESS_PAIRS,
-                              closed_form_beta, primitive_numerators)
+                              InvariantTable, closed_form_beta, primitive_numerators)
 
 
 def test_canonicalize_swap():
@@ -79,6 +79,15 @@ def test_relation_order5_trefoil_anchor():
     b = closed_form_beta((2, 3)).entries
     assert b[(5, 2)] == 11 == 6 * b[(5, 4)] + F(27, 5) - F(2, 5)
     assert b[(5, 3)] == 1 == F(3, 4) * b[(5, 4)] + F(3, 10) - F(1, 20)
+
+
+def test_the_order5_anchor_reads_the_trefoil_table(monkeypatch):
+    # with beta_{5,4}(trefoil) = 2 the anchor is 6*2 + 27/5 - 2/5 = 17, not 11
+    table = closed_form_beta((2, 3))
+    wrong = InvariantTable("beta", table.knot, {**table.entries, (5, 4): F(2)})
+    monkeypatch.setattr(suites, "closed_form_beta", lambda knot: wrong)
+    result = suites.suite_relations(max_n=3)
+    assert [c.label for c in result.failures()] == ["trefoil anchor 11 = 6 + 27/5 - 2/5"]
 
 
 def test_relation_order5_beyond_trefoil():

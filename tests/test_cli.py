@@ -3,6 +3,7 @@
 import argparse
 import ast
 import errno
+import hashlib
 import inspect
 import itertools
 import json
@@ -11,6 +12,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from math import gcd
 from importlib import resources
 from pathlib import Path
 
@@ -48,6 +50,15 @@ def run_module(*argv):
     """Run ``python -m torusvass.cli`` in a subprocess that imports these sources."""
     return subprocess.run([sys.executable, "-m", "torusvass.cli", *argv],
                           capture_output=True, text=True, env=module_env())
+
+
+#: every coprime pair with n, then m, ascending over -13..13, and four more
+INVARIANTS_PAIRS = [(n, m) for n in range(-13, 14) for m in range(-13, 14)
+                    if n and m and gcd(n, m) == 1] + [(97, 98), (41, -43), (1, 1), (-1, 5)]
+
+#: sha256 over f"{code}|{stdout}|{stderr}" of ``invariants`` on each pair, in
+#: the formats json, csv and table, each at --order 6 then 4: 2,784 documents
+INVARIANTS_DIGEST = "ca7b1199d2ff9fe98c78056e3f3247e1dbf9b32d29d51610f91cebb034c345e1"
 
 
 def validate_document(doc):
@@ -711,3 +722,15 @@ def test_readme_cli_examples_run(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, (argv, err)
         assert out
+
+
+def test_invariants_documents_keep_their_bytes(capsys):
+    digest = hashlib.sha256()
+    for n, m in INVARIANTS_PAIRS:
+        for fmt in ("json", "csv", "table"):
+            for order in ("6", "4"):
+                code, out, err = run_cli(capsys, "invariants", "--n", str(n), "--m", str(m),
+                                         "--format", fmt, "--order", order)
+                digest.update(f"{code}|{out}|{err}".encode())
+    assert len(INVARIANTS_PAIRS) == 464
+    assert digest.hexdigest() == INVARIANTS_DIGEST

@@ -12,11 +12,11 @@ from torusvass.extract import (_Plan, _plan_series, _right_hand_sides, compare_f
                                extract_alpha_tilde, fit_ansatz)
 from torusvass.groups import (ORDERS, SLOTS, Family, SLOT_COUNTS, group_factors, product, so_n,
                               su2, su_n)
-from torusvass.invariants import normalized_series, unnormalized_series
+from torusvass.invariants import normalized_series, unknot_factor, unnormalized_series
 from torusvass.knots import TorusKnot
 from torusvass.linalg import ExactPoly, eliminate
 from torusvass.series import TruncSeries
-from torusvass.tables import (closed_form_alpha, closed_form_alpha_tilde,
+from torusvass.tables import (PRIMITIVE_ORDER, closed_form_alpha, closed_form_alpha_tilde,
                               printed_g_table)
 
 
@@ -57,15 +57,20 @@ def test_plan_series_evaluates_each_simple_factor_once(monkeypatch):
 
 
 def test_plan_series_divides_by_the_dimension_when_unnormalized():
-    # the series are the Wilson-line series, and the right-hand sides that the
-    # solve reads divide each by its dim R, over one integer denominator
+    # the plan holds each simple factor's unknot factor over its dimension,
+    # so the series are the Wilson-line series over dim R, and the
+    # right-hand sides that the solve reads are theirs, over one integer
+    # denominator
     plan = _Plan.of((so_n(7), product(3, 2)))
+    assert plan.factors == (so_n(7), su_n(3), su2(2))
+    assert plan.unknots == tuple(unknot_factor(g) / dim for g, dim in zip(plan.factors, (7, 3, 3)))
+    assert [u.coefficient(0) for u in plan.unknots] == [1, 1, 1]
     series = _plan_series(TorusKnot(2, 5), plan, True)
-    assert series == [unnormalized_series(TorusKnot(2, 5), g) for g in plan.instances]
-    assert plan.dims == (7, 9)
-    divided = [s / dim for s, dim in zip(series, plan.dims)]
-    assert [s.coefficient(0) for s in divided] == [1, 1]
-    rhs, den = _right_hand_sides(series, plan.dims)
+    divided = [unnormalized_series(TorusKnot(2, 5), g) / dim
+               for g, dim in zip(plan.instances, (7, 9))]
+    assert series == divided
+    assert [s.coefficient(0) for s in series] == [1, 1]
+    rhs, den = _right_hand_sides(series)
     assert all(type(v) is int for row in rhs for v in row)
     assert [[F(v, den) for v in row] for row in rhs] == \
         [[s.coefficient(order) for s in divided] for order in ORDERS]
@@ -93,6 +98,23 @@ def test_extract_alpha_matches_closed_form(knot):
     assert report.all_good()
 
 
+#: the unknot's alpha on the primitive slots, in PRIMITIVE_ORDER: zero at odd
+#: orders, where the unknot factor, even in x, adds nothing
+UNKNOT_ALPHA = (F(-1, 6), 0, F(1, 360), F(-1, 360), 0, 0, 0,
+                F(-1, 15120), F(1, 3780), F(-1, 11340), F(1, 9072), F(-1, 15120))
+
+
+@pytest.mark.parametrize("knot", [(1, 2), (1, -7), (-1, 5)])
+def test_the_solved_unknot_is_minus_alpha_tilde_at_the_origin(knot):
+    # the quantum-dimension route gives the unknot's alpha, which the closed
+    # form takes as -alpha_tilde(0, 0)
+    table, report = extract_alpha(knot)
+    assert report.all_good()
+    origin = closed_form_alpha_tilde((0, 0))
+    assert tuple(table.value(*slot) for slot in PRIMITIVE_ORDER) == UNKNOT_ALPHA
+    assert tuple(-origin.value(*slot) for slot in PRIMITIVE_ORDER) == UNKNOT_ALPHA
+
+
 def test_extract_spot_values():
     table, _ = extract_alpha_tilde((2, 3))
     assert table.value(2, 1) == 4
@@ -117,20 +139,18 @@ def test_rank_deficient_plan_raises(monkeypatch):
 
 @pytest.mark.parametrize("order", ORDERS)
 def test_a_perturbed_row_is_inconsistent(monkeypatch, order):
-    # one simple factor's series off by 1/7 at x^order moves every row that
-    # factor enters (SU(4) and two products) off the group-factor span: both
-    # routes raise Inconsistent at that order, after solving the lower ones
-    def off(evaluate):
-        def perturbed(knot, group, trunc_order):
-            series = evaluate(knot, group, trunc_order)
-            if group != su_n(4):
-                return series
-            return series + TruncSeries(order, [F(1, 7)] + [0] * (trunc_order - order),
-                                        trunc_order)
-        return perturbed
+    # one simple factor's normalized series off by 1/7 at x^order moves every
+    # row that factor enters (SU(4) and two products) off the group-factor
+    # span: both routes, which both read it, raise Inconsistent at that
+    # order, after solving the lower ones
+    def perturbed(knot, group, trunc_order):
+        series = normalized_series(knot, group, trunc_order)
+        if group != su_n(4):
+            return series
+        return series + TruncSeries(order, [F(1, 7)] + [0] * (trunc_order - order),
+                                    trunc_order)
 
-    monkeypatch.setattr(extract, "normalized_series", off(normalized_series))
-    monkeypatch.setattr(extract, "unnormalized_series", off(unnormalized_series))
+    monkeypatch.setattr(extract, "normalized_series", perturbed)
     for route in (extract_alpha_tilde, extract_alpha):
         with pytest.raises(Inconsistent) as info:
             route((3, 4))
@@ -246,6 +266,29 @@ def test_fit_eliminates_each_left_hand_side_once(monkeypatch):
     assert sorted(calls) == [1, 1, 3, 3, 6]
 
 
+def test_equal_plans_are_made_ready_once(monkeypatch):
+    # the default plan gives n = 2 and n = 3 the same 25 instances (its SO(N)
+    # base is max(5, n + 2) = 5 for both), so their five left-hand sides are
+    # eliminated once; a rebound plan function gets plans of its own
+    calls = []
+
+    def counted(lhs, unknowns):
+        calls.append(unknowns)
+        return eliminate(lhs, unknowns)
+
+    monkeypatch.setattr(extract, "eliminate", counted)
+    extract._plan.cache_clear()
+    extract._ready.cache_clear()
+    assert default_instantiation_plan((2, 3)) == default_instantiation_plan((3, 4))
+    tables = [extract_alpha_tilde(knot)[0] for knot in ((2, 3), (3, 4))]
+    assert calls == [SLOT_COUNTS[order] for order in ORDERS]
+    calls.clear()
+    reversed_plan = default_instantiation_plan((2, 3))[::-1]
+    monkeypatch.setattr(extract, "default_instantiation_plan", lambda knot: reversed_plan)
+    assert [extract_alpha_tilde(knot)[0] for knot in ((2, 3), (3, 4))] == tables
+    assert calls == [SLOT_COUNTS[order] for order in ORDERS]
+
+
 def test_fit_rejects_a_parameter_degree_above_the_ansatz(monkeypatch):
     # g_6,1(N) has degree 6 in N: a degree-5 fit leaves its surplus points off
     monkeypatch.setitem(extract.FIT_DEGREE, Family.SU_N, 5)
@@ -323,20 +366,26 @@ def _count_evaluations(monkeypatch):
     for name in ("homfly_normalized", "kauffman_normalized", "akutsu_wadati_normalized",
                  "unknot_factor"):
         monkeypatch.setattr(invariants, name, counted(getattr(invariants, name)))
+    monkeypatch.setattr(extract, "unknot_factor", invariants.unknot_factor)
     return counts
 
 
 def test_product_instances_reuse_factor_series(monkeypatch):
     # the default plan samples SU(N) at N = 2..7 and SU(2) at j = 1..6, which
-    # covers every factor of its seven product instances
+    # covers every factor of its seven product instances; making the plan
+    # ready takes each of its 18 simple factors' unknot factor once, and a
+    # knot on either route takes none
     counts = _count_evaluations(monkeypatch)
+    extract._plan.cache_clear()
+    extract._ready.cache_clear()
     extract_alpha_tilde((6, 7))
     assert counts == {"homfly_normalized": 6, "akutsu_wadati_normalized": 6,
-                      "kauffman_normalized": 6}
-    counts.clear()
-    extract_alpha((6, 7))
-    assert counts == {"homfly_normalized": 6, "akutsu_wadati_normalized": 6,
                       "kauffman_normalized": 6, "unknot_factor": 18}
+    for route in (extract_alpha, extract_alpha_tilde):
+        counts.clear()
+        route((6, 7))
+        assert counts == {"homfly_normalized": 6, "akutsu_wadati_normalized": 6,
+                          "kauffman_normalized": 6}
 
 
 def test_product_factors_outside_the_plan(monkeypatch):

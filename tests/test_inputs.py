@@ -64,9 +64,9 @@ ENTRY_POINTS = {
 
 def _clear_caches():
     invariants._kernel.cache_clear()
-    invariants.unknot_factor.cache_clear()
     groups.group_factors.cache_clear()
     extract._plan.cache_clear()
+    extract._ready.cache_clear()
 
 
 def _not_ints(good: int) -> list:

@@ -638,12 +638,14 @@ def test_integral_rates_are_ints(n, monkeypatch):
     assert list(kernels()) == with_ints
 
 
-def test_unknot_factor_is_memoized():
-    unknot_factor.cache_clear()
-    first = unknot_factor(so_n(9), 6)
-    assert unknot_factor(so_n(9), 6) is first
-    assert unknot_factor.cache_info().hits == 1
-    unknot_factor.cache_clear()
+def test_product_series_end_at_the_order():
+    # each factor starts at degree 0 and is known through W, so the
+    # products end at W with no truncation
+    for W in range(13):
+        for series in (normalized_series((3, -7), product(3, 2), W),
+                       unnormalized_series((3, -7), product(3, 2), W),
+                       unknot_factor(product(3, 2), W)):
+            assert (series.min_degree, series.trunc_order) == (0, W), (series, W)
 
 
 def test_warm_knot_takes_no_exp_or_division(monkeypatch):
