@@ -3,11 +3,13 @@ relations, integrality scans and the normalization's sharpness, modular
 lemmas, and derived scalars.
 
 Everything here runs on the integer rows of the closed-form beta table
-(tables.primitive_numerators over BETA_DENOMINATORS), evaluating only the
-slots it reads: integrality is num % den, equal numerators over a fixed
-denominator are equal values, and a relation's residual is one integer sum
-over a common denominator.  A Fraction is built only for a value that goes
-into a report, so scans over thousands of knots are cheap.
+over BETA_DENOMINATORS, evaluating only the slots it reads: per knot through
+tables.primitive_numerators, and per n over a whole range of m through
+tables.primitive_columns in the integrality scans.  Integrality is
+num % den, equal numerators over a fixed denominator are equal values, and a
+relation's residual is one integer sum over a common denominator.  A
+Fraction is built only for a value that goes into a report, so scans over
+thousands of knots are cheap.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Iterable, Optional
 from .errors import UnsupportedInput
 from .knots import TorusKnot, as_knot, canonical_knots, check_int
 from .tables import (BETA_DENOMINATORS, PRIMITIVE_ORDER, SHARPNESS_PAIRS,
-                     primitive_numerators)
+                     primitive_columns, primitive_numerators)
 
 #: the denominators of the twelve primitive betas, in PRIMITIVE_ORDER
 _DENS = tuple(BETA_DENOMINATORS[slot] for slot in PRIMITIVE_ORDER)
@@ -58,12 +60,16 @@ def _fractions(nums, slots) -> tuple[Fraction, ...]:
     return tuple(Fraction(num, BETA_DENOMINATORS[slot]) for num, slot in zip(nums, slots))
 
 
-def _non_integral(n: int, m: int) -> list:
-    """(slot, numerator, denominator) of each primitive beta of (n, m) that
-    is not an integer."""
-    return [(slot, num, den)
-            for slot, num, den in zip(PRIMITIVE_ORDER, primitive_numerators(n, m), _DENS)
-            if num % den]
+def _non_integral(n: int, ms: list[int]) -> list:
+    """(m, slot, numerator, denominator) of each primitive beta of (n, m),
+    m in ms, that is not an integer, by m and then slot.  The numerators
+    come one column per slot, and when no column has a remainder mod its
+    denominator, no pair is looked at alone."""
+    columns = primitive_columns(n, ms)
+    if not any(any(map(den.__rmod__, column)) for column, den in zip(columns, _DENS)):
+        return []
+    return [(m, slot, num, den) for m, row in zip(ms, zip(*columns))
+            for slot, num, den in zip(PRIMITIVE_ORDER, row, _DENS) if num % den]
 
 
 # ----------------------------------------------------------------------
@@ -211,18 +217,13 @@ def integrality_scan(bound: int, include_noncoprime: bool = False) -> ScanReport
     """
     check_floor("bound", bound)
     report = ScanReport("integrality", bound)
+    ms = [m for m in range(-bound, bound + 1) if m]
     for n in range(1, bound + 1):
-        for m in range(-bound, bound + 1):
-            if m == 0:
-                continue
-            if gcd(n, abs(m)) != 1:
-                if include_noncoprime:
-                    report.notes += [((n, m), slot, Fraction(num, den))
-                                     for slot, num, den in _non_integral(n, m)]
-                continue
-            report.checked += len(PRIMITIVE_ORDER)
-            report.violations += [((n, m), slot, Fraction(num, den))
-                                  for slot, num, den in _non_integral(n, m)]
+        coprime = [m for m in ms if gcd(n, m) == 1]
+        report.checked += len(PRIMITIVE_ORDER) * len(coprime)
+        for m, slot, num, den in _non_integral(n, ms if include_noncoprime else coprime):
+            (report.violations if gcd(n, m) == 1 else report.notes).append(
+                ((n, m), slot, Fraction(num, den)))
     return report
 
 
@@ -231,12 +232,10 @@ def noncoprime_witnesses(bound: int = 6) -> dict:
     check_int("bound", bound)
     found: dict = {}
     for n in range(2, bound + 1):
-        for m in range(n, bound + 1):
-            if gcd(n, m) == 1:
-                continue
-            for slot, num, den in _non_integral(n, m):
-                if slot[0] not in found:
-                    found[slot[0]] = ((n, m), slot, Fraction(num, den))
+        shared = [m for m in range(n, bound + 1) if gcd(n, m) != 1]
+        for m, slot, num, den in _non_integral(n, shared):
+            if slot[0] not in found:
+                found[slot[0]] = ((n, m), slot, Fraction(num, den))
     return found
 
 

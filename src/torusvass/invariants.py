@@ -36,7 +36,9 @@ normalized invariant as polynomials in m -- is kept in a bounded cache per
 (family, n, N or j), at the widest order asked of it so far; one knot then
 costs one polynomial evaluation per degree and no series product, whatever
 n is.  The HOMFLY and Kauffman summands share their bracket products and
-q-factorials as prefix products, so a build costs O(n) series products, and
+reciprocal q-factorials as prefix products (each step multiplies by the
+reciprocal of one small unit), so a build costs O(n) series products and
+divides by no large series, and
 the fold O(W^3) integer products; the Akutsu-Wadati summands
 are bare t-powers, whose Taylor rows the kernel takes from one
 :func:`.series.exp_numerators` call over all 2(j+1) exponents.  That routine
@@ -231,11 +233,13 @@ def _homfly_kernel(n: int, N: int, W: int) -> MPolySeries:
 
     one = TruncSeries.one(W)
     # prefix products, each over x^a: left[p] = prod_{j=1..p} (t^N - t^-j),
-    # right[i] = prod_{j=1..i} (t^N - t^j) for i < N, fact[a] = (a)!
-    left, right, fact = [one], [one], [one]
+    # right[i] = prod_{j=1..i} (t^N - t^j) for i < N, and inv_fact[a] =
+    # 1/(a)!, whose quotients are each by one small unit: a quotient by a
+    # whole (i)!(p)! raises its large constant term to the W-th power
+    left, right, inv_fact = [one], [one], [one]
     for a in range(1, n):
         left.append(left[-1] * u(N, -a))
-        fact.append(fact[-1] * u(a, 0))
+        inv_fact.append(inv_fact[-1] * (one / u(a, 0)))
         if a < N:
             right.append(right[-1] * u(N, a))
     shift = _ratio((n - 1) * (N - 1), 2)  # lambda^{(m-1)(n-1)/2} = t^{shift (m - 1)}
@@ -247,7 +251,7 @@ def _homfly_kernel(n: int, N: int, W: int) -> MPolySeries:
             continue  # the factor (lambda t - t^N) vanishes identically
         # the j = 0 factor of prod_{j=-p..i} (lambda t - t^j) is cancelled
         # against the global 1/(lambda t - 1)
-        term = (left[p] * right[i]) / (fact[i] * fact[p]) * qpower(p * (p + 1) // 2, 1, W)
+        term = left[p] * right[i] * inv_fact[i] * inv_fact[p] * qpower(p * (p + 1) // 2, 1, W)
         summands.append((term if i % 2 == 0 else -term, i + shift))
     return MPolySeries.from_series(summands, W).times(head)
 
@@ -266,12 +270,13 @@ def _kauffman_kernel(n: int, N: int, W: int) -> MPolySeries:
     one = TruncSeries.one(W)
     brqs = {p: brq(p) for p in range(1 - n, n)}  # every [p;1] a summand uses
     # prefix products, each over x^a: neg[g] = prod_{j=-g..-1} [j;1],
-    # pos[b] = prod_{j=1..b} [j;1], fact[a] = [a]!
-    neg, pos, fact = [one], [one], [one]
+    # pos[b] = prod_{j=1..b} [j;1], inv_fact[a] = 1/[a]!, built from the
+    # reciprocals of single brackets as in _homfly_kernel
+    neg, pos, inv_fact = [one], [one], [one]
     for a in range(1, n):
         neg.append(neg[-1] * brqs[-a])
         pos.append(pos[-1] * brqs[a])
-        fact.append(fact[-1] * br(a))
+        inv_fact.append(inv_fact[-1] * (one / br(a)))
     inv_br_n = one / br(n)
     head = br(1) / (br(1) + brqs[0])
     # lambda^{nm} = exp(m n (N-1) x / 4) weighs every summand, the start included;
@@ -281,7 +286,7 @@ def _kauffman_kernel(n: int, N: int, W: int) -> MPolySeries:
         b = n - 1 - g
         bracket = inv_br_n + one / brqs[b - g]  # x (1/[n] + 1/[b-g;1])
         numer = neg[g] * brqs[0] * pos[b]  # prod_{j=-g..b} [j;1] over x^n
-        term = (bracket * numer) / (fact[b] * fact[g])  # x^{-1} x^n / x^{n-1} = 1
+        term = bracket * numer * inv_fact[b] * inv_fact[g]  # x^{-1} x^n / x^{n-1} = 1
         # t^{-m(b-g)/2} lambda^{-m} lambda^{nm}, t = e^{x/2}
         rate = _ratio(g - b + (n - 1) * (N - 1), 4)
         summands.append((term if g % 2 == 0 else -term, rate))

@@ -14,15 +14,22 @@ Slot layout of the Taylor ansatz through order six: with P = (n^2-1)(m^2-1),
                      + (n^4 m^2 + n^2 m^4) g_{6,4} + (n^4+m^4) g_{6,5}
                      + n^4 m^4 g_{6,6})
 
-Each closed-form primitive is one integer row: its prefactor kind (P or
-nm P), a numerator polynomial in u = n^2, v = m^2, and its alpha_tilde and
-beta denominators; the three tables share the rows.  primitive_numerators
-evaluates them in integers: the tables build one Fraction per primitive from
-it, and the analysis scans read it directly.  alpha is alpha_tilde less its
-value at (n, m) = (0, 0), over the same denominators: the Wilson line is the
-normalized series times the unknot factor, so their primitive parts add, and
-the unknot's part -alpha_tilde(0, 0) is nonzero at even orders only (there
-P = 1 and nm P = 0).
+Each closed-form primitive is one integer row: the integer coefficients of
+its numerator over the slot monomials above (1, u+v, uv, u^2v+uv^2, u^2+v^2,
+u^2v^2 in u = n^2, v = m^2; one at orders 2-3, three at 4-5, six at 6), and
+its alpha_tilde and beta denominators; the three tables share the rows.
+The prefactor is P at even orders and nm P at odd ones, so at one n a row is
+(v-1) times a quadratic in v, times m at odd orders, with the n-part of the
+prefactor folded into the quadratic.  _forms keeps these per (n, slots), so
+a knot costs a few integer products per slot.  primitive_numerators
+evaluates them at one m: the tables build one Fraction per primitive from
+it, and the per-knot scans read it directly.  primitive_columns evaluates
+them over every m of one n, one list per slot, for the integrality scans.
+
+alpha is alpha_tilde less its value at (n, m) = (0, 0), over the same
+denominators: the Wilson line is the normalized series times the unknot
+factor, so their primitive parts add, and the unknot's part
+-alpha_tilde(0, 0) is nonzero at even orders only (there P = 1 and nm P = 0).
 
 Three printed g entries are typos in the source tables (marked below); the
 exact ansatz fit is authoritative for those slots and the corrected forms are
@@ -33,8 +40,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import sub
-from typing import Callable, NamedTuple
+from functools import lru_cache
+from operator import mul, sub
+from typing import NamedTuple
 
 from .groups import ALL_SLOTS, COMPOUND_RULES
 from .knots import KnotLike, TorusKnot, as_knot
@@ -94,44 +102,62 @@ _ALPHA_LIKE_SCALE = {
 }
 
 
-def _prefactors(n: int, m: int) -> dict[str, int]:
-    """Each prefactor kind: "P" = (n^2-1)(m^2-1) and "nmP" = nm P."""
-    p = (n * n - 1) * (m * m - 1)
-    return {"P": p, "nmP": n * m * p}
+#: the symmetric monomials in u = n^2, v = m^2 of the ansatz, in slot order;
+#: an order reads the first 1, 1, 3, 3 or 6 of them (ANSATZ_SLOT_MONOMIALS),
+#: and so do its rows' coefficients
+_MONOMIALS = (lambda u, v: 1, lambda u, v: u + v, lambda u, v: u * v,
+              lambda u, v: u * u * v + u * v * v, lambda u, v: u * u + v * v,
+              lambda u, v: u * u * v * v)
 
 
 class _Row(NamedTuple):
-    """prefactor * numerator(n^2, m^2) / den; beta_den is the printed
-    denominator of the beta value of the same numerator."""
+    """prefactor * numerator(n^2, m^2) / den, where the prefactor is
+    (n^2-1)(m^2-1), times nm at odd orders, and the numerator is the sum of
+    coefficients times the first len(coefficients) of _MONOMIALS; beta_den
+    is the printed denominator of the beta value of the same numerator."""
 
-    prefactor: str
-    numerator: Callable[[int, int], int]
+    coefficients: tuple[int, ...]
     den: int
     beta_den: int
 
 
 #: the three tables share these numerators.  The order-4 slot 2 entry is
 #: taken in its n <-> m symmetric form 9 n^2 m^2 (the sole reading consistent
-#: with the beta table and the trefoil normalizer 31).
+#: with the beta table and the trefoil normalizer 31).  Coefficients of
+#: 1, u+v, uv, u^2v+uv^2, u^2+v^2, u^2v^2:
 _ROWS = {
-    (2, 1): _Row("P", lambda u, v: 1, 6, 24),
-    (3, 1): _Row("nmP", lambda u, v: 1, 18, 144),
-    (4, 2): _Row("P", lambda u, v: 9 * u * v - u - v - 1, 360, 240),
-    (4, 3): _Row("P", lambda u, v: (u + 1) * (v + 1), 360, 240),
-    (5, 2): _Row("nmP", lambda u, v: 69 * u * v - 21 * (u + v) - 11, 5400, 28800),
-    (5, 3): _Row("nmP", lambda u, v: 11 * u * v + u + v - 9, 5400, 57600),
-    (5, 4): _Row("nmP", lambda u, v: (u + 1) * (v + 1), 900, 7200),
-    (6, 5): _Row("P", lambda u, v: (516 * u * u * v * v - 289 * (u * v * v + u * u * v)
-                 - 44 * u * v + 5 * (u * u + v * v) + 5 * (u + v) + 5), 75600, 2520),
-    (6, 6): _Row("P", lambda u, v: (53 * u * u * v * v - 101 * (u * v * v + u * u * v)
-                 - 115 * u * v - 24 * (u * u + v * v) - 24 * (u + v) - 24), 90720, 12096),
-    (6, 7): _Row("P", lambda u, v: (419 * u * u * v * v + 209 * (u * v * v + u * u * v)
-                 - u * v + 20 * (u * u + v * v) + 20 * (u + v) + 20), 226800, 10080),
-    (6, 8): _Row("P", lambda u, v: (13 * u * u * v * v + 13 * (u * v * v + u * u * v)
-                 + 13 * u * v - 50 * (u * u + v * v) - 50 * (u + v) - 50), 453600, 25200),
-    (6, 9): _Row("P", lambda u, v: (31 * u * u * v * v + 31 * (u * v * v + u * u * v)
-                 + 31 * u * v + 10 * (u * u + v * v) + 10 * (u + v) + 10), 151200, 5040),
+    (2, 1): _Row((1,), 6, 24),
+    (3, 1): _Row((1,), 18, 144),
+    (4, 2): _Row((-1, -1, 9), 360, 240),
+    (4, 3): _Row((1, 1, 1), 360, 240),
+    (5, 2): _Row((-11, -21, 69), 5400, 28800),
+    (5, 3): _Row((-9, 1, 11), 5400, 57600),
+    (5, 4): _Row((1, 1, 1), 900, 7200),
+    (6, 5): _Row((5, 5, -44, -289, 5, 516), 75600, 2520),
+    (6, 6): _Row((-24, -24, -115, -101, -24, 53), 90720, 12096),
+    (6, 7): _Row((20, 20, -1, 209, 20, 419), 226800, 10080),
+    (6, 8): _Row((-50, -50, 13, 13, -50, 13), 453600, 25200),
+    (6, 9): _Row((10, 10, 31, 31, 10, 31), 151200, 5040),
 }
+
+
+@lru_cache(maxsize=1024)
+def _forms(n: int, slots: tuple) -> tuple[tuple[bool, int, int, int], ...]:
+    """Each slot's row at one n, as (odd, a0, a1, a2): its numerator at
+    (n, m) is (v-1)(a0 + a1 v + a2 v^2), times m when odd, with v = m^2.
+    The n-part of the prefactor, (u-1) or n(u-1) at odd orders, is folded
+    into the a's.  Kept per (n, slots), so a call resolves its slots once
+    per n; ``verify --suite all --bound 300`` keeps 624 of them."""
+    u = n * n
+    out = []
+    for slot in slots:
+        coefficients = _ROWS[slot].coefficients
+        c0, c1, c2, c3, c4, c5 = coefficients + (0,) * (6 - len(coefficients))
+        odd = slot[0] % 2 == 1
+        part = n * (u - 1) if odd else u - 1
+        out.append((odd, part * (c0 + (c1 + c4 * u) * u), part * (c1 + (c2 + c3 * u) * u),
+                    part * (c4 + (c3 + c5 * u) * u)))
+    return tuple(out)
 
 
 def primitive_numerators(n: int, m: int, slots: tuple = PRIMITIVE_ORDER) -> tuple[int, ...]:
@@ -140,10 +166,21 @@ def primitive_numerators(n: int, m: int, slots: tuple = PRIMITIVE_ORDER) -> tupl
     The slot's alpha_tilde value is this over the row's den, and its beta
     value this over its beta_den.  Coprimality is not required.
     """
-    u, v = n * n, m * m
-    prefactors = _prefactors(n, m)
-    return tuple([prefactors[_ROWS[slot].prefactor] * _ROWS[slot].numerator(u, v)
-                  for slot in slots])
+    v = m * m
+    even = v - 1
+    odd = m * even
+    return tuple([(odd if is_odd else even) * (a0 + v * (a1 + v * a2))
+                  for is_odd, a0, a1, a2 in _forms(n, slots)])
+
+
+def primitive_columns(n: int, ms: list[int]) -> list[list[int]]:
+    """primitive_numerators at one n over every m of ms, one list per slot
+    of PRIMITIVE_ORDER: [primitive_numerators(n, m)[k] for m in ms] for each k."""
+    vs = [m * m for m in ms]
+    even = [v - 1 for v in vs]
+    odd = list(map(mul, ms, even))
+    return [[pre * (a0 + v * (a1 + v * a2)) for pre, v in zip(odd if is_odd else even, vs)]
+            for is_odd, a0, a1, a2 in _forms(n, PRIMITIVE_ORDER)]
 
 
 #: the rows at (n, m) = (0, 0); alpha is alpha_tilde less these, over den
@@ -204,20 +241,14 @@ def beta_from_alpha_tilde(table: InvariantTable) -> InvariantTable:
 # Taylor-coefficient ansatz: prefactors and slot monomials
 # ----------------------------------------------------------------------
 
-ANSATZ_SLOT_MONOMIALS = {
-    2: (lambda u, v: Fraction(1),),
-    3: (lambda u, v: Fraction(1),),
-    4: (lambda u, v: Fraction(1), lambda u, v: u + v, lambda u, v: u * v),
-    5: (lambda u, v: Fraction(1), lambda u, v: u + v, lambda u, v: u * v),
-    6: (lambda u, v: Fraction(1), lambda u, v: u + v, lambda u, v: u * v,
-        lambda u, v: u * u * v + u * v * v, lambda u, v: u * u + v * v,
-        lambda u, v: u * u * v * v),
-}
+ANSATZ_SLOT_MONOMIALS = {order: _MONOMIALS[:width]
+                         for order, width in ((2, 1), (3, 1), (4, 3), (5, 3), (6, 6))}
 
 
 def ansatz_prefactor(n: int, m: int, order: int) -> int:
     """(n^2-1)(m^2-1) at even orders, times nm at odd orders."""
-    return _prefactors(n, m)["P" if order % 2 == 0 else "nmP"]
+    p = (n * n - 1) * (m * m - 1)
+    return n * m * p if order % 2 else p
 
 
 # ----------------------------------------------------------------------

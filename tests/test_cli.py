@@ -60,6 +60,24 @@ INVARIANTS_PAIRS = [(n, m) for n in range(-13, 14) for m in range(-13, 14)
 #: the formats json, csv and table, each at --order 6 then 4: 2,784 documents
 INVARIANTS_DIGEST = "ca7b1199d2ff9fe98c78056e3f3247e1dbf9b32d29d51610f91cebb034c345e1"
 
+#: sha256 over f"{code}|{stdout}|{stderr}" of ``scan`` for each predicate, at
+#: --max 2..40, in the formats json then csv: 234 documents
+SCAN_DIGEST = "229f206f006106af4c1ee61242872d042f04b16f1a45117b7d040dec3341791f"
+
+#: every coprime pair over 0 < |n| <= 7, 0 < |m| <= 8, and two pairs that are
+#: not knots
+EXPAND_PAIRS = [(n, m) for n in range(-7, 8) for m in range(-8, 9)
+                if n and m and gcd(n, m) == 1] + [(2, 4), (0, 3)]
+
+#: one group per family; SO(7) is below the Kauffman floor N >= n + 2 at
+#: |n| = 6 and 7, so those documents are its error
+EXPAND_GROUPS = (("su_n", "--N", "3"), ("so_n", "--N", "7"), ("su2", "--j", "2"),
+                 ("product", "--N", "2", "--j", "1"))
+
+#: sha256 over f"{code}|{stdout}|{stderr}" of ``expand`` on each pair and
+#: group, in the formats json, csv and table, each at --order 24 then 6
+EXPAND_DIGEST = "f64f4c90023fc320c2b7de95e81c953d33387c6ace121f427f6a92e6ec9383d2"
+
 
 def validate_document(doc):
     jsonschema.validate(doc, SCHEMA)
@@ -734,3 +752,28 @@ def test_invariants_documents_keep_their_bytes(capsys):
                 digest.update(f"{code}|{out}|{err}".encode())
     assert len(INVARIANTS_PAIRS) == 464
     assert digest.hexdigest() == INVARIANTS_DIGEST
+
+
+def test_scan_documents_keep_their_bytes(capsys):
+    digest = hashlib.sha256()
+    for predicate in ("lissajous-obstructed", "non-integer", "beta-curve"):
+        for bound in range(2, 41):
+            for fmt in ("json", "csv"):
+                code, out, err = run_cli(capsys, "scan", "--predicate", predicate,
+                                         "--max", str(bound), "--format", fmt)
+                digest.update(f"{code}|{out}|{err}".encode())
+    assert digest.hexdigest() == SCAN_DIGEST
+
+
+def test_expand_documents_keep_their_bytes(capsys):
+    digest = hashlib.sha256()
+    for n, m in EXPAND_PAIRS:
+        for group in EXPAND_GROUPS:
+            for fmt in ("json", "csv", "table"):
+                for order in ("24", "6"):
+                    code, out, err = run_cli(capsys, "expand", "--family", *group,
+                                             "--n", str(n), "--m", str(m),
+                                             "--format", fmt, "--order", order)
+                    digest.update(f"{code}|{out}|{err}".encode())
+    assert len(EXPAND_PAIRS) == 158
+    assert digest.hexdigest() == EXPAND_DIGEST

@@ -473,6 +473,91 @@ def test_kernels_divide_only_by_units(n, monkeypatch):
     invariants._kernel.cache_clear()
 
 
+def _homfly_kernel_by_quotients(n, N, W):
+    """_homfly_kernel with each summand divided by its (i)!(p)!."""
+    def u(a, b):
+        return invariants._unit(a, b, W)
+
+    one = TruncSeries.one(W)
+    left, right, fact = [one], [one], [one]
+    for a in range(1, n):
+        left.append(left[-1] * u(N, -a))
+        fact.append(fact[-1] * u(a, 0))
+        if a < N:
+            right.append(right[-1] * u(N, a))
+    shift = invariants._ratio((n - 1) * (N - 1), 2)
+    head = one if n == 1 else u(1, 0) * qpower(-shift, 1, W) / u(n, 0)
+    summands = []
+    for i in range(n):
+        p = n - 1 - i
+        if -p <= N <= i:
+            continue
+        term = (left[p] * right[i]) / (fact[i] * fact[p]) * qpower(p * (p + 1) // 2, 1, W)
+        summands.append((term if i % 2 == 0 else -term, i + shift))
+    return invariants.MPolySeries.from_series(summands, W).times(head)
+
+
+def _kauffman_kernel_by_quotients(n, N, W):
+    """_kauffman_kernel with each summand divided by its [b]![g]!."""
+    def br(p):
+        return invariants._unit(invariants._ratio(p, 4), invariants._ratio(-p, 4), W)
+
+    def brq(p):
+        return invariants._unit(invariants._ratio(p + N - 1, 4),
+                                invariants._ratio(1 - N - p, 4), W)
+
+    one = TruncSeries.one(W)
+    brqs = {p: brq(p) for p in range(1 - n, n)}
+    neg, pos, fact = [one], [one], [one]
+    for a in range(1, n):
+        neg.append(neg[-1] * brqs[-a])
+        pos.append(pos[-1] * brqs[a])
+        fact.append(fact[-1] * br(a))
+    inv_br_n = one / br(n)
+    head = br(1) / (br(1) + brqs[0])
+    summands = [(one, invariants._ratio(n * (N - 1), 4))] if n % 2 == 0 else []
+    for g in range(n):
+        b = n - 1 - g
+        bracket = inv_br_n + one / brqs[b - g]
+        term = (bracket * (neg[g] * brqs[0] * pos[b])) / (fact[b] * fact[g])
+        rate = invariants._ratio(g - b + (n - 1) * (N - 1), 4)
+        summands.append((term if g % 2 == 0 else -term, rate))
+    return invariants.MPolySeries.from_series(summands, W).times(head)
+
+
+def _kernel_fields(kernel):
+    return kernel.lo, kernel.hi, kernel.den, kernel.coeffs
+
+
+@pytest.mark.parametrize("n", list(range(1, 13)) + [20, 41])
+def test_reciprocal_factorials_give_the_quotient_kernels(n, monkeypatch):
+    # the HOMFLY and Kauffman builds multiply by 1/(a)! and 1/[a]!, built one
+    # small unit at a time, where they divided by whole q-factorials: every
+    # field of every kernel is unchanged, and no divisor's constant term
+    # exceeds max(n, N) (a quotient by (i)!(p)! had i!p! there)
+    divisors = []
+
+    def recording(num, den):
+        divisors.append(den)
+        return series_div(num, den)
+
+    widths = (0, 1, 6, 13, 24) if n <= 12 else (6, 12)
+    for W in widths:
+        for build, reference, ranks in (
+                (invariants._homfly_kernel, _homfly_kernel_by_quotients,
+                 sorted({2, 3, max(n, 2), n + 3})),
+                (invariants._kauffman_kernel, _kauffman_kernel_by_quotients, (n + 2, n + 5))):
+            for N in ranks:
+                want = _kernel_fields(reference(n, N, W))
+                del divisors[:]
+                monkeypatch.setattr("torusvass.series.series_div", recording)
+                got = _kernel_fields(build(n, N, W))
+                monkeypatch.undo()
+                assert got == want, (build.__name__, n, N, W)
+                assert all(abs(d.coefficient(0)) <= max(n, N) for d in divisors), \
+                    (build.__name__, n, N, W)
+
+
 @pytest.mark.parametrize("m", [-5, -1, 2, 7])
 def test_mpoly_series_equals_running_sum(m):
     # power-series summands, one of them starting above degree 0 and one

@@ -6,9 +6,10 @@ import pytest
 
 from torusvass.groups import ALL_SLOTS
 from torusvass.knots import TorusKnot
-from torusvass.tables import (TREFOIL_NORMALIZERS, beta_from_alpha_tilde,
-                              closed_form_alpha, closed_form_alpha_tilde,
-                              closed_form_beta, printed_g_table)
+from torusvass.tables import (PRIMITIVE_ORDER, SHARPNESS_PAIRS, TREFOIL_NORMALIZERS,
+                              beta_from_alpha_tilde, closed_form_alpha,
+                              closed_form_alpha_tilde, closed_form_beta,
+                              primitive_columns, primitive_numerators, printed_g_table)
 
 GRID = [(2, 3), (2, 5), (3, 4), (3, 5), (4, 5), (2, -3), (5, 6)]
 
@@ -132,6 +133,71 @@ def test_integer_rows_equal_fraction_reference(closed_form, reference):
         assert list(got) == list(want), (n, m)
         assert got == want, (n, m)
         assert all(type(value) is F for value in got.values()), (n, m)
+
+# ----------------------------------------------------------------------
+# test-only reference: the twelve rows as numerator polynomials in u = n^2,
+# v = m^2 with their prefactor kinds, P = (n^2-1)(m^2-1) or nm P; the
+# integer coefficient rows must evaluate to them on every pair
+# ----------------------------------------------------------------------
+
+REFERENCE_ROWS = {
+    (2, 1): ("P", lambda u, v: 1),
+    (3, 1): ("nmP", lambda u, v: 1),
+    (4, 2): ("P", lambda u, v: 9 * u * v - u - v - 1),
+    (4, 3): ("P", lambda u, v: (u + 1) * (v + 1)),
+    (5, 2): ("nmP", lambda u, v: 69 * u * v - 21 * (u + v) - 11),
+    (5, 3): ("nmP", lambda u, v: 11 * u * v + u + v - 9),
+    (5, 4): ("nmP", lambda u, v: (u + 1) * (v + 1)),
+    (6, 5): ("P", lambda u, v: (516 * u * u * v * v - 289 * (u * v * v + u * u * v)
+                                - 44 * u * v + 5 * (u * u + v * v) + 5 * (u + v) + 5)),
+    (6, 6): ("P", lambda u, v: (53 * u * u * v * v - 101 * (u * v * v + u * u * v)
+                                - 115 * u * v - 24 * (u * u + v * v) - 24 * (u + v) - 24)),
+    (6, 7): ("P", lambda u, v: (419 * u * u * v * v + 209 * (u * v * v + u * u * v)
+                                - u * v + 20 * (u * u + v * v) + 20 * (u + v) + 20)),
+    (6, 8): ("P", lambda u, v: (13 * u * u * v * v + 13 * (u * v * v + u * u * v)
+                                + 13 * u * v - 50 * (u * u + v * v) - 50 * (u + v) - 50)),
+    (6, 9): ("P", lambda u, v: (31 * u * u * v * v + 31 * (u * v * v + u * u * v)
+                                + 31 * u * v + 10 * (u * u + v * v) + 10 * (u + v) + 10)),
+}
+
+
+def reference_numerators(n, m):
+    u, v = n * n, m * m
+    p = (u - 1) * (v - 1)
+    prefactors = {"P": p, "nmP": n * m * p}
+    return {slot: prefactors[kind] * numerator(u, v)
+            for slot, (kind, numerator) in REFERENCE_ROWS.items()}
+
+
+#: every slot tuple a caller passes: all twelve (the tables, the relation and
+#: integrality scans), beta_{2,1} with beta_{3,1} (distinguishing, beta-curve,
+#: the scalars), beta_{2,1} alone (lissajous) and each slot alone (sharpness)
+CALLER_SLOTS = [PRIMITIVE_ORDER, ((2, 1), (3, 1)), ((2, 1),),
+                *sorted({(slot,) for slot in SHARPNESS_PAIRS})]
+
+
+def test_rows_equal_the_reference_polynomials():
+    # n in -60..60 and m in -300..300, zeros and non-coprime pairs included,
+    # one m at a time and one column of every m at a time
+    ms = list(range(-300, 301))
+    for n in range(-60, 61):
+        want = [reference_numerators(n, m) for m in ms]
+        columns = primitive_columns(n, ms)
+        assert columns == [[row[slot] for row in want] for slot in PRIMITIVE_ORDER], n
+        assert all(type(num) is int for column in columns for num in column), n
+        for slots in CALLER_SLOTS:
+            got = [primitive_numerators(n, m, slots) for m in ms]
+            assert got == [tuple(row[slot] for slot in slots) for row in want], (n, slots)
+            assert all(type(num) is int for nums in got for num in nums), (n, slots)
+    assert len(CALLER_SLOTS) == 15
+
+
+def test_columns_take_any_list_of_m():
+    assert primitive_columns(5, []) == [[] for _ in PRIMITIVE_ORDER]
+    ms = [7, 0, -7, 7, 300]
+    assert primitive_columns(-3, ms) == [list(column) for column in
+                                         zip(*(primitive_numerators(-3, m) for m in ms))]
+
 
 TREFOIL_BETA = {
     (2, 1): 1, (3, 1): 1, (4, 2): 31, (4, 3): 5, (5, 2): 11, (5, 3): 1,
