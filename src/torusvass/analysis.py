@@ -3,13 +3,14 @@ relations, integrality scans and the normalization's sharpness, modular
 lemmas, and derived scalars.
 
 Everything here runs on the integer rows of the closed-form beta table
-over BETA_DENOMINATORS, evaluating only the slots it reads: per knot through
-tables.primitive_numerators, and per n over a whole range of m through
-tables.primitive_columns in the integrality scans.  Integrality is
-num % den, equal numerators over a fixed denominator are equal values, and a
-relation's residual is one integer sum over a common denominator.  A
-Fraction is built only for a value that goes into a report, so scans over
-thousands of knots are cheap.
+over BETA_DENOMINATORS, evaluating only the slots it reads: per n over a
+whole range of m through tables.primitive_columns in the distinguishing and
+integrality scans, and per knot through tables.primitive_numerators for the
+relations (whose grids come in the caller's order) and the derived scalars.
+Integrality is num % den, equal numerators over a fixed denominator are
+equal values, and a relation's residual is one integer sum over a common
+denominator.  A Fraction is built only for a value that goes into a report,
+so scans over thousands of knots are cheap.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from math import gcd, lcm, prod
 from typing import Iterable, Optional
 
 from .errors import UnsupportedInput
-from .knots import TorusKnot, as_knot, canonical_knots, check_int
+from .knots import TorusKnot, as_knot, canonical_knots, canonical_ms, check_int
 from .tables import (BETA_DENOMINATORS, PRIMITIVE_ORDER, SHARPNESS_PAIRS,
                      primitive_columns, primitive_numerators)
 
@@ -193,14 +194,13 @@ def distinguishing_check(max_n: int) -> ScanReport:
     # beta_{2,1} and beta_{3,1} have fixed denominators: equal numerators
     # are equal values
     seen: dict = {}
-    for knot in canonical_knots(max_n):
-        key = primitive_numerators(knot.n, knot.m, slots=(_B21, _B31))
-        report.checked += 1
-        if key in seen:
-            report.violations.append((seen[key], (knot.n, knot.m),
-                                      _fractions(key, (_B21, _B31))))
-        else:
-            seen[key] = (knot.n, knot.m)
+    for n, ms in canonical_ms(max_n):
+        report.checked += len(ms)
+        for m, key in zip(ms, zip(*primitive_columns(n, ms, slots=(_B21, _B31)))):
+            if key in seen:
+                report.violations.append((seen[key], (n, m), _fractions(key, (_B21, _B31))))
+            else:
+                seen[key] = (n, m)
     return report
 
 

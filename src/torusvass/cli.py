@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .analysis import (OBSTRUCTED, auxiliary_scalars, integrality_scan, is_v3_applicable,
@@ -34,10 +34,10 @@ from .analysis import (OBSTRUCTED, auxiliary_scalars, integrality_scan, is_v3_ap
 from .errors import NotAKnot, TorusVassError, UnsupportedInput
 from .groups import _PARAMETER_FLOORS, Family, GroupInstance
 from .invariants import normalized_series
-from .knots import UNKNOT, TorusKnot, canonical_knots, canonicalize
+from .knots import UNKNOT, TorusKnot, canonical_ms, canonicalize
 from .suites import SUITES, run_suite
 from .tables import (BETA_DENOMINATORS, closed_form_alpha, closed_form_alpha_tilde,
-                     closed_form_beta, primitive_numerators)
+                     closed_form_beta, primitive_columns)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -52,14 +52,15 @@ SCHEMA_VERSION = "1.0"
 #: with |n| as given, and (n, m) and (m, n) are the same knot, so |n| and |m|
 #: share one limit; N and j share another, which leaves Kauffman its floor
 #: N >= n + 2 at every n.  At the limits the slowest family (HOMFLY at n = N)
-#: takes about 2 s at order 24
+#: takes about 0.35 s at order 24, as a whole process
 MAX_EXPAND_ORDER = 24
 MAX_EXPAND_INDEX = 128
 MAX_EXPAND_RANK = 130
 
-#: scan --max and verify --bound limits (exit 3 above them): the slowest
-#: predicate (non-integer, bound by its output) and the slowest bounded suite
-#: (integrality) each take about 2 s at their limit
+#: scan --max and verify --bound limits (exit 3 above them): at its limit the
+#: slowest predicate (non-integer, bound by its 11 MB output) takes about
+#: 1.1 s as a whole process, and the slowest bounded suite (integrality)
+#: about 0.5 s
 MAX_SCAN_BOUND = 100
 MAX_VERIFY_BOUND = 300
 
@@ -77,6 +78,69 @@ def _document(command: str, arguments: dict, payload: dict) -> dict:
         "command": {"name": command, "arguments": arguments},
         "payload": payload,
     }
+
+
+#: the text of each scalar type a document holds, by exact type: _render
+#: raises TypeError for any other type, subclasses and floats included
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
+            bool: lambda value: "true" if value else "false",
+            type(None): lambda value: "null"}
+
+
+def _render(doc) -> str:
+    """json.dumps(doc, indent=2), byte for byte, for a document of dicts with
+    str keys, lists, str, int, bool and None.  With an indent, json.dumps
+    leaves its C encoder for a pure-Python one; this writer quotes strings
+    with the C encode_basestring_ascii and joins the rest in one list."""
+    parts: list[str] = []
+    _render_into(doc, "\n", parts.append)
+    return "".join(parts)
+
+
+def _render_into(value, newline: str, put) -> None:
+    """Hand value's text to put, in pieces; newline is a line break followed
+    by the indent of the line value starts on.  A module-level function that
+    is given the list's append: a nested function that calls itself is a
+    reference cycle, and would keep each document's pieces alive until the
+    cyclic collector runs."""
+    scalar = _SCALARS.get(type(value))
+    if scalar is not None:
+        put(scalar(value))
+    elif type(value) is dict:
+        if not value:
+            put("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, item in value.items():
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            head = separator + encode_basestring_ascii(key) + ": "
+            scalar = _SCALARS.get(type(item))
+            if scalar is not None:
+                put(head + scalar(item))
+            else:
+                put(head)
+                _render_into(item, inner, put)
+            separator = "," + inner
+        put(newline + "}")
+    elif type(value) is list:
+        if not value:
+            put("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            scalar = _SCALARS.get(type(item))
+            if scalar is not None:
+                put(separator + scalar(item))
+            else:
+                put(separator)
+                _render_into(item, inner, put)
+            separator = "," + inner
+        put(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -166,8 +230,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
 
     arguments = {"n": n, "m": m, "order": args.order, "format": args.format}
     if args.format == "json":
-        _emit(json.dumps(_document("invariants", arguments, payload), indent=2),
-              args.out)
+        _emit(_render(_document("invariants", arguments, payload)), args.out)
     elif args.format == "csv":
         lines = ["table,order,slot,value"]
         for kind, entries in (("alpha_tilde", tilde), ("alpha", alpha), ("beta", beta)):
@@ -229,7 +292,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
             "substitution_scale": rational_json(group.substitution_scale),
             "coefficients": [rational_json(c) for c in coefficients],
         }
-        _emit(json.dumps(_document("expand", arguments, payload), indent=2), args.out)
+        _emit(_render(_document("expand", arguments, payload)), args.out)
     elif args.format == "csv":
         lines = ["degree,coefficient"]
         lines += [f"{d},{c}" for d, c in enumerate(coefficients)]
@@ -274,7 +337,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     }
     arguments = {"suite": args.suite, "bound": args.bound}
     if args.format == "json":
-        _emit(json.dumps(_document("verify", arguments, payload), indent=2), args.out)
+        _emit(_render(_document("verify", arguments, payload)), args.out)
     else:
         lines = []
         for r in results:
@@ -300,14 +363,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _scan_payload(predicate: str, bound: int) -> tuple[dict, list[str]]:
     """Returns (json payload, csv lines)."""
     b21, b31 = (2, 1), (3, 1)
+    den21, den31 = BETA_DENOMINATORS[b21], BETA_DENOMINATORS[b31]
     if predicate == "lissajous-obstructed":
         hits = []
-        for knot in canonical_knots(bound, chirality=False):
-            (num21,) = primitive_numerators(knot.n, knot.m, slots=(b21,))
-            if lissajous_verdict(num21) == OBSTRUCTED:
-                beta21 = Fraction(num21, BETA_DENOMINATORS[b21])
-                hits.append({"n": knot.n, "m": knot.m,
-                             "beta_2_1": rational_json(beta21)})
+        for n, ms in canonical_ms(bound, chirality=False):
+            (column,) = primitive_columns(n, ms, slots=(b21,))
+            hits += [{"n": n, "m": m, "beta_2_1": rational_json(Fraction(num21, den21))}
+                     for m, num21 in zip(ms, column)
+                     if lissajous_verdict(num21) == OBSTRUCTED]
         csv = ["n,m,beta_2_1"] + [
             f"{h['n']},{h['m']},{h['beta_2_1']['num']}" for h in hits]
         return {"knots": hits}, csv
@@ -327,11 +390,11 @@ def _scan_payload(predicate: str, bound: int) -> tuple[dict, list[str]]:
                 "noncoprime_witnesses": witnesses}, csv
     # beta-curve, the last predicate _cmd_scan admits
     points = []
-    for knot in canonical_knots(bound, chirality=False):
-        num21, num31 = primitive_numerators(knot.n, knot.m, slots=(b21, b31))
-        points.append({"n": knot.n, "m": knot.m,
-                       "beta_2_1": rational_json(Fraction(num21, BETA_DENOMINATORS[b21])),
-                       "beta_3_1": rational_json(Fraction(num31, BETA_DENOMINATORS[b31]))})
+    for n, ms in canonical_ms(bound, chirality=False):
+        points += [{"n": n, "m": m,
+                    "beta_2_1": rational_json(Fraction(num21, den21)),
+                    "beta_3_1": rational_json(Fraction(num31, den31))}
+                   for m, num21, num31 in zip(ms, *primitive_columns(n, ms, slots=(b21, b31)))]
     csv = ["n,m,beta_2_1,beta_3_1"] + [
         f"{p['n']},{p['m']},{p['beta_2_1']['num']},{p['beta_3_1']['num']}"
         for p in points]
@@ -351,7 +414,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     if args.format == "csv":
         _emit("\n".join(csv_lines) + "\n", args.out)
     else:
-        _emit(json.dumps(_document("scan", arguments, payload), indent=2), args.out)
+        _emit(_render(_document("scan", arguments, payload)), args.out)
     return EXIT_OK
 
 

@@ -120,17 +120,25 @@ def check_int(name: str, value) -> None:
         raise UnsupportedInput(f"{name} must be an int (got {value!r})")
 
 
+def canonical_ms(max_n: int, chirality: bool = True) -> Iterator[tuple[int, list[int]]]:
+    """(n, ms) for each n in 3..max_n, with ms the m of every canonical torus
+    knot (n, m), in the order canonical_knots yields them: m ascending from
+    2, each followed by its mirror -m when chirality is True.  This is the
+    one definition of that order; the per-n scans evaluate a whole ms at once.
+    """
+    check_int("max_n", max_n)
+    for n in range(3, max_n + 1):
+        ms = [m for m in range(2, n) if gcd(n, m) == 1]
+        yield n, [s for m in ms for s in (m, -m)] if chirality else ms
+
+
 def canonical_knots(max_n: int, chirality: bool = True) -> Iterator[CanonicalTorusKnot]:
-    """All canonical torus knots with n <= max_n, ordered deterministically.
+    """All canonical torus knots with n <= max_n, ordered deterministically
+    (canonical_ms gives the order).
 
     With chirality=True both (n, m) and its mirror (n, -m) are yielded.  A
     max_n that is not an int raises UnsupportedInput before the first knot.
     """
-    check_int("max_n", max_n)
-    for n in range(3, max_n + 1):
-        for m in range(2, n):
-            if gcd(n, m) != 1:
-                continue
+    for n, ms in canonical_ms(max_n, chirality):
+        for m in ms:
             yield CanonicalTorusKnot(n, m)
-            if chirality:
-                yield CanonicalTorusKnot(n, -m)

@@ -23,8 +23,9 @@ The prefactor is P at even orders and nm P at odd ones, so at one n a row is
 prefactor folded into the quadratic.  _forms keeps these per (n, slots), so
 a knot costs a few integer products per slot.  primitive_numerators
 evaluates them at one m: the tables build one Fraction per primitive from
-it, and the per-knot scans read it directly.  primitive_columns evaluates
-them over every m of one n, one list per slot, for the integrality scans.
+it, and the relations and derived scalars read it directly.
+primitive_columns evaluates them over every m of one n, one list per slot,
+for the scans that walk whole ranges of knots.
 
 alpha is alpha_tilde less its value at (n, m) = (0, 0), over the same
 denominators: the Wilson line is the normalized series times the unknot
@@ -173,14 +174,15 @@ def primitive_numerators(n: int, m: int, slots: tuple = PRIMITIVE_ORDER) -> tupl
                   for is_odd, a0, a1, a2 in _forms(n, slots)])
 
 
-def primitive_columns(n: int, ms: list[int]) -> list[list[int]]:
+def primitive_columns(n: int, ms: list[int],
+                      slots: tuple = PRIMITIVE_ORDER) -> list[list[int]]:
     """primitive_numerators at one n over every m of ms, one list per slot
-    of PRIMITIVE_ORDER: [primitive_numerators(n, m)[k] for m in ms] for each k."""
+    of slots: [primitive_numerators(n, m, slots)[k] for m in ms] for each k."""
     vs = [m * m for m in ms]
     even = [v - 1 for v in vs]
     odd = list(map(mul, ms, even))
     return [[pre * (a0 + v * (a1 + v * a2)) for pre, v in zip(odd if is_odd else even, vs)]
-            for is_odd, a0, a1, a2 in _forms(n, PRIMITIVE_ORDER)]
+            for is_odd, a0, a1, a2 in _forms(n, slots)]
 
 
 #: the rows at (n, m) = (0, 0); alpha is alpha_tilde less these, over den

@@ -17,7 +17,7 @@ from torusvass.analysis import (DEPENDENCY_RELATIONS, MODULAR_CLAIMS, MODULAR_PE
 from torusvass.cli import _scan_payload, rational_json
 from torusvass.errors import NotAKnot, UnsupportedInput
 from torusvass.knots import (UNKNOT, CanonicalTorusKnot, TorusKnot, as_knot, canonical_knots,
-                             canonicalize)
+                             canonical_ms, canonicalize)
 from torusvass.tables import (BETA_DENOMINATORS, PRIMITIVE_ORDER, SHARPNESS_PAIRS,
                               InvariantTable, closed_form_beta, primitive_numerators)
 
@@ -53,6 +53,10 @@ def test_canonical_knots_enumeration():
     assert CanonicalTorusKnot(5, 4) in knots
     assert all(k.n > abs(k.m) >= 2 and gcd(k.n, abs(k.m)) == 1 for k in knots)
     assert len(knots) == len(set(knots))
+    # the per-n m lists give the same order, one n at a time
+    assert list(canonical_ms(5)) == [(3, [2, -2]), (4, [3, -3]), (5, [2, -2, 3, -3, 4, -4])]
+    assert list(canonical_ms(7, chirality=False))[-2:] == [(6, [5]), (7, [2, 3, 4, 5, 6])]
+    assert knots == [CanonicalTorusKnot(n, m) for n, ms in canonical_ms(5) for m in ms]
 
 
 def test_canonical_knot_rejects_links():
@@ -524,18 +528,23 @@ def test_distinguishing_kernel_equals_reference():
 
 
 def test_distinguishing_kernel_records_a_forced_collision(monkeypatch):
-    # a repeated knot is the one way to make two knots share (beta21, beta31)
-    def repeating(max_n, chirality=True):
-        knots = list(canonical_knots(max_n, chirality))
-        return knots + [knots[1], knots[0]]
+    # a repeated knot is the one way to make two knots share (beta21, beta31);
+    # the repeats enter through the per-n enumeration, which the kernel reads
+    # directly and the reference reads through canonical_knots
+    unpatched = len(list(canonical_knots(5)))
 
-    monkeypatch.setattr(analysis, "canonical_knots", repeating)
+    def repeating(max_n, chirality=True):
+        for n, ms in canonical_ms(max_n, chirality):
+            yield n, ms + ms[1::-1] if n == 3 else ms
+
+    monkeypatch.setattr("torusvass.knots.canonical_ms", repeating)
+    monkeypatch.setattr(analysis, "canonical_ms", repeating)
     report = distinguishing_check(5)
     assert typed(report.violations) == typed([
         ((3, -2), (3, -2), (F(1), F(-1))),
         ((3, 2), (3, 2), (F(1), F(1))),
     ])
-    assert report.checked == len(list(canonical_knots(5))) + 2
+    assert report.checked == unpatched + 2
     assert typed(report) == typed(ref_distinguishing_check(5))
 
 

@@ -3,6 +3,7 @@
 import argparse
 import ast
 import errno
+import gc
 import hashlib
 import inspect
 import itertools
@@ -18,6 +19,8 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from torusvass import analysis, cli, invariants, suites
 from torusvass.cli import main
@@ -77,6 +80,10 @@ EXPAND_GROUPS = (("su_n", "--N", "3"), ("so_n", "--N", "7"), ("su2", "--j", "2")
 #: sha256 over f"{code}|{stdout}|{stderr}" of ``expand`` on each pair and
 #: group, in the formats json, csv and table, each at --order 24 then 6
 EXPAND_DIGEST = "f64f4c90023fc320c2b7de95e81c953d33387c6ace121f427f6a92e6ec9383d2"
+
+#: sha256 of the stdout of ``verify --suite all --format json``; stderr
+#: carries the suite timings, so it stays out
+VERIFY_DIGEST = "aef2d50d0952a06898a7080653ef01bdb4af64ce536fcbdf38a1164bc4d8fccc"
 
 
 def validate_document(doc):
@@ -777,3 +784,55 @@ def test_expand_documents_keep_their_bytes(capsys):
                     digest.update(f"{code}|{out}|{err}".encode())
     assert len(EXPAND_PAIRS) == 158
     assert digest.hexdigest() == EXPAND_DIGEST
+
+
+def test_verify_document_keeps_its_bytes(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGEST
+
+
+#: strings over the ASCII controls, quotes and backslashes, non-ASCII
+#: letters, a line separator, a lone surrogate and characters beyond the BMP
+JSON_TEXT = st.text(st.sampled_from("a\x00\x1f\x7f\"\\/\n\t\u00e9\u2028\ud800\U0001f600")
+                    | st.characters(), max_size=8)
+
+#: ints on both sides of 64 bits, bools beside them, None and strings
+JSON_SCALARS = (st.none() | st.booleans() | st.integers()
+                | st.integers(min_value=-2 ** 200, max_value=2 ** 200) | JSON_TEXT)
+
+JSON_DOCUMENTS = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=40)
+
+
+@settings(max_examples=400, deadline=None)
+@given(JSON_DOCUMENTS)
+@example({"": [], "\u00e9\x01": {}, "flags": [True, 1, False, 0, None, {}],
+          "big": [2 ** 64, -2 ** 64 - 1, 10 ** 40], "\ud800": {"\n": [[[]]]}})
+def test_render_equals_json_dumps(doc):
+    assert cli._render(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("doc", [1.5, (1, 2), {1: "a"}, {"a": [{"b": {2}}]}, Fraction(1, 2),
+                                 [b"x"], type("Text", (str,), {})("a")])
+def test_render_rejects_other_types(doc):
+    with pytest.raises(TypeError):
+        cli._render(doc)
+
+
+def test_render_leaves_no_reference_cycle():
+    # a writer that is a nested function calling itself is a cycle, which
+    # keeps each document's pieces alive until the cyclic collector runs
+    doc = {"records": [{"n": k, "m": -k, "value": {"num": str(k), "den": "1"}}
+                       for k in range(1000)]}
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        cli._render(doc)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
