@@ -15,6 +15,7 @@ a non-integer --n, a missing --suite) also exits 2, with a usage line on
 stderr before its "error:" line.  Output is deterministic for identical
 inputs: JSON with rationals as {"num", "den"} pairs (plus "exact_decimal" when
 the value is an integer), CSV with exact num/den strings, or an aligned table.
+Each command computes its values once and renders only the format asked for.
 The parser is built once per process, by the first main call, which binds each
 handler; later calls only parse their argv, so main is cheap to call in a loop.
 """
@@ -32,7 +33,7 @@ from . import __version__
 from .analysis import (OBSTRUCTED, auxiliary_scalars, integrality_scan, is_v3_applicable,
                        lissajous_obstruction, lissajous_verdict)
 from .errors import NotAKnot, TorusVassError, UnsupportedInput
-from .groups import _PARAMETER_FLOORS, Family, GroupInstance
+from .groups import _PARAMETER_FLOORS, ALL_SLOTS, Family, GroupInstance
 from .invariants import normalized_series
 from .knots import UNKNOT, TorusKnot, canonical_ms, canonicalize
 from .suites import SUITES, run_suite
@@ -176,20 +177,6 @@ def _write(stream, text: str) -> None:
         os.close(devnull)
 
 
-def _table_entries_json(entries: dict, order: int) -> dict:
-    return {
-        f"{i},{j}": rational_json(entries[(i, j)])
-        for (i, j) in sorted(entries)
-        if i <= order
-    }
-
-
-def _slot_rows(kind: str, entries: dict, order: int):
-    for (i, j) in sorted(entries):
-        if i <= order:
-            yield (kind, i, j, str(entries[(i, j)]))
-
-
 # ----------------------------------------------------------------------
 # invariants
 # ----------------------------------------------------------------------
@@ -202,59 +189,49 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
 
     canonical = canonicalize(n, m)
     is_unknot = canonical is UNKNOT
-    tilde = closed_form_alpha_tilde(knot).entries
-    alpha = closed_form_alpha(knot).entries
-    beta = closed_form_beta(knot).entries
-    scalars = auxiliary_scalars(knot)
-    lissajous = lissajous_obstruction(knot)
-    has_v3 = is_v3_applicable(knot)
+    tables = {"alpha_tilde": closed_form_alpha_tilde(knot).entries,
+              "alpha": closed_form_alpha(knot).entries,
+              "beta": closed_form_beta(knot).entries}
+    slots = [slot for slot in ALL_SLOTS if slot[0] <= args.order]
+    aux = auxiliary_scalars(knot)
+    scalars = {"gordian": aux.gordian, "curve_residual": aux.curve_residual,
+               "lissajous": lissajous_obstruction(knot)}
+    if is_v3_applicable(knot):
+        scalars["v3"] = aux.v3
 
-    payload: dict = {
-        "knot": {
-            "n": n,
-            "m": m,
-            "unknot": is_unknot,
-            "canonical": None if is_unknot else {"n": canonical.n, "m": canonical.m},
-        },
-        "alpha_tilde": _table_entries_json(tilde, args.order),
-        "alpha": _table_entries_json(alpha, args.order),
-        "beta": _table_entries_json(beta, args.order),
-        "scalars": {
-            "gordian": rational_json(scalars.gordian),
-            "curve_residual": rational_json(scalars.curve_residual),
-            "lissajous": lissajous,
-        },
-    }
-    if has_v3:
-        payload["scalars"]["v3"] = rational_json(scalars.v3)
-
-    arguments = {"n": n, "m": m, "order": args.order, "format": args.format}
     if args.format == "json":
+        payload = {
+            "knot": {
+                "n": n,
+                "m": m,
+                "unknot": is_unknot,
+                "canonical": None if is_unknot else {"n": canonical.n, "m": canonical.m},
+            },
+            **{name: {f"{i},{j}": rational_json(entries[(i, j)]) for i, j in slots}
+               for name, entries in tables.items()},
+            "scalars": {name: value if type(value) is str else rational_json(value)
+                        for name, value in scalars.items()},
+        }
+        arguments = {"n": n, "m": m, "order": args.order, "format": args.format}
         _emit(_render(_document("invariants", arguments, payload)), args.out)
     elif args.format == "csv":
         lines = ["table,order,slot,value"]
-        for kind, entries in (("alpha_tilde", tilde), ("alpha", alpha), ("beta", beta)):
-            lines += [",".join(map(str, row))
-                      for row in _slot_rows(kind, entries, args.order)]
-        lines.append(f"scalar,gordian,,{scalars.gordian}")
-        lines.append(f"scalar,curve_residual,,{scalars.curve_residual}")
-        lines.append(f"scalar,lissajous,,{lissajous}")
-        if has_v3:
-            lines.append(f"scalar,v3,,{scalars.v3}")
+        lines += [f"{name},{i},{j},{entries[(i, j)]}"
+                  for name, entries in tables.items() for i, j in slots]
+        lines += [f"scalar,{name},,{value}" for name, value in scalars.items()]
         _emit("\n".join(lines) + "\n", args.out)
     else:
+        tilde, alpha, beta = tables.values()
         lines = [f"torus knot ({n}, {m})"
                  + ("  [unknot]" if is_unknot else
                     f"  [canonical ({canonical.n}, {canonical.m})]")]
         lines.append(f"{'slot':>8} {'alpha_tilde':>16} {'alpha':>16} {'beta':>12}")
-        for (i, j) in sorted(beta):
-            if i <= args.order:
-                lines.append(f"{f'({i},{j})':>8} {str(tilde[(i, j)]):>16} "
-                             f"{str(alpha[(i, j)]):>16} {str(beta[(i, j)]):>12}")
-        lines.append(f"gordian = {scalars.gordian}, "
-                     f"curve residual = {scalars.curve_residual}, "
-                     f"lissajous: {lissajous}"
-                     + (f", v3 = {scalars.v3}" if has_v3 else ""))
+        lines += [f"{f'({i},{j})':>8} {str(tilde[(i, j)]):>16} "
+                  f"{str(alpha[(i, j)]):>16} {str(beta[(i, j)]):>12}" for i, j in slots]
+        lines.append(f"gordian = {scalars['gordian']}, "
+                     f"curve residual = {scalars['curve_residual']}, "
+                     f"lissajous: {scalars['lissajous']}"
+                     + (f", v3 = {scalars['v3']}" if "v3" in scalars else ""))
         _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -318,25 +295,25 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                                f"{MAX_VERIFY_BOUND})")
     results = run_suite(args.suite, args.bound)
     failures = [(r.suite, c) for r in results for c in r.failures()]
-    payload = {
-        "suites": [
-            {
-                "suite": r.suite,
-                "passed": r.passed,
-                "checks": [
-                    {"label": c.label, "passed": c.passed, "detail": c.detail}
-                    for c in r.checks
-                ],
-            }
-            for r in results
-        ],
-        "violations": [
-            {"suite": suite, "label": check.label, "detail": check.detail}
-            for suite, check in failures
-        ],
-    }
-    arguments = {"suite": args.suite, "bound": args.bound}
     if args.format == "json":
+        payload = {
+            "suites": [
+                {
+                    "suite": r.suite,
+                    "passed": r.passed,
+                    "checks": [
+                        {"label": c.label, "passed": c.passed, "detail": c.detail}
+                        for c in r.checks
+                    ],
+                }
+                for r in results
+            ],
+            "violations": [
+                {"suite": suite, "label": check.label, "detail": check.detail}
+                for suite, check in failures
+            ],
+        }
+        arguments = {"suite": args.suite, "bound": args.bound}
         _emit(_render(_document("verify", arguments, payload)), args.out)
     else:
         lines = []
@@ -360,61 +337,62 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # scan
 # ----------------------------------------------------------------------
 
-def _scan_payload(predicate: str, bound: int) -> tuple[dict, list[str]]:
-    """Returns (json payload, csv lines)."""
-    b21, b31 = (2, 1), (3, 1)
-    den21, den31 = BETA_DENOMINATORS[b21], BETA_DENOMINATORS[b31]
-    if predicate == "lissajous-obstructed":
-        hits = []
-        for n, ms in canonical_ms(bound, chirality=False):
-            (column,) = primitive_columns(n, ms, slots=(b21,))
-            hits += [{"n": n, "m": m, "beta_2_1": rational_json(Fraction(num21, den21))}
-                     for m, num21 in zip(ms, column)
-                     if lissajous_verdict(num21) == OBSTRUCTED]
-        csv = ["n,m,beta_2_1"] + [
-            f"{h['n']},{h['m']},{h['beta_2_1']['num']}" for h in hits]
-        return {"knots": hits}, csv
+#: each scan predicate: the JSON lists its records fill, the fields of a
+#: record after n and m, which are also the CSV columns (the CSV holds the
+#: last list), and the JSON of a list of records, one literal dict each
+_SCANS = {
+    "lissajous-obstructed": (("knots",), ("beta_2_1",), lambda records: [
+        {"n": n, "m": m, "beta_2_1": rational_json(b21)} for n, m, b21 in records]),
+    "non-integer": (("coprime_violations", "noncoprime_witnesses"), ("slot", "value"),
+                    lambda records: [{"n": n, "m": m, "slot": slot, "value": rational_json(value)}
+                                     for n, m, slot, value in records]),
+    "beta-curve": (("points",), ("beta_2_1", "beta_3_1"), lambda records: [
+        {"n": n, "m": m, "beta_2_1": rational_json(b21), "beta_3_1": rational_json(b31)}
+        for n, m, b21, b31 in records]),
+}
+
+
+def _scan_records(predicate: str, bound: int) -> list[list[tuple]]:
+    """The (n, m, *values) records of each of the predicate's JSON lists."""
     if predicate == "non-integer":
         report = integrality_scan(bound, include_noncoprime=True)
-
-        def packed(records):
-            return [{"n": pair[0], "m": pair[1], "slot": f"{slot[0]},{slot[1]}",
-                     "value": rational_json(value)}
-                    for (pair, slot, value) in records]
-
-        witnesses = packed(report.notes)
-        csv = ["n,m,slot,value"] + [
-            f"{w['n']},{w['m']},\"{w['slot']}\","
-            f"{w['value']['num']}/{w['value']['den']}" for w in witnesses]
-        return {"coprime_violations": packed(report.violations),
-                "noncoprime_witnesses": witnesses}, csv
-    # beta-curve, the last predicate _cmd_scan admits
-    points = []
+        return [[(n, m, f"{i},{j}", value) for (n, m), (i, j), value in records]
+                for records in (report.violations, report.notes)]
+    obstructed = predicate == "lissajous-obstructed"
+    slots = ((2, 1),) if obstructed else ((2, 1), (3, 1))
+    dens = [BETA_DENOMINATORS[slot] for slot in slots]
+    records = []
     for n, ms in canonical_ms(bound, chirality=False):
-        points += [{"n": n, "m": m,
-                    "beta_2_1": rational_json(Fraction(num21, den21)),
-                    "beta_3_1": rational_json(Fraction(num31, den31))}
-                   for m, num21, num31 in zip(ms, *primitive_columns(n, ms, slots=(b21, b31)))]
-    csv = ["n,m,beta_2_1,beta_3_1"] + [
-        f"{p['n']},{p['m']},{p['beta_2_1']['num']},{p['beta_3_1']['num']}"
-        for p in points]
-    return {"points": points}, csv
+        records += [(n, m, *map(Fraction, nums, dens))
+                    for m, *nums in zip(ms, *primitive_columns(n, ms, slots=slots))
+                    if not obstructed or lissajous_verdict(nums[0]) == OBSTRUCTED]
+    return [records]
+
+
+def _csv_line(record: tuple) -> str:
+    """A record's values joined by commas: each number's str, each str (a
+    slot "i,j") quoted."""
+    return ",".join([f'"{value}"' if type(value) is str else str(value) for value in record])
+
+
+def _scan_text(predicate: str, bound: int, fmt: str) -> str:
+    """The scan document in the one format asked for, from one set of records."""
+    lists, fields, as_json = _SCANS[predicate]
+    records = _scan_records(predicate, bound)
+    if fmt == "csv":
+        return "\n".join([",".join(("n", "m") + fields), *map(_csv_line, records[-1])])
+    arguments = {"predicate": predicate, "max": bound, "format": fmt}
+    return _render(_document("scan", arguments, dict(zip(lists, map(as_json, records)))))
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    predicates = ("lissajous-obstructed", "non-integer", "beta-curve")
-    if args.predicate not in predicates:
+    if args.predicate not in _SCANS:
         raise UnsupportedInput(f"unknown predicate {args.predicate!r}; choose from "
-                               f"{', '.join(predicates)}")
+                               f"{', '.join(_SCANS)}")
     if not 2 <= args.max <= MAX_SCAN_BOUND:
         raise UnsupportedInput(f"max {args.max} unsupported (scan " + (
             f"stops at {MAX_SCAN_BOUND})" if args.max > MAX_SCAN_BOUND else "starts at 2)"))
-    payload, csv_lines = _scan_payload(args.predicate, args.max)
-    arguments = {"predicate": args.predicate, "max": args.max, "format": args.format}
-    if args.format == "csv":
-        _emit("\n".join(csv_lines) + "\n", args.out)
-    else:
-        _emit(_render(_document("scan", arguments, payload)), args.out)
+    _emit(_scan_text(args.predicate, args.max, args.format), args.out)
     return EXIT_OK
 
 

@@ -197,12 +197,13 @@ class AnsatzFit:
 
 @lru_cache(maxsize=16)
 def _design(grid: tuple, order: int) -> Elimination:
-    """The elimination of one order's slot monomials over a knot grid, made
+    """The elimination of one order's slot monomials over a knot grid, each
+    row times its knot's ansatz prefactor (nonzero for |n|, |m| >= 2), made
     once per (grid, order) and process and shared by the three families.
     The grid keys it, so a rebound DEFAULT_FIT_GRID gets designs of its own."""
     monomials = ANSATZ_SLOT_MONOMIALS[order]
-    return eliminate([[mono(Fraction(n * n), Fraction(m * m)) for mono in monomials]
-                      for (n, m) in grid], len(monomials))
+    return eliminate([[ansatz_prefactor(n, m, order) * mono(Fraction(n * n), Fraction(m * m))
+                       for mono in monomials] for (n, m) in grid], len(monomials))
 
 
 def fit_ansatz(family: Family) -> AnsatzFit:
@@ -210,10 +211,10 @@ def fit_ansatz(family: Family) -> AnsatzFit:
     of ORDERS, then interpolate each slot value over the family's
     FIT_PARAMETERS.
 
-    Each order's design is eliminated once per grid and process, and each
-    right-hand side is read straight from the series' numerators over one
-    denominator, the integer ansatz prefactors included.  The knot-grid
-    solve is overdetermined: a rank-deficient or inconsistent fit raises
+    Each order's design, the ansatz prefactors included, is eliminated once
+    per grid and process, and the right-hand sides are read as _extract
+    reads them, from the series' numerators over one denominator.  The
+    knot-grid solve is overdetermined: a rank-deficient or inconsistent fit raises
     AnsatzMismatch (the Taylor coefficient does not factor through the
     ansatz).  For su2 the interpolation variable is A = -j(j+2)/4.
     """
@@ -227,12 +228,10 @@ def fit_ansatz(family: Family) -> AnsatzFit:
     for parameter in params:
         group = GroupInstance(family, **{name: parameter})
         series = [normalized_series(TorusKnot(n, m), group, DEFAULT_ORDER) for (n, m) in grid]
+        rhs, den = _right_hand_sides(series)
         fitted = {}
-        for order in ORDERS:
-            dens = [s.den * ansatz_prefactor(n, m, order) for s, (n, m) in zip(series, grid)]
-            den = lcm(*dens)
-            result = _design(grid, order).solve_numerators(
-                [s.numerator(order) * (den // d) for s, d in zip(series, dens)], den)
+        for order, b in zip(ORDERS, rhs):
+            result = _design(grid, order).solve_numerators(b, den)
             if not result.consistent or result.rank < len(ANSATZ_SLOT_MONOMIALS[order]):
                 raise AnsatzMismatch(
                     f"{family.value} parameter {parameter}, order {order}: "

@@ -1,5 +1,6 @@
 """Canonicalization, dependency relations, integrality, and derived scalars."""
 
+import json
 import random
 from fractions import Fraction as F
 from math import gcd
@@ -14,7 +15,7 @@ from torusvass.analysis import (DEPENDENCY_RELATIONS, MODULAR_CLAIMS, MODULAR_PE
                                 lissajous_obstruction, lissajous_verdict,
                                 noncoprime_witnesses, normalization_sharpness,
                                 proposition_modular_checks, v3_family_value)
-from torusvass.cli import _scan_payload, rational_json
+from torusvass.cli import _scan_text, rational_json
 from torusvass.errors import NotAKnot, UnsupportedInput
 from torusvass.knots import (UNKNOT, CanonicalTorusKnot, TorusKnot, as_knot, canonical_knots,
                              canonical_ms, canonicalize)
@@ -609,8 +610,21 @@ def test_lissajous_verdict_rejects_a_non_integral_beta21():
     assert lissajous_verdict(24) == "obstructed" and lissajous_verdict(-48) == "inconclusive"
 
 
+def ref_scan_text(predicate, bound, fmt):
+    """The reference payload's document in one format: json.dumps of the
+    JSON document, or the CSV lines."""
+    payload, csv = ref_scan_payload(predicate, bound)
+    if fmt == "csv":
+        return "\n".join(csv)
+    arguments = {"predicate": predicate, "max": bound, "format": fmt}
+    return json.dumps({"schema_version": "1.0", "command": {"name": "scan", "arguments": arguments},
+                       "payload": payload}, indent=2)
+
+
 @pytest.mark.parametrize("predicate", ["lissajous-obstructed", "non-integer", "beta-curve"])
 def test_scan_payload_kernel_equals_reference(predicate):
+    # each format is rendered on its own, so each is held to the reference
     for bound in (-1, 0, 1, 2, 3, 5, 8, 13, 20):
-        assert outcome(_scan_payload, predicate, bound) \
-            == outcome(ref_scan_payload, predicate, bound), bound
+        for fmt in ("json", "csv"):
+            assert outcome(_scan_text, predicate, bound, fmt) \
+                == outcome(ref_scan_text, predicate, bound, fmt), (bound, fmt)

@@ -26,6 +26,7 @@ from torusvass import analysis, cli, invariants, suites
 from torusvass.cli import main
 from torusvass.errors import UnsupportedInput
 from torusvass.groups import Family, GroupInstance
+from torusvass.tables import BETA_DENOMINATORS
 
 SCHEMA = json.loads(
     resources.files("torusvass").joinpath("output_schema.json").read_text())
@@ -455,6 +456,20 @@ def test_scan_beta_curve_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "n,m,beta_2_1,beta_3_1"
     assert "3,2,1,1" in lines
+
+
+def test_scan_csv_keeps_each_denominator(capsys, monkeypatch):
+    # a wider beta_{3,1} denominator makes the values fractions; the CSV must
+    # carry the same values as the JSON, the trefoil's 1/2 included
+    monkeypatch.setitem(BETA_DENOMINATORS, (3, 1), 288)
+    argv = ("scan", "--predicate", "beta-curve", "--max", "5")
+    _, out, _ = run_cli(capsys, *argv)
+    from_json = {(p["n"], p["m"]): Fraction(int(p["beta_3_1"]["num"]), int(p["beta_3_1"]["den"]))
+                 for p in json.loads(out)["payload"]["points"]}
+    _, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    from_csv = {(int(n), int(m)): Fraction(b31) for n, m, _, b31 in rows}
+    assert from_csv == from_json and from_csv[(3, 2)] == Fraction(1, 2)
 
 
 def test_scan_unknown_predicate(capsys):
