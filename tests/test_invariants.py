@@ -1,5 +1,6 @@
 """Series evaluators for the three quantum invariants and the unknot factors."""
 
+import hashlib
 import random
 import sys
 import threading
@@ -527,6 +528,27 @@ def _kauffman_kernel_by_quotients(n, N, W):
 
 def _kernel_fields(kernel):
     return kernel.lo, kernel.hi, kernel.den, kernel.coeffs
+
+
+#: sha256 over repr((lo, hi, den, coeffs)) of each kernel built straight from
+#: the builders: the three families at n = 1..13, 20, 27, 41, three or four
+#: parameters each, at the widths 0, 1, 6 and 12: 704 kernels
+KERNEL_DIGEST = "dd8121c4ba53b6dc0ad158de27c444759760d540f6199f989af111dc41003785"
+
+
+def test_kernels_keep_their_fields():
+    digest, count = hashlib.sha256(), 0
+    for n in list(range(1, 14)) + [20, 27, 41]:
+        for family, parameters in ((Family.SU_N, (2, 3, 5, 8)),
+                                   (Family.SO_N, (n + 2, n + 3, n + 7)),
+                                   (Family.SU2, (1, 2, 3, 6))):
+            for parameter in parameters:
+                for W in (0, 1, 6, 12):
+                    kernel = invariants._FAMILIES[family](n, parameter, W)
+                    digest.update(repr(_kernel_fields(kernel)).encode())
+                    count += 1
+    assert count == 704
+    assert digest.hexdigest() == KERNEL_DIGEST
 
 
 @pytest.mark.parametrize("n", list(range(1, 13)) + [20, 41])
