@@ -6,7 +6,7 @@ linear systems for the invariant tables, and verify the closed forms,
 dependency relations and integrality properties that those tables satisfy.
 """
 
-from __future__ import annotations
+from types import ModuleType as _ModuleType
 
 __version__ = "0.1.0"
 
@@ -35,4 +35,6 @@ from .analysis import (AuxiliaryScalars, DEPENDENCY_RELATIONS, MODULAR_PERIOD, S
                        noncoprime_witnesses, normalization_sharpness,
                        proposition_modular_checks)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+#: the names imported above; the submodules those imports bind are not API
+__all__ = [name for name, value in sorted(globals().items())
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

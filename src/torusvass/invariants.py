@@ -29,13 +29,12 @@ rho_i depend only on n, the rank N (or j) and the order W.  The
 framing factor is a t-power with an exponent linear in m: its m-linear part
 shifts every rate, and its m-free part joins the m-free head (with
 Akutsu-Wadati's 1/(t^{j+1} - 1)).  So the x^d coefficients of the sum are
-polynomials in m, which :class:`MPolySeries` holds over one denominator, and
-the head, free of m, is multiplied into them once per build
-(:meth:`MPolySeries.times`), every power of m kept.  That kernel -- the
-normalized invariant as polynomials in m -- is kept in a bounded cache per
-(family, n, N or j), at the widest order asked of it so far; one knot then
-costs one polynomial evaluation per degree and no series product, whatever
-n is.  The HOMFLY and Kauffman summands share their bracket products and
+polynomials in m, which :class:`MPolySeries` holds over one denominator; its
+build multiplies the head, free of m, into them, every power of m kept.  That
+kernel -- the normalized invariant as polynomials in m -- is kept in a
+bounded cache per (family, n, N or j), at the widest order asked of it so
+far; one knot then costs one polynomial evaluation per degree and no series
+product, whatever n is.  The HOMFLY and Kauffman summands share their bracket products and
 reciprocal q-factorials as prefix products (each step multiplies by the
 reciprocal of one small unit), so a build costs O(n) series products and
 divides by no large series, and
@@ -53,17 +52,20 @@ many brackets above the line as below -- HOMFLY p + i over (i)!(p)!, Kauffman
 n over [b]![g]! times the one pole 1/[n] or 1/[b-g;1] -- so their powers of x
 cancel and every quotient is by a unit, which loses no degree.  The
 Akutsu-Wadati sum vanishes at x = 0 for every m: its rows are built one
-degree further and stored from degree -1, which divides by x exactly (the
-polynomial at degree -1 is zero, so the fold needs the head only through
-x^W), and its head divides by the unit (t^{j+1} - 1)/x.  So every kernel is built at
+degree further and stored from degree -1, which divides by x exactly, and its
+head divides by the unit (t^{j+1} - 1)/x and is built one degree further too:
+every head is made through x^(hi - lo), as far as the rows reach, so the fold
+reads no head degree it lacks.  So every kernel is built at
 exactly W = trunc_order: the invariants are exact Taylor coefficients, and no
 width beyond the requested order is needed.  Nor does any order key a kernel:
 its coefficients through x^W are the same whatever width it was built at, so
 a cached kernel serves every narrower order by reading its first degrees, and
 a wider order rebuilds it once at that order.  Integral rates and exponents
 are passed as ints, which keeps their expansion in int arithmetic.  A
-normalized invariant must come out with constant term exactly 1; anything
-else raises.
+normalized invariant is 1 + O(x) at every m, and each new kernel is checked
+for it once, before it is cached: every polynomial below x^0 is zero and the
+one at x^0 is the constant den.  Anything else raises
+:class:`.errors.CancellationFailure`, so no evaluation checks it again.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ from __future__ import annotations
 import marshal
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
+from itertools import accumulate, islice
 from math import gcd, lcm
 from operator import add, mul, neg, sub
 from typing import Callable, Iterable, Sequence, Union
@@ -138,19 +140,25 @@ class MPolySeries:
 
     @classmethod
     def from_rows(cls, lo: int, hi: int, den: int,
-                  rows: Iterable[tuple[Union[int, Fraction], list]]) -> "MPolySeries":
-        """sum_i A_i(x) * exp(m * rho_i * x) on degrees lo..hi, for (rho_i,
-        row_i) pairs where row_i lists the integer numerators over den of
-        A_i on those degrees.
+                  rows: Iterable[tuple[Union[int, Fraction], list]],
+                  head: TruncSeries) -> "MPolySeries":
+        """head * sum_i A_i(x) * exp(m * rho_i * x) on degrees lo..hi, for
+        (rho_i, row_i) pairs where row_i lists the integer numerators over den
+        of A_i on those degrees, and an m-free power series head known
+        through x^(hi - lo).
 
         The x^k coefficient of A * exp(rho m x) is sum_j A[j] (rho m)^(k-j) / (k-j)!,
         so the m^l coefficient of the sum at x^k is sum_i A_i[k-l] rho_i^l / l!,
         which :func:`.series.exp_numerators` gives over one denominator.
         Rows that share a rate are added first; the build then makes one pass
         over the degrees per (rate, power of m), and a zero rate reaches only
-        m^0.
+        m^0.  The head multiplies in with every power of m kept: the
+        polynomial at x^(lo+k) is the sum over e of head's x^(k-e)
+        coefficient times the sum's polynomial at x^(lo+e).
         """
         top = hi - lo
+        if head.trunc_order < top:
+            raise ValueError(f"head known through x^{head.trunc_order}, needed through x^{top}")
         by_rate: dict = {}
         for rho, row in rows:
             by_rate[rho] = list(map(add, by_rate[rho], row)) if rho in by_rate else row
@@ -160,21 +168,32 @@ class MPolySeries:
             for ell, w in enumerate(weight):
                 if w:
                     cols[ell] = list(map(add, cols[ell], map(w.__mul__, row)))
-        return cls(lo, hi, den * scale, [cols[ell][k - ell] for k in range(top + 1)
-                                         for ell in range(k + 1)])
+        polys = [[cols[ell][k - ell] for ell in range(k + 1)] for k in range(top + 1)]
+        h = [head.numerator(i) for i in range(top + 1)]  # over head.den
+        out = []
+        for k in range(top + 1):
+            acc = [0] * (k + 1)
+            for e, poly in enumerate(polys[:k + 1]):
+                if h[k - e]:
+                    acc[:e + 1] = map(add, acc, map(h[k - e].__mul__, poly))
+            out += acc
+        den *= scale * head.den
+        g = gcd(den, *out)
+        return cls(lo, hi, den // g, [c // g for c in out])
 
     @classmethod
     def from_series(cls, summands: Sequence[tuple[TruncSeries, Union[int, Fraction]]],
-                    width: int) -> "MPolySeries":
-        """sum_i A_i(x) * exp(m * rho_i * x) on degrees 0..width, for (A_i,
-        rho_i) pairs of power series known through x^width."""
+                    width: int, head: TruncSeries) -> "MPolySeries":
+        """head * sum_i A_i(x) * exp(m * rho_i * x) on degrees 0..width, for
+        (A_i, rho_i) pairs of power series and an m-free power series head,
+        all known through x^width."""
         den = lcm(*(a.den for a, _ in summands))
         rows = []  # each A over den on degrees 0..width
         for a, rho in summands:
             scale = den // a.den
             row = [0] * a.min_degree + [c * scale for c in a.nums]
             rows.append((rho, row[:width + 1]))
-        return cls.from_rows(0, width, den, rows)
+        return cls.from_rows(0, width, den, rows, head)
 
     def at(self, m: int, hi: int) -> TruncSeries:
         """The series at one value of m, through x^hi <= self.hi.  The
@@ -189,40 +208,6 @@ class MPolySeries:
         nums = [sum(map(mul, islice(coeffs, k + 1), powers)) for k in range(top + 1)]
         return TruncSeries.from_numerators(self.lo, nums, self.den, hi)
 
-    def times(self, head: TruncSeries) -> "MPolySeries":
-        """head * self, for an m-free power series head, on the same degrees
-        and with every power of m kept: the polynomial at x^d is the sum of
-        head's x^(d-e) coefficient times the polynomial at x^e.  The head is
-        known through its trunc_order, so only an identically zero
-        polynomial (the Akutsu-Wadati degree -1) may meet a head degree
-        beyond it, and it adds nothing."""
-        flat, top, h = marshal.loads(self.coeffs), self.hi - self.lo, head.nums
-        polys = [flat[k * (k + 1) // 2:(k + 1) * (k + 2) // 2] for k in range(top + 1)]
-        out = []
-        for k in range(top + 1):
-            acc = [0] * (k + 1)
-            for e, poly in enumerate(polys[:k + 1]):
-                i = k - e - head.min_degree  # head's x^(k-e) coefficient is h[i] / head.den
-                if i >= len(h):
-                    if any(poly):
-                        raise ValueError(f"head known through x^{head.trunc_order}, "
-                                         f"needed through x^{k - e}")
-                elif i >= 0 and h[i]:
-                    acc[:e + 1] = map(add, acc, map(h[i].__mul__, poly))
-            out += acc
-        den = self.den * head.den
-        g = gcd(den, *out)
-        return MPolySeries(self.lo, self.hi, den // g, [c // g for c in out])
-
-
-def _finalize_normalized(raw: TruncSeries, what: str) -> TruncSeries:
-    """raw, whose constant term must be exactly 1, read off its integers."""
-    if raw.min_degree > 0 or raw.nums[-raw.min_degree] != raw.den:
-        raise CancellationFailure(
-            f"{what}: constant term {raw.coefficient(0)} != 1 (convention bug)"
-        )
-    return raw
-
 
 def _homfly_kernel(n: int, N: int, W: int) -> MPolySeries:
     """(1 - t)/(1 - t^n) lambda^{-(n-1)/2} times sum_i (-1)^i A_i t^{m i}
@@ -236,12 +221,9 @@ def _homfly_kernel(n: int, N: int, W: int) -> MPolySeries:
     # right[i] = prod_{j=1..i} (t^N - t^j) for i < N, and inv_fact[a] =
     # 1/(a)!, whose quotients are each by one small unit: a quotient by a
     # whole (i)!(p)! raises its large constant term to the W-th power
-    left, right, inv_fact = [one], [one], [one]
-    for a in range(1, n):
-        left.append(left[-1] * u(N, -a))
-        inv_fact.append(inv_fact[-1] * (one / u(a, 0)))
-        if a < N:
-            right.append(right[-1] * u(N, a))
+    left = list(accumulate((u(N, -a) for a in range(1, n)), mul, initial=one))
+    right = list(accumulate((u(N, a) for a in range(1, min(n, N))), mul, initial=one))
+    inv_fact = list(accumulate((one / u(a, 0) for a in range(1, n)), mul, initial=one))
     shift = _ratio((n - 1) * (N - 1), 2)  # lambda^{(m-1)(n-1)/2} = t^{shift (m - 1)}
     head = one if n == 1 else u(1, 0) * qpower(-shift, 1, W) / u(n, 0)
     summands = []
@@ -253,7 +235,7 @@ def _homfly_kernel(n: int, N: int, W: int) -> MPolySeries:
         # against the global 1/(lambda t - 1)
         term = left[p] * right[i] * inv_fact[i] * inv_fact[p] * qpower(p * (p + 1) // 2, 1, W)
         summands.append((term if i % 2 == 0 else -term, i + shift))
-    return MPolySeries.from_series(summands, W).times(head)
+    return MPolySeries.from_series(summands, W, head)
 
 
 def _kauffman_kernel(n: int, N: int, W: int) -> MPolySeries:
@@ -272,11 +254,9 @@ def _kauffman_kernel(n: int, N: int, W: int) -> MPolySeries:
     # prefix products, each over x^a: neg[g] = prod_{j=-g..-1} [j;1],
     # pos[b] = prod_{j=1..b} [j;1], inv_fact[a] = 1/[a]!, built from the
     # reciprocals of single brackets as in _homfly_kernel
-    neg, pos, inv_fact = [one], [one], [one]
-    for a in range(1, n):
-        neg.append(neg[-1] * brqs[-a])
-        pos.append(pos[-1] * brqs[a])
-        inv_fact.append(inv_fact[-1] * (one / br(a)))
+    neg = list(accumulate((brqs[-a] for a in range(1, n)), mul, initial=one))
+    pos = list(accumulate((brqs[a] for a in range(1, n)), mul, initial=one))
+    inv_fact = list(accumulate((one / br(a) for a in range(1, n)), mul, initial=one))
     inv_br_n = one / br(n)
     head = br(1) / (br(1) + brqs[0])
     # lambda^{nm} = exp(m n (N-1) x / 4) weighs every summand, the start included;
@@ -290,7 +270,7 @@ def _kauffman_kernel(n: int, N: int, W: int) -> MPolySeries:
         # t^{-m(b-g)/2} lambda^{-m} lambda^{nm}, t = e^{x/2}
         rate = _ratio(g - b + (n - 1) * (N - 1), 4)
         summands.append((term if g % 2 == 0 else -term, rate))
-    return MPolySeries.from_series(summands, W).times(head)
+    return MPolySeries.from_series(summands, W, head)
 
 
 def _akutsu_wadati_kernel(n: int, j: int, W: int) -> MPolySeries:
@@ -298,10 +278,10 @@ def _akutsu_wadati_kernel(n: int, j: int, W: int) -> MPolySeries:
     t^{m j(n-1)/2} with e1, e2 linear in m, built from the exponents: the
     m-free parts of all 2(j+1) of them are expanded in one call.  Every
     term of the sum vanishes at x = 0, whatever m is, so its rows through
-    x^(W+1), stored from degree -1, are the sum over x through x^W; the
-    polynomial at degree -1 is zero, so the head is needed only through x^W."""
+    x^(W+1), stored from degree -1, are the sum over x through x^W; the head
+    spans the same W + 2 degrees."""
     shift = _ratio(j * (n - 1), 2)  # t^{j(n-1)(m-1)/2} = t^{shift (m - 1)}
-    head = qpower(-shift, 1, W) / _unit(j + 1, 0, W)
+    head = qpower(-shift, 1, W + 1) / _unit(j + 1, 0, W + 1)
     # e1 = n(1 + m ell)(j - ell) + 1 + m ell, e2 = n(1 + m ell)(j - ell) + m(j - ell)
     powers, den = exp_numerators([n * (j - ell) + e for ell in range(j + 1) for e in (1, 0)],
                                  W + 1)
@@ -310,7 +290,7 @@ def _akutsu_wadati_kernel(n: int, j: int, W: int) -> MPolySeries:
         base = n * (j - ell)
         rows.append((shift + ell * (base + 1), powers[2 * ell]))
         rows.append((shift + (j - ell) * (n * ell + 1), list(map(neg, powers[2 * ell + 1]))))
-    return MPolySeries.from_rows(-1, W, den, rows).times(head)
+    return MPolySeries.from_rows(-1, W, den, rows, head)
 
 
 @lru_cache(maxsize=KERNEL_CACHE_SIZE)
@@ -338,14 +318,21 @@ def _at_knot(family: Family, k: TorusKnot, parameter: int, trunc_order: int,
     evaluation per degree and no series product.  A kernel's coefficients
     through x^W do not depend on the width it was built at, so a wider kernel
     serves the order by reading its first degrees; a narrower kernel is
-    rebuilt once at the order, which replaces it."""
+    rebuilt once at the order, which replaces it.  A new kernel is checked
+    before it is stored, for every m at once, so a bad one is never kept."""
     _check_order(trunc_order, what)
     slot = _kernel(family, k.n, parameter)
     width, kernel = slot[0]
     if width < trunc_order:
         kernel = _FAMILIES[family](k.n, parameter, trunc_order)
+        # 1 + O(x) at every m: the polynomials at x^lo..x^0, which lead the
+        # kernel, are zero but for the constant den at x^0
+        lead = marshal.loads(kernel.coeffs)[:(1 - kernel.lo) * (2 - kernel.lo) // 2]
+        if lead != [0] * (len(lead) + kernel.lo - 1) + [kernel.den] + [0] * -kernel.lo:
+            raise CancellationFailure(f"{what}: the kernel is not 1 + O(x) at every m "
+                                      "(convention bug)")
         slot[0] = trunc_order, kernel
-    return _finalize_normalized(kernel.at(k.m, trunc_order), what)
+    return kernel.at(k.m, trunc_order)
 
 
 def homfly_normalized(knot: KnotLike, N: int,

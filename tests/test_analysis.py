@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from fractions import Fraction as F
 from math import gcd
 
@@ -105,6 +106,31 @@ def test_relation_order5_beyond_trefoil():
         - F(2, 5) * b[(3, 1)]
     assert b[(5, 2)] != 6 * b[(5, 3)] + F(27, 5) * b[(2, 1)] * b[(3, 1)] \
         - F(2, 5) * b[(3, 1)]
+
+
+def _printed_terms(statement):
+    """The left-hand slot and the (coefficient, slots) terms of a printed
+    relation such as "beta_{6,5} = 58/9 beta_{6,9} - 2080/3 beta_{2,1}^3"."""
+    lhs, rhs = statement.split(" = ")
+    terms = []
+    for term in rhs.replace(" - ", " + -").split(" + "):
+        sign, coefficient, factors = re.fullmatch(r"(-?)(\d+(?:/\d+)?)? ?(.+)", term).groups()
+        slots = []
+        for factor in factors.split(" "):
+            a, b, power = re.fullmatch(r"beta_\{(\d),(\d)\}(?:\^(\d))?", factor).groups()
+            slots += [(int(a), int(b))] * int(power or 1)
+        terms.append((F(sign + (coefficient or "1")), tuple(slots)))
+    a, b = re.fullmatch(r"beta_\{(\d),(\d)\}", lhs).groups()
+    return (int(a), int(b)), terms
+
+
+@pytest.mark.parametrize("relation", DEPENDENCY_RELATIONS, ids=lambda rel: rel.name)
+def test_each_printed_relation_is_its_terms(relation):
+    # the statement a reader sees and the terms the scan checks are one
+    # relation, term for term in the printed order
+    lhs, terms = _printed_terms(relation.statement)
+    assert lhs == relation.lhs
+    assert terms == [(F(c), tuple(slots)) for c, slots in relation.rhs]
 
 
 def test_relations_hold_on_grid():

@@ -1,7 +1,9 @@
 """Every input kind has one check, run before any cache: a knot index, a group
 parameter, an order or a scan bound that is not an int raises
-UnsupportedInput, whatever the caches hold."""
+UnsupportedInput, whatever the caches hold.  The package's ``__all__`` names
+its API and nothing else."""
 
+import inspect
 from fractions import Fraction as F
 
 import pytest
@@ -108,3 +110,30 @@ def test_a_canonical_knot_is_a_knot():
     assert as_knot(canonical) == tv.TorusKnot(5, -3)
     assert tv.closed_form_beta(canonical) == tv.closed_form_beta((5, -3))
     assert tv.dependency_relations_check(grid=[canonical]).passed
+
+
+#: every name the package exports: its API, with no submodule in it
+API = {
+    "AnsatzFit", "AnsatzMismatch", "AuxiliaryScalars", "CancellationFailure",
+    "CanonicalTorusKnot", "DEPENDENCY_RELATIONS", "DegreeExceeded", "DivisionByZeroSeries",
+    "ExactPoly", "ExtractionReport", "Family", "GroupFactorVector", "GroupInstance",
+    "Inconsistent", "InvariantTable", "LinearSolution", "MODULAR_PERIOD", "NotAKnot",
+    "RankDeficient", "SHARPNESS_PAIRS", "ScanReport", "SingularBracket", "TREFOIL_NORMALIZERS",
+    "TorusKnot", "TorusVassError", "TruncSeries", "TruncationUnderflow", "UNKNOT",
+    "UnsupportedInput", "akutsu_wadati_normalized", "auxiliary_scalars",
+    "beta_from_alpha_tilde", "canonical_knots", "canonicalize", "closed_form_alpha",
+    "closed_form_alpha_tilde", "closed_form_beta", "compare_fit_to_printed",
+    "default_instantiation_plan", "dependency_relations_check", "distinguishing_check",
+    "extract_alpha", "extract_alpha_tilde", "fit_ansatz", "group_factors",
+    "homfly_normalized", "integrality_scan", "interpolate_poly", "kauffman_normalized",
+    "lissajous_obstruction", "noncoprime_witnesses", "normalization_sharpness",
+    "normalized_series", "product", "proposition_modular_checks", "qpower", "series_div",
+    "series_exp_linear", "so_n", "su2", "su_n", "unknot_factor", "unnormalized_series",
+}
+
+
+def test_all_lists_the_api_only():
+    assert sorted(tv.__all__) == tv.__all__
+    assert set(tv.__all__) == API
+    assert not [name for name in tv.__all__ if inspect.ismodule(getattr(tv, name))]
+    assert "annotations" not in tv.__all__

@@ -1,6 +1,7 @@
 """Series evaluators for the three quantum invariants and the unknot factors."""
 
 import hashlib
+import marshal
 import random
 import sys
 import threading
@@ -495,7 +496,7 @@ def _homfly_kernel_by_quotients(n, N, W):
             continue
         term = (left[p] * right[i]) / (fact[i] * fact[p]) * qpower(p * (p + 1) // 2, 1, W)
         summands.append((term if i % 2 == 0 else -term, i + shift))
-    return invariants.MPolySeries.from_series(summands, W).times(head)
+    return invariants.MPolySeries.from_series(summands, W, head)
 
 
 def _kauffman_kernel_by_quotients(n, N, W):
@@ -523,7 +524,7 @@ def _kauffman_kernel_by_quotients(n, N, W):
         term = (bracket * (neg[g] * brqs[0] * pos[b])) / (fact[b] * fact[g])
         rate = invariants._ratio(g - b + (n - 1) * (N - 1), 4)
         summands.append((term if g % 2 == 0 else -term, rate))
-    return invariants.MPolySeries.from_series(summands, W).times(head)
+    return invariants.MPolySeries.from_series(summands, W, head)
 
 
 def _kernel_fields(kernel):
@@ -549,6 +550,66 @@ def test_kernels_keep_their_fields():
                     count += 1
     assert count == 704
     assert digest.hexdigest() == KERNEL_DIGEST
+
+
+def _edited_su2_builds(monkeypatch, edit):
+    """Make every Akutsu-Wadati build return its kernel with edit(flat, den)
+    applied to the flat polynomials; the widths built are returned."""
+    build, widths = invariants._FAMILIES[Family.SU2], []
+
+    def edited(n, j, W):
+        kernel = build(n, j, W)
+        flat = marshal.loads(kernel.coeffs)
+        edit(flat, kernel.den)
+        widths.append(W)
+        return invariants.MPolySeries(kernel.lo, kernel.hi, kernel.den, flat)
+
+    monkeypatch.setitem(invariants._FAMILIES, Family.SU2, edited)
+    invariants._kernel.cache_clear()
+    return widths
+
+
+def test_a_residual_pole_raises_and_is_never_stored(monkeypatch):
+    # den added to the m-free x^-1 coefficient leaves a pole at every m: the
+    # build's check finds it before the kernel is stored, so the next call
+    # builds again and raises again
+    def pole(flat, den):
+        flat[0] += den
+
+    widths = _edited_su2_builds(monkeypatch, pole)
+    for _ in range(2):
+        with pytest.raises(CancellationFailure, match=r"not 1 \+ O\(x\) at every m"):
+            akutsu_wadati_normalized((2, 3), 1)
+    assert widths == [ORDER, ORDER]
+    invariants._kernel.cache_clear()
+
+
+@pytest.mark.parametrize("c", [1, -3])
+def test_a_constant_term_that_moves_with_m_raises_at_every_m(c, monkeypatch):
+    # the x^0 polynomial, stored as [den, 0] after the zero one at x^-1,
+    # made den + c m
+    def slope(flat, den):
+        assert flat[:3] == [0, den, 0]
+        flat[2] = c
+
+    _edited_su2_builds(monkeypatch, slope)
+    for m in (-7, -1, 1, 3, 9):
+        with pytest.raises(CancellationFailure):
+            akutsu_wadati_normalized((2, m), 1)
+    invariants._kernel.cache_clear()
+
+
+def test_a_head_narrower_than_the_rows_raises():
+    # the head must reach x^(hi - lo), even where only a zero polynomial
+    # would meet its missing degree
+    W = 4
+    rows = [(2, [0] + [1] * (W + 1))]  # degrees -1..W, zero at x^-1
+    with pytest.raises(ValueError):
+        invariants.MPolySeries.from_rows(-1, W, 1, rows, TruncSeries.one(W))
+    with pytest.raises(ValueError):
+        invariants.MPolySeries.from_series([(qpower(1, 1, W), 2)], W, TruncSeries.one(W - 1))
+    kernel = invariants.MPolySeries.from_rows(-1, W, 1, rows, TruncSeries.one(W + 1))
+    assert kernel.at(3, W) == TruncSeries(0, [1] * (W + 1), W) * qpower(2 * 3, 1, W)
 
 
 @pytest.mark.parametrize("n", list(range(1, 13)) + [20, 41])
@@ -593,7 +654,7 @@ def test_mpoly_series_equals_running_sum(m):
     expected = TruncSeries.zero(W)
     for a, rho in summands[1:]:
         expected = expected + a * qpower(m * rho, 1, W)
-    total = invariants.MPolySeries.from_series(summands, W)
+    total = invariants.MPolySeries.from_series(summands, W, TruncSeries.one(W))
     # a narrower series is the prefix; a wider one is not known
     assert [total.at(m, hi) for hi in range(W + 1)] == [expected.truncated(hi)
                                                        for hi in range(W + 1)]
