@@ -336,12 +336,16 @@ class AuxiliaryScalars:
 
 
 def auxiliary_scalars(knot) -> AuxiliaryScalars:
+    """Each scalar as one Fraction over the integer numerators of
+    beta_{2,1} = a / d21 and beta_{3,1} = b / d31."""
     k = as_knot(knot).validate()
-    b21, b31 = _fractions(primitive_numerators(k.n, k.m, slots=(_B21, _B31)), (_B21, _B31))
+    a, b = primitive_numerators(k.n, k.m, slots=(_B21, _B31))
+    d21, d31 = BETA_DENOMINATORS[_B21], BETA_DENOMINATORS[_B31]
     return AuxiliaryScalars(
-        v3=3 * (b31 - b21),
+        v3=Fraction(3 * (b * d21 - a * d31), d21 * d31),
         gordian=Fraction((abs(k.n) - 1) * (abs(k.m) - 1), 2),
-        curve_residual=b31 ** 2 - Fraction(2, 3) * b21 ** 3,
+        curve_residual=Fraction(3 * b * b * d21 ** 3 - 2 * a ** 3 * d31 * d31,
+                                3 * d21 ** 3 * d31 * d31),
     )
 
 

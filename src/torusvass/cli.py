@@ -53,24 +53,17 @@ SCHEMA_VERSION = "1.0"
 #: with |n| as given, and (n, m) and (m, n) are the same knot, so |n| and |m|
 #: share one limit; N and j share another, which leaves Kauffman its floor
 #: N >= n + 2 at every n.  At the limits the slowest family (HOMFLY at n = N)
-#: takes about 0.35 s at order 24, as a whole process
+#: takes about 0.25 s at order 24, as a whole process
 MAX_EXPAND_ORDER = 24
 MAX_EXPAND_INDEX = 128
 MAX_EXPAND_RANK = 130
 
 #: scan --max and verify --bound limits (exit 3 above them): at its limit the
 #: slowest predicate (non-integer, bound by its 11 MB output) takes about
-#: 1.1 s as a whole process, and the slowest bounded suite (integrality)
-#: about 0.5 s
+#: 0.6 s as a whole process, and the slowest bounded suite (integrality)
+#: about 0.4 s
 MAX_SCAN_BOUND = 100
 MAX_VERIFY_BOUND = 300
-
-
-def rational_json(value: Fraction) -> dict:
-    doc = {"num": str(value.numerator), "den": str(value.denominator)}
-    if value.denominator == 1:
-        doc["exact_decimal"] = str(value.numerator)
-    return doc
 
 
 def _document(command: str, arguments: dict, payload: dict) -> dict:
@@ -90,12 +83,26 @@ _SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
 
 def _render(doc) -> str:
     """json.dumps(doc, indent=2), byte for byte, for a document of dicts with
-    str keys, lists, str, int, bool and None.  With an indent, json.dumps
-    leaves its C encoder for a pure-Python one; this writer quotes strings
-    with the C encode_basestring_ascii and joins the rest in one list."""
+    str keys, lists, str, int, bool and None, where each Fraction stands for
+    its rational block {"num": "...", "den": "..."} (plus "exact_decimal"
+    when the value is an integer), the one place that block is written.
+    With an indent, json.dumps leaves its C encoder for a pure-Python one;
+    this writer quotes strings with the C encode_basestring_ascii and joins
+    the rest in one list."""
     parts: list[str] = []
     _render_into(doc, "\n", parts.append)
     return "".join(parts)
+
+
+def _rational(value: Fraction, newline: str) -> str:
+    """The rational block of value, opening on a line whose break and indent
+    are newline."""
+    inner = newline + "  "
+    num, den = value.numerator, value.denominator
+    if den == 1:
+        return (f'{{{inner}"num": "{num}",{inner}"den": "1",{inner}"exact_decimal": '
+                f'"{num}"{newline}}}')
+    return f'{{{inner}"num": "{num}",{inner}"den": "{den}"{newline}}}'
 
 
 def _render_into(value, newline: str, put) -> None:
@@ -107,6 +114,8 @@ def _render_into(value, newline: str, put) -> None:
     scalar = _SCALARS.get(type(value))
     if scalar is not None:
         put(scalar(value))
+    elif type(value) is Fraction:
+        put(_rational(value, newline))
     elif type(value) is dict:
         if not value:
             put("{}")
@@ -120,6 +129,8 @@ def _render_into(value, newline: str, put) -> None:
             scalar = _SCALARS.get(type(item))
             if scalar is not None:
                 put(head + scalar(item))
+            elif type(item) is Fraction:
+                put(head + _rational(item, inner))
             else:
                 put(head)
                 _render_into(item, inner, put)
@@ -135,6 +146,8 @@ def _render_into(value, newline: str, put) -> None:
             scalar = _SCALARS.get(type(item))
             if scalar is not None:
                 put(separator + scalar(item))
+            elif type(item) is Fraction:
+                put(separator + _rational(item, inner))
             else:
                 put(separator)
                 _render_into(item, inner, put)
@@ -184,8 +197,9 @@ def _write(stream, text: str) -> None:
 def _cmd_invariants(args: argparse.Namespace) -> int:
     n, m = args.n, args.m
     knot = TorusKnot(n, m).validate()
-    if not (0 <= args.order <= 6):
-        raise UnsupportedInput(f"order {args.order} unsupported (tables stop at 6)")
+    if not 0 <= args.order <= 6:
+        raise UnsupportedInput(f"order {args.order} unsupported"
+                               + (" (tables stop at 6)" if args.order > 0 else ""))
 
     canonical = canonicalize(n, m)
     is_unknot = canonical is UNKNOT
@@ -207,10 +221,9 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
                 "unknot": is_unknot,
                 "canonical": None if is_unknot else {"n": canonical.n, "m": canonical.m},
             },
-            **{name: {f"{i},{j}": rational_json(entries[(i, j)]) for i, j in slots}
+            **{name: {f"{i},{j}": entries[(i, j)] for i, j in slots}
                for name, entries in tables.items()},
-            "scalars": {name: value if type(value) is str else rational_json(value)
-                        for name, value in scalars.items()},
+            "scalars": scalars,
         }
         arguments = {"n": n, "m": m, "order": args.order, "format": args.format}
         _emit(_render(_document("invariants", arguments, payload)), args.out)
@@ -266,8 +279,8 @@ def _cmd_expand(args: argparse.Namespace) -> int:
     if args.format == "json":
         payload = {
             "group": group.label(),
-            "substitution_scale": rational_json(group.substitution_scale),
-            "coefficients": [rational_json(c) for c in coefficients],
+            "substitution_scale": group.substitution_scale,
+            "coefficients": list(coefficients),
         }
         _emit(_render(_document("expand", arguments, payload)), args.out)
     elif args.format == "csv":
@@ -342,13 +355,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 #: last list), and the JSON of a list of records, one literal dict each
 _SCANS = {
     "lissajous-obstructed": (("knots",), ("beta_2_1",), lambda records: [
-        {"n": n, "m": m, "beta_2_1": rational_json(b21)} for n, m, b21 in records]),
+        {"n": n, "m": m, "beta_2_1": b21} for n, m, b21 in records]),
     "non-integer": (("coprime_violations", "noncoprime_witnesses"), ("slot", "value"),
-                    lambda records: [{"n": n, "m": m, "slot": slot, "value": rational_json(value)}
+                    lambda records: [{"n": n, "m": m, "slot": slot, "value": value}
                                      for n, m, slot, value in records]),
     "beta-curve": (("points",), ("beta_2_1", "beta_3_1"), lambda records: [
-        {"n": n, "m": m, "beta_2_1": rational_json(b21), "beta_3_1": rational_json(b31)}
-        for n, m, b21, b31 in records]),
+        {"n": n, "m": m, "beta_2_1": b21, "beta_3_1": b31} for n, m, b21, b31 in records]),
 }
 
 

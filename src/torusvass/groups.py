@@ -36,8 +36,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 from types import MappingProxyType
-from typing import Callable, Mapping, Optional
+from typing import Mapping, Optional
 
 from .errors import UnsupportedInput
 
@@ -61,16 +62,24 @@ PRIMITIVE_SLOTS = {
     (6, 8): ("C6_1", 0), (6, 9): ("C6_2", 0),
 }
 
-#: the product-decomposable slots, each a product of lower-order slots of the
-#: same table: the group factors here, and the closed-form tables in tables.py
-COMPOUND_RULES: dict[tuple[int, int], Callable] = {
-    (4, 1): lambda p: p[(2, 1)] ** 2,
-    (5, 1): lambda p: p[(2, 1)] * p[(3, 1)],
-    (6, 1): lambda p: p[(2, 1)] ** 3,
-    (6, 2): lambda p: p[(3, 1)] ** 2,
-    (6, 3): lambda p: p[(2, 1)] * p[(4, 2)],
-    (6, 4): lambda p: p[(2, 1)] * p[(4, 3)],
+#: the product-decomposable slots, each with the primitive slots it is the
+#: product of, repeats included: the one definition of the compound structure,
+#: read by the group factors here and by the closed-form tables in tables.py
+COMPOUND_FACTORS = {
+    (4, 1): ((2, 1), (2, 1)),
+    (5, 1): ((2, 1), (3, 1)),
+    (6, 1): ((2, 1), (2, 1), (2, 1)),
+    (6, 2): ((3, 1), (3, 1)),
+    (6, 3): ((2, 1), (4, 2)),
+    (6, 4): ((2, 1), (4, 3)),
 }
+
+
+def compound_values(primitives: Mapping) -> dict:
+    """Each compound slot's value, in COMPOUND_FACTORS order: the product of
+    its factors' values in primitives."""
+    return {slot: prod([primitives[f] for f in factors])
+            for slot, factors in COMPOUND_FACTORS.items()}
 
 
 class Family(str, Enum):
@@ -211,13 +220,12 @@ def group_factors(group: GroupInstance) -> GroupFactorVector:
     The vector is frozen and its entries read-only, so callers share it
     safely.
     """
-    r = {(0, 1): Fraction(1), **dict.fromkeys(PRIMITIVE_SLOTS, Fraction(0))}
+    primitives = dict.fromkeys(PRIMITIVE_SLOTS, Fraction(0))
     dim = Fraction(1)
     for factor in simple_factors(group):
         casimir, s, factor_dim = _casimirs(factor)
         for slot, (name, k) in PRIMITIVE_SLOTS.items():
-            r[slot] += casimir[name] * s ** k
+            primitives[slot] += casimir[name] * s ** k
         dim *= factor_dim
-    for slot, rule in COMPOUND_RULES.items():
-        r[slot] = rule(r)
+    r = {(0, 1): Fraction(1), **primitives, **compound_values(primitives)}
     return GroupFactorVector(MappingProxyType(r), dim)

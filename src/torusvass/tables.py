@@ -22,8 +22,10 @@ The prefactor is P at even orders and nm P at odd ones, so at one n a row is
 (v-1) times a quadratic in v, times m at odd orders, with the n-part of the
 prefactor folded into the quadratic.  _forms keeps these per (n, slots), so
 a knot costs a few integer products per slot.  primitive_numerators
-evaluates them at one m: the tables build one Fraction per primitive from
-it, and the relations and derived scalars read it directly.
+evaluates them at one m: the tables build one Fraction per entry from it,
+a compound entry's numerator being the product of its factors'
+(groups.COMPOUND_FACTORS), and the relations and derived scalars read it
+directly.
 primitive_columns evaluates them over every m of one n, one list per slot,
 for the scans that walk whole ranges of knots.
 
@@ -42,10 +44,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial, prod
 from operator import mul, sub
 from typing import NamedTuple
 
-from .groups import ALL_SLOTS, COMPOUND_RULES
+from .groups import ALL_SLOTS, COMPOUND_FACTORS, compound_values
 from .knots import KnotLike, TorusKnot, as_knot
 from .linalg import ExactPoly
 
@@ -82,25 +85,6 @@ class InvariantTable:
 
     def through_order(self, order: int) -> dict:
         return {k: v for k, v in self.entries.items() if k[0] <= order}
-
-
-def _with_compounds(primitives: dict, scale: dict | None = None) -> dict:
-    """Fill the product-decomposable slots from the primitive ones.
-
-    scale maps a compound slot to the coefficient in front of the product
-    (1/2 and 1/6 for the symmetric powers of alpha-like tables); beta has
-    none.
-    """
-    entries = dict(primitives)
-    for slot, rule in COMPOUND_RULES.items():
-        entries[slot] = rule(primitives) * scale[slot] if scale else rule(primitives)
-    return {s: entries[s] for s in ALL_SLOTS}
-
-
-_ALPHA_LIKE_SCALE = {
-    (4, 1): Fraction(1, 2), (5, 1): Fraction(1), (6, 1): Fraction(1, 6),
-    (6, 2): Fraction(1, 2), (6, 3): Fraction(1), (6, 4): Fraction(1),
-}
 
 
 #: the symmetric monomials in u = n^2, v = m^2 of the ansatz, in slot order;
@@ -193,18 +177,36 @@ _AT_ORIGIN = primitive_numerators(0, 0)
 BETA_DENOMINATORS = {slot: row.beta_den for slot, row in _ROWS.items()}
 
 
+def _entry_plan(beta: bool) -> tuple[tuple[tuple[int, int], tuple[int, ...], int], ...]:
+    """Each entry of a table, in ALL_SLOTS order, as (slot, indices, d): the
+    entry is the product of the primitive numerators at indices (the slot's
+    own, or its factors' for a compound) over d, the product of the factors'
+    denominators.  beta's compounds are plain products; the alpha-like
+    tables, being symmetric powers, also divide by the factorial of each
+    factor's multiplicity (1/2 for a square, 1/6 for a cube)."""
+    plan = []
+    for slot in ALL_SLOTS:
+        factors = COMPOUND_FACTORS.get(slot, (slot,))
+        d = prod([_ROWS[f].beta_den if beta else _ROWS[f].den for f in factors])
+        if not beta:
+            d *= prod([factorial(factors.count(f)) for f in set(factors)])
+        plan.append((slot, tuple(map(PRIMITIVE_ORDER.index, factors)), d))
+    return tuple(plan)
+
+
+_ENTRY_PLANS = {"alpha_tilde": _entry_plan(False), "beta": _entry_plan(True)}
+_ENTRY_PLANS["alpha"] = _ENTRY_PLANS["alpha_tilde"]
+
+
 def _closed_form(kind: str, knot: KnotLike) -> InvariantTable:
-    """One Fraction per primitive, over the integer rows."""
+    """One Fraction per entry, from one primitive_numerators call."""
     k = as_knot(knot)
-    beta = kind == "beta"
     nums = primitive_numerators(k.n, k.m)
     if kind == "alpha":
-        nums = map(sub, nums, _AT_ORIGIN)
-    prim = {
-        slot: Fraction(num, _ROWS[slot].beta_den if beta else _ROWS[slot].den)
-        for slot, num in zip(PRIMITIVE_ORDER, nums)
-    }
-    return InvariantTable(kind, k, _with_compounds(prim, None if beta else _ALPHA_LIKE_SCALE))
+        nums = tuple(map(sub, nums, _AT_ORIGIN))
+    get = nums.__getitem__
+    return InvariantTable(kind, k, {slot: Fraction(prod(map(get, indices)), d)
+                                    for slot, indices, d in _ENTRY_PLANS[kind]})
 
 
 def closed_form_alpha_tilde(knot: KnotLike) -> InvariantTable:
@@ -236,7 +238,8 @@ def beta_from_alpha_tilde(table: InvariantTable) -> InvariantTable:
         slot: Fraction(TREFOIL_NORMALIZERS[slot]) * table.entries[slot] / ref[slot]
         for slot in PRIMITIVE_ORDER
     }
-    return InvariantTable("beta", table.knot, _with_compounds(prim))
+    entries = {**prim, **compound_values(prim)}
+    return InvariantTable("beta", table.knot, {slot: entries[slot] for slot in ALL_SLOTS})
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,7 @@ from torusvass.analysis import (DEPENDENCY_RELATIONS, MODULAR_CLAIMS, MODULAR_PE
                                 lissajous_obstruction, lissajous_verdict,
                                 noncoprime_witnesses, normalization_sharpness,
                                 proposition_modular_checks, v3_family_value)
-from torusvass.cli import _scan_text, rational_json
+from torusvass.cli import _scan_text
 from torusvass.errors import NotAKnot, UnsupportedInput
 from torusvass.knots import (UNKNOT, CanonicalTorusKnot, TorusKnot, as_knot, canonical_knots,
                              canonical_ms, canonicalize)
@@ -475,13 +475,22 @@ def ref_auxiliary_scalars(knot):
     )
 
 
+def ref_rational(value):
+    """The JSON form of a rational in output_schema.json: num and den as
+    strings, and exact_decimal when the value is an integer."""
+    block = {"num": str(value.numerator), "den": str(value.denominator)}
+    if value.denominator == 1:
+        block["exact_decimal"] = str(value.numerator)
+    return block
+
+
 def ref_scan_payload(predicate, bound):
     if predicate == "lissajous-obstructed":
         hits = []
         for knot in canonical_knots(bound, chirality=False):
             if ref_lissajous_obstruction(knot.as_knot()) == "obstructed":
                 beta21 = ref_beta(knot.as_knot())[(2, 1)]
-                hits.append({"n": knot.n, "m": knot.m, "beta_2_1": rational_json(beta21)})
+                hits.append({"n": knot.n, "m": knot.m, "beta_2_1": ref_rational(beta21)})
         csv = ["n,m,beta_2_1"] + [f"{h['n']},{h['m']},{h['beta_2_1']['num']}" for h in hits]
         return {"knots": hits}, csv
     if predicate == "non-integer":
@@ -489,7 +498,7 @@ def ref_scan_payload(predicate, bound):
 
         def packed(records):
             return [{"n": pair[0], "m": pair[1], "slot": f"{slot[0]},{slot[1]}",
-                     "value": rational_json(value)}
+                     "value": ref_rational(value)}
                     for (pair, slot, value) in records]
 
         witnesses = packed(report.notes)
@@ -503,8 +512,8 @@ def ref_scan_payload(predicate, bound):
         for knot in canonical_knots(bound, chirality=False):
             b = ref_beta(knot.as_knot())
             points.append({"n": knot.n, "m": knot.m,
-                           "beta_2_1": rational_json(b[(2, 1)]),
-                           "beta_3_1": rational_json(b[(3, 1)])})
+                           "beta_2_1": ref_rational(b[(2, 1)]),
+                           "beta_3_1": ref_rational(b[(3, 1)])})
         csv = ["n,m,beta_2_1,beta_3_1"] + [
             f"{p['n']},{p['m']},{p['beta_2_1']['num']},{p['beta_3_1']['num']}"
             for p in points]

@@ -570,8 +570,7 @@ SUITE_CHOICES = ("closed-forms, alpha, g-tables, trefoil, relations, distinguish
 
 
 @pytest.mark.parametrize("argv, message", [
-    (("invariants", "--n", "2", "--m", "3", "--order", "-1"),
-     "order -1 unsupported (tables stop at 6)"),
+    (("invariants", "--n", "2", "--m", "3", "--order", "-1"), "order -1 unsupported"),
     (("expand", "--family", "su_n", "--N", "3", "--n", "2", "--m", "3", "--order", "-1"),
      "order -1 unsupported"),
     (("expand", "--family", "su2", "--j", "1", "--n", "2", "--m", "129"),
@@ -606,6 +605,8 @@ SUITE_CHOICES = ("closed-forms, alpha, g-tables, trefoil, relations, distinguish
     (("scan", "--predicate", "beta-curve", "--max", "1"), "max 1 unsupported (scan starts at 2)"),
     (("scan", "--predicate", "beta-curve", "--max", "101"),
      "max 101 unsupported (scan stops at 100)"),
+    (("invariants", "--n", "2", "--m", "3", "--order", "7"),
+     "order 7 unsupported (tables stop at 6)"),
 ])
 def test_every_unsupported_input_exits_3_with_one_line(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
@@ -830,7 +831,44 @@ def test_render_equals_json_dumps(doc):
     assert cli._render(doc) == json.dumps(doc, indent=2)
 
 
-@pytest.mark.parametrize("doc", [1.5, (1, 2), {1: "a"}, {"a": [{"b": {2}}]}, Fraction(1, 2),
+def rational_dicts(doc):
+    """doc with each Fraction replaced by its rational block, the JSON form
+    that output_schema.json gives a rational."""
+    if type(doc) is Fraction:
+        block = {"num": str(doc.numerator), "den": str(doc.denominator)}
+        if doc.denominator == 1:
+            block["exact_decimal"] = str(doc.numerator)
+        return block
+    if type(doc) is dict:
+        return {key: rational_dicts(value) for key, value in doc.items()}
+    if type(doc) is list:
+        return [rational_dicts(item) for item in doc]
+    return doc
+
+
+#: rationals with negative, zero, integral and +-2**200 numerators, and
+#: denominators above 1
+FRACTIONS = st.builds(Fraction, st.integers(min_value=-2 ** 200, max_value=2 ** 200)
+                      | st.sampled_from([0, 1, -1, 2 ** 200, -2 ** 200]),
+                      st.integers(min_value=1, max_value=10 ** 30) | st.sampled_from([1, 2, 144]))
+
+DOCUMENTS_WITH_FRACTIONS = st.recursive(
+    JSON_SCALARS | FRACTIONS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=40)
+
+
+@settings(max_examples=400, deadline=None)
+@given(DOCUMENTS_WITH_FRACTIONS)
+@example(Fraction(-3, 4))
+@example({"a": [Fraction(0), Fraction(2 ** 200), Fraction(-2 ** 200, 3)],
+          "b": {"c": Fraction(7, 1)}, "d": [[Fraction(-1, 2)]]})
+def test_render_writes_fractions_as_rational_blocks(doc):
+    assert cli._render(doc) == json.dumps(rational_dicts(doc), indent=2)
+
+
+@pytest.mark.parametrize("doc", [1.5, (1, 2), {1: "a"}, {"a": [{"b": {2}}]},
+                                 type("Ratio", (Fraction,), {})(1, 2),
                                  [b"x"], type("Text", (str,), {})("a")])
 def test_render_rejects_other_types(doc):
     with pytest.raises(TypeError):
@@ -840,7 +878,7 @@ def test_render_rejects_other_types(doc):
 def test_render_leaves_no_reference_cycle():
     # a writer that is a nested function calling itself is a cycle, which
     # keeps each document's pieces alive until the cyclic collector runs
-    doc = {"records": [{"n": k, "m": -k, "value": {"num": str(k), "den": "1"}}
+    doc = {"records": [{"n": k, "m": -k, "value": Fraction(k, 1 + k % 3)}
                        for k in range(1000)]}
     enabled = gc.isenabled()
     gc.collect()
