@@ -26,6 +26,7 @@ from torusvass import analysis, cli, invariants, suites
 from torusvass.cli import main
 from torusvass.errors import UnsupportedInput
 from torusvass.groups import Family, GroupInstance
+from torusvass.knots import TorusKnot
 from torusvass.tables import BETA_DENOMINATORS
 
 SCHEMA = json.loads(
@@ -35,6 +36,13 @@ RATIONAL_SCHEMA = SCHEMA["$defs"]["rational"]
 #: the package sources; pytest's ``pythonpath`` setting reaches only the test
 #: process, so a CLI subprocess gets them through PYTHONPATH
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.fixture(autouse=True)
+def cold_knot_cache():
+    """Each test starts with no knot's invariants values cached, so a patch of
+    what the invariants command reads is called whatever ran before."""
+    cli._knot_values.cache_clear()
 
 
 def run_cli(capsys, *argv):
@@ -551,6 +559,60 @@ def test_a_stray_value_error_is_not_an_exit_code(capsys, monkeypatch):
         main(["invariants", "--n", "2", "--m", "3"])
     assert type(exc.value) is ValueError
     assert capsys.readouterr() == ("", "")
+
+
+#: the trefoil, its mirror, an unknot and the largest knot CI runs
+CACHED_KNOTS = [(2, 3), (2, -3), (1, 5), (97, 98)]
+
+
+@pytest.mark.parametrize("n, m", CACHED_KNOTS)
+def test_a_cached_knot_answers_like_a_cold_one(tmp_path, capsys, n, m):
+    argvs = [("invariants", "--n", str(n), "--m", str(m), "--order", str(order),
+              "--format", fmt) for fmt in ("json", "csv", "table") for order in range(7)]
+    cold = {}
+    for argv in argvs:
+        cli._knot_values.cache_clear()
+        cold[argv] = run_cli(capsys, *argv)
+        assert cli._knot_values.cache_info()[:2] == (0, 1), argv
+    assert all(code == 0 and err == "" for code, _, err in cold.values())
+    target = tmp_path / "doc"
+    for argv in argvs + argvs[::-1]:
+        assert run_cli(capsys, *argv) == cold[argv], argv
+        assert run_cli(capsys, *argv, "--out", str(target))[:2] == (0, ""), argv
+        assert target.read_bytes() == cold[argv][1].encode("utf-8"), argv
+    info = cli._knot_values.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (4 * len(argvs), 1, 1)
+
+
+def test_the_cached_values_are_read_only(capsys):
+    run_cli(capsys, "invariants", "--n", "2", "--m", "3")
+    _, tables, scalars = cli._knot_values(TorusKnot(2, 3))
+    with pytest.raises(TypeError):
+        tables["beta"][(2, 1)] = Fraction(0)
+    with pytest.raises(TypeError):
+        scalars["gordian"] = Fraction(0)
+    assert cli._knot_values.cache_info()[:2] == (1, 1)
+
+
+def test_rejections_are_never_cached(capsys):
+    run_cli(capsys, "invariants", "--n", "2", "--m", "3")
+    warm = cli._knot_values.cache_info()
+    for _ in range(2):
+        assert run_cli(capsys, "invariants", "--n", "2", "--m", "4") == (
+            2, "", "error: (2, 4) is not a torus knot (indices must be nonzero and coprime)\n")
+        assert run_cli(capsys, "invariants", "--n", "2", "--m", "3", "--order", "7") == (
+            3, "", "error: order 7 unsupported (tables stop at 6)\n")
+    assert cli._knot_values.cache_info() == warm
+
+
+def test_the_knot_cache_stays_bounded(capsys):
+    knots = [(2, m) for m in range(1, 2 * cli.KNOT_CACHE_SIZE + 20, 2)]
+    for n, m in knots:
+        assert run_cli(capsys, "invariants", "--n", str(n), "--m", str(m),
+                       "--format", "csv")[0] == 0
+    info = cli._knot_values.cache_info()
+    assert info.maxsize == cli.KNOT_CACHE_SIZE < len(knots) == info.misses
+    assert info.currsize <= info.maxsize
 
 
 @pytest.mark.parametrize("family, parameters, unused", [

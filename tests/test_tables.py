@@ -1,10 +1,13 @@
 """Closed-form invariant tables and the beta normalization routes."""
 
 from fractions import Fraction as F
+from math import comb, factorial
+from types import SimpleNamespace
 
 import pytest
 
-from torusvass.groups import ALL_SLOTS
+from torusvass.groups import (ALL_SLOTS, PRIMITIVE_SLOTS, SLOTS, Family, _casimirs,
+                              compound_values)
 from torusvass.knots import TorusKnot
 from torusvass.tables import (PRIMITIVE_ORDER, SHARPNESS_PAIRS, TREFOIL_NORMALIZERS,
                               beta_from_alpha_tilde, closed_form_alpha,
@@ -311,3 +314,67 @@ def test_printed_g_spot_values():
     assert so[(3, 1)].evaluate(5) == F(-(5 - 2) ** 2 * 4, 1152)
     a = printed_g_table("su2")
     assert a[(4, 3)].evaluate(F(-3, 4)) == F(1, 360) * F(-3, 4) * (7 * F(-3, 4) + 9)
+
+
+# ----------------------------------------------------------------------
+# the Alexander-Conway route: HOMFLY at N = 0, with no series engine
+# ----------------------------------------------------------------------
+
+def bernoulli(count):
+    """B_0 .. B_{count-1}, exactly, from sum_{j<=k} C(k+1, j) B_j = 0."""
+    b = [F(1)]
+    for k in range(1, count):
+        b.append(-sum(comb(k + 1, j) * b[j] for j in range(k)) / (k + 1))
+    return b
+
+
+def conway_coefficients(n, m, order=6):
+    """[x^0 .. x^order] of exp(sum_k B_2k / (2k (2k)!) (n^2k - 1)(m^2k - 1) x^2k),
+    the symmetric Alexander polynomial of {n, m} at t = e^x, from its log."""
+    b = bernoulli(order + 1)
+    log = [F(0)] * (order + 1)
+    for k in range(1, order // 2 + 1):
+        log[2 * k] = (b[2 * k] / (2 * k * factorial(2 * k))
+                      * (n ** (2 * k) - 1) * (m ** (2 * k) - 1))
+    coefficients = [F(1)]
+    for d in range(1, order + 1):  # e' = log' e
+        coefficients.append(sum(j * log[j] * coefficients[d - j]
+                                for j in range(1, d + 1)) / d)
+    return coefficients
+
+
+def su0_group_factors():
+    """r_slot of SU(N) continued to N = 0 (s = 0 there), from the package's
+    own Casimirs, primitive slots and compound products."""
+    casimir, s, _ = _casimirs(SimpleNamespace(family=Family.SU_N, N=0))
+    primitives = {slot: casimir[name] * s ** k for slot, (name, k) in PRIMITIVE_SLOTS.items()}
+    return {**primitives, **compound_values(primitives)}
+
+
+#: n, m in -3..3: both sides have degree <= 6 in n and in m, so agreement on
+#: this 7x7 tensor grid is agreement at every (n, m), knot or not
+CONWAY_GRID = [(n, m) for n in range(-3, 4) for m in range(-3, 4)]
+
+
+def conway_mismatches(r):
+    """The (n, m, d) on the grid where sum_j r_(d,j) alpha_tilde_(d,j)(n, m)
+    is not [x^d] of the Alexander-Conway series, for d = 2..6."""
+    mismatches = []
+    for n, m in CONWAY_GRID:
+        tilde = closed_form_alpha_tilde(TorusKnot(n, m)).entries
+        want = conway_coefficients(n, m)
+        mismatches += [(n, m, d) for d in range(2, 7)
+                       if sum(r[slot] * tilde[slot] for slot in SLOTS[d]) != want[d]]
+    return mismatches
+
+
+def test_su0_contraction_is_the_alexander_conway_polynomial():
+    r = su0_group_factors()
+    assert (r[(2, 1)], r[(4, 3)], r[(6, 8)], r[(6, 9)]) == (F(1, 4), F(-1, 8), F(-1, 32),
+                                                            F(1, 32))
+    assert bernoulli(7)[2::2] == [F(1, 6), F(-1, 30), F(1, 42)]
+    assert len(CONWAY_GRID) * 5 == 245
+    assert conway_mismatches(r) == []
+    # negative control: the identity needs every slot, (6, 4) included
+    assert r[(6, 4)] != 0
+    assert conway_mismatches({**r, (6, 4): 0})
