@@ -29,11 +29,10 @@ from .tables import (InvariantTable, SHARPNESS_PAIRS, TREFOIL_NORMALIZERS,
 from .extract import (AnsatzFit, ExtractionReport, compare_fit_to_printed,
                       default_instantiation_plan, extract_alpha, extract_alpha_tilde,
                       fit_ansatz)
-from .analysis import (AuxiliaryScalars, DEPENDENCY_RELATIONS, MODULAR_PERIOD, ScanReport,
+from .analysis import (AuxiliaryScalars, DEPENDENCY_RELATIONS, ScanReport,
                        auxiliary_scalars, dependency_relations_check,
                        distinguishing_check, integrality_scan, lissajous_obstruction,
-                       noncoprime_witnesses, normalization_sharpness,
-                       proposition_modular_checks)
+                       noncoprime_witnesses, normalization_sharpness)
 
 #: the names imported above; the submodules those imports bind are not API
 __all__ = [name for name, value in sorted(globals().items())

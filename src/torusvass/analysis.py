@@ -1,6 +1,6 @@
 """Properties of the beta invariants: distinguishing power, dependency
-relations, integrality scans and the normalization's sharpness, modular
-lemmas, and derived scalars.
+relations, integrality (a scan, and a certificate for every coprime pair)
+and the normalization's sharpness, and derived scalars.
 
 Everything here runs on the integer rows of the closed-form beta table
 over BETA_DENOMINATORS, evaluating only the slots it reads: per n over a
@@ -18,12 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from math import gcd, lcm, prod
 from typing import Iterable, Optional
 
-from .errors import UnsupportedInput
+from .errors import DegreeExceeded, UnsupportedInput
 from .knots import TorusKnot, as_knot, canonical_knots, canonical_ms, check_int
-from .tables import (BETA_DENOMINATORS, PRIMITIVE_ORDER, SHARPNESS_PAIRS,
+from .tables import (_ROWS, BETA_DENOMINATORS, PRIMITIVE_ORDER, SHARPNESS_PAIRS,
                      primitive_columns, primitive_numerators)
 
 #: the denominators of the twelve primitive betas, in PRIMITIVE_ORDER
@@ -255,49 +256,52 @@ def normalization_sharpness() -> ScanReport:
 
 
 # ----------------------------------------------------------------------
-# modular lemmas behind the order 2..4 integrality proofs
+# integrality on every coprime pair, from finitely many values
 # ----------------------------------------------------------------------
 
-#: (statement, modulus, hypothesis, conclusion): hypothesis(n) implies
-#: conclusion(n), and both read n only modulo the claim's modulus
-MODULAR_CLAIMS = (
-    ("odd n => n^2-1 = 0 mod 8", 8,
-     lambda n: n % 2 == 1, lambda n: (n * n - 1) % 8 == 0),
-    ("3 does not divide n => n^2-1 = 0 mod 3", 3,
-     lambda n: n % 3 != 0, lambda n: (n * n - 1) % 3 == 0),
-    ("odd n, 3 does not divide n => n^2-1 = 0 mod 24", 24,
-     lambda n: n % 2 == 1 and n % 3 != 0, lambda n: (n * n - 1) % 24 == 0),
-    ("odd n, 3 | n => n(n^2-1) = 0 mod 24", 24,
-     lambda n: n % 2 == 1 and n % 3 == 0, lambda n: (n * (n * n - 1)) % 24 == 0),
-    ("even n => n(n^2-1) = 0 mod 6", 6,
-     lambda n: n % 2 == 0, lambda n: (n * (n * n - 1)) % 6 == 0),
-    ("n = 1,4 mod 5 => n^2-1 = 0 mod 5", 5,
-     lambda n: n % 5 in (1, 4), lambda n: (n * n - 1) % 5 == 0),
-    ("n = 2,3 mod 5 => n^2+1 = 0 mod 5", 5,
-     lambda n: n % 5 in (2, 3), lambda n: (n * n + 1) % 5 == 0),
-    ("odd n => n^4-1 = 0 mod 16", 16,
-     lambda n: n % 2 == 1, lambda n: (n ** 4 - 1) % 16 == 0),
-    ("odd n, 3,5 do not divide n => n^4-1 = 0 mod 240", 240,
-     lambda n: n % 2 == 1 and n % 3 != 0 and n % 5 != 0,
-     lambda n: (n ** 4 - 1) % 240 == 0),
-)
-
-#: every claim is decided by n modulo this lcm of their moduli, so checking
-#: n = 1..MODULAR_PERIOD proves each claim for every integer n
-MODULAR_PERIOD = lcm(*(modulus for _, modulus, _, _ in MODULAR_CLAIMS))
+#: the highest degree in n, and in m, of a row that the certificate decides
+CERTIFICATE_DEGREE = 6
 
 
-def proposition_modular_checks(bound: int) -> ScanReport:
-    """Verify every modular step used in the integrality proofs for all
-    n up to bound.  At bound = MODULAR_PERIOD the scan covers one full
-    period, which proves every claim for all n."""
-    check_int("bound", bound)
-    report = ScanReport("modular-lemmas", bound)
-    for n in range(1, bound + 1):
-        for label, _, hypothesis, conclusion in MODULAR_CLAIMS:
-            report.checked += 1
-            if hypothesis(n) and not conclusion(n):
-                report.violations.append((n, label))
+def _grid(p: int, side: str, r: int) -> list[list[list[int]]]:
+    """Side "n": primitive_columns at n = r + p a over m = b; side "m": at
+    n = a over m = r + p b; one per a, with a, b = 0..CERTIFICATE_DEGREE."""
+    grid = range(CERTIFICATE_DEGREE + 1)
+    ms = [r + p * b for b in grid] if side == "m" else list(grid)
+    return [primitive_columns(a if side == "m" else r + p * a, ms) for a in grid]
+
+
+def integrality_certificate() -> ScanReport:
+    """All twelve primitive betas are integers on every coprime pair.
+
+    An f in Z[a, b] of degree <= D in each variable is divisible by q on Z^2
+    when q divides each Delta_a^i Delta_b^j f(0, 0), i, j <= D (Polya 1915;
+    Cahen and Chabert 1997, ch. I), so when q divides each f(a, b), a, b <= D,
+    of which those are integer combinations.  For each prime p of a slot's
+    denominator, its p-part q must divide the slot's numerators in every
+    _grid with r prime to p; each coprime pair lies in one of them for
+    each p.  A violation is (slot, p, side, r); a row of higher degree
+    than D = CERTIFICATE_DEGREE raises.
+    """
+    for slot, row in _ROWS.items():
+        # 2 from n^2-1, 1 from n at odd orders, 2 per power of u = n^2 in the last monomial
+        degree = 2 + slot[0] % 2 + 2 * min(2, len(row.coefficients) // 2)
+        if degree > CERTIFICATE_DEGREE:
+            raise DegreeExceeded(f"row {slot} has degree {degree} > {CERTIFICATE_DEGREE}")
+    report = ScanReport("integrality-certificate", CERTIFICATE_DEGREE)
+    rest, p = lcm(*_DENS), 1
+    while rest > 1:  # trial division: p divides rest only if p is prime
+        p += 1
+        if rest % p:
+            continue
+        rest //= gcd(rest, p ** rest.bit_length())
+        for side, r in product("nm", range(1, p)):
+            for slot, den, block in zip(PRIMITIVE_ORDER, _DENS, zip(*_grid(p, side, r))):
+                q = gcd(den, p ** den.bit_length())
+                if q > 1:
+                    report.checked += sum(map(len, block))
+                    if any(num % q for values in block for num in values):
+                        report.violations.append((slot, p, side, r))
     return report
 
 

@@ -21,8 +21,9 @@ handler; later calls only parse their argv, so main is cheap to call in a loop.
 invariants keeps one bounded per-knot cache (KNOT_CACHE_SIZE knots, about
 1.1 MiB when full at |n|, |m| <= 84, 99.65% hits on the benchmark's request
 mix): a repeat of a knot, at any order and in any format, reuses its canonical
-form, tables and scalars, after the knot and the order are checked.  The
-public closed_form_* functions stay uncached.
+form, tables and scalars, after the knot, the order and the index bound
+(MAX_INVARIANTS_INDEX) are checked.  The public closed_form_* functions stay
+uncached.
 """
 
 from __future__ import annotations
@@ -207,9 +208,18 @@ def _write(stream, text: str) -> None:
 #: with 32).  A knot's values hold about 8-9 KB at |n|, |m| <= 84, so 128
 #: knots hold about 1.1 MiB (tracemalloc).  The bound counts knots, and an
 #: entry grows with the digits of n and m: about 41 KiB at 100 digits and
-#: 114 KiB at 340, near the largest knot whose documents still render, so
-#: about 14 MiB at worst
+#: 101 KiB at MAX_INVARIANTS_INDEX
 KNOT_CACHE_SIZE = 128
+
+#: invariants' index bound (exit 3 above it).  The widest value, at order 6,
+#: has about 12 times the digits of the index, and a value of more than
+#: 4,300 digits cannot be printed (sys.int_info.str_digits_check_threshold,
+#: the interpreter's default, which a library leaves as its caller set it):
+#: every format renders at n, m = 10^358 + 1, 10^358 + 2 and none at 10^359.
+#: At this bound the widest value has 3,603 digits, each format takes
+#: 8-16 ms in process (0.16-0.19 s as a whole process), and a full knot
+#: cache holds 128 entries of about 101 KiB each, about 13 MiB (tracemalloc)
+MAX_INVARIANTS_INDEX = 10 ** 300
 
 
 @functools.lru_cache(maxsize=KNOT_CACHE_SIZE)
@@ -239,6 +249,9 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
     if not 0 <= args.order <= 6:
         raise UnsupportedInput(f"order {args.order} unsupported"
                                + (" (tables stop at 6)" if args.order > 0 else ""))
+    if max(abs(n), abs(m)) > MAX_INVARIANTS_INDEX:
+        raise UnsupportedInput("knot index unsupported (invariants stops at |n|, |m| <= "
+                               f"10^{len(str(MAX_INVARIANTS_INDEX)) - 1})")
 
     canonical, tables, scalars = _knot_values(knot)
     is_unknot = canonical is UNKNOT
@@ -453,7 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     inv = sub.add_parser("invariants", help="invariant tables for one torus knot")
-    inv.add_argument("--n", type=int, required=True)
+    inv.add_argument("--n", type=int, required=True,
+                     help=f"|n| and |m| at most 10^{len(str(MAX_INVARIANTS_INDEX)) - 1}")
     inv.add_argument("--m", type=int, required=True)
     inv.add_argument("--order", type=int, default=6)
     inv.add_argument("--format", choices=("json", "csv", "table"), default="json")

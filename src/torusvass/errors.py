@@ -19,7 +19,7 @@ class TruncationUnderflow(TorusVassError, ArithmeticError):
 
 
 class DegreeExceeded(TorusVassError, ValueError):
-    """Interpolation samples do not lie on a polynomial of the requested degree."""
+    """Interpolation samples, or a closed-form row, exceed the degree asked for."""
 
 
 class NotAKnot(TorusVassError, ValueError):

@@ -12,10 +12,9 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .analysis import (DEPENDENCY_RELATIONS, MODULAR_PERIOD, check_floor,
-                       dependency_relations_check, distinguishing_check, integrality_scan,
-                       noncoprime_witnesses, normalization_sharpness,
-                       proposition_modular_checks, v3_family_value)
+from .analysis import (DEPENDENCY_RELATIONS, check_floor, dependency_relations_check,
+                       distinguishing_check, integrality_certificate, integrality_scan,
+                       noncoprime_witnesses, normalization_sharpness, v3_family_value)
 from .errors import UnsupportedInput
 from .extract import (compare_fit_to_printed, extract_alpha, extract_alpha_tilde,
                       fit_ansatz)
@@ -197,9 +196,8 @@ def suite_distinguishing(max_n: int = 40) -> SuiteResult:
 
 @_timed
 def suite_integrality(bound: int = 30) -> SuiteResult:
-    """Criterion 7: integrality on coprime pairs, the normalization's
-    sharpness, non-coprime witnesses per order, and the modular lemmas over
-    one period of n, which proves them for all n."""
+    """Criterion 7: integrality on coprime pairs, scanned up to bound and
+    certified for all, the normalization's sharpness and witnesses per order."""
     result = SuiteResult("integrality")
     report = integrality_scan(bound)
     result.add(f"12 primitive betas integral for coprime |n|,|m| <= {bound}",
@@ -215,10 +213,9 @@ def suite_integrality(bound: int = 30) -> SuiteResult:
                    found is not None, str(found))
     b22 = closed_form_beta(TorusKnot(2, 2)).entries[(2, 1)]
     result.add("witness beta_{2,1}(2,2) = 3/8", b22 == Fraction(3, 8), str(b22))
-    modular = proposition_modular_checks(MODULAR_PERIOD)
-    result.add(f"modular lemmas for all n: one period, n = 1..{MODULAR_PERIOD}",
-               modular.passed,
-               f"{modular.checked} checks; violations: {modular.violations[:3]}")
+    proof = integrality_certificate()
+    result.add("12 primitive betas integral on every coprime pair (binomial certificate)",
+               proof.passed, f"{proof.checked} checks; violations: {proof.violations[:3]}")
     return result
 
 

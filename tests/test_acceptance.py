@@ -59,8 +59,8 @@ def test_criterion_6_distinguishing():
 
 
 def test_criterion_7_integrality():
-    report(7, "integrality for |n|,|m| <= 30, sharp normalization, witnesses, "
-           "modular lemmas for all n (one period)",
+    report(7, "integrality for |n|,|m| <= 30 and certified on every coprime pair, "
+           "sharp normalization, witnesses",
            suite_integrality(bound=30))
 
 

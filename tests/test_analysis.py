@@ -9,15 +9,16 @@ from math import gcd
 import pytest
 
 from torusvass import analysis, suites
-from torusvass.analysis import (DEPENDENCY_RELATIONS, MODULAR_CLAIMS, MODULAR_PERIOD,
-                                AuxiliaryScalars, DependencyRelation, ScanReport,
-                                auxiliary_scalars, dependency_relations_check,
-                                distinguishing_check, integrality_scan, is_v3_applicable,
+from torusvass import tables
+from torusvass.analysis import (CERTIFICATE_DEGREE, DEPENDENCY_RELATIONS, AuxiliaryScalars,
+                                DependencyRelation, ScanReport, auxiliary_scalars,
+                                dependency_relations_check, distinguishing_check,
+                                integrality_certificate, integrality_scan, is_v3_applicable,
                                 lissajous_obstruction, lissajous_verdict,
                                 noncoprime_witnesses, normalization_sharpness,
-                                proposition_modular_checks, v3_family_value)
+                                v3_family_value)
 from torusvass.cli import _scan_text
-from torusvass.errors import NotAKnot, UnsupportedInput
+from torusvass.errors import DegreeExceeded, NotAKnot, UnsupportedInput
 from torusvass.knots import (UNKNOT, CanonicalTorusKnot, TorusKnot, as_knot, canonical_knots,
                              canonical_ms, canonicalize)
 from torusvass.tables import (BETA_DENOMINATORS, PRIMITIVE_ORDER, SHARPNESS_PAIRS,
@@ -201,7 +202,7 @@ def test_pair_determines_products():
 
 
 # ----------------------------------------------------------------------
-# integrality and modular lemmas
+# integrality: the scan, the certificate and the normalization's sharpness
 # ----------------------------------------------------------------------
 
 def test_integrality_small_bound():
@@ -231,34 +232,64 @@ def test_integrality_scan_records_noncoprime_notes():
     assert any(pair == (2, 2) for (pair, slot, value) in report.notes)
 
 
-def test_modular_lemmas():
-    report = proposition_modular_checks(10_000)
-    assert report.passed
-    assert report.checked == 10_000 * 9
+#: the primes of the beta denominators, each with its units r = 1..p-1
+PRIMES = (2, 3, 5, 7)
 
 
-def test_modular_period_proves_the_bound():
-    # a claim's hypothesis and conclusion each read n only modulo the claim's
-    # modulus, a divisor of the period: so the period decides every claim,
-    # and one period proves it for every n
-    assert MODULAR_PERIOD == 240
-    for label, modulus, hypothesis, conclusion in MODULAR_CLAIMS:
-        assert MODULAR_PERIOD % modulus == 0
-        for n in range(1, 10_001):
-            r = (n - 1) % modulus + 1
-            assert (hypothesis(n), conclusion(n)) == (hypothesis(r), conclusion(r)), (label, n)
-    report = proposition_modular_checks(MODULAR_PERIOD)
-    assert report.passed and report.checked == 9 * 240
+def test_the_certificate_proves_integrality_on_every_coprime_pair():
+    report = integrality_certificate()
+    assert report.passed and report.bound == CERTIFICATE_DEGREE == 6
+    # 49 values per block: one block per slot, prime of its denominator,
+    # side and unit; the 204 blocks of the twelve slots
+    blocks = sum(2 * (p - 1) for den in BETA_DENOMINATORS.values() for p in PRIMES
+                 if den % p == 0)
+    assert blocks == 204 and report.checked == 49 * blocks == 9_996
 
 
-def test_a_false_modular_claim_fails_within_one_period(monkeypatch):
-    # negative control: n^2-1 = 0 mod 16 fails for n = 3, 5 mod 8, and the
-    # period scan reports each of them
-    claim = ("odd n => n^2-1 = 0 mod 16", 16, lambda n: n % 2 == 1,
-             lambda n: (n * n - 1) % 16 == 0)
-    monkeypatch.setattr(analysis, "MODULAR_CLAIMS", analysis.MODULAR_CLAIMS + (claim,))
-    report = proposition_modular_checks(MODULAR_PERIOD)
-    assert report.violations[0] == (3, claim[0]) and len(report.violations) == 60
+def test_the_certificate_fails_where_p_divides_n_or_m(monkeypatch):
+    # negative control: every block read at r = 0 instead, the pairs with p
+    # dividing n (or m), where no beta need be p-integral; every prime fails
+    # on both sides
+    grid = analysis._grid
+    monkeypatch.setattr(analysis, "_grid", lambda p, side, r: grid(p, side, 0))
+    report = integrality_certificate()
+    assert {(p, side, r) for _, p, side, r in report.violations} == {
+        (p, side, r) for p in PRIMES for side in "nm" for r in range(1, p)}
+
+
+def perturb(monkeypatch, slot, den):
+    """Give slot the beta denominator den, in the table and in analysis."""
+    monkeypatch.setitem(BETA_DENOMINATORS, slot, den)
+    monkeypatch.setattr(analysis, "_DENS",
+                        tuple(BETA_DENOMINATORS[s] for s in PRIMITIVE_ORDER))
+
+
+def test_a_beta_21_over_48_fails_the_certificate(monkeypatch):
+    # beta_{2,1} is (n^2-1)(m^2-1)/24; over 48 it is a half on the trefoil
+    perturb(monkeypatch, (2, 1), 48)
+    report = integrality_certificate()
+    assert report.violations == [((2, 1), 2, "n", 1), ((2, 1), 2, "m", 1)]
+
+
+@pytest.mark.parametrize("slot", PRIMITIVE_ORDER)
+@pytest.mark.parametrize("factor", [2, 3, 11])
+def test_the_scan_and_the_certificate_fail_together(monkeypatch, slot, factor):
+    # differential: a denominator a factor too large fails both the bounded
+    # scan and the certificate, for that slot alone; 11 divides no
+    # denominator, so the certificate must take its primes from them
+    perturb(monkeypatch, slot, factor * BETA_DENOMINATORS[slot])
+    scan = integrality_scan(6)
+    certificate = integrality_certificate()
+    assert {v[1] for v in scan.violations} == {v[0] for v in certificate.violations} == {slot}
+
+
+def test_a_row_above_the_degree_bound_raises(monkeypatch):
+    # u^2 v + u v^2 at an odd order gives degree 2 + 1 + 4 = 7 in n and in m,
+    # which the 7 x 7 grid cannot decide
+    row = tables._ROWS[(5, 2)]
+    monkeypatch.setitem(tables._ROWS, (5, 2), row._replace(coefficients=(-11, -21, 69, 1)))
+    with pytest.raises(DegreeExceeded, match=r"row \(5, 2\) has degree 7 > 6"):
+        integrality_certificate()
 
 
 def test_normalization_is_sharp(monkeypatch):

@@ -92,7 +92,7 @@ EXPAND_DIGEST = "f64f4c90023fc320c2b7de95e81c953d33387c6ace121f427f6a92e6ec9383d
 
 #: sha256 of the stdout of ``verify --suite all --format json``; stderr
 #: carries the suite timings, so it stays out
-VERIFY_DIGEST = "aef2d50d0952a06898a7080653ef01bdb4af64ce536fcbdf38a1164bc4d8fccc"
+VERIFY_DIGEST = "d3f7b6a8f4ded724a06fa2a02d4c71f2b8469babf9898c6cb7874d81724d48ec"
 
 
 def validate_document(doc):
@@ -561,6 +561,9 @@ def test_a_stray_value_error_is_not_an_exit_code(capsys, monkeypatch):
     assert capsys.readouterr() == ("", "")
 
 
+#: the error line of an invariants request above MAX_INVARIANTS_INDEX
+INDEX_ERROR = "error: knot index unsupported (invariants stops at |n|, |m| <= 10^300)\n"
+
 #: the trefoil, its mirror, an unknot and the largest knot CI runs
 CACHED_KNOTS = [(2, 3), (2, -3), (1, 5), (97, 98)]
 
@@ -602,6 +605,13 @@ def test_rejections_are_never_cached(capsys):
             2, "", "error: (2, 4) is not a torus knot (indices must be nonzero and coprime)\n")
         assert run_cli(capsys, "invariants", "--n", "2", "--m", "3", "--order", "7") == (
             3, "", "error: order 7 unsupported (tables stop at 6)\n")
+        # one above the index bound, 10^359 + 1 (once a traceback) and an
+        # index of 4,300 digits, the widest that parses, in every format
+        for n, m in ((cli.MAX_INVARIANTS_INDEX + 1, 2), (3, -cli.MAX_INVARIANTS_INDEX - 1),
+                     (10 ** 359 + 1, 10 ** 359 + 2), (int("1" * 4300), 10)):
+            for fmt in ("json", "csv", "table"):
+                assert run_cli(capsys, "invariants", "--n", str(n), "--m", str(m),
+                               "--format", fmt) == (3, "", INDEX_ERROR), (n, m, fmt)
     assert cli._knot_values.cache_info() == warm
 
 
@@ -613,6 +623,26 @@ def test_the_knot_cache_stays_bounded(capsys):
     info = cli._knot_values.cache_info()
     assert info.maxsize == cli.KNOT_CACHE_SIZE < len(knots) == info.misses
     assert info.currsize <= info.maxsize
+
+
+def test_invariants_renders_every_format_at_its_index_bound(capsys):
+    bound = cli.MAX_INVARIANTS_INDEX
+    assert bound == 10 ** 300
+    for n, m in ((bound, bound - 1), (1 - bound, -bound)):
+        for fmt in ("json", "csv", "table"):
+            code, out, err = run_cli(capsys, "invariants", "--n", str(n), "--m", str(m),
+                                     "--format", fmt)
+            assert (code, err) == (0, "") and str(bound - 1) in out, (n, m, fmt)
+
+
+def test_invariants_checks_the_knot_and_the_order_before_the_index(capsys):
+    above = cli.MAX_INVARIANTS_INDEX + 1
+    code, out, err = run_cli(capsys, "invariants", "--n", str(2 * above), "--m", "4")
+    assert (code, out) == (2, "") and err.endswith("is not a torus knot (indices must be "
+                                                   "nonzero and coprime)\n")
+    assert run_cli(capsys, "invariants", "--n", str(above), "--m", "2", "--order", "7") == (
+        3, "", "error: order 7 unsupported (tables stop at 6)\n")
+    assert cli._knot_values.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("family, parameters, unused", [
@@ -690,7 +720,8 @@ def test_version_flag():
     ("invariants", "--n", "2", "--m", "3", "--format", "xml"),
     ("invariants", "--n", "two", "--m", "3"),
     ("verify",),
-], ids=["format-choice", "non-integer-n", "missing-suite"])
+    ("invariants", "--n", "1" + "0" * 4300, "--m", "3"),
+], ids=["format-choice", "non-integer-n", "missing-suite", "index-over-4300-digits"])
 def test_command_line_errors_exit_2_after_a_usage_line(capsys, argv):
     # argparse shares exit code 2 with NotAKnot, and prints its usage first
     with pytest.raises(SystemExit) as exited:

@@ -60,7 +60,6 @@ ENTRY_POINTS = {
     # bounds with no floor: every int is accepted, and 0 finds nothing
     "canonical_knots": (lambda v: list(tv.canonical_knots(v)), 5),
     "noncoprime_witnesses": (tv.noncoprime_witnesses, 6),
-    "proposition_modular_checks": (tv.proposition_modular_checks, 10),
 }
 
 
@@ -117,7 +116,7 @@ API = {
     "AnsatzFit", "AnsatzMismatch", "AuxiliaryScalars", "CancellationFailure",
     "CanonicalTorusKnot", "DEPENDENCY_RELATIONS", "DegreeExceeded", "DivisionByZeroSeries",
     "ExactPoly", "ExtractionReport", "Family", "GroupFactorVector", "GroupInstance",
-    "Inconsistent", "InvariantTable", "LinearSolution", "MODULAR_PERIOD", "NotAKnot",
+    "Inconsistent", "InvariantTable", "LinearSolution", "NotAKnot",
     "RankDeficient", "SHARPNESS_PAIRS", "ScanReport", "SingularBracket", "TREFOIL_NORMALIZERS",
     "TorusKnot", "TorusVassError", "TruncSeries", "TruncationUnderflow", "UNKNOT",
     "UnsupportedInput", "akutsu_wadati_normalized", "auxiliary_scalars",
@@ -127,7 +126,7 @@ API = {
     "extract_alpha", "extract_alpha_tilde", "fit_ansatz", "group_factors",
     "homfly_normalized", "integrality_scan", "interpolate_poly", "kauffman_normalized",
     "lissajous_obstruction", "noncoprime_witnesses", "normalization_sharpness",
-    "normalized_series", "product", "proposition_modular_checks", "qpower", "series_div",
+    "normalized_series", "product", "qpower", "series_div",
     "series_exp_linear", "so_n", "su2", "su_n", "unknot_factor", "unnormalized_series",
 }
 
