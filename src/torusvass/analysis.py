@@ -27,8 +27,6 @@ from .knots import TorusKnot, as_knot, canonical_knots, canonical_ms, check_int
 from .tables import (_ROWS, BETA_DENOMINATORS, PRIMITIVE_ORDER, SHARPNESS_PAIRS,
                      primitive_columns, primitive_numerators)
 
-#: the denominators of the twelve primitive betas, in PRIMITIVE_ORDER
-_DENS = tuple(BETA_DENOMINATORS[slot] for slot in PRIMITIVE_ORDER)
 _B21, _B31 = (2, 1), (3, 1)
 
 #: the least value of each scan bound, by keyword: no canonical knot has
@@ -62,16 +60,22 @@ def _fractions(nums, slots) -> tuple[Fraction, ...]:
     return tuple(Fraction(num, BETA_DENOMINATORS[slot]) for num, slot in zip(nums, slots))
 
 
-def _non_integral(n: int, ms: list[int]) -> list:
+def _denominators() -> tuple[int, ...]:
+    """The denominators of the twelve primitive betas, in PRIMITIVE_ORDER,
+    read from BETA_DENOMINATORS as it stands."""
+    return tuple(BETA_DENOMINATORS[slot] for slot in PRIMITIVE_ORDER)
+
+
+def _non_integral(n: int, ms: list[int], dens: tuple[int, ...]) -> list:
     """(m, slot, numerator, denominator) of each primitive beta of (n, m),
-    m in ms, that is not an integer, by m and then slot.  The numerators
-    come one column per slot, and when no column has a remainder mod its
-    denominator, no pair is looked at alone."""
+    m in ms, that is not an integer over its denominator in dens, by m and
+    then slot.  The numerators come one column per slot, and when no column
+    has a remainder mod its denominator, no pair is looked at alone."""
     columns = primitive_columns(n, ms)
-    if not any(any(map(den.__rmod__, column)) for column, den in zip(columns, _DENS)):
+    if not any(any(map(den.__rmod__, column)) for column, den in zip(columns, dens)):
         return []
     return [(m, slot, num, den) for m, row in zip(ms, zip(*columns))
-            for slot, num, den in zip(PRIMITIVE_ORDER, row, _DENS) if num % den]
+            for slot, num, den in zip(PRIMITIVE_ORDER, row, dens) if num % den]
 
 
 # ----------------------------------------------------------------------
@@ -219,10 +223,11 @@ def integrality_scan(bound: int, include_noncoprime: bool = False) -> ScanReport
     check_floor("bound", bound)
     report = ScanReport("integrality", bound)
     ms = [m for m in range(-bound, bound + 1) if m]
+    dens = _denominators()
     for n in range(1, bound + 1):
         coprime = [m for m in ms if gcd(n, m) == 1]
         report.checked += len(PRIMITIVE_ORDER) * len(coprime)
-        for m, slot, num, den in _non_integral(n, ms if include_noncoprime else coprime):
+        for m, slot, num, den in _non_integral(n, ms if include_noncoprime else coprime, dens):
             (report.violations if gcd(n, m) == 1 else report.notes).append(
                 ((n, m), slot, Fraction(num, den)))
     return report
@@ -232,9 +237,10 @@ def noncoprime_witnesses(bound: int = 6) -> dict:
     """For each order 2..6, a non-coprime pair whose beta is non-integral."""
     check_int("bound", bound)
     found: dict = {}
+    dens = _denominators()
     for n in range(2, bound + 1):
         shared = [m for m in range(n, bound + 1) if gcd(n, m) != 1]
-        for m, slot, num, den in _non_integral(n, shared):
+        for m, slot, num, den in _non_integral(n, shared, dens):
             if slot[0] not in found:
                 found[slot[0]] = ((n, m), slot, Fraction(num, den))
     return found
@@ -289,14 +295,15 @@ def integrality_certificate() -> ScanReport:
         if degree > CERTIFICATE_DEGREE:
             raise DegreeExceeded(f"row {slot} has degree {degree} > {CERTIFICATE_DEGREE}")
     report = ScanReport("integrality-certificate", CERTIFICATE_DEGREE)
-    rest, p = lcm(*_DENS), 1
+    dens = _denominators()
+    rest, p = lcm(*dens), 1
     while rest > 1:  # trial division: p divides rest only if p is prime
         p += 1
         if rest % p:
             continue
         rest //= gcd(rest, p ** rest.bit_length())
         for side, r in product("nm", range(1, p)):
-            for slot, den, block in zip(PRIMITIVE_ORDER, _DENS, zip(*_grid(p, side, r))):
+            for slot, den, block in zip(PRIMITIVE_ORDER, dens, zip(*_grid(p, side, r))):
                 q = gcd(den, p ** den.bit_length())
                 if q > 1:
                     report.checked += sum(map(len, block))

@@ -15,21 +15,26 @@ a non-integer --n, a missing --suite) also exits 2, with a usage line on
 stderr before its "error:" line.  Output is deterministic for identical
 inputs: JSON with rationals as {"num", "den"} pairs (plus "exact_decimal" when
 the value is an integer), CSV with exact num/den strings, or an aligned table.
-Each command computes its values once and renders only the format asked for.
+Each command computes its values once; expand, verify and scan render only
+the format asked for, and invariants renders a knot's three formats at once.
 The parser is built once per process, by the first main call, which binds each
-handler; later calls only parse their argv, so main is cheap to call in a loop.
-invariants keeps one bounded per-knot cache (KNOT_CACHE_SIZE knots, about
-1.1 MiB when full at |n|, |m| <= 84, 99.65% hits on the benchmark's request
-mix): a repeat of a knot, at any order and in any format, reuses its canonical
-form, tables and scalars, after the knot, the order and the index bound
-(MAX_INVARIANTS_INDEX) are checked.  The public closed_form_* functions stay
-uncached.
+handler, and main keeps argparse's successful parse of each distinct command
+line (PARSE_CACHE_SIZE of them): a repeated command line only copies its
+parse into a fresh Namespace, while a rejection, --help and --version run
+argparse every time.  So main is cheap to call in a loop.  invariants keeps
+one bounded per-knot cache of rendered documents (KNOT_CACHE_SIZE knots with
+|n|, |m| <= MAX_CACHED_INDEX): each format's rows through order 6 and where
+each order ends, so a repeat of a knot, at any order and in any format,
+only slices and joins strings, after the knot, the order and the index bound
+(MAX_INVARIANTS_INDEX) are checked.  A larger knot is rendered the same way
+and not kept.  The public closed_form_* functions stay uncached.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import os
 import sys
 from fractions import Fraction
@@ -81,18 +86,26 @@ def _document(command: str, arguments: dict, payload: dict) -> dict:
     }
 
 
+class _Text(str):
+    """A node of a JSON document rendered once, at the indent where it sits,
+    which _render writes verbatim."""
+
+    __slots__ = ()
+
+
 #: the text of each scalar type a document holds, by exact type: _render
-#: raises TypeError for any other type, subclasses and floats included
+#: raises TypeError for any other type, other subclasses and floats included
 _SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
             bool: lambda value: "true" if value else "false",
-            type(None): lambda value: "null"}
+            type(None): lambda value: "null", _Text: str}
 
 
 def _render(doc) -> str:
     """json.dumps(doc, indent=2), byte for byte, for a document of dicts with
     str keys, lists, str, int, bool and None, where each Fraction stands for
     its rational block {"num": "...", "den": "..."} (plus "exact_decimal"
-    when the value is an integer), the one place that block is written.
+    when the value is an integer), the one place that block is written, and
+    each _Text for itself.
     With an indent, json.dumps leaves its C encoder for a pure-Python one;
     this writer quotes strings with the C encode_basestring_ascii and joins
     the rest in one list."""
@@ -101,12 +114,14 @@ def _render(doc) -> str:
     return "".join(parts)
 
 
-def _rational(value: Fraction, newline: str) -> str:
-    """The rational block of value, opening on a line whose break and indent
-    are newline."""
+def _rational(text: str, newline: str) -> str:
+    """The rational block of the Fraction whose str is text, opening on a
+    line whose break and indent are newline.  It takes the str, which is
+    every other format's text of the value, so a writer of several formats
+    turns each numerator into decimal digits once."""
     inner = newline + "  "
-    num, den = value.numerator, value.denominator
-    if den == 1:
+    num, _, den = text.partition("/")
+    if not den:
         return (f'{{{inner}"num": "{num}",{inner}"den": "1",{inner}"exact_decimal": '
                 f'"{num}"{newline}}}')
     return f'{{{inner}"num": "{num}",{inner}"den": "{den}"{newline}}}'
@@ -122,7 +137,7 @@ def _render_into(value, newline: str, put) -> None:
     if scalar is not None:
         put(scalar(value))
     elif type(value) is Fraction:
-        put(_rational(value, newline))
+        put(_rational(str(value), newline))
     elif type(value) is dict:
         if not value:
             put("{}")
@@ -137,7 +152,7 @@ def _render_into(value, newline: str, put) -> None:
             if scalar is not None:
                 put(head + scalar(item))
             elif type(item) is Fraction:
-                put(head + _rational(item, inner))
+                put(head + _rational(str(item), inner))
             else:
                 put(head)
                 _render_into(item, inner, put)
@@ -154,7 +169,7 @@ def _render_into(value, newline: str, put) -> None:
             if scalar is not None:
                 put(separator + scalar(item))
             elif type(item) is Fraction:
-                put(separator + _rational(item, inner))
+                put(separator + _rational(str(item), inner))
             else:
                 put(separator)
                 _render_into(item, inner, put)
@@ -201,14 +216,15 @@ def _write(stream, text: str) -> None:
 # invariants
 # ----------------------------------------------------------------------
 
-#: knots whose invariants values are kept per process, keyed by the knot as
-#: given.  The CLI request mix of the benchmark asks 49 distinct knots in
-#: 14,000 invariants requests (400 rounds, seeds 7, 90210 and 1-3): all of
-#: them fit, and 99.65% of the lookups are hits (64% with 16 entries, 87%
-#: with 32).  A knot's values hold about 8-9 KB at |n|, |m| <= 84, so 128
-#: knots hold about 1.1 MiB (tracemalloc).  The bound counts knots, and an
-#: entry grows with the digits of n and m: about 41 KiB at 100 digits and
-#: 101 KiB at MAX_INVARIANTS_INDEX
+#: knots whose invariants documents are kept per process, keyed by the knot
+#: as given.  The CLI request mix of the benchmark asks 48 distinct knots in
+#: 17,500 invariants requests (500 rounds, seeds 7 and 90210): all of them
+#: fit, and 99.7% of the lookups are hits.  A knot's three documents hold
+#: about 11 KiB at |n|, |m| <= 50, so the benchmark's 48 knots hold about
+#: 530 KiB, against 344 KiB for their Fraction tables (tracemalloc).  An
+#: entry grows with the digits of n and m (about 95 KiB at MAX_CACHED_INDEX,
+#: 650 KiB at MAX_INVARIANTS_INDEX), so only knots up to MAX_CACHED_INDEX are
+#: kept, and a full cache holds at most about 11.6 MiB
 KNOT_CACHE_SIZE = 128
 
 #: invariants' index bound (exit 3 above it).  The widest value, at order 6,
@@ -216,31 +232,79 @@ KNOT_CACHE_SIZE = 128
 #: 4,300 digits cannot be printed (sys.int_info.str_digits_check_threshold,
 #: the interpreter's default, which a library leaves as its caller set it):
 #: every format renders at n, m = 10^358 + 1, 10^358 + 2 and none at 10^359.
-#: At this bound the widest value has 3,603 digits, each format takes
-#: 8-16 ms in process (0.16-0.19 s as a whole process), and a full knot
-#: cache holds 128 entries of about 101 KiB each, about 13 MiB (tracemalloc)
+#: At this bound the widest value has 3,603 digits, and a knot, rendered in
+#: all three formats and not cached, takes about 11 ms in process (0.15-0.2 s
+#: as a whole process)
 MAX_INVARIANTS_INDEX = 10 ** 300
+
+#: the largest index of a knot whose documents the knot cache keeps: a full
+#: cache of knots at this index holds about 11.6 MiB (tracemalloc), no more
+#: than the 13 MiB that 128 knots' Fraction tables held at
+#: MAX_INVARIANTS_INDEX
+MAX_CACHED_INDEX = 10 ** 40
+
+#: the three tables of an invariants document, in its order
+_TABLES = ("alpha_tilde", "alpha", "beta")
+
+#: how many slots of ALL_SLOTS an order 0..6 shows
+_SHOWN = tuple(sum(slot[0] <= order for slot in ALL_SLOTS) for order in range(7))
+
+
+def _node(value) -> _Text:
+    """value rendered as a child of an invariants payload."""
+    parts: list[str] = []
+    _render_into(value, "\n    ", parts.append)
+    return _Text("".join(parts))
+
+
+def _rows(lines: list[str]) -> tuple[str, tuple[int, ...]]:
+    """One line per slot of ALL_SLOTS, joined, and where the lines of each
+    order 0..6 end in the joined text."""
+    ends = list(itertools.accumulate(map(len, lines), initial=0))
+    return "".join(lines), tuple(ends[shown] for shown in _SHOWN)
 
 
 @functools.lru_cache(maxsize=KNOT_CACHE_SIZE)
-def _knot_values(knot: TorusKnot) -> tuple:
-    """What an invariants request computes for one validated knot, whatever
-    its order and format: the canonical form, the three tables' entries and
-    the scalars, all read-only, since every repeat of the knot shares them.
-    The public closed_form_* functions stay uncached (each call makes a fresh
-    table); this is the one cache of their values, on the CLI path alone."""
+def _knot_values(knot: TorusKnot) -> MappingProxyType:
+    """Each format's invariants document of one validated knot, at every
+    order, as (head, tables, tail): a table is the text of its rows through
+    order 6 and the offset where each order ends, so a request at any order
+    only slices and joins strings.  In json the head and the tail are the
+    knot and scalars nodes and each table's rows are its entries; in csv and
+    table they are the text before and after the rows.  The public
+    closed_form_* functions stay uncached (each call makes a fresh table);
+    this is the one cache of their values, on the CLI path alone."""
     canonical = canonicalize(knot.n, knot.m)
-    tables = {"alpha_tilde": closed_form_alpha_tilde(knot).entries,
-              "alpha": closed_form_alpha(knot).entries,
-              "beta": closed_form_beta(knot).entries}
+    is_unknot = canonical is UNKNOT
+    tilde, alpha, beta = tables = [[str(entries[slot]) for slot in ALL_SLOTS] for entries in (
+        closed_form_alpha_tilde(knot).entries, closed_form_alpha(knot).entries,
+        closed_form_beta(knot).entries)]
     aux = auxiliary_scalars(knot)
     scalars = {"gordian": aux.gordian, "curve_residual": aux.curve_residual,
                "lissajous": lissajous_obstruction(knot)}
     if is_v3_applicable(knot):
         scalars["v3"] = aux.v3
-    return (canonical, MappingProxyType({name: MappingProxyType(entries)
-                                         for name, entries in tables.items()}),
-            MappingProxyType(scalars))
+    inner = "\n      "
+    json = (_node({"n": knot.n, "m": knot.m, "unknot": is_unknot,
+                   "canonical": None if is_unknot else {"n": canonical.n, "m": canonical.m}}),
+            tuple(_rows([f'{"," if k else ""}{inner}"{i},{j}": {_rational(text, inner)}'
+                         for k, ((i, j), text) in enumerate(zip(ALL_SLOTS, texts))])
+                  for texts in tables),
+            _node(scalars))
+    csv = ("table,order,slot,value",
+           tuple(_rows([f"\n{name},{i},{j},{text}" for (i, j), text in zip(ALL_SLOTS, texts)])
+                 for name, texts in zip(_TABLES, tables)),
+           "".join(f"\nscalar,{name},,{value}" for name, value in scalars.items()) + "\n")
+    table = (f"torus knot ({knot.n}, {knot.m})"
+             + ("  [unknot]" if is_unknot else f"  [canonical ({canonical.n}, {canonical.m})]")
+             + f"\n{'slot':>8} {'alpha_tilde':>16} {'alpha':>16} {'beta':>12}",
+             (_rows([f"\n{f'({i},{j})':>8} {t:>16} {a:>16} {b:>12}"
+                     for (i, j), t, a, b in zip(ALL_SLOTS, tilde, alpha, beta)]),),
+             f"\ngordian = {scalars['gordian']}, "
+             f"curve residual = {scalars['curve_residual']}, "
+             f"lissajous: {scalars['lissajous']}"
+             + (f", v3 = {scalars['v3']}" if "v3" in scalars else "") + "\n")
+    return MappingProxyType({"json": json, "csv": csv, "table": table})
 
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
@@ -249,47 +313,23 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
     if not 0 <= args.order <= 6:
         raise UnsupportedInput(f"order {args.order} unsupported"
                                + (" (tables stop at 6)" if args.order > 0 else ""))
-    if max(abs(n), abs(m)) > MAX_INVARIANTS_INDEX:
+    index = max(abs(n), abs(m))
+    if index > MAX_INVARIANTS_INDEX:
         raise UnsupportedInput("knot index unsupported (invariants stops at |n|, |m| <= "
                                f"10^{len(str(MAX_INVARIANTS_INDEX)) - 1})")
 
-    canonical, tables, scalars = _knot_values(knot)
-    is_unknot = canonical is UNKNOT
-    slots = [slot for slot in ALL_SLOTS if slot[0] <= args.order]
-
+    build = _knot_values if index <= MAX_CACHED_INDEX else _knot_values.__wrapped__
+    head, tables, tail = build(knot)[args.format]
+    rows = [text[:ends[args.order]] for text, ends in tables]
     if args.format == "json":
-        payload = {
-            "knot": {
-                "n": n,
-                "m": m,
-                "unknot": is_unknot,
-                "canonical": None if is_unknot else {"n": canonical.n, "m": canonical.m},
-            },
-            **{name: {f"{i},{j}": entries[(i, j)] for i, j in slots}
-               for name, entries in tables.items()},
-            "scalars": dict(scalars),
-        }
+        payload = {"knot": head,
+                   **{name: _Text("{" + text + "\n    }" if text else "{}")
+                      for name, text in zip(_TABLES, rows)},
+                   "scalars": tail}
         arguments = {"n": n, "m": m, "order": args.order, "format": args.format}
         _emit(_render(_document("invariants", arguments, payload)), args.out)
-    elif args.format == "csv":
-        lines = ["table,order,slot,value"]
-        lines += [f"{name},{i},{j},{entries[(i, j)]}"
-                  for name, entries in tables.items() for i, j in slots]
-        lines += [f"scalar,{name},,{value}" for name, value in scalars.items()]
-        _emit("\n".join(lines) + "\n", args.out)
     else:
-        tilde, alpha, beta = tables.values()
-        lines = [f"torus knot ({n}, {m})"
-                 + ("  [unknot]" if is_unknot else
-                    f"  [canonical ({canonical.n}, {canonical.m})]")]
-        lines.append(f"{'slot':>8} {'alpha_tilde':>16} {'alpha':>16} {'beta':>12}")
-        lines += [f"{f'({i},{j})':>8} {str(tilde[(i, j)]):>16} "
-                  f"{str(alpha[(i, j)]):>16} {str(beta[(i, j)]):>12}" for i, j in slots]
-        lines.append(f"gordian = {scalars['gordian']}, "
-                     f"curve residual = {scalars['curve_residual']}, "
-                     f"lissajous: {scalars['lissajous']}"
-                     + (f", v3 = {scalars['v3']}" if "v3" in scalars else ""))
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(head + "".join(rows) + tail, args.out)
     return EXIT_OK
 
 
@@ -507,8 +547,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: distinct command lines whose parse main keeps per process.  A process
+#: run from a shell parses one; in the benchmark's request mix, 71-73% of
+#: invariants and 63-66% of scan command lines hit (500 rounds, seeds 7 and
+#: 90210), while expand's rarely repeat.  An entry holds the command line and
+#: the parsed values: a full cache of invariants lines with two indices of
+#: 4,300 digits, the widest argparse reads, holds about 3.2 MiB
+#: (tracemalloc); string options are kept as given
+PARSE_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
+def _parsed(argv: tuple) -> MappingProxyType:
+    """The attributes argparse sets for argv.  A command line it rejects, and
+    --help and --version, exit through SystemExit, so only a successful
+    parse is kept."""
+    return MappingProxyType(vars(build_parser().parse_args(argv)))
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = argparse.Namespace(**_parsed(tuple(sys.argv[1:] if argv is None else argv)))
     try:
         return args.handler(args)
     except TorusVassError as exc:

@@ -22,7 +22,8 @@ from torusvass.errors import DegreeExceeded, NotAKnot, UnsupportedInput
 from torusvass.knots import (UNKNOT, CanonicalTorusKnot, TorusKnot, as_knot, canonical_knots,
                              canonical_ms, canonicalize)
 from torusvass.tables import (BETA_DENOMINATORS, PRIMITIVE_ORDER, SHARPNESS_PAIRS,
-                              InvariantTable, closed_form_beta, primitive_numerators)
+                              InvariantTable, closed_form_beta, primitive_columns,
+                              primitive_numerators)
 
 
 def test_canonicalize_swap():
@@ -258,10 +259,19 @@ def test_the_certificate_fails_where_p_divides_n_or_m(monkeypatch):
 
 
 def perturb(monkeypatch, slot, den):
-    """Give slot the beta denominator den, in the table and in analysis."""
+    """Give slot the beta denominator den; every check reads the dict."""
     monkeypatch.setitem(BETA_DENOMINATORS, slot, den)
-    monkeypatch.setattr(analysis, "_DENS",
-                        tuple(BETA_DENOMINATORS[s] for s in PRIMITIVE_ORDER))
+
+
+def test_the_integrality_checks_read_the_denominators_at_each_call(monkeypatch):
+    # the scan, the witnesses and the certificate see a patched
+    # BETA_DENOMINATORS, as the sharpness and Lissajous checks do
+    assert integrality_scan(6).passed and integrality_certificate().passed
+    perturb(monkeypatch, (2, 1), 48)
+    assert {v[1] for v in integrality_scan(6).violations} == {(2, 1)}
+    assert not integrality_certificate().passed
+    # beta_{2,1}(2, 2) = 3/8 is 9/24, so 9/48 over the patched denominator
+    assert noncoprime_witnesses()[2] == ((2, 2), (2, 1), F(3, 16))
 
 
 def test_a_beta_21_over_48_fails_the_certificate(monkeypatch):
@@ -318,9 +328,16 @@ def test_a_doubled_denominator_breaks_sharpness(monkeypatch, slot):
 
 
 def test_modular_spot_values():
-    assert (7 ** 2 - 1) % 24 == 0          # odd, not divisible by 3
-    assert (9 * (9 ** 2 - 1)) % 24 == 0    # odd, divisible by 3
-    assert (7 ** 4 - 1) % 240 == 0         # coprime to 2, 3, 5
+    # one index alone can make a beta integral: 24 | 7^2 - 1 (beta_{2,1}),
+    # 240 | 7^4 - 1 (order 4) and 144 | 9 (9^2 - 1) (beta_{3,1}), at every m,
+    # m sharing a factor with n included; 9^2 - 1 has no factor 3, so
+    # beta_{2,1} at n = 9 needs m prime to 3
+    ms = [m for m in range(-30, 31) if m]
+    for n, slots in ((7, ((2, 1), (4, 2), (4, 3))), (9, ((3, 1),))):
+        for slot, column in zip(slots, primitive_columns(n, ms, slots=slots)):
+            assert not any(num % BETA_DENOMINATORS[slot] for num in column), (n, slot)
+    (column,) = primitive_columns(9, ms, slots=((2, 1),))
+    assert [m for m, num in zip(ms, column) if num % 24] == [m for m in ms if m % 3 == 0]
 
 
 # ----------------------------------------------------------------------

@@ -12,10 +12,12 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
 
 import jsonschema
 import pytest
@@ -23,11 +25,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torusvass import analysis, cli, invariants, suites
+from torusvass.analysis import auxiliary_scalars, is_v3_applicable, lissajous_obstruction
 from torusvass.cli import main
 from torusvass.errors import UnsupportedInput
-from torusvass.groups import Family, GroupInstance
-from torusvass.knots import TorusKnot
-from torusvass.tables import BETA_DENOMINATORS
+from torusvass.groups import ALL_SLOTS, Family, GroupInstance
+from torusvass.knots import UNKNOT, TorusKnot, canonicalize
+from torusvass.tables import (BETA_DENOMINATORS, closed_form_alpha, closed_form_alpha_tilde,
+                              closed_form_beta)
 
 SCHEMA = json.loads(
     resources.files("torusvass").joinpath("output_schema.json").read_text())
@@ -39,10 +43,12 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(autouse=True)
-def cold_knot_cache():
-    """Each test starts with no knot's invariants values cached, so a patch of
-    what the invariants command reads is called whatever ran before."""
+def cold_caches():
+    """Each test starts with no knot's invariants documents and no command
+    line's parse cached, so a patch of what the invariants command reads is
+    called whatever ran before."""
     cli._knot_values.cache_clear()
+    cli._parsed.cache_clear()
 
 
 def run_cli(capsys, *argv):
@@ -564,36 +570,102 @@ def test_a_stray_value_error_is_not_an_exit_code(capsys, monkeypatch):
 #: the error line of an invariants request above MAX_INVARIANTS_INDEX
 INDEX_ERROR = "error: knot index unsupported (invariants stops at |n|, |m| <= 10^300)\n"
 
-#: the trefoil, its mirror, an unknot and the largest knot CI runs
-CACHED_KNOTS = [(2, 3), (2, -3), (1, 5), (97, 98)]
+
+def invariants_oracle(n, m, order, fmt):
+    """The reference invariants document of (n, m), built per request from
+    the Fraction tables: json through cli._render, csv and table as f-string
+    rows."""
+    knot = TorusKnot(n, m)
+    canonical = canonicalize(n, m)
+    is_unknot = canonical is UNKNOT
+    tables = {"alpha_tilde": closed_form_alpha_tilde(knot).entries,
+              "alpha": closed_form_alpha(knot).entries, "beta": closed_form_beta(knot).entries}
+    aux = auxiliary_scalars(knot)
+    scalars = {"gordian": aux.gordian, "curve_residual": aux.curve_residual,
+               "lissajous": lissajous_obstruction(knot)}
+    if is_v3_applicable(knot):
+        scalars["v3"] = aux.v3
+    slots = [slot for slot in ALL_SLOTS if slot[0] <= order]
+    if fmt == "json":
+        payload = {
+            "knot": {"n": n, "m": m, "unknot": is_unknot,
+                     "canonical": None if is_unknot else {"n": canonical.n, "m": canonical.m}},
+            **{name: {f"{i},{j}": entries[(i, j)] for i, j in slots}
+               for name, entries in tables.items()},
+            "scalars": scalars,
+        }
+        return cli._render({"schema_version": cli.SCHEMA_VERSION,
+                            "command": {"name": "invariants", "arguments": {
+                                "n": n, "m": m, "order": order, "format": fmt}},
+                            "payload": payload}) + "\n"
+    if fmt == "csv":
+        lines = ["table,order,slot,value"]
+        lines += [f"{name},{i},{j},{entries[(i, j)]}"
+                  for name, entries in tables.items() for i, j in slots]
+        lines += [f"scalar,{name},,{value}" for name, value in scalars.items()]
+        return "\n".join(lines) + "\n"
+    tilde, alpha, beta = tables.values()
+    lines = [f"torus knot ({n}, {m})" + ("  [unknot]" if is_unknot else
+                                         f"  [canonical ({canonical.n}, {canonical.m})]")]
+    lines.append(f"{'slot':>8} {'alpha_tilde':>16} {'alpha':>16} {'beta':>12}")
+    lines += [f"{f'({i},{j})':>8} {str(tilde[(i, j)]):>16} "
+              f"{str(alpha[(i, j)]):>16} {str(beta[(i, j)]):>12}" for i, j in slots]
+    lines.append(f"gordian = {scalars['gordian']}, curve residual = "
+                 f"{scalars['curve_residual']}, lissajous: {scalars['lissajous']}"
+                 + (f", v3 = {scalars['v3']}" if "v3" in scalars else ""))
+    return "\n".join(lines) + "\n"
+
+
+#: the trefoil, its mirror, two unknots, the largest knot CI runs, and knots
+#: at the largest index the knot cache keeps, one above it and at
+#: MAX_INVARIANTS_INDEX, which are answered uncached
+CACHED_KNOTS = [(2, 3), (2, -3), (1, 5), (-1, 7), (97, 98),
+                pytest.param(cli.MAX_CACHED_INDEX, 1 - cli.MAX_CACHED_INDEX, id="cached-bound"),
+                pytest.param(cli.MAX_CACHED_INDEX + 1, cli.MAX_CACHED_INDEX + 2,
+                             id="above-cached-bound"),
+                pytest.param(cli.MAX_INVARIANTS_INDEX, cli.MAX_INVARIANTS_INDEX - 1,
+                             id="index-bound")]
 
 
 @pytest.mark.parametrize("n, m", CACHED_KNOTS)
 def test_a_cached_knot_answers_like_a_cold_one(tmp_path, capsys, n, m):
     argvs = [("invariants", "--n", str(n), "--m", str(m), "--order", str(order),
               "--format", fmt) for fmt in ("json", "csv", "table") for order in range(7)]
-    cold = {}
+    cached = max(abs(n), abs(m)) <= cli.MAX_CACHED_INDEX
+    expected = {argv: (0, invariants_oracle(n, m, int(argv[6]), argv[8]), "")
+                for argv in argvs}
     for argv in argvs:
         cli._knot_values.cache_clear()
-        cold[argv] = run_cli(capsys, *argv)
-        assert cli._knot_values.cache_info()[:2] == (0, 1), argv
-    assert all(code == 0 and err == "" for code, _, err in cold.values())
+        assert run_cli(capsys, *argv) == expected[argv], argv
+        assert cli._knot_values.cache_info()[:2] == (0, int(cached)), argv
     target = tmp_path / "doc"
     for argv in argvs + argvs[::-1]:
-        assert run_cli(capsys, *argv) == cold[argv], argv
+        assert run_cli(capsys, *argv) == expected[argv], argv
         assert run_cli(capsys, *argv, "--out", str(target))[:2] == (0, ""), argv
-        assert target.read_bytes() == cold[argv][1].encode("utf-8"), argv
+        assert target.read_bytes() == expected[argv][1].encode("utf-8"), argv
     info = cli._knot_values.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (4 * len(argvs), 1, 1)
+    assert (info.hits, info.misses, info.currsize) == (
+        (4 * len(argvs), 1, 1) if cached else (0, 0, 0))
 
 
 def test_the_cached_values_are_read_only(capsys):
     run_cli(capsys, "invariants", "--n", "2", "--m", "3")
-    _, tables, scalars = cli._knot_values(TorusKnot(2, 3))
-    with pytest.raises(TypeError):
-        tables["beta"][(2, 1)] = Fraction(0)
-    with pytest.raises(TypeError):
-        scalars["gordian"] = Fraction(0)
+    entry = cli._knot_values(TorusKnot(2, 3))
+    assert set(entry) == {"json", "csv", "table"}
+    fields, stack = 0, [entry]
+    while stack:
+        field = stack.pop()
+        fields += 1
+        # no attribute can be set on any field, str subclasses included
+        assert isinstance(field, (str, int, tuple, MappingProxyType)), type(field)
+        assert not hasattr(field, "__dict__"), type(field)
+        if type(field) is MappingProxyType:
+            with pytest.raises(TypeError):
+                field["json"] = ""
+            stack.extend(field.values())
+        elif type(field) is tuple:
+            stack.extend(field)
+    assert fields > 50
     assert cli._knot_values.cache_info()[:2] == (1, 1)
 
 
@@ -623,6 +695,21 @@ def test_the_knot_cache_stays_bounded(capsys):
     info = cli._knot_values.cache_info()
     assert info.maxsize == cli.KNOT_CACHE_SIZE < len(knots) == info.misses
     assert info.currsize <= info.maxsize
+
+
+def test_a_full_knot_cache_stays_within_its_stated_worst_case():
+    # KNOT_CACHE_SIZE entries at MAX_CACHED_INDEX, the widest kept, hold no
+    # more than the 13 MiB a full cache of Fraction tables held at
+    # MAX_INVARIANTS_INDEX (tracemalloc)
+    bound = cli.MAX_CACHED_INDEX
+    tracemalloc.start()
+    try:
+        entry = cli._knot_values.__wrapped__(TorusKnot(-bound, bound - 1))
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert set(entry) == {"json", "csv", "table"}
+    assert 80_000 < size and cli.KNOT_CACHE_SIZE * size <= 13 * 2 ** 20
 
 
 def test_invariants_renders_every_format_at_its_index_bound(capsys):
@@ -759,6 +846,69 @@ def test_main_builds_its_parser_once(capsys, monkeypatch):
     assert built == []
 
 
+#: command lines argparse answers itself, through SystemExit
+ARGPARSE_EXITS = (("invariants", "--n", "2", "--m", "3", "--format", "xml"),
+                  ("invariants", "--n", "two", "--m", "3"), ("verify",), ("--help",),
+                  ("invariants", "--help"), ("--version",))
+
+
+def test_only_a_successful_parse_is_kept(capsys):
+    run_cli(capsys, "invariants", "--n", "2", "--m", "3")
+    warm = cli._parsed.cache_info()
+    for k, argv in enumerate(ARGPARSE_EXITS * 2, 1):
+        code, out, err = answer(capsys, argv)
+        assert code == (0 if argv[-1] in ("--help", "--version") else 2), argv
+        # each call runs argparse again, which counts as a miss, and keeps nothing
+        info = cli._parsed.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (
+            warm.hits, warm.misses + k, warm.currsize), argv
+    # a repeat prints its usage, help or version again
+    assert answer(capsys, ARGPARSE_EXITS[0])[2].startswith("usage: torusvass ")
+    assert "torusvass" in answer(capsys, ("--version",))[1]
+
+
+def test_each_call_gets_its_own_namespace(capsys, monkeypatch):
+    made = []
+
+    class Recorded(argparse.Namespace):
+        def __init__(self, **kwargs):
+            super().__init__(**kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(cli.argparse, "Namespace", Recorded)
+    argv = ("scan", "--predicate", "beta-curve", "--max", "4", "--format", "csv")
+    first = run_cli(capsys, *argv)
+    made[-1].stray = "left by a handler"
+    made[-1].max = 40
+    assert run_cli(capsys, *argv) == first
+    assert cli._parsed.cache_info()[:2] == (1, 1)
+    assert not hasattr(made[-1], "stray") and made[-1].max == 4
+
+
+def test_the_parse_cache_stays_bounded(capsys):
+    # scan rejects an unknown predicate only after argparse accepts it
+    bound = cli.PARSE_CACHE_SIZE
+    for k in range(bound + 40):
+        assert run_cli(capsys, "scan", "--predicate", f"p{k}", "--max", "6")[0] == 3
+    info = cli._parsed.cache_info()
+    assert (info.maxsize, info.currsize, info.misses) == (bound, bound, bound + 40)
+
+
+@pytest.mark.parametrize("argv, code, error", [
+    (("invariants", "--n", "2", "--m", "4"), 2,
+     "error: (2, 4) is not a torus knot (indices must be nonzero and coprime)\n"),
+    (("invariants", "--n", "2", "--m", "3", "--order", "9"), 3,
+     "error: order 9 unsupported (tables stop at 6)\n"),
+])
+def test_a_handler_rejection_repeats_after_a_cached_parse(capsys, argv, code, error):
+    run_cli(capsys, "invariants", "--n", "2", "--m", "3")
+    knots = cli._knot_values.cache_info()
+    for _ in range(3):
+        assert run_cli(capsys, *argv) == (code, "", error)
+    assert cli._parsed.cache_info()[:2] == (2, 2)
+    assert cli._knot_values.cache_info() == knots
+
+
 #: every command and format, --help at every level, --version, argparse's own
 #: errors and the documented rejections; expand --N 3 comes before expand --j 2
 #: (and after it when reversed), so a default left behind by one call shows
@@ -793,6 +943,7 @@ def test_shared_parser_answers_like_a_fresh_one(capsys, monkeypatch, columns):
     for argv in REPLAY + REPLAY[::-1]:
         with monkeypatch.context() as fresh:
             fresh.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+            fresh.setattr(cli, "_parsed", cli._parsed.__wrapped__)
             expected = answer(capsys, argv)
         assert answer(capsys, argv) == expected, argv
 
