@@ -19,15 +19,22 @@ Each command computes its values once; expand, verify and scan render only
 the format asked for, and invariants renders a knot's three formats at once.
 The parser is built once per process, by the first main call, which binds each
 handler, and main keeps argparse's successful parse of each distinct command
-line (PARSE_CACHE_SIZE of them): a repeated command line only copies its
-parse into a fresh Namespace, while a rejection, --help and --version run
-argparse every time.  So main is cheap to call in a loop.  invariants keeps
-one bounded per-knot cache of rendered documents (KNOT_CACHE_SIZE knots with
+line of up to MAX_CACHED_LINE characters, in one cache of PARSE_CACHE_SIZE
+lines per command, chosen by the line's first word, so one command's
+one-off lines cannot evict another's repeating ones.  A repeated command
+line only copies its parse into a fresh Namespace, while a rejection, --help
+and --version run argparse every time, and so does a longer line or one that
+names no command.  So main is cheap to call in a loop.  invariants keeps one
+bounded per-knot cache of rendered documents (KNOT_CACHE_SIZE knots with
 |n|, |m| <= MAX_CACHED_INDEX): each format's rows through order 6 and where
 each order ends, so a repeat of a knot, at any order and in any format,
 only slices and joins strings, after the knot, the order and the index bound
 (MAX_INVARIANTS_INDEX) are checked.  A larger knot is rendered the same way
-and not kept.  The public closed_form_* functions stay uncached.
+and not kept.  scan keeps each document it renders for --max up to
+MAX_CACHED_SCAN_BOUND, by (predicate, bound, format), filled only after the
+predicate and the bound are checked; a larger bound is rendered the same way
+and not kept.  The public closed_form_*, integrality_scan and
+primitive_columns functions stay uncached.
 """
 
 from __future__ import annotations
@@ -471,8 +478,25 @@ def _csv_line(record: tuple) -> str:
     return ",".join([f'"{value}"' if type(value) is str else str(value) for value in record])
 
 
+#: the formats scan writes
+_SCAN_FORMATS = ("json", "csv")
+
+#: the largest scan --max whose documents the scan cache keeps.  All 66
+#: documents at bounds 2..12 (every predicate and format) hold 781,332
+#: characters, so a full cache holds about 0.76 MiB (tracemalloc); the
+#: benchmark's request mix asks 36 of them (140,535 characters, 144 KiB).
+#: A document grows with the square of --max (the non-integer JSON at 100 is
+#: 11.4 MB), so one above this bound is rendered the same way and not kept
+MAX_CACHED_SCAN_BOUND = 12
+
+
+@functools.lru_cache(maxsize=len(_SCANS) * len(_SCAN_FORMATS) * (MAX_CACHED_SCAN_BOUND - 1))
 def _scan_text(predicate: str, bound: int, fmt: str) -> str:
-    """The scan document in the one format asked for, from one set of records."""
+    """The scan document in the one format asked for, from one set of records.
+    Kept per process for the scan command, which calls this only after it
+    has checked the predicate and the bound, and renders a bound above
+    MAX_CACHED_SCAN_BOUND through __wrapped__, unkept.  The public
+    integrality_scan and primitive_columns stay uncached."""
     lists, fields, as_json = _SCANS[predicate]
     records = _scan_records(predicate, bound)
     if fmt == "csv":
@@ -488,7 +512,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     if not 2 <= args.max <= MAX_SCAN_BOUND:
         raise UnsupportedInput(f"max {args.max} unsupported (scan " + (
             f"stops at {MAX_SCAN_BOUND})" if args.max > MAX_SCAN_BOUND else "starts at 2)"))
-    _emit(_scan_text(args.predicate, args.max, args.format), args.out)
+    render = _scan_text if args.max <= MAX_CACHED_SCAN_BOUND else _scan_text.__wrapped__
+    _emit(render(args.predicate, args.max, args.format), args.out)
     return EXIT_OK
 
 
@@ -541,32 +566,50 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--predicate", required=True)
     scan.add_argument("--max", type=int, required=True,
                       help=f"largest index scanned, 2..{MAX_SCAN_BOUND}")
-    scan.add_argument("--format", choices=("json", "csv"), default="json")
+    scan.add_argument("--format", choices=_SCAN_FORMATS, default="json")
     scan.add_argument("--out", default=None)
     scan.set_defaults(handler=_cmd_scan)
     return parser
 
 
-#: distinct command lines whose parse main keeps per process.  A process
-#: run from a shell parses one; in the benchmark's request mix, 71-73% of
-#: invariants and 63-66% of scan command lines hit (500 rounds, seeds 7 and
-#: 90210), while expand's rarely repeat.  An entry holds the command line and
-#: the parsed values: a full cache of invariants lines with two indices of
-#: 4,300 digits, the widest argparse reads, holds about 3.2 MiB
-#: (tracemalloc); string options are kept as given
+#: distinct command lines whose parse main keeps per process, in each
+#: command's own cache (chosen by the line's first word), so one command's
+#: lines never evict another's.  A process run from a shell parses one line.
+#: In the benchmark's request mix (500 rounds, seeds 7 and 90210) 83-84% of
+#: invariants lines hit (about 1,000 distinct lines), 97% of scan lines and
+#: 5% of expand lines, which rarely repeat.  An entry holds the command line
+#: and the parsed values, about 0.5-0.8 KiB for the mix's lines.  Only lines
+#: of at most MAX_CACHED_LINE characters are kept, so the four full caches
+#: hold at most about 11.8 MiB (10.2 MiB from Python 3.12), reached by lines
+#: of that length cut into about 200 words of two and three characters
+#: (tracemalloc)
 PARSE_CACHE_SIZE = 256
 
+#: the longest command line, its words joined by single spaces, that a parse
+#: cache keeps; a longer one is parsed on every call.  The widest line
+#: invariants accepts, two 301-digit indices and every option (--out x
+#: included), has 654 characters
+MAX_CACHED_LINE = 700
 
-@functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
-def _parsed(argv: tuple) -> MappingProxyType:
+
+def _parse(argv: tuple) -> MappingProxyType:
     """The attributes argparse sets for argv.  A command line it rejects, and
-    --help and --version, exit through SystemExit, so only a successful
-    parse is kept."""
+    --help and --version, exit through SystemExit, so a parse cache keeps
+    only a successful parse.  A line that names no command, or is longer
+    than MAX_CACHED_LINE, is parsed here on every call."""
     return MappingProxyType(vars(build_parser().parse_args(argv)))
 
 
+#: each command's parse cache, by the command's name
+_parsed = {command: functools.lru_cache(maxsize=PARSE_CACHE_SIZE)(_parse)
+           for command in ("invariants", "expand", "verify", "scan")}
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = argparse.Namespace(**_parsed(tuple(sys.argv[1:] if argv is None else argv)))
+    words = tuple(sys.argv[1:] if argv is None else argv)
+    parse = (_parsed.get(words[0], _parse)
+             if words and len(" ".join(words)) <= MAX_CACHED_LINE else _parse)
+    args = argparse.Namespace(**parse(words))
     try:
         return args.handler(args)
     except TorusVassError as exc:

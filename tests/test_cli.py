@@ -44,11 +44,13 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 @pytest.fixture(autouse=True)
 def cold_caches():
-    """Each test starts with no knot's invariants documents and no command
-    line's parse cached, so a patch of what the invariants command reads is
-    called whatever ran before."""
+    """Each test starts with no knot's invariants documents, no scan document
+    and no command line's parse cached, so a patch of what the invariants or
+    scan command reads is called whatever ran before."""
     cli._knot_values.cache_clear()
-    cli._parsed.cache_clear()
+    cli._scan_text.cache_clear()
+    for cache in cli._parsed.values():
+        cache.cache_clear()
 
 
 def run_cli(capsys, *argv):
@@ -852,16 +854,24 @@ ARGPARSE_EXITS = (("invariants", "--n", "2", "--m", "3", "--format", "xml"),
                   ("invariants", "--help"), ("--version",))
 
 
+def parse_infos():
+    """Each command's parse cache's cache_info(), by the command's name."""
+    return {command: cache.cache_info() for command, cache in cli._parsed.items()}
+
+
 def test_only_a_successful_parse_is_kept(capsys):
     run_cli(capsys, "invariants", "--n", "2", "--m", "3")
-    warm = cli._parsed.cache_info()
-    for k, argv in enumerate(ARGPARSE_EXITS * 2, 1):
+    expected = parse_infos()
+    for argv in ARGPARSE_EXITS * 2:
         code, out, err = answer(capsys, argv)
         assert code == (0 if argv[-1] in ("--help", "--version") else 2), argv
-        # each call runs argparse again, which counts as a miss, and keeps nothing
-        info = cli._parsed.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (
-            warm.hits, warm.misses + k, warm.currsize), argv
+        # each call runs argparse again, which counts as a miss of its
+        # command's cache (a line that names no command has none), and keeps
+        # nothing
+        if argv[0] in expected:
+            expected[argv[0]] = expected[argv[0]]._replace(
+                misses=expected[argv[0]].misses + 1)
+        assert parse_infos() == expected, argv
     # a repeat prints its usage, help or version again
     assert answer(capsys, ARGPARSE_EXITS[0])[2].startswith("usage: torusvass ")
     assert "torusvass" in answer(capsys, ("--version",))[1]
@@ -881,7 +891,7 @@ def test_each_call_gets_its_own_namespace(capsys, monkeypatch):
     made[-1].stray = "left by a handler"
     made[-1].max = 40
     assert run_cli(capsys, *argv) == first
-    assert cli._parsed.cache_info()[:2] == (1, 1)
+    assert cli._parsed["scan"].cache_info()[:2] == (1, 1)
     assert not hasattr(made[-1], "stray") and made[-1].max == 4
 
 
@@ -890,7 +900,7 @@ def test_the_parse_cache_stays_bounded(capsys):
     bound = cli.PARSE_CACHE_SIZE
     for k in range(bound + 40):
         assert run_cli(capsys, "scan", "--predicate", f"p{k}", "--max", "6")[0] == 3
-    info = cli._parsed.cache_info()
+    info = cli._parsed["scan"].cache_info()
     assert (info.maxsize, info.currsize, info.misses) == (bound, bound, bound + 40)
 
 
@@ -905,8 +915,128 @@ def test_a_handler_rejection_repeats_after_a_cached_parse(capsys, argv, code, er
     knots = cli._knot_values.cache_info()
     for _ in range(3):
         assert run_cli(capsys, *argv) == (code, "", error)
-    assert cli._parsed.cache_info()[:2] == (2, 2)
+    assert cli._parsed["invariants"].cache_info()[:2] == (2, 2)
     assert cli._knot_values.cache_info() == knots
+
+
+def test_each_command_keeps_its_own_parse_cache(capsys):
+    # expand lines rarely repeat: more of them than a cache holds must not
+    # evict a repeating invariants or scan line
+    kept = {argv: run_cli(capsys, *argv) for argv in (
+        ("invariants", "--n", "2", "--m", "3", "--format", "csv"),
+        ("scan", "--predicate", "beta-curve", "--max", "6", "--format", "csv"))}
+    assert all(code == 0 for code, _, _ in kept.values())
+    for k in range(cli.PARSE_CACHE_SIZE + 1):
+        assert run_cli(capsys, "expand", "--family", "su_n", "--N", str(2 + k // 25),
+                       "--n", "2", "--m", "3", "--order", str(24 - k % 25),
+                       "--format", "csv")[0] == 0
+    info = cli._parsed["expand"].cache_info()
+    assert (info.currsize, info.misses) == (cli.PARSE_CACHE_SIZE, cli.PARSE_CACHE_SIZE + 1)
+    for argv, first in kept.items():
+        hits = cli._parsed[argv[0]].cache_info().hits
+        assert run_cli(capsys, *argv) == first, argv
+        assert cli._parsed[argv[0]].cache_info().hits == hits + 1, argv
+
+
+def test_a_parse_cache_keeps_only_lines_up_to_its_length(capsys, monkeypatch, tmp_path):
+    # scan rejects an unknown predicate only after argparse accepts it, so
+    # its parse would be kept with the predicate as given
+    before = parse_infos()
+    for _ in range(3):
+        assert run_cli(capsys, "scan", "--predicate", "p" * 1_000_000, "--max", "6")[0] == 3
+    assert [info.currsize for info in parse_infos().values()] == [
+        info.currsize for info in before.values()]
+    width = cli.MAX_CACHED_LINE - len("scan --predicate  --max 6")
+    for extra, size in ((1, 0), (0, 1)):
+        argv = ("scan", "--predicate", "p" * (width + extra), "--max", "6")
+        assert len(" ".join(argv)) == cli.MAX_CACHED_LINE + extra
+        for _ in range(2):
+            assert run_cli(capsys, *argv)[0] == 3
+        assert cli._parsed["scan"].cache_info().currsize == size, extra
+    # the widest line invariants accepts, every option given, is kept
+    monkeypatch.chdir(tmp_path)
+    bound = cli.MAX_INVARIANTS_INDEX
+    argv = ("invariants", "--n", str(-bound), "--m", str(1 - bound), "--order", "6",
+            "--format", "table", "--out", "x")
+    for _ in range(2):
+        assert run_cli(capsys, *argv) == (0, "", "")
+    assert cli._parsed["invariants"].cache_info()[:2] == (1, 1)
+
+
+def test_full_parse_caches_stay_within_their_stated_worst_case():
+    # the most a kept line holds: MAX_CACHED_LINE characters in as many
+    # distinct two- and three-character words as argparse accepts; four full
+    # caches of such lines hold about the 11.8 MiB the PARSE_CACHE_SIZE
+    # comment states, and no more than 13 MiB (tracemalloc)
+    def widest(k):
+        words = ["invariants", "--m", "3", "--order", str(k)]
+        while len(" ".join(words)) + len(" --n 10") <= cli.MAX_CACHED_LINE:
+            words += ["".join(("--", "n")), str(10 + len(words) % 80)]
+        return tuple(words)
+
+    cli._parsed["invariants"](widest(0))
+    tracemalloc.start()
+    try:
+        cli._parsed["invariants"](widest(1))
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert cli._parsed["invariants"].cache_info().currsize == 2
+    assert 8_000 < size and len(cli._parsed) * cli.PARSE_CACHE_SIZE * size <= 13 * 2 ** 20
+
+
+SCAN_DOCUMENTS = [(predicate, fmt) for predicate in cli._SCANS for fmt in cli._SCAN_FORMATS]
+
+
+def test_a_cached_scan_answers_like_a_cold_one(tmp_path, capsys):
+    cap = cli.MAX_CACHED_SCAN_BOUND
+    target = tmp_path / "doc"
+    characters = 0
+    for predicate, fmt in SCAN_DOCUMENTS:
+        for bound in range(2, cap + 1):
+            argv = ("scan", "--predicate", predicate, "--max", str(bound), "--format", fmt)
+            text = cli._scan_text.__wrapped__(predicate, bound, fmt)
+            characters += len(text)
+            # cold through --out, then warm to stdout and through --out
+            assert run_cli(capsys, *argv, "--out", str(target))[:2] == (0, "")
+            assert target.read_bytes() == (text + "\n").encode("utf-8"), argv
+            assert run_cli(capsys, *argv) == (0, text + "\n", ""), argv
+            target.unlink()
+            assert run_cli(capsys, *argv, "--out", str(target))[:2] == (0, "")
+            assert target.read_bytes() == (text + "\n").encode("utf-8"), argv
+            assert cli._scan_text(predicate, bound, fmt) == text, argv
+    documents = len(SCAN_DOCUMENTS) * (cap - 1)
+    info = cli._scan_text.cache_info()
+    assert (info.hits, info.misses, info.currsize, info.maxsize) == (
+        3 * documents, documents, documents, documents)
+    # the size the MAX_CACHED_SCAN_BOUND comment states
+    assert (documents, characters) == (66, 781_332)
+
+
+def test_a_scan_above_the_cached_bound_is_not_kept(capsys):
+    bound = cli.MAX_CACHED_SCAN_BOUND + 1
+    for predicate, fmt in SCAN_DOCUMENTS:
+        text = cli._scan_text.__wrapped__(predicate, bound, fmt)
+        for _ in range(2):
+            assert run_cli(capsys, "scan", "--predicate", predicate, "--max", str(bound),
+                           "--format", fmt) == (0, text + "\n", ""), (predicate, fmt)
+    info = cli._scan_text.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("scan", "--predicate", "knotted", "--max", "6"),
+     "unknown predicate 'knotted'; choose from lissajous-obstructed, non-integer, beta-curve"),
+    (("scan", "--predicate", "beta-curve", "--max", "1"), "max 1 unsupported (scan starts at 2)"),
+    (("scan", "--predicate", "non-integer", "--max", "101", "--format", "csv"),
+     "max 101 unsupported (scan stops at 100)"),
+])
+def test_a_scan_rejection_is_never_cached(capsys, argv, error):
+    run_cli(capsys, "scan", "--predicate", "beta-curve", "--max", "6")
+    warm = cli._scan_text.cache_info()
+    for _ in range(3):
+        assert run_cli(capsys, *argv) == (3, "", f"error: {error}\n")
+    assert cli._scan_text.cache_info() == warm
 
 
 #: every command and format, --help at every level, --version, argparse's own
@@ -943,7 +1073,7 @@ def test_shared_parser_answers_like_a_fresh_one(capsys, monkeypatch, columns):
     for argv in REPLAY + REPLAY[::-1]:
         with monkeypatch.context() as fresh:
             fresh.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
-            fresh.setattr(cli, "_parsed", cli._parsed.__wrapped__)
+            fresh.setattr(cli, "_parsed", {})
             expected = answer(capsys, argv)
         assert answer(capsys, argv) == expected, argv
 
