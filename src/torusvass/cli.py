@@ -15,25 +15,16 @@ a non-integer --n, a missing --suite) also exits 2, with a usage line on
 stderr before its "error:" line.  Output is deterministic for identical
 inputs: JSON with rationals as {"num", "den"} pairs (plus "exact_decimal" when
 the value is an integer), CSV with exact num/den strings, or an aligned table.
-Each command computes its values once; expand, verify and scan render only
-the format asked for, and invariants renders a knot's three formats at once.
-The parser is built once per process, by the first main call, which binds each
-handler, and main keeps argparse's successful parse of each distinct command
-line of up to MAX_CACHED_LINE characters, in one cache of PARSE_CACHE_SIZE
-lines per command, chosen by the line's first word, so one command's
-one-off lines cannot evict another's repeating ones.  A repeated command
-line only copies its parse into a fresh Namespace, while a rejection, --help
-and --version run argparse every time, and so does a longer line or one that
-names no command.  So main is cheap to call in a loop.  invariants keeps one
-bounded per-knot cache of rendered documents (KNOT_CACHE_SIZE knots with
-|n|, |m| <= MAX_CACHED_INDEX): each format's rows through order 6 and where
-each order ends, so a repeat of a knot, at any order and in any format,
-only slices and joins strings, after the knot, the order and the index bound
-(MAX_INVARIANTS_INDEX) are checked.  A larger knot is rendered the same way
-and not kept.  scan keeps each document it renders for --max up to
-MAX_CACHED_SCAN_BOUND, by (predicate, bound, format), filled only after the
-predicate and the bound are checked; a larger bound is rendered the same way
-and not kept.  The public closed_form_*, integrality_scan and
+Each command computes its values once and renders only the format asked
+for; its handler returns the answer, and main writes it.  The parser is built
+once per process, by the first main call, which binds each handler.  Two
+bounded per-process caches make main cheap to call in a loop: the answer
+cache (_answers) keeps recent successful invariants and scan answers by
+command line, so a repeated line is written again without a parse, and the
+knot cache (_knot_values) keeps each knot's value strings, filled only after
+the knot, the order and the index bound are checked, so a new line of a
+known knot renders from strings.  A rejection, argparse's exits, expand and
+verify are never kept.  The public closed_form_*, integrality_scan and
 primitive_columns functions stay uncached.
 """
 
@@ -41,12 +32,13 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import os
 import sys
+import threading
+from collections import OrderedDict
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from types import MappingProxyType
+from typing import NamedTuple
 
 from . import __version__
 from .analysis import (OBSTRUCTED, auxiliary_scalars, integrality_scan, is_v3_applicable,
@@ -186,9 +178,19 @@ def _render_into(value, newline: str, put) -> None:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+class _Answer(NamedTuple):
+    """A command's answer: its text, which main writes with one final
+    newline to the --out path or else to stdout, the lines main then writes
+    to stderr, and the exit code.  main sets out from the command line."""
+
+    text: str
+    notes: tuple[str, ...] = ()
+    code: int = EXIT_OK
+    out: str | None = None
+
+
 def _emit(text: str, out_path: str | None) -> None:
-    """Write text, ending in one newline, to out_path or else to stdout."""
-    text = text if text.endswith("\n") else text + "\n"
+    """Write text to out_path or else to stdout."""
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8") as handle:
@@ -223,15 +225,12 @@ def _write(stream, text: str) -> None:
 # invariants
 # ----------------------------------------------------------------------
 
-#: knots whose invariants documents are kept per process, keyed by the knot
-#: as given.  The CLI request mix of the benchmark asks 48 distinct knots in
-#: 17,500 invariants requests (500 rounds, seeds 7 and 90210): all of them
-#: fit, and 99.7% of the lookups are hits.  A knot's three documents hold
-#: about 11 KiB at |n|, |m| <= 50, so the benchmark's 48 knots hold about
-#: 530 KiB, against 344 KiB for their Fraction tables (tracemalloc).  An
-#: entry grows with the digits of n and m (about 95 KiB at MAX_CACHED_INDEX,
-#: 650 KiB at MAX_INVARIANTS_INDEX), so only knots up to MAX_CACHED_INDEX are
-#: kept, and a full cache holds at most about 11.6 MiB
+#: knots whose values the knot cache keeps, keyed by the knot as given.  The
+#: CLI request mix of the benchmark asks 48 distinct knots in 17,500
+#: invariants requests (500 rounds, seeds 7 and 90210): all of them fit, in
+#: about 215 KiB.  An entry holds 54 value strings and up to four scalars,
+#: 5.5-7.1 KiB at |n|, |m| <= 50 and 29.5 KiB at MAX_CACHED_INDEX
+#: (tracemalloc), so a full cache holds at most about 3.7 MiB
 KNOT_CACHE_SIZE = 128
 
 #: invariants' index bound (exit 3 above it).  The widest value, at order 6,
@@ -239,15 +238,13 @@ KNOT_CACHE_SIZE = 128
 #: 4,300 digits cannot be printed (sys.int_info.str_digits_check_threshold,
 #: the interpreter's default, which a library leaves as its caller set it):
 #: every format renders at n, m = 10^358 + 1, 10^358 + 2 and none at 10^359.
-#: At this bound the widest value has 3,603 digits, and a knot, rendered in
-#: all three formats and not cached, takes about 11 ms in process (0.15-0.2 s
-#: as a whole process)
+#: At this bound the widest value has 3,603 digits, and a knot, not cached,
+#: takes about 12 ms in process in any format (0.15-0.2 s as a whole process)
 MAX_INVARIANTS_INDEX = 10 ** 300
 
-#: the largest index of a knot whose documents the knot cache keeps: a full
-#: cache of knots at this index holds about 11.6 MiB (tracemalloc), no more
-#: than the 13 MiB that 128 knots' Fraction tables held at
-#: MAX_INVARIANTS_INDEX
+#: the largest index of a knot whose values the knot cache keeps.  An entry
+#: grows with the digits of the index: at MAX_INVARIANTS_INDEX it would hold
+#: about 186 KiB, and a full cache of such knots about 23 MiB
 MAX_CACHED_INDEX = 10 ** 40
 
 #: the three tables of an invariants document, in its order
@@ -257,64 +254,25 @@ _TABLES = ("alpha_tilde", "alpha", "beta")
 _SHOWN = tuple(sum(slot[0] <= order for slot in ALL_SLOTS) for order in range(7))
 
 
-def _node(value) -> _Text:
-    """value rendered as a child of an invariants payload."""
-    parts: list[str] = []
-    _render_into(value, "\n    ", parts.append)
-    return _Text("".join(parts))
-
-
-def _rows(lines: list[str]) -> tuple[str, tuple[int, ...]]:
-    """One line per slot of ALL_SLOTS, joined, and where the lines of each
-    order 0..6 end in the joined text."""
-    ends = list(itertools.accumulate(map(len, lines), initial=0))
-    return "".join(lines), tuple(ends[shown] for shown in _SHOWN)
-
-
 @functools.lru_cache(maxsize=KNOT_CACHE_SIZE)
-def _knot_values(knot: TorusKnot) -> MappingProxyType:
-    """Each format's invariants document of one validated knot, at every
-    order, as (head, tables, tail): a table is the text of its rows through
-    order 6 and the offset where each order ends, so a request at any order
-    only slices and joins strings.  In json the head and the tail are the
-    knot and scalars nodes and each table's rows are its entries; in csv and
-    table they are the text before and after the rows.  The public
+def _knot_values(knot: TorusKnot) -> tuple:
+    """What an invariants answer shows of one validated knot: its canonical
+    (n, m), or None for the unknot, the str of each table's entries in
+    ALL_SLOTS order, and its scalars as (name, value) pairs.  The public
     closed_form_* functions stay uncached (each call makes a fresh table);
     this is the one cache of their values, on the CLI path alone."""
     canonical = canonicalize(knot.n, knot.m)
-    is_unknot = canonical is UNKNOT
-    tilde, alpha, beta = tables = [[str(entries[slot]) for slot in ALL_SLOTS] for entries in (
-        closed_form_alpha_tilde(knot).entries, closed_form_alpha(knot).entries,
-        closed_form_beta(knot).entries)]
+    tables = tuple(tuple(str(table.entries[slot]) for slot in ALL_SLOTS) for table in (
+        closed_form_alpha_tilde(knot), closed_form_alpha(knot), closed_form_beta(knot)))
     aux = auxiliary_scalars(knot)
-    scalars = {"gordian": aux.gordian, "curve_residual": aux.curve_residual,
-               "lissajous": lissajous_obstruction(knot)}
+    scalars = (("gordian", aux.gordian), ("curve_residual", aux.curve_residual),
+               ("lissajous", lissajous_obstruction(knot)))
     if is_v3_applicable(knot):
-        scalars["v3"] = aux.v3
-    inner = "\n      "
-    json = (_node({"n": knot.n, "m": knot.m, "unknot": is_unknot,
-                   "canonical": None if is_unknot else {"n": canonical.n, "m": canonical.m}}),
-            tuple(_rows([f'{"," if k else ""}{inner}"{i},{j}": {_rational(text, inner)}'
-                         for k, ((i, j), text) in enumerate(zip(ALL_SLOTS, texts))])
-                  for texts in tables),
-            _node(scalars))
-    csv = ("table,order,slot,value",
-           tuple(_rows([f"\n{name},{i},{j},{text}" for (i, j), text in zip(ALL_SLOTS, texts)])
-                 for name, texts in zip(_TABLES, tables)),
-           "".join(f"\nscalar,{name},,{value}" for name, value in scalars.items()) + "\n")
-    table = (f"torus knot ({knot.n}, {knot.m})"
-             + ("  [unknot]" if is_unknot else f"  [canonical ({canonical.n}, {canonical.m})]")
-             + f"\n{'slot':>8} {'alpha_tilde':>16} {'alpha':>16} {'beta':>12}",
-             (_rows([f"\n{f'({i},{j})':>8} {t:>16} {a:>16} {b:>12}"
-                     for (i, j), t, a, b in zip(ALL_SLOTS, tilde, alpha, beta)]),),
-             f"\ngordian = {scalars['gordian']}, "
-             f"curve residual = {scalars['curve_residual']}, "
-             f"lissajous: {scalars['lissajous']}"
-             + (f", v3 = {scalars['v3']}" if "v3" in scalars else "") + "\n")
-    return MappingProxyType({"json": json, "csv": csv, "table": table})
+        scalars += (("v3", aux.v3),)
+    return None if canonical is UNKNOT else (canonical.n, canonical.m), tables, scalars
 
 
-def _cmd_invariants(args: argparse.Namespace) -> int:
+def _cmd_invariants(args: argparse.Namespace) -> _Answer:
     n, m = args.n, args.m
     knot = TorusKnot(n, m).validate()
     if not 0 <= args.order <= 6:
@@ -326,25 +284,44 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
                                f"10^{len(str(MAX_INVARIANTS_INDEX)) - 1})")
 
     build = _knot_values if index <= MAX_CACHED_INDEX else _knot_values.__wrapped__
-    head, tables, tail = build(knot)[args.format]
-    rows = [text[:ends[args.order]] for text, ends in tables]
+    canonical, tables, scalars = build(knot)
+    slots = ALL_SLOTS[:_SHOWN[args.order]]
     if args.format == "json":
-        payload = {"knot": head,
-                   **{name: _Text("{" + text + "\n    }" if text else "{}")
-                      for name, text in zip(_TABLES, rows)},
-                   "scalars": tail}
+        inner = "\n      "  # the indent of a table's values
+        payload = {
+            "knot": {"n": n, "m": m, "unknot": canonical is None,
+                     "canonical": None if canonical is None else dict(zip("nm", canonical))},
+            **{name: _Text("{" + ",".join([
+                f'{inner}"{i},{j}": {_rational(text, inner)}'
+                for (i, j), text in zip(slots, texts)]) + "\n    }" if slots else "{}")
+               for name, texts in zip(_TABLES, tables)},
+            "scalars": dict(scalars),
+        }
         arguments = {"n": n, "m": m, "order": args.order, "format": args.format}
-        _emit(_render(_document("invariants", arguments, payload)), args.out)
-    else:
-        _emit(head + "".join(rows) + tail, args.out)
-    return EXIT_OK
+        return _Answer(_render(_document("invariants", arguments, payload)))
+    if args.format == "csv":
+        lines = ["table,order,slot,value"]
+        lines += [f"{name},{i},{j},{text}"
+                  for name, texts in zip(_TABLES, tables) for (i, j), text in zip(slots, texts)]
+        lines += [f"scalar,{name},,{value}" for name, value in scalars]
+        return _Answer("\n".join(lines))
+    values = dict(scalars)
+    lines = [f"torus knot ({n}, {m})" + ("  [unknot]" if canonical is None
+                                         else f"  [canonical ({canonical[0]}, {canonical[1]})]"),
+             f"{'slot':>8} {'alpha_tilde':>16} {'alpha':>16} {'beta':>12}"]
+    lines += [f"{f'({i},{j})':>8} {t:>16} {a:>16} {b:>12}"
+              for (i, j), t, a, b in zip(slots, *tables)]
+    lines.append(f"gordian = {values['gordian']}, curve residual = {values['curve_residual']}, "
+                 f"lissajous: {values['lissajous']}"
+                 + (f", v3 = {values['v3']}" if "v3" in values else ""))
+    return _Answer("\n".join(lines))
 
 
 # ----------------------------------------------------------------------
 # expand
 # ----------------------------------------------------------------------
 
-def _cmd_expand(args: argparse.Namespace) -> int:
+def _cmd_expand(args: argparse.Namespace) -> _Answer:
     n, m = args.n, args.m
     knot = TorusKnot(n, m).validate()
     if not 0 <= args.order <= MAX_EXPAND_ORDER:
@@ -373,24 +350,22 @@ def _cmd_expand(args: argparse.Namespace) -> int:
             "substitution_scale": group.substitution_scale,
             "coefficients": list(coefficients),
         }
-        _emit(_render(_document("expand", arguments, payload)), args.out)
-    elif args.format == "csv":
+        return _Answer(_render(_document("expand", arguments, payload)))
+    if args.format == "csv":
         lines = ["degree,coefficient"]
         lines += [f"{d},{c}" for d, c in enumerate(coefficients)]
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        terms = [f"({c})*x^{d}" for d, c in enumerate(coefficients) if c != 0]
-        _emit(f"{group.label()} at ({n}, {m}):\n  "
-              + (" + ".join(terms) if terms else "0")
-              + f" + O(x^{args.order + 1})\n", args.out)
-    return EXIT_OK
+        return _Answer("\n".join(lines))
+    terms = [f"({c})*x^{d}" for d, c in enumerate(coefficients) if c != 0]
+    return _Answer(f"{group.label()} at ({n}, {m}):\n  "
+                   + (" + ".join(terms) if terms else "0")
+                   + f" + O(x^{args.order + 1})")
 
 
 # ----------------------------------------------------------------------
 # verify
 # ----------------------------------------------------------------------
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> _Answer:
     if args.suite not in SUITES and args.suite != "all":
         raise UnsupportedInput(f"unknown suite {args.suite!r}; choose from "
                                f"{', '.join(list(SUITES) + ['all'])}")
@@ -418,7 +393,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             ],
         }
         arguments = {"suite": args.suite, "bound": args.bound}
-        _emit(_render(_document("verify", arguments, payload)), args.out)
+        text = _render(_document("verify", arguments, payload))
     else:
         lines = []
         for r in results:
@@ -426,15 +401,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             lines.append(f"[{status}] {r.suite} ({len(r.checks)} checks)")
             for check in r.failures():
                 lines.append(f"    FAIL {check.label}: {check.detail}")
-        _emit("\n".join(lines) + "\n", args.out)
-    # timings vary between runs, so they stay out of the document
-    for r in results:
-        _note(f"{r.suite}: {r.elapsed_seconds:.2f}s")
+        text = "\n".join(lines)
+    # timings vary between runs, so they go to stderr, after the document
+    notes = [f"{r.suite}: {r.elapsed_seconds:.2f}s" for r in results]
     if failures:
-        first = failures[0]
-        _note(f"verification failed: {first[0]} / {first[1].label}")
-        return EXIT_VERIFY_FAILED
-    return EXIT_OK
+        suite, check = failures[0]
+        notes.append(f"verification failed: {suite} / {check.label}")
+    return _Answer(text, tuple(notes), EXIT_VERIFY_FAILED if failures else EXIT_OK)
 
 
 # ----------------------------------------------------------------------
@@ -481,22 +454,9 @@ def _csv_line(record: tuple) -> str:
 #: the formats scan writes
 _SCAN_FORMATS = ("json", "csv")
 
-#: the largest scan --max whose documents the scan cache keeps.  All 66
-#: documents at bounds 2..12 (every predicate and format) hold 781,332
-#: characters, so a full cache holds about 0.76 MiB (tracemalloc); the
-#: benchmark's request mix asks 36 of them (140,535 characters, 144 KiB).
-#: A document grows with the square of --max (the non-integer JSON at 100 is
-#: 11.4 MB), so one above this bound is rendered the same way and not kept
-MAX_CACHED_SCAN_BOUND = 12
 
-
-@functools.lru_cache(maxsize=len(_SCANS) * len(_SCAN_FORMATS) * (MAX_CACHED_SCAN_BOUND - 1))
 def _scan_text(predicate: str, bound: int, fmt: str) -> str:
-    """The scan document in the one format asked for, from one set of records.
-    Kept per process for the scan command, which calls this only after it
-    has checked the predicate and the bound, and renders a bound above
-    MAX_CACHED_SCAN_BOUND through __wrapped__, unkept.  The public
-    integrality_scan and primitive_columns stay uncached."""
+    """The scan document in the one format asked for, from one set of records."""
     lists, fields, as_json = _SCANS[predicate]
     records = _scan_records(predicate, bound)
     if fmt == "csv":
@@ -505,16 +465,14 @@ def _scan_text(predicate: str, bound: int, fmt: str) -> str:
     return _render(_document("scan", arguments, dict(zip(lists, map(as_json, records)))))
 
 
-def _cmd_scan(args: argparse.Namespace) -> int:
+def _cmd_scan(args: argparse.Namespace) -> _Answer:
     if args.predicate not in _SCANS:
         raise UnsupportedInput(f"unknown predicate {args.predicate!r}; choose from "
                                f"{', '.join(_SCANS)}")
     if not 2 <= args.max <= MAX_SCAN_BOUND:
         raise UnsupportedInput(f"max {args.max} unsupported (scan " + (
             f"stops at {MAX_SCAN_BOUND})" if args.max > MAX_SCAN_BOUND else "starts at 2)"))
-    render = _scan_text if args.max <= MAX_CACHED_SCAN_BOUND else _scan_text.__wrapped__
-    _emit(render(args.predicate, args.max, args.format), args.out)
-    return EXIT_OK
+    return _Answer(_scan_text(args.predicate, args.max, args.format))
 
 
 # ----------------------------------------------------------------------
@@ -572,49 +530,82 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: distinct command lines whose parse main keeps per process, in each
-#: command's own cache (chosen by the line's first word), so one command's
-#: lines never evict another's.  A process run from a shell parses one line.
-#: In the benchmark's request mix (500 rounds, seeds 7 and 90210) 83-84% of
-#: invariants lines hit (about 1,000 distinct lines), 97% of scan lines and
-#: 5% of expand lines, which rarely repeat.  An entry holds the command line
-#: and the parsed values, about 0.5-0.8 KiB for the mix's lines.  Only lines
-#: of at most MAX_CACHED_LINE characters are kept, so the four full caches
-#: hold at most about 11.8 MiB (10.2 MiB from Python 3.12), reached by lines
-#: of that length cut into about 200 words of two and three characters
-#: (tracemalloc)
-PARSE_CACHE_SIZE = 256
+#: the most the answer cache keeps, in bytes: the sum of sys.getsizeof of
+#: each entry's key, its words, its answer, the answer's text and --out path,
+#: and the entry.  The benchmark's request mix (500 rounds, seeds 7 and
+#: 90210) fits: 866-880 answers, about 1.7 MB by this count and 1.4 MiB by
+#: tracemalloc, and a warm invariants line takes about 7 us in process.
+#: Least recently used answers go first, and one larger than the budget
+#: (scan --predicate non-integer --max 100 is 11.4 MB) is written and not
+#: kept.  The count leaves out the dict's own slots, about 120 bytes an
+#: entry: a flood of the smallest answers (about 700 bytes each, with every
+#: word a distinct string) keeps 2.4 MiB, the most a full cache holds
+ANSWER_CACHE_BYTES = 2 * 2 ** 20
 
-#: the longest command line, its words joined by single spaces, that a parse
-#: cache keeps; a longer one is parsed on every call.  The widest line
-#: invariants accepts, two 301-digit indices and every option (--out x
-#: included), has 654 characters
-MAX_CACHED_LINE = 700
-
-
-def _parse(argv: tuple) -> MappingProxyType:
-    """The attributes argparse sets for argv.  A command line it rejects, and
-    --help and --version, exit through SystemExit, so a parse cache keeps
-    only a successful parse.  A line that names no command, or is longer
-    than MAX_CACHED_LINE, is parsed here on every call."""
-    return MappingProxyType(vars(build_parser().parse_args(argv)))
+#: the commands whose answers the answer cache keeps: each answer is a
+#: function of its command line alone.  expand lines seldom repeat soon: the
+#: request mix draws 3,481-3,536 distinct ones in 5,000 (500 rounds, seeds 7
+#: and 90210), and a cache of the last 256 hit 5% of them.  verify runs one
+#: line per process
+_KEPT = ("invariants", "scan")
 
 
-#: each command's parse cache, by the command's name
-_parsed = {command: functools.lru_cache(maxsize=PARSE_CACHE_SIZE)(_parse)
-           for command in ("invariants", "expand", "verify", "scan")}
+class _AnswerCache:
+    """Recent answers by command line, least recently used first out, within
+    a budget of bytes.  One lock guards it, so threads may call main at
+    once."""
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.entries: OrderedDict[tuple, tuple[_Answer, int]] = OrderedDict()
+        self.size = 0  # the sum of the entries' sizes
+        self.lock = threading.Lock()
+
+    def get(self, words: tuple) -> _Answer | None:
+        with self.lock:
+            entry = self.entries.get(words)
+            if entry is None:
+                return None
+            self.entries.move_to_end(words)
+            return entry[0]
+
+    def keep(self, words: tuple, answer: _Answer) -> None:
+        size = (sys.getsizeof(words) + sum(map(sys.getsizeof, words)) + sys.getsizeof(answer)
+                + sys.getsizeof(answer.text) + sys.getsizeof(answer.out)
+                + sys.getsizeof((answer, 0)))
+        if size > self.budget:
+            return
+        with self.lock:
+            if words in self.entries:
+                self.size -= self.entries.pop(words)[1]
+            self.entries[words] = answer, size
+            self.size += size
+            while self.size > self.budget:
+                self.size -= self.entries.popitem(last=False)[1][1]
+
+
+_answers = _AnswerCache(ANSWER_CACHE_BYTES)
 
 
 def main(argv: list[str] | None = None) -> int:
     words = tuple(sys.argv[1:] if argv is None else argv)
-    parse = (_parsed.get(words[0], _parse)
-             if words and len(" ".join(words)) <= MAX_CACHED_LINE else _parse)
-    args = argparse.Namespace(**parse(words))
+    answer = _answers.get(words)
+    fresh = answer is None
     try:
-        return args.handler(args)
+        if fresh:
+            args = build_parser().parse_args(words)
+            answer = args.handler(args)
+            text = answer.text if answer.text.endswith("\n") else answer.text + "\n"
+            answer = answer._replace(text=text, out=args.out)
+        _emit(answer.text, answer.out)
     except TorusVassError as exc:
         _note(f"error: {exc}")
         return EXIT_INVALID_KNOT if isinstance(exc, NotAKnot) else EXIT_UNSUPPORTED
+    for line in answer.notes:
+        _note(line)
+    if fresh and args.subcommand in _KEPT:
+        _answers.keep(words, answer)
+    return answer.code
 
 
 if __name__ == "__main__":

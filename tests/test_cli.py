@@ -8,16 +8,17 @@ import hashlib
 import inspect
 import itertools
 import json
+import io
 import os
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from fractions import Fraction
 from math import gcd
 from importlib import resources
 from pathlib import Path
-from types import MappingProxyType
 
 import jsonschema
 import pytest
@@ -43,14 +44,11 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(autouse=True)
-def cold_caches():
-    """Each test starts with no knot's invariants documents, no scan document
-    and no command line's parse cached, so a patch of what the invariants or
-    scan command reads is called whatever ran before."""
+def cold_caches(monkeypatch):
+    """Each test starts with no answer and no knot's values kept, so a patch
+    of what a command reads is called whatever ran before."""
     cli._knot_values.cache_clear()
-    cli._scan_text.cache_clear()
-    for cache in cli._parsed.values():
-        cache.cache_clear()
+    monkeypatch.setattr(cli, "_answers", cli._AnswerCache(cli.ANSWER_CACHE_BYTES))
 
 
 def run_cli(capsys, *argv):
@@ -618,9 +616,20 @@ def invariants_oracle(n, m, order, fmt):
     return "\n".join(lines) + "\n"
 
 
+def fresh_answers(monkeypatch, budget=cli.ANSWER_CACHE_BYTES):
+    """Give main an empty answer cache of the given budget."""
+    monkeypatch.setattr(cli, "_answers", cli._AnswerCache(budget))
+
+
+def kept_answers():
+    """The command lines the answer cache keeps, least recent first, and the
+    size it counts."""
+    return list(cli._answers.entries), cli._answers.size
+
+
 #: the trefoil, its mirror, two unknots, the largest knot CI runs, and knots
 #: at the largest index the knot cache keeps, one above it and at
-#: MAX_INVARIANTS_INDEX, which are answered uncached
+#: MAX_INVARIANTS_INDEX, whose values are computed and not kept
 CACHED_KNOTS = [(2, 3), (2, -3), (1, 5), (-1, 7), (97, 98),
                 pytest.param(cli.MAX_CACHED_INDEX, 1 - cli.MAX_CACHED_INDEX, id="cached-bound"),
                 pytest.param(cli.MAX_CACHED_INDEX + 1, cli.MAX_CACHED_INDEX + 2,
@@ -630,7 +639,7 @@ CACHED_KNOTS = [(2, 3), (2, -3), (1, 5), (-1, 7), (97, 98),
 
 
 @pytest.mark.parametrize("n, m", CACHED_KNOTS)
-def test_a_cached_knot_answers_like_a_cold_one(tmp_path, capsys, n, m):
+def test_a_cached_knot_answers_like_a_cold_one(tmp_path, capsys, monkeypatch, n, m):
     argvs = [("invariants", "--n", str(n), "--m", str(m), "--order", str(order),
               "--format", fmt) for fmt in ("json", "csv", "table") for order in range(7)]
     cached = max(abs(n), abs(m)) <= cli.MAX_CACHED_INDEX
@@ -638,42 +647,58 @@ def test_a_cached_knot_answers_like_a_cold_one(tmp_path, capsys, n, m):
                 for argv in argvs}
     for argv in argvs:
         cli._knot_values.cache_clear()
+        fresh_answers(monkeypatch)
         assert run_cli(capsys, *argv) == expected[argv], argv
         assert cli._knot_values.cache_info()[:2] == (0, int(cached)), argv
+        assert kept_answers()[0] == [argv]
+    # each line new to the answer cache is rendered from the knot cache, then
+    # answered from the answer cache, to stdout and through --out
     target = tmp_path / "doc"
+    lines = set()
     for argv in argvs + argvs[::-1]:
         assert run_cli(capsys, *argv) == expected[argv], argv
+        target.unlink(missing_ok=True)
         assert run_cli(capsys, *argv, "--out", str(target))[:2] == (0, ""), argv
         assert target.read_bytes() == expected[argv][1].encode("utf-8"), argv
+        lines |= {argv, argv + ("--out", str(target))}
     info = cli._knot_values.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (
-        (4 * len(argvs), 1, 1) if cached else (0, 0, 0))
+    assert (info.misses, info.currsize) == (int(cached), int(cached))
+    kept, size = kept_answers()
+    assert set(kept) <= lines and size <= cli.ANSWER_CACHE_BYTES
+    # every line's answer is kept, but at MAX_INVARIANTS_INDEX the least
+    # recent have gone
+    if max(abs(n), abs(m)) == cli.MAX_INVARIANTS_INDEX:
+        assert 0 < len(kept) < len(lines)
+    else:
+        assert len(kept) == len(lines)
+    assert info.hits == (2 * len(argvs) - 1 if cached else 0)
 
 
 def test_the_cached_values_are_read_only(capsys):
-    run_cli(capsys, "invariants", "--n", "2", "--m", "3")
+    argv = ("invariants", "--n", "2", "--m", "3")
+    run_cli(capsys, *argv)
     entry = cli._knot_values(TorusKnot(2, 3))
-    assert set(entry) == {"json", "csv", "table"}
-    fields, stack = 0, [entry]
+    canonical, tables, scalars = entry
+    assert canonical == (3, 2) and [len(table) for table in tables] == [len(ALL_SLOTS)] * 3
+    assert [name for name, _ in scalars] == ["gordian", "curve_residual", "lissajous", "v3"]
+    fields, stack = 0, [entry, cli._answers.entries[argv][0]]
     while stack:
         field = stack.pop()
         fields += 1
         # no attribute can be set on any field, str subclasses included
-        assert isinstance(field, (str, int, tuple, MappingProxyType)), type(field)
+        assert type(field) in (str, int, Fraction, tuple, cli._Answer, type(None)), type(field)
         assert not hasattr(field, "__dict__"), type(field)
-        if type(field) is MappingProxyType:
-            with pytest.raises(TypeError):
-                field["json"] = ""
-            stack.extend(field.values())
-        elif type(field) is tuple:
+        if isinstance(field, tuple):
             stack.extend(field)
-    assert fields > 50
+    assert fields > 70
+    with pytest.raises(AttributeError):
+        cli._answers.entries[argv][0].text = ""
     assert cli._knot_values.cache_info()[:2] == (1, 1)
 
 
 def test_rejections_are_never_cached(capsys):
     run_cli(capsys, "invariants", "--n", "2", "--m", "3")
-    warm = cli._knot_values.cache_info()
+    warm, kept = cli._knot_values.cache_info(), kept_answers()
     for _ in range(2):
         assert run_cli(capsys, "invariants", "--n", "2", "--m", "4") == (
             2, "", "error: (2, 4) is not a torus knot (indices must be nonzero and coprime)\n")
@@ -687,6 +712,7 @@ def test_rejections_are_never_cached(capsys):
                 assert run_cli(capsys, "invariants", "--n", str(n), "--m", str(m),
                                "--format", fmt) == (3, "", INDEX_ERROR), (n, m, fmt)
     assert cli._knot_values.cache_info() == warm
+    assert kept_answers() == kept
 
 
 def test_the_knot_cache_stays_bounded(capsys):
@@ -700,9 +726,8 @@ def test_the_knot_cache_stays_bounded(capsys):
 
 
 def test_a_full_knot_cache_stays_within_its_stated_worst_case():
-    # KNOT_CACHE_SIZE entries at MAX_CACHED_INDEX, the widest kept, hold no
-    # more than the 13 MiB a full cache of Fraction tables held at
-    # MAX_INVARIANTS_INDEX (tracemalloc)
+    # KNOT_CACHE_SIZE entries at MAX_CACHED_INDEX, the widest kept, hold
+    # about the 3.7 MiB the KNOT_CACHE_SIZE comment states (tracemalloc)
     bound = cli.MAX_CACHED_INDEX
     tracemalloc.start()
     try:
@@ -710,8 +735,8 @@ def test_a_full_knot_cache_stays_within_its_stated_worst_case():
         size = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert set(entry) == {"json", "csv", "table"}
-    assert 80_000 < size and cli.KNOT_CACHE_SIZE * size <= 13 * 2 ** 20
+    assert len(entry) == 3
+    assert 25_000 < size and cli.KNOT_CACHE_SIZE * size <= 4 * 2 ** 20
 
 
 def test_invariants_renders_every_format_at_its_index_bound(capsys):
@@ -854,54 +879,32 @@ ARGPARSE_EXITS = (("invariants", "--n", "2", "--m", "3", "--format", "xml"),
                   ("invariants", "--help"), ("--version",))
 
 
-def parse_infos():
-    """Each command's parse cache's cache_info(), by the command's name."""
-    return {command: cache.cache_info() for command, cache in cli._parsed.items()}
-
-
 def test_only_a_successful_parse_is_kept(capsys):
     run_cli(capsys, "invariants", "--n", "2", "--m", "3")
-    expected = parse_infos()
+    kept = kept_answers()
     for argv in ARGPARSE_EXITS * 2:
         code, out, err = answer(capsys, argv)
         assert code == (0 if argv[-1] in ("--help", "--version") else 2), argv
-        # each call runs argparse again, which counts as a miss of its
-        # command's cache (a line that names no command has none), and keeps
-        # nothing
-        if argv[0] in expected:
-            expected[argv[0]] = expected[argv[0]]._replace(
-                misses=expected[argv[0]].misses + 1)
-        assert parse_infos() == expected, argv
+        assert kept_answers() == kept, argv
     # a repeat prints its usage, help or version again
     assert answer(capsys, ARGPARSE_EXITS[0])[2].startswith("usage: torusvass ")
     assert "torusvass" in answer(capsys, ("--version",))[1]
 
 
-def test_each_call_gets_its_own_namespace(capsys, monkeypatch):
-    made = []
-
-    class Recorded(argparse.Namespace):
-        def __init__(self, **kwargs):
-            super().__init__(**kwargs)
-            made.append(self)
-
-    monkeypatch.setattr(cli.argparse, "Namespace", Recorded)
-    argv = ("scan", "--predicate", "beta-curve", "--max", "4", "--format", "csv")
-    first = run_cli(capsys, *argv)
-    made[-1].stray = "left by a handler"
-    made[-1].max = 40
-    assert run_cli(capsys, *argv) == first
-    assert cli._parsed["scan"].cache_info()[:2] == (1, 1)
-    assert not hasattr(made[-1], "stray") and made[-1].max == 4
-
-
-def test_the_parse_cache_stays_bounded(capsys):
-    # scan rejects an unknown predicate only after argparse accepts it
-    bound = cli.PARSE_CACHE_SIZE
-    for k in range(bound + 40):
-        assert run_cli(capsys, "scan", "--predicate", f"p{k}", "--max", "6")[0] == 3
-    info = cli._parsed["scan"].cache_info()
-    assert (info.maxsize, info.currsize, info.misses) == (bound, bound, bound + 40)
+def test_the_answer_cache_stays_bounded(capsys, monkeypatch):
+    # a budget that a few of these answers fill: the least recent go first
+    fresh_answers(monkeypatch, 64 * 2 ** 10)
+    lines = [("scan", "--predicate", "beta-curve", "--max", str(bound), "--format", "csv")
+             for bound in range(2, 41)]
+    for argv in lines:
+        assert run_cli(capsys, *argv)[0] == 0
+        cache = cli._answers
+        assert cache.size == sum(size for _, size in cache.entries.values()) <= cache.budget
+    kept = kept_answers()[0]
+    assert 1 < len(kept) < len(lines) and kept == lines[-len(kept):]
+    # a hit makes its line the most recent
+    assert run_cli(capsys, *kept[0])[0] == 0
+    assert kept_answers()[0] == kept[1:] + kept[:1]
 
 
 @pytest.mark.parametrize("argv, code, error", [
@@ -911,117 +914,135 @@ def test_the_parse_cache_stays_bounded(capsys):
      "error: order 9 unsupported (tables stop at 6)\n"),
 ])
 def test_a_handler_rejection_repeats_after_a_cached_parse(capsys, argv, code, error):
+    # argparse accepts these lines and the handler rejects them, every time
     run_cli(capsys, "invariants", "--n", "2", "--m", "3")
-    knots = cli._knot_values.cache_info()
+    knots, kept = cli._knot_values.cache_info(), kept_answers()
     for _ in range(3):
         assert run_cli(capsys, *argv) == (code, "", error)
-    assert cli._parsed["invariants"].cache_info()[:2] == (2, 2)
+    assert kept_answers() == kept
     assert cli._knot_values.cache_info() == knots
 
 
-def test_each_command_keeps_its_own_parse_cache(capsys):
-    # expand lines rarely repeat: more of them than a cache holds must not
-    # evict a repeating invariants or scan line
+def test_expand_lines_do_not_evict_kept_answers(capsys, monkeypatch):
+    # expand lines rarely repeat: more of them than the 256 lines a parse
+    # cache once held must leave the repeating invariants and scan answers
     kept = {argv: run_cli(capsys, *argv) for argv in (
         ("invariants", "--n", "2", "--m", "3", "--format", "csv"),
         ("scan", "--predicate", "beta-curve", "--max", "6", "--format", "csv"))}
     assert all(code == 0 for code, _, _ in kept.values())
-    for k in range(cli.PARSE_CACHE_SIZE + 1):
+    for k in range(257):
         assert run_cli(capsys, "expand", "--family", "su_n", "--N", str(2 + k // 25),
                        "--n", "2", "--m", "3", "--order", str(24 - k % 25),
                        "--format", "csv")[0] == 0
-    info = cli._parsed["expand"].cache_info()
-    assert (info.currsize, info.misses) == (cli.PARSE_CACHE_SIZE, cli.PARSE_CACHE_SIZE + 1)
+    assert kept_answers()[0] == list(kept)
+    # a kept answer is written without a parse
+    monkeypatch.setattr(cli, "build_parser", None)
     for argv, first in kept.items():
-        hits = cli._parsed[argv[0]].cache_info().hits
         assert run_cli(capsys, *argv) == first, argv
-        assert cli._parsed[argv[0]].cache_info().hits == hits + 1, argv
 
 
-def test_a_parse_cache_keeps_only_lines_up_to_its_length(capsys, monkeypatch, tmp_path):
-    # scan rejects an unknown predicate only after argparse accepts it, so
-    # its parse would be kept with the predicate as given
-    before = parse_infos()
+def test_expand_and_verify_answers_are_never_kept(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(suites.time, "perf_counter", lambda: 0.0)
+    lines = [("expand", "--family", "su2", "--j", "2", "--n", "2", "--m", "3", "--format", fmt)
+             for fmt in ("json", "csv", "table")]
+    lines += [("verify", "--suite", "v3", "--format", fmt) for fmt in ("json", "text")]
+    lines += [line + ("--out", str(tmp_path / "doc")) for line in lines]
+    for argv in lines:
+        first = run_cli(capsys, *argv)
+        assert first[0] == 0 and run_cli(capsys, *argv) == first, argv
+    assert kept_answers() == ([], 0)
+
+
+def test_an_answer_is_kept_only_within_the_budget(capsys, monkeypatch, tmp_path):
+    # scan rejects an unknown predicate only after argparse accepts it
     for _ in range(3):
         assert run_cli(capsys, "scan", "--predicate", "p" * 1_000_000, "--max", "6")[0] == 3
-    assert [info.currsize for info in parse_infos().values()] == [
-        info.currsize for info in before.values()]
-    width = cli.MAX_CACHED_LINE - len("scan --predicate  --max 6")
-    for extra, size in ((1, 0), (0, 1)):
-        argv = ("scan", "--predicate", "p" * (width + extra), "--max", "6")
-        assert len(" ".join(argv)) == cli.MAX_CACHED_LINE + extra
-        for _ in range(2):
-            assert run_cli(capsys, *argv)[0] == 3
-        assert cli._parsed["scan"].cache_info().currsize == size, extra
+    assert kept_answers() == ([], 0)
+    # the same answer, its line within the budget and above it: int() skips
+    # the padding of --max
+    small = ("scan", "--predicate", "beta-curve", "--max", " 6")
+    wide = small[:-1] + (" " * cli.ANSWER_CACHE_BYTES + "6",)
+    text = cli._scan_text("beta-curve", 6, "json") + "\n"
+    for argv in (wide, small, wide):
+        assert run_cli(capsys, *argv) == (0, text, ""), len(argv[-1])
+    assert kept_answers()[0] == [small]
     # the widest line invariants accepts, every option given, is kept
     monkeypatch.chdir(tmp_path)
     bound = cli.MAX_INVARIANTS_INDEX
     argv = ("invariants", "--n", str(-bound), "--m", str(1 - bound), "--order", "6",
             "--format", "table", "--out", "x")
+    table = invariants_oracle(-bound, 1 - bound, 6, "table")
     for _ in range(2):
         assert run_cli(capsys, *argv) == (0, "", "")
-    assert cli._parsed["invariants"].cache_info()[:2] == (1, 1)
+        assert (tmp_path / "x").read_text() == table
+        (tmp_path / "x").unlink()
+    assert kept_answers()[0] == [small, argv]
 
 
-def test_full_parse_caches_stay_within_their_stated_worst_case():
-    # the most a kept line holds: MAX_CACHED_LINE characters in as many
-    # distinct two- and three-character words as argparse accepts; four full
-    # caches of such lines hold about the 11.8 MiB the PARSE_CACHE_SIZE
-    # comment states, and no more than 13 MiB (tracemalloc)
-    def widest(k):
-        words = ["invariants", "--m", "3", "--order", str(k)]
-        while len(" ".join(words)) + len(" --n 10") <= cli.MAX_CACHED_LINE:
-            words += ["".join(("--", "n")), str(10 + len(words) % 80)]
-        return tuple(words)
+def test_a_full_answer_cache_stays_within_its_stated_worst_case(capsys, monkeypatch):
+    # a flood of the smallest answers, each line's words distinct strings,
+    # --max 2 spelled with tabs and spaces in front: the cache keeps no more
+    # than the 2.4 MiB the ANSWER_CACHE_BYTES comment states (tracemalloc)
+    def spelled(k):
+        return format(k, "b").replace("0", " ").replace("1", "\t") + "2"
 
-    cli._parsed["invariants"](widest(0))
+    stdout = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", stdout)
     tracemalloc.start()
     try:
-        cli._parsed["invariants"](widest(1))
-        size = tracemalloc.get_traced_memory()[0]
+        k = 0
+        while cli._answers.size + 1_000 <= cli.ANSWER_CACHE_BYTES or k < 3_200:
+            words = ["scan", "--p", "beta-curve", "--m", spelled(k), "--f", "csv"]
+            assert main([word.encode().decode() for word in words]) == 0
+            stdout.seek(0)
+            stdout.truncate()
+            k += 1
+        gc.collect()
+        full = tracemalloc.get_traced_memory()[0]
+        entries = len(cli._answers.entries)
+        cli._answers.entries.clear()
+        gc.collect()
+        kept = full - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert cli._parsed["invariants"].cache_info().currsize == 2
-    assert 8_000 < size and len(cli._parsed) * cli.PARSE_CACHE_SIZE * size <= 13 * 2 ** 20
+    assert 2_000 < entries < k
+    assert 1.5 * 2 ** 20 < kept <= 2.5 * 2 ** 20
 
 
 SCAN_DOCUMENTS = [(predicate, fmt) for predicate in cli._SCANS for fmt in cli._SCAN_FORMATS]
 
 
-def test_a_cached_scan_answers_like_a_cold_one(tmp_path, capsys):
-    cap = cli.MAX_CACHED_SCAN_BOUND
+def test_a_cached_scan_answers_like_a_cold_one(tmp_path, capsys, monkeypatch):
     target = tmp_path / "doc"
-    characters = 0
+    parser = cli.build_parser
     for predicate, fmt in SCAN_DOCUMENTS:
-        for bound in range(2, cap + 1):
+        for bound in range(2, 21):
             argv = ("scan", "--predicate", predicate, "--max", str(bound), "--format", fmt)
-            text = cli._scan_text.__wrapped__(predicate, bound, fmt)
-            characters += len(text)
-            # cold through --out, then warm to stdout and through --out
-            assert run_cli(capsys, *argv, "--out", str(target))[:2] == (0, "")
-            assert target.read_bytes() == (text + "\n").encode("utf-8"), argv
-            assert run_cli(capsys, *argv) == (0, text + "\n", ""), argv
+            to_file = argv + ("--out", str(target))
+            text = cli._scan_text(predicate, bound, fmt) + "\n"
+            # cold to stdout and through --out, then warm, with no parse
+            assert run_cli(capsys, *argv) == (0, text, ""), argv
+            assert run_cli(capsys, *to_file)[:2] == (0, "")
+            assert target.read_bytes() == text.encode("utf-8"), argv
             target.unlink()
-            assert run_cli(capsys, *argv, "--out", str(target))[:2] == (0, "")
-            assert target.read_bytes() == (text + "\n").encode("utf-8"), argv
-            assert cli._scan_text(predicate, bound, fmt) == text, argv
-    documents = len(SCAN_DOCUMENTS) * (cap - 1)
-    info = cli._scan_text.cache_info()
-    assert (info.hits, info.misses, info.currsize, info.maxsize) == (
-        3 * documents, documents, documents, documents)
-    # the size the MAX_CACHED_SCAN_BOUND comment states
-    assert (documents, characters) == (66, 781_332)
+            monkeypatch.setattr(cli, "build_parser", None)
+            assert run_cli(capsys, *argv) == (0, text, ""), argv
+            assert run_cli(capsys, *to_file)[:2] == (0, "")
+            assert target.read_bytes() == text.encode("utf-8"), argv
+            monkeypatch.setattr(cli, "build_parser", parser)
+    assert 0 < kept_answers()[1] <= cli.ANSWER_CACHE_BYTES
 
 
 def test_a_scan_above_the_cached_bound_is_not_kept(capsys):
-    bound = cli.MAX_CACHED_SCAN_BOUND + 1
-    for predicate, fmt in SCAN_DOCUMENTS:
-        text = cli._scan_text.__wrapped__(predicate, bound, fmt)
-        for _ in range(2):
-            assert run_cli(capsys, "scan", "--predicate", predicate, "--max", str(bound),
-                           "--format", fmt) == (0, text + "\n", ""), (predicate, fmt)
-    info = cli._scan_text.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+    # the largest scan document, 11.4 MB, is above the answer cache's budget:
+    # it is written, and the answers kept before it stay
+    run_cli(capsys, "scan", "--predicate", "non-integer", "--max", "6")
+    kept = kept_answers()
+    argv = ("scan", "--predicate", "non-integer", "--max", str(cli.MAX_SCAN_BOUND))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "") and len(out) > 11_000_000 > cli.ANSWER_CACHE_BYTES
+    assert out == cli._scan_text("non-integer", cli.MAX_SCAN_BOUND, "json") + "\n"
+    assert kept_answers() == kept
 
 
 @pytest.mark.parametrize("argv, error", [
@@ -1033,10 +1054,73 @@ def test_a_scan_above_the_cached_bound_is_not_kept(capsys):
 ])
 def test_a_scan_rejection_is_never_cached(capsys, argv, error):
     run_cli(capsys, "scan", "--predicate", "beta-curve", "--max", "6")
-    warm = cli._scan_text.cache_info()
+    kept = kept_answers()
     for _ in range(3):
         assert run_cli(capsys, *argv) == (3, "", f"error: {error}\n")
-    assert cli._scan_text.cache_info() == warm
+    assert kept_answers() == kept
+
+
+def test_threads_share_the_caches(monkeypatch):
+    # four threads call main at once over shared lines, in a budget they
+    # overflow, so kept answers are evicted while others are read
+    lines = [("invariants", "--n", str(n), "--m", str(m), "--order", str(order),
+              "--format", fmt) for n, m in ((2, 3), (-5, 7), (11, -13))
+             for order in (6, 3) for fmt in ("json", "csv", "table")]
+    lines += [("scan", "--predicate", predicate, "--max", str(bound), "--format", fmt)
+              for predicate, fmt in SCAN_DOCUMENTS for bound in (5, 9)]
+
+    class PerThread:
+        """stdout for each thread apart."""
+
+        def __init__(self):
+            self.local = threading.local()
+
+        def write(self, text):
+            self.local.text = getattr(self.local, "text", "") + text
+
+        def flush(self):
+            pass
+
+        def take(self):
+            text, self.local.text = getattr(self.local, "text", ""), ""
+            return text
+
+    stdout = PerThread()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    cold = {}
+    for argv in lines:
+        cli._knot_values.cache_clear()
+        fresh_answers(monkeypatch)
+        cold[argv] = (main(list(argv)), stdout.take())
+    cli._knot_values.cache_clear()
+    fresh_answers(monkeypatch, 64 * 2 ** 10)
+    start = threading.Barrier(4, timeout=60)
+    answers = [[] for _ in range(4)]
+
+    def ask(index):
+        # each thread asks every line in the same order, so threads may miss,
+        # render and keep the same line at once
+        start.wait()
+        for argv in lines * 3:
+            answers[index].append((argv, main(list(argv)), stdout.take()))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask, args=(index,)) for index in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for asked in answers:
+        assert len(asked) == 3 * len(lines)
+        for argv, code, text in asked:
+            assert (code, text) == cold[argv], argv
+    cache = cli._answers
+    assert 0 < cache.size == sum(size for _, size in cache.entries.values()) <= cache.budget
 
 
 #: every command and format, --help at every level, --version, argparse's own
@@ -1073,7 +1157,7 @@ def test_shared_parser_answers_like_a_fresh_one(capsys, monkeypatch, columns):
     for argv in REPLAY + REPLAY[::-1]:
         with monkeypatch.context() as fresh:
             fresh.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
-            fresh.setattr(cli, "_parsed", {})
+            fresh.setattr(cli, "_answers", cli._AnswerCache(cli.ANSWER_CACHE_BYTES))
             expected = answer(capsys, argv)
         assert answer(capsys, argv) == expected, argv
 
