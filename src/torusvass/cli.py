@@ -17,15 +17,20 @@ inputs: JSON with rationals as {"num", "den"} pairs (plus "exact_decimal" when
 the value is an integer), CSV with exact num/den strings, or an aligned table.
 Each command computes its values once and renders only the format asked
 for; its handler returns the answer, and main writes it.  The parser is built
-once per process, by the first main call, which binds each handler.  Two
-bounded per-process caches make main cheap to call in a loop: the answer
-cache (_answers) keeps recent successful invariants and scan answers by
-command line, so a repeated line is written again without a parse, and the
-knot cache (_knot_values) keeps each knot's value strings, filled only after
-the knot, the order and the index bound are checked, so a new line of a
-known knot renders from strings.  A rejection, argparse's exits, expand and
-verify are never kept.  The public closed_form_*, integrality_scan and
-primitive_columns functions stay uncached.
+once per process, by the first main call, which binds each handler.  main
+takes at most MAX_WORDS words, and parses each line once: a line that starts
+with a subcommand goes straight to that subcommand's parser.  Three bounded
+per-process caches make main cheap to call in a loop: the answer cache
+(_answers) keeps recent successful invariants and scan answers by command
+line, so a repeated line is written again without a parse; the knot cache
+(_knot_values) keeps each knot's value strings, filled only after the knot,
+the order and the index bound are checked, so a new line of a known knot
+renders from strings; and the expansion cache (_expansions) keeps the
+coefficient strings of each (group, knot) that expand has taken a series of,
+so a new expand line of a known pair renders from strings.  A rejection,
+argparse's exits, and expand and verify answers are never kept.  The public
+closed_form_*, integrality_scan and primitive_columns functions stay
+uncached.
 """
 
 from __future__ import annotations
@@ -221,6 +226,42 @@ def _write(stream, text: str) -> None:
         os.close(devnull)
 
 
+class _Cache:
+    """Recent values by key, least recently used first out, within a budget:
+    the sum of measure(key, value) over the entries, one per entry unless
+    measure says otherwise.  One lock guards it, so threads may call main at
+    once."""
+
+    def __init__(self, budget: int, measure=lambda key, value: 1):
+        self.budget = budget
+        self.measure = measure
+        self.entries: OrderedDict = OrderedDict()  # key -> (value, its size)
+        self.size = 0  # the sum of the entries' sizes
+        self.lock = threading.Lock()
+
+    def get(self, key):
+        """key's value, now the most recent, or None."""
+        with self.lock:
+            entry = self.entries.get(key)
+            if entry is None:
+                return None
+            self.entries.move_to_end(key)
+            return entry[0]
+
+    def keep(self, key, value) -> None:
+        """Keep value as key's, unless it alone is above the budget."""
+        size = self.measure(key, value)
+        if size > self.budget:
+            return
+        with self.lock:
+            if key in self.entries:
+                self.size -= self.entries.pop(key)[1]
+            self.entries[key] = value, size
+            self.size += size
+            while self.size > self.budget:
+                self.size -= self.entries.popitem(last=False)[1][1]
+
+
 # ----------------------------------------------------------------------
 # invariants
 # ----------------------------------------------------------------------
@@ -321,6 +362,39 @@ def _cmd_invariants(args: argparse.Namespace) -> _Answer:
 # expand
 # ----------------------------------------------------------------------
 
+#: (group, knot) pairs whose coefficient text the expansion cache keeps,
+#: keyed by the group and the knot as given.  The CLI request mix of the
+#: benchmark asks 523 distinct pairs in 5,000 expand requests (500 rounds,
+#: at seed 7 and at seed 90210), and 89.5% of its expand lines repeat a pair
+#: at another --order or --format: all of them fit, in about 0.31 MiB (512
+#: slots would hit 89.2%, 256 about 56%).  At the CLI limits (order 24,
+#: n = 128, N or j = 130) an entry takes about 2.3 KiB with its key, 1.9 KB
+#: of it the coefficient text (tracemalloc), so a full cache holds at most
+#: about 2.3 MiB
+EXPAND_CACHE_SIZE = 1024
+
+_expansions = _Cache(EXPAND_CACHE_SIZE)
+
+
+def _coefficient_texts(group: GroupInstance, knot: TorusKnot, order: int) -> list[str]:
+    """The str of each Taylor coefficient, degrees 0..order, of the group's
+    normalized series at the knot.  The expansion cache keeps each pair's
+    strings at the widest order asked of it, joined by spaces into one str
+    (a str per coefficient would take three times the memory): the
+    coefficients through x^W do not depend on the order the series was taken
+    to, for a product too, so a narrower order reads the first strings, and a
+    wider one takes the series again and replaces them.  A pair is kept only
+    once its series has been taken, so a request the series rejects (a
+    SingularBracket) keeps nothing."""
+    key = group, knot
+    text = _expansions.get(key)
+    texts = [] if text is None else text.split(" ")
+    if len(texts) <= order:
+        texts = list(map(str, normalized_series(knot, group, order).coefficients_through(order)))
+        _expansions.keep(key, " ".join(texts))
+    return texts[:order + 1]
+
+
 def _cmd_expand(args: argparse.Namespace) -> _Answer:
     n, m = args.n, args.m
     knot = TorusKnot(n, m).validate()
@@ -340,22 +414,24 @@ def _cmd_expand(args: argparse.Namespace) -> _Answer:
     if missing:
         raise UnsupportedInput(f"--family {family.value} needs {' and '.join(missing)}")
     group = GroupInstance(family, args.N, args.j)
-    coefficients = normalized_series(knot, group, args.order).coefficients_through(args.order)
+    texts = _coefficient_texts(group, knot, args.order)
 
     arguments = {"family": args.family, "N": args.N, "j": args.j,
                  "n": n, "m": m, "order": args.order, "format": args.format}
     if args.format == "json":
+        inner = "\n      "  # the indent of a coefficient
         payload = {
             "group": group.label(),
             "substitution_scale": group.substitution_scale,
-            "coefficients": list(coefficients),
+            "coefficients": _Text("[" + ",".join([inner + _rational(text, inner)
+                                                  for text in texts]) + "\n    ]"),
         }
         return _Answer(_render(_document("expand", arguments, payload)))
     if args.format == "csv":
         lines = ["degree,coefficient"]
-        lines += [f"{d},{c}" for d, c in enumerate(coefficients)]
+        lines += [f"{d},{text}" for d, text in enumerate(texts)]
         return _Answer("\n".join(lines))
-    terms = [f"({c})*x^{d}" for d, c in enumerate(coefficients) if c != 0]
+    terms = [f"({text})*x^{d}" for d, text in enumerate(texts) if text != "0"]
     return _Answer(f"{group.label()} at ({n}, {m}):\n  "
                    + (" + ".join(terms) if terms else "0")
                    + f" + O(x^{args.order + 1})")
@@ -487,6 +563,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    # each subcommand's parser by name, which main hands a line to
+    parser.commands = sub.choices
 
     inv = sub.add_parser("invariants", help="invariant tables for one torus knot")
     inv.add_argument("--n", type=int, required=True,
@@ -545,55 +623,59 @@ ANSWER_CACHE_BYTES = 2 * 2 ** 20
 #: the commands whose answers the answer cache keeps: each answer is a
 #: function of its command line alone.  expand lines seldom repeat soon: the
 #: request mix draws 3,481-3,536 distinct ones in 5,000 (500 rounds, seeds 7
-#: and 90210), and a cache of the last 256 hit 5% of them.  verify runs one
-#: line per process
+#: and 90210), and a cache of the last 256 hit 5% of them.  But 89.5% of them
+#: repeat a (group, knot) pair at another --order or --format, which the
+#: expansion cache serves.  verify runs one line per process
 _KEPT = ("invariants", "scan")
 
 
-class _AnswerCache:
-    """Recent answers by command line, least recently used first out, within
-    a budget of bytes.  One lock guards it, so threads may call main at
-    once."""
-
-    def __init__(self, budget: int):
-        self.budget = budget
-        self.entries: OrderedDict[tuple, tuple[_Answer, int]] = OrderedDict()
-        self.size = 0  # the sum of the entries' sizes
-        self.lock = threading.Lock()
-
-    def get(self, words: tuple) -> _Answer | None:
-        with self.lock:
-            entry = self.entries.get(words)
-            if entry is None:
-                return None
-            self.entries.move_to_end(words)
-            return entry[0]
-
-    def keep(self, words: tuple, answer: _Answer) -> None:
-        size = (sys.getsizeof(words) + sum(map(sys.getsizeof, words)) + sys.getsizeof(answer)
-                + sys.getsizeof(answer.text) + sys.getsizeof(answer.out)
-                + sys.getsizeof((answer, 0)))
-        if size > self.budget:
-            return
-        with self.lock:
-            if words in self.entries:
-                self.size -= self.entries.pop(words)[1]
-            self.entries[words] = answer, size
-            self.size += size
-            while self.size > self.budget:
-                self.size -= self.entries.popitem(last=False)[1][1]
+def _answer_size(words: tuple, answer: _Answer) -> int:
+    """What the answer cache counts of one entry, in bytes."""
+    return (sys.getsizeof(words) + sum(map(sys.getsizeof, words)) + sys.getsizeof(answer)
+            + sys.getsizeof(answer.text) + sys.getsizeof(answer.out)
+            + sys.getsizeof((answer, 0)))
 
 
-_answers = _AnswerCache(ANSWER_CACHE_BYTES)
+_answers = _Cache(ANSWER_CACHE_BYTES, _answer_size)
+
+
+#: the most words main takes on one command line (exit 2 above it, before
+#: the answer cache and any parse): argparse takes time that grows as the
+#: square of the words, about 0.5 s at 8,000 (an option repeated 4,000 times)
+#: and 3 s at 20,000, in process.  The longest line that repeats no option
+#: has 17 words
+MAX_WORDS = 64
+
+
+def _parse(words: tuple) -> argparse.Namespace:
+    """build_parser().parse_args(words), parsed once.  The top-level parser
+    would classify every word, then hand all but the first to the
+    subcommand's parser, which classifies them again; a line that starts with
+    a subcommand goes to that parser alone, and words it leaves over are the
+    top-level parser's error, as parse_args makes them.  Any other line, and
+    one with a word the top-level parser itself rejects (an option spelled
+    --=..., which is ambiguous there; the subcommand comes first, so each such
+    word follows a space in the joined line), takes parse_args."""
+    parser = build_parser()
+    command = parser.commands.get(words[0]) if words else None
+    if command is None or " --=" in " ".join(words):
+        return parser.parse_args(words)
+    args, extras = command.parse_known_args(words[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.subcommand = words[0]
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
     words = tuple(sys.argv[1:] if argv is None else argv)
+    if len(words) > MAX_WORDS:
+        build_parser().error(f"{len(words)} words on the command line (at most {MAX_WORDS})")
     answer = _answers.get(words)
     fresh = answer is None
     try:
         if fresh:
-            args = build_parser().parse_args(words)
+            args = _parse(words)
             answer = args.handler(args)
             text = answer.text if answer.text.endswith("\n") else answer.text + "\n"
             answer = answer._replace(text=text, out=args.out)

@@ -45,10 +45,12 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 @pytest.fixture(autouse=True)
 def cold_caches(monkeypatch):
-    """Each test starts with no answer and no knot's values kept, so a patch
-    of what a command reads is called whatever ran before."""
+    """Each test starts with no answer, no knot's values and no coefficient
+    text kept, so a patch of what a command reads is called whatever ran
+    before."""
     cli._knot_values.cache_clear()
-    monkeypatch.setattr(cli, "_answers", cli._AnswerCache(cli.ANSWER_CACHE_BYTES))
+    monkeypatch.setattr(cli, "_answers", cli._Cache(cli.ANSWER_CACHE_BYTES, cli._answer_size))
+    monkeypatch.setattr(cli, "_expansions", cli._Cache(cli.EXPAND_CACHE_SIZE))
 
 
 def run_cli(capsys, *argv):
@@ -618,7 +620,12 @@ def invariants_oracle(n, m, order, fmt):
 
 def fresh_answers(monkeypatch, budget=cli.ANSWER_CACHE_BYTES):
     """Give main an empty answer cache of the given budget."""
-    monkeypatch.setattr(cli, "_answers", cli._AnswerCache(budget))
+    monkeypatch.setattr(cli, "_answers", cli._Cache(budget, cli._answer_size))
+
+
+def fresh_texts(monkeypatch):
+    """Give main an empty expansion cache."""
+    monkeypatch.setattr(cli, "_expansions", cli._Cache(cli.EXPAND_CACHE_SIZE))
 
 
 def kept_answers():
@@ -713,6 +720,85 @@ def test_rejections_are_never_cached(capsys):
                                "--format", fmt) == (3, "", INDEX_ERROR), (n, m, fmt)
     assert cli._knot_values.cache_info() == warm
     assert kept_answers() == kept
+
+
+#: one group of each family, as expand's options
+EXPAND_FAMILIES = (("su_n", "--N", "3"), ("so_n", "--N", "7"), ("su2", "--j", "2"),
+                   ("product", "--N", "2", "--j", "1"))
+
+
+@pytest.mark.parametrize("family", EXPAND_FAMILIES, ids=lambda family: family[0])
+def test_kept_coefficient_text_answers_like_a_cold_cache(capsys, monkeypatch, family):
+    argvs = [("expand", "--family", *family, "--n", "3", "--m", "-7", "--order", str(order),
+              "--format", fmt) for order in (6, 12, 6, 24) for fmt in ("json", "csv", "table")]
+    cold = {}
+    for argv in argvs:
+        fresh_texts(monkeypatch)
+        cold[argv] = run_cli(capsys, *argv)
+        assert cold[argv][0] == 0, cold[argv]
+    fresh_texts(monkeypatch)
+    series = cli.normalized_series
+    orders = []
+    monkeypatch.setattr(cli, "normalized_series",
+                        lambda knot, group, order: orders.append(order) or series(knot, group, order))
+    widths = []
+    for argv in argvs:
+        assert run_cli(capsys, *argv) == cold[argv], argv
+        ((text, size),) = cli._expansions.entries.values()
+        widths.append(text.count(" "))
+        assert size == 1
+    # the series is taken once at each wider order; a narrower one reads the
+    # strings kept at 12
+    assert orders == [6, 12, 24]
+    assert widths == [6] * 3 + [12] * 6 + [24] * 3
+
+
+def test_expand_rejections_keep_no_coefficient_text(capsys):
+    run_cli(capsys, "expand", "--family", "so_n", "--N", "9", "--n", "7", "--m", "9")
+    kept = list(cli._expansions.entries.items())
+    assert len(kept) == 1
+    for argv, code, error in (
+            (("so_n", "--N", "6", "--n", "7", "--m", "9"), 3,
+             "so_n sampling needs N >= n + 2 = 9 (got N=6): a required bracket [p;1] would "
+             "have vanishing leading term"),
+            (("product", "--N", "2", "--n", "7", "--m", "9"), 3, "--family product needs --j"),
+            (("so_n", "--N", "9", "--n", "7", "--m", "9", "--order", "25"), 3,
+             "order 25 unsupported (expand stops at 24)"),
+            (("su2", "--j", "1", "--n", "2", "--m", "129"), 3,
+             "knot (2, 129) unsupported (expand stops at |n|, |m| <= 128)"),
+            (("so_n", "--N", "9", "--n", "6", "--m", "9"), 2,
+             "(6, 9) is not a torus knot (indices must be nonzero and coprime)")):
+        for _ in range(2):
+            assert run_cli(capsys, "expand", "--family", *argv) == (
+                code, "", f"error: {error}\n"), argv
+    assert list(cli._expansions.entries.items()) == kept
+
+
+def test_a_full_expansion_cache_stays_within_its_stated_worst_case():
+    # at the CLI limits (order 24, n = 128, N or j = 130) an entry takes about
+    # 2.3 KiB with its key, 1.9 KB of it the coefficient text, and
+    # EXPAND_CACHE_SIZE entries about the 2.3 MiB the EXPAND_CACHE_SIZE
+    # comment states (tracemalloc)
+    groups = [GroupInstance(Family.SU_N, N=128), GroupInstance(Family.SO_N, N=130),
+              GroupInstance(Family.SU2, j=130), GroupInstance(Family.PRODUCT, N=130, j=130)]
+    knots = [TorusKnot(128, m) for m in range(-127, -97, 2)]
+    for group in groups:
+        for knot in knots:
+            assert len(cli._coefficient_texts(group, knot, cli.MAX_EXPAND_ORDER)) == 25
+    entries = [(key, text) for key, (text, _) in cli._expansions.entries.items()]
+    assert len(entries) == len(groups) * len(knots)
+    text_size = sum(sys.getsizeof(text) for _, text in entries) / len(entries)
+    cache = cli._Cache(cli.EXPAND_CACHE_SIZE)
+    tracemalloc.start()
+    try:
+        for (group, knot), text in entries:
+            cache.keep((GroupInstance(group.family, group.N, group.j), TorusKnot(knot.n, knot.m)),
+                       text.encode().decode())
+        size = tracemalloc.get_traced_memory()[0] / len(entries)
+    finally:
+        tracemalloc.stop()
+    assert 1_800 < text_size < 2_100 and 2 * 2 ** 10 < size <= 2.6 * 2 ** 10
+    assert cli.EXPAND_CACHE_SIZE * size <= 2.6 * 2 ** 20
 
 
 def test_the_knot_cache_stays_bounded(capsys):
@@ -854,6 +940,68 @@ def answer(capsys, argv):
         code = exited.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_a_line_of_more_than_max_words_exits_2_before_any_parse(capsys, monkeypatch):
+    head = ("scan", "--predicate", "beta-curve")
+    at_bound = head + ("--max=6",) * (cli.MAX_WORDS - len(head))
+    text = cli._scan_text("beta-curve", 6, "json") + "\n"
+    assert answer(capsys, at_bound) == (0, text, "")
+    kept = kept_answers()
+    assert kept[0] == [at_bound]
+
+    def parse(words):
+        raise AssertionError("parsed")
+
+    monkeypatch.setattr(cli, "_parse", parse)
+    # one word above the bound, and a line argparse alone would take seconds
+    # over (20,000 words)
+    for words in (at_bound + ("--max=6",), head + ("--max", "6") * 10_000):
+        code, out, err = answer(capsys, words)
+        assert (code, out) == (2, ""), len(words)
+        lines = err.splitlines()
+        assert lines[0].startswith("usage: torusvass ") and lines[-1] == (
+            f"torusvass: error: {len(words)} words on the command line "
+            f"(at most {cli.MAX_WORDS})")
+    assert kept_answers() == kept
+
+
+#: command lines on which main's one parse must equal parse_args: argparse's
+#: own exits, help and version at each level, the "--" separator before,
+#: between and after options, abbreviations, "=" forms, repeated options and
+#: stray words
+PARSE_CORPUS = (
+    (), ("-h",), ("--help",), ("--version",), ("bogus",), ("--", "invariants"),
+    ("--n", "2", "invariants"), ("invariants",), ("invariants", "-h"), ("expand", "--help"),
+    ("invariants", "--n", "2", "--m", "3"), ("invariants", "--n", "2", "--m", "3", "--version"),
+    ("invariants", "--n", "2", "--m", "3", "7"), ("invariants", "--n", "2", "--m", "3", "7", "-q"),
+    ("invariants", "--", "--n", "2", "--m", "3"), ("invariants", "--n", "2", "--", "--m", "3"),
+    ("invariants", "--n", "2", "--m", "3", "--"), ("invariants", "--n=2", "--m=-3"),
+    ("invariants", "--n", "-2", "--m", "3", "--ord", "4"),
+    ("expand", "--fam", "su2", "--j", "1", "--n", "2", "--m", "3"),
+    ("expand", "--family", "product", "--N=2", "--j", "1", "--n", "2", "--m", "3", "--format",
+     "table", "--out", "-"),
+    ("invariants", "--n", "2", "--m", "3", "--format", "xml"),
+    ("scan", "--predicate", "beta-curve", "--max", "6", "--max", "7"),
+    ("invariants", "-x"), ("invariants", "--n"), ("invariants", "--n", "2", "--m", "3", "-h"),
+    ("invariants", "--=2"), ("verify", "--suite", "v3", "--=x"), ("verify",),
+    ("verify", "--suite", "v3", "--bound", "3", "--format", "text"), ("scan", "--h"),
+    ("scan", "--predicate", "beta-curve", "--max", "6", "--help", "--version"),
+)
+
+
+@pytest.mark.parametrize("argv", PARSE_CORPUS, ids=" ".join)
+def test_one_parse_equals_parse_args(capsys, argv):
+    def parsed(parse):
+        try:
+            args, code = parse(argv), None
+        except SystemExit as exited:
+            args, code = None, exited.code
+        captured = capsys.readouterr()
+        return args, code, captured.out, captured.err
+
+    expected = parsed(lambda words: cli.build_parser.__wrapped__().parse_args(words))
+    assert parsed(cli._parse) == expected
 
 
 def test_main_builds_its_parser_once(capsys, monkeypatch):
@@ -1068,6 +1216,10 @@ def test_threads_share_the_caches(monkeypatch):
              for order in (6, 3) for fmt in ("json", "csv", "table")]
     lines += [("scan", "--predicate", predicate, "--max", str(bound), "--format", fmt)
               for predicate, fmt in SCAN_DOCUMENTS for bound in (5, 9)]
+    # expand widens and reads the same coefficient text in each thread
+    lines += [("expand", "--family", *family, "--n", "3", "--m", "-5", "--order", str(order),
+               "--format", fmt) for family in (("so_n", "--N", "7"), ("su2", "--j", "2"))
+              for order, fmt in ((3, "csv"), (9, "json"), (6, "table"))]
 
     class PerThread:
         """stdout for each thread apart."""
@@ -1091,9 +1243,11 @@ def test_threads_share_the_caches(monkeypatch):
     for argv in lines:
         cli._knot_values.cache_clear()
         fresh_answers(monkeypatch)
+        fresh_texts(monkeypatch)
         cold[argv] = (main(list(argv)), stdout.take())
     cli._knot_values.cache_clear()
     fresh_answers(monkeypatch, 64 * 2 ** 10)
+    fresh_texts(monkeypatch)
     start = threading.Barrier(4, timeout=60)
     answers = [[] for _ in range(4)]
 
@@ -1157,7 +1311,8 @@ def test_shared_parser_answers_like_a_fresh_one(capsys, monkeypatch, columns):
     for argv in REPLAY + REPLAY[::-1]:
         with monkeypatch.context() as fresh:
             fresh.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
-            fresh.setattr(cli, "_answers", cli._AnswerCache(cli.ANSWER_CACHE_BYTES))
+            fresh.setattr(cli, "_answers", cli._Cache(cli.ANSWER_CACHE_BYTES, cli._answer_size))
+            fresh.setattr(cli, "_expansions", cli._Cache(cli.EXPAND_CACHE_SIZE))
             expected = answer(capsys, argv)
         assert answer(capsys, argv) == expected, argv
 
@@ -1175,15 +1330,21 @@ KERNEL_REPLAY = tuple(
 )
 
 
-def test_expand_answers_do_not_depend_on_the_cached_kernels(capsys):
+def test_expand_answers_do_not_depend_on_the_cached_kernels(capsys, monkeypatch):
     cold = {}
     for argv in KERNEL_REPLAY:
         invariants._kernel.cache_clear()
+        fresh_texts(monkeypatch)
         cold[argv] = answer(capsys, argv)
     assert all(code == 0 for code, _, _ in cold.values())
-    invariants._kernel.cache_clear()
-    for argv in KERNEL_REPLAY + KERNEL_REPLAY[::-1]:
-        assert answer(capsys, argv) == cold[argv], argv
+    # from the kernels alone, then from the kernels and the coefficient text
+    for texts_kept in (False, True):
+        invariants._kernel.cache_clear()
+        fresh_texts(monkeypatch)
+        for argv in KERNEL_REPLAY + KERNEL_REPLAY[::-1]:
+            if not texts_kept:
+                fresh_texts(monkeypatch)
+            assert answer(capsys, argv) == cold[argv], argv
     invariants._kernel.cache_clear()
 
 
