@@ -19,18 +19,17 @@ Each command computes its values once and renders only the format asked
 for; its handler returns the answer, and main writes it.  The parser is built
 once per process, by the first main call, which binds each handler.  main
 takes at most MAX_WORDS words, and parses each line once: a line that starts
-with a subcommand goes straight to that subcommand's parser.  Three bounded
-per-process caches make main cheap to call in a loop: the answer cache
-(_answers) keeps recent successful invariants and scan answers by command
-line, so a repeated line is written again without a parse; the knot cache
-(_knot_values) keeps each knot's value strings, filled only after the knot,
-the order and the index bound are checked, so a new line of a known knot
-renders from strings; and the expansion cache (_expansions) keeps the
-coefficient strings of each (group, knot) that expand has taken a series of,
-so a new expand line of a known pair renders from strings.  A rejection,
-argparse's exits, and expand and verify answers are never kept.  The public
-closed_form_*, integrality_scan and primitive_columns functions stay
-uncached.
+with a subcommand goes straight to that subcommand's parser.  One
+per-process cache (_cache), bounded in bytes (CACHE_BYTES), makes main cheap
+to call in a loop.  It keeps three kinds of entry, each filled only after
+every check of its line has passed: recent successful invariants and scan
+answers by command line, so a repeated line is written again without a
+parse; each knot's value strings, so a new line of a known knot renders from
+strings; and the coefficient strings of each (group, knot) that expand has
+taken a series of, so a new expand line of a known pair renders from
+strings.  A rejection, argparse's exits, and expand and verify answers are
+never kept.  The public closed_form_*, integrality_scan and
+primitive_columns functions stay uncached.
 """
 
 from __future__ import annotations
@@ -195,10 +194,14 @@ class _Answer(NamedTuple):
 
 
 def _emit(text: str, out_path: str | None) -> None:
-    """Write text to out_path or else to stdout."""
+    """Write text to out_path or else to stdout.  The path is opened without
+    blocking, so a FIFO with no reader fails at once (ENXIO) instead of
+    waiting for one; the write then blocks, so a slow reader gets it all."""
     if out_path:
         try:
-            with open(out_path, "w", encoding="utf-8") as handle:
+            fd = os.open(out_path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_NONBLOCK, 0o666)
+            os.set_blocking(fd, True)
+            with open(fd, "w", encoding="utf-8") as handle:
                 handle.write(text)
         except OSError as exc:
             raise UnsupportedInput(f"cannot write {out_path}: {exc.strerror}") from exc
@@ -226,15 +229,27 @@ def _write(stream, text: str) -> None:
         os.close(devnull)
 
 
+def _size(item) -> int:
+    """What the cache counts of a key or a value, in bytes: sys.getsizeof of
+    it and of all it holds, through tuples and through a knot's or a group's
+    fields and the dict they sit in."""
+    if isinstance(item, tuple):
+        parts = item
+    elif type(item) in (TorusKnot, GroupInstance):
+        parts = vars(item), *vars(item).values()
+    else:
+        return sys.getsizeof(item)
+    return sys.getsizeof(item) + sum(map(_size, parts))
+
+
 class _Cache:
-    """Recent values by key, least recently used first out, within a budget:
-    the sum of measure(key, value) over the entries, one per entry unless
-    measure says otherwise.  One lock guards it, so threads may call main at
+    """Recent values by key, least recently used first out, within a budget
+    of bytes: the sum of each entry's size, _size of its key and of its
+    (value, size) pair.  One lock guards it, so threads may call main at
     once."""
 
-    def __init__(self, budget: int, measure=lambda key, value: 1):
+    def __init__(self, budget: int):
         self.budget = budget
-        self.measure = measure
         self.entries: OrderedDict = OrderedDict()  # key -> (value, its size)
         self.size = 0  # the sum of the entries' sizes
         self.lock = threading.Lock()
@@ -250,7 +265,7 @@ class _Cache:
 
     def keep(self, key, value) -> None:
         """Keep value as key's, unless it alone is above the budget."""
-        size = self.measure(key, value)
+        size = _size(key) + _size((value, 0))
         if size > self.budget:
             return
         with self.lock:
@@ -262,17 +277,24 @@ class _Cache:
                 self.size -= self.entries.popitem(last=False)[1][1]
 
 
+#: the most the cache keeps, in bytes, by _Cache's count.  The benchmark's
+#: request mix (550 rounds, seeds 7 and 90210) keeps 888-898 answers, 49
+#: knots' values and 525-527 coefficient texts, 2.52-2.55 MB by this count
+#: (2.74-2.75 MB at 5,000 rounds), and evicts none of them.  Least recently
+#: used entries go first, whatever their kind, and one larger than the budget
+#: (scan --predicate non-integer --max 100 is 11.4 MB) is written and not
+#: kept; a knot's values take about 4.8 KB, and 169 KB at
+#: MAX_INVARIANTS_INDEX.  A full cache holds at most about 3.05 MiB
+#: (tracemalloc): a flood of the smallest answers holds 1.01 times its count,
+#: and knots' values and coefficient text less than theirs
+CACHE_BYTES = 3 * 2 ** 20
+
+_cache = _Cache(CACHE_BYTES)
+
+
 # ----------------------------------------------------------------------
 # invariants
 # ----------------------------------------------------------------------
-
-#: knots whose values the knot cache keeps, keyed by the knot as given.  The
-#: CLI request mix of the benchmark asks 48 distinct knots in 17,500
-#: invariants requests (500 rounds, seeds 7 and 90210): all of them fit, in
-#: about 215 KiB.  An entry holds 54 value strings and up to four scalars,
-#: 5.5-7.1 KiB at |n|, |m| <= 50 and 29.5 KiB at MAX_CACHED_INDEX
-#: (tracemalloc), so a full cache holds at most about 3.7 MiB
-KNOT_CACHE_SIZE = 128
 
 #: invariants' index bound (exit 3 above it).  The widest value, at order 6,
 #: has about 12 times the digits of the index, and a value of more than
@@ -283,11 +305,6 @@ KNOT_CACHE_SIZE = 128
 #: takes about 12 ms in process in any format (0.15-0.2 s as a whole process)
 MAX_INVARIANTS_INDEX = 10 ** 300
 
-#: the largest index of a knot whose values the knot cache keeps.  An entry
-#: grows with the digits of the index: at MAX_INVARIANTS_INDEX it would hold
-#: about 186 KiB, and a full cache of such knots about 23 MiB
-MAX_CACHED_INDEX = 10 ** 40
-
 #: the three tables of an invariants document, in its order
 _TABLES = ("alpha_tilde", "alpha", "beta")
 
@@ -295,13 +312,16 @@ _TABLES = ("alpha_tilde", "alpha", "beta")
 _SHOWN = tuple(sum(slot[0] <= order for slot in ALL_SLOTS) for order in range(7))
 
 
-@functools.lru_cache(maxsize=KNOT_CACHE_SIZE)
 def _knot_values(knot: TorusKnot) -> tuple:
     """What an invariants answer shows of one validated knot: its canonical
     (n, m), or None for the unknot, the str of each table's entries in
     ALL_SLOTS order, and its scalars as (name, value) pairs.  The public
     closed_form_* functions stay uncached (each call makes a fresh table);
-    this is the one cache of their values, on the CLI path alone."""
+    the cache keeps these values by the knot as given, on the CLI path
+    alone."""
+    values = _cache.get(knot)
+    if values is not None:
+        return values
     canonical = canonicalize(knot.n, knot.m)
     tables = tuple(tuple(str(table.entries[slot]) for slot in ALL_SLOTS) for table in (
         closed_form_alpha_tilde(knot), closed_form_alpha(knot), closed_form_beta(knot)))
@@ -310,7 +330,9 @@ def _knot_values(knot: TorusKnot) -> tuple:
                ("lissajous", lissajous_obstruction(knot)))
     if is_v3_applicable(knot):
         scalars += (("v3", aux.v3),)
-    return None if canonical is UNKNOT else (canonical.n, canonical.m), tables, scalars
+    values = None if canonical is UNKNOT else (canonical.n, canonical.m), tables, scalars
+    _cache.keep(knot, values)
+    return values
 
 
 def _cmd_invariants(args: argparse.Namespace) -> _Answer:
@@ -319,13 +341,10 @@ def _cmd_invariants(args: argparse.Namespace) -> _Answer:
     if not 0 <= args.order <= 6:
         raise UnsupportedInput(f"order {args.order} unsupported"
                                + (" (tables stop at 6)" if args.order > 0 else ""))
-    index = max(abs(n), abs(m))
-    if index > MAX_INVARIANTS_INDEX:
+    if max(abs(n), abs(m)) > MAX_INVARIANTS_INDEX:
         raise UnsupportedInput("knot index unsupported (invariants stops at |n|, |m| <= "
                                f"10^{len(str(MAX_INVARIANTS_INDEX)) - 1})")
-
-    build = _knot_values if index <= MAX_CACHED_INDEX else _knot_values.__wrapped__
-    canonical, tables, scalars = build(knot)
+    canonical, tables, scalars = _knot_values(knot)
     slots = ALL_SLOTS[:_SHOWN[args.order]]
     if args.format == "json":
         inner = "\n      "  # the indent of a table's values
@@ -362,36 +381,22 @@ def _cmd_invariants(args: argparse.Namespace) -> _Answer:
 # expand
 # ----------------------------------------------------------------------
 
-#: (group, knot) pairs whose coefficient text the expansion cache keeps,
-#: keyed by the group and the knot as given.  The CLI request mix of the
-#: benchmark asks 523 distinct pairs in 5,000 expand requests (500 rounds,
-#: at seed 7 and at seed 90210), and 89.5% of its expand lines repeat a pair
-#: at another --order or --format: all of them fit, in about 0.31 MiB (512
-#: slots would hit 89.2%, 256 about 56%).  At the CLI limits (order 24,
-#: n = 128, N or j = 130) an entry takes about 2.3 KiB with its key, 1.9 KB
-#: of it the coefficient text (tracemalloc), so a full cache holds at most
-#: about 2.3 MiB
-EXPAND_CACHE_SIZE = 1024
-
-_expansions = _Cache(EXPAND_CACHE_SIZE)
-
-
 def _coefficient_texts(group: GroupInstance, knot: TorusKnot, order: int) -> list[str]:
     """The str of each Taylor coefficient, degrees 0..order, of the group's
-    normalized series at the knot.  The expansion cache keeps each pair's
-    strings at the widest order asked of it, joined by spaces into one str
-    (a str per coefficient would take three times the memory): the
-    coefficients through x^W do not depend on the order the series was taken
-    to, for a product too, so a narrower order reads the first strings, and a
-    wider one takes the series again and replaces them.  A pair is kept only
+    normalized series at the knot.  The cache keeps each pair's strings at
+    the widest order asked of it, joined by spaces into one str (a str per
+    coefficient would take three times the memory): the coefficients through
+    x^W do not depend on the order the series was taken to, for a product
+    too, so a narrower order reads the first strings, and a wider one takes
+    the series again and replaces them.  A pair is kept only
     once its series has been taken, so a request the series rejects (a
     SingularBracket) keeps nothing."""
     key = group, knot
-    text = _expansions.get(key)
+    text = _cache.get(key)
     texts = [] if text is None else text.split(" ")
     if len(texts) <= order:
         texts = list(map(str, normalized_series(knot, group, order).coefficients_through(order)))
-        _expansions.keep(key, " ".join(texts))
+        _cache.keep(key, " ".join(texts))
     return texts[:order + 1]
 
 
@@ -608,39 +613,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: the most the answer cache keeps, in bytes: the sum of sys.getsizeof of
-#: each entry's key, its words, its answer, the answer's text and --out path,
-#: and the entry.  The benchmark's request mix (500 rounds, seeds 7 and
-#: 90210) fits: 866-880 answers, about 1.7 MB by this count and 1.4 MiB by
-#: tracemalloc, and a warm invariants line takes about 7 us in process.
-#: Least recently used answers go first, and one larger than the budget
-#: (scan --predicate non-integer --max 100 is 11.4 MB) is written and not
-#: kept.  The count leaves out the dict's own slots, about 120 bytes an
-#: entry: a flood of the smallest answers (about 700 bytes each, with every
-#: word a distinct string) keeps 2.4 MiB, the most a full cache holds
-ANSWER_CACHE_BYTES = 2 * 2 ** 20
-
-#: the commands whose answers the answer cache keeps: each answer is a
+#: the commands whose answers the cache keeps: each answer is a
 #: function of its command line alone.  expand lines seldom repeat soon: the
 #: request mix draws 3,481-3,536 distinct ones in 5,000 (500 rounds, seeds 7
 #: and 90210), and a cache of the last 256 hit 5% of them.  But 89.5% of them
-#: repeat a (group, knot) pair at another --order or --format, which the
-#: expansion cache serves.  verify runs one line per process
+#: repeat a (group, knot) pair at another --order or --format, whose
+#: coefficient text the cache keeps.  verify runs one line per process
 _KEPT = ("invariants", "scan")
 
 
-def _answer_size(words: tuple, answer: _Answer) -> int:
-    """What the answer cache counts of one entry, in bytes."""
-    return (sys.getsizeof(words) + sum(map(sys.getsizeof, words)) + sys.getsizeof(answer)
-            + sys.getsizeof(answer.text) + sys.getsizeof(answer.out)
-            + sys.getsizeof((answer, 0)))
-
-
-_answers = _Cache(ANSWER_CACHE_BYTES, _answer_size)
-
-
 #: the most words main takes on one command line (exit 2 above it, before
-#: the answer cache and any parse): argparse takes time that grows as the
+#: the cache and any parse): argparse takes time that grows as the
 #: square of the words, about 0.5 s at 8,000 (an option repeated 4,000 times)
 #: and 3 s at 20,000, in process.  The longest line that repeats no option
 #: has 17 words
@@ -671,7 +654,7 @@ def main(argv: list[str] | None = None) -> int:
     words = tuple(sys.argv[1:] if argv is None else argv)
     if len(words) > MAX_WORDS:
         build_parser().error(f"{len(words)} words on the command line (at most {MAX_WORDS})")
-    answer = _answers.get(words)
+    answer = _cache.get(words)
     fresh = answer is None
     try:
         if fresh:
@@ -686,7 +669,7 @@ def main(argv: list[str] | None = None) -> int:
     for line in answer.notes:
         _note(line)
     if fresh and args.subcommand in _KEPT:
-        _answers.keep(words, answer)
+        _cache.keep(words, answer)
     return answer.code
 
 

@@ -10,6 +10,7 @@ import itertools
 import json
 import io
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -44,13 +45,11 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(autouse=True)
-def cold_caches(monkeypatch):
+def cold_cache(monkeypatch):
     """Each test starts with no answer, no knot's values and no coefficient
     text kept, so a patch of what a command reads is called whatever ran
     before."""
-    cli._knot_values.cache_clear()
-    monkeypatch.setattr(cli, "_answers", cli._Cache(cli.ANSWER_CACHE_BYTES, cli._answer_size))
-    monkeypatch.setattr(cli, "_expansions", cli._Cache(cli.EXPAND_CACHE_SIZE))
+    fresh_cache(monkeypatch)
 
 
 def run_cli(capsys, *argv):
@@ -532,6 +531,42 @@ def test_out_to_an_unwritable_path_exits_3(tmp_path, capsys, target, reason):
     assert (code, out, err) == (3, "", f"error: cannot write {path}: {os.strerror(reason)}\n")
 
 
+def test_out_to_a_fifo_with_no_reader_exits_3_at_once(tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    proc = subprocess.run([sys.executable, "-m", "torusvass.cli", "invariants", "--n", "2",
+                           "--m", "3", "--out", str(fifo)], capture_output=True, text=True,
+                          env=module_env(), timeout=10)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        3, "", f"error: cannot write {fifo}: {os.strerror(errno.ENXIO)}\n")
+    # a slow reader gets the whole of a document larger than the pipe's
+    # buffer: the write blocks, and does not fail with EAGAIN.  The reader
+    # opens first, without blocking, and reads nothing while no writer holds
+    # the FIFO
+    bound = cli.MAX_INVARIANTS_INDEX
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        with subprocess.Popen([sys.executable, "-m", "torusvass.cli", "invariants",
+                               "--n", str(bound), "--m", str(bound - 1), "--out", str(fifo)],
+                              stderr=subprocess.PIPE, env=module_env()) as proc:
+            os.set_blocking(reader, True)
+            received = bytearray()
+            while True:
+                chunk = os.read(reader, 2 ** 16)
+                if chunk and not received:
+                    time.sleep(0.2)
+                received += chunk
+                if not chunk:
+                    if proc.poll() is not None:
+                        break
+                    time.sleep(0.01)
+            assert (proc.wait(timeout=10), proc.stderr.read()) == (0, b"")
+    finally:
+        os.close(reader)
+    document = invariants_oracle(bound, bound - 1, 6, "json")
+    assert len(document) > 2 ** 16 and received == document.encode()
+
+
 def test_closed_pipe_ends_quietly():
     # the document is far larger than a pipe buffer, so the writer is still
     # writing when the reader takes one line and closes the pipe
@@ -618,29 +653,34 @@ def invariants_oracle(n, m, order, fmt):
     return "\n".join(lines) + "\n"
 
 
-def fresh_answers(monkeypatch, budget=cli.ANSWER_CACHE_BYTES):
-    """Give main an empty answer cache of the given budget."""
-    monkeypatch.setattr(cli, "_answers", cli._Cache(budget, cli._answer_size))
+def fresh_cache(monkeypatch, budget=cli.CACHE_BYTES):
+    """Give main an empty cache of the given budget."""
+    monkeypatch.setattr(cli, "_cache", cli._Cache(budget))
 
 
-def fresh_texts(monkeypatch):
-    """Give main an empty expansion cache."""
-    monkeypatch.setattr(cli, "_expansions", cli._Cache(cli.EXPAND_CACHE_SIZE))
+def kept():
+    """The keys the cache keeps, least recent first, and the size it counts."""
+    return list(cli._cache.entries), cli._cache.size
 
 
-def kept_answers():
-    """The command lines the answer cache keeps, least recent first, and the
-    size it counts."""
-    return list(cli._answers.entries), cli._answers.size
+def kind(key) -> str:
+    """Which kind of entry the cache keeps under key."""
+    if type(key) is TorusKnot:
+        return "knot"
+    if type(key[0]) is GroupInstance:
+        return "coefficient text"
+    assert key[0] in cli._KEPT, key
+    return "answer"
 
 
-#: the trefoil, its mirror, two unknots, the largest knot CI runs, and knots
-#: at the largest index the knot cache keeps, one above it and at
-#: MAX_INVARIANTS_INDEX, whose values are computed and not kept
+def kept_lines():
+    """The command lines whose answers the cache keeps, least recent first."""
+    return [key for key in cli._cache.entries if kind(key) == "answer"]
+
+
+#: the trefoil, its mirror, two unknots, the largest knot CI runs, and a knot
+#: at MAX_INVARIANTS_INDEX, whose values are the widest the cache keeps
 CACHED_KNOTS = [(2, 3), (2, -3), (1, 5), (-1, 7), (97, 98),
-                pytest.param(cli.MAX_CACHED_INDEX, 1 - cli.MAX_CACHED_INDEX, id="cached-bound"),
-                pytest.param(cli.MAX_CACHED_INDEX + 1, cli.MAX_CACHED_INDEX + 2,
-                             id="above-cached-bound"),
                 pytest.param(cli.MAX_INVARIANTS_INDEX, cli.MAX_INVARIANTS_INDEX - 1,
                              id="index-bound")]
 
@@ -649,17 +689,17 @@ CACHED_KNOTS = [(2, 3), (2, -3), (1, 5), (-1, 7), (97, 98),
 def test_a_cached_knot_answers_like_a_cold_one(tmp_path, capsys, monkeypatch, n, m):
     argvs = [("invariants", "--n", str(n), "--m", str(m), "--order", str(order),
               "--format", fmt) for fmt in ("json", "csv", "table") for order in range(7)]
-    cached = max(abs(n), abs(m)) <= cli.MAX_CACHED_INDEX
+    knot = TorusKnot(n, m)
     expected = {argv: (0, invariants_oracle(n, m, int(argv[6]), argv[8]), "")
                 for argv in argvs}
     for argv in argvs:
-        cli._knot_values.cache_clear()
-        fresh_answers(monkeypatch)
+        fresh_cache(monkeypatch)
         assert run_cli(capsys, *argv) == expected[argv], argv
-        assert cli._knot_values.cache_info()[:2] == (0, int(cached)), argv
-        assert kept_answers()[0] == [argv]
-    # each line new to the answer cache is rendered from the knot cache, then
-    # answered from the answer cache, to stdout and through --out
+        assert kept()[0] == [knot, argv], argv
+    # each line new to the cache is rendered from the knot's kept values,
+    # which are not computed again, then answered from its kept answer, to
+    # stdout and through --out
+    monkeypatch.setattr(cli, "closed_form_alpha_tilde", None)
     target = tmp_path / "doc"
     lines = set()
     for argv in argvs + argvs[::-1]:
@@ -668,27 +708,23 @@ def test_a_cached_knot_answers_like_a_cold_one(tmp_path, capsys, monkeypatch, n,
         assert run_cli(capsys, *argv, "--out", str(target))[:2] == (0, ""), argv
         assert target.read_bytes() == expected[argv][1].encode("utf-8"), argv
         lines |= {argv, argv + ("--out", str(target))}
-    info = cli._knot_values.cache_info()
-    assert (info.misses, info.currsize) == (int(cached), int(cached))
-    kept, size = kept_answers()
-    assert set(kept) <= lines and size <= cli.ANSWER_CACHE_BYTES
-    # every line's answer is kept, but at MAX_INVARIANTS_INDEX the least
-    # recent have gone
-    if max(abs(n), abs(m)) == cli.MAX_INVARIANTS_INDEX:
-        assert 0 < len(kept) < len(lines)
-    else:
-        assert len(kept) == len(lines)
-    assert info.hits == (2 * len(argvs) - 1 if cached else 0)
+    # the knot's values and every line's answer are kept, at
+    # MAX_INVARIANTS_INDEX too
+    keys, size = kept()
+    assert knot in keys and set(keys) - {knot} == lines and size <= cli.CACHE_BYTES
 
 
 def test_the_cached_values_are_read_only(capsys):
     argv = ("invariants", "--n", "2", "--m", "3")
     run_cli(capsys, *argv)
-    entry = cli._knot_values(TorusKnot(2, 3))
+    knot = TorusKnot(2, 3)
+    assert kept()[0] == [knot, argv]
+    entry = cli._knot_values(knot)
+    assert entry is cli._cache.entries[knot][0]
     canonical, tables, scalars = entry
     assert canonical == (3, 2) and [len(table) for table in tables] == [len(ALL_SLOTS)] * 3
     assert [name for name, _ in scalars] == ["gordian", "curve_residual", "lissajous", "v3"]
-    fields, stack = 0, [entry, cli._answers.entries[argv][0]]
+    fields, stack = 0, [entry, cli._cache.entries[argv][0]]
     while stack:
         field = stack.pop()
         fields += 1
@@ -699,13 +735,14 @@ def test_the_cached_values_are_read_only(capsys):
             stack.extend(field)
     assert fields > 70
     with pytest.raises(AttributeError):
-        cli._answers.entries[argv][0].text = ""
-    assert cli._knot_values.cache_info()[:2] == (1, 1)
+        cli._cache.entries[argv][0].text = ""
+    # reading the knot's values made them the most recent
+    assert kept()[0] == [argv, knot]
 
 
 def test_rejections_are_never_cached(capsys):
     run_cli(capsys, "invariants", "--n", "2", "--m", "3")
-    warm, kept = cli._knot_values.cache_info(), kept_answers()
+    warm = kept()
     for _ in range(2):
         assert run_cli(capsys, "invariants", "--n", "2", "--m", "4") == (
             2, "", "error: (2, 4) is not a torus knot (indices must be nonzero and coprime)\n")
@@ -718,8 +755,7 @@ def test_rejections_are_never_cached(capsys):
             for fmt in ("json", "csv", "table"):
                 assert run_cli(capsys, "invariants", "--n", str(n), "--m", str(m),
                                "--format", fmt) == (3, "", INDEX_ERROR), (n, m, fmt)
-    assert cli._knot_values.cache_info() == warm
-    assert kept_answers() == kept
+    assert kept() == warm
 
 
 #: one group of each family, as expand's options
@@ -733,10 +769,10 @@ def test_kept_coefficient_text_answers_like_a_cold_cache(capsys, monkeypatch, fa
               "--format", fmt) for order in (6, 12, 6, 24) for fmt in ("json", "csv", "table")]
     cold = {}
     for argv in argvs:
-        fresh_texts(monkeypatch)
+        fresh_cache(monkeypatch)
         cold[argv] = run_cli(capsys, *argv)
         assert cold[argv][0] == 0, cold[argv]
-    fresh_texts(monkeypatch)
+    fresh_cache(monkeypatch)
     series = cli.normalized_series
     orders = []
     monkeypatch.setattr(cli, "normalized_series",
@@ -744,9 +780,9 @@ def test_kept_coefficient_text_answers_like_a_cold_cache(capsys, monkeypatch, fa
     widths = []
     for argv in argvs:
         assert run_cli(capsys, *argv) == cold[argv], argv
-        ((text, size),) = cli._expansions.entries.values()
+        (((group, knot), (text, _)),) = cli._cache.entries.items()
+        assert (group.family.value, knot) == (family[0], TorusKnot(3, -7))
         widths.append(text.count(" "))
-        assert size == 1
     # the series is taken once at each wider order; a narrower one reads the
     # strings kept at 12
     assert orders == [6, 12, 24]
@@ -755,8 +791,8 @@ def test_kept_coefficient_text_answers_like_a_cold_cache(capsys, monkeypatch, fa
 
 def test_expand_rejections_keep_no_coefficient_text(capsys):
     run_cli(capsys, "expand", "--family", "so_n", "--N", "9", "--n", "7", "--m", "9")
-    kept = list(cli._expansions.entries.items())
-    assert len(kept) == 1
+    warm = list(cli._cache.entries.items())
+    assert len(warm) == 1
     for argv, code, error in (
             (("so_n", "--N", "6", "--n", "7", "--m", "9"), 3,
              "so_n sampling needs N >= n + 2 = 9 (got N=6): a required bracket [p;1] would "
@@ -771,58 +807,20 @@ def test_expand_rejections_keep_no_coefficient_text(capsys):
         for _ in range(2):
             assert run_cli(capsys, "expand", "--family", *argv) == (
                 code, "", f"error: {error}\n"), argv
-    assert list(cli._expansions.entries.items()) == kept
+    assert list(cli._cache.entries.items()) == warm
 
 
-def test_a_full_expansion_cache_stays_within_its_stated_worst_case():
-    # at the CLI limits (order 24, n = 128, N or j = 130) an entry takes about
-    # 2.3 KiB with its key, 1.9 KB of it the coefficient text, and
-    # EXPAND_CACHE_SIZE entries about the 2.3 MiB the EXPAND_CACHE_SIZE
-    # comment states (tracemalloc)
-    groups = [GroupInstance(Family.SU_N, N=128), GroupInstance(Family.SO_N, N=130),
-              GroupInstance(Family.SU2, j=130), GroupInstance(Family.PRODUCT, N=130, j=130)]
-    knots = [TorusKnot(128, m) for m in range(-127, -97, 2)]
-    for group in groups:
-        for knot in knots:
-            assert len(cli._coefficient_texts(group, knot, cli.MAX_EXPAND_ORDER)) == 25
-    entries = [(key, text) for key, (text, _) in cli._expansions.entries.items()]
-    assert len(entries) == len(groups) * len(knots)
-    text_size = sum(sys.getsizeof(text) for _, text in entries) / len(entries)
-    cache = cli._Cache(cli.EXPAND_CACHE_SIZE)
-    tracemalloc.start()
-    try:
-        for (group, knot), text in entries:
-            cache.keep((GroupInstance(group.family, group.N, group.j), TorusKnot(knot.n, knot.m)),
-                       text.encode().decode())
-        size = tracemalloc.get_traced_memory()[0] / len(entries)
-    finally:
-        tracemalloc.stop()
-    assert 1_800 < text_size < 2_100 and 2 * 2 ** 10 < size <= 2.6 * 2 ** 10
-    assert cli.EXPAND_CACHE_SIZE * size <= 2.6 * 2 ** 20
-
-
-def test_the_knot_cache_stays_bounded(capsys):
-    knots = [(2, m) for m in range(1, 2 * cli.KNOT_CACHE_SIZE + 20, 2)]
-    for n, m in knots:
-        assert run_cli(capsys, "invariants", "--n", str(n), "--m", str(m),
+def test_the_knot_cache_stays_bounded(capsys, monkeypatch):
+    # more knots than a budget of 64 KiB holds: the least recent go first
+    fresh_cache(monkeypatch, 64 * 2 ** 10)
+    knots = [TorusKnot(2, m) for m in range(1, 60, 2)]
+    for knot in knots:
+        assert run_cli(capsys, "invariants", "--n", str(knot.n), "--m", str(knot.m),
                        "--format", "csv")[0] == 0
-    info = cli._knot_values.cache_info()
-    assert info.maxsize == cli.KNOT_CACHE_SIZE < len(knots) == info.misses
-    assert info.currsize <= info.maxsize
-
-
-def test_a_full_knot_cache_stays_within_its_stated_worst_case():
-    # KNOT_CACHE_SIZE entries at MAX_CACHED_INDEX, the widest kept, hold
-    # about the 3.7 MiB the KNOT_CACHE_SIZE comment states (tracemalloc)
-    bound = cli.MAX_CACHED_INDEX
-    tracemalloc.start()
-    try:
-        entry = cli._knot_values.__wrapped__(TorusKnot(-bound, bound - 1))
-        size = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert len(entry) == 3
-    assert 25_000 < size and cli.KNOT_CACHE_SIZE * size <= 4 * 2 ** 20
+        cache = cli._cache
+        assert cache.size == sum(size for _, size in cache.entries.values()) <= cache.budget
+    kept_knots = [key for key in cli._cache.entries if kind(key) == "knot"]
+    assert 1 < len(kept_knots) < len(knots) and kept_knots == knots[-len(kept_knots):]
 
 
 def test_invariants_renders_every_format_at_its_index_bound(capsys):
@@ -842,7 +840,7 @@ def test_invariants_checks_the_knot_and_the_order_before_the_index(capsys):
                                                    "nonzero and coprime)\n")
     assert run_cli(capsys, "invariants", "--n", str(above), "--m", "2", "--order", "7") == (
         3, "", "error: order 7 unsupported (tables stop at 6)\n")
-    assert cli._knot_values.cache_info().currsize == 0
+    assert kept() == ([], 0)
 
 
 @pytest.mark.parametrize("family, parameters, unused", [
@@ -947,8 +945,8 @@ def test_a_line_of_more_than_max_words_exits_2_before_any_parse(capsys, monkeypa
     at_bound = head + ("--max=6",) * (cli.MAX_WORDS - len(head))
     text = cli._scan_text("beta-curve", 6, "json") + "\n"
     assert answer(capsys, at_bound) == (0, text, "")
-    kept = kept_answers()
-    assert kept[0] == [at_bound]
+    warm = kept()
+    assert warm[0] == [at_bound]
 
     def parse(words):
         raise AssertionError("parsed")
@@ -963,7 +961,7 @@ def test_a_line_of_more_than_max_words_exits_2_before_any_parse(capsys, monkeypa
         assert lines[0].startswith("usage: torusvass ") and lines[-1] == (
             f"torusvass: error: {len(words)} words on the command line "
             f"(at most {cli.MAX_WORDS})")
-    assert kept_answers() == kept
+    assert kept() == warm
 
 
 #: command lines on which main's one parse must equal parse_args: argparse's
@@ -1029,11 +1027,11 @@ ARGPARSE_EXITS = (("invariants", "--n", "2", "--m", "3", "--format", "xml"),
 
 def test_only_a_successful_parse_is_kept(capsys):
     run_cli(capsys, "invariants", "--n", "2", "--m", "3")
-    kept = kept_answers()
+    warm = kept()
     for argv in ARGPARSE_EXITS * 2:
         code, out, err = answer(capsys, argv)
         assert code == (0 if argv[-1] in ("--help", "--version") else 2), argv
-        assert kept_answers() == kept, argv
+        assert kept() == warm, argv
     # a repeat prints its usage, help or version again
     assert answer(capsys, ARGPARSE_EXITS[0])[2].startswith("usage: torusvass ")
     assert "torusvass" in answer(capsys, ("--version",))[1]
@@ -1041,18 +1039,18 @@ def test_only_a_successful_parse_is_kept(capsys):
 
 def test_the_answer_cache_stays_bounded(capsys, monkeypatch):
     # a budget that a few of these answers fill: the least recent go first
-    fresh_answers(monkeypatch, 64 * 2 ** 10)
+    fresh_cache(monkeypatch, 64 * 2 ** 10)
     lines = [("scan", "--predicate", "beta-curve", "--max", str(bound), "--format", "csv")
              for bound in range(2, 41)]
     for argv in lines:
         assert run_cli(capsys, *argv)[0] == 0
-        cache = cli._answers
+        cache = cli._cache
         assert cache.size == sum(size for _, size in cache.entries.values()) <= cache.budget
-    kept = kept_answers()[0]
-    assert 1 < len(kept) < len(lines) and kept == lines[-len(kept):]
+    warm = kept()[0]
+    assert 1 < len(warm) < len(lines) and warm == lines[-len(warm):]
     # a hit makes its line the most recent
-    assert run_cli(capsys, *kept[0])[0] == 0
-    assert kept_answers()[0] == kept[1:] + kept[:1]
+    assert run_cli(capsys, *warm[0])[0] == 0
+    assert kept()[0] == warm[1:] + warm[:1]
 
 
 @pytest.mark.parametrize("argv, code, error", [
@@ -1064,28 +1062,27 @@ def test_the_answer_cache_stays_bounded(capsys, monkeypatch):
 def test_a_handler_rejection_repeats_after_a_cached_parse(capsys, argv, code, error):
     # argparse accepts these lines and the handler rejects them, every time
     run_cli(capsys, "invariants", "--n", "2", "--m", "3")
-    knots, kept = cli._knot_values.cache_info(), kept_answers()
+    warm = kept()
     for _ in range(3):
         assert run_cli(capsys, *argv) == (code, "", error)
-    assert kept_answers() == kept
-    assert cli._knot_values.cache_info() == knots
+    assert kept() == warm
 
 
 def test_expand_lines_do_not_evict_kept_answers(capsys, monkeypatch):
     # expand lines rarely repeat: more of them than the 256 lines a parse
     # cache once held must leave the repeating invariants and scan answers
-    kept = {argv: run_cli(capsys, *argv) for argv in (
+    warm = {argv: run_cli(capsys, *argv) for argv in (
         ("invariants", "--n", "2", "--m", "3", "--format", "csv"),
         ("scan", "--predicate", "beta-curve", "--max", "6", "--format", "csv"))}
-    assert all(code == 0 for code, _, _ in kept.values())
+    assert all(code == 0 for code, _, _ in warm.values())
     for k in range(257):
         assert run_cli(capsys, "expand", "--family", "su_n", "--N", str(2 + k // 25),
                        "--n", "2", "--m", "3", "--order", str(24 - k % 25),
                        "--format", "csv")[0] == 0
-    assert kept_answers()[0] == list(kept)
+    assert kept_lines() == list(warm)
     # a kept answer is written without a parse
     monkeypatch.setattr(cli, "build_parser", None)
-    for argv, first in kept.items():
+    for argv, first in warm.items():
         assert run_cli(capsys, *argv) == first, argv
 
 
@@ -1098,23 +1095,24 @@ def test_expand_and_verify_answers_are_never_kept(capsys, monkeypatch, tmp_path)
     for argv in lines:
         first = run_cli(capsys, *argv)
         assert first[0] == 0 and run_cli(capsys, *argv) == first, argv
-    assert kept_answers() == ([], 0)
+    assert kept_lines() == []
 
 
 def test_an_answer_is_kept_only_within_the_budget(capsys, monkeypatch, tmp_path):
     # scan rejects an unknown predicate only after argparse accepts it
     for _ in range(3):
         assert run_cli(capsys, "scan", "--predicate", "p" * 1_000_000, "--max", "6")[0] == 3
-    assert kept_answers() == ([], 0)
+    assert kept() == ([], 0)
     # the same answer, its line within the budget and above it: int() skips
     # the padding of --max
     small = ("scan", "--predicate", "beta-curve", "--max", " 6")
-    wide = small[:-1] + (" " * cli.ANSWER_CACHE_BYTES + "6",)
+    wide = small[:-1] + (" " * cli.CACHE_BYTES + "6",)
     text = cli._scan_text("beta-curve", 6, "json") + "\n"
     for argv in (wide, small, wide):
         assert run_cli(capsys, *argv) == (0, text, ""), len(argv[-1])
-    assert kept_answers()[0] == [small]
-    # the widest line invariants accepts, every option given, is kept
+    assert kept()[0] == [small]
+    # the widest line invariants accepts, every option given, is kept, and
+    # so are its knot's values
     monkeypatch.chdir(tmp_path)
     bound = cli.MAX_INVARIANTS_INDEX
     argv = ("invariants", "--n", str(-bound), "--m", str(1 - bound), "--order", "6",
@@ -1124,37 +1122,59 @@ def test_an_answer_is_kept_only_within_the_budget(capsys, monkeypatch, tmp_path)
         assert run_cli(capsys, *argv) == (0, "", "")
         assert (tmp_path / "x").read_text() == table
         (tmp_path / "x").unlink()
-    assert kept_answers()[0] == [small, argv]
+    assert kept()[0] == [small, TorusKnot(-bound, 1 - bound), argv]
 
 
-def test_a_full_answer_cache_stays_within_its_stated_worst_case(capsys, monkeypatch):
-    # a flood of the smallest answers, each line's words distinct strings,
-    # --max 2 spelled with tabs and spaces in front: the cache keeps no more
-    # than the 2.4 MiB the ANSWER_CACHE_BYTES comment states (tracemalloc)
-    def spelled(k):
-        return format(k, "b").replace("0", " ").replace("1", "\t") + "2"
-
-    stdout = io.StringIO()
-    monkeypatch.setattr(sys, "stdout", stdout)
+def flood_a_quarter_of_the_cache(monkeypatch, fill):
+    # a flood of the smallest entries of one kind fills a quarter of
+    # CACHE_BYTES: it must hold no more than 1.05 times the size the cache
+    # counts (tracemalloc), which bounds a full cache as the CACHE_BYTES
+    # comment states
+    monkeypatch.setattr(sys, "stdout", io.StringIO())
+    fresh_cache(monkeypatch, cli.CACHE_BYTES // 4)
+    cache = cli._cache
     tracemalloc.start()
     try:
-        k = 0
-        while cli._answers.size + 1_000 <= cli.ANSWER_CACHE_BYTES or k < 3_200:
-            words = ["scan", "--p", "beta-curve", "--m", spelled(k), "--f", "csv"]
-            assert main([word.encode().decode() for word in words]) == 0
-            stdout.seek(0)
-            stdout.truncate()
-            k += 1
+        for k in range(5_000):
+            fill(k)
+            if len(cache.entries) <= k:  # the first eviction
+                break
         gc.collect()
         full = tracemalloc.get_traced_memory()[0]
-        entries = len(cli._answers.entries)
-        cli._answers.entries.clear()
+        entries, size = len(cache.entries), cache.size
+        cache.entries.clear()
         gc.collect()
-        kept = full - tracemalloc.get_traced_memory()[0]
+        held = full - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert 2_000 < entries < k
-    assert 1.5 * 2 ** 20 < kept <= 2.5 * 2 ** 20
+    assert entries <= k and cache.budget - 8_000 < size <= cache.budget
+    assert 0.8 * size < held <= 1.05 * size, held / size
+
+
+def test_a_full_answer_cache_stays_within_its_stated_worst_case(monkeypatch):
+    def answers(k):
+        # each line's words distinct strings, --max 2 spelled with tabs and
+        # spaces in front
+        spelled = format(k, "b").replace("0", " ").replace("1", "\t") + "2"
+        words = ["scan", "--p", "beta-curve", "--m", spelled, "--f", "csv"]
+        assert main([word.encode().decode() for word in words]) == 0
+
+    flood_a_quarter_of_the_cache(monkeypatch, answers)
+
+
+def test_a_full_knot_cache_stays_within_its_stated_worst_case(monkeypatch):
+    def knots(k):
+        cli._knot_values(TorusKnot(2, 2 * k + 1))
+
+    flood_a_quarter_of_the_cache(monkeypatch, knots)
+
+
+def test_a_full_expansion_cache_stays_within_its_stated_worst_case(monkeypatch):
+    def expansions(k):
+        group = GroupInstance(Family.SU_N, N=2 + k // 128)
+        assert cli._coefficient_texts(group, TorusKnot(2, 2 * (k % 128) - 127), 0) == ["1"]
+
+    flood_a_quarter_of_the_cache(monkeypatch, expansions)
 
 
 SCAN_DOCUMENTS = [(predicate, fmt) for predicate in cli._SCANS for fmt in cli._SCAN_FORMATS]
@@ -1178,19 +1198,19 @@ def test_a_cached_scan_answers_like_a_cold_one(tmp_path, capsys, monkeypatch):
             assert run_cli(capsys, *to_file)[:2] == (0, "")
             assert target.read_bytes() == text.encode("utf-8"), argv
             monkeypatch.setattr(cli, "build_parser", parser)
-    assert 0 < kept_answers()[1] <= cli.ANSWER_CACHE_BYTES
+    assert 0 < kept()[1] <= cli.CACHE_BYTES
 
 
 def test_a_scan_above_the_cached_bound_is_not_kept(capsys):
-    # the largest scan document, 11.4 MB, is above the answer cache's budget:
-    # it is written, and the answers kept before it stay
+    # the largest scan document, 11.4 MB, is above the cache's budget: it is
+    # written, and the answers kept before it stay
     run_cli(capsys, "scan", "--predicate", "non-integer", "--max", "6")
-    kept = kept_answers()
+    warm = kept()
     argv = ("scan", "--predicate", "non-integer", "--max", str(cli.MAX_SCAN_BOUND))
     code, out, err = run_cli(capsys, *argv)
-    assert (code, err) == (0, "") and len(out) > 11_000_000 > cli.ANSWER_CACHE_BYTES
+    assert (code, err) == (0, "") and len(out) > 11_000_000 > cli.CACHE_BYTES
     assert out == cli._scan_text("non-integer", cli.MAX_SCAN_BOUND, "json") + "\n"
-    assert kept_answers() == kept
+    assert kept() == warm
 
 
 @pytest.mark.parametrize("argv, error", [
@@ -1202,10 +1222,10 @@ def test_a_scan_above_the_cached_bound_is_not_kept(capsys):
 ])
 def test_a_scan_rejection_is_never_cached(capsys, argv, error):
     run_cli(capsys, "scan", "--predicate", "beta-curve", "--max", "6")
-    kept = kept_answers()
+    warm = kept()
     for _ in range(3):
         assert run_cli(capsys, *argv) == (3, "", f"error: {error}\n")
-    assert kept_answers() == kept
+    assert kept() == warm
 
 
 def test_threads_share_the_caches(monkeypatch):
@@ -1241,13 +1261,9 @@ def test_threads_share_the_caches(monkeypatch):
     monkeypatch.setattr(sys, "stdout", stdout)
     cold = {}
     for argv in lines:
-        cli._knot_values.cache_clear()
-        fresh_answers(monkeypatch)
-        fresh_texts(monkeypatch)
+        fresh_cache(monkeypatch)
         cold[argv] = (main(list(argv)), stdout.take())
-    cli._knot_values.cache_clear()
-    fresh_answers(monkeypatch, 64 * 2 ** 10)
-    fresh_texts(monkeypatch)
+    fresh_cache(monkeypatch, 64 * 2 ** 10)
     start = threading.Barrier(4, timeout=60)
     answers = [[] for _ in range(4)]
 
@@ -1273,8 +1289,116 @@ def test_threads_share_the_caches(monkeypatch):
         assert len(asked) == 3 * len(lines)
         for argv, code, text in asked:
             assert (code, text) == cold[argv], argv
-    cache = cli._answers
+    cache = cli._cache
     assert 0 < cache.size == sum(size for _, size in cache.entries.values()) <= cache.budget
+
+
+#: the knots the oracle's lines draw, each as given, mirrored, swapped or
+#: negated; expand draws the first three
+ORACLE_KNOTS = ((2, 3), (3, -5), (1, 4), (2, 5), (-1, 3), (5, 7), (97, 98))
+
+#: the formats of each command
+ORACLE_FORMATS = {"invariants": ("json", "csv", "table"), "expand": ("json", "csv", "table"),
+                  "scan": cli._SCAN_FORMATS, "verify": ("json", "text")}
+
+#: one rejected line of each kind: not a knot, above a bound, a handler's
+#: other checks, argparse's own errors, more than MAX_WORDS words and a
+#: SingularBracket, which only the series raises
+ORACLE_REJECTIONS = (
+    ("invariants", "--n", "2", "--m", "4"), ("invariants", "--n", "0", "--m", "3"),
+    ("expand", "--family", "su2", "--j", "1", "--n", "6", "--m", "9"),
+    ("invariants", "--n", "2", "--m", "3", "--order", "7"),
+    ("invariants", "--n", str(cli.MAX_INVARIANTS_INDEX + 1), "--m", "2", "--format", "csv"),
+    ("expand", "--family", "su_n", "--N", "3", "--n", "2", "--m", "3", "--order", "25"),
+    ("expand", "--family", "su2", "--j", "1", "--n", "2", "--m", "129"),
+    ("expand", "--family", "su2", "--j", "131", "--n", "2", "--m", "3"),
+    ("expand", "--family", "product", "--N", "2", "--n", "2", "--m", "3"),
+    ("scan", "--predicate", "beta-curve", "--max", "101"),
+    ("scan", "--predicate", "knotted", "--max", "6"),
+    ("verify", "--suite", "all", "--bound", "301"), ("verify", "--suite", "nope"),
+    ("invariants", "--n", "2", "--m", "3", "--format", "xml"),
+    ("invariants", "--n", "two", "--m", "3"), ("verify",),
+    ("scan", "--predicate", "beta-curve", "--max", "6", "stray"),
+    ("scan", "--predicate", "beta-curve") + ("--max=6",) * cli.MAX_WORDS,
+    ("expand", "--family", "so_n", "--N", "5", "--n", "4", "--m", "5"),
+    ("expand", "--family", "so_n", "--N", "5", "--n", "-5", "--m", "4"),
+)
+
+
+def oracle_lines(out: str, count: int = 300) -> list[tuple]:
+    """count seeded command lines over every command and format, about one
+    in five written to out and one in five a repeat, with each rejection
+    of ORACLE_REJECTIONS among them."""
+    rng = random.Random(16)
+    lines: list[tuple] = []
+    while len(lines) < count:
+        if lines and rng.random() < 0.2:
+            lines.append(rng.choice(lines))
+            continue
+        command = rng.choice(("invariants", "expand") * 3 + ("scan", "verify"))
+        n, m = rng.choice(ORACLE_KNOTS[:3] if command == "expand" else ORACLE_KNOTS)
+        n, m = rng.choice(((n, m), (n, -m), (m, n), (-n, -m)))
+        if command == "invariants":
+            argv = ("invariants", "--n", str(n), "--m", str(m), "--order", str(rng.randint(0, 6)))
+        elif command == "expand":
+            argv = ("expand", "--family", *rng.choice(EXPAND_FAMILIES), "--n", str(n),
+                    "--m", str(m), "--order", str(rng.choice((0, 3, 6, 12, 24))))
+        elif command == "scan":
+            argv = ("scan", "--predicate", rng.choice(tuple(cli._SCANS)),
+                    "--max", str(rng.randint(2, 8)))
+        else:
+            argv = rng.choice((("verify", "--suite", "v3"),
+                               ("verify", "--suite", "relations", "--bound", "3")))
+        argv += ("--format", rng.choice(ORACLE_FORMATS[command]))
+        lines.append(argv + ("--out", out) if rng.random() < 0.2 else argv)
+    for argv in ORACLE_REJECTIONS:
+        lines.insert(rng.randrange(len(lines) + 1), argv)
+    return lines
+
+
+def test_the_cache_answers_like_an_empty_one(tmp_path, capsys, monkeypatch):
+    # each line of a seeded stream, in one process, answers as it does with
+    # the cache emptied; at CACHE_BYTES nothing is evicted, and at 64 KiB
+    # each kind of entry is evicted
+    monkeypatch.setattr(suites.time, "perf_counter", lambda: 0.0)
+    target = tmp_path / "doc"
+    lines = oracle_lines(str(target))
+
+    def asked(argv):
+        target.unlink(missing_ok=True)
+        return *answer(capsys, argv), target.read_bytes() if target.exists() else None
+
+    cold = {}
+    for argv in lines:
+        if argv not in cold:
+            fresh_cache(monkeypatch)
+            cold[argv] = asked(argv)
+    assert {code for code, *_ in cold.values()} == {0, 2, 3}
+    # expand asks a (group, knot) first, then at an order as wide or
+    # narrower, and at a wider one
+    widest, orders = {}, set()
+    for argv in lines:
+        if argv[0] == "expand" and cold[argv][0] == 0:
+            options = dict(zip(argv[1::2], argv[2::2]))
+            pair = tuple(options.get(name) for name in ("--family", "--N", "--j", "--n", "--m"))
+            order = int(options["--order"])
+            orders.add((pair in widest, order > widest.get(pair, order)))
+            widest[pair] = max(order, widest.get(pair, order))
+    assert orders == {(False, False), (True, False), (True, True)}
+    for budget in (cli.CACHE_BYTES, 64 * 2 ** 10):
+        fresh_cache(monkeypatch, budget)
+        cache = cli._cache
+        seen = set()
+        for argv in lines:
+            before = list(cache.entries)
+            assert asked(argv) == cold[argv], argv
+            assert cache.size == sum(size for _, size in cache.entries.values()) <= budget, argv
+            if cold[argv][0]:
+                assert list(cache.entries) == before, argv
+            seen.update(cache.entries)
+        evicted = {kind(key) for key in seen.difference(cache.entries)}
+        assert {kind(key) for key in seen} == {"answer", "knot", "coefficient text"}
+        assert evicted == (set() if budget == cli.CACHE_BYTES else {kind(key) for key in seen})
 
 
 #: every command and format, --help at every level, --version, argparse's own
@@ -1311,8 +1435,7 @@ def test_shared_parser_answers_like_a_fresh_one(capsys, monkeypatch, columns):
     for argv in REPLAY + REPLAY[::-1]:
         with monkeypatch.context() as fresh:
             fresh.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
-            fresh.setattr(cli, "_answers", cli._Cache(cli.ANSWER_CACHE_BYTES, cli._answer_size))
-            fresh.setattr(cli, "_expansions", cli._Cache(cli.EXPAND_CACHE_SIZE))
+            fresh.setattr(cli, "_cache", cli._Cache(cli.CACHE_BYTES))
             expected = answer(capsys, argv)
         assert answer(capsys, argv) == expected, argv
 
@@ -1334,16 +1457,16 @@ def test_expand_answers_do_not_depend_on_the_cached_kernels(capsys, monkeypatch)
     cold = {}
     for argv in KERNEL_REPLAY:
         invariants._kernel.cache_clear()
-        fresh_texts(monkeypatch)
+        fresh_cache(monkeypatch)
         cold[argv] = answer(capsys, argv)
     assert all(code == 0 for code, _, _ in cold.values())
     # from the kernels alone, then from the kernels and the coefficient text
     for texts_kept in (False, True):
         invariants._kernel.cache_clear()
-        fresh_texts(monkeypatch)
+        fresh_cache(monkeypatch)
         for argv in KERNEL_REPLAY + KERNEL_REPLAY[::-1]:
             if not texts_kept:
-                fresh_texts(monkeypatch)
+                fresh_cache(monkeypatch)
             assert answer(capsys, argv) == cold[argv], argv
     invariants._kernel.cache_clear()
 
