@@ -16,18 +16,22 @@ stderr before its "error:" line.  Output is deterministic for identical
 inputs: JSON with rationals as {"num", "den"} pairs (plus "exact_decimal" when
 the value is an integer), CSV with exact num/den strings, or an aligned table.
 Each command computes its values once and renders only the format asked
-for; its handler returns the answer, and main writes it.  The parser is built
-once per process, by the first main call, which binds each handler.  main
-takes at most MAX_WORDS words, and parses each line once: a line that starts
-with a subcommand goes straight to that subcommand's parser.  One
-per-process cache (_cache), bounded in bytes (CACHE_BYTES), makes main cheap
-to call in a loop.  It keeps three kinds of entry, each filled only after
-every check of its line has passed: recent successful invariants and scan
-answers by command line, so a repeated line is written again without a
-parse; each knot's value strings, so a new line of a known knot renders from
-strings; and the coefficient strings of each (group, knot) that expand has
-taken a series of, so a new expand line of a known pair renders from
-strings.  A rejection, argparse's exits, and expand and verify answers are
+for; its handler returns the answer, and main writes it.  One table
+(_COMMANDS) holds every subcommand's handler, help and options, and
+build_parser makes argparse from it.  main takes at most MAX_WORDS words.  A
+line of a command and its exact option words, each once and followed by a
+value its type and choices accept, is read from the table and builds no
+parser; any other line (help, --version, a rejection, an abbreviated
+option, --opt=value, a repeated option) goes to argparse, built once per
+process by the first such line, which writes every usage, help and error
+text.  One per-process cache (_cache), bounded in bytes (CACHE_BYTES),
+makes main cheap to call in a loop.  It keeps three kinds of entry, each
+filled only after every check of its line has passed: recent successful
+invariants and scan answers by command line, so a repeated line is written
+again without a parse; each knot's value strings, so a new line of a known
+knot renders from strings; and the coefficient strings of each (group,
+knot) that expand has taken a series of, so a new expand line of a known
+pair renders from strings.  A rejection, argparse's exits, and expand and verify answers are
 never kept.  The public closed_form_*, integrality_scan and
 primitive_columns functions stay uncached.
 """
@@ -37,9 +41,11 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import re
 import sys
 import threading
 from collections import OrderedDict
+from collections.abc import Callable
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
@@ -197,14 +203,15 @@ def _emit(text: str, out_path: str | None) -> None:
     """Write text to out_path or else to stdout.  The path is opened without
     blocking, so a FIFO with no reader fails at once (ENXIO) instead of
     waiting for one; the write then blocks, so a slow reader gets it all."""
-    if out_path:
+    if out_path is not None:
         try:
             fd = os.open(out_path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_NONBLOCK, 0o666)
             os.set_blocking(fd, True)
             with open(fd, "w", encoding="utf-8") as handle:
                 handle.write(text)
         except OSError as exc:
-            raise UnsupportedInput(f"cannot write {out_path}: {exc.strerror}") from exc
+            raise UnsupportedInput(f"cannot write {out_path or repr(out_path)}: "
+                                   f"{exc.strerror}") from exc
         return
     _write(sys.stdout, text)
 
@@ -560,56 +567,81 @@ def _cmd_scan(args: argparse.Namespace) -> _Answer:
 # parser
 # ----------------------------------------------------------------------
 
+class _Option(NamedTuple):
+    """One option of a subcommand, as argparse's add_argument takes it: the
+    type that converts its value, the values it admits, its default, whether
+    a line must give it, and its help."""
+
+    type: Callable[[str], object] | None = None
+    choices: tuple | None = None
+    default: object = None
+    required: bool = False
+    help: str | None = None
+
+
+class _Command(NamedTuple):
+    """One subcommand: its handler, its help, and its options by option word,
+    in the order usage shows them; each value goes in the namespace under
+    its word less the "--"."""
+
+    handler: Callable[[argparse.Namespace], _Answer]
+    help: str
+    options: dict[str, _Option]
+
+
+_FORMATS = ("json", "csv", "table")
+
+#: every subcommand and its options, the one source of both parse paths
+_COMMANDS = {
+    "invariants": _Command(_cmd_invariants, "invariant tables for one torus knot", {
+        "--n": _Option(int, required=True,
+                       help=f"|n| and |m| at most 10^{len(str(MAX_INVARIANTS_INDEX)) - 1}"),
+        "--m": _Option(int, required=True),
+        "--order": _Option(int, default=6),
+        "--format": _Option(choices=_FORMATS, default="json"),
+        "--out": _Option(help="write output to a file"),
+    }),
+    "expand": _Command(_cmd_expand, "series coefficients of a quantum invariant", {
+        "--family": _Option(choices=tuple(f.value for f in Family), required=True),
+        "--N": _Option(int, help=f"at most {MAX_EXPAND_RANK}"),
+        "--j": _Option(int, help=f"at most {MAX_EXPAND_RANK}"),
+        "--n": _Option(int, required=True, help=f"|n| and |m| at most {MAX_EXPAND_INDEX}"),
+        "--m": _Option(int, required=True),
+        "--order": _Option(int, default=6, help=f"highest degree, 0..{MAX_EXPAND_ORDER}"),
+        "--format": _Option(choices=_FORMATS, default="json"),
+        "--out": _Option(),
+    }),
+    "verify": _Command(_cmd_verify, "run a verification suite", {
+        "--suite": _Option(required=True),
+        "--bound": _Option(int, help="override the suite's default scan bound, "
+                                     f"at most {MAX_VERIFY_BOUND}"),
+        "--format": _Option(choices=("json", "text"), default="json"),
+        "--out": _Option(),
+    }),
+    "scan": _Command(_cmd_scan, "bulk predicates over knot ranges", {
+        "--predicate": _Option(required=True),
+        "--max": _Option(int, required=True, help=f"largest index scanned, 2..{MAX_SCAN_BOUND}"),
+        "--format": _Option(choices=_SCAN_FORMATS, default="json"),
+        "--out": _Option(),
+    }),
+}
+
+
 @functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of _COMMANDS, which writes every usage, help and
+    error text."""
     parser = argparse.ArgumentParser(
         prog="torusvass",
         description="Exact Vassiliev invariants of torus knots up to order six.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    # each subcommand's parser by name, which main hands a line to
-    parser.commands = sub.choices
-
-    inv = sub.add_parser("invariants", help="invariant tables for one torus knot")
-    inv.add_argument("--n", type=int, required=True,
-                     help=f"|n| and |m| at most 10^{len(str(MAX_INVARIANTS_INDEX)) - 1}")
-    inv.add_argument("--m", type=int, required=True)
-    inv.add_argument("--order", type=int, default=6)
-    inv.add_argument("--format", choices=("json", "csv", "table"), default="json")
-    inv.add_argument("--out", default=None, help="write output to a file")
-    inv.set_defaults(handler=_cmd_invariants)
-
-    exp = sub.add_parser("expand", help="series coefficients of a quantum invariant")
-    exp.add_argument("--family", required=True,
-                     choices=tuple(f.value for f in Family))
-    exp.add_argument("--N", type=int, default=None, help=f"at most {MAX_EXPAND_RANK}")
-    exp.add_argument("--j", type=int, default=None, help=f"at most {MAX_EXPAND_RANK}")
-    exp.add_argument("--n", type=int, required=True,
-                     help=f"|n| and |m| at most {MAX_EXPAND_INDEX}")
-    exp.add_argument("--m", type=int, required=True)
-    exp.add_argument("--order", type=int, default=6,
-                     help=f"highest degree, 0..{MAX_EXPAND_ORDER}")
-    exp.add_argument("--format", choices=("json", "csv", "table"), default="json")
-    exp.add_argument("--out", default=None)
-    exp.set_defaults(handler=_cmd_expand)
-
-    ver = sub.add_parser("verify", help="run a verification suite")
-    ver.add_argument("--suite", required=True)
-    ver.add_argument("--bound", type=int, default=None,
-                     help="override the suite's default scan bound, "
-                          f"at most {MAX_VERIFY_BOUND}")
-    ver.add_argument("--format", choices=("json", "text"), default="json")
-    ver.add_argument("--out", default=None)
-    ver.set_defaults(handler=_cmd_verify)
-
-    scan = sub.add_parser("scan", help="bulk predicates over knot ranges")
-    scan.add_argument("--predicate", required=True)
-    scan.add_argument("--max", type=int, required=True,
-                      help=f"largest index scanned, 2..{MAX_SCAN_BOUND}")
-    scan.add_argument("--format", choices=_SCAN_FORMATS, default="json")
-    scan.add_argument("--out", default=None)
-    scan.set_defaults(handler=_cmd_scan)
+    for name, command in _COMMANDS.items():
+        command_parser = sub.add_parser(name, help=command.help)
+        for word, option in command.options.items():
+            command_parser.add_argument(word, **option._asdict())
+        command_parser.set_defaults(handler=command.handler)
     return parser
 
 
@@ -618,36 +650,67 @@ def build_parser() -> argparse.ArgumentParser:
 #: request mix draws 3,481-3,536 distinct ones in 5,000 (500 rounds, seeds 7
 #: and 90210), and a cache of the last 256 hit 5% of them.  But 89.5% of them
 #: repeat a (group, knot) pair at another --order or --format, whose
-#: coefficient text the cache keeps.  verify runs one line per process
+#: coefficient text the cache keeps.  verify runs one line per process.  A
+#: kept answer is written again without either parse path or a render
 _KEPT = ("invariants", "scan")
 
 
 #: the most words main takes on one command line (exit 2 above it, before
-#: the cache and any parse): argparse takes time that grows as the
-#: square of the words, about 0.5 s at 8,000 (an option repeated 4,000 times)
-#: and 3 s at 20,000, in process.  The longest line that repeats no option
-#: has 17 words
+#: the cache and either parse): a line that repeats an option goes to
+#: argparse, whose time grows as the square of the words, about 0.5 s at
+#: 8,000 (an option repeated 4,000 times) and 3 s at 20,000, in process.  The
+#: longest line that repeats no option has 17 words
 MAX_WORDS = 64
+
+#: a word that argparse takes for a negative number, and so for a value, on
+#: Python 3.10-3.13 (each parser here has no option that looks like one):
+#: the one kind of value starting with "-" that _read accepts
+_NEGATIVE = re.compile(r"-[0-9]+")
+
+
+def _read(words: tuple) -> argparse.Namespace | None:
+    """The namespace parse_args makes of words, read from _COMMANDS, or None
+    where the table alone cannot tell.  It reads a line that is a command,
+    then pairs of one of its exact option words and a value: no option
+    twice, every required one given, and each value converted by its
+    option's type into its choices.  No value starts with "-" unless it is a
+    negative integer, which argparse too takes for a value; argparse may take
+    any other such word for an option."""
+    command = _COMMANDS.get(words[0]) if words else None
+    if command is None or not len(words) % 2:
+        return None
+    given = {}
+    for word, text in zip(words[1::2], words[2::2]):
+        option = command.options.get(word)
+        if option is None or word in given or (
+                text[:1] == "-" and _NEGATIVE.fullmatch(text) is None):
+            return None
+        try:
+            value = (option.type or str)(text)
+        except ValueError:
+            return None
+        if option.choices is not None and value not in option.choices:
+            return None
+        given[word] = value
+    args = argparse.Namespace(subcommand=words[0], handler=command.handler)
+    for word, option in command.options.items():
+        if word in given:
+            setattr(args, word[2:], given[word])
+        elif option.required:
+            return None
+        else:
+            setattr(args, word[2:], option.default)
+    return args
 
 
 def _parse(words: tuple) -> argparse.Namespace:
-    """build_parser().parse_args(words), parsed once.  The top-level parser
-    would classify every word, then hand all but the first to the
-    subcommand's parser, which classifies them again; a line that starts with
-    a subcommand goes to that parser alone, and words it leaves over are the
-    top-level parser's error, as parse_args makes them.  Any other line, and
-    one with a word the top-level parser itself rejects (an option spelled
-    --=..., which is ambiguous there; the subcommand comes first, so each such
-    word follows a space in the joined line), takes parse_args."""
-    parser = build_parser()
-    command = parser.commands.get(words[0]) if words else None
-    if command is None or " --=" in " ".join(words):
-        return parser.parse_args(words)
-    args, extras = command.parse_known_args(words[1:])
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    args.subcommand = words[0]
-    return args
+    """build_parser().parse_args(words), by one of two paths: a line _read
+    takes builds no parser, and any other line (help, --version, a
+    rejection, an abbreviated option, --opt=value, a repeated option, a
+    value starting with "-" other than a negative integer) goes to argparse,
+    which writes its usage, help and error text."""
+    args = _read(words)
+    return build_parser().parse_args(words) if args is None else args
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import contextlib
 import errno
 import gc
 import hashlib
@@ -531,6 +532,22 @@ def test_out_to_an_unwritable_path_exits_3(tmp_path, capsys, target, reason):
     assert (code, out, err) == (3, "", f"error: cannot write {path}: {os.strerror(reason)}\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("invariants", "--n", "2", "--m", "3", "--out", ""),
+    ("invariants", "--n", "2", "--m", "3", "--out="),
+    ("scan", "--predicate", "beta-curve", "--max", "6", "--format", "csv", "--out", ""),
+], ids=["table-read", "argparse", "scan"])
+def test_out_to_an_empty_path_exits_3(capsys, argv):
+    # an empty --out names no file, and is not stdout: nothing is written,
+    # and the answer is not kept
+    for _ in range(2):
+        assert run_cli(capsys, *argv) == (
+            3, "", f"error: cannot write '': {os.strerror(errno.ENOENT)}\n")
+    assert kept_lines() == []
+    if argv[0] == "scan":
+        assert kept() == ([], 0)
+
+
 def test_out_to_a_fifo_with_no_reader_exits_3_at_once(tmp_path):
     fifo = tmp_path / "fifo"
     os.mkfifo(fifo)
@@ -964,10 +981,17 @@ def test_a_line_of_more_than_max_words_exits_2_before_any_parse(capsys, monkeypa
     assert kept() == warm
 
 
-#: command lines on which main's one parse must equal parse_args: argparse's
+#: odd values for any option: negative numbers of each kind and words that
+#: look like them, empty and padded text, a full-width digit, an underscore,
+#: the words argparse reads as options or the separator, a value outside
+#: every choice and an int of more than 4,300 digits
+ODD_VALUES = ("-3", "-1.5", "-1e3", "-1.", "", " 3", "\uff13", "1_000", "-", "--", "-h", "xml",
+              "1" + "0" * 4300)
+
+#: command lines on which main's parse must equal parse_args: argparse's
 #: own exits, help and version at each level, the "--" separator before,
-#: between and after options, abbreviations, "=" forms, repeated options and
-#: stray words
+#: between and after options, abbreviations, "=" forms, repeated options,
+#: stray words, and each odd value as an int, as a choice and as a path
 PARSE_CORPUS = (
     (), ("-h",), ("--help",), ("--version",), ("bogus",), ("--", "invariants"),
     ("--n", "2", "invariants"), ("invariants",), ("invariants", "-h"), ("expand", "--help"),
@@ -985,38 +1009,110 @@ PARSE_CORPUS = (
     ("invariants", "--=2"), ("verify", "--suite", "v3", "--=x"), ("verify",),
     ("verify", "--suite", "v3", "--bound", "3", "--format", "text"), ("scan", "--h"),
     ("scan", "--predicate", "beta-curve", "--max", "6", "--help", "--version"),
+    ("invariants", "--n", "2", "--m", "3", "--out", ""), ("verify", "--suite", "-3"),
+    *(("invariants", "--n", value, "--m", "3") for value in ODD_VALUES),
+    *(("invariants", "--n", "2", "--m", "3", "--out", value) for value in ODD_VALUES),
+    *(("scan", "--predicate", "beta-curve", "--max", "6", "--format", value)
+      for value in ODD_VALUES),
 )
 
 
-@pytest.mark.parametrize("argv", PARSE_CORPUS, ids=" ".join)
-def test_one_parse_equals_parse_args(capsys, argv):
-    def parsed(parse):
+def parsed(parse, argv) -> tuple:
+    """(namespace or None, exit code or None, stdout, stderr) of one parse."""
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
         try:
             args, code = parse(argv), None
         except SystemExit as exited:
             args, code = None, exited.code
-        captured = capsys.readouterr()
-        return args, code, captured.out, captured.err
+    return args, code, out.getvalue(), err.getvalue()
 
-    expected = parsed(lambda words: cli.build_parser.__wrapped__().parse_args(words))
-    assert parsed(cli._parse) == expected
+
+def fresh_parse(argv) -> argparse.Namespace:
+    """parse_args of a parser built for this line alone."""
+    return cli.build_parser.__wrapped__().parse_args(argv)
+
+
+def line_id(argv) -> str:
+    """A command line's test id: its words, each longer than 40 characters
+    by its length alone."""
+    return " ".join(word if len(word) <= 40 else f"<{len(word)} chars>" for word in argv)
+
+
+@pytest.mark.parametrize("argv", PARSE_CORPUS, ids=line_id)
+def test_one_parse_equals_parse_args(argv):
+    assert parsed(cli._parse, argv) == parsed(fresh_parse, argv)
+
+
+@st.composite
+def command_lines(draw):
+    """A command, its required options and some others, in any order, each
+    an exact option word and a value it takes; then up to two odd values,
+    and up to two options abbreviated, spelled --opt=value, repeated or left
+    out."""
+    name = draw(st.sampled_from(tuple(cli._COMMANDS)))
+    options = cli._COMMANDS[name].options
+    takes = {int: ("2", "-5", "7"), None: ("v3", "beta-curve", "doc")}
+    pairs = draw(st.permutations([
+        [word, draw(st.sampled_from(option.choices or takes[option.type]))]
+        for word, option in options.items() if option.required or draw(st.booleans())]))
+    for _ in range(draw(st.integers(0, 2))):
+        draw(st.sampled_from(pairs))[1] = draw(st.sampled_from(ODD_VALUES))
+    for _ in range(draw(st.integers(0, 2))):
+        index = draw(st.integers(0, len(pairs) - 1))
+        pair = pairs[index]
+        change = draw(st.sampled_from(("abbreviate", "equals", "repeat", "drop")))
+        if change == "abbreviate" and len(pair) == 2:
+            pair[0] = pair[0][:draw(st.integers(2, max(2, len(pair[0]) - 1)))]
+        elif change == "equals" and len(pair) == 2:
+            pairs[index] = ["=".join(pair)]
+        elif change == "repeat":
+            pairs.insert(draw(st.integers(0, len(pairs))), list(pair))
+        elif change == "drop" and len(pairs) > 1:
+            del pairs[index]
+    return (name, *itertools.chain.from_iterable(pairs))
+
+
+@settings(max_examples=400, deadline=None)
+@given(command_lines())
+@example(("expand", "--family", "su2", "--j", "-3", "--n", "\uff13", "--m", " 3", "--order",
+          "1_000"))
+@example(("invariants", "--n", "2", "--m", "3", "--m", "-1e3"))
+@example(("scan", "--max=-1.5", "--predicate", "--"))
+def test_a_table_read_equals_parse_args(argv):
+    # the namespace, exit code, stdout and stderr of main's parse are a fresh
+    # parser's, on either path
+    assert parsed(cli._parse, argv) == parsed(fresh_parse, argv)
 
 
 def test_main_builds_its_parser_once(capsys, monkeypatch):
-    run_cli(capsys, "invariants", "--n", "2", "--m", "3")
-    built = []
-    init = argparse.ArgumentParser.__init__
+    # a line the table reads builds no ArgumentParser and calls no
+    # parse_known_args; the first help or rejection line builds the parser
+    # once, and later ones reuse it
+    built, parses = [], []
+    init, parse_known = argparse.ArgumentParser.__init__, argparse.ArgumentParser.parse_known_args
 
-    def counted(self, *args, **kwargs):
+    def counted_init(self, *args, **kwargs):
         built.append(kwargs.get("prog"))
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-    for argv in (("invariants", "--n", "2", "--m", "3"), ("invariants", "--n", "2", "--m", "4"),
+    def counted_parse(self, *args, **kwargs):
+        parses.append(self.prog)
+        return parse_known(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted_parse)
+    cli.build_parser.cache_clear()
+    for argv in (("invariants", "--n", "2", "--m", "3"), ("invariants", "--n", "-2", "--m", "5"),
                  ("expand", "--family", "su2", "--j", "2", "--n", "2", "--m", "3"),
-                 ("scan", "--predicate", "beta-curve", "--max", "4"), ("--version",)):
+                 ("scan", "--predicate", "beta-curve", "--max", "4", "--format", "csv")):
+        assert answer(capsys, argv)[0] == 0, argv
+    assert cli._parse(("verify", "--suite", "v3", "--bound", "4", "--format", "text")).bound == 4
+    assert (built, parses) == ([], [])
+    for argv in (("invariants", "--n", "2", "--m", "3", "--format", "xml"), ("--version",),
+                 ("scan", "--help"), ("invariants", "--n=2", "--m", "3")):
         answer(capsys, argv)
-    assert built == []
+    assert built == ["torusvass"] + [f"torusvass {name}" for name in cli._COMMANDS]
 
 
 #: command lines argparse answers itself, through SystemExit
