@@ -10,7 +10,10 @@ relations (whose grids come in the caller's order) and the derived scalars.
 Integrality is num % den, equal numerators over a fixed denominator are
 equal values, and a relation's residual is one integer sum over a common
 denominator.  A Fraction is built only for a value that goes into a report,
-so scans over thousands of knots are cheap.
+so scans over thousands of knots are cheap.  The integrality scan evaluates
+only the pairs 1 <= n <= m: every row is symmetric in n and m and even or
+odd in m by its order, so the other three quarters of its square are those
+values swapped or mirrored, and each of its Fractions is built once.
 """
 
 from __future__ import annotations
@@ -218,18 +221,38 @@ def integrality_scan(bound: int, include_noncoprime: bool = False) -> ScanReport
 
     With include_noncoprime the scan also walks the non-coprime pairs and
     records every non-integral value it finds there as a note (those are
-    expected witnesses, not violations).
+    expected witnesses, not violations).  Records run over n = 1..bound,
+    then m from -bound to bound (0 left out), then slot; checked counts the
+    values covered, twelve per coprime pair (n, m).
+
+    Only the pairs 1 <= n <= m <= bound are evaluated.  Each row is a sum
+    of symmetric monomials in u = n^2, v = m^2 times the prefactor
+    (u-1)(v-1), times nm at odd orders, so a beta at (m, n) is its value at
+    (n, m), and at (n, -m) the same value at even orders and its negation at
+    odd ones.  Each non-integral value, and at odd orders its negation, is
+    one Fraction shared by the records of every pair it stands for; what
+    (n, m), n < m, found is kept until row m reuses it at (m, n).
     """
     check_floor("bound", bound)
     report = ScanReport("integrality", bound)
-    ms = [m for m in range(-bound, bound + 1) if m]
     dens = _denominators()
+    kept: dict = {}  # kept[m][n], n < m: what (n, m) found, for (m, n)
     for n in range(1, bound + 1):
-        coprime = [m for m in ms if gcd(n, m) == 1]
-        report.checked += len(PRIMITIVE_ORDER) * len(coprime)
-        for m, slot, num, den in _non_integral(n, ms if include_noncoprime else coprime, dens):
-            (report.violations if gcd(n, m) == 1 else report.notes).append(
-                ((n, m), slot, Fraction(num, den)))
+        coprime = [gcd(n, m) == 1 for m in range(1, bound + 1)]
+        report.checked += 2 * len(PRIMITIVE_ORDER) * sum(coprime)
+        # |m| -> (slot, (value at (n, |m|), value at (n, -|m|))) of each
+        # non-integral beta, by ascending |m| and then slot
+        found = kept.pop(n, {})
+        above = [m for m in range(n, bound + 1) if include_noncoprime or coprime[m - 1]]
+        for m, slot, num, den in _non_integral(n, above, dens):
+            value = Fraction(num, den)
+            found.setdefault(m, []).append((slot, (value, -value if slot[0] % 2 else value)))
+        for m in [-m for m in reversed(found)] + list(found):
+            if m > n:
+                kept.setdefault(m, {})[n] = found[m]
+            pair = (n, m)
+            (report.violations if coprime[abs(m) - 1] else report.notes).extend(
+                [(pair, slot, values[m < 0]) for slot, values in found[abs(m)]])
     return report
 
 

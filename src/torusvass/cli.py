@@ -81,8 +81,8 @@ MAX_EXPAND_RANK = 130
 
 #: scan --max and verify --bound limits (exit 3 above them): at its limit the
 #: slowest predicate (non-integer, bound by its 11 MB output) takes about
-#: 0.6 s as a whole process, and the slowest bounded suite (integrality)
-#: about 0.4 s
+#: 0.5 s as a whole process, and the slowest bounded suite (relations)
+#: about 0.7 s
 MAX_SCAN_BOUND = 100
 MAX_VERIFY_BOUND = 300
 

@@ -596,6 +596,40 @@ def test_integrality_kernel_equals_reference(include_noncoprime):
             == outcome(ref_integrality_scan, bound, include_noncoprime), bound
 
 
+def plain_integrality_scan(bound, include_noncoprime=False):
+    """integrality_scan pair by pair over its whole square, from
+    primitive_numerators, with no symmetry."""
+    report = ScanReport("integrality", bound)
+    for n in range(1, bound + 1):
+        for m in range(-bound, bound + 1):
+            coprime = gcd(n, m) == 1
+            if not m or not (coprime or include_noncoprime):
+                continue
+            report.checked += len(PRIMITIVE_ORDER) if coprime else 0
+            for slot, num in zip(PRIMITIVE_ORDER, primitive_numerators(n, m)):
+                if num % BETA_DENOMINATORS[slot]:
+                    (report.violations if coprime else report.notes).append(
+                        ((n, m), slot, F(num, BETA_DENOMINATORS[slot])))
+    return report
+
+
+@pytest.mark.parametrize("include_noncoprime", [False, True])
+@pytest.mark.parametrize("bound", [31, 47, 64])
+def test_integrality_kernel_equals_the_plain_walk(bound, include_noncoprime):
+    assert outcome(integrality_scan, bound, include_noncoprime) \
+        == outcome(plain_integrality_scan, bound, include_noncoprime)
+
+
+@pytest.mark.parametrize("slot", [(3, 1), (4, 2), (5, 4)])
+def test_integrality_kernel_equals_the_plain_walk_on_violations(monkeypatch, slot):
+    # over twice its denominator a slot fails on coprime pairs too, so the
+    # violations hold swapped and mirrored values, negated at odd orders
+    perturb(monkeypatch, slot, 2 * BETA_DENOMINATORS[slot])
+    report = integrality_scan(31, include_noncoprime=True)
+    assert report.violations
+    assert typed(report) == typed(plain_integrality_scan(31, include_noncoprime=True))
+
+
 def test_integrality_kernel_reports_noncoprime_notes():
     report = integrality_scan(6, include_noncoprime=True)
     # P = 3 * 35 at (2, -6): beta21 = P/24, beta31 = nmP/144, beta42 = 1255 P/240

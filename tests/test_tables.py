@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from torusvass import tables
 from torusvass.groups import (ALL_SLOTS, PRIMITIVE_SLOTS, SLOTS, Family, _casimirs,
                               compound_values)
 from torusvass.knots import TorusKnot
@@ -200,6 +201,54 @@ def test_columns_take_any_list_of_m():
     ms = [7, 0, -7, 7, 300]
     assert primitive_columns(-3, ms) == [list(column) for column in
                                          zip(*(primitive_numerators(-3, m) for m in ms))]
+
+
+#: n and m of the pairs the symmetry test walks, 0, +-1 and the non-coprime
+#: pairs among them
+SYMMETRY_SPAN = list(range(-12, 13))
+
+
+def broken_identities():
+    """(slot, where, n, m) for each value, over n and m in SYMMETRY_SPAN,
+    that breaks one of the two identities analysis.integrality_scan rests
+    on: a beta at (n, -m) is its value at (n, m), negated at odd orders, and
+    at (m, n) it is its value at (n, m).  where names the call and pair that
+    broke it; primitive_columns must agree with primitive_numerators."""
+    broken = []
+    for n in SYMMETRY_SPAN:
+        columns = primitive_columns(n, SYMMETRY_SPAN)
+        mirrored = primitive_columns(n, [-m for m in SYMMETRY_SPAN])
+        for i, m in enumerate(SYMMETRY_SPAN):
+            nums = primitive_numerators(n, m)
+            at = {"(n, -m)": primitive_numerators(n, -m), "(m, n)": primitive_numerators(m, n),
+                  "column at (n, m)": [column[i] for column in columns],
+                  "column at (n, -m)": [column[i] for column in mirrored],
+                  "column at (m, n)": [column[0] for column in primitive_columns(m, [n])]}
+            for k, slot in enumerate(PRIMITIVE_ORDER):
+                sign = -1 if slot[0] % 2 else 1
+                want = {"(n, -m)": sign * nums[k], "(m, n)": nums[k],
+                        "column at (n, m)": nums[k], "column at (n, -m)": sign * nums[k],
+                        "column at (m, n)": nums[k]}
+                broken += [(slot, where, n, m) for where, value in want.items()
+                           if at[where][k] != value]
+    return broken
+
+
+def test_rows_are_symmetric_in_n_and_m_and_even_or_odd_in_m():
+    # the premise of integrality_scan, which evaluates only 1 <= n <= m and
+    # reads the rest of its square from those pairs
+    assert broken_identities() == []
+
+
+def test_a_row_that_breaks_an_identity_is_named(monkeypatch):
+    # negative control: beta_{3,1} without its factor m, n (n^2-1)(m^2-1)/144,
+    # is even in m and not symmetric in n and m
+    forms = tables._forms
+    monkeypatch.setattr(tables, "_forms", lambda n, slots: tuple(
+        (odd and slot != (3, 1), *rest) for slot, (odd, *rest) in zip(slots, forms(n, slots))))
+    assert {(slot, where) for slot, where, _, _ in broken_identities()} == {
+        ((3, 1), where) for where in ("(n, -m)", "(m, n)", "column at (n, -m)",
+                                      "column at (m, n)")}
 
 
 TREFOIL_BETA = {
