@@ -4,9 +4,10 @@ and the normalization's sharpness, and derived scalars.
 
 Everything here runs on the integer rows of the closed-form beta table
 over BETA_DENOMINATORS, evaluating only the slots it reads: per n over a
-whole range of m through tables.primitive_columns in the distinguishing and
-integrality scans, and per knot through tables.primitive_numerators for the
-relations (whose grids come in the caller's order) and the derived scalars.
+whole range of m through tables.primitive_columns in the distinguishing,
+integrality and relations scans, and per knot through
+tables.primitive_numerators for a relations grid the caller gives (in its
+order) and the derived scalars.
 Integrality is num % den, equal numerators over a fixed denominator are
 equal values, and a relation's residual is one integer sum over a common
 denominator.  A Fraction is built only for a value that goes into a report,
@@ -26,7 +27,7 @@ from math import gcd, lcm, prod
 from typing import Iterable, Optional
 
 from .errors import DegreeExceeded, UnsupportedInput
-from .knots import TorusKnot, as_knot, canonical_knots, canonical_ms, check_int
+from .knots import TorusKnot, as_knot, canonical_ms, check_int
 from .tables import (_ROWS, BETA_DENOMINATORS, PRIMITIVE_ORDER, SHARPNESS_PAIRS,
                      primitive_columns, primitive_numerators)
 
@@ -172,22 +173,39 @@ def dependency_relations_check(grid: Optional[Iterable] = None,
     """Verify all six dependency relations exactly on a knot grid.
 
     The default grid is every canonical knot (both chiralities) with
-    n <= max_n, which needs max_n >= 3: no canonical knot has n < 3.
+    n <= max_n, which needs max_n >= 3: no canonical knot has n < 3.  It is
+    read one n at a time, and each knot (n, m) with m > 0 once: every term of
+    a relation has the parity in m of the relation's order, so the residual
+    at the mirror (n, -m) is the one at (n, m), negated at odd orders.
     """
-    if grid is None:
-        check_floor("max_n", max_n)
-    knots = list(grid) if grid is not None else list(canonical_knots(max_n))
     report = ScanReport("dependency-relations", max_n)
-    for knot in knots:
-        k = as_knot(knot)
-        nums = primitive_numerators(k.n, k.m)
-        for rel in DEPENDENCY_RELATIONS:
-            report.checked += 1
-            residual = rel.residual_numerator(nums)
-            if residual:
-                report.violations.append(((k.n, k.m), rel.name,
-                                          Fraction(residual, rel.residual_denominator)))
+    if grid is not None:
+        for knot in grid:
+            k = as_knot(knot)
+            report.checked += len(DEPENDENCY_RELATIONS)
+            report.violations += [((k.n, k.m), rel.name, value)
+                                  for rel, value in _violations(primitive_numerators(k.n, k.m))]
+        return report
+    check_floor("max_n", max_n)
+    for n, ms in canonical_ms(max_n, chirality=False):
+        report.checked += 2 * len(DEPENDENCY_RELATIONS) * len(ms)
+        for m, nums in zip(ms, zip(*primitive_columns(n, ms))):
+            found = _violations(nums)
+            report.violations += [((n, m), rel.name, value) for rel, value in found]
+            report.violations += [((n, -m), rel.name, -value if rel.lhs[0] % 2 else value)
+                                  for rel, value in found]
     return report
+
+
+def _violations(nums: tuple[int, ...]) -> list:
+    """(relation, residual) of each relation that fails on one knot's
+    primitive numerators, in DEPENDENCY_RELATIONS order."""
+    found = []
+    for rel in DEPENDENCY_RELATIONS:
+        residual = rel.residual_numerator(nums)
+        if residual:
+            found.append((rel, Fraction(residual, rel.residual_denominator)))
+    return found
 
 
 # ----------------------------------------------------------------------

@@ -73,8 +73,8 @@ SCHEMA_VERSION = "1.0"
 #: kernel's size.  The evaluators' cost grows
 #: with |n| as given, and (n, m) and (m, n) are the same knot, so |n| and |m|
 #: share one limit; N and j share another, which leaves Kauffman its floor
-#: N >= n + 2 at every n.  At the limits the slowest family (HOMFLY at n = N)
-#: takes about 0.25 s at order 24, as a whole process
+#: N >= n + 2 at every n.  At the limits the slowest family (Kauffman at
+#: N = n + 2) takes about 0.17 s at order 24, as a whole process (median of 5)
 MAX_EXPAND_ORDER = 24
 MAX_EXPAND_INDEX = 128
 MAX_EXPAND_RANK = 130
@@ -82,7 +82,7 @@ MAX_EXPAND_RANK = 130
 #: scan --max and verify --bound limits (exit 3 above them): at its limit the
 #: slowest predicate (non-integer, bound by its 11 MB output) takes about
 #: 0.5 s as a whole process, and the slowest bounded suite (relations)
-#: about 0.7 s
+#: about 0.35 s (median of 5)
 MAX_SCAN_BOUND = 100
 MAX_VERIFY_BOUND = 300
 

@@ -24,8 +24,8 @@ Conventions:
 
 Per-n kernels.  Each evaluator is a framing factor times a sum
 sum_i A_i(x) e^{m rho_i x} (Rosso-Jones form).  The summands A_i (bracket
-prefix products, quotients by q-factorials, m-free t-powers) and the rates
-rho_i depend only on n, the rank N (or j) and the order W.  The
+products over q-factorials, m-free t-powers) and the rates rho_i depend only
+on n, the rank N (or j) and the order W.  The
 framing factor is a t-power with an exponent linear in m: its m-linear part
 shifts every rate, and its m-free part joins the m-free head (with
 Akutsu-Wadati's 1/(t^{j+1} - 1)).  So the x^d coefficients of the sum are
@@ -34,37 +34,42 @@ build multiplies the head, free of m, into them, every power of m kept.  That
 kernel -- the normalized invariant as polynomials in m -- is kept in a
 bounded cache per (family, n, N or j), at the widest order asked of it so
 far; one knot then costs one polynomial evaluation per degree and no series
-product, whatever n is.  The HOMFLY and Kauffman summands share their bracket products and
-reciprocal q-factorials as prefix products (each step multiplies by the
-reciprocal of one small unit), so a build costs O(n) series products and
-divides by no large series, and
-the fold O(W^3) integer products; the Akutsu-Wadati summands
-are bare t-powers, whose Taylor rows the kernel takes from one
-:func:`.series.exp_numerators` call over all 2(j+1) exponents.  That routine
-expands every t-power here: the unit brackets, the m-weights of
-:class:`MPolySeries` and the unknot factors, which are one pass of integer
-power sums.
+product, whatever n is.  A HOMFLY or Kauffman summand, its head folded in,
+is a rational constant times one exponential of an even series (two for a
+Kauffman summand, whose pole 1/[n] + 1/[b-g;1] is a sum), taken by
+:func:`.series.exp_even_numerators` from integer power sums of the bracket
+widths (next paragraph), so a build multiplies and divides no series: it
+costs O(n W^2) integer products, and the m-weights O(n W^2) more.  The
+Akutsu-Wadati summands are bare t-powers, whose Taylor rows the kernel takes
+from one :func:`.series.exp_numerators` call over all 2(j+1) exponents.
+That routine expands every other t-power here: the m-weights of
+:class:`MPolySeries`, the Akutsu-Wadati head and the unknot factors, which
+are one pass of integer power sums.
 
 Unit brackets.  Every bracket t^a - t^b vanishes at x = 0, so each enters as
-x times the unit (t^a - t^b)/x of :func:`_unit`, whose constant term is
-nonzero.  The HOMFLY and Kauffman summands and heads have as
-many brackets above the line as below -- HOMFLY p + i over (i)!(p)!, Kauffman
-n over [b]![g]! times the one pole 1/[n] or 1/[b-g;1] -- so their powers of x
-cancel and every quotient is by a unit, which loses no degree.  The
+x times the unit (t^a - t^b)/x, whose constant term a - b is nonzero.  Its
+logarithm is exact: log(a - b) + (a + b)x/2 + sum_k beta_k (a - b)^(2k) x^(2k)
+with beta_k = B_2k / (2k (2k)!), from the Bernoulli numbers.  The HOMFLY and
+Kauffman summands and heads have as many brackets above the line as below --
+HOMFLY p + i over (i)!(p)!, Kauffman n over [b]![g]! times the one pole 1/[n]
+or 1/[b-g;1] -- so their powers of x cancel, the widths' quotient is the
+constant, and the x^(2k) term of the exponent is beta_k times a sum of
+(2k)-th powers of widths, read from prefix sums; the linear terms cancel
+against the t-powers, and no degree is lost.  The
 Akutsu-Wadati sum vanishes at x = 0 for every m: its rows are built one
 degree further and stored from degree -1, which divides by x exactly, and its
-head divides by the unit (t^{j+1} - 1)/x and is built one degree further too:
-every head is made through x^(hi - lo), as far as the rows reach, so the fold
-reads no head degree it lacks.  So every kernel is built at
-exactly W = trunc_order: the invariants are exact Taylor coefficients, and no
-width beyond the requested order is needed.  Nor does any order key a kernel:
-its coefficients through x^W are the same whatever width it was built at, so
-a cached kernel serves every narrower order by reading its first degrees, and
-a wider order rebuilds it once at that order.  Integral rates and exponents
-are passed as ints, which keeps their expansion in int arithmetic.  A
-normalized invariant is 1 + O(x) at every m, and each new kernel is checked
-for it once, before it is cached: every polynomial below x^0 is zero and the
-one at x^0 is the constant den.  Anything else raises
+head divides by the unit (t^{j+1} - 1)/x of :func:`_unit` and is built one
+degree further too: every head is made through x^(hi - lo), as far as the
+rows reach, so the fold reads no head degree it lacks.  So every kernel is
+built at exactly W = trunc_order: the invariants are exact Taylor
+coefficients, and no width beyond the requested order is needed.  Nor does
+any order key a kernel: its coefficients through x^W are the same whatever
+width it was built at, so a cached kernel serves every narrower order by
+reading its first degrees, and a wider order rebuilds it once at that order.
+Integral rates and exponents are passed as ints, which keeps their expansion
+in int arithmetic.  A normalized invariant is 1 + O(x) at every m, and each
+new kernel is checked for it once, before it is cached: every polynomial
+below x^0 is zero and the one at x^0 is the constant den.  Anything else raises
 :class:`.errors.CancellationFailure`, so no evaluation checks it again.
 """
 
@@ -73,15 +78,15 @@ from __future__ import annotations
 import marshal
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, islice
-from math import gcd, lcm
+from itertools import accumulate, islice, repeat
+from math import comb, factorial, gcd, lcm
 from operator import add, mul, neg, sub
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Union
 
 from .errors import CancellationFailure, SingularBracket, UnsupportedInput
 from .groups import Family, GroupInstance, check_parameter, simple_factors
 from .knots import KnotLike, TorusKnot, as_knot
-from .series import TruncSeries, exp_numerators, series_exp_linear
+from .series import TruncSeries, exp_even_numerators, exp_numerators, series_exp_linear
 
 #: coefficients are needed through x^6
 DEFAULT_ORDER = 6
@@ -92,7 +97,9 @@ DEFAULT_ORDER = 6
 #: fit, 87-88% of its lookups need no build (the rest widen a kernel to a
 #: higher order), and the kernels, heads folded in, hold 0.11 MiB (tracemalloc
 #: after 8,500 requests, seeds 1-3; 0.23 MiB with the head kept apart).  A
-#: build costs about one direct evaluation
+#: HOMFLY or Kauffman build costs 1/3 to 1/17 of one direct evaluation by
+#: series products, and a knot read from a built HOMFLY kernel 1/13 to 1/32
+#: of its build (n = 3..41, orders 6 and 12, best of 7)
 KERNEL_CACHE_SIZE = 256
 
 
@@ -181,20 +188,6 @@ class MPolySeries:
         g = gcd(den, *out)
         return cls(lo, hi, den // g, [c // g for c in out])
 
-    @classmethod
-    def from_series(cls, summands: Sequence[tuple[TruncSeries, Union[int, Fraction]]],
-                    width: int, head: TruncSeries) -> "MPolySeries":
-        """head * sum_i A_i(x) * exp(m * rho_i * x) on degrees 0..width, for
-        (A_i, rho_i) pairs of power series and an m-free power series head,
-        all known through x^width."""
-        den = lcm(*(a.den for a, _ in summands))
-        rows = []  # each A over den on degrees 0..width
-        for a, rho in summands:
-            scale = den // a.den
-            row = [0] * a.min_degree + [c * scale for c in a.nums]
-            rows.append((rho, row[:width + 1]))
-        return cls.from_rows(0, width, den, rows, head)
-
     def at(self, m: int, hi: int) -> TruncSeries:
         """The series at one value of m, through x^hi <= self.hi.  The
         polynomials are stored by degree, so a narrower series reads only the
@@ -209,68 +202,114 @@ class MPolySeries:
         return TruncSeries.from_numerators(self.lo, nums, self.den, hi)
 
 
+def _bernoulli(top: int) -> list[Fraction]:
+    """B_0, .., B_top from B_0 = 1 and sum_{j<=m} C(m+1, j) B_j = 0, m >= 1."""
+    numbers = [Fraction(1)]
+    for m in range(1, top + 1):
+        numbers.append(-sum(comb(m + 1, j) * b for j, b in enumerate(numbers)) / (m + 1))
+    return numbers
+
+
+#: one entry per (order // 2, unit): the CLI's orders 0..24 make 13 per unit
+@lru_cache(maxsize=32)
+def _log_unit(top: int, q: int) -> tuple[tuple[int, ...], int]:
+    """beta_k / q^(2k) for k = 1..top, as integer numerators over one
+    denominator, with beta_k = B_2k / (2k (2k)!): the x^(2k) coefficient of
+    log((e^{ax} - e^{bx}) / x) is beta_k (a - b)^(2k), so a bracket of width
+    a - b = w/q adds beta_k / q^(2k) * w^(2k) there."""
+    betas = [b / (d * factorial(d) * q ** d)
+             for d, b in enumerate(_bernoulli(2 * top)) if d and d % 2 == 0]
+    den = lcm(*(b.denominator for b in betas))
+    return tuple(b.numerator * (den // b.denominator) for b in betas), den
+
+
+def _even_powers(v: int, top: int) -> list[int]:
+    """v^2, v^4, .., v^(2 top)."""
+    return list(accumulate(repeat(v * v, top), mul))
+
+
+def _power_sums(values: Iterable[int], top: int) -> list[list[int]]:
+    """sums[c][k-1] = the sum of v^(2k) over the first c values, k = 1..top."""
+    return list(accumulate((_even_powers(v, top) for v in values),
+                           lambda s, p: list(map(add, s, p)), initial=[0] * top))
+
+
+def _exponential_kernel(summands: Iterable[tuple[Union[int, Fraction], int, Iterable[int]]],
+                        den: int, q: int, W: int) -> MPolySeries:
+    """sum_i scale_i / den * exp(sum_k beta_k sums_i[k-1] (x/q)^(2k)) * exp(m rho_i x)
+    on degrees 0..W, for (rho_i, scale_i, sums_i) triples with integer
+    scales and power sums: each summand is one even exponential, expanded by
+    :func:`.series.exp_even_numerators`, and no series is multiplied or
+    divided."""
+    betas, log_den = _log_unit(W // 2, q)
+    rows = []
+    for rho, scale, sums in summands:
+        row, exp_den = exp_even_numerators(list(map(mul, betas, sums)), log_den, W)
+        rows.append((rho, [scale * c for c in row]))
+    return MPolySeries.from_rows(0, W, den * exp_den, rows, TruncSeries.one(W))
+
+
 def _homfly_kernel(n: int, N: int, W: int) -> MPolySeries:
     """(1 - t)/(1 - t^n) lambda^{-(n-1)/2} times sum_i (-1)^i A_i t^{m i}
     lambda^{m(n-1)/2}, with A_i = prod_{j=-p..i, j != 0} (t^N - t^j) / ((i)! (p)!)
-    * t^{p(p+1)/2}: p + i brackets over p + i, each taken as its unit."""
-    def u(a, b) -> TruncSeries:  # (t^a - t^b)/x
-        return _unit(a, b, W)
+    * t^{p(p+1)/2}: p + i brackets over p + i.
 
-    one = TruncSeries.one(W)
-    # prefix products, each over x^a: left[p] = prod_{j=1..p} (t^N - t^-j),
-    # right[i] = prod_{j=1..i} (t^N - t^j) for i < N, and inv_fact[a] =
-    # 1/(a)!, whose quotients are each by one small unit: a quotient by a
-    # whole (i)!(p)! raises its large constant term to the W-th power
-    left = list(accumulate((u(N, -a) for a in range(1, n)), mul, initial=one))
-    right = list(accumulate((u(N, a) for a in range(1, min(n, N))), mul, initial=one))
-    inv_fact = list(accumulate((one / u(a, 0) for a in range(1, n)), mul, initial=one))
+    With the head folded in, summand i is C_i exp(sum_k beta_k S_k x^(2k)),
+    where C_i = (-1)^i prod_{a<=p} (N+a) prod_{a<=i} (N-a) / (n i! p!) and
+    S_k sums the (2k)-th powers of the widths above the line, N - i..N + p
+    but N, less those below it, 1..i, 1..p and the head's n, plus the head's
+    1; the linear terms (a + b)x/2 of the brackets cancel the t-powers."""
+    top = W // 2
     shift = _ratio((n - 1) * (N - 1), 2)  # lambda^{(m-1)(n-1)/2} = t^{shift (m - 1)}
-    head = one if n == 1 else u(1, 0) * qpower(-shift, 1, W) / u(n, 0)
+    count = min(n, N)  # at i >= N the factor (lambda t - t^N) vanishes identically
+    low = N + 1 - count
+    window = _power_sums(range(low, N + n), top)  # every width N - i..N + p, i < count
+    fact = _power_sums(range(1, n), top)
+    base = [1 - a - b for a, b in zip(_even_powers(n, top), _even_powers(N, top))]
     summands = []
-    for i in range(n):
-        p = n - 1 - i
-        if -p <= N <= i:
-            continue  # the factor (lambda t - t^N) vanishes identically
-        # the j = 0 factor of prod_{j=-p..i} (lambda t - t^j) is cancelled
-        # against the global 1/(lambda t - 1)
-        term = left[p] * right[i] * inv_fact[i] * inv_fact[p] * qpower(p * (p + 1) // 2, 1, W)
-        summands.append((term if i % 2 == 0 else -term, i + shift))
-    return MPolySeries.from_series(summands, W, head)
+    for i in range(count):
+        p, c = n - 1 - i, N - i - low
+        sums = [b + w1 - w0 - f - g for b, w1, w0, f, g
+                in zip(base, window[c + n], window[c], fact[i], fact[p])]
+        scale = comb(n - 1, i) * factorial(N + p) // (factorial(N - 1 - i) * N)  # C_i n!
+        summands.append((i + shift, -scale if i % 2 else scale, sums))
+    return _exponential_kernel(summands, factorial(n), 1, W)
 
 
 def _kauffman_kernel(n: int, N: int, W: int) -> MPolySeries:
     """[1] / ([1] + [0;1]) times the (-1)^g summands of the Kauffman sum, with
     the m-dependent weight t^{-m(b-g)/2} lambda^{-m} times the framing
-    lambda^{nm} as the exponential."""
-    # lambda = t^{(N-1)/2} and t = e^{x/2}, so [p] = e^{px/4} - e^{-px/4}
-    def br(p) -> TruncSeries:  # [p]/x
-        return _unit(_ratio(p, 4), _ratio(-p, 4), W)
+    lambda^{nm} as the exponential.
 
-    def brq(p) -> TruncSeries:  # [p;1]/x, a unit for N >= n + 2
-        return _unit(_ratio(p + N - 1, 4), _ratio(1 - N - p, 4), W)
-
-    one = TruncSeries.one(W)
-    brqs = {p: brq(p) for p in range(1 - n, n)}  # every [p;1] a summand uses
-    # prefix products, each over x^a: neg[g] = prod_{j=-g..-1} [j;1],
-    # pos[b] = prod_{j=1..b} [j;1], inv_fact[a] = 1/[a]!, built from the
-    # reciprocals of single brackets as in _homfly_kernel
-    neg = list(accumulate((brqs[-a] for a in range(1, n)), mul, initial=one))
-    pos = list(accumulate((brqs[a] for a in range(1, n)), mul, initial=one))
-    inv_fact = list(accumulate((one / br(a) for a in range(1, n)), mul, initial=one))
-    inv_br_n = one / br(n)
-    head = br(1) / (br(1) + brqs[0])
+    t = e^{x/2} and lambda = t^{(N-1)/2} make every bracket symmetric, with
+    no linear term: [a] has width a/2 and [j;1] width (j + N - 1)/2, 2a and
+    2(j + N - 1) in quarters.  The head is
+    (1/N) sinh(x/4) / (sinh(Nx/8) cosh((N-2)x/8)), and
+    log cosh y = sum_k beta_k 4^k (4^k - 1) y^(2k), so it adds
+    2^(2k) - N^(2k) - (4^k - 1)(N-2)^(2k) in quarters.  The factor
+    1/[n] + 1/[b-g;1] makes two exponentials of summand g, over
+    prod_{j=-g..b} [j;1] / ([b]! [g]!) with the one bracket [n] or [b-g;1]
+    removed."""
+    top = W // 2
+    head = [4 ** k - a - (4 ** k - 1) * b for k, a, b
+            in zip(range(1, top + 1), _even_powers(N, top), _even_powers(N - 2, top))]
+    window = _power_sums(range(2 * (N - n), 2 * (N + n - 1), 2), top)  # 2(j + N - 1), j >= 1 - n
+    fact = _power_sums(range(2, 2 * n, 2), top)
+    nth = _even_powers(2 * n, top)
     # lambda^{nm} = exp(m n (N-1) x / 4) weighs every summand, the start included;
     # the start is 1 at even n and 0 at odd n, where it is left out
-    summands = [(one, _ratio(n * (N - 1), 4))] if n % 2 == 0 else []
+    summands = [(_ratio(n * (N - 1), 4), factorial(n), head)] if n % 2 == 0 else []
     for g in range(n):
         b = n - 1 - g
-        bracket = inv_br_n + one / brqs[b - g]  # x (1/[n] + 1/[b-g;1])
-        numer = neg[g] * brqs[0] * pos[b]  # prod_{j=-g..b} [j;1] over x^n
-        term = bracket * numer * inv_fact[b] * inv_fact[g]  # x^{-1} x^n / x^{n-1} = 1
-        # t^{-m(b-g)/2} lambda^{-m} lambda^{nm}, t = e^{x/2}
-        rate = _ratio(g - b + (n - 1) * (N - 1), 4)
-        summands.append((term if g % 2 == 0 else -term, rate))
-    return MPolySeries.from_series(summands, W, head)
+        sums = [h + w1 - w0 - f - e for h, w1, w0, f, e
+                in zip(head, window[n + b], window[b], fact[b], fact[g])]
+        # N n! C: prod_{j=-g..b} (j + N - 1) comb(n - 1, g), over [n] or [b-g;1]
+        numer = (-1) ** g * comb(n - 1, g) * factorial(N - 1 + b) // factorial(N - 2 - g)
+        rate = _ratio(g - b + (n - 1) * (N - 1), 4)  # t^{-m(b-g)/2} lambda^{-m} lambda^{nm}
+        summands.append((rate, numer, list(map(sub, sums, nth))))
+        summands.append((rate, numer * n // (N - 1 + b - g),
+                         list(map(sub, sums, _even_powers(2 * (N - 1 + b - g), top)))))
+    return _exponential_kernel(summands, N * factorial(n), 4, W)
 
 
 def _akutsu_wadati_kernel(n: int, j: int, W: int) -> MPolySeries:

@@ -30,7 +30,10 @@ Exponentials.  :func:`exp_numerators` is the one routine that expands
 exp(r*x): for rates p_i/q over one q it gives the integer rows
 p_i**d * q**(W-d) * W!/d! over ``q**W * W!``.  :func:`series_exp_linear` is
 one such row made a series, and the evaluators in :mod:`.invariants` take
-every t-power they expand from it.
+every t-power they expand from it.  :func:`exp_even_numerators` expands
+exp(f) for an even series f held as integer numerators over one
+denominator, in integers; each HOMFLY and Kauffman summand is one such
+exponential.
 
 Integer arithmetic never rounds, so every coefficient is the exact rational
 that :class:`fractions.Fraction` arithmetic gives, and it is read back as
@@ -43,7 +46,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Collection, Iterable, Union
+from operator import mul
+from typing import Collection, Iterable, Sequence, Union
 
 from .errors import DivisionByZeroSeries, TruncationUnderflow
 
@@ -313,6 +317,37 @@ def exp_numerators(rates: Collection[Scalar], trunc_order: int) -> tuple[list[li
             power *= p
         rows.append(row)
     return rows, tail[0]
+
+
+def exp_even_numerators(nums: Sequence[int], den: int, trunc_order: int) -> tuple[list[int], int]:
+    """The Taylor coefficients of exp(f) through x**trunc_order for the even
+    series f = sum_k nums[k-1]/den * x**(2k), k = 1..K with K = trunc_order // 2,
+    as integer numerators over one denominator.
+
+    The x**(2k) coefficient E_k of exp(f) solves k E_k = sum_{j<=k} j f_j E_{k-j}
+    (f_j = 0 past the end of nums).  Its numerator e_k = E_k den**k k! is an
+    integer: e_0 = 1 and
+    e_k = sum_{j<=k} j nums[j-1] den**(j-1) (k-1)!/(k-j)! e_{k-j}.  Degree 2k
+    holds e_k den**(K-k) K!/k! over den**K K!, and every odd degree is zero.
+    Returns (row, den).
+    """
+    if trunc_order < 0:
+        raise ValueError("trunc_order must be >= 0")
+    top = trunc_order // 2
+    weights = [j * c * den ** (j - 1) for j, c in enumerate(nums[:top], 1)]
+    e = [1]
+    for k in range(1, top + 1):
+        acc, falling = 0, 1  # falling = (k-1)!/(k-j)!
+        for j in range(1, min(k, len(weights)) + 1):
+            acc += weights[j - 1] * falling * e[k - j]
+            falling *= k - j
+        e.append(acc)
+    tail = [1] * (top + 1)  # tail[k] = den**(K-k) K!/k!
+    for k in range(top, 0, -1):
+        tail[k - 1] = tail[k] * den * k
+    row = [0] * (trunc_order + 1)
+    row[::2] = map(mul, e, tail)
+    return row, tail[0]
 
 
 def series_exp_linear(rate: Scalar, trunc_order: int) -> TruncSeries:

@@ -1,5 +1,6 @@
 """Canonicalization, dependency relations, integrality, and derived scalars."""
 
+import dataclasses
 import json
 import random
 import re
@@ -458,7 +459,7 @@ def ref_distinguishing_check(max_n):
         raise UnsupportedInput("max_n must be >= 3")
     report = ScanReport("distinguishing", max_n)
     seen = {}
-    for knot in analysis.canonical_knots(max_n):
+    for knot in canonical_knots(max_n):
         b = ref_beta(knot.as_knot())
         key = (b[(2, 1)], b[(3, 1)])
         report.checked += 1
@@ -699,6 +700,29 @@ def test_relation_kernel_reports_violated_relations(monkeypatch):
             == outcome(ref_dependency_relations_check, grid=grid), grid
     report = dependency_relations_check(grid=[(2, 3), (2, 5)])
     assert typed(report.violations) == typed([((2, 5), "order5_printed", F(-6))])
+
+
+def _shifted(relation):
+    """relation with its first right-hand coefficient one larger."""
+    (coefficient, slots), *rest = relation.rhs
+    return dataclasses.replace(relation, rhs=((coefficient + 1, slots), *rest))
+
+
+@pytest.mark.parametrize("relations", ["six", "six shifted", "five"])
+def test_mirrored_relations_equal_the_per_knot_check(relations, monkeypatch):
+    # the default grid reads (n, -m) from (n, m) by the parity of each
+    # relation's order; an explicit grid evaluates every knot itself, and
+    # the two reports agree in every field, violations in order and typed
+    chosen = {"six": DEPENDENCY_RELATIONS, "five": DEPENDENCY_RELATIONS[1:],
+              "six shifted": tuple(map(_shifted, DEPENDENCY_RELATIONS))}[relations]
+    monkeypatch.setattr(analysis, "DEPENDENCY_RELATIONS", chosen)
+    for max_n in (3, 12, 31):
+        report = dependency_relations_check(max_n=max_n)
+        assert typed(report) == typed(dependency_relations_check(grid=canonical_knots(max_n),
+                                                                 max_n=max_n)), max_n
+        assert report.checked == len(chosen) * len(list(canonical_knots(max_n)))
+        if max_n == 12:
+            assert len(report.violations) == (408 if relations == "six shifted" else 0)
 
 
 def test_relation_residual_on_arbitrary_numerators():

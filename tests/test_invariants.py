@@ -6,7 +6,7 @@ import random
 import sys
 import threading
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, seed, settings
@@ -20,7 +20,8 @@ from torusvass.invariants import (akutsu_wadati_normalized, homfly_normalized,
                                   kauffman_normalized, normalized_series, qpower,
                                   unknot_factor, unnormalized_series)
 from torusvass.knots import TorusKnot
-from torusvass.series import TruncSeries, exp_numerators, series_div, series_exp_linear
+from torusvass.series import (TruncSeries, exp_even_numerators, exp_numerators, series_div,
+                              series_exp_linear)
 from torusvass.tables import closed_form_alpha, closed_form_alpha_tilde
 
 ORDER = 6
@@ -448,9 +449,10 @@ def test_kernels_equal_direct_evaluation(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13])
 def test_kernels_divide_only_by_units(n, monkeypatch):
-    # every bracket enters as its unit (t^a - t^b)/x, so each division of a
-    # cold build is by a series with a nonzero constant term and loses no
-    # degree, and the kernel is keyed and built at the requested order itself
+    # the one division of a cold build is the Akutsu-Wadati head's, by the
+    # unit (t^{j+1} - 1)/x, a series with a nonzero constant term that loses
+    # no degree, and the kernel is keyed and built at the requested order
+    # itself
     denominators = []
 
     def recording(num, den):
@@ -475,8 +477,22 @@ def test_kernels_divide_only_by_units(n, monkeypatch):
     invariants._kernel.cache_clear()
 
 
+def _from_series(summands, width, head):
+    """head * sum_i A_i(x) * exp(m * rho_i * x) on degrees 0..width, for
+    (A_i, rho_i) pairs of power series and an m-free power series head, all
+    known through x^width: each A_i over one denominator, as rows of
+    MPolySeries.from_rows."""
+    den = lcm(*(a.den for a, _ in summands))
+    rows = []  # each A over den on degrees 0..width
+    for a, rho in summands:
+        row = [0] * a.min_degree + [c * (den // a.den) for c in a.nums]
+        rows.append((rho, row[:width + 1]))
+    return invariants.MPolySeries.from_rows(0, width, den, rows, head)
+
+
 def _homfly_kernel_by_quotients(n, N, W):
-    """_homfly_kernel with each summand divided by its (i)!(p)!."""
+    """The HOMFLY kernel from series products of units, each summand divided
+    by its (i)!(p)!, and the head by the unit (t^n - 1)/x."""
     def u(a, b):
         return invariants._unit(a, b, W)
 
@@ -496,11 +512,12 @@ def _homfly_kernel_by_quotients(n, N, W):
             continue
         term = (left[p] * right[i]) / (fact[i] * fact[p]) * qpower(p * (p + 1) // 2, 1, W)
         summands.append((term if i % 2 == 0 else -term, i + shift))
-    return invariants.MPolySeries.from_series(summands, W, head)
+    return _from_series(summands, W, head)
 
 
 def _kauffman_kernel_by_quotients(n, N, W):
-    """_kauffman_kernel with each summand divided by its [b]![g]!."""
+    """The Kauffman kernel from series products of units, each summand
+    divided by its [b]![g]!, and the head by ([1] + [0;1])/x."""
     def br(p):
         return invariants._unit(invariants._ratio(p, 4), invariants._ratio(-p, 4), W)
 
@@ -524,7 +541,7 @@ def _kauffman_kernel_by_quotients(n, N, W):
         term = (bracket * (neg[g] * brqs[0] * pos[b])) / (fact[b] * fact[g])
         rate = invariants._ratio(g - b + (n - 1) * (N - 1), 4)
         summands.append((term if g % 2 == 0 else -term, rate))
-    return invariants.MPolySeries.from_series(summands, W, head)
+    return _from_series(summands, W, head)
 
 
 def _kernel_fields(kernel):
@@ -607,38 +624,112 @@ def test_a_head_narrower_than_the_rows_raises():
     with pytest.raises(ValueError):
         invariants.MPolySeries.from_rows(-1, W, 1, rows, TruncSeries.one(W))
     with pytest.raises(ValueError):
-        invariants.MPolySeries.from_series([(qpower(1, 1, W), 2)], W, TruncSeries.one(W - 1))
+        _from_series([(qpower(1, 1, W), 2)], W, TruncSeries.one(W - 1))
     kernel = invariants.MPolySeries.from_rows(-1, W, 1, rows, TruncSeries.one(W + 1))
     assert kernel.at(3, W) == TruncSeries(0, [1] * (W + 1), W) * qpower(2 * 3, 1, W)
 
 
-@pytest.mark.parametrize("n", list(range(1, 13)) + [20, 41])
+@pytest.mark.parametrize("n", list(range(1, 13)) + [20, 41, 128])
 def test_reciprocal_factorials_give_the_quotient_kernels(n, monkeypatch):
-    # the HOMFLY and Kauffman builds multiply by 1/(a)! and 1/[a]!, built one
-    # small unit at a time, where they divided by whole q-factorials: every
-    # field of every kernel is unchanged, and no divisor's constant term
-    # exceeds max(n, N) (a quotient by (i)!(p)! had i!p! there)
+    # the HOMFLY and Kauffman builds take each summand as one exponential of
+    # power sums of the bracket widths, where they divided products of units
+    # by whole q-factorials: every field of every kernel is unchanged, and the
+    # builds divide no series.  n = 128 is the CLI limit, at the widest order
     divisors = []
 
     def recording(num, den):
         divisors.append(den)
         return series_div(num, den)
 
-    widths = (0, 1, 6, 13, 24) if n <= 12 else (6, 12)
+    if n == 128:
+        widths, homfly_ranks, kauffman_ranks = (24,), (128,), (130,)
+    else:
+        widths = (0, 1, 6, 13, 24) if n <= 12 else (6, 12)
+        homfly_ranks, kauffman_ranks = sorted({2, 3, max(n, 2), n + 3}), (n + 2, n + 5)
     for W in widths:
         for build, reference, ranks in (
-                (invariants._homfly_kernel, _homfly_kernel_by_quotients,
-                 sorted({2, 3, max(n, 2), n + 3})),
-                (invariants._kauffman_kernel, _kauffman_kernel_by_quotients, (n + 2, n + 5))):
+                (invariants._homfly_kernel, _homfly_kernel_by_quotients, homfly_ranks),
+                (invariants._kauffman_kernel, _kauffman_kernel_by_quotients, kauffman_ranks)):
             for N in ranks:
                 want = _kernel_fields(reference(n, N, W))
-                del divisors[:]
                 monkeypatch.setattr("torusvass.series.series_div", recording)
                 got = _kernel_fields(build(n, N, W))
                 monkeypatch.undo()
                 assert got == want, (build.__name__, n, N, W)
-                assert all(abs(d.coefficient(0)) <= max(n, N) for d in divisors), \
-                    (build.__name__, n, N, W)
+                assert not divisors, (build.__name__, n, N, W)
+
+
+#: B_2, B_4, .., B_24
+EVEN_BERNOULLI = (F(1, 6), F(-1, 30), F(1, 42), F(-1, 30), F(5, 66), F(-691, 2730), F(7, 6),
+                  F(-3617, 510), F(43867, 798), F(-174611, 330), F(854513, 138),
+                  F(-236364091, 2730))
+
+
+def test_bernoulli_numbers():
+    numbers = invariants._bernoulli(24)
+    assert numbers[:2] == [1, F(-1, 2)]
+    assert tuple(numbers[2::2]) == EVEN_BERNOULLI
+    assert not any(numbers[3::2])
+    assert all(type(b) is F for b in numbers)
+
+
+def _units_by_power_sums(above, below, W):
+    """prod (t^a - t^b)/x over the (a, b) above, over the same product below,
+    with quarter-integer ends: the quotient of the widths, times the t-power
+    of the half sums of the ends, times exp(sum_k beta_k S_k (x/4)^(2k)), with
+    S_k the (2k)-th powers of the widths in quarters, those below negated."""
+    betas, den = invariants._log_unit(W // 2, 4)
+    sums = [sum(int(4 * (a - b)) ** (2 * k) for a, b in above)
+            - sum(int(4 * (a - b)) ** (2 * k) for a, b in below) for k in range(1, W // 2 + 1)]
+    row, exp_den = exp_even_numerators([beta * s for beta, s in zip(betas, sums)], den, W)
+    constant = F(prod(a - b for a, b in above), prod(a - b for a, b in below))
+    rate = sum(F(a + b, 2) for a, b in above) - sum(F(a + b, 2) for a, b in below)
+    return TruncSeries.from_numerators(0, row, exp_den, W) * qpower(rate, 1, W) * constant
+
+
+@pytest.mark.parametrize("a, b", [(1, 0), (0, -1), (5, -3), (-2, -9), (F(3, 4), F(-3, 4)),
+                                  (F(9, 4), F(-5, 4)), (F(1, 4), -2), (F(-7, 4), F(-15, 4))])
+def test_one_exponential_is_a_unit(a, b):
+    # the log series of a unit is exact: its exponential times a - b is
+    # _unit(a, b, W) at every width
+    for W in range(25):
+        assert _units_by_power_sums([(a, b)], [], W) == invariants._unit(a, b, W), W
+
+
+def test_power_sums_give_products_of_units():
+    # a product of units over a product of units is one exponential of the
+    # difference of their power sums, as the kernel builds take it
+    rng = random.Random(35)
+    for W in (0, 1, 2, 6, 13, 24):
+        for size in (1, 2, 3, 5):
+            brackets = []
+            for _ in range(2 * size):
+                a = F(rng.randint(-40, 40), 4)
+                brackets.append((a, a - F(rng.choice([-1, 1]) * rng.randint(1, 40), 4)))
+            above, below = brackets[:size + 1], brackets[size + 1:]
+            expected = TruncSeries.one(W)
+            for a, b in above:
+                expected = expected * invariants._unit(a, b, W)
+            for a, b in below:
+                expected = expected / invariants._unit(a, b, W)
+            assert _units_by_power_sums(above, below, W) == expected, (W, above, below)
+
+
+def test_cold_builds_multiply_and_divide_no_series(monkeypatch):
+    # a HOMFLY or Kauffman build expands one exponential per summand and
+    # takes no product or quotient of series
+    def forbidden(*args):
+        raise AssertionError(f"a series product or quotient in a kernel build: {args!r}")
+
+    for name in ("__mul__", "__rmul__", "__truediv__"):
+        monkeypatch.setattr(TruncSeries, name, forbidden)
+    monkeypatch.setattr("torusvass.series.series_div", forbidden)
+    for n in list(range(1, 14)) + [20, 41]:
+        for W in (0, 6, 24):
+            for N in sorted({2, 3, max(n, 2), n + 3}):
+                invariants._homfly_kernel(n, N, W)
+            for N in (n + 2, n + 5):
+                invariants._kauffman_kernel(n, N, W)
 
 
 @pytest.mark.parametrize("m", [-5, -1, 2, 7])
@@ -654,7 +745,7 @@ def test_mpoly_series_equals_running_sum(m):
     expected = TruncSeries.zero(W)
     for a, rho in summands[1:]:
         expected = expected + a * qpower(m * rho, 1, W)
-    total = invariants.MPolySeries.from_series(summands, W, TruncSeries.one(W))
+    total = _from_series(summands, W, TruncSeries.one(W))
     # a narrower series is the prefix; a wider one is not known
     assert [total.at(m, hi) for hi in range(W + 1)] == [expected.truncated(hi)
                                                        for hi in range(W + 1)]

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusvass.errors import DivisionByZeroSeries, TruncationUnderflow
-from torusvass.series import TruncSeries, exp_numerators, series_div, series_exp_linear
+from torusvass.series import (TruncSeries, exp_even_numerators, exp_numerators, series_div,
+                              series_exp_linear)
 
 
 def coeffs(s, order):
@@ -165,6 +166,25 @@ def test_exp_numerators_match_reference(rates, W):
         assert [F(c, den) for c in row] == [F(r) ** d / math.factorial(d) for d in range(W + 1)]
     with pytest.raises(ValueError):
         exp_numerators(rates, -1 - W)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=13), st.integers(1, 10 ** 4),
+       st.integers(0, 25))
+def test_exp_even_numerators_match_reference(nums, den, W):
+    # exp(sum_k nums[k-1]/den x^(2k)) through x^W, against the recurrence
+    # d E_d = sum_j j f_j E_{d-j} in Fractions; terms above x^W are unused
+    row, out_den = exp_even_numerators(nums, den, W)
+    f = [F(0)] * (W + 1)
+    for k, c in enumerate(nums[:W // 2], 1):
+        f[2 * k] = F(c, den)
+    expected = [F(1)]
+    for d in range(1, W + 1):
+        expected.append(sum(j * f[j] * expected[d - j] for j in range(1, d + 1)) / d)
+    assert all(type(c) is int for c in row) and out_den > 0
+    assert [F(c, out_den) for c in row] == expected
+    assert TruncSeries.from_numerators(0, row, out_den, W) \
+        == TruncSeries(0, expected, W), (nums, den, W)
 
 
 # ----------------------------------------------------------------------
