@@ -19,14 +19,14 @@ values swapped or mirrored, and each of its Fractions is built once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import gcd, lcm, prod
 from typing import Iterable, Optional
 
-from .errors import DegreeExceeded, UnsupportedInput
+from .errors import (DegreeExceeded, FrozenRecord, Record, UnsupportedInput, set_field,
+                     set_key)
 from .knots import TorusKnot, as_knot, canonical_ms, check_int
 from .tables import (_ROWS, BETA_DENOMINATORS, PRIMITIVE_ORDER, SHARPNESS_PAIRS,
                      primitive_columns, primitive_numerators)
@@ -45,15 +45,18 @@ def check_floor(keyword: str, value: int) -> None:
         raise UnsupportedInput(f"{keyword} must be >= {SCAN_FLOORS[keyword]}")
 
 
-@dataclass
-class ScanReport:
+class ScanReport(Record):
     """Outcome of an exhaustive check; empty violations means the claim holds."""
 
-    name: str
-    bound: int
-    checked: int = 0
-    violations: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
+    __slots__ = _fields = ("name", "bound", "checked", "violations", "notes")
+
+    def __init__(self, name: str, bound: int, checked: int = 0, violations: list = None,
+                 notes: list = None):
+        self.name = name
+        self.bound = bound
+        self.checked = checked
+        self.violations = [] if violations is None else violations
+        self.notes = [] if notes is None else notes
 
     @property
     def passed(self) -> bool:
@@ -86,16 +89,22 @@ def _non_integral(n: int, ms: list[int], dens: tuple[int, ...]) -> list:
 # dependency relations among the primitive betas
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DependencyRelation:
+class DependencyRelation(FrozenRecord):
     """beta_lhs = sum of coefficient * product of the betas in slots, over rhs."""
 
-    name: str
-    statement: str
-    lhs: tuple[int, int]
-    rhs: tuple  # (coefficient, slots) terms
-    # source-text caveat, where the printed equation needed repairing
-    note: str = ""
+    # rhs: (coefficient, slots) terms; note: source-text caveat, where the
+    # printed equation needed repairing
+    _fields = ("name", "statement", "lhs", "rhs", "note")
+    __slots__ = (*_fields, "__dict__")  # __dict__ holds the cached _kernel
+
+    def __init__(self, name: str, statement: str, lhs: tuple[int, int], rhs: tuple,
+                 note: str = ""):
+        set_field(self, "name", name)
+        set_field(self, "statement", statement)
+        set_field(self, "lhs", lhs)
+        set_field(self, "rhs", rhs)
+        set_field(self, "note", note)
+        set_key(self, (name, statement, lhs, rhs, note))
 
     @cached_property
     def _kernel(self) -> tuple[int, tuple]:
@@ -380,11 +389,17 @@ def lissajous_verdict(beta21_numerator: int) -> str:
     return OBSTRUCTED if value % 2 == 1 else INCONCLUSIVE
 
 
-@dataclass(frozen=True)
-class AuxiliaryScalars:
-    v3: Fraction              # 3(beta_{3,1} - beta_{2,1}); equals p^3-p on (2, 2p+1)
-    gordian: Fraction         # (|n|-1)(|m|-1)/2, the conjectured unknotting number
-    curve_residual: Fraction  # beta_{3,1}^2 - 2/3 beta_{2,1}^3
+class AuxiliaryScalars(FrozenRecord):
+    __slots__ = _fields = ("v3", "gordian", "curve_residual")
+
+    def __init__(self, v3: Fraction, gordian: Fraction, curve_residual: Fraction):
+        # v3: 3(beta_{3,1} - beta_{2,1}); equals p^3-p on (2, 2p+1)
+        # gordian: (|n|-1)(|m|-1)/2, the conjectured unknotting number
+        # curve_residual: beta_{3,1}^2 - 2/3 beta_{2,1}^3
+        set_field(self, "v3", v3)
+        set_field(self, "gordian", gordian)
+        set_field(self, "curve_residual", curve_residual)
+        set_key(self, (v3, gordian, curve_residual))
 
 
 def auxiliary_scalars(knot) -> AuxiliaryScalars:

@@ -239,11 +239,11 @@ def _write(stream, text: str) -> None:
 def _size(item) -> int:
     """What the cache counts of a key or a value, in bytes: sys.getsizeof of
     it and of all it holds, through tuples and through a knot's or a group's
-    fields and the dict they sit in."""
+    _key, the one tuple that holds its fields."""
     if isinstance(item, tuple):
         parts = item
     elif type(item) in (TorusKnot, GroupInstance):
-        parts = vars(item), *vars(item).values()
+        parts = item._key,
     else:
         return sys.getsizeof(item)
     return sys.getsizeof(item) + sum(map(_size, parts))
@@ -286,14 +286,15 @@ class _Cache:
 
 #: the most the cache keeps, in bytes, by _Cache's count.  The benchmark's
 #: request mix (550 rounds, seeds 7 and 90210) keeps 888-898 answers, 49
-#: knots' values and 525-527 coefficient texts, 2.52-2.55 MB by this count
-#: (2.74-2.75 MB at 5,000 rounds), and evicts none of them.  Least recently
+#: knots' values and 525-527 coefficient texts, 2.49-2.52 MB by this count
+#: (2.71-2.72 MB at 5,000 rounds), and evicts none of them.  Least recently
 #: used entries go first, whatever their kind, and one larger than the budget
 #: (scan --predicate non-integer --max 100 is 11.4 MB) is written and not
-#: kept; a knot's values take about 4.8 KB, and 169 KB at
-#: MAX_INVARIANTS_INDEX.  A full cache holds at most about 3.05 MiB
-#: (tracemalloc): a flood of the smallest answers holds 1.01 times its count,
-#: and knots' values and coefficient text less than theirs
+#: kept; a knot's values take 4.8-4.9 KB on average in that mix, and 169 KB
+#: at MAX_INVARIANTS_INDEX.  A full cache holds at most about 2.95 MiB
+#: (tracemalloc, CPython 3.11 and 3.13): a flood of the smallest answers
+#: holds 0.90-0.98 times its count, of knots' values 0.95-0.97 and of
+#: coefficient text 0.81-0.83 times theirs
 CACHE_BYTES = 3 * 2 ** 20
 
 _cache = _Cache(CACHE_BYTES)

@@ -22,15 +22,14 @@ common denominator.  No Fraction is built before the solution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from operator import mul
 from typing import Sequence
 
-from .errors import (AnsatzMismatch, DegreeExceeded, Inconsistent, RankDeficient,
-                     UnsupportedInput)
+from .errors import (AnsatzMismatch, DegreeExceeded, FrozenRecord, Inconsistent,
+                     RankDeficient, Record, UnsupportedInput, set_field, set_key)
 from .groups import (_PARAMETER_FLOORS, ORDERS, SLOT_COUNTS, SLOTS, Family, GroupInstance,
                      group_factors, product, simple_factors, so_n, su2, su_n)
 from .invariants import DEFAULT_ORDER, normalized_series, unknot_factor
@@ -60,30 +59,41 @@ def default_instantiation_plan(knot) -> tuple[GroupInstance, ...]:
     return tuple(plan)
 
 
-@dataclass
-class ExtractionReport:
+class ExtractionReport(Record):
     """Per-order solve diagnostics.  Each solve substitutes its solution back
     into every row exactly and raises Inconsistent on a violated row."""
 
-    knot: TorusKnot
-    kind: str
-    rank: dict = field(default_factory=dict)          # order -> rank reached
-    equations: dict = field(default_factory=dict)     # order -> row count
+    __slots__ = _fields = ("knot", "kind", "rank", "equations")
+
+    def __init__(self, knot: TorusKnot, kind: str, rank: dict = None, equations: dict = None):
+        self.knot = knot
+        self.kind = kind
+        self.rank = {} if rank is None else rank  # order -> rank reached
+        self.equations = {} if equations is None else equations  # order -> row count
 
     def all_good(self) -> bool:
         return all(self.rank[i] == SLOT_COUNTS[i] for i in self.rank)
 
 
-@dataclass(frozen=True)
-class _Plan:
+class _Plan(FrozenRecord):
     """A sampling plan made ready for solves.  Nothing in it depends on m,
     so a warm knot builds no group instance and needs no group factor."""
 
-    instances: tuple[GroupInstance, ...]
-    factors: tuple[GroupInstance, ...]  # the distinct simple factors, in plan order
-    factor_indices: tuple[tuple[int, ...], ...]  # each instance's factors in factors
-    unknots: tuple[TruncSeries, ...]  # each factor's unknot factor over its dimension
-    eliminations: tuple[Elimination, ...]  # the group factors, one per order of ORDERS
+    __slots__ = _fields = ("instances", "factors", "factor_indices", "unknots", "eliminations")
+
+    def __init__(self, instances: tuple[GroupInstance, ...], factors: tuple[GroupInstance, ...],
+                 factor_indices: tuple[tuple[int, ...], ...], unknots: tuple[TruncSeries, ...],
+                 eliminations: tuple[Elimination, ...]):
+        # factors: the distinct simple factors, in plan order; factor_indices:
+        # each instance's factors in factors; unknots: each factor's unknot
+        # factor over its dimension; eliminations: the group factors, one per
+        # order of ORDERS
+        set_field(self, "instances", instances)
+        set_field(self, "factors", factors)
+        set_field(self, "factor_indices", factor_indices)
+        set_field(self, "unknots", unknots)
+        set_field(self, "eliminations", eliminations)
+        set_key(self, (instances, factors, factor_indices, unknots, eliminations))
 
     @classmethod
     def of(cls, instances) -> "_Plan":
@@ -188,11 +198,15 @@ FIT_PARAMETERS = {
 FIT_DEGREE = {Family.SU_N: 6, Family.SO_N: 6, Family.SU2: 3}
 
 
-@dataclass(frozen=True)
-class AnsatzFit:
-    family: Family
-    variable: str  # "N", or "A" for su2
-    polynomials: dict  # (order, slot) -> ExactPoly
+class AnsatzFit(FrozenRecord):
+    __slots__ = _fields = ("family", "variable", "polynomials")
+
+    def __init__(self, family: Family, variable: str, polynomials: dict):
+        # variable: "N", or "A" for su2; polynomials: (order, slot) -> ExactPoly
+        set_field(self, "family", family)
+        set_field(self, "variable", variable)
+        set_field(self, "polynomials", polynomials)
+        set_key(self, (family, variable, polynomials))
 
 
 @lru_cache(maxsize=16)
@@ -260,12 +274,16 @@ def fit_ansatz(family: Family) -> AnsatzFit:
     return AnsatzFit(family, variable, polynomials)
 
 
-@dataclass(frozen=True)
-class GTableComparison:
-    slot: tuple[int, int]
-    printed: ExactPoly
-    fitted: ExactPoly
-    suspected_typo: bool
+class GTableComparison(FrozenRecord):
+    __slots__ = _fields = ("slot", "printed", "fitted", "suspected_typo")
+
+    def __init__(self, slot: tuple[int, int], printed: ExactPoly, fitted: ExactPoly,
+                 suspected_typo: bool):
+        set_field(self, "slot", slot)
+        set_field(self, "printed", printed)
+        set_field(self, "fitted", fitted)
+        set_field(self, "suspected_typo", suspected_typo)
+        set_key(self, (slot, printed, fitted, suspected_typo))
 
     @property
     def matches(self) -> bool:

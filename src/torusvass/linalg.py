@@ -13,7 +13,6 @@ and this keeps the output deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
@@ -21,14 +20,17 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
-from .errors import DegreeExceeded
+from .errors import DegreeExceeded, FrozenRecord, set_field, set_key
 
 
-@dataclass(frozen=True)
-class LinearSolution:
-    solution: Optional[tuple[Fraction, ...]]  # present iff unique
-    rank: int
-    consistent: bool
+class LinearSolution(FrozenRecord):
+    __slots__ = _fields = ("solution", "rank", "consistent")
+
+    def __init__(self, solution: Optional[tuple[Fraction, ...]], rank: int, consistent: bool):
+        set_field(self, "solution", solution)  # present iff unique
+        set_field(self, "rank", rank)
+        set_field(self, "consistent", consistent)
+        set_key(self, (solution, rank, consistent))
 
 
 class Elimination:
@@ -150,12 +152,15 @@ def eliminate(lhs: Sequence[Sequence], unknowns: int) -> Elimination:
                        tuple(pivot_cols), tuple(pivot_rows), inverse, den)
 
 
-@dataclass(frozen=True)
-class ExactPoly:
+class ExactPoly(FrozenRecord):
     """A univariate polynomial with rational coefficients, ascending degree."""
 
-    coefficients: tuple[Fraction, ...]
-    variable: str = "x"
+    __slots__ = _fields = ("coefficients", "variable")
+
+    def __init__(self, coefficients: tuple[Fraction, ...], variable: str = "x"):
+        set_field(self, "coefficients", coefficients)
+        set_field(self, "variable", variable)
+        set_key(self, (coefficients, variable))
 
     @classmethod
     def make(cls, coefficients: Iterable, variable: str = "x") -> "ExactPoly":

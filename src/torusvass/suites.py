@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .analysis import (DEPENDENCY_RELATIONS, check_floor, dependency_relations_check,
                        distinguishing_check, integrality_certificate, integrality_scan,
                        noncoprime_witnesses, normalization_sharpness, v3_family_value)
-from .errors import UnsupportedInput
+from .errors import Record, UnsupportedInput
 from .extract import (compare_fit_to_printed, extract_alpha, extract_alpha_tilde,
                       fit_ansatz)
 from .groups import Family, product, su2, su_n
@@ -33,18 +32,22 @@ ACCEPTANCE_GRID = ((2, 3), (2, 5), (2, 7), (2, 9), (3, 4),
 SAMPLE_KNOTS = ((2, 3), (2, 5), (3, 4), (3, 5), (4, 5))
 
 
-@dataclass
-class Check:
-    label: str
-    passed: bool
-    detail: str = ""
+class Check(Record):
+    __slots__ = _fields = ("label", "passed", "detail")
+
+    def __init__(self, label: str, passed: bool, detail: str = ""):
+        self.label = label
+        self.passed = passed
+        self.detail = detail
 
 
-@dataclass
-class SuiteResult:
-    suite: str
-    checks: list = field(default_factory=list)
-    elapsed_seconds: float = 0.0
+class SuiteResult(Record):
+    __slots__ = _fields = ("suite", "checks", "elapsed_seconds")
+
+    def __init__(self, suite: str, checks: list = None, elapsed_seconds: float = 0.0):
+        self.suite = suite
+        self.checks = [] if checks is None else checks
+        self.elapsed_seconds = elapsed_seconds
 
     @property
     def passed(self) -> bool:

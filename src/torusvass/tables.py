@@ -41,13 +41,13 @@ stored alongside the printed ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
 from operator import mul, sub
 from typing import NamedTuple
 
+from .errors import FrozenRecord, set_field, set_key
 from .groups import ALL_SLOTS, COMPOUND_FACTORS, compound_values
 from .knots import KnotLike, TorusKnot, as_knot
 from .linalg import ExactPoly
@@ -72,13 +72,16 @@ SHARPNESS_PAIRS = {**dict.fromkeys(PRIMITIVE_ORDER, ((3, 2), (4, 3))),
                    (4, 3): ((3, 2), (5, 2))}
 
 
-@dataclass(frozen=True)
-class InvariantTable:
+class InvariantTable(FrozenRecord):
     """Entries (order, slot) -> value for orders 2..6."""
 
-    kind: str  # "alpha_tilde" | "alpha" | "beta"
-    knot: TorusKnot
-    entries: dict
+    __slots__ = _fields = ("kind", "knot", "entries")
+
+    def __init__(self, kind: str, knot: TorusKnot, entries: dict):
+        set_field(self, "kind", kind)  # kind: "alpha_tilde" | "alpha" | "beta"
+        set_field(self, "knot", knot)
+        set_field(self, "entries", entries)
+        set_key(self, (kind, knot, entries))
 
     def value(self, order: int, slot: int) -> Fraction:
         return self.entries[(order, slot)]

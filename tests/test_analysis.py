@@ -1,6 +1,5 @@
 """Canonicalization, dependency relations, integrality, and derived scalars."""
 
-import dataclasses
 import json
 import random
 import re
@@ -705,7 +704,8 @@ def test_relation_kernel_reports_violated_relations(monkeypatch):
 def _shifted(relation):
     """relation with its first right-hand coefficient one larger."""
     (coefficient, slots), *rest = relation.rhs
-    return dataclasses.replace(relation, rhs=((coefficient + 1, slots), *rest))
+    return DependencyRelation(relation.name, relation.statement, relation.lhs,
+                              ((coefficient + 1, slots), *rest), relation.note)
 
 
 @pytest.mark.parametrize("relations", ["six", "six shifted", "five"])
