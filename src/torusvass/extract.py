@@ -103,7 +103,7 @@ class _Plan(FrozenRecord):
         unknots = [unknot_factor(f, DEFAULT_ORDER) for f in factors]
         vectors = [group_factors(inst) for inst in instances]
         return cls(tuple(instances), tuple(factors), indices,
-                   tuple(u / u.coefficient(0) for u in unknots),
+                   tuple(u.scaled(1 / u.coefficient(0)) for u in unknots),
                    tuple(eliminate([v.row(order) for v in vectors], SLOT_COUNTS[order])
                          for order in ORDERS))
 

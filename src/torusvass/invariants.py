@@ -28,7 +28,7 @@ products over q-factorials, m-free t-powers) and the rates rho_i depend only
 on n, the rank N (or j) and the order W.  The
 framing factor is a t-power with an exponent linear in m: its m-linear part
 shifts every rate, and its m-free part joins the m-free head (with
-Akutsu-Wadati's 1/(t^{j+1} - 1)).  So the x^d coefficients of the sum are
+Akutsu-Wadati's x/(t^{j+1} - 1)).  So the x^d coefficients of the sum are
 polynomials in m, which :class:`MPolySeries` holds over one denominator; its
 build multiplies the head, free of m, into them, every power of m kept.  That
 kernel -- the normalized invariant as polynomials in m -- is kept in a
@@ -41,10 +41,10 @@ Kauffman summand, whose pole 1/[n] + 1/[b-g;1] is a sum), taken by
 widths (next paragraph), so a build multiplies and divides no series: it
 costs O(n W^2) integer products, and the m-weights O(n W^2) more.  The
 Akutsu-Wadati summands are bare t-powers, whose Taylor rows the kernel takes
-from one :func:`.series.exp_numerators` call over all 2(j+1) exponents.
-That routine expands every other t-power here: the m-weights of
-:class:`MPolySeries`, the Akutsu-Wadati head and the unknot factors, which
-are one pass of integer power sums.
+from one :func:`.series.exp_numerators` call over all 2(j+1) exponents, its
+head's t-powers added.  That routine expands every other t-power here: the
+m-weights of :class:`MPolySeries` and the unknot factors, which are one pass
+of integer power sums.
 
 Unit brackets.  Every bracket t^a - t^b vanishes at x = 0, so each enters as
 x times the unit (t^a - t^b)/x, whose constant term a - b is nonzero.  Its
@@ -58,9 +58,9 @@ constant, and the x^(2k) term of the exponent is beta_k times a sum of
 against the t-powers, and no degree is lost.  The
 Akutsu-Wadati sum vanishes at x = 0 for every m: its rows are built one
 degree further and stored from degree -1, which divides by x exactly, and its
-head divides by the unit (t^{j+1} - 1)/x of :func:`_unit` and is built one
-degree further too: every head is made through x^(hi - lo), as far as the
-rows reach, so the fold reads no head degree it lacks.  So every kernel is
+head, one unit of width j + 1 below the line, is built one degree further
+too: every head is made through x^(hi - lo), as far as the rows reach, so
+the fold reads no head degree it lacks.  So every kernel is
 built at exactly W = trunc_order: the invariants are exact Taylor
 coefficients, and no width beyond the requested order is needed.  Nor does
 any order key a kernel: its coefficients through x^W are the same whatever
@@ -69,8 +69,12 @@ reading its first degrees, and a wider order rebuilds it once at that order.
 Integral rates and exponents are passed as ints, which keeps their expansion
 in int arithmetic.  A normalized invariant is 1 + O(x) at every m, and each
 new kernel is checked for it once, before it is cached: every polynomial
-below x^0 is zero and the one at x^0 is the constant den.  Anything else raises
-:class:`.errors.CancellationFailure`, so no evaluation checks it again.
+below x^0 is zero and the one at x^0 is the constant den.  The same check
+finds the x^d coefficient, d >= 0, a polynomial of degree at most d in m:
+HOMFLY and Kauffman by construction, Akutsu-Wadati because its rates pair up
+under ell <-> j - ell, so that its top power of m cancels at every degree.
+Anything else raises :class:`.errors.CancellationFailure`, so no evaluation
+checks it again.
 """
 
 from __future__ import annotations
@@ -104,7 +108,8 @@ KERNEL_CACHE_SIZE = 256
 
 
 def qpower(exponent, scale, trunc_order: int) -> TruncSeries:
-    """The series of t**exponent with t = exp(scale*x)."""
+    """The series of t**exponent with t = exp(scale*x); public API, with no
+    caller in the package."""
     _check_order(trunc_order, "qpower")
     if type(exponent) is int and type(scale) is int:
         return series_exp_linear(exponent * scale, trunc_order)
@@ -117,14 +122,6 @@ def _ratio(num: int, den: int) -> Union[int, Fraction]:
     on its slower path."""
     quotient, rest = divmod(num, den)
     return Fraction(num, den) if rest else quotient
-
-
-def _unit(a, b, W: int) -> TruncSeries:
-    """(e^{ax} - e^{bx})/x through x^W: the difference of the two
-    exponentials through x^(W+1), shifted down one degree.  Its constant term
-    is a - b."""
-    (row_a, row_b), den = exp_numerators((a, b), W + 1)
-    return TruncSeries.from_numerators(0, list(map(sub, row_a[1:], row_b[1:])), den, W)
 
 
 class MPolySeries:
@@ -314,16 +311,22 @@ def _kauffman_kernel(n: int, N: int, W: int) -> MPolySeries:
 
 def _akutsu_wadati_kernel(n: int, j: int, W: int) -> MPolySeries:
     """t^{-j(n-1)/2} x / (t^{j+1} - 1) times (1/x) sum_ell (t^{e1} - t^{e2})
-    t^{m j(n-1)/2} with e1, e2 linear in m, built from the exponents: the
-    m-free parts of all 2(j+1) of them are expanded in one call.  Every
-    term of the sum vanishes at x = 0, whatever m is, so its rows through
-    x^(W+1), stored from degree -1, are the sum over x through x^W; the head
-    spans the same W + 2 degrees."""
+    t^{m j(n-1)/2} with e1, e2 linear in m.  The head is
+    (1/(j+1)) t^{-(j+1)/2} exp(-sum_k beta_k (j+1)^(2k) x^(2k)) t^{-shift}:
+    its t-powers join the m-free parts of all 2(j+1) exponents, expanded in
+    one call, and no series is divided.  Every term of the sum vanishes at
+    x = 0, whatever m is, so its rows through x^(W+1), stored from degree -1,
+    are the sum over x through x^W; the head spans the same W + 2 degrees."""
     shift = _ratio(j * (n - 1), 2)  # t^{j(n-1)(m-1)/2} = t^{shift (m - 1)}
-    head = qpower(-shift, 1, W + 1) / _unit(j + 1, 0, W + 1)
+    lift = _ratio(-(j * n + 1), 2)  # -shift - (j + 1)/2
+    top = (W + 1) // 2
+    betas, log_den = _log_unit(top, 1)
+    row, exp_den = exp_even_numerators([-b * p for b, p in zip(betas, _even_powers(j + 1, top))],
+                                       log_den, W + 1)
+    head = TruncSeries.from_numerators(0, row, exp_den * (j + 1), W + 1)
     # e1 = n(1 + m ell)(j - ell) + 1 + m ell, e2 = n(1 + m ell)(j - ell) + m(j - ell)
-    powers, den = exp_numerators([n * (j - ell) + e for ell in range(j + 1) for e in (1, 0)],
-                                 W + 1)
+    powers, den = exp_numerators([n * (j - ell) + e + lift for ell in range(j + 1)
+                                  for e in (1, 0)], W + 1)
     rows = []
     for ell in range(j + 1):
         base = n * (j - ell)
@@ -364,12 +367,20 @@ def _at_knot(family: Family, k: TorusKnot, parameter: int, trunc_order: int,
     width, kernel = slot[0]
     if width < trunc_order:
         kernel = _FAMILIES[family](k.n, parameter, trunc_order)
+        flat, lo = marshal.loads(kernel.coeffs), kernel.lo
         # 1 + O(x) at every m: the polynomials at x^lo..x^0, which lead the
         # kernel, are zero but for the constant den at x^0
-        lead = marshal.loads(kernel.coeffs)[:(1 - kernel.lo) * (2 - kernel.lo) // 2]
-        if lead != [0] * (len(lead) + kernel.lo - 1) + [kernel.den] + [0] * -kernel.lo:
+        lead = flat[:(1 - lo) * (2 - lo) // 2]
+        if lead != [0] * (len(lead) + lo - 1) + [kernel.den] + [0] * -lo:
             raise CancellationFailure(f"{what}: the kernel is not 1 + O(x) at every m "
                                       "(convention bug)")
+        # degree at most d in m at x^d, d >= 0: the polynomial at x^(lo+k)
+        # ends before flat[end], end = (k+1)(k+2)/2, and its last -lo
+        # coefficients, above m^(lo+k), are zero (none for lo = 0)
+        ends = [(k + 1) * (k + 2) // 2 for k in range(-lo, kernel.hi - lo + 1)]
+        if any(any(flat[end + lo:end]) for end in ends):
+            raise CancellationFailure(f"{what}: the kernel's x^d coefficient has a power of m "
+                                      "above m^d (convention bug)")
         slot[0] = trunc_order, kernel
     return kernel.at(k.m, trunc_order)
 

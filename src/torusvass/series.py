@@ -9,9 +9,9 @@ operation computes how far its result is reliable:
 * a sum is reliable through the smaller of the two truncation orders,
 * a product is reliable through ``min(a.trunc + b.min, b.trunc + a.min)``,
   so multiplying by a series of positive valuation *extends* the absolute
-  reliable degree (the package's own kernels divide only by units, so this
-  rule serves API callers and the test references, which divide by brackets
-  of positive valuation),
+  reliable degree (no evaluator divides a series, so this rule serves API
+  callers and the test references, which divide by brackets of positive
+  valuation),
 * a quotient loses the denominator valuation.
 
 Representation.  The coefficients are Python ints ``nums`` over one common
@@ -28,12 +28,12 @@ by one multi-argument gcd.
 
 Exponentials.  :func:`exp_numerators` is the one routine that expands
 exp(r*x): for rates p_i/q over one q it gives the integer rows
-p_i**d * q**(W-d) * W!/d! over ``q**W * W!``.  :func:`series_exp_linear` is
-one such row made a series, and the evaluators in :mod:`.invariants` take
-every t-power they expand from it.  :func:`exp_even_numerators` expands
-exp(f) for an even series f held as integer numerators over one
-denominator, in integers; each HOMFLY and Kauffman summand is one such
-exponential.
+p_i**d * q**(W-d) * W!/d! over ``q**W * W!``; the evaluators in
+:mod:`.invariants` take every t-power they expand from it, and
+:func:`series_exp_linear`, one such row made a series, has no caller in the
+package.  :func:`exp_even_numerators` expands exp(f) for an even series f
+held as integer numerators over one denominator, in integers; each HOMFLY
+and Kauffman summand and each Akutsu-Wadati head is one such exponential.
 
 Integer arithmetic never rounds, so every coefficient is the exact rational
 that :class:`fractions.Fraction` arithmetic gives, and it is read back as

@@ -27,12 +27,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from torusvass import analysis, cli, invariants, suites
+from torusvass import analysis, cli, extract, invariants, suites
 from torusvass.analysis import auxiliary_scalars, is_v3_applicable, lissajous_obstruction
 from torusvass.cli import main
 from torusvass.errors import UnsupportedInput
 from torusvass.groups import ALL_SLOTS, Family, GroupInstance
 from torusvass.knots import UNKNOT, TorusKnot, canonicalize
+from torusvass.series import TruncSeries
 from torusvass.tables import (BETA_DENOMINATORS, closed_form_alpha, closed_form_alpha_tilde,
                               closed_form_beta)
 
@@ -370,6 +371,20 @@ def test_verify_all_applies_the_bound_to_the_bounded_suites(capsys):
     assert any("canonical knots n <= 8" in label for label in labels["relations"])
     assert any("(n <= 8)" in label for label in labels["distinguishing"])
     assert any("|n|,|m| <= 8" in label for label in labels["integrality"])
+
+
+def test_verify_all_divides_no_series(capsys, monkeypatch):
+    # with no kernel or plan built, every suite passes while a quotient of
+    # series raises: the acceptance path divides no series
+    def forbidden(*args):
+        raise AssertionError(f"a series quotient on the verify path: {args!r}")
+
+    monkeypatch.setattr("torusvass.series.series_div", forbidden)
+    monkeypatch.setattr(TruncSeries, "__truediv__", forbidden)
+    for cache in (invariants._kernel, extract._plan, extract._ready):
+        cache.cache_clear()
+    code, _, _ = run_cli(capsys, "verify", "--suite", "all")
+    assert code == 0
 
 
 def test_suite_signatures_show_their_bounds():

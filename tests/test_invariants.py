@@ -449,10 +449,10 @@ def test_kernels_equal_direct_evaluation(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13])
 def test_kernels_divide_only_by_units(n, monkeypatch):
-    # the one division of a cold build is the Akutsu-Wadati head's, by the
-    # unit (t^{j+1} - 1)/x, a series with a nonzero constant term that loses
-    # no degree, and the kernel is keyed and built at the requested order
-    # itself
+    # a cold build of any family divides no series, not even by a unit: the
+    # Akutsu-Wadati head x/(t^{j+1} - 1) is one even exponential, as the
+    # HOMFLY and Kauffman summands are; and the kernel is keyed and built at
+    # the requested order itself
     denominators = []
 
     def recording(num, den):
@@ -460,6 +460,7 @@ def test_kernels_divide_only_by_units(n, monkeypatch):
         return series_div(num, den)
 
     monkeypatch.setattr("torusvass.series.series_div", recording)
+    monkeypatch.setattr(TruncSeries, "__truediv__", recording)
     invariants._kernel.cache_clear()
     cases = ((homfly_normalized, Family.SU_N, 2), (homfly_normalized, Family.SU_N, n + 1),
              (kauffman_normalized, Family.SO_N, n + 2), (akutsu_wadati_normalized, Family.SU2, 1),
@@ -472,9 +473,16 @@ def test_kernels_divide_only_by_units(n, monkeypatch):
             assert invariants._kernel.cache_info().misses == misses, (family, order)
             assert (width, kernel.hi, kernel.at(n + 1, order).trunc_order) == (order,) * 3, \
                 (family, order)
-    assert denominators
-    assert all(den.min_degree == 0 for den in denominators)
+    assert denominators == []
     invariants._kernel.cache_clear()
+
+
+def _unit(a, b, W):
+    """(e^{ax} - e^{bx})/x through x^W: the difference of the two
+    exponentials through x^(W+1), shifted down one degree.  Its constant term
+    is a - b."""
+    (row_a, row_b), den = exp_numerators((a, b), W + 1)
+    return TruncSeries.from_numerators(0, [p - q for p, q in zip(row_a[1:], row_b[1:])], den, W)
 
 
 def _from_series(summands, width, head):
@@ -494,7 +502,7 @@ def _homfly_kernel_by_quotients(n, N, W):
     """The HOMFLY kernel from series products of units, each summand divided
     by its (i)!(p)!, and the head by the unit (t^n - 1)/x."""
     def u(a, b):
-        return invariants._unit(a, b, W)
+        return _unit(a, b, W)
 
     one = TruncSeries.one(W)
     left, right, fact = [one], [one], [one]
@@ -519,11 +527,10 @@ def _kauffman_kernel_by_quotients(n, N, W):
     """The Kauffman kernel from series products of units, each summand
     divided by its [b]![g]!, and the head by ([1] + [0;1])/x."""
     def br(p):
-        return invariants._unit(invariants._ratio(p, 4), invariants._ratio(-p, 4), W)
+        return _unit(invariants._ratio(p, 4), invariants._ratio(-p, 4), W)
 
     def brq(p):
-        return invariants._unit(invariants._ratio(p + N - 1, 4),
-                                invariants._ratio(1 - N - p, 4), W)
+        return _unit(invariants._ratio(p + N - 1, 4), invariants._ratio(1 - N - p, 4), W)
 
     one = TruncSeries.one(W)
     brqs = {p: brq(p) for p in range(1 - n, n)}
@@ -542,6 +549,20 @@ def _kauffman_kernel_by_quotients(n, N, W):
         rate = invariants._ratio(g - b + (n - 1) * (N - 1), 4)
         summands.append((term if g % 2 == 0 else -term, rate))
     return _from_series(summands, W, head)
+
+
+def _akutsu_wadati_kernel_by_quotients(n, j, W):
+    """The Akutsu-Wadati kernel with its head t^{-j(n-1)/2} divided by the
+    unit (t^{j+1} - 1)/x, and its rows the bare t-powers of the sum."""
+    shift = invariants._ratio(j * (n - 1), 2)
+    head = qpower(-shift, 1, W + 1) / _unit(j + 1, 0, W + 1)
+    powers, den = exp_numerators([n * (j - ell) + e for ell in range(j + 1) for e in (1, 0)],
+                                 W + 1)
+    rows = []
+    for ell in range(j + 1):
+        rows.append((shift + ell * (n * (j - ell) + 1), powers[2 * ell]))
+        rows.append((shift + (j - ell) * (n * ell + 1), [-c for c in powers[2 * ell + 1]]))
+    return invariants.MPolySeries.from_rows(-1, W, den, rows, head)
 
 
 def _kernel_fields(kernel):
@@ -616,6 +637,22 @@ def test_a_constant_term_that_moves_with_m_raises_at_every_m(c, monkeypatch):
     invariants._kernel.cache_clear()
 
 
+def test_a_power_of_m_above_the_degree_raises(monkeypatch):
+    # the x^3 polynomial, stored from flat[10] after those at x^-1..x^2, has
+    # m^0..m^4, and its top coefficient is zero in every Akutsu-Wadati
+    # kernel: made nonzero, the x^3 coefficient would have degree 4 in m
+    def bump(flat, den):
+        assert flat[14] == 0
+        flat[14] = 1
+
+    widths = _edited_su2_builds(monkeypatch, bump)
+    for _ in range(2):
+        with pytest.raises(CancellationFailure, match=r"power of m above m\^d"):
+            akutsu_wadati_normalized((3, 5), 2)
+    assert widths == [ORDER, ORDER]
+    invariants._kernel.cache_clear()
+
+
 def test_a_head_narrower_than_the_rows_raises():
     # the head must reach x^(hi - lo), even where only a zero polynomial
     # would meet its missing degree
@@ -659,6 +696,19 @@ def test_reciprocal_factorials_give_the_quotient_kernels(n, monkeypatch):
                 assert not divisors, (build.__name__, n, N, W)
 
 
+@pytest.mark.parametrize("n", list(range(1, 14)) + [20, 41, 128])
+def test_one_even_exponential_gives_the_quotient_head(n):
+    # the Akutsu-Wadati build takes its head as one even exponential, its
+    # t-powers folded into the rows, where it divided a t-power by the unit
+    # (t^{j+1} - 1)/x: every field of every kernel is unchanged.  j = 130 is
+    # the CLI limit, and j = 129 its odd neighbour
+    ranks = list(range(1, 9)) + [20, 130] + ([129] if n == 128 else [])
+    for W in (0, 1, 2, 5, 6, 9, 12, 24):
+        for j in ranks:
+            assert _kernel_fields(invariants._akutsu_wadati_kernel(n, j, W)) \
+                == _kernel_fields(_akutsu_wadati_kernel_by_quotients(n, j, W)), (n, j, W)
+
+
 #: B_2, B_4, .., B_24
 EVEN_BERNOULLI = (F(1, 6), F(-1, 30), F(1, 42), F(-1, 30), F(5, 66), F(-691, 2730), F(7, 6),
                   F(-3617, 510), F(43867, 798), F(-174611, 330), F(854513, 138),
@@ -693,7 +743,7 @@ def test_one_exponential_is_a_unit(a, b):
     # the log series of a unit is exact: its exponential times a - b is
     # _unit(a, b, W) at every width
     for W in range(25):
-        assert _units_by_power_sums([(a, b)], [], W) == invariants._unit(a, b, W), W
+        assert _units_by_power_sums([(a, b)], [], W) == _unit(a, b, W), W
 
 
 def test_power_sums_give_products_of_units():
@@ -709,15 +759,16 @@ def test_power_sums_give_products_of_units():
             above, below = brackets[:size + 1], brackets[size + 1:]
             expected = TruncSeries.one(W)
             for a, b in above:
-                expected = expected * invariants._unit(a, b, W)
+                expected = expected * _unit(a, b, W)
             for a, b in below:
-                expected = expected / invariants._unit(a, b, W)
+                expected = expected / _unit(a, b, W)
             assert _units_by_power_sums(above, below, W) == expected, (W, above, below)
 
 
 def test_cold_builds_multiply_and_divide_no_series(monkeypatch):
-    # a HOMFLY or Kauffman build expands one exponential per summand and
-    # takes no product or quotient of series
+    # a HOMFLY or Kauffman build expands one exponential per summand, an
+    # Akutsu-Wadati build one for its head, and none takes a product or
+    # quotient of series
     def forbidden(*args):
         raise AssertionError(f"a series product or quotient in a kernel build: {args!r}")
 
@@ -730,6 +781,8 @@ def test_cold_builds_multiply_and_divide_no_series(monkeypatch):
                 invariants._homfly_kernel(n, N, W)
             for N in (n + 2, n + 5):
                 invariants._kauffman_kernel(n, N, W)
+            for j in (1, 2, 7):
+                invariants._akutsu_wadati_kernel(n, j, W)
 
 
 @pytest.mark.parametrize("m", [-5, -1, 2, 7])
@@ -909,9 +962,9 @@ def test_product_series_end_at_the_order():
 
 def test_warm_knot_takes_no_exp_or_division(monkeypatch):
     # with its kernels built, a knot costs one polynomial evaluation at m per
-    # simple factor and no series product: the framing t-power and the
-    # Akutsu-Wadati divisor sit in the cached head, which the build folds
-    # into the kernel; a product group multiplies its two factors once
+    # simple factor and no series product: the build folds the framing
+    # t-power and the Akutsu-Wadati head into the cached kernel; a product
+    # group multiplies its two factors once
     simple = (lambda k: homfly_normalized(k, 4), lambda k: kauffman_normalized(k, 7),
               lambda k: akutsu_wadati_normalized(k, 2))
 
