@@ -19,11 +19,11 @@ values swapped or mirrored, and each of its Fractions is built once.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import gcd, lcm, prod
-from typing import Iterable, Optional
 
 from .errors import (DegreeExceeded, FrozenRecord, Record, UnsupportedInput, set_field,
                      set_key)
@@ -177,7 +177,7 @@ DEPENDENCY_RELATIONS = (
 )
 
 
-def dependency_relations_check(grid: Optional[Iterable] = None,
+def dependency_relations_check(grid: Iterable | None = None,
                                max_n: int = 12) -> ScanReport:
     """Verify all six dependency relations exactly on a knot grid.
 

@@ -44,11 +44,9 @@ import os
 import re
 import sys
 import threading
-from collections import OrderedDict
-from collections.abc import Callable
+from collections import OrderedDict, namedtuple
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import NamedTuple
 
 from . import __version__
 from .analysis import (OBSTRUCTED, auxiliary_scalars, integrality_scan, is_v3_applicable,
@@ -188,15 +186,14 @@ def _render_into(value, newline: str, put) -> None:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-class _Answer(NamedTuple):
+class _Answer(namedtuple("_Answer", ("text", "notes", "code", "out"),
+                          defaults=((), EXIT_OK, None))):
     """A command's answer: its text, which main writes with one final
     newline to the --out path or else to stdout, the lines main then writes
-    to stderr, and the exit code.  main sets out from the command line."""
+    to stderr (a tuple of str), and the exit code.  main sets out, a path or
+    None, from the command line."""
 
-    text: str
-    notes: tuple[str, ...] = ()
-    code: int = EXIT_OK
-    out: str | None = None
+    __slots__ = ()
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -568,26 +565,23 @@ def _cmd_scan(args: argparse.Namespace) -> _Answer:
 # parser
 # ----------------------------------------------------------------------
 
-class _Option(NamedTuple):
+class _Option(namedtuple("_Option", ("type", "choices", "default", "required", "help"),
+                          defaults=(None, None, None, False, None))):
     """One option of a subcommand, as argparse's add_argument takes it: the
-    type that converts its value, the values it admits, its default, whether
-    a line must give it, and its help."""
+    type that converts its value (a callable on str, or None), the values it
+    admits (a tuple, or None), its default, whether a line must give it, and
+    its help (a str, or None)."""
 
-    type: Callable[[str], object] | None = None
-    choices: tuple | None = None
-    default: object = None
-    required: bool = False
-    help: str | None = None
+    __slots__ = ()
 
 
-class _Command(NamedTuple):
-    """One subcommand: its handler, its help, and its options by option word,
-    in the order usage shows them; each value goes in the namespace under
-    its word less the "--"."""
+class _Command(namedtuple("_Command", ("handler", "help", "options"))):
+    """One subcommand: its handler, which takes the parsed namespace and
+    returns an _Answer, its help, and its options, a dict of _Option by
+    option word, in the order usage shows them; each value goes in the
+    namespace under its word less the "--"."""
 
-    handler: Callable[[argparse.Namespace], _Answer]
-    help: str
-    options: dict[str, _Option]
+    __slots__ = ()
 
 
 _FORMATS = ("json", "csv", "table")

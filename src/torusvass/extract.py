@@ -22,11 +22,11 @@ common denominator.  No Fraction is built before the solution.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from operator import mul
-from typing import Sequence
 
 from .errors import (AnsatzMismatch, DegreeExceeded, FrozenRecord, Inconsistent,
                      RankDeficient, Record, UnsupportedInput, set_field, set_key)
@@ -140,13 +140,22 @@ def _plan_series(knot: TorusKnot, plan: _Plan, unnormalized: bool) -> list[Trunc
 
 
 def _right_hand_sides(series: Sequence[TruncSeries]) -> tuple[list[list[int]], int]:
-    """Each series' x^order coefficient, for every order of ORDERS, as
-    integer numerators over one denominator: one lcm per knot, read straight
-    from the series' numerators, and no Fraction."""
+    """Each series' x^order coefficient, for every order of ORDERS (which are
+    consecutive), as integer numerators over one denominator: one lcm per
+    knot, one slice of each series' nums, zero below its min_degree and an
+    error past its trunc_order as numerator() has it, and no Fraction."""
     dens = [s.den for s in series]
     den = lcm(*dens)
+    first, top = ORDERS[0], ORDERS[-1]
+    windows = []
+    for s in series:
+        if s.trunc_order < top:
+            s.numerator(top)  # raises numerator()'s error past trunc_order
+        lo = s.min_degree
+        windows.append(s.nums[first - lo:top - lo + 1] if lo <= first
+                       else ((0,) * (lo - first) + s.nums)[:top - first + 1])
     scales = [den // d for d in dens]
-    return [[s.numerator(order) * c for s, c in zip(series, scales)] for order in ORDERS], den
+    return [list(map(mul, row, scales)) for row in zip(*windows)], den
 
 
 def _extract(knot, unnormalized: bool, kind: str) -> tuple[InvariantTable, ExtractionReport]:

@@ -33,11 +33,11 @@ the order-2 Taylor coefficient across the three polynomial families.
 from __future__ import annotations
 
 from enum import Enum
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
 from types import MappingProxyType
-from typing import Mapping, Optional
 
 from .errors import FrozenRecord, UnsupportedInput, set_field, set_key
 
@@ -98,7 +98,7 @@ _PARAMETER_FLOORS = {
 }
 
 
-def check_parameter(family: Family, name: str, value, floor: Optional[int]) -> None:
+def check_parameter(family: Family, name: str, value, floor: int | None) -> None:
     """The one group-parameter check: an int (not a bool) no lower than floor;
     Kauffman passes None, as its floor N >= n + 2 depends on the knot."""
     if type(value) is not int:
@@ -117,7 +117,7 @@ class GroupInstance(FrozenRecord):
 
     __slots__ = _fields = ("family", "N", "j")
 
-    def __init__(self, family: Family, N: Optional[int] = None, j: Optional[int] = None):
+    def __init__(self, family: Family, N: int | None = None, j: int | None = None):
         _set_family(self, family)
         _set_N(self, N)
         _set_j(self, j)

@@ -80,12 +80,12 @@ checks it again.
 from __future__ import annotations
 
 import marshal
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, islice, repeat
 from math import comb, factorial, gcd, lcm
 from operator import add, mul, neg, sub
-from typing import Callable, Iterable, Union
 
 from .errors import CancellationFailure, SingularBracket, UnsupportedInput
 from .groups import Family, GroupInstance, check_parameter, simple_factors
@@ -116,7 +116,7 @@ def qpower(exponent, scale, trunc_order: int) -> TruncSeries:
     return series_exp_linear(Fraction(exponent) * Fraction(scale), trunc_order)
 
 
-def _ratio(num: int, den: int) -> Union[int, Fraction]:
+def _ratio(num: int, den: int) -> int | Fraction:
     """num/den, as an int when it is integral: integral rates and exponents
     then stay on int arithmetic, where a Fraction would hash, add and expand
     on its slower path."""
@@ -144,7 +144,7 @@ class MPolySeries:
 
     @classmethod
     def from_rows(cls, lo: int, hi: int, den: int,
-                  rows: Iterable[tuple[Union[int, Fraction], list]],
+                  rows: Iterable[tuple[int | Fraction, list]],
                   head: TruncSeries) -> "MPolySeries":
         """head * sum_i A_i(x) * exp(m * rho_i * x) on degrees lo..hi, for
         (rho_i, row_i) pairs where row_i lists the integer numerators over den
@@ -231,7 +231,7 @@ def _power_sums(values: Iterable[int], top: int) -> list[list[int]]:
                            lambda s, p: list(map(add, s, p)), initial=[0] * top))
 
 
-def _exponential_kernel(summands: Iterable[tuple[Union[int, Fraction], int, Iterable[int]]],
+def _exponential_kernel(summands: Iterable[tuple[int | Fraction, int, Iterable[int]]],
                         den: int, q: int, W: int) -> MPolySeries:
     """sum_i scale_i / den * exp(sum_k beta_k sums_i[k-1] (x/q)^(2k)) * exp(m rho_i x)
     on degrees 0..W, for (rho_i, scale_i, sums_i) triples with integer

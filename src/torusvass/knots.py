@@ -10,8 +10,8 @@ raises UnsupportedInput), and validate() adds the nonzero and coprime rule.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from math import gcd
-from typing import Iterator, Union
 
 from .errors import FrozenRecord, NotAKnot, UnsupportedInput, set_field, set_key
 
@@ -89,7 +89,7 @@ class CanonicalTorusKnot(FrozenRecord):
         return TorusKnot(self.n, self.m)
 
 
-KnotLike = Union[TorusKnot, CanonicalTorusKnot, tuple]
+KnotLike = TorusKnot | CanonicalTorusKnot | tuple
 
 
 def as_knot(knot: KnotLike) -> TorusKnot:
@@ -106,7 +106,7 @@ def as_knot(knot: KnotLike) -> TorusKnot:
     return TorusKnot(n, m)
 
 
-def canonicalize(n: int, m: int) -> Union[CanonicalTorusKnot, _UnknotType]:
+def canonicalize(n: int, m: int) -> CanonicalTorusKnot | _UnknotType:
     """Deterministic representative of the knot class of (n, m).
 
     Nonzero coprime input is required.  The unknot (|n| = 1 or |m| = 1) maps

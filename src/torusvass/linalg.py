@@ -6,19 +6,21 @@ integers and eliminating fraction-free, and :meth:`Elimination.solve` applies
 that to any right-hand side, so systems that share a left-hand side (one
 sampling plan, many knots) eliminate it once.  A right-hand side enters as
 rationals or, through :meth:`Elimination.solve_numerators`, as integer
-numerators over one denominator.  Pivots are the first nonzero
-entry scanning top to bottom; exact arithmetic needs no numerical pivoting
-and this keeps the output deterministic.
+numerators over one denominator.  An elimination keeps its integer rows and
+the inverse of its pivot block as one tuple per row, so applying it slices
+nothing: the solution comes from the pivot tuples and is substituted back
+into every row.  Pivots are the first nonzero entry scanning top to bottom;
+exact arithmetic needs no numerical pivoting and this keeps the output
+deterministic.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Optional, Sequence
 
 from .errors import DegreeExceeded, FrozenRecord, set_field, set_key
 
@@ -26,7 +28,7 @@ from .errors import DegreeExceeded, FrozenRecord, set_field, set_key
 class LinearSolution(FrozenRecord):
     __slots__ = _fields = ("solution", "rank", "consistent")
 
-    def __init__(self, solution: Optional[tuple[Fraction, ...]], rank: int, consistent: bool):
+    def __init__(self, solution: tuple[Fraction, ...] | None, rank: int, consistent: bool):
         set_field(self, "solution", solution)  # present iff unique
         set_field(self, "rank", rank)
         set_field(self, "consistent", consistent)
@@ -36,23 +38,26 @@ class LinearSolution(FrozenRecord):
 class Elimination:
     """The elimination of one left-hand side, applied to any right-hand side.
 
-    Stored as integers; rows and inverse are flat tuples.  Row r of the
-    left-hand side is rows[r*unknowns:(r+1)*unknowns] / scales[r].  With b
-    scaled to integers over its common denominator d the particular solution
-    (free unknowns 0) is x[pivot_cols[k]] = sum_i inverse[k*rank + i] *
-    b[pivot_rows[i]] / (den * d).  The system is consistent exactly when
-    that x satisfies every row.  Immutable and shared through the caches
-    that keep eliminations.
+    Stored as integers, one tuple per row: row r of the left-hand side is
+    rows[r] / scales[r], and inverse holds one tuple of rank integers per
+    pivot.  With b scaled to integers over its common denominator d the
+    particular solution (free unknowns 0) is x[pivot_cols[k]] =
+    sum_i inverse[k][i] * b[pivot_rows[i]] / (den * d).  The system is
+    consistent exactly when that x satisfies every row: row r holds when
+    rows[r] . x equals b[r] * checks[r], its check factor scales[r] * den.
+    Immutable and shared through the caches that keep eliminations.
     """
 
-    __slots__ = ("unknowns", "rows", "scales", "pivot_cols", "pivot_rows", "inverse", "den")
+    __slots__ = ("unknowns", "rows", "scales", "pivot_cols", "pivot_rows", "inverse", "den",
+                 "checks")
 
-    def __init__(self, unknowns: int, rows: list[int], scales: tuple[int, ...],
+    def __init__(self, unknowns: int, rows: list[list[int]], scales: tuple[int, ...],
                  pivot_cols: tuple[int, ...], pivot_rows: tuple[int, ...],
-                 inverse: list[int], den: int):
+                 inverse: list[list[int]], den: int):
         self.unknowns, self.scales, self.den = unknowns, scales, den
         self.pivot_cols, self.pivot_rows = pivot_cols, pivot_rows
-        self.rows, self.inverse = tuple(rows), tuple(inverse)
+        self.rows, self.inverse = tuple(map(tuple, rows)), tuple(map(tuple, inverse))
+        self.checks = tuple(s * den for s in scales)
 
     @property
     def rank(self) -> int:
@@ -72,16 +77,15 @@ class Elimination:
         solution."""
         if len(b) != len(self.scales):
             raise ValueError(f"{len(b)} right-hand entries for {len(self.scales)} rows")
-        rank, inverse = self.rank, self.inverse
         picked = [b[i] for i in self.pivot_rows]
         x = [0] * self.unknowns
-        for k, c in enumerate(self.pivot_cols):
-            x[c] = sum(map(mul, inverse[k * rank:(k + 1) * rank], picked))
+        for c, row in zip(self.pivot_cols, self.inverse):
+            x[c] = sum(map(mul, row, picked))
         # x / (den * den_b) substituted back into every row, in integers
-        w, rows = self.unknowns, self.rows
-        consistent = not any(sum(map(mul, rows[r * w:(r + 1) * w], x)) != v * s * self.den
-                             for r, (v, s) in enumerate(zip(b, self.scales)))
-        if not consistent or rank < w:
+        consistent = all(sum(map(mul, row, x)) == v * f
+                         for row, v, f in zip(self.rows, b, self.checks))
+        rank = self.rank
+        if not consistent or rank < self.unknowns:
             return LinearSolution(None, rank, consistent)
         den = self.den * den_b
         return LinearSolution(tuple(Fraction(v, den) for v in x), rank, True)
@@ -147,9 +151,9 @@ def eliminate(lhs: Sequence[Sequence], unknowns: int) -> Elimination:
                 block[i] = _reduced([lead * v - f * u for v, u in zip(block[i], top)])
     diagonal = [row[k] for k, row in enumerate(block)]
     den = lcm(*diagonal)
-    inverse = [v * (den // d) for d, row in zip(diagonal, block) for v in row[rank:]]
-    return Elimination(unknowns, list(chain.from_iterable(ints)), tuple(scales),
-                       tuple(pivot_cols), tuple(pivot_rows), inverse, den)
+    inverse = [[v * (den // d) for v in row[rank:]] for d, row in zip(diagonal, block)]
+    return Elimination(unknowns, ints, tuple(scales), tuple(pivot_cols), tuple(pivot_rows),
+                       inverse, den)
 
 
 class ExactPoly(FrozenRecord):
@@ -178,13 +182,13 @@ class ExactPoly(FrozenRecord):
         return cls.make(coeffs, variable)
 
     @property
-    def degree(self) -> Optional[int]:
+    def degree(self) -> int | None:
         return len(self.coefficients) - 1 if self.coefficients else None
 
     def evaluate(self, x) -> Fraction:
-        acc = Fraction(0)
+        x, acc = Fraction(x), Fraction(0)
         for c in reversed(self.coefficients):
-            acc = acc * Fraction(x) + c
+            acc = acc * x + c
         return acc
 
     def __str__(self) -> str:

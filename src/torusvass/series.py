@@ -44,14 +44,14 @@ threads.
 
 from __future__ import annotations
 
+from collections.abc import Collection, Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Collection, Iterable, Sequence, Union
 
 from .errors import DivisionByZeroSeries, TruncationUnderflow
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 
 class TruncSeries:

@@ -41,11 +41,11 @@ stored alongside the printed ones.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
 from operator import mul, sub
-from typing import NamedTuple
 
 from .errors import FrozenRecord, set_field, set_key
 from .groups import ALL_SLOTS, COMPOUND_FACTORS, compound_values
@@ -98,15 +98,14 @@ _MONOMIALS = (lambda u, v: 1, lambda u, v: u + v, lambda u, v: u * v,
               lambda u, v: u * u * v * v)
 
 
-class _Row(NamedTuple):
+class _Row(namedtuple("_Row", ("coefficients", "den", "beta_den"))):
     """prefactor * numerator(n^2, m^2) / den, where the prefactor is
     (n^2-1)(m^2-1), times nm at odd orders, and the numerator is the sum of
-    coefficients times the first len(coefficients) of _MONOMIALS; beta_den
-    is the printed denominator of the beta value of the same numerator."""
+    coefficients (a tuple of ints) times the first len(coefficients) of
+    _MONOMIALS; beta_den is the printed denominator of the beta value of the
+    same numerator."""
 
-    coefficients: tuple[int, ...]
-    den: int
-    beta_den: int
+    __slots__ = ()
 
 
 #: the three tables share these numerators.  The order-4 slot 2 entry is

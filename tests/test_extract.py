@@ -76,6 +76,19 @@ def test_plan_series_divides_by_the_dimension_when_unnormalized():
         [[s.coefficient(order) for s in divided] for order in ORDERS]
 
 
+def test_right_hand_sides_keep_the_numerator_range_rule():
+    # zero below a series' min_degree, whether that lies inside ORDERS or
+    # above them, and a series known past ORDERS is read through them only
+    series = [TruncSeries(3, [F(1, 2), 2, F(3, 5), 4], 6), TruncSeries(0, [1] * 8, 7),
+              TruncSeries(8, [5], 8), TruncSeries.zero(6)]
+    rhs, den = _right_hand_sides(series)
+    assert all(type(v) is int for row in rhs for v in row)
+    assert [[F(v, den) for v in row] for row in rhs] == \
+        [[s.coefficient(order) for s in series] for order in ORDERS]
+    with pytest.raises(ValueError, match="beyond truncation 5"):
+        _right_hand_sides([TruncSeries.one(6), TruncSeries.one(5)])
+
+
 @pytest.mark.parametrize("knot", [(2, 3), (2, 5), (3, 4), (2, -3)])
 def test_extract_alpha_tilde_matches_closed_form(knot):
     table, report = extract_alpha_tilde(knot)
@@ -96,6 +109,38 @@ def test_extract_alpha_matches_closed_form(knot):
     table, report = extract_alpha(knot)
     assert table.entries == closed_form_alpha(knot).entries
     assert report.all_good()
+
+
+#: one knot at each solve stratum of the benchmark above n = 6, one mirrored
+STRATA_KNOTS = ((13, -15), (20, 21), (27, 29), (34, 35), (41, 43))
+
+
+@pytest.mark.parametrize("knot", STRATA_KNOTS)
+def test_both_routes_match_the_closed_forms_at_the_large_strata(knot):
+    ranks = {order: SLOT_COUNTS[order] for order in ORDERS}
+    assert tuple(ranks.values()) == (1, 1, 3, 4, 9)
+    for route, closed in ((extract_alpha_tilde, closed_form_alpha_tilde),
+                          (extract_alpha, closed_form_alpha)):
+        table, report = route(knot)
+        assert table.entries == closed(knot).entries, route.__name__
+        assert report.rank == ranks and report.all_good(), route.__name__
+
+
+@pytest.mark.parametrize("knot", [(6, 7), (41, 43)])
+def test_every_right_hand_side_numerator_is_checked(knot):
+    # the default plan's 25 rows at every order, on both routes: one
+    # numerator off by 1 makes the solve inconsistent, pivot rows included
+    k = TorusKnot(*knot)
+    plan = extract._plan(default_instantiation_plan, k.n)
+    for unnormalized in (False, True):
+        rhs, den = _right_hand_sides(_plan_series(k, plan, unnormalized))
+        for order, b, elimination in zip(ORDERS, rhs, plan.eliminations):
+            assert len(b) == 25 and elimination.solve_numerators(b, den).consistent
+            for i in range(len(b)):
+                bumped = list(b)
+                bumped[i] += 1
+                result = elimination.solve_numerators(bumped, den)
+                assert not result.consistent and result.solution is None, (order, i)
 
 
 #: the unknot's alpha on the primitive slots, in PRIMITIVE_ORDER: zero at odd

@@ -1,9 +1,10 @@
 """Exact elimination and interpolation."""
 
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torusvass.errors import DegreeExceeded
@@ -170,10 +171,18 @@ def linear_systems(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(linear_systems())
-def test_factor_then_apply_equals_one_pass(system):
+@given(linear_systems(), st.integers(1, 6))
+@example(([[], []], [F(0), F(0)], 0), 3)  # no unknowns: consistent exactly when b is 0
+@example(([[], []], [F(0), F(2, 5)], 0), 1)
+def test_factor_then_apply_equals_one_pass(system, multiple):
+    # both entries: rationals, and integer numerators over a positive
+    # denominator that is not always the least one
     lhs, rhs, unknowns = system
-    assert eliminate(lhs, unknowns).solve(rhs) == _reference_solve(lhs, rhs, unknowns)
+    want = _reference_solve(lhs, rhs, unknowns)
+    elimination = eliminate(lhs, unknowns)
+    assert elimination.solve(rhs) == want
+    den = lcm(*(v.denominator for v in rhs)) * multiple
+    assert elimination.solve_numerators([int(v * den) for v in rhs], den) == want
 
 
 def test_one_elimination_serves_many_right_hand_sides():
