@@ -12,12 +12,15 @@ simple factor's normalized series times its unknot factor over its dimension.
 The default plan depends on the knot only through n, and equal plans (the
 default plan's at n = 2 and 3) are made ready once per process: their
 instances, distinct simple factors, each factor's unknot factor over its
-dimension and the eliminations of the five left-hand sides.  A knot then
-costs one evaluation per simple factor (a polynomial evaluation of a cached
-kernel), one series product per simple factor on the alpha route and per
-product factor on top of the first, and one integer solve per order, whose
-right-hand side is read straight from the series' numerators over one
-common denominator.  No Fraction is built before the solution.
+dimension and the eliminations of the five left-hand sides.  Beside each
+plan, once per n, the solver fetches each simple factor's kernel, the
+normalized invariant of every T(n, m) as polynomials in m, through
+:func:`.invariants._factor_kernel`.  A knot then costs one polynomial
+evaluation of a kernel per simple factor and calls no public evaluator, one
+series product per simple factor on the alpha route and per product factor
+on top of the first, and one integer solve per order, whose right-hand side
+is read straight from the series' numerators over one common denominator.
+No Fraction is built before the solution.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ from .errors import (AnsatzMismatch, DegreeExceeded, FrozenRecord, Inconsistent,
                      RankDeficient, Record, UnsupportedInput, set_field, set_key)
 from .groups import (_PARAMETER_FLOORS, ORDERS, SLOT_COUNTS, SLOTS, Family, GroupInstance,
                      group_factors, product, simple_factors, so_n, su2, su_n)
-from .invariants import DEFAULT_ORDER, normalized_series, unknot_factor
+from .invariants import (DEFAULT_ORDER, MPolySeries, _factor_kernel, normalized_series,
+                         unknot_factor)
 from .knots import TorusKnot, as_knot
 from .linalg import Elimination, ExactPoly, eliminate, interpolate_poly
 from .series import TruncSeries
@@ -122,12 +126,24 @@ def _ready(instances: tuple) -> _Plan:
     return _Plan.of(instances)
 
 
-def _plan_series(knot: TorusKnot, plan: _Plan, unnormalized: bool) -> list[TruncSeries]:
-    """The series of each instance of a plan, the Wilson-line series over
-    dim R on the unnormalized route.  Each distinct simple factor is
-    evaluated once, in plan order, and a product instance multiplies its
+@lru_cache(maxsize=32)
+def _kernels(plan_of, n: int) -> tuple[MPolySeries, ...]:
+    """The kernel at n of each simple factor of _plan(plan_of, n), in the
+    order of its factors, known through DEFAULT_ORDER at least: fetched once
+    per plan function, n and process, so that a warm n builds no kernel and
+    checks no parameter for a new knot."""
+    return tuple(_factor_kernel(f.family, n, f.j if f.family == Family.SU2 else f.N,
+                                DEFAULT_ORDER) for f in _plan(plan_of, n).factors)
+
+
+def _plan_series(m: int, plan: _Plan, kernels: Sequence[MPolySeries],
+                 unnormalized: bool) -> list[TruncSeries]:
+    """The series at m of each instance of a plan, from the kernels of its
+    simple factors at the knot's n; the Wilson-line series over dim R on the
+    unnormalized route.  Each distinct simple factor is evaluated once, in
+    plan order, as its kernel at m, and a product instance multiplies its
     factors' series as normalized_series does."""
-    simple = [normalized_series(knot, factor, DEFAULT_ORDER) for factor in plan.factors]
+    simple = [kernel.at(m, DEFAULT_ORDER) for kernel in kernels]
     if unnormalized:
         simple = list(map(mul, simple, plan.unknots))
     series = []
@@ -162,7 +178,8 @@ def _extract(knot, unnormalized: bool, kind: str) -> tuple[InvariantTable, Extra
     """Solve every order of ORDERS on the knot's default plan."""
     k = as_knot(knot).validate().oriented()
     plan = _plan(default_instantiation_plan, k.n)
-    rhs, den = _right_hand_sides(_plan_series(k, plan, unnormalized))
+    kernels = _kernels(default_instantiation_plan, k.n)
+    rhs, den = _right_hand_sides(_plan_series(k.m, plan, kernels, unnormalized))
     report = ExtractionReport(knot=k, kind=kind)
     entries = {}
     for order, b, elimination in zip(ORDERS, rhs, plan.eliminations):

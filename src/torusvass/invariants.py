@@ -34,17 +34,20 @@ build multiplies the head, free of m, into them, every power of m kept.  That
 kernel -- the normalized invariant as polynomials in m -- is kept in a
 bounded cache per (family, n, N or j), at the widest order asked of it so
 far; one knot then costs one polynomial evaluation per degree and no series
-product, whatever n is.  A HOMFLY or Kauffman summand, its head folded in,
-is a rational constant times one exponential of an even series (two for a
-Kauffman summand, whose pole 1/[n] + 1/[b-g;1] is a sum), taken by
-:func:`.series.exp_even_numerators` from integer power sums of the bracket
-widths (next paragraph), so a build multiplies and divides no series: it
-costs O(n W^2) integer products, and the m-weights O(n W^2) more.  The
-Akutsu-Wadati summands are bare t-powers, whose Taylor rows the kernel takes
-from one :func:`.series.exp_numerators` call over all 2(j+1) exponents, its
-head's t-powers added.  That routine expands every other t-power here: the
-m-weights of :class:`MPolySeries` and the unknot factors, which are one pass
-of integer power sums.
+product, whatever n is.  One function, :func:`_factor_kernel`, checks the
+parameter and the order and fetches, builds and checks the kernel; each
+evaluator is that fetch and one evaluation at m, and the solver keeps the
+fetched kernels of each plan per n.  A HOMFLY or Kauffman summand, its head
+folded in, is a rational constant times one exponential of an even series
+(two for a Kauffman summand, whose pole 1/[n] + 1/[b-g;1] is a sum), taken
+by :func:`.series.exp_even_numerators` from integer power sums of the
+bracket widths (next paragraph), so a build multiplies and divides no
+series: it costs O(n W^2) integer products, and the m-weights O(n W^2) more.
+The Akutsu-Wadati summands are bare t-powers, whose Taylor rows the kernel
+takes from one :func:`.series.exp_numerators` call over all 2(j+1)
+exponents, its head's t-powers added.  That routine expands every other
+t-power here: the m-weights of :class:`MPolySeries` and the unknot factors,
+which are one pass of integer power sums.
 
 Unit brackets.  Every bracket t^a - t^b vanishes at x = 0, so each enters as
 x times the unit (t^a - t^b)/x, whose constant term a - b is nonzero.  Its
@@ -89,17 +92,19 @@ from operator import add, mul, neg, sub
 
 from .errors import CancellationFailure, SingularBracket, UnsupportedInput
 from .groups import Family, GroupInstance, check_parameter, simple_factors
-from .knots import KnotLike, TorusKnot, as_knot
+from .knots import KnotLike, as_knot
 from .series import TruncSeries, exp_even_numerators, exp_numerators, series_exp_linear
 
 #: coefficients are needed through x^6
 DEFAULT_ORDER = 6
 
 #: kernels kept per process, one per (family, n, N or j).  A solve round (the
-#: default plans at ten values of n, one order) uses 180.  The CLI request mix
-#: of the benchmark, at orders 0..12, uses 104 in 8,500 requests: all of them
-#: fit, 87-88% of its lookups need no build (the rest widen a kernel to a
-#: higher order), and the kernels, heads folded in, hold 0.11 MiB (tracemalloc
+#: default plans at ten values of n, one order) uses 180, and the solver's
+#: per-n records (extract._kernels) hold those 180 too, so the solver
+#: rebuilds none that this cache evicts.  The CLI request mix of the
+#: benchmark, at orders 0..12, uses 104 in 8,500 requests: all of them fit,
+#: 87-88% of its lookups need no build (the rest widen a kernel to a higher
+#: order), and the kernels, heads folded in, hold 0.11 MiB (tracemalloc
 #: after 8,500 requests, seeds 1-3; 0.23 MiB with the head kept apart).  A
 #: HOMFLY or Kauffman build costs 1/3 to 1/17 of one direct evaluation by
 #: series products, and a knot read from a built HOMFLY kernel 1/13 to 1/32
@@ -339,58 +344,89 @@ def _akutsu_wadati_kernel(n: int, j: int, W: int) -> MPolySeries:
 def _kernel(family: Family, n: int, parameter: int) -> list:
     """The one-cell slot [(W, kernel)] of one evaluator: the normalized
     invariant as polynomials in m, its m-free head folded in, through x^W.
-    It starts empty, at W = -1, and :func:`_at_knot` widens it.  The cell is
-    read and replaced whole, so a caller never sees a width and a kernel that
-    do not belong together; two threads that widen one slot at once each use
-    their own build, and the later store stays."""
+    It starts empty, at W = -1, and :func:`_factor_kernel` widens it.  The
+    cell is read and replaced whole, so a caller never sees a width and a
+    kernel that do not belong together; two threads that widen one slot at
+    once each use their own build, and the later store stays."""
     return [(-1, None)]
 
 
-def _check_order(trunc_order, what: str) -> None:
-    """The one order check: an int (not a bool) >= 0."""
+def _check_order(trunc_order, what: str, *args) -> None:
+    """The one order check: an int (not a bool) >= 0.  Its error names
+    what.format(*args), formatted only when it raises."""
     if type(trunc_order) is not int:
-        raise UnsupportedInput(f"{what}: trunc_order must be an int (got {trunc_order!r})")
+        raise UnsupportedInput(f"{what.format(*args)}: trunc_order must be an int "
+                               f"(got {trunc_order!r})")
     if trunc_order < 0:
-        raise UnsupportedInput(f"{what}: trunc_order must be >= 0 (got {trunc_order})")
+        raise UnsupportedInput(f"{what.format(*args)}: trunc_order must be >= 0 "
+                               f"(got {trunc_order})")
 
 
-def _at_knot(family: Family, k: TorusKnot, parameter: int, trunc_order: int,
-             what: str) -> TruncSeries:
-    """The tail every evaluator shares: the kernel at m, one polynomial
-    evaluation per degree and no series product.  A kernel's coefficients
-    through x^W do not depend on the width it was built at, so a wider kernel
-    serves the order by reading its first degrees; a narrower kernel is
-    rebuilt once at the order, which replaces it.  A new kernel is checked
-    before it is stored, for every m at once, so a bad one is never kept."""
-    _check_order(trunc_order, what)
-    slot = _kernel(family, k.n, parameter)
+#: each simple family's kernel builder
+_FAMILIES = {
+    Family.SU_N: _homfly_kernel,
+    Family.SO_N: _kauffman_kernel,
+    Family.SU2: _akutsu_wadati_kernel,
+}
+
+#: each simple family's evaluator name, parameter name and parameter floor;
+#: SO(N)'s floor N >= n + 2 depends on the knot, and is checked apart
+_EVALUATORS = {
+    Family.SU_N: ("homfly", "N", 2),
+    Family.SO_N: ("kauffman", "N", None),
+    Family.SU2: ("akutsu-wadati", "j", 1),
+}
+
+#: an evaluator's label in its errors, as homfly(n,m;N=4)
+_LABEL = "{}({},{};{}={})"
+
+
+def _factor_kernel(family: Family, n: int, parameter: int, trunc_order: int,
+                   m: int | str = "m") -> MPolySeries:
+    """The kernel of one simple family at n >= 1 through at least
+    x^trunc_order: the normalized invariant of every T(n, m) as polynomials
+    in m, which MPolySeries.at evaluates at one m.  It checks the parameter,
+    SO(N)'s floor N >= n + 2 and the order, in that order.  A kernel's
+    coefficients through x^W do not depend on the width it was built at, so
+    a wider kernel serves the order by reading its first degrees; a narrower
+    kernel is rebuilt once at the order, which replaces it.  A new kernel is
+    checked before it is stored, for every m at once, so a bad one is never
+    kept.  m only labels an error; the solver, which fetches each kernel once
+    for every m, leaves it "m"."""
+    name, symbol, floor = _EVALUATORS[family]
+    check_parameter(family, symbol, parameter, floor)
+    if family == Family.SO_N and parameter < n + 2:
+        raise SingularBracket(f"so_n sampling needs N >= n + 2 = {n + 2} (got N={parameter}): "
+                              "a required bracket [p;1] would have vanishing leading term")
+    _check_order(trunc_order, _LABEL, name, n, m, symbol, parameter)
+    slot = _kernel(family, n, parameter)
     width, kernel = slot[0]
     if width < trunc_order:
-        kernel = _FAMILIES[family](k.n, parameter, trunc_order)
+        kernel = _FAMILIES[family](n, parameter, trunc_order)
         flat, lo = marshal.loads(kernel.coeffs), kernel.lo
         # 1 + O(x) at every m: the polynomials at x^lo..x^0, which lead the
         # kernel, are zero but for the constant den at x^0
         lead = flat[:(1 - lo) * (2 - lo) // 2]
         if lead != [0] * (len(lead) + lo - 1) + [kernel.den] + [0] * -lo:
-            raise CancellationFailure(f"{what}: the kernel is not 1 + O(x) at every m "
-                                      "(convention bug)")
+            raise CancellationFailure(f"{_LABEL.format(name, n, m, symbol, parameter)}: the "
+                                      "kernel is not 1 + O(x) at every m (convention bug)")
         # degree at most d in m at x^d, d >= 0: the polynomial at x^(lo+k)
         # ends before flat[end], end = (k+1)(k+2)/2, and its last -lo
         # coefficients, above m^(lo+k), are zero (none for lo = 0)
         ends = [(k + 1) * (k + 2) // 2 for k in range(-lo, kernel.hi - lo + 1)]
         if any(any(flat[end + lo:end]) for end in ends):
-            raise CancellationFailure(f"{what}: the kernel's x^d coefficient has a power of m "
-                                      "above m^d (convention bug)")
+            raise CancellationFailure(f"{_LABEL.format(name, n, m, symbol, parameter)}: the "
+                                      "kernel's x^d coefficient has a power of m above m^d "
+                                      "(convention bug)")
         slot[0] = trunc_order, kernel
-    return kernel.at(k.m, trunc_order)
+    return kernel
 
 
 def homfly_normalized(knot: KnotLike, N: int,
                       trunc_order: int = DEFAULT_ORDER) -> TruncSeries:
     """Series of the normalized torus-knot HOMFLY polynomial for SU(N)."""
     k = as_knot(knot).validate().oriented()
-    check_parameter(Family.SU_N, "N", N, 2)
-    return _at_knot(Family.SU_N, k, N, trunc_order, f"homfly({k.n},{k.m};N={N})")
+    return _factor_kernel(Family.SU_N, k.n, N, trunc_order, k.m).at(k.m, trunc_order)
 
 
 def kauffman_normalized(knot: KnotLike, N: int,
@@ -402,11 +438,7 @@ def kauffman_normalized(knot: KnotLike, N: int,
     smaller N.
     """
     k = as_knot(knot).validate().oriented()
-    check_parameter(Family.SO_N, "N", N, None)
-    if N < k.n + 2:
-        raise SingularBracket(f"so_n sampling needs N >= n + 2 = {k.n + 2} (got N={N}): "
-                              "a required bracket [p;1] would have vanishing leading term")
-    return _at_knot(Family.SO_N, k, N, trunc_order, f"kauffman({k.n},{k.m};N={N})")
+    return _factor_kernel(Family.SO_N, k.n, N, trunc_order, k.m).at(k.m, trunc_order)
 
 
 def akutsu_wadati_normalized(knot: KnotLike, j: int,
@@ -417,8 +449,7 @@ def akutsu_wadati_normalized(knot: KnotLike, j: int,
     normalized unknot value exactly 1.
     """
     k = as_knot(knot).validate().oriented()
-    check_parameter(Family.SU2, "j", j, 1)
-    return _at_knot(Family.SU2, k, j, trunc_order, f"akutsu-wadati({k.n},{k.m};j={j})")
+    return _factor_kernel(Family.SU2, k.n, j, trunc_order, k.m).at(k.m, trunc_order)
 
 
 def _over_factors(group: GroupInstance, trunc_order: int,
@@ -433,17 +464,11 @@ def _over_factors(group: GroupInstance, trunc_order: int,
     return series
 
 
-#: each simple family's kernel builder
-_FAMILIES = {
-    Family.SU_N: _homfly_kernel,
-    Family.SO_N: _kauffman_kernel,
-    Family.SU2: _akutsu_wadati_kernel,
-}
-
-
 def _simple_normalized(knot: KnotLike, group: GroupInstance, trunc_order: int) -> TruncSeries:
     """A simple group's evaluator, called by its module-level name, so that
-    whatever rebinds the name (a tracer, a test) sees every call."""
+    whatever rebinds the name (a tracer, a test) sees every call of
+    normalized_series and unnormalized_series.  The solver calls neither: it
+    reads each factor's kernel from :func:`_factor_kernel`."""
     if group.family == Family.SU2:
         return akutsu_wadati_normalized(knot, group.j, trunc_order)
     if group.family == Family.SO_N:
@@ -470,7 +495,7 @@ def unknot_factor(group: GroupInstance, trunc_order: int = DEFAULT_ORDER) -> Tru
     dimension (N, N, j+1, or N(j+1)).  It does not depend on the knot: the
     solver takes each plan's unknot factors once, when it makes the plan
     ready."""
-    _check_order(trunc_order, f"unknot factor of {group.label()}")
+    _check_order(trunc_order, "unknot factor of {}", group.label())
     return _over_factors(group, trunc_order, lambda g: _quantum_dimension(g, trunc_order))
 
 

@@ -1,18 +1,22 @@
 """The exact linear-system route: assembly, solving, and the ansatz fit."""
 
+import hashlib
+import marshal
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
 from torusvass import extract
-from torusvass.errors import AnsatzMismatch, DegreeExceeded, RankDeficient, UnsupportedInput
-from torusvass.errors import Inconsistent
+from torusvass.errors import (AnsatzMismatch, DegreeExceeded, Inconsistent, RankDeficient,
+                              SingularBracket, UnsupportedInput)
 from torusvass.extract import (_Plan, _plan_series, _right_hand_sides, compare_fit_to_printed,
                                default_instantiation_plan, extract_alpha,
                                extract_alpha_tilde, fit_ansatz)
 from torusvass.groups import (ORDERS, SLOTS, Family, SLOT_COUNTS, group_factors, product, so_n,
                               su2, su_n)
-from torusvass.invariants import normalized_series, unknot_factor, unnormalized_series
+from torusvass.invariants import (MPolySeries, _factor_kernel, kauffman_normalized,
+                                  normalized_series, unknot_factor, unnormalized_series)
 from torusvass.knots import TorusKnot
 from torusvass.linalg import ExactPoly, eliminate
 from torusvass.series import TruncSeries
@@ -20,40 +24,68 @@ from torusvass.tables import (PRIMITIVE_ORDER, closed_form_alpha, closed_form_al
                               printed_g_table)
 
 
+def plan_series(knot, instances, unnormalized=False):
+    """The series of these instances at one knot, as the solver takes them:
+    the plan made ready, its factors' kernels fetched at the knot's n."""
+    k = TorusKnot(*knot)
+
+    def plan_of(knot):
+        return tuple(instances)
+
+    return _plan_series(k.m, extract._plan(plan_of, k.n), extract._kernels(plan_of, k.n),
+                        unnormalized)
+
+
+@pytest.fixture
+def fresh_kernels():
+    """No n's kernels fetched before the test, and none it fetched kept."""
+    extract._kernels.cache_clear()
+    yield
+    extract._kernels.cache_clear()
+
+
 # a system's row for one instance: its group factors | the series coefficient
 
 def test_assemble_single_su3_row():
     assert group_factors(su_n(3)).row(2) == (F(-2),)
-    (series,) = _plan_series(TorusKnot(2, 3), _Plan.of([su_n(3)]), False)
+    (series,) = plan_series((2, 3), [su_n(3)])
     assert series.coefficient(2) == F(-8)
 
 
 def test_assemble_order_zero():
     assert group_factors(su_n(3)).row(0) == (F(1),)
-    (series,) = _plan_series(TorusKnot(2, 3), _Plan.of([su_n(3)]), False)
+    (series,) = plan_series((2, 3), [su_n(3)])
     assert series.coefficient(0) == F(1)
 
 
 def test_assemble_unknot_rhs_zero():
     plan = default_instantiation_plan((1, 5))
-    series = _plan_series(TorusKnot(1, 5), _Plan.of(plan), False)
+    series = plan_series((1, 5), plan)
     assert len(series) == len(plan)
     for order in range(2, 7):
         assert [s.coefficient(order) for s in series] == [0] * len(plan)
 
 
 def test_plan_series_evaluates_each_simple_factor_once(monkeypatch):
+    # each distinct simple factor, in plan order, fetches its kernel once per
+    # n, whatever the knot; a product instance multiplies its factors' series
     calls = []
 
-    def counting(knot, group, trunc_order):
-        calls.append(group)
-        return normalized_series(knot, group, trunc_order)
+    def counting(family, n, parameter, trunc_order):
+        calls.append((family, n, parameter, trunc_order))
+        return _factor_kernel(family, n, parameter, trunc_order)
 
-    monkeypatch.setattr(extract, "normalized_series", counting)
-    plan = (su_n(2), su2(1), product(2, 1), product(3, 1))
-    series = _plan_series(TorusKnot(2, 3), _Plan.of(plan), False)
-    assert calls == [su_n(2), su2(1), su_n(3)]
-    assert series == [normalized_series(TorusKnot(2, 3), g, 6) for g in plan]
+    monkeypatch.setattr(extract, "_factor_kernel", counting)
+    instances = (su_n(2), su2(1), product(2, 1), product(3, 1))
+
+    def plan_of(knot):
+        return instances
+
+    plan = extract._plan(plan_of, 2)
+    for m in (3, -5, 7):
+        series = _plan_series(m, plan, extract._kernels(plan_of, 2), False)
+        assert series == [normalized_series(TorusKnot(2, m), g, 6) for g in instances]
+    assert calls == [(Family.SU_N, 2, 2, 6), (Family.SU2, 2, 1, 6), (Family.SU_N, 2, 3, 6)]
 
 
 def test_plan_series_divides_by_the_dimension_when_unnormalized():
@@ -65,7 +97,7 @@ def test_plan_series_divides_by_the_dimension_when_unnormalized():
     assert plan.factors == (so_n(7), su_n(3), su2(2))
     assert plan.unknots == tuple(unknot_factor(g) / dim for g, dim in zip(plan.factors, (7, 3, 3)))
     assert [u.coefficient(0) for u in plan.unknots] == [1, 1, 1]
-    series = _plan_series(TorusKnot(2, 5), plan, True)
+    series = plan_series((2, 5), plan.instances, True)
     divided = [unnormalized_series(TorusKnot(2, 5), g) / dim
                for g, dim in zip(plan.instances, (7, 9))]
     assert series == divided
@@ -132,8 +164,9 @@ def test_every_right_hand_side_numerator_is_checked(knot):
     # numerator off by 1 makes the solve inconsistent, pivot rows included
     k = TorusKnot(*knot)
     plan = extract._plan(default_instantiation_plan, k.n)
+    kernels = extract._kernels(default_instantiation_plan, k.n)
     for unnormalized in (False, True):
-        rhs, den = _right_hand_sides(_plan_series(k, plan, unnormalized))
+        rhs, den = _right_hand_sides(_plan_series(k.m, plan, kernels, unnormalized))
         for order, b, elimination in zip(ORDERS, rhs, plan.eliminations):
             assert len(b) == 25 and elimination.solve_numerators(b, den).consistent
             for i in range(len(b)):
@@ -183,19 +216,25 @@ def test_rank_deficient_plan_raises(monkeypatch):
 
 
 @pytest.mark.parametrize("order", ORDERS)
-def test_a_perturbed_row_is_inconsistent(monkeypatch, order):
-    # one simple factor's normalized series off by 1/7 at x^order moves every
-    # row that factor enters (SU(4) and two products) off the group-factor
-    # span: both routes, which both read it, raise Inconsistent at that
-    # order, after solving the lower ones
-    def perturbed(knot, group, trunc_order):
-        series = normalized_series(knot, group, trunc_order)
-        if group != su_n(4):
-            return series
-        return series + TruncSeries(order, [F(1, 7)] + [0] * (trunc_order - order),
-                                    trunc_order)
+def test_a_perturbed_row_is_inconsistent(monkeypatch, order, fresh_kernels):
+    # one simple factor's kernel off by 1/7 at x^order, at every m, moves
+    # every row that factor enters (SU(4) and two products) off the
+    # group-factor span: both routes, which both read it, raise Inconsistent
+    # at that order, after solving the lower ones
+    def perturbed(family, n, parameter, trunc_order):
+        kernel = _factor_kernel(family, n, parameter, trunc_order)
+        if (family, parameter) != (Family.SU_N, 4):
+            return kernel
+        # the polynomial at x^order starts at flat[order (order + 1) / 2] (lo = 0)
+        flat = [7 * c for c in marshal.loads(kernel.coeffs)]
+        flat[order * (order + 1) // 2] += kernel.den
+        return MPolySeries(kernel.lo, kernel.hi, 7 * kernel.den, flat)
 
-    monkeypatch.setattr(extract, "normalized_series", perturbed)
+    monkeypatch.setattr(extract, "_factor_kernel", perturbed)
+    plan = extract._plan(default_instantiation_plan, 3)
+    kernel = extract._kernels(default_instantiation_plan, 3)[plan.factors.index(su_n(4))]
+    assert kernel.at(4, 6) == normalized_series((3, 4), su_n(4)) \
+        + TruncSeries(order, [F(1, 7)] + [0] * (6 - order), 6)
     for route in (extract_alpha_tilde, extract_alpha):
         with pytest.raises(Inconsistent) as info:
             route((3, 4))
@@ -396,8 +435,9 @@ def test_g_tables_by_contraction(monkeypatch):
 
 
 def _count_evaluations(monkeypatch):
-    """Wrap the evaluators of torusvass.invariants and unknot_factor with
-    call counters, at the module-level names the package calls them by."""
+    """Wrap the public evaluators, unknot_factor and the kernel builders of
+    torusvass.invariants, and the kernel fetch the solver calls, with call
+    counters, at the names the package calls them by."""
     import torusvass.invariants as invariants
 
     counts = {}
@@ -412,25 +452,32 @@ def _count_evaluations(monkeypatch):
                  "unknot_factor"):
         monkeypatch.setattr(invariants, name, counted(getattr(invariants, name)))
     monkeypatch.setattr(extract, "unknot_factor", invariants.unknot_factor)
+    monkeypatch.setattr(extract, "_factor_kernel", counted(invariants._factor_kernel))
+    for family, build in invariants._FAMILIES.items():
+        monkeypatch.setitem(invariants._FAMILIES, family, counted(build))
     return counts
 
 
-def test_product_instances_reuse_factor_series(monkeypatch):
+def test_product_instances_reuse_factor_series(monkeypatch, fresh_kernels):
     # the default plan samples SU(N) at N = 2..7 and SU(2) at j = 1..6, which
-    # covers every factor of its seven product instances; making the plan
-    # ready takes each of its 18 simple factors' unknot factor once, and a
-    # knot on either route takes none
+    # covers every factor of its seven product instances; a cold n fetches
+    # (and here builds) each of its 18 simple factors' kernel once and takes
+    # each one's unknot factor once, and a new knot at a warm n, on either
+    # route, calls no public evaluator, fetches no kernel and builds none
+    from torusvass import invariants
+
     counts = _count_evaluations(monkeypatch)
     extract._plan.cache_clear()
     extract._ready.cache_clear()
+    invariants._kernel.cache_clear()
     extract_alpha_tilde((6, 7))
-    assert counts == {"homfly_normalized": 6, "akutsu_wadati_normalized": 6,
-                      "kauffman_normalized": 6, "unknot_factor": 18}
-    for route in (extract_alpha, extract_alpha_tilde):
+    assert counts == {"_factor_kernel": 18, "_homfly_kernel": 6, "_kauffman_kernel": 6,
+                      "_akutsu_wadati_kernel": 6, "unknot_factor": 18}
+    for route, knot in ((extract_alpha, (6, 7)), (extract_alpha_tilde, (6, 11)),
+                        (extract_alpha, (6, -13))):
         counts.clear()
-        route((6, 7))
-        assert counts == {"homfly_normalized": 6, "akutsu_wadati_normalized": 6,
-                          "kauffman_normalized": 6}
+        route(knot)
+        assert counts == {}, (route.__name__, knot)
 
 
 def test_product_factors_outside_the_plan(monkeypatch):
@@ -443,3 +490,65 @@ def test_product_factors_outside_the_plan(monkeypatch):
     table, report = extract_alpha((6, 7))
     assert report.all_good()
     assert table.entries == closed_form_alpha((6, 7)).entries
+
+
+#: the benchmark's solve strata
+SOLVE_STRATA = (2, 3, 4, 5, 6, 13, 20, 27, 34, 41)
+
+#: sha256 over repr((kind, n, m, entries, ranks, equations)) of both routes'
+#: tables and reports at the first three m > n coprime to n, and at -m, for
+#: each n of SOLVE_STRATA: 120 solves
+SOLVE_DIGEST = "15dfef95d8a13df9a311d3e80974315a5df5ff8313a21917e8c22f063e178637"
+
+
+def test_solves_keep_their_tables_and_reports():
+    digest, count = hashlib.sha256(), 0
+    for n in SOLVE_STRATA:
+        for m in [m for m in range(n + 1, n + 12) if gcd(n, m) == 1][:3]:
+            for knot in ((n, m), (n, -m)):
+                for route in (extract_alpha_tilde, extract_alpha):
+                    table, report = route(knot)
+                    digest.update(repr((table.kind, table.knot.n, table.knot.m,
+                                        sorted(table.entries.items()),
+                                        sorted(report.rank.items()),
+                                        sorted(report.equations.items()))).encode())
+                    count += 1
+    assert count == 120
+    assert digest.hexdigest() == SOLVE_DIGEST
+
+
+@pytest.mark.parametrize("n", list(range(2, 13)) + [20, 41])
+def test_the_per_n_kernels_give_the_evaluators_series(n):
+    # each simple factor's kernel, fetched once for every m, evaluates to the
+    # factor's normalized series, and the plan's series are the instances'
+    # normalized series and, on the alpha route, their Wilson-line series
+    # over dim R
+    plan = extract._plan(default_instantiation_plan, n)
+    kernels = extract._kernels(default_instantiation_plan, n)
+    assert len(kernels) == len(plan.factors) == 18
+    assert kernels == extract._kernels(default_instantiation_plan, n)
+    for m in (n + 1, -(2 * n + 1)):
+        k = TorusKnot(n, m)
+        assert [kernel.at(m, 6) for kernel in kernels] == \
+            [normalized_series(k, factor, 6) for factor in plan.factors]
+        assert _plan_series(m, plan, kernels, False) == \
+            [normalized_series(k, g, 6) for g in plan.instances]
+        assert _plan_series(m, plan, kernels, True) == \
+            [unnormalized_series(k, g, 6) / group_factors(g).dim for g in plan.instances]
+
+
+def test_a_plan_below_the_kauffman_floor_raises_as_the_evaluator_does(monkeypatch, fresh_kernels):
+    # the default plan of n = 2 samples SO(5), below the floor N >= n + 2 = 8
+    # of n = 6: the solver's kernel fetch raises the evaluator's error, word
+    # for word, on both routes and at every attempt
+    message = ("so_n sampling needs N >= n + 2 = 8 (got N=5): "
+               "a required bracket [p;1] would have vanishing leading term")
+    with pytest.raises(SingularBracket) as direct:
+        kauffman_normalized((6, 7), 5)
+    assert str(direct.value) == message
+    low = default_instantiation_plan((2, 3))
+    monkeypatch.setattr(extract, "default_instantiation_plan", lambda knot: low)
+    for route in (extract_alpha_tilde, extract_alpha, extract_alpha_tilde):
+        with pytest.raises(SingularBracket) as info:
+            route((6, 7))
+        assert str(info.value) == message

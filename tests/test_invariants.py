@@ -653,6 +653,26 @@ def test_a_power_of_m_above_the_degree_raises(monkeypatch):
     invariants._kernel.cache_clear()
 
 
+def test_an_edited_build_raises_through_the_solver(monkeypatch):
+    # the solver fetches each factor's kernel once per n, for every m: a
+    # build whose x^-1 coefficient is left with a pole raises there too, on
+    # both routes, and is never stored, so each attempt builds again
+    from torusvass import extract
+
+    def pole(flat, den):
+        flat[0] += den
+
+    widths = _edited_su2_builds(monkeypatch, pole)
+    extract._kernels.cache_clear()
+    for route, knot in ((extract.extract_alpha_tilde, (6, 7)), (extract.extract_alpha, (6, -11))):
+        with pytest.raises(CancellationFailure, match=r"^akutsu-wadati\(6,m;j=1\): the kernel "
+                           r"is not 1 \+ O\(x\) at every m \(convention bug\)$"):
+            route(knot)
+    assert widths == [ORDER, ORDER]
+    invariants._kernel.cache_clear()
+    extract._kernels.cache_clear()
+
+
 def test_a_head_narrower_than_the_rows_raises():
     # the head must reach x^(hi - lo), even where only a zero polynomial
     # would meet its missing degree
