@@ -12,15 +12,16 @@ simple factor's normalized series times its unknot factor over its dimension.
 The default plan depends on the knot only through n, and equal plans (the
 default plan's at n = 2 and 3) are made ready once per process: their
 instances, distinct simple factors, each factor's unknot factor over its
-dimension and the eliminations of the five left-hand sides.  Beside each
-plan, once per n, the solver fetches each simple factor's kernel, the
-normalized invariant of every T(n, m) as polynomials in m, through
-:func:`.invariants._factor_kernel`.  A knot then costs one polynomial
-evaluation of a kernel per simple factor and calls no public evaluator, one
-series product per simple factor on the alpha route and per product factor
-on top of the first, and one integer solve per order, whose right-hand side
-is read straight from the series' numerators over one common denominator.
-No Fraction is built before the solution.
+dimension and the eliminations of the five left-hand sides.  With each
+plan, once per n and in the same cache entry (:func:`_plan`), the solver
+fetches each simple factor's kernel, the normalized invariant of every
+T(n, m) as polynomials in m, through :func:`.invariants._factor_kernel`.
+A knot then costs one polynomial evaluation of a kernel per simple factor
+and calls no public evaluator, one series product per simple factor on the
+alpha route and per product factor on top of the first, and one integer
+solve per order, whose right-hand side is read straight from the series'
+numerators over one common denominator.  No Fraction is built before the
+solution.
 """
 
 from __future__ import annotations
@@ -113,27 +114,23 @@ class _Plan(FrozenRecord):
 
 
 @lru_cache(maxsize=32)
-def _plan(plan_of, n: int) -> _Plan:
+def _plan(plan_of, n: int) -> tuple[_Plan, tuple[MPolySeries, ...]]:
     """The plan that plan_of gives the knots of index n (a solve round of the
-    benchmark uses ten values of n).  The plan function keys it too, so a
-    rebound default_instantiation_plan gets plans of its own."""
-    return _ready(tuple(plan_of(TorusKnot(n, 1))))
+    benchmark uses ten values of n), and the kernel at n of each of its
+    simple factors, in the order of its factors, known through
+    DEFAULT_ORDER at least: fetched once per plan function, n and process,
+    so that a warm n builds no kernel and checks no parameter for a new
+    knot.  The plan function keys it too, so a rebound
+    default_instantiation_plan gets plans of its own."""
+    plan = _ready(tuple(plan_of(TorusKnot(n, 1))))
+    return plan, tuple(_factor_kernel(f.family, n, f.j if f.family == Family.SU2 else f.N,
+                                      DEFAULT_ORDER) for f in plan.factors)
 
 
 @lru_cache(maxsize=32)
 def _ready(instances: tuple) -> _Plan:
     """The plan of these instances, made once per process for every n."""
     return _Plan.of(instances)
-
-
-@lru_cache(maxsize=32)
-def _kernels(plan_of, n: int) -> tuple[MPolySeries, ...]:
-    """The kernel at n of each simple factor of _plan(plan_of, n), in the
-    order of its factors, known through DEFAULT_ORDER at least: fetched once
-    per plan function, n and process, so that a warm n builds no kernel and
-    checks no parameter for a new knot."""
-    return tuple(_factor_kernel(f.family, n, f.j if f.family == Family.SU2 else f.N,
-                                DEFAULT_ORDER) for f in _plan(plan_of, n).factors)
 
 
 def _plan_series(m: int, plan: _Plan, kernels: Sequence[MPolySeries],
@@ -177,8 +174,7 @@ def _right_hand_sides(series: Sequence[TruncSeries]) -> tuple[list[list[int]], i
 def _extract(knot, unnormalized: bool, kind: str) -> tuple[InvariantTable, ExtractionReport]:
     """Solve every order of ORDERS on the knot's default plan."""
     k = as_knot(knot).validate().oriented()
-    plan = _plan(default_instantiation_plan, k.n)
-    kernels = _kernels(default_instantiation_plan, k.n)
+    plan, kernels = _plan(default_instantiation_plan, k.n)
     rhs, den = _right_hand_sides(_plan_series(k.m, plan, kernels, unnormalized))
     report = ExtractionReport(knot=k, kind=kind)
     entries = {}

@@ -29,8 +29,9 @@ on n, the rank N (or j) and the order W.  The
 framing factor is a t-power with an exponent linear in m: its m-linear part
 shifts every rate, and its m-free part joins the m-free head (with
 Akutsu-Wadati's x/(t^{j+1} - 1)).  So the x^d coefficients of the sum are
-polynomials in m, which :class:`MPolySeries` holds over one denominator; its
-build multiplies the head, free of m, into them, every power of m kept.  That
+polynomials in m, which :class:`MPolySeries` holds as one tuple of integer
+coefficients per degree over one denominator; its build multiplies the
+head, free of m, into them, every power of m kept.  That
 kernel -- the normalized invariant as polynomials in m -- is kept in a
 bounded cache per (family, n, N or j), at the widest order asked of it so
 far; one knot then costs one polynomial evaluation per degree and no series
@@ -82,11 +83,10 @@ checks it again.
 
 from __future__ import annotations
 
-import marshal
 from collections.abc import Callable, Iterable
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, repeat
 from math import comb, factorial, gcd, lcm
 from operator import add, mul, neg, sub
 
@@ -100,12 +100,13 @@ DEFAULT_ORDER = 6
 
 #: kernels kept per process, one per (family, n, N or j).  A solve round (the
 #: default plans at ten values of n, one order) uses 180, and the solver's
-#: per-n records (extract._kernels) hold those 180 too, so the solver
-#: rebuilds none that this cache evicts.  The CLI request mix of the
-#: benchmark, at orders 0..12, uses 104 in 8,500 requests: all of them fit,
-#: 87-88% of its lookups need no build (the rest widen a kernel to a higher
-#: order), and the kernels, heads folded in, hold 0.11 MiB (tracemalloc
-#: after 8,500 requests, seeds 1-3; 0.23 MiB with the head kept apart).  A
+#: per-n records (extract._plan) hold those 180 too, so the solver rebuilds
+#: none that this cache evicts.  The CLI request mix of the benchmark, at
+#: orders 0..12, uses 100-104 in 8,500 requests: all of them fit, 86-90% of
+#: its lookups need no build (the rest widen a kernel to a higher order),
+#: and the kernels hold 0.28-0.30 MiB (tracemalloc after 8,500 requests,
+#: seeds 1-3).  At the expand limits (n = 128, order 24, N or j up to 130) a
+#: kernel holds at most about 14 KiB, so a full cache about 3.5 MiB.  A
 #: HOMFLY or Kauffman build costs 1/3 to 1/17 of one direct evaluation by
 #: series products, and a knot read from a built HOMFLY kernel 1/13 to 1/32
 #: of its build (n = 3..41, orders 6 and 12, best of 7)
@@ -132,20 +133,17 @@ def _ratio(num: int, den: int) -> int | Fraction:
 class MPolySeries:
     """A truncated series in x whose coefficients are integer polynomials in m.
 
-    The coefficient of x**(lo + k) at m is sum_l p_k[l] * m**l / den for
-    k = 0..hi - lo, where p_k lists its k + 1 coefficients, ascending.
-    p_0, p_1, .., p_{hi-lo} are kept one after another in one list, stored
-    as :mod:`marshal` bytes: a cached kernel then costs the bytes of its
-    integers, not an object per integer.  Immutable and shared through the
-    kernel cache.
+    polys[k], k = 0..hi - lo, holds the k + 1 coefficients (m^0..m^k) of
+    x**(lo + k): the coefficient at m is sum_l polys[k][l] * m**l / den.
+    Tuples throughout, so a kernel, shared through the kernel cache, cannot
+    be changed by a caller.
     """
 
-    __slots__ = ("lo", "hi", "coeffs", "den")
+    __slots__ = ("lo", "hi", "polys", "den")
 
-    def __init__(self, lo: int, hi: int, den: int, flat: list):
-        """The polynomials p_0, .., p_{hi-lo}, one after another in flat."""
+    def __init__(self, lo: int, hi: int, den: int, polys: Iterable[Iterable[int]]):
         self.lo, self.hi, self.den = lo, hi, den
-        self.coeffs = marshal.dumps(flat)
+        self.polys = tuple(map(tuple, polys))
 
     @classmethod
     def from_rows(cls, lo: int, hi: int, den: int,
@@ -185,22 +183,22 @@ class MPolySeries:
             for e, poly in enumerate(polys[:k + 1]):
                 if h[k - e]:
                     acc[:e + 1] = map(add, acc, map(h[k - e].__mul__, poly))
-            out += acc
+            out.append(acc)
         den *= scale * head.den
-        g = gcd(den, *out)
-        return cls(lo, hi, den // g, [c // g for c in out])
+        g = gcd(den, *(c for p in out for c in p))
+        return cls(lo, hi, den // g, ([c // g for c in p] for p in out))
 
     def at(self, m: int, hi: int) -> TruncSeries:
         """The series at one value of m, through x^hi <= self.hi.  The
-        polynomials are stored by degree, so a narrower series reads only the
+        polynomials are kept by degree, so a narrower series reads only the
         first of them."""
         if hi > self.hi:
             raise ValueError(f"series known through x^{self.hi}, asked for x^{hi}")
-        coeffs, top = iter(marshal.loads(self.coeffs)), hi - self.lo
+        top = hi - self.lo
         powers = [1]
         for _ in range(top):
             powers.append(powers[-1] * m)
-        nums = [sum(map(mul, islice(coeffs, k + 1), powers)) for k in range(top + 1)]
+        nums = [sum(map(mul, poly, powers)) for poly in self.polys[:top + 1]]
         return TruncSeries.from_numerators(self.lo, nums, self.den, hi)
 
 
@@ -403,18 +401,16 @@ def _factor_kernel(family: Family, n: int, parameter: int, trunc_order: int,
     width, kernel = slot[0]
     if width < trunc_order:
         kernel = _FAMILIES[family](n, parameter, trunc_order)
-        flat, lo = marshal.loads(kernel.coeffs), kernel.lo
+        polys, lo = kernel.polys, kernel.lo
         # 1 + O(x) at every m: the polynomials at x^lo..x^0, which lead the
         # kernel, are zero but for the constant den at x^0
-        lead = flat[:(1 - lo) * (2 - lo) // 2]
-        if lead != [0] * (len(lead) + lo - 1) + [kernel.den] + [0] * -lo:
+        if any(map(any, polys[:-lo])) or polys[-lo] != (kernel.den,) + (0,) * -lo:
             raise CancellationFailure(f"{_LABEL.format(name, n, m, symbol, parameter)}: the "
                                       "kernel is not 1 + O(x) at every m (convention bug)")
         # degree at most d in m at x^d, d >= 0: the polynomial at x^(lo+k)
-        # ends before flat[end], end = (k+1)(k+2)/2, and its last -lo
-        # coefficients, above m^(lo+k), are zero (none for lo = 0)
-        ends = [(k + 1) * (k + 2) // 2 for k in range(-lo, kernel.hi - lo + 1)]
-        if any(any(flat[end + lo:end]) for end in ends):
+        # has m^0..m^k, and its last -lo coefficients, above m^(lo+k), are
+        # zero (none for lo = 0)
+        if lo and any(any(p[lo:]) for p in polys[-lo:]):
             raise CancellationFailure(f"{_LABEL.format(name, n, m, symbol, parameter)}: the "
                                       "kernel's x^d coefficient has a power of m above m^d "
                                       "(convention bug)")

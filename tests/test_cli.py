@@ -381,7 +381,7 @@ def test_verify_all_divides_no_series(capsys, monkeypatch):
 
     monkeypatch.setattr("torusvass.series.series_div", forbidden)
     monkeypatch.setattr(TruncSeries, "__truediv__", forbidden)
-    for cache in (invariants._kernel, extract._plan, extract._ready, extract._kernels):
+    for cache in (invariants._kernel, extract._plan, extract._ready):
         cache.cache_clear()
     code, _, _ = run_cli(capsys, "verify", "--suite", "all")
     assert code == 0

@@ -1,7 +1,6 @@
 """The exact linear-system route: assembly, solving, and the ansatz fit."""
 
 import hashlib
-import marshal
 from fractions import Fraction as F
 from math import gcd
 
@@ -32,16 +31,15 @@ def plan_series(knot, instances, unnormalized=False):
     def plan_of(knot):
         return tuple(instances)
 
-    return _plan_series(k.m, extract._plan(plan_of, k.n), extract._kernels(plan_of, k.n),
-                        unnormalized)
+    return _plan_series(k.m, *extract._plan(plan_of, k.n), unnormalized)
 
 
 @pytest.fixture
 def fresh_kernels():
     """No n's kernels fetched before the test, and none it fetched kept."""
-    extract._kernels.cache_clear()
+    extract._plan.cache_clear()
     yield
-    extract._kernels.cache_clear()
+    extract._plan.cache_clear()
 
 
 # a system's row for one instance: its group factors | the series coefficient
@@ -81,9 +79,8 @@ def test_plan_series_evaluates_each_simple_factor_once(monkeypatch):
     def plan_of(knot):
         return instances
 
-    plan = extract._plan(plan_of, 2)
     for m in (3, -5, 7):
-        series = _plan_series(m, plan, extract._kernels(plan_of, 2), False)
+        series = _plan_series(m, *extract._plan(plan_of, 2), False)
         assert series == [normalized_series(TorusKnot(2, m), g, 6) for g in instances]
     assert calls == [(Family.SU_N, 2, 2, 6), (Family.SU2, 2, 1, 6), (Family.SU_N, 2, 3, 6)]
 
@@ -163,8 +160,7 @@ def test_every_right_hand_side_numerator_is_checked(knot):
     # the default plan's 25 rows at every order, on both routes: one
     # numerator off by 1 makes the solve inconsistent, pivot rows included
     k = TorusKnot(*knot)
-    plan = extract._plan(default_instantiation_plan, k.n)
-    kernels = extract._kernels(default_instantiation_plan, k.n)
+    plan, kernels = extract._plan(default_instantiation_plan, k.n)
     for unnormalized in (False, True):
         rhs, den = _right_hand_sides(_plan_series(k.m, plan, kernels, unnormalized))
         for order, b, elimination in zip(ORDERS, rhs, plan.eliminations):
@@ -225,14 +221,14 @@ def test_a_perturbed_row_is_inconsistent(monkeypatch, order, fresh_kernels):
         kernel = _factor_kernel(family, n, parameter, trunc_order)
         if (family, parameter) != (Family.SU_N, 4):
             return kernel
-        # the polynomial at x^order starts at flat[order (order + 1) / 2] (lo = 0)
-        flat = [7 * c for c in marshal.loads(kernel.coeffs)]
-        flat[order * (order + 1) // 2] += kernel.den
-        return MPolySeries(kernel.lo, kernel.hi, 7 * kernel.den, flat)
+        # the polynomial at x^order is polys[order] (lo = 0); m^0 is its first
+        polys = [[7 * c for c in poly] for poly in kernel.polys]
+        polys[order][0] += kernel.den
+        return MPolySeries(kernel.lo, kernel.hi, 7 * kernel.den, polys)
 
     monkeypatch.setattr(extract, "_factor_kernel", perturbed)
-    plan = extract._plan(default_instantiation_plan, 3)
-    kernel = extract._kernels(default_instantiation_plan, 3)[plan.factors.index(su_n(4))]
+    plan, kernels = extract._plan(default_instantiation_plan, 3)
+    kernel = kernels[plan.factors.index(su_n(4))]
     assert kernel.at(4, 6) == normalized_series((3, 4), su_n(4)) \
         + TruncSeries(order, [F(1, 7)] + [0] * (6 - order), 6)
     for route in (extract_alpha_tilde, extract_alpha):
@@ -523,10 +519,9 @@ def test_the_per_n_kernels_give_the_evaluators_series(n):
     # factor's normalized series, and the plan's series are the instances'
     # normalized series and, on the alpha route, their Wilson-line series
     # over dim R
-    plan = extract._plan(default_instantiation_plan, n)
-    kernels = extract._kernels(default_instantiation_plan, n)
+    plan, kernels = extract._plan(default_instantiation_plan, n)
     assert len(kernels) == len(plan.factors) == 18
-    assert kernels == extract._kernels(default_instantiation_plan, n)
+    assert extract._plan(default_instantiation_plan, n) == (plan, kernels)
     for m in (n + 1, -(2 * n + 1)):
         k = TorusKnot(n, m)
         assert [kernel.at(m, 6) for kernel in kernels] == \

@@ -1,7 +1,6 @@
 """Series evaluators for the three quantum invariants and the unknot factors."""
 
 import hashlib
-import marshal
 import random
 import sys
 import threading
@@ -566,13 +565,13 @@ def _akutsu_wadati_kernel_by_quotients(n, j, W):
 
 
 def _kernel_fields(kernel):
-    return kernel.lo, kernel.hi, kernel.den, kernel.coeffs
+    return kernel.lo, kernel.hi, kernel.den, kernel.polys
 
 
-#: sha256 over repr((lo, hi, den, coeffs)) of each kernel built straight from
+#: sha256 over repr((lo, hi, den, polys)) of each kernel built straight from
 #: the builders: the three families at n = 1..13, 20, 27, 41, three or four
 #: parameters each, at the widths 0, 1, 6 and 12: 704 kernels
-KERNEL_DIGEST = "dd8121c4ba53b6dc0ad158de27c444759760d540f6199f989af111dc41003785"
+KERNEL_DIGEST = "4ae71ca2fd1cdf632c710e78485528c8185c3830957de9c95c1ff1ae44eda776"
 
 
 def test_kernels_keep_their_fields():
@@ -590,17 +589,39 @@ def test_kernels_keep_their_fields():
     assert digest.hexdigest() == KERNEL_DIGEST
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 13, 41])
+def test_kernels_hold_one_int_tuple_per_degree(n):
+    # polys holds hi - lo + 1 tuples, the k-th exactly the k + 1 ints of
+    # m^0..m^k: a cached kernel is shared, so no caller may change it, and a
+    # list built by hand is frozen too
+    for family, parameters in ((Family.SU_N, (2, n + 3)), (Family.SO_N, (n + 2, n + 5)),
+                               (Family.SU2, (1, 4))):
+        for parameter in parameters:
+            for W in (0, 1, 6, 12):
+                kernel = invariants._FAMILIES[family](n, parameter, W)
+                polys = kernel.polys
+                assert type(polys) is tuple and len(polys) == kernel.hi - kernel.lo + 1
+                for k, poly in enumerate(polys):
+                    assert type(poly) is tuple and len(poly) == k + 1, (family, parameter, W, k)
+                    assert all(type(c) is int for c in poly), (family, parameter, W, k)
+    kernel = invariants.MPolySeries(0, 1, 2, [[2], [3, -1]])
+    assert kernel.polys == ((2,), (3, -1))
+    with pytest.raises(TypeError):
+        kernel.polys[1][0] = 0
+
+
 def _edited_su2_builds(monkeypatch, edit):
-    """Make every Akutsu-Wadati build return its kernel with edit(flat, den)
-    applied to the flat polynomials; the widths built are returned."""
+    """Make every Akutsu-Wadati build return its kernel with edit(polys, den)
+    applied to its polynomials, one list per degree; the widths built are
+    returned."""
     build, widths = invariants._FAMILIES[Family.SU2], []
 
     def edited(n, j, W):
         kernel = build(n, j, W)
-        flat = marshal.loads(kernel.coeffs)
-        edit(flat, kernel.den)
+        polys = [list(poly) for poly in kernel.polys]
+        edit(polys, kernel.den)
         widths.append(W)
-        return invariants.MPolySeries(kernel.lo, kernel.hi, kernel.den, flat)
+        return invariants.MPolySeries(kernel.lo, kernel.hi, kernel.den, polys)
 
     monkeypatch.setitem(invariants._FAMILIES, Family.SU2, edited)
     invariants._kernel.cache_clear()
@@ -611,8 +632,8 @@ def test_a_residual_pole_raises_and_is_never_stored(monkeypatch):
     # den added to the m-free x^-1 coefficient leaves a pole at every m: the
     # build's check finds it before the kernel is stored, so the next call
     # builds again and raises again
-    def pole(flat, den):
-        flat[0] += den
+    def pole(polys, den):
+        polys[0][0] += den
 
     widths = _edited_su2_builds(monkeypatch, pole)
     for _ in range(2):
@@ -624,26 +645,26 @@ def test_a_residual_pole_raises_and_is_never_stored(monkeypatch):
 
 @pytest.mark.parametrize("c", [1, -3])
 def test_a_constant_term_that_moves_with_m_raises_at_every_m(c, monkeypatch):
-    # the x^0 polynomial, stored as [den, 0] after the zero one at x^-1,
+    # the x^0 polynomial, kept as [den, 0] after the zero one at x^-1,
     # made den + c m
-    def slope(flat, den):
-        assert flat[:3] == [0, den, 0]
-        flat[2] = c
+    def slope(polys, den):
+        assert polys[:2] == [[0], [den, 0]]
+        polys[1][1] = c
 
     _edited_su2_builds(monkeypatch, slope)
     for m in (-7, -1, 1, 3, 9):
-        with pytest.raises(CancellationFailure):
+        with pytest.raises(CancellationFailure, match=r"not 1 \+ O\(x\) at every m"):
             akutsu_wadati_normalized((2, m), 1)
     invariants._kernel.cache_clear()
 
 
 def test_a_power_of_m_above_the_degree_raises(monkeypatch):
-    # the x^3 polynomial, stored from flat[10] after those at x^-1..x^2, has
-    # m^0..m^4, and its top coefficient is zero in every Akutsu-Wadati
-    # kernel: made nonzero, the x^3 coefficient would have degree 4 in m
-    def bump(flat, den):
-        assert flat[14] == 0
-        flat[14] = 1
+    # the x^3 polynomial, polys[4] after those at x^-1..x^2, has m^0..m^4,
+    # and its top coefficient is zero in every Akutsu-Wadati kernel: made
+    # nonzero, the x^3 coefficient would have degree 4 in m
+    def bump(polys, den):
+        assert polys[4][4] == 0
+        polys[4][4] = 1
 
     widths = _edited_su2_builds(monkeypatch, bump)
     for _ in range(2):
@@ -659,18 +680,18 @@ def test_an_edited_build_raises_through_the_solver(monkeypatch):
     # both routes, and is never stored, so each attempt builds again
     from torusvass import extract
 
-    def pole(flat, den):
-        flat[0] += den
+    def pole(polys, den):
+        polys[0][0] += den
 
     widths = _edited_su2_builds(monkeypatch, pole)
-    extract._kernels.cache_clear()
+    extract._plan.cache_clear()
     for route, knot in ((extract.extract_alpha_tilde, (6, 7)), (extract.extract_alpha, (6, -11))):
         with pytest.raises(CancellationFailure, match=r"^akutsu-wadati\(6,m;j=1\): the kernel "
                            r"is not 1 \+ O\(x\) at every m \(convention bug\)$"):
             route(knot)
     assert widths == [ORDER, ORDER]
     invariants._kernel.cache_clear()
-    extract._kernels.cache_clear()
+    extract._plan.cache_clear()
 
 
 def test_a_head_narrower_than_the_rows_raises():
@@ -958,8 +979,7 @@ def test_integral_rates_are_ints(n, monkeypatch):
                                    (Family.SU2, (1, 2, 3))):
             for parameter in parameters:
                 for W in (0, 6, 12):
-                    kernel = invariants._FAMILIES[family](n, parameter, W)
-                    yield kernel.lo, kernel.hi, kernel.den, kernel.coeffs
+                    yield _kernel_fields(invariants._FAMILIES[family](n, parameter, W))
 
     with monkeypatch.context() as recorded:
         recorded.setattr(invariants, "exp_numerators", recording)
