@@ -10,19 +10,18 @@ from types import ModuleType as _ModuleType
 
 __version__ = "0.1.0"
 
-from .errors import (AnsatzMismatch, CancellationFailure, DegreeExceeded,
-                     DivisionByZeroSeries, Inconsistent, NotAKnot, RankDeficient,
-                     SingularBracket, TorusVassError, TruncationUnderflow,
+from .errors import (AnsatzMismatch, CancellationFailure, DegreeExceeded, Inconsistent,
+                     NotAKnot, RankDeficient, SingularBracket, TorusVassError,
                      UnsupportedInput)
-from .series import TruncSeries, series_div, series_exp_linear
+from .series import TruncSeries
 from .linalg import ExactPoly, LinearSolution, interpolate_poly
 from .knots import (UNKNOT, CanonicalTorusKnot, TorusKnot, canonical_knots,
                     canonicalize)
 from .groups import (Family, GroupInstance, GroupFactorVector, group_factors,
                      product, so_n, su2, su_n)
 from .invariants import (akutsu_wadati_normalized, homfly_normalized,
-                         kauffman_normalized, normalized_series, qpower,
-                         unknot_factor, unnormalized_series)
+                         kauffman_normalized, normalized_series, unknot_factor,
+                         unnormalized_series)
 from .tables import (InvariantTable, SHARPNESS_PAIRS, TREFOIL_NORMALIZERS,
                      beta_from_alpha_tilde, closed_form_alpha, closed_form_alpha_tilde,
                      closed_form_beta)

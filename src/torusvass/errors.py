@@ -77,17 +77,6 @@ class TorusVassError(Exception):
     """Base class for every error raised by this package."""
 
 
-class DivisionByZeroSeries(TorusVassError, ZeroDivisionError):
-    """Series division by a denominator whose stored coefficients are all zero."""
-
-
-class TruncationUnderflow(TorusVassError, ArithmeticError):
-    """A series result is not reliable through the degree it must reach.
-
-    Its operands were computed to too few terms.
-    """
-
-
 class DegreeExceeded(TorusVassError, ValueError):
     """Interpolation samples, or a closed-form row, exceed the degree asked for."""
 

@@ -90,10 +90,10 @@ from itertools import accumulate, repeat
 from math import comb, factorial, gcd, lcm
 from operator import add, mul, neg, sub
 
-from .errors import CancellationFailure, SingularBracket, UnsupportedInput
+from .errors import CancellationFailure, SingularBracket
 from .groups import Family, GroupInstance, check_parameter, simple_factors
 from .knots import KnotLike, as_knot
-from .series import TruncSeries, exp_even_numerators, exp_numerators, series_exp_linear
+from .series import TruncSeries, _make, check_order, exp_even_numerators, exp_numerators
 
 #: coefficients are needed through x^6
 DEFAULT_ORDER = 6
@@ -111,15 +111,6 @@ DEFAULT_ORDER = 6
 #: series products, and a knot read from a built HOMFLY kernel 1/13 to 1/32
 #: of its build (n = 3..41, orders 6 and 12, best of 7)
 KERNEL_CACHE_SIZE = 256
-
-
-def qpower(exponent, scale, trunc_order: int) -> TruncSeries:
-    """The series of t**exponent with t = exp(scale*x); public API, with no
-    caller in the package."""
-    _check_order(trunc_order, "qpower")
-    if type(exponent) is int and type(scale) is int:
-        return series_exp_linear(exponent * scale, trunc_order)
-    return series_exp_linear(Fraction(exponent) * Fraction(scale), trunc_order)
 
 
 def _ratio(num: int, den: int) -> int | Fraction:
@@ -189,17 +180,19 @@ class MPolySeries:
         return cls(lo, hi, den // g, ([c // g for c in p] for p in out))
 
     def at(self, m: int, hi: int) -> TruncSeries:
-        """The series at one value of m, through x^hi <= self.hi.  The
-        polynomials are kept by degree, so a narrower series reads only the
-        first of them."""
+        """The power series at one value of m, through x^hi <= self.hi, for
+        lo <= 0: the polynomials below x^0 are zero (:func:`_factor_kernel`
+        checks it for every kernel it builds), so the series starts at x^0.
+        The polynomials are kept by degree, so a narrower series reads only
+        the first of them."""
         if hi > self.hi:
             raise ValueError(f"series known through x^{self.hi}, asked for x^{hi}")
         top = hi - self.lo
         powers = [1]
         for _ in range(top):
             powers.append(powers[-1] * m)
-        nums = [sum(map(mul, poly, powers)) for poly in self.polys[:top + 1]]
-        return TruncSeries.from_numerators(self.lo, nums, self.den, hi)
+        nums = [sum(map(mul, poly, powers)) for poly in self.polys[-self.lo:top + 1]]
+        return _make(0, nums, self.den, hi)
 
 
 def _bernoulli(top: int) -> list[Fraction]:
@@ -349,17 +342,6 @@ def _kernel(family: Family, n: int, parameter: int) -> list:
     return [(-1, None)]
 
 
-def _check_order(trunc_order, what: str, *args) -> None:
-    """The one order check: an int (not a bool) >= 0.  Its error names
-    what.format(*args), formatted only when it raises."""
-    if type(trunc_order) is not int:
-        raise UnsupportedInput(f"{what.format(*args)}: trunc_order must be an int "
-                               f"(got {trunc_order!r})")
-    if trunc_order < 0:
-        raise UnsupportedInput(f"{what.format(*args)}: trunc_order must be >= 0 "
-                               f"(got {trunc_order})")
-
-
 #: each simple family's kernel builder
 _FAMILIES = {
     Family.SU_N: _homfly_kernel,
@@ -396,14 +378,16 @@ def _factor_kernel(family: Family, n: int, parameter: int, trunc_order: int,
     if family == Family.SO_N and parameter < n + 2:
         raise SingularBracket(f"so_n sampling needs N >= n + 2 = {n + 2} (got N={parameter}): "
                               "a required bracket [p;1] would have vanishing leading term")
-    _check_order(trunc_order, _LABEL, name, n, m, symbol, parameter)
+    check_order(trunc_order, _LABEL, name, n, m, symbol, parameter)
     slot = _kernel(family, n, parameter)
     width, kernel = slot[0]
     if width < trunc_order:
         kernel = _FAMILIES[family](n, parameter, trunc_order)
         polys, lo = kernel.polys, kernel.lo
         # 1 + O(x) at every m: the polynomials at x^lo..x^0, which lead the
-        # kernel, are zero but for the constant den at x^0
+        # kernel, are zero but for the constant den at x^0; so the x^-1
+        # polynomial of an Akutsu-Wadati kernel is zero, and at() starts
+        # every series at x^0
         if any(map(any, polys[:-lo])) or polys[-lo] != (kernel.den,) + (0,) * -lo:
             raise CancellationFailure(f"{_LABEL.format(name, n, m, symbol, parameter)}: the "
                                       "kernel is not 1 + O(x) at every m (convention bug)")
@@ -491,7 +475,7 @@ def unknot_factor(group: GroupInstance, trunc_order: int = DEFAULT_ORDER) -> Tru
     dimension (N, N, j+1, or N(j+1)).  It does not depend on the knot: the
     solver takes each plan's unknot factors once, when it makes the plan
     ready."""
-    _check_order(trunc_order, "unknot factor of {}", group.label())
+    check_order(trunc_order, "unknot factor of {}", group.label())
     return _over_factors(group, trunc_order, lambda g: _quantum_dimension(g, trunc_order))
 
 

@@ -1,39 +1,36 @@
-"""Truncated Laurent series in x over exact rationals.
+"""Truncated power series in x over exact rationals.
 
 A :class:`TruncSeries` stores the coefficients of degrees
-``min_degree .. trunc_order`` (both inclusive) of a Laurent series in a formal
-variable x.  Degrees below ``min_degree`` are exactly zero; degrees above
-``trunc_order`` are *unknown* (truncated away), never assumed zero.  Every
-operation computes how far its result is reliable:
+``min_degree .. trunc_order`` (both inclusive, ``min_degree >= 0``) of a power
+series in a formal variable x.  Degrees below ``min_degree`` are exactly zero;
+degrees above ``trunc_order`` are *unknown* (truncated away), never assumed
+zero.  Every operation computes how far its result is reliable:
 
 * a sum is reliable through the smaller of the two truncation orders,
 * a product is reliable through ``min(a.trunc + b.min, b.trunc + a.min)``,
   so multiplying by a series of positive valuation *extends* the absolute
-  reliable degree (no evaluator divides a series, so this rule serves API
-  callers and the test references, which divide by brackets of positive
-  valuation),
-* a quotient loses the denominator valuation.
+  reliable degree.
 
 Representation.  The coefficients are Python ints ``nums`` over one common
 denominator ``den``: the coefficient of ``x**(min_degree + k)`` is
 ``nums[k] / den``.  The pair is canonical: ``den > 0``,
 ``gcd(den, *nums) == 1``, ``nums[0] != 0`` unless the series is zero, and the
 zero series has ``min_degree`` 0, ``den`` 1 and zeros through
-``max(trunc_order, 0)``.  So two series are equal exactly when their four
-fields are, and equal series hash alike.  A sum works over the lcm of the two
-denominators, a product is an integer convolution over the product of the
-denominators, a quotient runs a fraction-free recurrence and puts the powers
-of the denominator's lowest coefficient into ``den``; each result is reduced
-by one multi-argument gcd.
+``trunc_order``.  So two series are equal exactly when their four fields are,
+and equal series hash alike.  A sum works over the lcm of the two
+denominators and a product is an integer convolution over the product of the
+denominators; each result is reduced by one multi-argument gcd.  The public
+constructors check the window: ``min_degree`` and ``trunc_order`` are ints
+(not bools) >= 0, by :func:`check_order`, which also checks every order the
+evaluators take.
 
 Exponentials.  :func:`exp_numerators` is the one routine that expands
 exp(r*x): for rates p_i/q over one q it gives the integer rows
 p_i**d * q**(W-d) * W!/d! over ``q**W * W!``; the evaluators in
-:mod:`.invariants` take every t-power they expand from it, and
-:func:`series_exp_linear`, one such row made a series, has no caller in the
-package.  :func:`exp_even_numerators` expands exp(f) for an even series f
-held as integer numerators over one denominator, in integers; each HOMFLY
-and Kauffman summand and each Akutsu-Wadati head is one such exponential.
+:mod:`.invariants` take every t-power they expand from it.
+:func:`exp_even_numerators` expands exp(f) for an even series f held as
+integer numerators over one denominator, in integers; each HOMFLY and
+Kauffman summand and each Akutsu-Wadati head is one such exponential.
 
 Integer arithmetic never rounds, so every coefficient is the exact rational
 that :class:`fractions.Fraction` arithmetic gives, and it is read back as
@@ -49,17 +46,28 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .errors import DivisionByZeroSeries, TruncationUnderflow
+from .errors import UnsupportedInput
 
 Scalar = int | Fraction
 
 
+def check_order(order, what: str, *args, name: str = "trunc_order") -> None:
+    """The one check of a degree bound: an int (not a bool) >= 0.  Its error
+    names what.format(*args) and the argument, formatted only when it
+    raises."""
+    if type(order) is not int:
+        raise UnsupportedInput(f"{what.format(*args)}: {name} must be an int (got {order!r})")
+    if order < 0:
+        raise UnsupportedInput(f"{what.format(*args)}: {name} must be >= 0 (got {order})")
+
+
 class TruncSeries:
-    """A truncated Laurent series with exact rational coefficients."""
+    """A truncated power series with exact rational coefficients."""
 
     __slots__ = ("min_degree", "nums", "den", "trunc_order")
 
     def __init__(self, min_degree: int, coefficients: Iterable[Scalar], trunc_order: int):
+        _check_window(min_degree, trunc_order)
         coeffs = [c if type(c) is int or type(c) is Fraction else Fraction(c)
                   for c in coefficients]
         if len(coeffs) != trunc_order - min_degree + 1:
@@ -77,10 +85,11 @@ class TruncSeries:
 
     @classmethod
     def zero(cls, trunc_order: int) -> "TruncSeries":
-        return cls(0, (0,) * (trunc_order + 1), trunc_order)
+        return cls.constant(0, trunc_order)
 
     @classmethod
     def constant(cls, value: Scalar, trunc_order: int) -> "TruncSeries":
+        check_order(trunc_order, "TruncSeries")  # before the window is built from it
         return cls(0, (value,) + (0,) * trunc_order, trunc_order)
 
     @classmethod
@@ -92,19 +101,13 @@ class TruncSeries:
                         trunc_order: int) -> "TruncSeries":
         """The series with coefficient nums[k] / den at degree min_degree + k,
         for Python-int nums over den > 0, degrees min_degree..trunc_order."""
+        _check_window(min_degree, trunc_order)
         if den <= 0 or len(nums) != trunc_order - min_degree + 1:
             raise ValueError(
                 f"need {trunc_order - min_degree + 1} numerators over a positive "
                 f"denominator, got {len(nums)} over {den}"
             )
         return _make(min_degree, nums, den, trunc_order)
-
-    @classmethod
-    def x_power(cls, degree: int, trunc_order: int) -> "TruncSeries":
-        """The monomial x**degree, known through trunc_order."""
-        if degree > trunc_order:
-            raise ValueError(f"monomial degree {degree} exceeds trunc_order {trunc_order}")
-        return cls(degree, (1,) + (0,) * (trunc_order - degree), trunc_order)
 
     # ------------------------------------------------------------------
     # inspection
@@ -131,9 +134,7 @@ class TruncSeries:
         return self.nums[degree - self.min_degree] if degree >= self.min_degree else 0
 
     def coefficients_through(self, order: int) -> tuple[Fraction, ...]:
-        """Coefficients of degrees 0..order for a series with no pole part."""
-        if self.min_degree < 0:
-            raise ValueError("series has negative-degree terms")
+        """Coefficients of degrees 0..order."""
         return tuple(self.coefficient(d) for d in range(order + 1))
 
     def __eq__(self, other: object) -> bool:
@@ -150,9 +151,8 @@ class TruncSeries:
         return hash((self.min_degree, self.nums, self.den, self.trunc_order))
 
     def agrees_with(self, other: "TruncSeries", through: int) -> bool:
-        """Coefficientwise equality on degrees min(min_degrees)..through."""
-        lo = min(self.min_degree, other.min_degree)
-        return all(self.coefficient(d) == other.coefficient(d) for d in range(lo, through + 1))
+        """Coefficientwise equality on degrees 0..through."""
+        return all(self.coefficient(d) == other.coefficient(d) for d in range(through + 1))
 
     def __repr__(self) -> str:
         terms = [
@@ -233,13 +233,6 @@ class TruncSeries:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: object) -> "TruncSeries":
-        if isinstance(other, (int, Fraction)):
-            return self.scaled(Fraction(1) / Fraction(other))
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        return series_div(self, other)
-
     def mirrored(self) -> "TruncSeries":
         """The substitution x -> -x (odd-degree coefficients change sign)."""
         return _make(
@@ -249,19 +242,16 @@ class TruncSeries:
             self.trunc_order,
         )
 
-    def truncated(self, order: int) -> "TruncSeries":
-        """Restrict the reliable window to degrees <= order."""
-        if order > self.trunc_order:
-            raise ValueError(f"cannot extend truncation {self.trunc_order} to {order}")
-        if order < self.min_degree:
-            return TruncSeries.zero(max(order, 0))
-        lo = self.min_degree
-        return _make(lo, self.nums[: order - lo + 1], self.den, order)
-
 
 # ----------------------------------------------------------------------
 # canonical form
 # ----------------------------------------------------------------------
+
+
+def _check_window(min_degree, trunc_order) -> None:
+    """A public constructor's window: both ends ints >= 0."""
+    check_order(min_degree, "TruncSeries", name="min_degree")
+    check_order(trunc_order, "TruncSeries")
 
 
 def _assign(series: TruncSeries, lo: int, nums: list, den: int, hi: int) -> TruncSeries:
@@ -271,9 +261,8 @@ def _assign(series: TruncSeries, lo: int, nums: list, den: int, hi: int) -> Trun
         lead += 1
     if lead == len(nums):
         # canonical zero series: min_degree 0, zeros through trunc_order
-        trunc = max(hi, 0)
         series.min_degree, series.nums, series.den, series.trunc_order = \
-            0, (0,) * (trunc + 1), 1, trunc
+            0, (0,) * (hi + 1), 1, hi
         return series
     g = gcd(den, *nums)
     if g != 1:
@@ -348,55 +337,3 @@ def exp_even_numerators(nums: Sequence[int], den: int, trunc_order: int) -> tupl
     row = [0] * (trunc_order + 1)
     row[::2] = map(mul, e, tail)
     return row, tail[0]
-
-
-def series_exp_linear(rate: Scalar, trunc_order: int) -> TruncSeries:
-    """The series of exp(rate*x) through x**trunc_order."""
-    r = rate if isinstance(rate, (int, Fraction)) else Fraction(rate)
-    (nums,), den = exp_numerators((r,), trunc_order)
-    return _make(0, nums, den, trunc_order)
-
-
-def series_div(num: TruncSeries, den: TruncSeries) -> TruncSeries:
-    """Exact Laurent quotient num/den.
-
-    The denominator must have a nonzero lowest stored coefficient (guaranteed
-    by normalization unless it is the zero series).  The result's reliable
-    truncation is ``min(num.trunc - v, den.trunc - 2v + num.min)`` where v is
-    the denominator valuation; if that window cannot reach degree 0 the
-    operands carry too few terms and TruncationUnderflow is raised.
-
-    The recurrence is fraction-free: with a = num.nums, u = den.nums and c_k
-    the coefficients of the quotient a/u, it computes the integers
-    q_k = c_k u0**(k+1) = a_k u0**k - sum_{j<k} q_j u_{k-j} u0**(k-j-1)
-    and puts u0**n into the denominator.
-    """
-    if den.is_zero():
-        raise DivisionByZeroSeries("division by a series with all stored coefficients zero")
-    v = den.min_degree
-    if num.is_zero():
-        return TruncSeries.zero(max(num.trunc_order - v, 0))
-    lo = num.min_degree - v
-    hi = min(num.trunc_order - v, den.trunc_order - 2 * v + num.min_degree)
-    if hi < max(lo, 0):
-        raise TruncationUnderflow(
-            f"quotient representable only through degree {hi} "
-            f"(window starts at {lo}); the operands carry too few terms"
-        )
-    a, u = num.nums, den.nums  # hi - lo < len(a) and hi - lo < len(u)
-    n = hi - lo + 1
-    power = [1]  # power[i] = u0**i
-    for _ in range(n):
-        power.append(power[-1] * u[0])
-    w = [0] + [u[i] * power[i - 1] for i in range(1, n)]
-    q = []
-    for k in range(n):
-        acc = a[k] * power[k]
-        for j in range(k):
-            acc -= q[j] * w[k - j]
-        q.append(acc)
-    scale = den.den
-    out_den = power[n] * num.den
-    if out_den < 0:
-        out_den, scale = -out_den, -scale
-    return _make(lo, [q[k] * power[n - 1 - k] * scale for k in range(n)], out_den, hi)

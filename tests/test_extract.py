@@ -92,10 +92,11 @@ def test_plan_series_divides_by_the_dimension_when_unnormalized():
     # denominator
     plan = _Plan.of((so_n(7), product(3, 2)))
     assert plan.factors == (so_n(7), su_n(3), su2(2))
-    assert plan.unknots == tuple(unknot_factor(g) / dim for g, dim in zip(plan.factors, (7, 3, 3)))
+    assert plan.unknots == tuple(unknot_factor(g).scaled(F(1, dim))
+                                 for g, dim in zip(plan.factors, (7, 3, 3)))
     assert [u.coefficient(0) for u in plan.unknots] == [1, 1, 1]
     series = plan_series((2, 5), plan.instances, True)
-    divided = [unnormalized_series(TorusKnot(2, 5), g) / dim
+    divided = [unnormalized_series(TorusKnot(2, 5), g).scaled(F(1, dim))
                for g, dim in zip(plan.instances, (7, 9))]
     assert series == divided
     assert [s.coefficient(0) for s in series] == [1, 1]
@@ -529,7 +530,8 @@ def test_the_per_n_kernels_give_the_evaluators_series(n):
         assert _plan_series(m, plan, kernels, False) == \
             [normalized_series(k, g, 6) for g in plan.instances]
         assert _plan_series(m, plan, kernels, True) == \
-            [unnormalized_series(k, g, 6) / group_factors(g).dim for g in plan.instances]
+            [unnormalized_series(k, g, 6).scaled(1 / group_factors(g).dim)
+             for g in plan.instances]
 
 
 def test_a_plan_below_the_kauffman_floor_raises_as_the_evaluator_does(monkeypatch, fresh_kernels):

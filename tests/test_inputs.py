@@ -1,5 +1,5 @@
 """Every input kind has one check, run before any cache: a knot index, a group
-parameter, an order or a scan bound that is not an int raises
+parameter, an order, a series window or a scan bound that is not an int raises
 UnsupportedInput, whatever the caches hold.  The package's ``__all__`` names
 its API and nothing else."""
 
@@ -52,7 +52,11 @@ ENTRY_POINTS = {
     "unnormalized_series order": (lambda v: tv.unnormalized_series((3, 4), tv.so_n(7), v), 2),
     "unknot_factor": (lambda v: tv.unknot_factor(tv.su_n(3), v), 2),
     "unknot_factor product": (lambda v: tv.unknot_factor(tv.product(2, 1), v), 2),
-    "qpower": (lambda v: tv.qpower(1, 1, v), 2),
+    # a series window: v is both its min_degree and its trunc_order
+    "TruncSeries": (lambda v: tv.TruncSeries(v, [1], v), 2),
+    "TruncSeries.from_numerators": (lambda v: tv.TruncSeries.from_numerators(v, [1], 1, v), 2),
+    "TruncSeries.zero": (tv.TruncSeries.zero, 2),
+    "TruncSeries.constant": (lambda v: tv.TruncSeries.constant(3, v), 2),
     # scan bounds
     "distinguishing_check": (tv.distinguishing_check, 3),
     "integrality_scan": (tv.integrality_scan, 2),
@@ -96,6 +100,21 @@ def test_only_ints_pass_cold_and_warm(name):
     _clear_caches()
 
 
+@pytest.mark.parametrize("window", [(0, [1, 2], 1.0), (0.0, [1, 2], 1.0), (True, [1], 1),
+                                    (-1, [1, 2], 0), (0, [], -1)],
+                         ids=["float-order", "float-start", "bool-start", "below-x0",
+                              "negative-order"])
+def test_a_series_window_is_two_ints_from_zero(window):
+    # a float trunc_order printed as O(x^2.0), a float min_degree was kept,
+    # and True read as degree 1; a window below x^0 is no power series, and
+    # no package path makes one (test_no_package_path_makes_a_series_below_x0)
+    min_degree, coefficients, trunc_order = window
+    with pytest.raises(UnsupportedInput, match="TruncSeries: (min_degree|trunc_order) must be"):
+        tv.TruncSeries(min_degree, coefficients, trunc_order)
+    with pytest.raises(UnsupportedInput, match="TruncSeries: (min_degree|trunc_order) must be"):
+        tv.TruncSeries.from_numerators(min_degree, coefficients, 1, trunc_order)
+
+
 @pytest.mark.parametrize("knot", [2.0, None, "23", (2, 3, 4), (2,), F(2), 23])
 def test_a_knot_is_a_torus_knot_or_a_pair(knot):
     with pytest.raises(UnsupportedInput):
@@ -114,11 +133,11 @@ def test_a_canonical_knot_is_a_knot():
 #: every name the package exports: its API, with no submodule in it
 API = {
     "AnsatzFit", "AnsatzMismatch", "AuxiliaryScalars", "CancellationFailure",
-    "CanonicalTorusKnot", "DEPENDENCY_RELATIONS", "DegreeExceeded", "DivisionByZeroSeries",
+    "CanonicalTorusKnot", "DEPENDENCY_RELATIONS", "DegreeExceeded",
     "ExactPoly", "ExtractionReport", "Family", "GroupFactorVector", "GroupInstance",
     "Inconsistent", "InvariantTable", "LinearSolution", "NotAKnot",
     "RankDeficient", "SHARPNESS_PAIRS", "ScanReport", "SingularBracket", "TREFOIL_NORMALIZERS",
-    "TorusKnot", "TorusVassError", "TruncSeries", "TruncationUnderflow", "UNKNOT",
+    "TorusKnot", "TorusVassError", "TruncSeries", "UNKNOT",
     "UnsupportedInput", "akutsu_wadati_normalized", "auxiliary_scalars",
     "beta_from_alpha_tilde", "canonical_knots", "canonicalize", "closed_form_alpha",
     "closed_form_alpha_tilde", "closed_form_beta", "compare_fit_to_printed",
@@ -126,8 +145,8 @@ API = {
     "extract_alpha", "extract_alpha_tilde", "fit_ansatz", "group_factors",
     "homfly_normalized", "integrality_scan", "interpolate_poly", "kauffman_normalized",
     "lissajous_obstruction", "noncoprime_witnesses", "normalization_sharpness",
-    "normalized_series", "product", "qpower", "series_div",
-    "series_exp_linear", "so_n", "su2", "su_n", "unknot_factor", "unnormalized_series",
+    "normalized_series", "product", "so_n", "su2", "su_n", "unknot_factor",
+    "unnormalized_series",
 }
 
 
